@@ -77,8 +77,7 @@ _ALLOWED = {
                                     "noise_level", "sweep", "cap", "workers",
                                     "out"),
     "stability": _SCENARIO_KEYS + ("tag", "seed", "R", "trials", "sweep",
-                                   "mode", "starts", "restarts", "workers",
-                                   "out"),
+                                   "mode", "starts", "restarts", "out"),
 }
 
 
@@ -307,7 +306,7 @@ def _cmd_stability(v: dict):
     plan = TrialPlan(sc=sc, ensemble_tag=v["tag"], trials=v["trials"],
                      sweep=sweep, master_seed=v["seed"], restarts=v["restarts"],
                      R=v["R"], mode=v["mode"], starts=v["starts"])
-    rows = mc.run_stability_sweep(plan, workers=v["workers"])
+    rows = mc.run_stability_sweep(plan)
     return mc.stability_csv(rows), "csv"
 
 

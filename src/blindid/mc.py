@@ -4,8 +4,10 @@ the measurement perturbation budget.
 
 Every trial derives its own 64-bit seed from the plan's master seed via a
 documented splitmix64 mix of (master_seed, row_index, trial_index), so
-results are reproducible trial-by-trial and independent of the worker
-count used to execute them.
+results are reproducible trial-by-trial. Phase-transition results do not
+depend on the worker count used to execute them. Stability sweeps search
+every delta > 0 trial in one batched L-BFGS run, and each trial's result
+does not depend on the batch it is solved in.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import bounds, spectral
 from .ensembles import (COMPLEX_UNIFORM_BALL, REAL_GENERIC, REAL_UNIFORM_BALL,
@@ -257,71 +258,202 @@ def _pack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _unpack(p: np.ndarray, m1: int, m2: int) -> Tuple[np.ndarray, np.ndarray]:
-    x = p[:m1] + 1j * p[m1:2 * m1]
-    y = p[2 * m1:2 * m1 + m2] + 1j * p[2 * m1 + m2:]
+    x = p[..., :m1] + 1j * p[..., m1:2 * m1]
+    y = p[..., 2 * m1:2 * m1 + m2] + 1j * p[..., 2 * m1 + m2:]
     return x, y
 
 
-def _deviation_objective(p, ens, M0, t0, delta, mu):
-    """Penalized objective (value, gradient) for maximizing the Frobenius
-    deviation from M0 subject to measurement proximity <= delta and the unit
-    Frobenius ball. Gradients are exact (Wirtinger calculus on the factors)."""
-    m1, m2 = M0.shape
+def _sqnorm(z: np.ndarray, axis) -> np.ndarray:
+    return (z.real ** 2 + z.imag ** 2).sum(axis)
+
+
+def _deviation_objective(p, ac, bc, M0, t0, delta, mu):
+    """Penalized objective (values, gradients), one slot per row of p, for
+    maximizing the Frobenius deviation from M0 subject to measurement
+    proximity <= delta and the unit Frobenius ball. ac and bc hold the
+    conjugated frequency rows of each slot's ensemble. Gradients are exact
+    (Wirtinger calculus on the factors).
+
+    Every reduction runs within one slot, so a slot's arithmetic does not
+    depend on the other slots of the batch.
+    """
+    m1, m2 = M0.shape[1:]
     x, y = _unpack(p, m1, m2)
-    M = np.outer(x, y)
+    xc, yc = x.conj(), y.conj()
+    M = x[:, :, None] * y[:, None, :]
     diff = M - M0
-    u = ens.a.conj() @ x
-    v = ens.b.conj() @ y
+    u = (ac * x[:, None, :]).sum(2)
+    v = (bc * y[:, None, :]).sum(2)
     r = u * v - t0
+    # Complex products take named operands: numpy reuses a large temporary
+    # right operand in place, which swaps the factors of a complex product
+    # and can change its last bit, so results would depend on batch size.
+    rc = r.conj()
 
-    dev2 = float(np.linalg.norm(diff))**2
-    s = float(np.linalg.norm(r))
-    h = max(s - delta, 0.0)
-    t = float(np.linalg.norm(M))
-    h2 = max(t - 1.0, 0.0)
-    val = -dev2 + mu * h * h + mu * h2 * h2
+    s = np.sqrt(_sqnorm(r, 1))
+    h = np.maximum(s - delta, 0.0)
+    t = np.sqrt(_sqnorm(M, (1, 2)))
+    h2 = np.maximum(t - 1.0, 0.0)
+    val = -_sqnorm(diff, (1, 2)) + mu * h * h + mu * h2 * h2
 
-    gx = -(diff @ y.conj())
-    gy = -(diff.T @ x.conj())
-    if h > 0.0 and s > 0.0:
-        w = v.conj() * r
-        gx += mu * h / s * (ens.a.T @ w)
-        w = u.conj() * r
-        gy += mu * h / s * (ens.b.T @ w)
-    if h2 > 0.0 and t > 0.0:
-        gx += mu * h2 / t * (M @ y.conj())
-        gy += mu * h2 / t * (M.T @ x.conj())
-    grad = np.concatenate([2 * gx.real, 2 * gx.imag, 2 * gy.real, 2 * gy.imag])
+    # penalty weights, zero where a penalty is inactive (h > 0 implies s > 0)
+    w = (mu * h / np.where(h > 0.0, s, 1.0))[:, None]
+    w2 = (mu * h2 / np.where(h2 > 0.0, t, 1.0))[:, None]
+    gx = -(diff * yc[:, None, :]).sum(2)
+    gx += w * (ac * (v * rc)[:, :, None]).sum(1).conj()
+    gx += w2 * (M * yc[:, None, :]).sum(2)
+    gy = -(diff * xc[:, :, None]).sum(1)
+    gy += w * (bc * (u * rc)[:, :, None]).sum(1).conj()
+    gy += w2 * (M * xc[:, :, None]).sum(1)
+    grad = 2.0 * np.concatenate([gx.real, gx.imag, gy.real, gy.imag], axis=1)
     return val, grad
 
 
-def _feasible_deviation(ens, M0, x0, y0, x, y, delta) -> float:
-    """Largest feasible deviation along the factor segment from (x0, y0) to
-    (x, y): proximity <= delta and Frobenius norm <= 1, with tiny slack."""
-    t0 = apply_A(ens, M0)
-    best = 0.0
+# Batched L-BFGS with scipy's L-BFGS-B defaults for an unconstrained problem.
+LBFGS_MEMORY = 10
+LBFGS_PGTOL = 1e-5
+LBFGS_FTOL = 1e7 * np.finfo(float).eps
+LBFGS_MAXLS = 20
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+# Per-slot stop status, with scipy's codes.
+CONVERGED, MAXITER, LINE_SEARCH_FAILED = 0, 1, 2
+_RUNNING = -1
+
+
+def _two_loop(g, S, Y, rho):
+    """L-BFGS two-loop recursion, H g, per slot. Memory is newest first;
+    unused entries are zero and leave the result unchanged."""
+    used = int(np.count_nonzero(rho, axis=1).max(initial=0))
+    q = g.copy()
+    alpha = np.zeros(rho.shape)
+    for i in range(used):
+        alpha[:, i] = rho[:, i] * (S[:, i] * q).sum(1)
+        q -= alpha[:, i, None] * Y[:, i]
+    yy = (Y[:, 0] ** 2).sum(1)
+    # initial Hessian scale s'y / y'y of the newest pair, 1 without memory
+    r = q / np.where(rho[:, 0] > 0.0, rho[:, 0] * yy, 1.0)[:, None]
+    for i in reversed(range(used)):
+        beta = rho[:, i] * (Y[:, i] * r).sum(1)
+        r += (alpha[:, i] - beta)[:, None] * S[:, i]
+    return r
+
+
+def _wolfe_search(fun, idx, p, f, d, gd, step):
+    """Weak-Wolfe line search by bracketing (doubling, then bisection) for
+    each slot idx[k] from p[k] along d[k]. Returns the per-slot success
+    mask and the accepted points, values and gradients."""
+    lo = np.zeros(idx.size)
+    hi = np.full(idx.size, np.inf)
+    alpha = step.copy()
+    ok = np.zeros(idx.size, dtype=bool)
+    p_new, f_new, g_new = np.empty_like(p), np.empty_like(f), np.empty_like(p)
+    pending = np.arange(idx.size)
+    for _ in range(LBFGS_MAXLS):
+        if pending.size == 0:
+            break
+        a = alpha[pending]
+        pt = p[pending] + a[:, None] * d[pending]
+        ft, gt = fun(pt, idx[pending])
+        sufficient = ft <= f[pending] + WOLFE_C1 * a * gd[pending]
+        curved = (gt * d[pending]).sum(1) >= WOLFE_C2 * gd[pending]
+        done = sufficient & curved
+        acc = pending[done]
+        ok[acc] = True
+        p_new[acc], f_new[acc], g_new[acc] = pt[done], ft[done], gt[done]
+        hi[pending] = np.where(sufficient, hi[pending], a)
+        lo[pending] = np.where(sufficient & ~curved, a, lo[pending])
+        alpha[pending] = np.where(np.isinf(hi[pending]), 2.0 * a,
+                                  0.5 * (lo[pending] + hi[pending]))
+        pending = pending[~done]
+    return ok, p_new, f_new, g_new
+
+
+def _lbfgs(fun, p, maxiter):
+    """Minimize each slot (row of p) independently with L-BFGS.
+
+    fun(points, idx) returns values and gradients of slots idx at the given
+    points. Converged or failed slots are frozen. Stop tests follow scipy's
+    L-BFGS-B: max |g| <= LBFGS_PGTOL or a relative reduction of f at most
+    LBFGS_FTOL is CONVERGED, maxiter iterations is MAXITER, and a failed
+    line search from steepest descent is LINE_SEARCH_FAILED (with memory,
+    a failure first clears the memory and retries). Returns the final
+    points and the per-slot status.
+    """
+    B, dim = p.shape
+    p = p.copy()
+    f, g = fun(p, np.arange(B))
+    S = np.zeros((B, LBFGS_MEMORY, dim))
+    Y = np.zeros((B, LBFGS_MEMORY, dim))
+    rho = np.zeros((B, LBFGS_MEMORY))
+    nit = np.zeros(B, dtype=int)
+    status = np.where(np.abs(g).max(1) <= LBFGS_PGTOL, CONVERGED, _RUNNING)
+
+    def clear_memory(slots):
+        S[slots], Y[slots], rho[slots] = 0.0, 0.0, 0.0
+
+    while True:
+        act = np.flatnonzero(status == _RUNNING)
+        if act.size == 0:
+            break
+        d = -_two_loop(g[act], S[act], Y[act], rho[act])
+        gd = (g[act] * d).sum(1)
+        # not a descent direction: clear the memory, use steepest descent
+        bad = ~(gd < 0.0)
+        if bad.any():
+            clear_memory(act[bad])
+            d[bad] = -g[act[bad]]
+            gd[bad] = (g[act[bad]] * d[bad]).sum(1)
+        fresh = rho[act, 0] == 0.0
+        step = np.where(fresh, 1.0 / np.sqrt((d * d).sum(1)), 1.0)
+        ok, p_new, f_new, g_new = _wolfe_search(fun, act, p[act], f[act], d, gd, step)
+
+        failed = act[~ok]
+        status[failed[fresh[~ok]]] = LINE_SEARCH_FAILED
+        clear_memory(failed)
+
+        j = act[ok]
+        s = p_new[ok] - p[j]
+        yv = g_new[ok] - g[j]
+        sy = (s * yv).sum(1)
+        keep = sy > np.finfo(float).eps * -(g[j] * s).sum(1)
+        jk = j[keep]
+        S[jk, 1:], Y[jk, 1:], rho[jk, 1:] = S[jk, :-1], Y[jk, :-1], rho[jk, :-1]
+        S[jk, 0], Y[jk, 0], rho[jk, 0] = s[keep], yv[keep], 1.0 / sy[keep]
+
+        f_old = f[j]
+        p[j], f[j], g[j] = p_new[ok], f_new[ok], g_new[ok]
+        nit[j] += 1
+        scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f[j])), 1.0)
+        conv = (f_old - f[j] <= LBFGS_FTOL * scale) | (np.abs(g[j]).max(1) <= LBFGS_PGTOL)
+        status[j[conv]] = CONVERGED
+        status[j[~conv & (nit[j] >= maxiter)]] = MAXITER
+    return p, status
+
+
+def _feasible_scan(ac, bc, M0, t0, x0, y0, x, y, delta) -> np.ndarray:
+    """Largest feasible deviation along each slot's factor segment from
+    (x0, y0) to (x, y): proximity <= delta and Frobenius norm <= 1, with
+    tiny slack. Loops over the 65 grid points so memory stays O(slots)."""
+    best = np.zeros(len(delta))
     for t in np.linspace(0.0, 1.0, 65):
         xt = x0 + t * (x - x0)
         yt = y0 + t * (y - y0)
-        Mt = np.outer(xt, yt)
-        if np.linalg.norm(Mt) > 1.0 + 1e-9:
-            continue
-        prox = np.linalg.norm((ens.a.conj() @ xt) * (ens.b.conj() @ yt) - t0)
-        if prox <= delta * (1.0 + 1e-9):
-            best = max(best, float(np.linalg.norm(Mt - M0)))
+        Mt = xt[:, :, None] * yt[:, None, :]
+        r = (ac * xt[:, None, :]).sum(2) * (bc * yt[:, None, :]).sum(2) - t0
+        feasible = ((np.sqrt(_sqnorm(Mt, (1, 2))) <= 1.0 + 1e-9)
+                    & (np.sqrt(_sqnorm(r, 1)) <= delta * (1.0 + 1e-9)))
+        dev = np.sqrt(_sqnorm(Mt - M0, (1, 2)))
+        best = np.where(feasible, np.maximum(best, dev), best)
     return best
 
 
-def max_feasible_deviation(ens: Ensemble, M0: LiftedMatrix, delta: float,
-                           starts: int, rng: np.random.Generator,
-                           mu: float = 1e4, maxiter: int = 200) -> float:
-    """Heuristic multi-start maximization of the deviation from M0 within
-    the delta measurement ball. Lower-bound evidence on the worst case; the
-    true guarantee is universal and cannot be certified by search."""
-    t0 = apply_A(ens, M0)
-    x0, y0 = M0.x, M0.y
-    m1, m2 = M0.shape
-    best = 0.0
+def _draw_starts(x0, y0, delta: float, starts: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Packed start points, (max(1, starts), 2(m1+m2)): a perturbation of
+    the planted factors, then unit-norm random factors."""
+    m1, m2 = x0.size, y0.size
+    out = []
     for k in range(max(1, starts)):
         if k == 0:
             scale = 0.1 + 0.5 * delta
@@ -332,67 +464,139 @@ def max_feasible_deviation(ens: Ensemble, M0: LiftedMatrix, delta: float,
             ys = (rng.standard_normal(m2) + 1j * rng.standard_normal(m2)) / np.sqrt(2)
             nrm = np.linalg.norm(xs) * np.linalg.norm(ys)
             xs, ys = xs / nrm, ys
-        res = minimize(_deviation_objective, _pack(xs, ys),
-                       args=(ens, M0.M, t0, delta, mu),
-                       jac=True, method="L-BFGS-B",
-                       options={"maxiter": maxiter})
-        xf, yf = _unpack(res.x, m1, m2)
-        best = max(best, _feasible_deviation(ens, M0.M, x0, y0, xf, yf, delta))
-    return best
+        out.append(_pack(xs, ys))
+    return np.array(out)
 
 
-def run_stability_sweep(plan: TrialPlan, workers: int = 1) -> list[SweepRow]:
+def _deviation_search(a, b, x0, y0, delta, p0, mu: float = 1e4,
+                      maxiter: int = 200):
+    """Batched multi-start deviation search over T problems with S starts.
+
+    a (T, n, m1) and b (T, n, m2) are the frequency rows, (x0, y0) the
+    planted factors, delta (T,) the budgets and p0 (T, S, 2(m1+m2)) the
+    packed starts. Every start is one L-BFGS slot on the penalized
+    objective; its end point is repaired by the feasible-segment scan.
+    Returns the largest feasible deviation per problem, (T,), and the stop
+    status per start, (T, S).
+    """
+    T, S = p0.shape[:2]
+    ac = np.repeat(a.conj(), S, axis=0)
+    bc = np.repeat(b.conj(), S, axis=0)
+    x0 = np.repeat(x0, S, axis=0)
+    y0 = np.repeat(y0, S, axis=0)
+    delta = np.repeat(np.asarray(delta, dtype=float), S)
+    M0 = x0[:, :, None] * y0[:, None, :]
+    t0 = (ac * x0[:, None, :]).sum(2) * (bc * y0[:, None, :]).sum(2)
+
+    def fun(p, idx):
+        return _deviation_objective(p, ac[idx], bc[idx], M0[idx], t0[idx],
+                                    delta[idx], mu)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, status = _lbfgs(fun, p0.reshape(T * S, -1), maxiter)
+    x, y = _unpack(p, x0.shape[1], y0.shape[1])
+    best = _feasible_scan(ac, bc, M0, t0, x0, y0, x, y, delta)
+    return best.reshape(T, S).max(1), status.reshape(T, S)
+
+
+def max_feasible_deviation(ens: Ensemble, M0: LiftedMatrix, delta: float,
+                           starts: int, rng: np.random.Generator,
+                           mu: float = 1e4, maxiter: int = 200) -> float:
+    """Heuristic multi-start maximization of the deviation from M0 within
+    the delta measurement ball. Lower-bound evidence on the worst case; the
+    true guarantee is universal and cannot be certified by search."""
+    p0 = _draw_starts(M0.x, M0.y, delta, starts, rng)
+    best, _ = _deviation_search(ens.a[None], ens.b[None], M0.x[None], M0.y[None],
+                                [delta], p0[None], mu, maxiter)
+    return float(best[0])
+
+
+# Starts searched per batch. Slots are independent, so the cap changes no
+# result; it keeps a sweep's memory flat in the number of trials.
+SEARCH_BATCH_SLOTS = 2048
+
+
+def run_stability_sweep(plan: TrialPlan) -> list[SweepRow]:
     """Observed worst-case deviation versus the measurement budget delta.
 
     Per delta and trial: draw a uniform-ball ensemble, plant a unit-norm
     matrix, search for the largest feasible deviation, and record whether
     it violates the predicted reconstruction level. delta = 0 degenerates
-    to a noiseless uniqueness check.
+    to a noiseless uniqueness check. The searches of delta > 0 trials run
+    batched, up to SEARCH_BATCH_SLOTS starts at a time across rows; a
+    trial's result does not depend on its batch. delta > 0 rows annotate
+    search_status: how many starts converged, hit the iteration cap, and
+    failed their line search.
     """
     if plan.ensemble_tag != COMPLEX_UNIFORM_BALL:
         raise ValueError("stability sweeps require the complex uniform-ball ensemble")
+    deltas = [float(delta) for delta in plan.sweep]
+    if any(delta < 0 for delta in deltas):
+        raise ValueError("stability sweep budgets delta must be nonnegative")
     sc = plan.sc
     R = plan.R if plan.R is not None else mean_isometry_radius(sc.n, sc.m1, sc.m2)
-    rows = []
-    for row_idx, delta in enumerate(plan.sweep):
-        delta = float(delta)
+    levels = []  # (epsilon, bound_raw, bound_clamped) per row
+    for delta in deltas:
         if delta > 0:
             eps = bounds.epsilon_of_delta(sc, plan.mode, R, delta)
-            raw, clamped = bounds.failure_prob_bound(sc, plan.mode, R, delta, eps)
+            levels.append((eps, *bounds.failure_prob_bound(sc, plan.mode, R, delta, eps)))
         else:
-            eps, raw, clamped = 0.0, 0.0, 0.0
+            levels.append((0.0, 0.0, 0.0))
 
-        def trial(i, row_idx=row_idx, delta=delta, eps=eps):
+    trial_devs = [[] for _ in deltas]  # per row: deviation per trial
+    zero_violations = [0] * len(deltas)
+    status = [np.zeros(3, dtype=int) for _ in deltas]  # per row: starts by stop status
+    pending = []  # (row, a, b, x0, y0, delta, starts) per trial awaiting its search
+
+    def search_pending():
+        rows_of, *problems = zip(*pending)
+        found, stops = _deviation_search(*(np.stack(col) for col in problems))
+        for row, dev, stop in zip(rows_of, found, stops):
+            trial_devs[row].append(float(dev))
+            status[row] += np.bincount(stop, minlength=3)
+        pending.clear()
+
+    for row_idx, delta in enumerate(deltas):
+        for i in range(plan.trials):
             seed = mix_seed(plan.master_seed, row_idx, i)
             ens = build_ensemble(sc, COMPLEX_UNIFORM_BALL, mix_seed(seed, 0), R=R)
             plant_rng = np.random.default_rng(mix_seed(seed, 1))
             search_rng = np.random.default_rng(mix_seed(seed, 2))
             M0 = _plant_factors(sc, False, plant_rng)
-            if delta == 0.0:
-                z_tilde = apply_A(ens, M0)
-                if sc.kind == "subspace":
-                    res = solve_fixed_support(ens, z_tilde, range(sc.m1), range(sc.m2),
-                                              restarts=plan.restarts, rng=search_rng)
-                else:
-                    res = solve_sparse_enumerate(ens, z_tilde, sc,
-                                                 restarts=plan.restarts,
-                                                 rng=search_rng, cap=plan.cap)
-                dev = align_and_distance(res.M_hat, M0)
-                return (not is_recovered(res.M_hat, M0)), dev
-            dev = max_feasible_deviation(ens, M0, delta, plan.starts, search_rng)
-            return dev > eps, dev
+            if delta > 0:
+                p0 = _draw_starts(M0.x, M0.y, delta, plan.starts, search_rng)
+                pending.append((row_idx, ens.a, ens.b, M0.x, M0.y, delta, p0))
+                if len(pending) * len(p0) >= SEARCH_BATCH_SLOTS:
+                    search_pending()
+                continue
+            z_tilde = apply_A(ens, M0)
+            if sc.kind == "subspace":
+                res = solve_fixed_support(ens, z_tilde, range(sc.m1), range(sc.m2),
+                                          restarts=plan.restarts, rng=search_rng)
+            else:
+                res = solve_sparse_enumerate(ens, z_tilde, sc, restarts=plan.restarts,
+                                             rng=search_rng, cap=plan.cap)
+            zero_violations[row_idx] += not is_recovered(res.M_hat, M0)
+            trial_devs[row_idx].append(align_and_distance(res.M_hat, M0))
+    if pending:
+        search_pending()
 
-        results = _run_trials(plan.trials, trial, workers)
-        violations = sum(1 for bad, _ in results if bad)
-        devs = [dev for _, dev in results]
+    rows = []
+    for row_idx, (delta, (eps, raw, clamped)) in enumerate(zip(deltas, levels)):
+        devs = trial_devs[row_idx]
+        annotations = {"epsilon": eps, "bound_raw": raw, "bound_clamped": clamped,
+                       "max_deviation": float(np.max(devs))}
+        if delta > 0:
+            violations = sum(1 for dev in devs if dev > eps)
+            annotations["search_status"] = status[row_idx].tolist()
+        else:
+            violations = zero_violations[row_idx]
         rows.append(SweepRow(
             value=delta, trials=plan.trials,
             successes=plan.trials - violations,
             rate=violations / plan.trials,
             mean_lifted_error=float(np.mean(devs)),
-            annotations={"epsilon": eps, "bound_raw": raw,
-                         "bound_clamped": clamped,
-                         "max_deviation": float(np.max(devs))},
+            annotations=annotations,
         ))
     return rows
 

@@ -16,7 +16,7 @@ import pytest
 from blindid import bounds, mc
 from blindid.ensembles import (COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL,
                                REAL_GENERIC, ConstraintScenario,
-                               build_ensemble)
+                               build_ensemble, mix_seed)
 from blindid.lifting import (apply_A, apply_G, calibrated_isometry_radius,
                              mean_isometry_radius)
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
@@ -256,12 +256,26 @@ def test_criterion_8_worker_determinism():
     sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
     splan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=20,
                          sweep=(0.1, 0.0), master_seed=89)
-    s1 = mc.stability_csv(mc.run_stability_sweep(splan, workers=1))
-    s8 = mc.stability_csv(mc.run_stability_sweep(splan, workers=8))
+    srows = mc.run_stability_sweep(splan)
+    s1 = mc.stability_csv(srows)
+    s1b = mc.stability_csv(mc.run_stability_sweep(splan))
+    # the stability sweep searches its trials as one batch: each trial
+    # searched alone must give the same deviation bit for bit
+    R = mean_isometry_radius(sc.n, sc.m1, sc.m2)
+    alone = []
+    for i in range(splan.trials):
+        seed = mix_seed(splan.master_seed, 0, i)
+        ens = build_ensemble(sc, COMPLEX_UNIFORM_BALL, mix_seed(seed, 0), R=R)
+        M0 = mc._plant_factors(sc, False, np.random.default_rng(mix_seed(seed, 1)))
+        alone.append(mc.max_feasible_deviation(ens, M0, 0.1, splan.starts,
+                                               np.random.default_rng(mix_seed(seed, 2))))
+    batch_ok = (srows[0].annotations["max_deviation"] == max(alone)
+                and srows[0].mean_lifted_error == float(np.mean(alone)))
 
     elapsed = time.time() - start
-    ok = t1 == t8 == t1b and s1 == s8
+    ok = t1 == t8 == t1b and s1 == s1b and batch_ok
     report("8 (worker determinism)", ok,
            f"transition CSV identical across reruns and 1/8 workers: {t1 == t8 == t1b}; "
-           f"stability CSV identical across 1/8 workers: {s1 == s8}, {elapsed:.1f}s")
+           f"stability CSV identical across reruns: {s1 == s1b}; "
+           f"trials searched alone match the batch: {batch_ok}, {elapsed:.1f}s")
     assert ok
