@@ -9,8 +9,7 @@ from .bounds import (BoundQuery, BoundReport, constant_C, covering_bound,
                      volume_real_ball)
 from .ensembles import (COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL, REAL_GENERIC,
                         REAL_UNIFORM_BALL, ConstraintScenario, Ensemble,
-                        ScenarioError, build_complex_ensemble, build_ensemble,
-                        build_real_ensemble, mix_seed,
+                        ScenarioError, build_ensemble, mix_seed,
                         sample_uniform_complex_ball, sample_uniform_real_ball)
 from .lifting import (LiftedMatrix, MeasurementRecord, apply_A,
                       apply_A_adjoint, apply_G, calibrated_isometry_radius,
@@ -25,6 +24,6 @@ from .recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
                        certify_strong, certify_weak, is_recovered,
                        min_scaled_distance, solve_fixed_support,
                        solve_sparse_enumerate, verify_counterexample)
-from .spectral import circular_convolve, dft, dft_matrix
+from .spectral import circular_convolve, dft
 
 __version__ = "0.1.0"

@@ -20,8 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import dft_matrix
-
 __all__ = [
     "ScenarioError",
     "ConstraintScenario",
@@ -33,8 +31,6 @@ __all__ = [
     "sample_uniform_complex_ball",
     "sample_uniform_real_ball",
     "build_ensemble",
-    "build_complex_ensemble",
-    "build_real_ensemble",
     "mix_seed",
 ]
 
@@ -245,14 +241,14 @@ class Ensemble:
         return cls.from_manifest(json.loads(text))
 
 
-def _rows_from_matrix(F: np.ndarray, D: np.ndarray) -> np.ndarray:
+def _rows_from_matrix(D: np.ndarray) -> np.ndarray:
     # a_j is the conjugate transpose of row j of F @ D
-    return (F @ D).conj()
+    return np.fft.fft(D, axis=0, norm="ortho").conj()
 
 
-def _matrix_from_rows(F: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _matrix_from_rows(rows: np.ndarray) -> np.ndarray:
     # invert: F @ D has row j equal to conj(a_j), and F is unitary
-    return F.conj().T @ rows.conj()
+    return np.fft.ifft(rows.conj(), axis=0, norm="ortho")
 
 
 def _real_ball_rows(n: int, m: int, R: float, rng: np.random.Generator) -> np.ndarray:
@@ -260,15 +256,14 @@ def _real_ball_rows(n: int, m: int, R: float, rng: np.random.Generator) -> np.nd
 
     0-based row 0 (and row n/2 for even n) are real, drawn uniform on the
     real radius-R ball; rows 1 .. ceil((n+1)/2)-1 are drawn uniform on the
-    complex ball; row n-j is the conjugate of row j.
+    complex ball in one batch; row n-j is the conjugate of row j.
     """
-    rows = np.zeros((n, m), dtype=np.complex128)
+    rows = np.empty((n, m), dtype=np.complex128)
     rows[0] = sample_uniform_real_ball(m, R, rng)
     half = (n + 1) // 2  # rows 1..half-1 are free complex rows
-    for j in range(1, half):
-        rows[j] = sample_uniform_complex_ball(m, R, rng)
-        rows[n - j] = rows[j].conj()
-    if n % 2 == 0 and n >= 2:
+    rows[1:half] = sample_uniform_complex_ball_batch(m, R, rng, half - 1)
+    rows[n - half + 1:] = rows[half - 1:0:-1].conj()
+    if n % 2 == 0:
         rows[n // 2] = sample_uniform_real_ball(m, R, rng)
     return rows
 
@@ -286,29 +281,27 @@ def build_ensemble(sc: ConstraintScenario, tag: str, seed: int,
 
     n, m1, m2 = sc.n, sc.m1, sc.m2
     rng = np.random.default_rng(seed)
-    F = dft_matrix(n)
 
     if tag == COMPLEX_GENERIC:
         D = (rng.standard_normal((n, m1)) + 1j * rng.standard_normal((n, m1))) / np.sqrt(2)
         E = (rng.standard_normal((n, m2)) + 1j * rng.standard_normal((n, m2))) / np.sqrt(2)
-        a = _rows_from_matrix(F, D)
-        b = _rows_from_matrix(F, E)
+        a = _rows_from_matrix(D)
+        b = _rows_from_matrix(E)
     elif tag == COMPLEX_UNIFORM_BALL:
         a = sample_uniform_complex_ball_batch(m1, R, rng, n)
         b = sample_uniform_complex_ball_batch(m2, R, rng, n)
-        D = _matrix_from_rows(F, a)
-        E = _matrix_from_rows(F, b)
+        D = _matrix_from_rows(a)
+        E = _matrix_from_rows(b)
     elif tag == REAL_GENERIC:
-        D = rng.standard_normal((n, m1)).astype(np.complex128)
-        E = rng.standard_normal((n, m2)).astype(np.complex128)
-        D, E = D.real.astype(float), E.real.astype(float)
-        a = _rows_from_matrix(F, D)
-        b = _rows_from_matrix(F, E)
+        D = rng.standard_normal((n, m1))
+        E = rng.standard_normal((n, m2))
+        a = _rows_from_matrix(D)
+        b = _rows_from_matrix(E)
     else:  # REAL_UNIFORM_BALL
         a = _real_ball_rows(n, m1, R, rng)
         b = _real_ball_rows(n, m2, R, rng)
-        D = _matrix_from_rows(F, a)
-        E = _matrix_from_rows(F, b)
+        D = _matrix_from_rows(a)
+        E = _matrix_from_rows(b)
         for name, M in (("D", D), ("E", E)):
             scale = max(1.0, float(np.abs(M).max()))
             if np.abs(M.imag).max() > 1e-10 * scale:
@@ -316,20 +309,6 @@ def build_ensemble(sc: ConstraintScenario, tag: str, seed: int,
         D, E = D.real.copy(), E.real.copy()
 
     return Ensemble(scenario=sc, tag=tag, seed=seed, R=R, D=D, E=E, a=a, b=b)
-
-
-def build_complex_ensemble(sc: ConstraintScenario, tag: str, seed: int,
-                           R: Optional[float] = None) -> Ensemble:
-    if tag not in _COMPLEX_TAGS:
-        raise ValueError(f"expected a complex tag, got {tag!r}")
-    return build_ensemble(sc, tag, seed, R=R)
-
-
-def build_real_ensemble(sc: ConstraintScenario, tag: str, seed: int,
-                        R: Optional[float] = None) -> Ensemble:
-    if tag not in _REAL_TAGS:
-        raise ValueError(f"expected a real tag, got {tag!r}")
-    return build_ensemble(sc, tag, seed, R=R)
 
 
 def diagnostic_full_rank(ens: Ensemble, tol: float = 1e-10) -> bool:

@@ -128,13 +128,15 @@ def apply_A(ens: Ensemble, M) -> np.ndarray:
 def apply_G(ens: Ensemble, M) -> np.ndarray:
     """Time-domain measurements of the lifted matrix M.
 
-    Rank-1 inputs with factors go through the time domain directly as
-    (D x) convolved with (E y); general matrices go through the frequency
-    products, which agree by linearity.
+    Rank-1 inputs with factors are (D x) convolved with (E y), computed by
+    the convolution theorem in O(n log n); general matrices go through the
+    frequency products, which agree by linearity.
     """
     if isinstance(M, LiftedMatrix) and M.x is not None:
         _check_shape(ens, M.M)
-        return spectral.circular_convolve(ens.D @ M.x, ens.E @ M.y)
+        u = spectral.dft(ens.D @ M.x)
+        v = spectral.dft(ens.E @ M.y)
+        return np.sqrt(ens.n) * spectral.dft(u * v, "inverse")
     vals = apply_A(ens, M)
     return np.sqrt(ens.n) * spectral.dft(vals, "inverse")
 

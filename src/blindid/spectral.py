@@ -8,9 +8,8 @@ both preserve the l2 norm.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import circulant
 
-__all__ = ["dft", "dft_matrix", "circular_convolve"]
+__all__ = ["dft", "circular_convolve"]
 
 
 def _as_complex_vector(v) -> np.ndarray:
@@ -37,14 +36,6 @@ def dft(v, direction: str = "forward") -> np.ndarray:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def dft_matrix(n: int) -> np.ndarray:
-    """The n x n unitary DFT matrix F with F[j, k] = exp(-2*pi*i*j*k/n)/sqrt(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    j = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
-
-
 def circular_convolve(u, v) -> np.ndarray:
     """Circular convolution z[k] = sum_j u[j] * v[(k - j) mod n].
 
@@ -55,4 +46,5 @@ def circular_convolve(u, v) -> np.ndarray:
     v = _as_complex_vector(v)
     if u.shape != v.shape:
         raise ValueError(f"length mismatch: {u.size} vs {v.size}")
-    return circulant(v) @ u
+    k = np.arange(u.size)
+    return v[np.subtract.outer(k, k) % u.size] @ u

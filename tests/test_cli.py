@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +189,14 @@ class TestSubcommands:
                            "--m1", "2", "--m2", "2", "--n", "10",
                            "--sweep", "0.1,zebra", "--trials", "2")
         assert code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it costs CLI start-up time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, blindid.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"

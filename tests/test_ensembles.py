@@ -5,12 +5,11 @@ from scipy import stats
 from blindid.ensembles import (COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL,
                                REAL_GENERIC, REAL_UNIFORM_BALL,
                                ConstraintScenario, Ensemble, ScenarioError,
-                               build_complex_ensemble, build_ensemble,
-                               build_real_ensemble, diagnostic_full_rank,
+                               build_ensemble, diagnostic_full_rank,
                                mix_seed, sample_uniform_complex_ball,
                                sample_uniform_complex_ball_batch,
                                sample_uniform_real_ball)
-from blindid.spectral import dft_matrix
+from oracles import dft_matrix
 
 
 class TestScenarioValidation:
@@ -131,6 +130,18 @@ class TestEnsembleBuild:
         assert np.linalg.norm(ens.a - (F @ ens.D).conj()) < 1e-12
         assert np.linalg.norm(ens.b - (F @ ens.E).conj()) < 1e-12
 
+    @pytest.mark.parametrize("tag,R", [(COMPLEX_GENERIC, None),
+                                       (COMPLEX_UNIFORM_BALL, 0.8),
+                                       (REAL_GENERIC, None),
+                                       (REAL_UNIFORM_BALL, 0.8)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1024])
+    def test_fft_rows_match_dense_oracle(self, tag, R, n):
+        sc = ConstraintScenario.unchecked("subspace", n, 2, 3)
+        ens = build_ensemble(sc, tag, 11, R=R)
+        F = dft_matrix(n)
+        for rows, M in ((ens.a, ens.D), (ens.b, ens.E)):
+            assert np.linalg.norm(rows - (F @ M).conj()) <= 1e-12 * np.linalg.norm(rows)
+
     def test_same_seed_bit_identical(self):
         e1 = build_ensemble(SC, COMPLEX_UNIFORM_BALL, 5, R=1.0)
         e2 = build_ensemble(SC, COMPLEX_UNIFORM_BALL, 5, R=1.0)
@@ -151,16 +162,8 @@ class TestEnsembleBuild:
         with pytest.raises(ValueError):
             build_ensemble(SC, "nope", 5)
 
-    def test_tag_restricted_builders(self):
-        build_complex_ensemble(SC, COMPLEX_GENERIC, 1)
-        build_real_ensemble(SC, REAL_GENERIC, 1)
-        with pytest.raises(ValueError):
-            build_complex_ensemble(SC, REAL_GENERIC, 1)
-        with pytest.raises(ValueError):
-            build_real_ensemble(SC, COMPLEX_GENERIC, 1)
-
     @pytest.mark.parametrize("tag", [REAL_GENERIC, REAL_UNIFORM_BALL])
-    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("n", [4, 5, 6, 1023, 1024])
     def test_real_matrices_and_conjugate_symmetry(self, tag, n):
         sc = ConstraintScenario(kind="subspace", n=n, m1=2, m2=2)
         R = 1.0 if tag == REAL_UNIFORM_BALL else None
@@ -175,6 +178,23 @@ class TestEnsembleBuild:
                              REAL_UNIFORM_BALL, 3, R=1.0)
         assert np.abs(ens.a[0].imag).max() < 1e-12
         assert np.abs(ens.a[2].imag).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 1023, 1024])
+    def test_real_ball_rows_are_drawn_free_and_completed(self, n):
+        # rows 0 and n/2 are exactly real, rows n-j are exact conjugates of
+        # rows j, every row lies in the ball, and the free rows differ
+        R = 0.7
+        ens = build_ensemble(ConstraintScenario.unchecked("subspace", n, 2, 3),
+                             REAL_UNIFORM_BALL, 5, R=R)
+        for rows in (ens.a, ens.b):
+            assert np.all(rows[0].imag == 0)
+            if n % 2 == 0:
+                assert np.all(rows[n // 2].imag == 0)
+            j = np.arange(1, n)
+            assert np.array_equal(rows[n - j], rows[j].conj())
+            assert np.linalg.norm(rows, axis=1).max() <= R * (1 + 1e-12)
+            free = rows[1:(n + 1) // 2]
+            assert len({tuple(r) for r in free}) == len(free)
 
     def test_manifest_round_trip(self):
         ens = build_ensemble(SC, COMPLEX_UNIFORM_BALL, 17, R=0.9)

@@ -7,7 +7,8 @@ from blindid.lifting import (LiftedMatrix, MeasurementRecord, apply_A,
                              apply_A_adjoint, apply_G,
                              calibrated_isometry_radius, mean_isometry_radius,
                              operator_matrix)
-from blindid.spectral import circular_convolve, dft, dft_matrix
+from blindid.spectral import circular_convolve, dft
+from oracles import dft_matrix
 
 
 def make_ensemble(n=6, m1=2, m2=3, seed=0):
@@ -97,6 +98,16 @@ class TestOperators:
         direct = circular_convolve(ens.D @ x, ens.E @ y)
         assert np.linalg.norm(apply_G(ens, M) - direct) < 1e-10
         assert np.linalg.norm(apply_G(ens, M.M) - direct) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 256])
+    def test_factored_path_equals_direct_convolution(self, n):
+        ens = make_ensemble(n=n, m1=3, m2=2, seed=n)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        direct = circular_convolve(ens.D @ x, ens.E @ y)
+        z = apply_G(ens, LiftedMatrix.from_factors(x, y))
+        assert np.linalg.norm(z - direct) <= 1e-12 * np.linalg.norm(direct)
 
     def test_frequency_entries_against_row_loop(self):
         ens = make_ensemble()
