@@ -11,9 +11,9 @@ from .ensembles import (COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL, REAL_GENERIC,
                         REAL_UNIFORM_BALL, ConstraintScenario, Ensemble,
                         ScenarioError, build_ensemble, mix_seed,
                         sample_uniform_complex_ball, sample_uniform_real_ball)
-from .lifting import (LiftedMatrix, MeasurementRecord, apply_A,
-                      apply_A_adjoint, apply_G, calibrated_isometry_radius,
-                      mean_isometry_radius, operator_matrix)
+from .lifting import (LiftedMatrix, apply_A, apply_A_adjoint, apply_G,
+                      calibrated_isometry_radius, mean_isometry_radius,
+                      operator_matrix)
 from .mc import (SweepRow, TrialPlan, estimate_small_ball_prob,
                  mean_isometry_relative_error, run_manifest,
                  run_phase_transition, run_stability_sweep, stability_csv,

@@ -9,6 +9,7 @@ are rejected. Exit codes: 0 success, 2 validation error, 3 IO error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,12 +21,8 @@ import numpy as np
 from . import bounds, mc
 from .ensembles import (COMPLEX_UNIFORM_BALL, ConstraintScenario,
                         ScenarioError, build_ensemble, mix_seed)
-from .lifting import apply_G
 from .mc import TrialPlan, _plant_factors
-from .recovery import (certify_strong, certify_weak, is_recovered,
-                       solve_fixed_support, solve_sparse_enumerate,
-                       verify_counterexample)
-from .spectral import dft
+from .recovery import certify_strong, certify_weak, verify_counterexample
 
 __all__ = ["RunConfig", "parse_config", "emit_report", "main"]
 
@@ -58,7 +55,6 @@ _OPTION_SPECS = {
     "tol": (float, 1e-6),
     "starts": (int, 3),
     "cap": (int, 100_000),
-    "workers": (int, 1),
     "out": (str, None),
 }
 
@@ -74,8 +70,7 @@ _ALLOWED = {
                                 "out"),
     "smallball": ("m1", "m2", "seed", "R", "rho", "trials", "out"),
     "transition": _SCENARIO_KEYS + ("tag", "seed", "R", "trials", "restarts",
-                                    "noise_level", "sweep", "cap", "workers",
-                                    "out"),
+                                    "noise_level", "sweep", "cap", "out"),
     "stability": _SCENARIO_KEYS + ("tag", "seed", "R", "trials", "sweep",
                                    "mode", "starts", "restarts", "out"),
 }
@@ -113,6 +108,8 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
 
+# built once per process: parse_args leaves the parser unchanged
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blindid",
@@ -219,27 +216,14 @@ def _cmd_gen(v: dict):
 
 
 def _cmd_recover(v: dict):
-    sc = _scenario(v)
-    ens = _build(sc, v)
-    plant_rng = np.random.default_rng(mix_seed(v["seed"], 1))
-    solver_rng = np.random.default_rng(mix_seed(v["seed"], 2))
-    real = v["tag"].startswith("real")
-    M0 = _plant_factors(sc, real, plant_rng)
-    z = apply_G(ens, M0)
-    if v["noise_level"] > 0:
-        g = plant_rng.standard_normal(sc.n) + 1j * plant_rng.standard_normal(sc.n)
-        z = z + v["noise_level"] * g / np.linalg.norm(g)
-    z_tilde = dft(z) / np.sqrt(sc.n)
-    if sc.kind == "subspace":
-        res = solve_fixed_support(ens, z_tilde, range(sc.m1), range(sc.m2),
-                                  restarts=v["restarts"], rng=solver_rng, truth=M0)
-    else:
-        res = solve_sparse_enumerate(ens, z_tilde, sc, restarts=v["restarts"],
-                                     rng=solver_rng, cap=v["cap"], truth=M0)
+    # the trial kernel of the sweeps: --seed s replays the sweep trial with seed s
+    res, ok = mc.recover_trial(_scenario(v), v["tag"], v["seed"], R=v["R"],
+                               restarts=v["restarts"],
+                               noise_level=v["noise_level"], cap=v["cap"])
     return {
         "residual": res.residual,
         "lifted_error": res.lifted_error,
-        "success": is_recovered(res.M_hat, M0),
+        "success": ok,
         "support": [list(res.support[0]), list(res.support[1])],
         "restarts_used": res.restarts_used,
     }, "json"
@@ -296,7 +280,7 @@ def _transition_plan(v: dict) -> TrialPlan:
 
 def _cmd_transition(v: dict):
     plan = _transition_plan(v)
-    rows = mc.run_phase_transition(plan, workers=v["workers"])
+    rows = mc.run_phase_transition(plan)
     return mc.transition_csv(rows), "csv"
 
 

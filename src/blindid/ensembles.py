@@ -310,11 +310,3 @@ def build_ensemble(sc: ConstraintScenario, tag: str, seed: int,
 
     return Ensemble(scenario=sc, tag=tag, seed=seed, R=R, D=D, E=E, a=a, b=b)
 
-
-def diagnostic_full_rank(ens: Ensemble, tol: float = 1e-10) -> bool:
-    """Optional check that D and E have full column rank (holds a.s.)."""
-    for M in (ens.D, ens.E):
-        s = np.linalg.svd(M, compute_uv=False)
-        if s.size < min(M.shape) or s[-1] <= tol * max(1.0, s[0]):
-            return False
-    return True

@@ -18,7 +18,6 @@ from .ensembles import Ensemble
 
 __all__ = [
     "LiftedMatrix",
-    "MeasurementRecord",
     "apply_G",
     "apply_A",
     "apply_A_adjoint",
@@ -77,37 +76,6 @@ def as_matrix(M) -> np.ndarray:
     if isinstance(M, LiftedMatrix):
         return M.M
     return np.asarray(M, dtype=np.complex128)
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Time-domain measurements z with their frequency form and optional noise."""
-
-    z: np.ndarray
-    z_tilde: np.ndarray
-    e: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=np.complex128)
-        zt = np.asarray(self.z_tilde, dtype=np.complex128)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "z_tilde", zt)
-        n = z.size
-        expected = spectral.dft(z) / np.sqrt(n)
-        if np.linalg.norm(zt - expected) > 1e-12 * max(1.0, np.linalg.norm(z)):
-            raise ValueError("z_tilde is not (1/sqrt(n)) * F z")
-
-    @classmethod
-    def from_time_domain(cls, z, e=None) -> "MeasurementRecord":
-        z = np.asarray(z, dtype=np.complex128)
-        zt = spectral.dft(z) / np.sqrt(z.size)
-        return cls(z=z, z_tilde=zt, e=None if e is None else np.asarray(e, np.complex128))
-
-    @property
-    def e_tilde(self) -> Optional[np.ndarray]:
-        if self.e is None:
-            return None
-        return spectral.dft(self.e) / np.sqrt(self.e.size)
 
 
 def _check_shape(ens: Ensemble, M: np.ndarray):

@@ -4,10 +4,12 @@ the measurement perturbation budget.
 
 Every trial derives its own 64-bit seed from the plan's master seed via a
 documented splitmix64 mix of (master_seed, row_index, trial_index), so
-results are reproducible trial-by-trial. Phase-transition results do not
-depend on the worker count used to execute them. Stability sweeps search
-every delta > 0 trial in one batched L-BFGS run, and each trial's result
-does not depend on the batch it is solved in.
+results are reproducible trial-by-trial. One trial kernel (draw_trial,
+recover_trial) serves the phase transitions, the delta = 0 stability rows
+and the CLI's `recover`, so `recover --seed s` replays the sweep trial whose
+seed is s. Stability sweeps search every delta > 0 trial in one batched
+L-BFGS run, and each trial's result does not depend on the batch it is
+solved in.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -26,9 +27,8 @@ from .ensembles import (COMPLEX_UNIFORM_BALL, REAL_GENERIC, REAL_UNIFORM_BALL,
                         ConstraintScenario, Ensemble, ScenarioError,
                         build_ensemble, mix_seed,
                         sample_uniform_complex_ball_batch)
-from .lifting import LiftedMatrix, apply_A, apply_G, mean_isometry_radius
-from .recovery import (align_and_distance, is_recovered, solve_fixed_support,
-                       solve_sparse_enumerate)
+from .lifting import LiftedMatrix, apply_G, mean_isometry_radius
+from .recovery import RecoveryResult, is_recovered, solve_sparse_enumerate
 
 __all__ = [
     "TrialPlan",
@@ -38,6 +38,8 @@ __all__ = [
     "max_feasible_deviation",
     "run_phase_transition",
     "run_stability_sweep",
+    "draw_trial",
+    "recover_trial",
     "transition_csv",
     "stability_csv",
     "run_manifest",
@@ -192,24 +194,58 @@ def _plant_factors(sc: ConstraintScenario, real: bool,
     return LiftedMatrix.from_factors(x / nrm, y)
 
 
-def _run_trials(trials: int, worker, workers: int) -> list:
-    if workers <= 1:
-        return [worker(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(trials)))
+def draw_trial(sc: ConstraintScenario, tag: str, seed: int,
+               R: Optional[float] = None
+               ) -> Tuple[Ensemble, LiftedMatrix, np.random.Generator,
+                          np.random.Generator]:
+    """The ensemble, the planted unit-norm admissible matrix and the open
+    streams of the trial with seed `seed`.
+
+    Each stream is derived from the trial seed: mix_seed(seed, 0) builds the
+    ensemble, mix_seed(seed, 1) plants (and then draws any noise), and
+    mix_seed(seed, 2) drives the solver or the deviation search. Returns
+    (ens, M0, plant_rng, solver_rng).
+    """
+    ens = build_ensemble(sc, tag, mix_seed(seed, 0), R=ensemble_radius(tag, sc, R))
+    plant_rng = np.random.default_rng(mix_seed(seed, 1))
+    solver_rng = np.random.default_rng(mix_seed(seed, 2))
+    M0 = _plant_factors(sc, tag in (REAL_GENERIC, REAL_UNIFORM_BALL), plant_rng)
+    return ens, M0, plant_rng, solver_rng
 
 
-def run_phase_transition(plan: TrialPlan, workers: int = 1) -> list[SweepRow]:
+def recover_trial(sc: ConstraintScenario, tag: str, seed: int, *,
+                  R: Optional[float] = None, restarts: int = 20,
+                  noise_level: float = 0.0,
+                  cap: int = 100_000) -> Tuple[RecoveryResult, bool]:
+    """Plant, measure, solve and score the trial with seed `seed`.
+
+    The measurements are taken in the time domain, z = the circular
+    convolution of Dx and Ey plus spherical noise of radius noise_level
+    from the plant stream, and solved from z_tilde = F z / sqrt(n) over
+    every admissible support.
+    Returns the solver result, whose lifted_error is measured against the
+    planted matrix, and whether the trial counts as recovered.
+    """
+    ens, M0, plant_rng, solver_rng = draw_trial(sc, tag, seed, R)
+    z = apply_G(ens, M0)
+    if noise_level > 0:
+        z = z + _noise_on_sphere(sc.n, noise_level, plant_rng)
+    z_tilde = spectral.dft(z) / np.sqrt(sc.n)
+    res = solve_sparse_enumerate(ens, z_tilde, restarts=restarts, rng=solver_rng,
+                                 cap=cap, truth=M0)
+    return res, is_recovered(res.M_hat, M0)
+
+
+def run_phase_transition(plan: TrialPlan) -> list[SweepRow]:
     """Recovery success rate versus the sample count n.
 
-    Each trial plants a unit-norm admissible rank-1 matrix, measures it
-    (optionally with spherical noise of radius noise_level), solves with
-    the scenario-appropriate solver, and scores success by the recovery
-    threshold. Rows carry the thresholds d and 2d for annotation.
+    Trial i of row r is recover_trial with seed mix_seed(master_seed, r, i):
+    it plants a unit-norm admissible rank-1 matrix, measures it (optionally
+    with spherical noise of radius noise_level), solves over every
+    admissible support, and scores success by the recovery threshold. Rows
+    carry the thresholds d and 2d for annotation.
     """
     rows = []
-    real = plan.ensemble_tag in (REAL_GENERIC, REAL_UNIFORM_BALL)
-
     for row_idx, value in enumerate(plan.sweep):
         n = int(value)
         try:
@@ -221,31 +257,13 @@ def run_phase_transition(plan: TrialPlan, workers: int = 1) -> list[SweepRow]:
             d["n"] = n
             sc_n = ConstraintScenario.unchecked(**d)
         d = bounds.sample_complexity_d(sc_n)
-
-        def trial(i, sc_n=sc_n, row_idx=row_idx):
-            seed = mix_seed(plan.master_seed, row_idx, i)
-            ens = build_ensemble(sc_n, plan.ensemble_tag, mix_seed(seed, 0),
-                                 R=ensemble_radius(plan.ensemble_tag, sc_n, plan.R))
-            plant_rng = np.random.default_rng(mix_seed(seed, 1))
-            solver_rng = np.random.default_rng(mix_seed(seed, 2))
-            M0 = _plant_factors(sc_n, real, plant_rng)
-            z = apply_G(ens, M0)
-            if plan.noise_level > 0:
-                z = z + _noise_on_sphere(sc_n.n, plan.noise_level, plant_rng)
-            z_tilde = spectral.dft(z) / np.sqrt(sc_n.n)
-            if sc_n.kind == "subspace":
-                res = solve_fixed_support(ens, z_tilde, range(sc_n.m1), range(sc_n.m2),
-                                          restarts=plan.restarts, rng=solver_rng,
-                                          truth=M0)
-            else:
-                res = solve_sparse_enumerate(ens, z_tilde, sc_n,
-                                             restarts=plan.restarts, rng=solver_rng,
-                                             cap=plan.cap, truth=M0)
-            return is_recovered(res.M_hat, M0), res.lifted_error
-
-        results = _run_trials(plan.trials, trial, workers)
-        successes = sum(1 for ok, _ in results if ok)
-        mean_err = float(np.mean([err for _, err in results]))
+        results = [recover_trial(sc_n, plan.ensemble_tag,
+                                 mix_seed(plan.master_seed, row_idx, i), R=plan.R,
+                                 restarts=plan.restarts,
+                                 noise_level=plan.noise_level, cap=plan.cap)
+                   for i in range(plan.trials)]
+        successes = sum(1 for _, ok in results if ok)
+        mean_err = float(np.mean([res.lifted_error for res, _ in results]))
         rows.append(SweepRow(value=n, trials=plan.trials, successes=successes,
                              rate=successes / plan.trials,
                              mean_lifted_error=mean_err,
@@ -559,25 +577,17 @@ def run_stability_sweep(plan: TrialPlan) -> list[SweepRow]:
     for row_idx, delta in enumerate(deltas):
         for i in range(plan.trials):
             seed = mix_seed(plan.master_seed, row_idx, i)
-            ens = build_ensemble(sc, COMPLEX_UNIFORM_BALL, mix_seed(seed, 0), R=R)
-            plant_rng = np.random.default_rng(mix_seed(seed, 1))
-            search_rng = np.random.default_rng(mix_seed(seed, 2))
-            M0 = _plant_factors(sc, False, plant_rng)
-            if delta > 0:
-                p0 = _draw_starts(M0.x, M0.y, delta, plan.starts, search_rng)
-                pending.append((row_idx, ens.a, ens.b, M0.x, M0.y, delta, p0))
-                if len(pending) * len(p0) >= SEARCH_BATCH_SLOTS:
-                    search_pending()
+            if delta == 0:
+                res, ok = recover_trial(sc, COMPLEX_UNIFORM_BALL, seed, R=R,
+                                        restarts=plan.restarts, cap=plan.cap)
+                zero_violations[row_idx] += not ok
+                trial_devs[row_idx].append(res.lifted_error)
                 continue
-            z_tilde = apply_A(ens, M0)
-            if sc.kind == "subspace":
-                res = solve_fixed_support(ens, z_tilde, range(sc.m1), range(sc.m2),
-                                          restarts=plan.restarts, rng=search_rng)
-            else:
-                res = solve_sparse_enumerate(ens, z_tilde, sc, restarts=plan.restarts,
-                                             rng=search_rng, cap=plan.cap)
-            zero_violations[row_idx] += not is_recovered(res.M_hat, M0)
-            trial_devs[row_idx].append(align_and_distance(res.M_hat, M0))
+            ens, M0, _, search_rng = draw_trial(sc, COMPLEX_UNIFORM_BALL, seed, R)
+            p0 = _draw_starts(M0.x, M0.y, delta, plan.starts, search_rng)
+            pending.append((row_idx, ens.a, ens.b, M0.x, M0.y, delta, p0))
+            if len(pending) * len(p0) >= SEARCH_BATCH_SLOTS:
+                search_pending()
     if pending:
         search_pending()
 

@@ -193,13 +193,12 @@ def solve_sparse_enumerate(ens: Ensemble, z_tilde: np.ndarray,
                            truth: Optional[LiftedMatrix] = None) -> RecoveryResult:
     """Enumerate all admissible supports and keep the smallest residual.
 
-    Supports are visited in lexicographic order and only a strictly smaller
-    residual replaces the incumbent, so ties resolve to the
-    lexicographically smallest support.
+    A subspace scenario has the single full support, so this is then one
+    solve_fixed_support call. Supports are visited in lexicographic order
+    and only a strictly smaller residual replaces the incumbent, so ties
+    resolve to the lexicographically smallest support.
     """
     sc = ens.scenario if sc is None else sc
-    if sc.kind not in ("mixed", "sparsity"):
-        raise ValueError(f"enumeration applies to mixed/sparsity scenarios, got {sc.kind!r}")
     best: Optional[RecoveryResult] = None
     for S1, S2 in admissible_supports(sc, cap=cap):
         res = solve_fixed_support(ens, z_tilde, S1, S2, restarts=restarts,

@@ -249,9 +249,21 @@ def test_criterion_8_worker_determinism():
     sub = ConstraintScenario(kind="subspace", n=8, m1=2, m2=2)
     tplan = mc.TrialPlan(sc=sub, ensemble_tag=COMPLEX_GENERIC, trials=30,
                          sweep=(2, 5, 8), master_seed=88)
-    t1 = mc.transition_csv(mc.run_phase_transition(tplan, workers=1))
-    t8 = mc.transition_csv(mc.run_phase_transition(tplan, workers=8))
-    t1b = mc.transition_csv(mc.run_phase_transition(tplan, workers=1))
+    trows = mc.run_phase_transition(tplan)
+    t1 = mc.transition_csv(trows)
+    t1b = mc.transition_csv(mc.run_phase_transition(tplan))
+    # every trial replays alone: trial i of row r is recover_trial with seed
+    # mix_seed(master_seed, r, i), the seed `blindid recover --seed` takes
+    replay_ok = True
+    for row_idx, row in enumerate(trows):
+        sc_n = ConstraintScenario.unchecked("subspace", int(row.value), 2, 2)
+        alone = [mc.recover_trial(sc_n, COMPLEX_GENERIC,
+                                  mix_seed(tplan.master_seed, row_idx, i),
+                                  restarts=tplan.restarts)
+                 for i in range(tplan.trials)]
+        replay_ok &= (row.successes == sum(ok for _, ok in alone)
+                      and row.mean_lifted_error
+                      == float(np.mean([res.lifted_error for res, _ in alone])))
 
     sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
     splan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=20,
@@ -261,21 +273,19 @@ def test_criterion_8_worker_determinism():
     s1b = mc.stability_csv(mc.run_stability_sweep(splan))
     # the stability sweep searches its trials as one batch: each trial
     # searched alone must give the same deviation bit for bit
-    R = mean_isometry_radius(sc.n, sc.m1, sc.m2)
     alone = []
     for i in range(splan.trials):
-        seed = mix_seed(splan.master_seed, 0, i)
-        ens = build_ensemble(sc, COMPLEX_UNIFORM_BALL, mix_seed(seed, 0), R=R)
-        M0 = mc._plant_factors(sc, False, np.random.default_rng(mix_seed(seed, 1)))
-        alone.append(mc.max_feasible_deviation(ens, M0, 0.1, splan.starts,
-                                               np.random.default_rng(mix_seed(seed, 2))))
+        ens, M0, _, search_rng = mc.draw_trial(sc, COMPLEX_UNIFORM_BALL,
+                                               mix_seed(splan.master_seed, 0, i))
+        alone.append(mc.max_feasible_deviation(ens, M0, 0.1, splan.starts, search_rng))
     batch_ok = (srows[0].annotations["max_deviation"] == max(alone)
                 and srows[0].mean_lifted_error == float(np.mean(alone)))
 
     elapsed = time.time() - start
-    ok = t1 == t8 == t1b and s1 == s1b and batch_ok
-    report("8 (worker determinism)", ok,
-           f"transition CSV identical across reruns and 1/8 workers: {t1 == t8 == t1b}; "
+    ok = t1 == t1b and replay_ok and s1 == s1b and batch_ok
+    report("8 (determinism)", ok,
+           f"transition CSV identical across reruns: {t1 == t1b}; "
+           f"transition trials replayed alone match their rows: {replay_ok}; "
            f"stability CSV identical across reruns: {s1 == s1b}; "
            f"trials searched alone match the batch: {batch_ok}, {elapsed:.1f}s")
     assert ok

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from blindid import cli
 from blindid.cli import ConfigError, emit_report, main, parse_config
+from blindid.ensembles import mix_seed
 
 
 def run(capsys, *argv):
@@ -58,6 +60,18 @@ class TestParseConfig:
     def test_subcommand_required(self):
         with pytest.raises(ConfigError):
             parse_config([])
+
+    def test_parser_reuse_keeps_calls_independent(self):
+        # the parser is built once per process and reused by every call
+        a = ["transition", "--kind", "subspace", "--m1", "2", "--m2", "2",
+             "--n", "5", "--sweep", "4,5", "--seed", "3"]
+        b = ["stability", "--kind", "subspace", "--m1", "3", "--m2", "3",
+             "--n", "10", "--sweep", "0.1", "--seed", "8", "--starts", "5"]
+        first = parse_config(a)
+        assert parse_config(b).values["seed"] == 8
+        again = parse_config(a)
+        cli._build_parser.cache_clear()
+        assert first == again == parse_config(a)
 
 
 class TestExitCodes:
@@ -129,13 +143,47 @@ class TestDeterminism:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
-    def test_workers_do_not_change_bytes(self, capsys):
+    def test_recover_replays_transition_trial(self, capsys):
+        # recover --seed mix_seed(m, r, i) replays trial i of row r; with one
+        # trial per row, the row's mean_lifted_error is that trial's error
+        master = 4
+        plans = (
+            # m1 = m2 = 3 at n = 6 < m1*m2: restarted alternating minimization
+            ["--kind", "subspace", "--m1", "3", "--m2", "3", "--n", "9",
+             "--sweep", "6,9", "--restarts", "3"],
+            # 16 enumerated supports, noise drawn from the plant stream
+            ["--kind", "sparsity", "--m1", "4", "--m2", "4", "--s1", "1",
+             "--s2", "1", "--n", "5", "--sweep", "5,8", "--noise-level", "0.01"],
+            ["--kind", "subspace", "--m1", "2", "--m2", "2", "--n", "8",
+             "--sweep", "8", "--tag", "real_uniform_ball"],
+        )
+        replayed = 0
+        for plan in plans:
+            code, out, _ = run(capsys, "transition", *plan, "--trials", "1",
+                               "--seed", str(master))
+            assert code == 0
+            opts = plan[:plan.index("--n")] + plan[plan.index("--sweep") + 2:]
+            for row_idx, line in enumerate(out.splitlines()[1:]):
+                n, _, successes, _, _, _, err = line.split(",")
+                code, rec, _ = run(capsys, "recover", *opts, "--n", n,
+                                   "--seed", str(mix_seed(master, row_idx, 0)))
+                assert code == 0
+                res = json.loads(rec)
+                assert res["success"] == (successes == "1")
+                assert res["lifted_error"] == float(err)
+                replayed += 1
+        assert replayed == 5
+
+    def test_workers_flag_is_gone(self, capsys, tmp_path):
         base = ["transition", "--kind", "subspace", "--m1", "2", "--m2", "2",
-                "--n", "5", "--tag", "complex_generic", "--sweep", "5",
-                "--trials", "6", "--seed", "4"]
-        _, out1, _ = run(capsys, *base, "--workers", "1")
-        _, out8, _ = run(capsys, *base, "--workers", "8")
-        assert out1 == out8
+                "--n", "5", "--sweep", "5", "--trials", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--workers", "2"])
+        assert exc.value.code == 2
+        conf = tmp_path / "run.conf"
+        conf.write_text("workers=2\n")
+        code, _, err = run(capsys, *base, "--config", str(conf))
+        assert code == 2 and "unknown config key 'workers'" in err
 
 
 class TestSubcommands:

@@ -5,8 +5,8 @@ from scipy import stats
 from blindid.ensembles import (COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL,
                                REAL_GENERIC, REAL_UNIFORM_BALL,
                                ConstraintScenario, Ensemble, ScenarioError,
-                               build_ensemble, diagnostic_full_rank,
-                               mix_seed, sample_uniform_complex_ball,
+                               build_ensemble, mix_seed,
+                               sample_uniform_complex_ball,
                                sample_uniform_complex_ball_batch,
                                sample_uniform_real_ball)
 from oracles import dft_matrix
@@ -201,6 +201,3 @@ class TestEnsembleBuild:
         again = Ensemble.from_json(ens.to_json())
         assert np.array_equal(ens.D, again.D)
         assert np.array_equal(ens.b, again.b)
-
-    def test_diagnostic_full_rank(self):
-        assert diagnostic_full_rank(build_ensemble(SC, COMPLEX_GENERIC, 2))

@@ -3,8 +3,7 @@ import pytest
 
 from blindid.ensembles import (COMPLEX_GENERIC, ConstraintScenario, Ensemble,
                                build_ensemble)
-from blindid.lifting import (LiftedMatrix, MeasurementRecord, apply_A,
-                             apply_A_adjoint, apply_G,
+from blindid.lifting import (LiftedMatrix, apply_A, apply_A_adjoint, apply_G,
                              calibrated_isometry_radius, mean_isometry_radius,
                              operator_matrix)
 from blindid.spectral import circular_convolve, dft
@@ -51,19 +50,6 @@ class TestLiftedMatrix:
 
     def test_zero(self):
         assert LiftedMatrix.zero(2, 3).frobenius_norm() == 0.0
-
-
-class TestMeasurementRecord:
-    def test_consistency_enforced(self):
-        z = np.array([1.0, 2.0, 3.0])
-        MeasurementRecord.from_time_domain(z)
-        with pytest.raises(ValueError):
-            MeasurementRecord(z=z, z_tilde=z)
-
-    def test_noise_transform(self):
-        e = np.array([1.0, 1j])
-        rec = MeasurementRecord.from_time_domain(np.array([1.0, 0]), e=e)
-        assert np.allclose(rec.e_tilde, dft(e) / np.sqrt(2))
 
 
 class TestOperators:

@@ -101,12 +101,22 @@ class TestPhaseTransition:
                             trials=10, sweep=(5,), master_seed=13)
         assert mc.run_phase_transition(plan)[0].rate == 1.0
 
-    def test_worker_count_does_not_change_output(self):
+    def test_rerun_identical_and_trials_replay_alone(self):
+        # trial i of row r is recover_trial with seed mix_seed(master, r, i);
+        # n = 3 < m1*m2 takes the restarted alternating minimization
         plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC,
-                            trials=12, sweep=(2, 4, 5), master_seed=14)
-        csv1 = mc.transition_csv(mc.run_phase_transition(plan, workers=1))
-        csv8 = mc.transition_csv(mc.run_phase_transition(plan, workers=8))
-        assert csv1 == csv8
+                            trials=12, sweep=(3, 4, 5), master_seed=14,
+                            restarts=3)
+        rows = mc.run_phase_transition(plan)
+        assert mc.transition_csv(rows) == mc.transition_csv(mc.run_phase_transition(plan))
+        for row_idx, row in enumerate(rows):
+            alone = [mc.recover_trial(SUBSPACE5.with_n(row.value), COMPLEX_GENERIC,
+                                      mix_seed(plan.master_seed, row_idx, i),
+                                      restarts=plan.restarts)
+                     for i in range(plan.trials)]
+            assert row.successes == sum(ok for _, ok in alone)
+            assert row.mean_lifted_error == float(np.mean([res.lifted_error
+                                                           for res, _ in alone]))
 
     def test_csv_schema(self):
         plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC,
@@ -302,16 +312,13 @@ class TestStabilitySweep:
                             sweep=(0.3, 0.1, 0.0), master_seed=4)
         rows = mc.run_stability_sweep(plan)
         assert mc.stability_csv(rows) == mc.stability_csv(mc.run_stability_sweep(plan))
-        R = mc.ensemble_radius(COMPLEX_UNIFORM_BALL, sc, None)
         for row_idx, row in enumerate(rows[:2]):
             alone = []
             for i in range(plan.trials):
-                seed = mix_seed(plan.master_seed, row_idx, i)
-                ens = build_ensemble(sc, COMPLEX_UNIFORM_BALL, mix_seed(seed, 0), R=R)
-                M0 = mc._plant_factors(sc, False, np.random.default_rng(mix_seed(seed, 1)))
-                alone.append(mc.max_feasible_deviation(
-                    ens, M0, row.value, plan.starts,
-                    np.random.default_rng(mix_seed(seed, 2))))
+                ens, M0, _, search_rng = mc.draw_trial(
+                    sc, COMPLEX_UNIFORM_BALL, mix_seed(plan.master_seed, row_idx, i))
+                alone.append(mc.max_feasible_deviation(ens, M0, row.value,
+                                                       plan.starts, search_rng))
             assert row.annotations["max_deviation"] == max(alone)
             assert row.mean_lifted_error == float(np.mean(alone))
             assert sum(row.annotations["search_status"]) == plan.trials * plan.starts

@@ -136,11 +136,20 @@ class TestSolveSparseEnumerate:
         assert res.support == ((0,), (0,))
         assert res.M_hat.frobenius_norm() == 0.0
 
-    def test_rejects_subspace_kind(self):
-        sc = subspace(5)
+    def test_subspace_kind_is_one_fixed_support_solve(self):
+        # a subspace scenario has the single full support; n < m1*m2 takes
+        # the alternating-minimization path, whose restarts draw from rng
+        sc = subspace(6, 3, 3)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 1)
-        with pytest.raises(ValueError):
-            solve_sparse_enumerate(ens, np.zeros(5), sc)
+        z_tilde = apply_A(ens, random_factors(sc, 2))
+        rng_enum, rng_fixed = np.random.default_rng(3), np.random.default_rng(3)
+        enum = solve_sparse_enumerate(ens, z_tilde, sc, restarts=4, rng=rng_enum)
+        fixed = solve_fixed_support(ens, z_tilde, range(3), range(3), restarts=4,
+                                    rng=rng_fixed)
+        assert np.array_equal(enum.M_hat.M, fixed.M_hat.M)
+        assert (enum.residual, enum.support, enum.restarts_used) == \
+            (fixed.residual, fixed.support, fixed.restarts_used)
+        assert rng_enum.bit_generator.state == rng_fixed.bit_generator.state
 
     def test_mixed_scenario(self):
         sc = ConstraintScenario(kind="mixed", n=5, m1=4, m2=2, s1=1)
