@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds, mc
 from .ensembles import (COMPLEX_UNIFORM_BALL, ConstraintScenario,
                         ScenarioError, build_ensemble, mix_seed)
-from .mc import TrialPlan, _plant_factors
+from .mc import TrialPlan
 from .recovery import certify_strong, certify_weak, verify_counterexample
 
 __all__ = ["RunConfig", "parse_config", "emit_report", "main"]
@@ -231,13 +231,13 @@ def _cmd_recover(v: dict):
 
 def _cmd_certify(v: dict):
     sc = _scenario(v)
-    ens = _build(sc, v)
     rng = np.random.default_rng(mix_seed(v["seed"], 3))
     if v["level"] == "weak":
-        M0 = _plant_factors(sc, v["tag"].startswith("real"),
-                            np.random.default_rng(mix_seed(v["seed"], 1)))
+        # the trial that `recover --seed s` solves
+        ens, M0, _, _ = mc.draw_trial(sc, v["tag"], v["seed"], v["R"])
         verdict = certify_weak(ens, M0, budget=v["budget"], tol=v["tol"], rng=rng)
     elif v["level"] == "strong":
+        ens = _build(sc, v)
         verdict = certify_strong(ens, budget=v["budget"], tol=v["tol"], rng=rng)
     else:
         raise ConfigError(f"level must be 'weak' or 'strong', got {v['level']!r}")

@@ -9,7 +9,8 @@ recover_trial) serves the phase transitions, the delta = 0 stability rows
 and the CLI's `recover`, so `recover --seed s` replays the sweep trial whose
 seed is s. Stability sweeps search every delta > 0 trial in one batched
 L-BFGS run, and each trial's result does not depend on the batch it is
-solved in.
+solved in. Each start of the batch runs its own line search, and one
+objective call per round serves every running start.
 """
 
 from __future__ import annotations
@@ -357,46 +358,19 @@ def _two_loop(g, S, Y, rho):
     return r
 
 
-def _wolfe_search(fun, idx, p, f, d, gd, step):
-    """Weak-Wolfe line search by bracketing (doubling, then bisection) for
-    each slot idx[k] from p[k] along d[k]. Returns the per-slot success
-    mask and the accepted points, values and gradients."""
-    lo = np.zeros(idx.size)
-    hi = np.full(idx.size, np.inf)
-    alpha = step.copy()
-    ok = np.zeros(idx.size, dtype=bool)
-    p_new, f_new, g_new = np.empty_like(p), np.empty_like(f), np.empty_like(p)
-    pending = np.arange(idx.size)
-    for _ in range(LBFGS_MAXLS):
-        if pending.size == 0:
-            break
-        a = alpha[pending]
-        pt = p[pending] + a[:, None] * d[pending]
-        ft, gt = fun(pt, idx[pending])
-        sufficient = ft <= f[pending] + WOLFE_C1 * a * gd[pending]
-        curved = (gt * d[pending]).sum(1) >= WOLFE_C2 * gd[pending]
-        done = sufficient & curved
-        acc = pending[done]
-        ok[acc] = True
-        p_new[acc], f_new[acc], g_new[acc] = pt[done], ft[done], gt[done]
-        hi[pending] = np.where(sufficient, hi[pending], a)
-        lo[pending] = np.where(sufficient & ~curved, a, lo[pending])
-        alpha[pending] = np.where(np.isinf(hi[pending]), 2.0 * a,
-                                  0.5 * (lo[pending] + hi[pending]))
-        pending = pending[~done]
-    return ok, p_new, f_new, g_new
-
-
 def _lbfgs(fun, p, maxiter):
     """Minimize each slot (row of p) independently with L-BFGS.
 
     fun(points, idx) returns values and gradients of slots idx at the given
-    points. Converged or failed slots are frozen. Stop tests follow scipy's
-    L-BFGS-B: max |g| <= LBFGS_PGTOL or a relative reduction of f at most
-    LBFGS_FTOL is CONVERGED, maxiter iterations is MAXITER, and a failed
-    line search from steepest descent is LINE_SEARCH_FAILED (with memory,
-    a failure first clears the memory and retries). Returns the final
-    points and the per-slot status.
+    points. Each slot runs its own weak-Wolfe line search by bracketing
+    (doubling, then bisection), so one call of fun per round evaluates
+    every running slot at its own trial point and no slot waits for another
+    slot's line search. Converged or failed slots are frozen. Stop tests
+    follow scipy's L-BFGS-B: max |g| <= LBFGS_PGTOL or a relative reduction
+    of f at most LBFGS_FTOL is CONVERGED, maxiter iterations is MAXITER,
+    and LBFGS_MAXLS failed trials from steepest descent are
+    LINE_SEARCH_FAILED (with memory, they first clear the memory and
+    retry). Returns the final points and the per-slot status.
     """
     B, dim = p.shape
     p = p.copy()
@@ -406,33 +380,54 @@ def _lbfgs(fun, p, maxiter):
     rho = np.zeros((B, LBFGS_MEMORY))
     nit = np.zeros(B, dtype=int)
     status = np.where(np.abs(g).max(1) <= LBFGS_PGTOL, CONVERGED, _RUNNING)
+    # per-slot line search: direction d, slope gd, trial step alpha in the
+    # bracket [lo, hi], failed trials so far, and whether memory was empty
+    d = np.zeros((B, dim))
+    gd, alpha, lo, hi = np.zeros((4, B))
+    tries = np.zeros(B, dtype=int)
+    fresh = np.zeros(B, dtype=bool)
+    new = np.flatnonzero(status == _RUNNING)  # slots that need a direction
 
     def clear_memory(slots):
         S[slots], Y[slots], rho[slots] = 0.0, 0.0, 0.0
 
     while True:
+        if new.size:
+            dn = -_two_loop(g[new], S[new], Y[new], rho[new])
+            gdn = (g[new] * dn).sum(1)
+            # not a descent direction: clear the memory, use steepest descent
+            bad = ~(gdn < 0.0)
+            if bad.any():
+                clear_memory(new[bad])
+                dn[bad] = -g[new[bad]]
+                gdn[bad] = (g[new[bad]] * dn[bad]).sum(1)
+            fresh[new] = rho[new, 0] == 0.0
+            alpha[new] = np.where(fresh[new], 1.0 / np.sqrt((dn * dn).sum(1)), 1.0)
+            d[new], gd[new], lo[new], hi[new], tries[new] = dn, gdn, 0.0, np.inf, 0
         act = np.flatnonzero(status == _RUNNING)
         if act.size == 0:
             break
-        d = -_two_loop(g[act], S[act], Y[act], rho[act])
-        gd = (g[act] * d).sum(1)
-        # not a descent direction: clear the memory, use steepest descent
-        bad = ~(gd < 0.0)
-        if bad.any():
-            clear_memory(act[bad])
-            d[bad] = -g[act[bad]]
-            gd[bad] = (g[act[bad]] * d[bad]).sum(1)
-        fresh = rho[act, 0] == 0.0
-        step = np.where(fresh, 1.0 / np.sqrt((d * d).sum(1)), 1.0)
-        ok, p_new, f_new, g_new = _wolfe_search(fun, act, p[act], f[act], d, gd, step)
+        a = alpha[act]
+        pt = p[act] + a[:, None] * d[act]
+        ft, gt = fun(pt, act)
+        sufficient = ft <= f[act] + WOLFE_C1 * a * gd[act]
+        curved = (gt * d[act]).sum(1) >= WOLFE_C2 * gd[act]
+        done = sufficient & curved
+        hi[act] = np.where(sufficient, hi[act], a)
+        lo[act] = np.where(sufficient & ~curved, a, lo[act])
+        alpha[act] = np.where(np.isinf(hi[act]), 2.0 * a, 0.5 * (lo[act] + hi[act]))
+        tries[act] += 1
 
-        failed = act[~ok]
-        status[failed[fresh[~ok]]] = LINE_SEARCH_FAILED
+        # out of trials: fail from steepest descent, else clear the memory
+        # and retry with a new direction
+        stop = ~done & (tries[act] >= LBFGS_MAXLS)
+        failed = act[stop]
+        status[failed[fresh[failed]]] = LINE_SEARCH_FAILED
         clear_memory(failed)
 
-        j = act[ok]
-        s = p_new[ok] - p[j]
-        yv = g_new[ok] - g[j]
+        j = act[done]
+        s = pt[done] - p[j]
+        yv = gt[done] - g[j]
         sy = (s * yv).sum(1)
         keep = sy > np.finfo(float).eps * -(g[j] * s).sum(1)
         jk = j[keep]
@@ -440,12 +435,13 @@ def _lbfgs(fun, p, maxiter):
         S[jk, 0], Y[jk, 0], rho[jk, 0] = s[keep], yv[keep], 1.0 / sy[keep]
 
         f_old = f[j]
-        p[j], f[j], g[j] = p_new[ok], f_new[ok], g_new[ok]
+        p[j], f[j], g[j] = pt[done], ft[done], gt[done]
         nit[j] += 1
         scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f[j])), 1.0)
         conv = (f_old - f[j] <= LBFGS_FTOL * scale) | (np.abs(g[j]).max(1) <= LBFGS_PGTOL)
         status[j[conv]] = CONVERGED
         status[j[~conv & (nit[j] >= maxiter)]] = MAXITER
+        new = act[(done | stop) & (status[act] == _RUNNING)]
     return p, status
 
 

@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from blindid import cli
+from blindid import cli, mc
 from blindid.cli import ConfigError, emit_report, main, parse_config
-from blindid.ensembles import mix_seed
+from blindid.ensembles import ConstraintScenario, mix_seed
+from blindid.recovery import certify_weak, verify_counterexample
 
 
 def run(capsys, *argv):
@@ -214,6 +216,35 @@ class TestSubcommands:
                            "--m2", "2", "--n", "6", "--tag", "complex_generic",
                            "--level", "maximal")
         assert code == 2
+
+    def test_certify_weak_certifies_the_recover_trial(self, capsys, monkeypatch):
+        # --level weak --seed s certifies the trial that recover --seed s
+        # solves: draw_trial's ensemble and plant, verdict stream mix_seed(s, 3)
+        seen = []
+
+        def spy(ens, M0, **kw):
+            seen.append((ens, M0))
+            return certify_weak(ens, M0, **kw)
+
+        monkeypatch.setattr(cli, "certify_weak", spy)
+        for n in (1, 6):
+            sc = ConstraintScenario(kind="sparsity", n=n, m1=5, m2=5, s1=1, s2=1)
+            code, out, _ = run(capsys, "certify", "--kind", "sparsity", "--n", str(n),
+                               "--m1", "5", "--m2", "5", "--s1", "1", "--s2", "1",
+                               "--tag", "complex_generic", "--level", "weak",
+                               "--seed", "21")
+            assert code == 0
+            ens, M0, _, _ = mc.draw_trial(sc, "complex_generic", 21)
+            cli_ens, cli_M0 = seen.pop()
+            assert np.array_equal(cli_ens.a, ens.a) and np.array_equal(cli_ens.b, ens.b)
+            assert np.array_equal(cli_M0.M, M0.M)
+            verdict = certify_weak(ens, M0, budget=100, tol=1e-6,
+                                   rng=np.random.default_rng(mix_seed(21, 3)))
+            want = {"status": verdict.status, "search_budget": verdict.search_budget,
+                    "tolerance": verdict.tolerance}
+            if verdict.witness is not None:
+                want["witness_verified"] = verify_counterexample(verdict, ens)
+            assert json.loads(out) == want
 
     def test_smallball(self, capsys):
         code, out, _ = run(capsys, "smallball", "--m1", "1", "--m2", "1",

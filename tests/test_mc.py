@@ -163,6 +163,137 @@ def _reference_deviation_objective(p, ens, M0, t0, delta, mu):
     return val, np.concatenate([2 * gx.real, 2 * gx.imag, 2 * gy.real, 2 * gy.imag])
 
 
+def _reference_wolfe_search(fun, idx, p, f, d, gd, step):
+    """Lockstep weak-Wolfe line search: every slot of idx tries its next
+    step in the same call of fun, until all have accepted or failed."""
+    lo = np.zeros(idx.size)
+    hi = np.full(idx.size, np.inf)
+    alpha = step.copy()
+    ok = np.zeros(idx.size, dtype=bool)
+    p_new, f_new, g_new = np.empty_like(p), np.empty_like(f), np.empty_like(p)
+    pending = np.arange(idx.size)
+    for _ in range(mc.LBFGS_MAXLS):
+        if pending.size == 0:
+            break
+        a = alpha[pending]
+        pt = p[pending] + a[:, None] * d[pending]
+        ft, gt = fun(pt, idx[pending])
+        sufficient = ft <= f[pending] + mc.WOLFE_C1 * a * gd[pending]
+        curved = (gt * d[pending]).sum(1) >= mc.WOLFE_C2 * gd[pending]
+        done = sufficient & curved
+        acc = pending[done]
+        ok[acc] = True
+        p_new[acc], f_new[acc], g_new[acc] = pt[done], ft[done], gt[done]
+        hi[pending] = np.where(sufficient, hi[pending], a)
+        lo[pending] = np.where(sufficient & ~curved, a, lo[pending])
+        alpha[pending] = np.where(np.isinf(hi[pending]), 2.0 * a,
+                                  0.5 * (lo[pending] + hi[pending]))
+        pending = pending[~done]
+    return ok, p_new, f_new, g_new
+
+
+def _reference_lbfgs(fun, p, maxiter):
+    """Lockstep batched L-BFGS, kept as the reference for mc._lbfgs: each
+    iteration runs one line search over all running slots together, so the
+    batch waits for its slowest slot. Each slot's arithmetic is the same as
+    in the per-slot kernel."""
+    B, dim = p.shape
+    p = p.copy()
+    f, g = fun(p, np.arange(B))
+    S = np.zeros((B, mc.LBFGS_MEMORY, dim))
+    Y = np.zeros((B, mc.LBFGS_MEMORY, dim))
+    rho = np.zeros((B, mc.LBFGS_MEMORY))
+    nit = np.zeros(B, dtype=int)
+    status = np.where(np.abs(g).max(1) <= mc.LBFGS_PGTOL, mc.CONVERGED, mc._RUNNING)
+
+    def clear_memory(slots):
+        S[slots], Y[slots], rho[slots] = 0.0, 0.0, 0.0
+
+    while True:
+        act = np.flatnonzero(status == mc._RUNNING)
+        if act.size == 0:
+            break
+        d = -mc._two_loop(g[act], S[act], Y[act], rho[act])
+        gd = (g[act] * d).sum(1)
+        bad = ~(gd < 0.0)
+        if bad.any():
+            clear_memory(act[bad])
+            d[bad] = -g[act[bad]]
+            gd[bad] = (g[act[bad]] * d[bad]).sum(1)
+        fresh = rho[act, 0] == 0.0
+        step = np.where(fresh, 1.0 / np.sqrt((d * d).sum(1)), 1.0)
+        ok, p_new, f_new, g_new = _reference_wolfe_search(fun, act, p[act], f[act],
+                                                          d, gd, step)
+
+        failed = act[~ok]
+        status[failed[fresh[~ok]]] = mc.LINE_SEARCH_FAILED
+        clear_memory(failed)
+
+        j = act[ok]
+        s = p_new[ok] - p[j]
+        yv = g_new[ok] - g[j]
+        sy = (s * yv).sum(1)
+        keep = sy > np.finfo(float).eps * -(g[j] * s).sum(1)
+        jk = j[keep]
+        S[jk, 1:], Y[jk, 1:], rho[jk, 1:] = S[jk, :-1], Y[jk, :-1], rho[jk, :-1]
+        S[jk, 0], Y[jk, 0], rho[jk, 0] = s[keep], yv[keep], 1.0 / sy[keep]
+
+        f_old = f[j]
+        p[j], f[j], g[j] = p_new[ok], f_new[ok], g_new[ok]
+        nit[j] += 1
+        scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f[j])), 1.0)
+        conv = (f_old - f[j] <= mc.LBFGS_FTOL * scale) | (np.abs(g[j]).max(1) <= mc.LBFGS_PGTOL)
+        status[j[conv]] = mc.CONVERGED
+        status[j[~conv & (nit[j] >= maxiter)]] = mc.MAXITER
+    return p, status
+
+
+def _quadratics():
+    """Five well-posed 6-dimensional quadratics, one per slot."""
+    rng = np.random.default_rng(11)
+    Q = rng.standard_normal((5, 6, 6))
+    A = Q @ Q.transpose(0, 2, 1) + np.diag(np.arange(1.0, 7.0))
+    c = rng.standard_normal((5, 6))
+
+    def quadratic(q, idx):
+        Aq = (A[idx] * q[:, None, :]).sum(2)
+        return 0.5 * (q * Aq).sum(1) - (c[idx] * q).sum(1), Aq - c[idx]
+
+    return quadratic, A, c
+
+
+def _uphill(q, idx):
+    # a gradient that points uphill defeats every line search
+    return (q * q).sum(1), -q
+
+
+def _wrong_below_half(q, idx):
+    # the gradient is wrong below 0.5, so after its first steps each slot's
+    # line search fails with memory, then again from steepest descent
+    return (q * q).sum(1), np.where(q > 0.5, 2.0 * q, -50.0)
+
+
+@pytest.fixture(scope="module")
+def stability_batch():
+    """The objective, starts and maxiter of the one search batch of a
+    stability sweep like the benchmark's: n = 10, m1 = m2 = 2, three
+    budgets, 6 trials, 3 starts each, so 54 slots."""
+    sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
+    plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=6,
+                        sweep=(0.3, 0.1, 0.03), master_seed=1)
+    batches = []
+
+    def capture(fun, p, maxiter):
+        batches.append((fun, p.copy(), maxiter))
+        return _reference_lbfgs(fun, p, maxiter)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "_lbfgs", capture)
+        mc.run_stability_sweep(plan)
+    assert len(batches) == 1 and batches[0][1].shape[0] == 54
+    return batches[0]
+
+
 class TestDeviationSearch:
     def test_gradient_matches_finite_differences(self):
         # three slots: proximity penalty active, norm penalty active, neither
@@ -251,6 +382,46 @@ class TestDeviationSearch:
 
         _, status = mc._lbfgs(uphill, np.ones((2, 3)), maxiter=200)
         assert (status == mc.LINE_SEARCH_FAILED).all()
+
+    def test_lbfgs_matches_lockstep_reference(self, stability_batch):
+        # each slot follows the same trial points, accept decisions and
+        # memory updates as in the lockstep kernel, so results are bitwise equal
+        quadratic, _, _ = _quadratics()
+        cases = [stability_batch,
+                 (quadratic, np.zeros((5, 6)), 200),
+                 (quadratic, np.zeros((5, 6)), 1),
+                 (_uphill, np.ones((2, 3)), 200),
+                 (_wrong_below_half, np.array([[3.0, 2.0], [5.0, 1.5], [0.7, 4.0]]), 200)]
+        for fun, p0, maxiter in cases:
+            p, status = mc._lbfgs(fun, p0, maxiter)
+            p_ref, status_ref = _reference_lbfgs(fun, p0, maxiter)
+            assert p.tobytes() == p_ref.tobytes()
+            assert np.array_equal(status, status_ref)
+
+    def test_lbfgs_makes_one_call_per_round(self, stability_batch):
+        # a slot never waits for another: after the call at the starts,
+        # every call is one trial of each running slot, so the calls are one
+        # more than the most trials any slot makes
+        fun, p0, maxiter = stability_batch
+
+        def counted(kernel):
+            calls, trials = 0, np.zeros(p0.shape[0], dtype=int)
+
+            def wrapped(points, idx):
+                nonlocal calls
+                calls += 1
+                if calls > 1:
+                    trials[idx] += 1
+                return fun(points, idx)
+
+            kernel(wrapped, p0, maxiter)
+            return calls, trials
+
+        calls, trials = counted(mc._lbfgs)
+        assert calls == 1 + trials.max()
+        ref_calls, ref_trials = counted(_reference_lbfgs)
+        assert np.array_equal(trials, ref_trials)
+        assert ref_calls > 2 * calls
 
     def test_found_deviation_is_feasible_lower_bound(self):
         sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
