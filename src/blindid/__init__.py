@@ -10,7 +10,8 @@ from .bounds import (BoundQuery, BoundReport, constant_C, covering_bound,
 from .ensembles import (COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL, REAL_GENERIC,
                         REAL_UNIFORM_BALL, ConstraintScenario, Ensemble,
                         ScenarioError, build_ensemble, mix_seed,
-                        sample_uniform_complex_ball, sample_uniform_real_ball)
+                        sample_uniform_complex_ball_batch,
+                        sample_uniform_real_ball_batch)
 from .lifting import (LiftedMatrix, apply_A, apply_A_adjoint, apply_G,
                       calibrated_isometry_radius, mean_isometry_radius,
                       operator_matrix)

@@ -27,7 +27,6 @@ __all__ = [
     "covering_bound",
     "small_ball_bound",
     "constant_C",
-    "constant_C_unnormalized",
     "log_stability_prefactor",
     "failure_prob_bound",
     "epsilon_of_delta",
@@ -142,14 +141,6 @@ def constant_C(n: int, m1: int, m2: int, R: float, delta: float) -> float:
     return 648.0 * m1 * m2 * (1.0 + 2.0 * math.log(2.0 * math.sqrt(n) * R * R / (3.0 * delta)))
 
 
-def constant_C_unnormalized(m1: int, m2: int, R: float, delta: float) -> float:
-    """Variant 648 m1 m2 (1 + 2 ln(2 R^2 / (3 delta))) stated for the
-    frequency-normalized operator; equals constant_C under delta -> delta/sqrt(n)."""
-    if m1 < 1 or m2 < 1 or R <= 0 or delta <= 0:
-        raise ValueError("inputs must be positive")
-    return 648.0 * m1 * m2 * (1.0 + 2.0 * math.log(2.0 * R * R / (3.0 * delta)))
-
-
 def _log_binom_multiplier(sc: ConstraintScenario, power: int) -> float:
     """log of the binomial support-counting multiplier for C' (power=2) or
     C'' (power=4)."""
@@ -257,10 +248,9 @@ class BoundQuery:
     rho: float = 0.1
     ell: float = 1.0
     L: float = 1.0
-    sigma: float = 1.0
 
     def __post_init__(self):
-        for name in ("delta", "epsilon", "R", "rho", "ell", "L", "sigma"):
+        for name in ("delta", "epsilon", "R", "rho", "ell", "L"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.ell > self.L:

@@ -26,9 +26,6 @@ from .recovery import certify_strong, certify_weak, verify_counterexample
 
 __all__ = ["RunConfig", "parse_config", "emit_report", "main"]
 
-_SUBCOMMANDS = ("gen", "recover", "certify", "bounds", "smallball",
-                "transition", "stability")
-
 # option name -> (type, default); None defaults are filled per subcommand
 _OPTION_SPECS = {
     "kind": (str, None),
@@ -54,7 +51,6 @@ _OPTION_SPECS = {
     "budget": (int, 100),
     "tol": (float, 1e-6),
     "starts": (int, 3),
-    "cap": (int, 100_000),
     "out": (str, None),
 }
 
@@ -63,17 +59,18 @@ _SCENARIO_KEYS = ("kind", "n", "m1", "m2", "s1", "s2")
 _ALLOWED = {
     "gen": _SCENARIO_KEYS + ("tag", "seed", "R", "out"),
     "recover": _SCENARIO_KEYS + ("tag", "seed", "R", "restarts",
-                                 "noise_level", "cap", "out"),
+                                 "noise_level", "out"),
     "certify": _SCENARIO_KEYS + ("tag", "seed", "R", "level", "budget",
                                  "tol", "out"),
     "bounds": _SCENARIO_KEYS + ("delta", "epsilon", "R", "rho", "ell", "L",
                                 "out"),
     "smallball": ("m1", "m2", "seed", "R", "rho", "trials", "out"),
     "transition": _SCENARIO_KEYS + ("tag", "seed", "R", "trials", "restarts",
-                                    "noise_level", "sweep", "cap", "out"),
+                                    "noise_level", "sweep", "out"),
     "stability": _SCENARIO_KEYS + ("tag", "seed", "R", "trials", "sweep",
                                    "mode", "starts", "restarts", "out"),
 }
+_SUBCOMMANDS = tuple(_ALLOWED)
 
 
 class ConfigError(ValueError):
@@ -219,7 +216,7 @@ def _cmd_recover(v: dict):
     # the trial kernel of the sweeps: --seed s replays the sweep trial with seed s
     res, ok = mc.recover_trial(_scenario(v), v["tag"], v["seed"], R=v["R"],
                                restarts=v["restarts"],
-                               noise_level=v["noise_level"], cap=v["cap"])
+                               noise_level=v["noise_level"])
     return {
         "residual": res.residual,
         "lifted_error": res.lifted_error,
@@ -275,7 +272,7 @@ def _transition_plan(v: dict) -> TrialPlan:
     sweep = _parse_sweep(v["sweep"], integral=True)
     return TrialPlan(sc=sc, ensemble_tag=v["tag"], trials=v["trials"],
                      sweep=sweep, master_seed=v["seed"], restarts=v["restarts"],
-                     noise_level=v["noise_level"], R=v["R"], cap=v["cap"])
+                     noise_level=v["noise_level"], R=v["R"])
 
 
 def _cmd_transition(v: dict):

@@ -14,7 +14,6 @@ Supported tags:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -28,8 +27,8 @@ __all__ = [
     "COMPLEX_UNIFORM_BALL",
     "REAL_GENERIC",
     "REAL_UNIFORM_BALL",
-    "sample_uniform_complex_ball",
-    "sample_uniform_real_ball",
+    "sample_uniform_complex_ball_batch",
+    "sample_uniform_real_ball_batch",
     "build_ensemble",
     "mix_seed",
 ]
@@ -156,17 +155,14 @@ def mix_seed(master_seed: int, *indices: int) -> int:
     return z
 
 
-def sample_uniform_complex_ball(m: int, R: float, rng: np.random.Generator) -> np.ndarray:
-    """One sample uniformly distributed on the radius-R ball in C^m.
+def sample_uniform_complex_ball_batch(m: int, R: float, rng: np.random.Generator,
+                                      size: int) -> np.ndarray:
+    """`size` samples, (size, m), uniformly distributed on the radius-R ball
+    in C^m.
 
     Isotropic complex Gaussian direction times radius R*U^(1/(2m)); the ball
     has real dimension 2m, so this is exact and rejection-free.
     """
-    return sample_uniform_complex_ball_batch(m, R, rng, 1)[0]
-
-
-def sample_uniform_complex_ball_batch(m: int, R: float, rng: np.random.Generator,
-                                      size: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     if R <= 0:
@@ -177,13 +173,10 @@ def sample_uniform_complex_ball_batch(m: int, R: float, rng: np.random.Generator
     return g / norms * radii
 
 
-def sample_uniform_real_ball(m: int, R: float, rng: np.random.Generator) -> np.ndarray:
-    """One sample uniformly distributed on the radius-R ball in R^m."""
-    return sample_uniform_real_ball_batch(m, R, rng, 1)[0]
-
-
 def sample_uniform_real_ball_batch(m: int, R: float, rng: np.random.Generator,
                                    size: int) -> np.ndarray:
+    """`size` samples, (size, m), uniformly distributed on the radius-R ball
+    in R^m."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if R <= 0:
@@ -215,10 +208,6 @@ class Ensemble:
     def n(self) -> int:
         return self.scenario.n
 
-    @property
-    def is_real(self) -> bool:
-        return self.tag in _REAL_TAGS
-
     def to_manifest(self) -> dict:
         return {
             "scenario": self.scenario.to_dict(),
@@ -227,18 +216,11 @@ class Ensemble:
             "R": self.R,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_manifest(), sort_keys=True)
-
     @classmethod
     def from_manifest(cls, manifest: dict) -> "Ensemble":
         sc = ConstraintScenario.from_dict(manifest["scenario"])
         return build_ensemble(sc, manifest["tag"], int(manifest["seed"]),
                               R=manifest.get("R"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Ensemble":
-        return cls.from_manifest(json.loads(text))
 
 
 def _rows_from_matrix(D: np.ndarray) -> np.ndarray:
@@ -259,12 +241,12 @@ def _real_ball_rows(n: int, m: int, R: float, rng: np.random.Generator) -> np.nd
     complex ball in one batch; row n-j is the conjugate of row j.
     """
     rows = np.empty((n, m), dtype=np.complex128)
-    rows[0] = sample_uniform_real_ball(m, R, rng)
+    rows[0] = sample_uniform_real_ball_batch(m, R, rng, 1)[0]
     half = (n + 1) // 2  # rows 1..half-1 are free complex rows
     rows[1:half] = sample_uniform_complex_ball_batch(m, R, rng, half - 1)
     rows[n - half + 1:] = rows[half - 1:0:-1].conj()
     if n % 2 == 0:
-        rows[n // 2] = sample_uniform_real_ball(m, R, rng)
+        rows[n // 2] = sample_uniform_real_ball_batch(m, R, rng, 1)[0]
     return rows
 
 

@@ -60,10 +60,6 @@ class LiftedMatrix:
         y = np.asarray(y, dtype=np.complex128)
         return cls(M=np.outer(x, y), x=x, y=y)
 
-    @classmethod
-    def zero(cls, m1: int, m2: int) -> "LiftedMatrix":
-        return cls.from_factors(np.zeros(m1), np.zeros(m2))
-
     @property
     def shape(self):
         return self.M.shape

@@ -70,7 +70,6 @@ class TrialPlan:
     R: Optional[float] = None
     mode: str = "single_point"
     starts: int = 3
-    cap: int = 100_000
 
     def __post_init__(self):
         if self.trials < 1:
@@ -80,7 +79,7 @@ class TrialPlan:
         object.__setattr__(self, "sweep", tuple(self.sweep))
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "sc": self.sc.to_dict(),
             "ensemble_tag": self.ensemble_tag,
             "trials": self.trials,
@@ -91,9 +90,7 @@ class TrialPlan:
             "R": self.R,
             "mode": self.mode,
             "starts": self.starts,
-            "cap": self.cap,
         }
-        return d
 
 
 @dataclass(frozen=True)
@@ -112,9 +109,14 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+# Draws per batch of the two estimators below. Each batch consumes the
+# generator in its own order, so these values are part of every result.
+SMALL_BALL_BATCH = 20_000
+ISOMETRY_BATCH = 2_000
+
+
 def estimate_small_ball_prob(M, R: float, rho: float, trials: int,
-                             rng: np.random.Generator,
-                             batch: int = 20_000) -> Tuple[float, float]:
+                             rng: np.random.Generator) -> Tuple[float, float]:
     """Empirical frequency of |a^* M conj(b)| <= rho for a, b uniform on
     radius-R complex balls, with its binomial standard error."""
     M = np.asarray(M.M if isinstance(M, LiftedMatrix) else M, dtype=np.complex128)
@@ -126,7 +128,7 @@ def estimate_small_ball_prob(M, R: float, rho: float, trials: int,
     hits = 0
     done = 0
     while done < trials:
-        size = min(batch, trials - done)
+        size = min(SMALL_BALL_BATCH, trials - done)
         a = sample_uniform_complex_ball_batch(m1, R, rng, size)
         b = sample_uniform_complex_ball_batch(m2, R, rng, size)
         vals = np.einsum("tm,mk,tk->t", a.conj(), M, b.conj(), optimize=True)
@@ -138,8 +140,7 @@ def estimate_small_ball_prob(M, R: float, rho: float, trials: int,
 
 
 def mean_isometry_relative_error(m1: int, m2: int, n: int, R: float,
-                                 trials: int, seed: int,
-                                 batch: int = 2_000) -> float:
+                                 trials: int, seed: int) -> float:
     """Relative Frobenius error of the trial average of the normal operator
     applied to a fixed random test matrix, against the matrix itself."""
     rng = np.random.default_rng(seed)
@@ -148,7 +149,7 @@ def mean_isometry_relative_error(m1: int, m2: int, n: int, R: float,
     acc = np.zeros((m1, m2), dtype=np.complex128)
     done = 0
     while done < trials:
-        size = min(batch, trials - done)
+        size = min(ISOMETRY_BATCH, trials - done)
         a = sample_uniform_complex_ball_batch(m1, R, rng, size * n).reshape(size, n, m1)
         b = sample_uniform_complex_ball_batch(m2, R, rng, size * n).reshape(size, n, m2)
         s = np.einsum("tjm,mk,tjk->tj", a.conj(), M, b.conj(), optimize=True)
@@ -216,8 +217,7 @@ def draw_trial(sc: ConstraintScenario, tag: str, seed: int,
 
 def recover_trial(sc: ConstraintScenario, tag: str, seed: int, *,
                   R: Optional[float] = None, restarts: int = 20,
-                  noise_level: float = 0.0,
-                  cap: int = 100_000) -> Tuple[RecoveryResult, bool]:
+                  noise_level: float = 0.0) -> Tuple[RecoveryResult, bool]:
     """Plant, measure, solve and score the trial with seed `seed`.
 
     The measurements are taken in the time domain, z = the circular
@@ -233,7 +233,7 @@ def recover_trial(sc: ConstraintScenario, tag: str, seed: int, *,
         z = z + _noise_on_sphere(sc.n, noise_level, plant_rng)
     z_tilde = spectral.dft(z) / np.sqrt(sc.n)
     res = solve_sparse_enumerate(ens, z_tilde, restarts=restarts, rng=solver_rng,
-                                 cap=cap, truth=M0)
+                                 truth=M0)
     return res, is_recovered(res.M_hat, M0)
 
 
@@ -261,7 +261,7 @@ def run_phase_transition(plan: TrialPlan) -> list[SweepRow]:
         results = [recover_trial(sc_n, plan.ensemble_tag,
                                  mix_seed(plan.master_seed, row_idx, i), R=plan.R,
                                  restarts=plan.restarts,
-                                 noise_level=plan.noise_level, cap=plan.cap)
+                                 noise_level=plan.noise_level)
                    for i in range(plan.trials)]
         successes = sum(1 for _, ok in results if ok)
         mean_err = float(np.mean([res.lifted_error for res, _ in results]))
@@ -286,7 +286,11 @@ def _sqnorm(z: np.ndarray, axis) -> np.ndarray:
     return (z.real ** 2 + z.imag ** 2).sum(axis)
 
 
-def _deviation_objective(p, ac, bc, M0, t0, delta, mu):
+# Weight of the squared proximity and unit-ball penalties.
+DEVIATION_MU = 1e4
+
+
+def _deviation_objective(p, ac, bc, M0, t0, delta):
     """Penalized objective (values, gradients), one slot per row of p, for
     maximizing the Frobenius deviation from M0 subject to measurement
     proximity <= delta and the unit Frobenius ball. ac and bc hold the
@@ -313,11 +317,11 @@ def _deviation_objective(p, ac, bc, M0, t0, delta, mu):
     h = np.maximum(s - delta, 0.0)
     t = np.sqrt(_sqnorm(M, (1, 2)))
     h2 = np.maximum(t - 1.0, 0.0)
-    val = -_sqnorm(diff, (1, 2)) + mu * h * h + mu * h2 * h2
+    val = -_sqnorm(diff, (1, 2)) + DEVIATION_MU * h * h + DEVIATION_MU * h2 * h2
 
     # penalty weights, zero where a penalty is inactive (h > 0 implies s > 0)
-    w = (mu * h / np.where(h > 0.0, s, 1.0))[:, None]
-    w2 = (mu * h2 / np.where(h2 > 0.0, t, 1.0))[:, None]
+    w = (DEVIATION_MU * h / np.where(h > 0.0, s, 1.0))[:, None]
+    w2 = (DEVIATION_MU * h2 / np.where(h2 > 0.0, t, 1.0))[:, None]
     gx = -(diff * yc[:, None, :]).sum(2)
     gx += w * (ac * (v * rc)[:, :, None]).sum(1).conj()
     gx += w2 * (M * yc[:, None, :]).sum(2)
@@ -464,11 +468,13 @@ def _feasible_scan(ac, bc, M0, t0, x0, y0, x, y, delta) -> np.ndarray:
 
 def _draw_starts(x0, y0, delta: float, starts: int,
                  rng: np.random.Generator) -> np.ndarray:
-    """Packed start points, (max(1, starts), 2(m1+m2)): a perturbation of
-    the planted factors, then unit-norm random factors."""
+    """Packed start points, (starts, 2(m1+m2)): a perturbation of the
+    planted factors, then unit-norm random factors."""
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
     m1, m2 = x0.size, y0.size
     out = []
-    for k in range(max(1, starts)):
+    for k in range(starts):
         if k == 0:
             scale = 0.1 + 0.5 * delta
             xs = x0 + scale * (rng.standard_normal(m1) + 1j * rng.standard_normal(m1))
@@ -482,8 +488,7 @@ def _draw_starts(x0, y0, delta: float, starts: int,
     return np.array(out)
 
 
-def _deviation_search(a, b, x0, y0, delta, p0, mu: float = 1e4,
-                      maxiter: int = 200):
+def _deviation_search(a, b, x0, y0, delta, p0, maxiter: int = 200):
     """Batched multi-start deviation search over T problems with S starts.
 
     a (T, n, m1) and b (T, n, m2) are the frequency rows, (x0, y0) the
@@ -504,7 +509,7 @@ def _deviation_search(a, b, x0, y0, delta, p0, mu: float = 1e4,
 
     def fun(p, idx):
         return _deviation_objective(p, ac[idx], bc[idx], M0[idx], t0[idx],
-                                    delta[idx], mu)
+                                    delta[idx])
 
     with np.errstate(over="ignore", invalid="ignore"):
         p, status = _lbfgs(fun, p0.reshape(T * S, -1), maxiter)
@@ -514,14 +519,13 @@ def _deviation_search(a, b, x0, y0, delta, p0, mu: float = 1e4,
 
 
 def max_feasible_deviation(ens: Ensemble, M0: LiftedMatrix, delta: float,
-                           starts: int, rng: np.random.Generator,
-                           mu: float = 1e4, maxiter: int = 200) -> float:
+                           starts: int, rng: np.random.Generator) -> float:
     """Heuristic multi-start maximization of the deviation from M0 within
     the delta measurement ball. Lower-bound evidence on the worst case; the
     true guarantee is universal and cannot be certified by search."""
     p0 = _draw_starts(M0.x, M0.y, delta, starts, rng)
     best, _ = _deviation_search(ens.a[None], ens.b[None], M0.x[None], M0.y[None],
-                                [delta], p0[None], mu, maxiter)
+                                [delta], p0[None])
     return float(best[0])
 
 
@@ -548,7 +552,7 @@ def run_stability_sweep(plan: TrialPlan) -> list[SweepRow]:
     if any(delta < 0 for delta in deltas):
         raise ValueError("stability sweep budgets delta must be nonnegative")
     sc = plan.sc
-    R = plan.R if plan.R is not None else mean_isometry_radius(sc.n, sc.m1, sc.m2)
+    R = ensemble_radius(COMPLEX_UNIFORM_BALL, sc, plan.R)
     levels = []  # (epsilon, bound_raw, bound_clamped) per row
     for delta in deltas:
         if delta > 0:
@@ -575,7 +579,7 @@ def run_stability_sweep(plan: TrialPlan) -> list[SweepRow]:
             seed = mix_seed(plan.master_seed, row_idx, i)
             if delta == 0:
                 res, ok = recover_trial(sc, COMPLEX_UNIFORM_BALL, seed, R=R,
-                                        restarts=plan.restarts, cap=plan.cap)
+                                        restarts=plan.restarts)
                 zero_violations[row_idx] += not ok
                 trial_devs[row_idx].append(res.lifted_error)
                 continue

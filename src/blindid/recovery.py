@@ -47,10 +47,12 @@ RECOVERY_RTOL = 1e-6
 ALT_MIN_MAX_ITER = 500
 ALT_MIN_RTOL = 1e-10
 INJECTIVITY_TOL = 1e-8
+# Largest support enumeration a solver or certifier attempts.
+SUPPORT_CAP = 100_000
 
 
 class EnumerationCapError(ValueError):
-    """Support enumeration would exceed the configured cap."""
+    """Support enumeration would exceed SUPPORT_CAP."""
 
 
 @dataclass(frozen=True)
@@ -71,26 +73,17 @@ class IdentifiabilityVerdict:
     tolerance: float
 
 
-def admissible_supports(sc: ConstraintScenario,
-                        cap: int = 100_000) -> list[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+def admissible_supports(sc: ConstraintScenario) -> list[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """All admissible support pairs (S1, S2) in lexicographic order."""
-    full1 = tuple(range(sc.m1))
-    full2 = tuple(range(sc.m2))
     if sc.kind == "subspace":
-        return [(full1, full2)]
-    if sc.kind == "mixed":
-        count = math.comb(sc.m1, sc.s1)
-        if count > cap:
-            raise EnumerationCapError(
-                f"{count} supports exceed the cap of {cap}; use a smaller instance")
-        return [(tuple(S1), full2) for S1 in itertools.combinations(full1, sc.s1)]
-    count = math.comb(sc.m1, sc.s1) * math.comb(sc.m2, sc.s2)
-    if count > cap:
+        return [(tuple(range(sc.m1)), tuple(range(sc.m2)))]
+    s2 = sc.m2 if sc.kind == "mixed" else sc.s2  # a mixed filter is 'm2-sparse'
+    count = math.comb(sc.m1, sc.s1) * math.comb(sc.m2, s2)
+    if count > SUPPORT_CAP:
         raise EnumerationCapError(
-            f"{count} support pairs exceed the cap of {cap}; use a smaller instance")
-    return [(tuple(S1), tuple(S2))
-            for S1 in itertools.combinations(full1, sc.s1)
-            for S2 in itertools.combinations(full2, sc.s2)]
+            f"{count} support pairs exceed the cap of {SUPPORT_CAP}; use a smaller instance")
+    return list(itertools.product(itertools.combinations(range(sc.m1), sc.s1),
+                                  itertools.combinations(range(sc.m2), s2)))
 
 
 def _top_rank1(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -150,6 +143,8 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray,
     S2 = tuple(sorted(S2))
     if not S1 or not S2:
         raise ValueError("support sets must be nonempty")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     z_tilde = np.asarray(z_tilde, dtype=np.complex128)
     sc = ens.scenario
     k = len(S1) * len(S2)
@@ -186,10 +181,8 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray,
 
 
 def solve_sparse_enumerate(ens: Ensemble, z_tilde: np.ndarray,
-                           sc: Optional[ConstraintScenario] = None,
                            restarts: int = 0,
                            rng: Optional[np.random.Generator] = None,
-                           cap: int = 100_000,
                            truth: Optional[LiftedMatrix] = None) -> RecoveryResult:
     """Enumerate all admissible supports and keep the smallest residual.
 
@@ -198,9 +191,8 @@ def solve_sparse_enumerate(ens: Ensemble, z_tilde: np.ndarray,
     and only a strictly smaller residual replaces the incumbent, so ties
     resolve to the lexicographically smallest support.
     """
-    sc = ens.scenario if sc is None else sc
     best: Optional[RecoveryResult] = None
-    for S1, S2 in admissible_supports(sc, cap=cap):
+    for S1, S2 in admissible_supports(ens.scenario):
         res = solve_fixed_support(ens, z_tilde, S1, S2, restarts=restarts,
                                   rng=rng, truth=truth)
         if best is None or res.residual < best.residual:
@@ -241,14 +233,10 @@ def is_recovered(M_hat, M0) -> bool:
         1.0, float(np.linalg.norm(as_matrix(M0))))
 
 
-def _support_of(M0: LiftedMatrix, tol: float = 1e-14) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    if M0.x is not None:
-        S1 = tuple(int(i) for i in np.flatnonzero(np.abs(M0.x) > tol))
-        S2 = tuple(int(i) for i in np.flatnonzero(np.abs(M0.y) > tol))
-    else:
-        S1 = tuple(int(i) for i in np.flatnonzero(np.abs(M0.M).max(axis=1) > tol))
-        S2 = tuple(int(i) for i in np.flatnonzero(np.abs(M0.M).max(axis=0) > tol))
-    return S1, S2
+def _support_of(M0: LiftedMatrix) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Supports of the factors of M0, which must have factors."""
+    return (tuple(int(i) for i in np.flatnonzero(np.abs(M0.x) > 1e-14)),
+            tuple(int(i) for i in np.flatnonzero(np.abs(M0.y) > 1e-14)))
 
 
 def _injective_on(ens: Ensemble, rows: Sequence[int], cols: Sequence[int]) -> bool:
@@ -264,8 +252,14 @@ def _union(a: Iterable[int], b: Iterable[int]) -> Tuple[int, ...]:
     return tuple(sorted(set(a) | set(b)))
 
 
-def certify_weak(ens: Ensemble, M0: LiftedMatrix, sc: Optional[ConstraintScenario] = None,
-                 budget: int = 100, tol: float = 1e-6,
+def _check_search(budget: int, tol: float) -> None:
+    if budget < 0:
+        raise ValueError(f"search budget must be >= 0, got {budget}")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+
+
+def certify_weak(ens: Ensemble, M0: LiftedMatrix, budget: int = 100, tol: float = 1e-6,
                  rng: Optional[np.random.Generator] = None) -> IdentifiabilityVerdict:
     """Decide uniqueness of the planted matrix among admissible solutions.
 
@@ -275,7 +269,8 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, sc: Optional[ConstraintScenari
     fits of the planted measurements; a far solution with a tiny residual
     is a counterexample, otherwise the verdict is only heuristic.
     """
-    sc = ens.scenario if sc is None else sc
+    _check_search(budget, tol)
+    sc = ens.scenario
     if M0.x is None or np.linalg.norm(M0.x) == 0 or np.linalg.norm(M0.y) == 0:
         raise ValueError("planted matrix must have nonzero rank-1 factors")
     if rng is None:
@@ -300,8 +295,7 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, sc: Optional[ConstraintScenari
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
 
 
-def certify_strong(ens: Ensemble, sc: Optional[ConstraintScenario] = None,
-                   budget: int = 100, tol: float = 1e-6,
+def certify_strong(ens: Ensemble, budget: int = 100, tol: float = 1e-6,
                    rng: Optional[np.random.Generator] = None) -> IdentifiabilityVerdict:
     """Decide uniqueness over the whole constraint set restricted to the unit ball.
 
@@ -310,7 +304,8 @@ def certify_strong(ens: Ensemble, sc: Optional[ConstraintScenario] = None,
     unit-norm matrix, fit its measurements from a random start, and flag a
     far-apart pair with matching measurements as a counterexample.
     """
-    sc = ens.scenario if sc is None else sc
+    _check_search(budget, tol)
+    sc = ens.scenario
     if rng is None:
         rng = np.random.default_rng(0)
 

@@ -120,12 +120,13 @@ class TestStabilityConstants:
         assert np.isclose(bounds.constant_C(4, 1, 1, 1.0, 4 / 3), 648.0)
 
     def test_unnormalized_variant_consistency(self):
-        # the two printed forms agree under delta -> delta/sqrt(n)
+        # the frequency-normalized printed form, constant_C at n = 1, agrees
+        # under delta -> delta/sqrt(n)
         for n in (2, 5, 16):
             for delta in (0.01, 0.3, 2.0):
                 assert np.isclose(
                     bounds.constant_C(n, 2, 3, 1.1, delta),
-                    bounds.constant_C_unnormalized(2, 3, 1.1, delta / math.sqrt(n)))
+                    bounds.constant_C(1, 2, 3, 1.1, delta / math.sqrt(n)))
 
     def test_prefactor_composition(self):
         sc = subspace(5, 2, 2)

@@ -99,6 +99,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "bounds", "--config", "/nonexistent/x.conf")
         assert code == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--budget", "-3"], "search budget must be >= 0"),
+        (["certify", "--tol", "-1"], "tolerance must be positive"),
+        (["stability", "--n", "10", "--tag", "complex_uniform_ball", "--sweep", "0.1",
+          "--trials", "1", "--starts", "-7"], "starts must be >= 1"),
+        (["recover", "--n", "3", "--restarts", "-4"], "restarts must be >= 0"),
+    ], ids=["budget", "tol", "starts", "restarts"])
+    def test_bad_search_size_is_two(self, capsys, argv, message):
+        scenario = (["--kind", "sparsity", "--n", "2", "--m1", "5", "--m2", "5",
+                     "--s1", "1", "--s2", "1"] if argv[0] == "certify"
+                    else ["--kind", "subspace", "--m1", "2", "--m2", "2"])
+        code, out, err = run(capsys, *argv, *scenario)
+        assert code == 2 and out == "" and message in err
+
     def test_unwritable_output_is_three(self, capsys):
         code, _, err = run(capsys, "bounds", "--kind", "subspace", "--m1", "3",
                            "--m2", "4", "--n", "10",
@@ -177,15 +191,18 @@ class TestDeterminism:
         assert replayed == 5
 
     def test_workers_flag_is_gone(self, capsys, tmp_path):
-        base = ["transition", "--kind", "subspace", "--m1", "2", "--m2", "2",
-                "--n", "5", "--sweep", "5", "--trials", "2"]
-        with pytest.raises(SystemExit) as exc:
-            main(base + ["--workers", "2"])
-        assert exc.value.code == 2
+        # neither the thread-pool knob nor the support cap is an option
+        transition = ["transition", "--kind", "subspace", "--m1", "2", "--m2", "2",
+                      "--n", "5", "--sweep", "5", "--trials", "2"]
+        recover = ["recover", "--kind", "subspace", "--m1", "2", "--m2", "2", "--n", "5"]
         conf = tmp_path / "run.conf"
-        conf.write_text("workers=2\n")
-        code, _, err = run(capsys, *base, "--config", str(conf))
-        assert code == 2 and "unknown config key 'workers'" in err
+        for base, key in ((transition, "workers"), (transition, "cap"), (recover, "cap")):
+            with pytest.raises(SystemExit) as exc:
+                main(base + [f"--{key}", "2"])
+            assert exc.value.code == 2
+            conf.write_text(f"{key}=2\n")
+            code, _, err = run(capsys, *base, "--config", str(conf))
+            assert code == 2 and f"unknown config key {key!r}" in err
 
 
 class TestSubcommands:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,9 +8,8 @@ from blindid.ensembles import (COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL,
                                REAL_GENERIC, REAL_UNIFORM_BALL,
                                ConstraintScenario, Ensemble, ScenarioError,
                                build_ensemble, mix_seed,
-                               sample_uniform_complex_ball,
                                sample_uniform_complex_ball_batch,
-                               sample_uniform_real_ball)
+                               sample_uniform_real_ball_batch)
 from oracles import dft_matrix
 
 
@@ -77,16 +78,17 @@ class TestBallSampling:
         for m, R in ((1, 1.0), (3, 0.5), (5, 2.0)):
             batch = sample_uniform_complex_ball_batch(m, R, rng, 2000)
             assert np.linalg.norm(batch, axis=1).max() <= R * (1 + 1e-12)
-            v = sample_uniform_real_ball(m, R, rng)
-            assert np.linalg.norm(v) <= R * (1 + 1e-12)
+            v = sample_uniform_real_ball_batch(m, R, rng, 2000)
+            assert np.linalg.norm(v, axis=1).max() <= R * (1 + 1e-12)
             assert np.isrealobj(v)
 
     def test_rejects_bad_inputs(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_uniform_complex_ball(2, 0.0, rng)
-        with pytest.raises(ValueError):
-            sample_uniform_complex_ball(0, 1.0, rng)
+        for sampler in (sample_uniform_complex_ball_batch, sample_uniform_real_ball_batch):
+            with pytest.raises(ValueError):
+                sampler(2, 0.0, rng, 1)
+            with pytest.raises(ValueError):
+                sampler(0, 1.0, rng, 1)
 
     def test_radial_cdf_is_power_law(self):
         # P[||a|| <= r] = (r/R)^(2m) for the uniform distribution on the
@@ -198,6 +200,6 @@ class TestEnsembleBuild:
 
     def test_manifest_round_trip(self):
         ens = build_ensemble(SC, COMPLEX_UNIFORM_BALL, 17, R=0.9)
-        again = Ensemble.from_json(ens.to_json())
+        again = Ensemble.from_manifest(json.loads(json.dumps(ens.to_manifest())))
         assert np.array_equal(ens.D, again.D)
         assert np.array_equal(ens.b, again.b)

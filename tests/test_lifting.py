@@ -49,7 +49,7 @@ class TestLiftedMatrix:
                           np.linalg.norm(np.outer([1, 2j], [3, 1])))
 
     def test_zero(self):
-        assert LiftedMatrix.zero(2, 3).frobenius_norm() == 0.0
+        assert LiftedMatrix.from_factors(np.zeros(2), np.zeros(3)).frobenius_norm() == 0.0
 
 
 class TestOperators:
@@ -62,7 +62,7 @@ class TestOperators:
 
     def test_zero_matrix(self):
         ens = make_ensemble()
-        assert np.allclose(apply_G(ens, LiftedMatrix.zero(2, 3)), 0.0)
+        assert np.allclose(apply_G(ens, LiftedMatrix.from_factors(np.zeros(2), np.zeros(3))), 0.0)
         assert np.allclose(apply_A(ens, np.zeros((2, 3))), 0.0)
 
     def test_scaling_orbit_invariance(self):

@@ -315,12 +315,12 @@ class TestDeviationSearch:
         bc = np.repeat(ens.b.conj()[None], 3, axis=0)
 
         def objective(q):
-            return mc._deviation_objective(q, ac, bc, M0, t0, delta, 1e4)
+            return mc._deviation_objective(q, ac, bc, M0, t0, delta)
 
         val, grad = objective(p)
         for k in range(3):
             ref_val, ref_grad = _reference_deviation_objective(p[k], ens, M0[k], t0[k],
-                                                               delta[k], 1e4)
+                                                               delta[k], mc.DEVIATION_MU)
             assert abs(val[k] - ref_val) <= 1e-9 * (1 + abs(ref_val))
             assert np.linalg.norm(grad[k] - ref_grad) <= 1e-9 * (1 + np.linalg.norm(ref_grad))
         num = np.zeros_like(p)
@@ -344,11 +344,11 @@ class TestDeviationSearch:
         t0 = rng.standard_normal((B, 10)) + 1j * rng.standard_normal((B, 10))
         p = rng.standard_normal((B, 8))
         delta = np.full(B, 0.1)
-        val, grad = mc._deviation_objective(p, ac, bc, M0, t0, delta, 1e4)
+        val, grad = mc._deviation_objective(p, ac, bc, M0, t0, delta)
         for k in range(0, B, 71):
             one = slice(k, k + 1)
             v1, g1 = mc._deviation_objective(p[one], ac[one], bc[one], M0[one],
-                                             t0[one], delta[one], 1e4)
+                                             t0[one], delta[one])
             assert v1[0] == val[k] and np.array_equal(g1[0], grad[k])
 
     def test_lbfgs_reports_stop_status(self):

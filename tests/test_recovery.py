@@ -46,9 +46,10 @@ class TestSupportEnumeration:
         assert all(S2 == (0, 1) for _, S2 in supports)
 
     def test_cap_enforced(self):
-        sc = ConstraintScenario(kind="sparsity", n=5, m1=30, m2=30, s1=5, s2=5)
-        with pytest.raises(EnumerationCapError):
-            admissible_supports(sc)
+        for sc in (ConstraintScenario(kind="sparsity", n=5, m1=30, m2=30, s1=5, s2=5),
+                   ConstraintScenario(kind="mixed", n=5, m1=40, m2=2, s1=10)):
+            with pytest.raises(EnumerationCapError, match="exceed the cap of 100000"):
+                admissible_supports(sc)
 
 
 class TestSolveFixedSupport:
@@ -125,14 +126,14 @@ class TestSolveSparseEnumerate:
         x[2] = 1.5 - 1j
         y[1] = 0.5 + 2j
         M0 = LiftedMatrix.from_factors(x, y)
-        res = solve_sparse_enumerate(ens, apply_A(ens, M0), sc)
+        res = solve_sparse_enumerate(ens, apply_A(ens, M0))
         assert res.support == ((2,), (1,))
         assert align_and_distance(res.M_hat, M0) < 1e-8
 
     def test_zero_ties_break_to_first_support(self):
         sc = ConstraintScenario(kind="sparsity", n=5, m1=3, m2=3, s1=1, s2=1)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 12)
-        res = solve_sparse_enumerate(ens, np.zeros(5), sc)
+        res = solve_sparse_enumerate(ens, np.zeros(5))
         assert res.support == ((0,), (0,))
         assert res.M_hat.frobenius_norm() == 0.0
 
@@ -143,7 +144,7 @@ class TestSolveSparseEnumerate:
         ens = build_ensemble(sc, COMPLEX_GENERIC, 1)
         z_tilde = apply_A(ens, random_factors(sc, 2))
         rng_enum, rng_fixed = np.random.default_rng(3), np.random.default_rng(3)
-        enum = solve_sparse_enumerate(ens, z_tilde, sc, restarts=4, rng=rng_enum)
+        enum = solve_sparse_enumerate(ens, z_tilde, restarts=4, rng=rng_enum)
         fixed = solve_fixed_support(ens, z_tilde, range(3), range(3), restarts=4,
                                     rng=rng_fixed)
         assert np.array_equal(enum.M_hat.M, fixed.M_hat.M)
@@ -158,7 +159,7 @@ class TestSolveSparseEnumerate:
         x[3] = 2.0
         y = np.array([1.0, -1j])
         M0 = LiftedMatrix.from_factors(x, y)
-        res = solve_sparse_enumerate(ens, apply_A(ens, M0), sc)
+        res = solve_sparse_enumerate(ens, apply_A(ens, M0))
         assert align_and_distance(res.M_hat, M0) < 1e-8
 
 
@@ -216,7 +217,7 @@ class TestCertifiers:
         sc = subspace(4)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 20)
         with pytest.raises(ValueError):
-            certify_weak(ens, LiftedMatrix.zero(2, 2))
+            certify_weak(ens, LiftedMatrix.from_factors(np.zeros(2), np.zeros(2)))
 
     def test_strong_certified_at_n4(self):
         sc = subspace(4)
