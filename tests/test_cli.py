@@ -287,6 +287,43 @@ class TestSubcommands:
         assert code == 2
 
 
+# Output bytes of the default reports, pinned. A file under tests/golden is
+# regenerated only by a change that means to move output bytes, and that
+# change says so in CHANGES.md.
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+_SUB22 = ["--kind", "subspace", "--m1", "2", "--m2", "2"]
+_SPARSE55 = ["--kind", "sparsity", "--m1", "5", "--m2", "5", "--s1", "1", "--s2", "1",
+             "--tag", "complex_generic"]
+GOLDEN = {
+    "transition_2x2.csv": ["transition", *_SUB22, "--n", "8", "--tag", "complex_generic",
+                           "--sweep", "2,3,4,5,6,7,8", "--trials", "5", "--seed", "5"],
+    "transition_3x3.csv": ["transition", "--kind", "subspace", "--m1", "3", "--m2", "3",
+                           "--n", "9", "--tag", "complex_generic", "--sweep", "3,6,9",
+                           "--trials", "3", "--seed", "5"],
+    "transition_sparse.csv": ["transition", "--kind", "sparsity", "--m1", "4", "--m2", "4",
+                              "--s1", "1", "--s2", "1", "--n", "5", "--tag", "real_generic",
+                              "--sweep", "5", "--trials", "3", "--seed", "5"],
+    "stability.csv": ["stability", *_SUB22, "--n", "10", "--sweep", "0.3,0.1,0",
+                      "--trials", "2", "--seed", "3"],
+    "bounds_n12.json": ["bounds", *_SUB22, "--n", "12"],
+    "bounds_n5.json": ["bounds", *_SUB22, "--n", "5"],
+    "certify_weak_n1.json": ["certify", *_SPARSE55, "--n", "1", "--level", "weak"],
+    "certify_strong_n4.json": ["certify", *_SPARSE55, "--n", "4", "--level", "strong"],
+    "recover.json": ["recover", *_SUB22, "--n", "6", "--tag", "complex_generic",
+                     "--seed", "7"],
+    "gen.json": ["gen", *_SUB22, "--n", "4", "--tag", "complex_generic", "--seed", "9"],
+    "smallball.json": ["smallball", "--m1", "2", "--m2", "2", "--rho", "0.2",
+                       "--trials", "500", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_match_golden(tmp_path, name):
+    out = tmp_path / name
+    assert main(GOLDEN[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency; importing it costs CLI start-up time
     src = str(Path(__file__).resolve().parents[1] / "src")
