@@ -2,11 +2,10 @@
 deconvolution: measurement operators, closed-form bounds, desk-scale solvers
 and certifiers, and seeded Monte-Carlo experiments."""
 
-from .bounds import (BoundQuery, BoundReport, constant_C, covering_bound,
-                     epsilon_of_delta, failure_prob_bound, make_report,
-                     minkowski_dim_upper, sample_complexity_d,
-                     small_ball_bound, snr_metrics, volume_complex_ball,
-                     volume_real_ball)
+from .bounds import (constant_C, covering_bound, epsilon_of_delta,
+                     failure_prob_bound, make_report, minkowski_dim_upper,
+                     sample_complexity_d, small_ball_bound, snr_metrics,
+                     volume_complex_ball, volume_real_ball)
 from .ensembles import (COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL, REAL_GENERIC,
                         REAL_UNIFORM_BALL, ConstraintScenario, Ensemble,
                         ScenarioError, build_ensemble, mix_seed,
@@ -15,10 +14,10 @@ from .ensembles import (COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL, REAL_GENERIC,
 from .lifting import (LiftedMatrix, apply_A, apply_A_adjoint, apply_G,
                       calibrated_isometry_radius, mean_isometry_radius,
                       operator_matrix)
-from .mc import (SweepRow, TrialPlan, estimate_small_ball_prob,
-                 mean_isometry_relative_error, run_manifest,
-                 run_phase_transition, run_stability_sweep, stability_csv,
-                 transition_csv)
+from .mc import (STABILITY_COLUMNS, TRANSITION_COLUMNS, TrialPlan,
+                 estimate_small_ball_prob, mean_isometry_relative_error,
+                 run_manifest, run_phase_transition, run_stability_sweep,
+                 sweep_csv)
 from .recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
                        HEURISTICALLY_UNIQUE, IdentifiabilityVerdict,
                        RecoveryResult, admissible_supports, align_and_distance,

@@ -9,7 +9,6 @@ space and exponentiated at the end, so large dimensions do not overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -18,8 +17,6 @@ from .ensembles import ConstraintScenario, Ensemble
 from .lifting import apply_G, as_matrix
 
 __all__ = [
-    "BoundQuery",
-    "BoundReport",
     "sample_complexity_d",
     "minkowski_dim_upper",
     "volume_complex_ball",
@@ -239,63 +236,30 @@ def snr_metrics(M0, M, ens: Ensemble) -> Tuple[float, float]:
     return rsnr, msnr
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    sc: ConstraintScenario
-    delta: float = 0.1
-    epsilon: float = 0.5
-    R: float = 1.0
-    rho: float = 0.1
-    ell: float = 1.0
-    L: float = 1.0
-
-    def __post_init__(self):
-        for name in ("delta", "epsilon", "R", "rho", "ell", "L"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.ell > self.L:
-            raise ValueError("need ell <= L")
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    d: int
-    dim_upper: int
-    C: float
-    C_prime: Optional[float]
-    C_dblprime: Optional[float]
-    alpha: float
-    beta: float
-    epsilon_single: Optional[float]
-    epsilon_uniform: Optional[float]
-    weak_failure_raw: Optional[float]
-    weak_failure_bound: Optional[float]
-    uniform_failure_raw: Optional[float]
-    uniform_failure_bound: Optional[float]
-    small_ball_complex: float
-    small_ball_real: float
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def make_report(q: BoundQuery) -> BoundReport:
-    """Evaluate every closed-form quantity for one query.
+def make_report(sc: ConstraintScenario, *, delta: float = 0.1, epsilon: float = 0.5,
+                R: float = 1.0, rho: float = 0.1, ell: float = 1.0,
+                L: float = 1.0) -> dict:
+    """Every closed-form quantity for one scenario, as the dict that
+    `blindid bounds` prints.
 
     Stability fields are None when the sample-count precondition (n > d for
     the single-point bound, n > 2d for the uniform bound) fails.
     """
-    sc = q.sc
+    for name, value in (("delta", delta), ("epsilon", epsilon), ("R", R),
+                        ("rho", rho), ("ell", ell), ("L", L)):
+        if value <= 0:
+            raise ValueError(f"{name} must be positive")
+    if ell > L:
+        raise ValueError("need ell <= L")
     d = sample_complexity_d(sc)
     n = sc.n
-    C = constant_C(n, sc.m1, sc.m2, q.R, q.delta)
 
     def _try(mode):
         try:
-            log_pref = log_stability_prefactor(sc, mode, q.R, q.delta)
+            log_pref = log_stability_prefactor(sc, mode, R, delta)
             pref = _exp(log_pref)
-            raw, clamped = failure_prob_bound(sc, mode, q.R, q.delta, q.epsilon)
-            eps = epsilon_of_delta(sc, mode, q.R, q.delta)
+            raw, clamped = failure_prob_bound(sc, mode, R, delta, epsilon)
+            eps = epsilon_of_delta(sc, mode, R, delta)
             return pref, raw, clamped, eps
         except ValueError:
             return None, None, None, None
@@ -303,20 +267,14 @@ def make_report(q: BoundQuery) -> BoundReport:
     C_prime, weak_raw, weak_clamped, eps_single = _try("single_point")
     C_dbl, uni_raw, uni_clamped, eps_uniform = _try("uniform")
 
-    return BoundReport(
-        d=d,
-        dim_upper=minkowski_dim_upper(sc),
-        C=C,
-        C_prime=C_prime,
-        C_dblprime=C_dbl,
-        alpha=1.0 - d / n,
-        beta=1.0 - 2.0 * d / n,
-        epsilon_single=eps_single,
-        epsilon_uniform=eps_uniform,
-        weak_failure_raw=weak_raw,
-        weak_failure_bound=weak_clamped,
-        uniform_failure_raw=uni_raw,
-        uniform_failure_bound=uni_clamped,
-        small_ball_complex=small_ball_bound("complex", q.rho, q.ell, q.L, q.R, sc.m1, sc.m2),
-        small_ball_real=small_ball_bound("real", q.rho, q.ell, q.L, q.R, sc.m1, sc.m2),
-    )
+    return {
+        "d": d, "dim_upper": minkowski_dim_upper(sc),
+        "C": constant_C(n, sc.m1, sc.m2, R, delta), "C_prime": C_prime,
+        "C_dblprime": C_dbl, "alpha": 1.0 - d / n,
+        "beta": 1.0 - 2.0 * d / n, "epsilon_single": eps_single,
+        "epsilon_uniform": eps_uniform, "weak_failure_raw": weak_raw,
+        "weak_failure_bound": weak_clamped, "uniform_failure_raw": uni_raw,
+        "uniform_failure_bound": uni_clamped,
+        "small_ball_complex": small_ball_bound("complex", rho, ell, L, R, sc.m1, sc.m2),
+        "small_ball_real": small_ball_bound("real", rho, ell, L, R, sc.m1, sc.m2),
+    }

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -26,6 +27,16 @@ from .recovery import certify_strong, certify_weak, verify_counterexample
 
 __all__ = ["RunConfig", "parse_config", "emit_report", "main"]
 
+
+def finite_float(raw: str) -> float:
+    """float() that rejects nan and infinities, which every range check
+    such as `x <= 0` lets through."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 # option name -> (type, default); None defaults are filled per subcommand
 _OPTION_SPECS = {
     "kind": (str, None),
@@ -36,20 +47,20 @@ _OPTION_SPECS = {
     "s2": (int, None),
     "tag": (str, COMPLEX_UNIFORM_BALL),
     "seed": (int, 0),
-    "R": (float, None),
+    "R": (finite_float, None),
     "trials": (int, 100),
     "restarts": (int, 20),
-    "noise_level": (float, 0.0),
+    "noise_level": (finite_float, 0.0),
     "sweep": (str, None),
     "mode": (str, "single_point"),
-    "delta": (float, 0.1),
-    "epsilon": (float, 0.5),
-    "rho": (float, 0.1),
-    "ell": (float, 1.0),
-    "L": (float, 1.0),
+    "delta": (finite_float, 0.1),
+    "epsilon": (finite_float, 0.5),
+    "rho": (finite_float, 0.1),
+    "ell": (finite_float, 1.0),
+    "L": (finite_float, 1.0),
     "level": (str, "weak"),
     "budget": (int, 100),
-    "tol": (float, 1e-6),
+    "tol": (finite_float, 1e-6),
     "starts": (int, 3),
     "out": (str, None),
 }
@@ -167,7 +178,7 @@ def _parse_sweep(raw: Optional[str], integral: bool) -> tuple:
     if raw is None:
         raise ConfigError("missing required option --sweep (comma-separated grid)")
     try:
-        vals = [int(tok) if integral else float(tok)
+        vals = [int(tok) if integral else finite_float(tok)
                 for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad sweep grid {raw!r}") from exc
@@ -247,10 +258,9 @@ def _cmd_certify(v: dict):
 
 def _cmd_bounds(v: dict):
     sc = _scenario(v)
-    q = bounds.BoundQuery(sc=sc, delta=v["delta"], epsilon=v["epsilon"],
-                          R=v["R"] if v["R"] is not None else 1.0,
-                          rho=v["rho"], ell=v["ell"], L=v["L"])
-    return bounds.make_report(q).to_dict(), "json"
+    return bounds.make_report(sc, delta=v["delta"], epsilon=v["epsilon"],
+                              R=v["R"] if v["R"] is not None else 1.0,
+                              rho=v["rho"], ell=v["ell"], L=v["L"]), "json"
 
 
 def _cmd_smallball(v: dict):
@@ -278,7 +288,7 @@ def _transition_plan(v: dict) -> TrialPlan:
 def _cmd_transition(v: dict):
     plan = _transition_plan(v)
     rows = mc.run_phase_transition(plan)
-    return mc.transition_csv(rows), "csv"
+    return mc.sweep_csv(mc.TRANSITION_COLUMNS, rows), "csv"
 
 
 def _cmd_stability(v: dict):
@@ -288,7 +298,7 @@ def _cmd_stability(v: dict):
                      sweep=sweep, master_seed=v["seed"], restarts=v["restarts"],
                      R=v["R"], mode=v["mode"], starts=v["starts"])
     rows = mc.run_stability_sweep(plan)
-    return mc.stability_csv(rows), "csv"
+    return mc.sweep_csv(mc.STABILITY_COLUMNS, rows), "csv"
 
 
 _HANDLERS = {

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +33,8 @@ from .recovery import RecoveryResult, is_recovered, solve_sparse_enumerate
 
 __all__ = [
     "TrialPlan",
-    "SweepRow",
+    "TRANSITION_COLUMNS",
+    "STABILITY_COLUMNS",
     "estimate_small_ball_prob",
     "mean_isometry_relative_error",
     "max_feasible_deviation",
@@ -41,14 +42,17 @@ __all__ = [
     "run_stability_sweep",
     "draw_trial",
     "recover_trial",
-    "transition_csv",
-    "stability_csv",
+    "sweep_csv",
     "run_manifest",
 ]
 
-TRANSITION_HEADER = "n,trials,successes,rate,d,two_d,mean_lifted_error"
-STABILITY_HEADER = ("delta,trials,violations,violation_rate,epsilon,"
-                    "bound_raw,bound_clamped,max_deviation,mean_lifted_error")
+# The CSV columns of each sweep, in order. Sweep rows are dicts with these
+# keys; a row may carry more keys, which the CSV does not print.
+TRANSITION_COLUMNS = ("n", "trials", "successes", "rate", "d", "two_d",
+                      "mean_lifted_error")
+STABILITY_COLUMNS = ("delta", "trials", "violations", "violation_rate", "epsilon",
+                     "bound_raw", "bound_clamped", "max_deviation",
+                     "mean_lifted_error")
 
 
 @dataclass(frozen=True)
@@ -79,34 +83,22 @@ class TrialPlan:
         object.__setattr__(self, "sweep", tuple(self.sweep))
 
     def to_dict(self) -> dict:
-        return {
-            "sc": self.sc.to_dict(),
-            "ensemble_tag": self.ensemble_tag,
-            "trials": self.trials,
-            "sweep": list(self.sweep),
-            "master_seed": self.master_seed,
-            "restarts": self.restarts,
-            "noise_level": self.noise_level,
-            "R": self.R,
-            "mode": self.mode,
-            "starts": self.starts,
-        }
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    value: float
-    trials: int
-    successes: int
-    rate: float
-    mean_lifted_error: float
-    annotations: dict = field(default_factory=dict)
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**out, "sc": self.sc.to_dict(), "sweep": list(self.sweep)}
 
 
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
+
+
+def sweep_csv(columns: Sequence[str], rows: Sequence[dict]) -> str:
+    """CSV text of sweep rows: the header, then each row's values of
+    `columns` in order (integers as integers, floats by repr)."""
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(row[col]) for col in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # Draws per batch of the two estimators below. Each batch consumes the
@@ -227,6 +219,8 @@ def recover_trial(sc: ConstraintScenario, tag: str, seed: int, *,
     Returns the solver result, whose lifted_error is measured against the
     planted matrix, and whether the trial counts as recovered.
     """
+    if noise_level < 0:
+        raise ValueError("noise_level must be nonnegative")
     ens, M0, plant_rng, solver_rng = draw_trial(sc, tag, seed, R)
     z = apply_G(ens, M0)
     if noise_level > 0:
@@ -237,8 +231,9 @@ def recover_trial(sc: ConstraintScenario, tag: str, seed: int, *,
     return res, is_recovered(res.M_hat, M0)
 
 
-def run_phase_transition(plan: TrialPlan) -> list[SweepRow]:
-    """Recovery success rate versus the sample count n.
+def run_phase_transition(plan: TrialPlan) -> list[dict]:
+    """Recovery success rate versus the sample count n, one row per sweep
+    point with the keys of TRANSITION_COLUMNS.
 
     Trial i of row r is recover_trial with seed mix_seed(master_seed, r, i):
     it plants a unit-norm admissible rank-1 matrix, measures it (optionally
@@ -265,15 +260,14 @@ def run_phase_transition(plan: TrialPlan) -> list[SweepRow]:
                    for i in range(plan.trials)]
         successes = sum(1 for _, ok in results if ok)
         mean_err = float(np.mean([res.lifted_error for res, _ in results]))
-        rows.append(SweepRow(value=n, trials=plan.trials, successes=successes,
-                             rate=successes / plan.trials,
-                             mean_lifted_error=mean_err,
-                             annotations={"d": d, "two_d": 2 * d}))
+        rows.append({"n": n, "trials": plan.trials, "successes": successes,
+                     "rate": successes / plan.trials, "d": d, "two_d": 2 * d,
+                     "mean_lifted_error": mean_err})
     return rows
 
 
 def _pack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.concatenate([x.real, x.imag, y.real, y.imag])
+    return np.concatenate([x.real, x.imag, y.real, y.imag], axis=-1)
 
 
 def _unpack(p: np.ndarray, m1: int, m2: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -328,8 +322,7 @@ def _deviation_objective(p, ac, bc, M0, t0, delta):
     gy = -(diff * xc[:, :, None]).sum(1)
     gy += w * (bc * (u * rc)[:, :, None]).sum(1).conj()
     gy += w2 * (M * xc[:, :, None]).sum(1)
-    grad = 2.0 * np.concatenate([gx.real, gx.imag, gy.real, gy.imag], axis=1)
-    return val, grad
+    return val, 2.0 * _pack(gx, gy)
 
 
 # Batched L-BFGS with scipy's L-BFGS-B defaults for an unconstrained problem.
@@ -534,15 +527,16 @@ def max_feasible_deviation(ens: Ensemble, M0: LiftedMatrix, delta: float,
 SEARCH_BATCH_SLOTS = 2048
 
 
-def run_stability_sweep(plan: TrialPlan) -> list[SweepRow]:
-    """Observed worst-case deviation versus the measurement budget delta.
+def run_stability_sweep(plan: TrialPlan) -> list[dict]:
+    """Observed worst-case deviation versus the measurement budget delta,
+    one row per sweep point with the keys of STABILITY_COLUMNS.
 
     Per delta and trial: draw a uniform-ball ensemble, plant a unit-norm
     matrix, search for the largest feasible deviation, and record whether
     it violates the predicted reconstruction level. delta = 0 degenerates
     to a noiseless uniqueness check. The searches of delta > 0 trials run
     batched, up to SEARCH_BATCH_SLOTS starts at a time across rows; a
-    trial's result does not depend on its batch. delta > 0 rows annotate
+    trial's result does not depend on its batch. delta > 0 rows also carry
     search_status: how many starts converged, hit the iteration cap, and
     failed their line search.
     """
@@ -594,44 +588,17 @@ def run_stability_sweep(plan: TrialPlan) -> list[SweepRow]:
     rows = []
     for row_idx, (delta, (eps, raw, clamped)) in enumerate(zip(deltas, levels)):
         devs = trial_devs[row_idx]
-        annotations = {"epsilon": eps, "bound_raw": raw, "bound_clamped": clamped,
-                       "max_deviation": float(np.max(devs))}
+        violations = (sum(1 for dev in devs if dev > eps) if delta > 0
+                      else zero_violations[row_idx])
+        row = {"delta": delta, "trials": plan.trials, "violations": violations,
+               "violation_rate": violations / plan.trials, "epsilon": eps,
+               "bound_raw": raw, "bound_clamped": clamped,
+               "max_deviation": float(np.max(devs)),
+               "mean_lifted_error": float(np.mean(devs))}
         if delta > 0:
-            violations = sum(1 for dev in devs if dev > eps)
-            annotations["search_status"] = status[row_idx].tolist()
-        else:
-            violations = zero_violations[row_idx]
-        rows.append(SweepRow(
-            value=delta, trials=plan.trials,
-            successes=plan.trials - violations,
-            rate=violations / plan.trials,
-            mean_lifted_error=float(np.mean(devs)),
-            annotations=annotations,
-        ))
+            row["search_status"] = status[row_idx].tolist()
+        rows.append(row)
     return rows
-
-
-def transition_csv(rows: Sequence[SweepRow]) -> str:
-    lines = [TRANSITION_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            _fmt(int(r.value)), _fmt(r.trials), _fmt(r.successes), _fmt(r.rate),
-            _fmt(r.annotations["d"]), _fmt(r.annotations["two_d"]),
-            _fmt(r.mean_lifted_error),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def stability_csv(rows: Sequence[SweepRow]) -> str:
-    lines = [STABILITY_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            _fmt(r.value), _fmt(r.trials), _fmt(r.trials - r.successes),
-            _fmt(r.rate), _fmt(r.annotations["epsilon"]),
-            _fmt(r.annotations["bound_raw"]), _fmt(r.annotations["bound_clamped"]),
-            _fmt(r.annotations["max_deviation"]), _fmt(r.mean_lifted_error),
-        ]))
-    return "\n".join(lines) + "\n"
 
 
 def run_manifest(plan: TrialPlan) -> dict:

@@ -177,18 +177,18 @@ def test_criterion_5_identifiability_phase_transitions():
     plan_a = mc.TrialPlan(sc=sub, ensemble_tag=COMPLEX_GENERIC, trials=100,
                           sweep=tuple(range(2, 9)), master_seed=55, restarts=20)
     rows_a = mc.run_phase_transition(plan_a)
-    rates_a = {r.value: r.rate for r in rows_a}
+    rates_a = {r["n"]: r["rate"] for r in rows_a}
     ok_a = rates_a[2] < 0.5 and all(rates_a[n] >= 0.99 for n in (5, 6, 7, 8))
 
     spar = ConstraintScenario(kind="sparsity", n=5, m1=4, m2=4, s1=1, s2=1)
     plan_b = mc.TrialPlan(sc=spar, ensemble_tag=COMPLEX_GENERIC, trials=100,
                           sweep=(5,), master_seed=56)
-    rate_b = mc.run_phase_transition(plan_b)[0].rate
+    rate_b = mc.run_phase_transition(plan_b)[0]["rate"]
     ok_b = rate_b >= 0.99
 
     plan_c = mc.TrialPlan(sc=sub, ensemble_tag=REAL_GENERIC, trials=100,
                           sweep=tuple(range(2, 9)), master_seed=57, restarts=20)
-    rates_c = {r.value: r.rate for r in mc.run_phase_transition(plan_c)}
+    rates_c = {r["n"]: r["rate"] for r in mc.run_phase_transition(plan_c)}
     ok_c = rates_c[2] < 0.5 and all(rates_c[n] >= 0.99 for n in (5, 6, 7, 8))
 
     elapsed = time.time() - start
@@ -229,15 +229,16 @@ def test_criterion_7_stability_consistency():
     details = []
     ok = True
     for row in rows:
-        if row.value == 0.0:
-            zero_ok = row.trials - row.successes == 0
+        if row["delta"] == 0.0:
+            zero_ok = row["violations"] == 0
             ok &= zero_ok
-            details.append(f"delta=0: {row.trials - row.successes} violations")
+            details.append(f"delta=0: {row['violations']} violations")
             continue
-        bound = row.annotations["bound_clamped"]
+        bound = row["bound_clamped"]
         if bound < 1.0:
-            ok &= row.rate <= bound
-        details.append(f"delta={row.value}: rate {row.rate:.4f} <= bound {bound:.3g}")
+            ok &= row["violation_rate"] <= bound
+        details.append(f"delta={row['delta']}: rate {row['violation_rate']:.4f} "
+                       f"<= bound {bound:.3g}")
     elapsed = time.time() - start
     ok &= elapsed < 600.0
     report("7 (stability consistency)", ok, "; ".join(details) + f", {elapsed:.0f}s")
@@ -250,27 +251,27 @@ def test_criterion_8_worker_determinism():
     tplan = mc.TrialPlan(sc=sub, ensemble_tag=COMPLEX_GENERIC, trials=30,
                          sweep=(2, 5, 8), master_seed=88)
     trows = mc.run_phase_transition(tplan)
-    t1 = mc.transition_csv(trows)
-    t1b = mc.transition_csv(mc.run_phase_transition(tplan))
+    t1 = mc.sweep_csv(mc.TRANSITION_COLUMNS, trows)
+    t1b = mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(tplan))
     # every trial replays alone: trial i of row r is recover_trial with seed
     # mix_seed(master_seed, r, i), the seed `blindid recover --seed` takes
     replay_ok = True
     for row_idx, row in enumerate(trows):
-        sc_n = ConstraintScenario.unchecked("subspace", int(row.value), 2, 2)
+        sc_n = ConstraintScenario.unchecked("subspace", row["n"], 2, 2)
         alone = [mc.recover_trial(sc_n, COMPLEX_GENERIC,
                                   mix_seed(tplan.master_seed, row_idx, i),
                                   restarts=tplan.restarts)
                  for i in range(tplan.trials)]
-        replay_ok &= (row.successes == sum(ok for _, ok in alone)
-                      and row.mean_lifted_error
+        replay_ok &= (row["successes"] == sum(ok for _, ok in alone)
+                      and row["mean_lifted_error"]
                       == float(np.mean([res.lifted_error for res, _ in alone])))
 
     sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
     splan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=20,
                          sweep=(0.1, 0.0), master_seed=89)
     srows = mc.run_stability_sweep(splan)
-    s1 = mc.stability_csv(srows)
-    s1b = mc.stability_csv(mc.run_stability_sweep(splan))
+    s1 = mc.sweep_csv(mc.STABILITY_COLUMNS, srows)
+    s1b = mc.sweep_csv(mc.STABILITY_COLUMNS, mc.run_stability_sweep(splan))
     # the stability sweep searches its trials as one batch: each trial
     # searched alone must give the same deviation bit for bit
     alone = []
@@ -278,8 +279,8 @@ def test_criterion_8_worker_determinism():
         ens, M0, _, search_rng = mc.draw_trial(sc, COMPLEX_UNIFORM_BALL,
                                                mix_seed(splan.master_seed, 0, i))
         alone.append(mc.max_feasible_deviation(ens, M0, 0.1, splan.starts, search_rng))
-    batch_ok = (srows[0].annotations["max_deviation"] == max(alone)
-                and srows[0].mean_lifted_error == float(np.mean(alone)))
+    batch_ok = (srows[0]["max_deviation"] == max(alone)
+                and srows[0]["mean_lifted_error"] == float(np.mean(alone)))
 
     elapsed = time.time() - start
     ok = t1 == t1b and replay_ok and s1 == s1b and batch_ok

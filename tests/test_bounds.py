@@ -271,22 +271,21 @@ class TestSnr:
 
 class TestReport:
     def test_full_report(self):
-        q = bounds.BoundQuery(sc=subspace(12, 2, 2), delta=0.05)
-        rep = bounds.make_report(q)
-        assert rep.d == 4 and rep.dim_upper == 8
-        assert np.isclose(rep.alpha, 1 - 4 / 12)
-        assert np.isclose(rep.beta, 1 - 8 / 12)
-        assert rep.C_prime is not None and rep.C_dblprime is not None
-        assert 0 <= rep.weak_failure_bound <= 1
-        assert set(rep.to_dict()) >= {"C", "alpha", "epsilon_single"}
+        rep = bounds.make_report(subspace(12, 2, 2), delta=0.05)
+        assert rep["d"] == 4 and rep["dim_upper"] == 8
+        assert np.isclose(rep["alpha"], 1 - 4 / 12)
+        assert np.isclose(rep["beta"], 1 - 8 / 12)
+        assert rep["C_prime"] is not None and rep["C_dblprime"] is not None
+        assert 0 <= rep["weak_failure_bound"] <= 1
+        assert set(rep) >= {"C", "alpha", "epsilon_single"}
 
     def test_stability_fields_none_below_threshold(self):
-        rep = bounds.make_report(bounds.BoundQuery(sc=subspace(5, 2, 2)))
-        assert rep.C_prime is not None
-        assert rep.C_dblprime is None and rep.epsilon_uniform is None
+        rep = bounds.make_report(subspace(5, 2, 2))
+        assert rep["C_prime"] is not None
+        assert rep["C_dblprime"] is None and rep["epsilon_uniform"] is None
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
-            bounds.BoundQuery(sc=subspace(5, 2, 2), delta=0.0)
+            bounds.make_report(subspace(5, 2, 2), delta=0.0)
         with pytest.raises(ValueError):
-            bounds.BoundQuery(sc=subspace(5, 2, 2), ell=2.0, L=1.0)
+            bounds.make_report(subspace(5, 2, 2), ell=2.0, L=1.0)

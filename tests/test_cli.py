@@ -105,13 +105,35 @@ class TestExitCodes:
         (["stability", "--n", "10", "--tag", "complex_uniform_ball", "--sweep", "0.1",
           "--trials", "1", "--starts", "-7"], "starts must be >= 1"),
         (["recover", "--n", "3", "--restarts", "-4"], "restarts must be >= 0"),
-    ], ids=["budget", "tol", "starts", "restarts"])
+        (["recover", "--n", "3", "--noise-level", "-0.5"],
+         "noise_level must be nonnegative"),
+    ], ids=["budget", "tol", "starts", "restarts", "noise_level"])
     def test_bad_search_size_is_two(self, capsys, argv, message):
         scenario = (["--kind", "sparsity", "--n", "2", "--m1", "5", "--m2", "5",
                      "--s1", "1", "--s2", "1"] if argv[0] == "certify"
                     else ["--kind", "subspace", "--m1", "2", "--m2", "2"])
         code, out, err = run(capsys, *argv, *scenario)
         assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("source, token", [
+        ("flag", "nan"), ("config", "inf"), ("sweep", "nan")])
+    def test_non_finite_float_is_two(self, capsys, tmp_path, source, token):
+        # nan passes every `x <= 0` range check, so it is rejected on input
+        argv = ["stability", "--kind", "subspace", "--m1", "2", "--m2", "2",
+                "--n", "10", "--trials", "1", "--sweep", "0.1"]
+        if source == "flag":
+            argv += ["--R", token]
+        elif source == "config":
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"R={token}\n")
+            argv += ["--config", str(conf)]
+        else:
+            argv[-1] = f"0.1,{token}"
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad flag value
+            code = exc.code
+        assert code == 2 and capsys.readouterr().out == ""
 
     def test_unwritable_output_is_three(self, capsys):
         code, _, err = run(capsys, "bounds", "--kind", "subspace", "--m1", "3",

@@ -31,6 +31,8 @@ class TestTrialPlan:
         p3 = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC, trials=3,
                           sweep=(4, 5), master_seed=2)
         m1_, m2_, m3_ = (mc.run_manifest(p) for p in (p1, p2, p3))
+        assert m1_["config_sha256"] == ("fbaf08f4ad15933bad0055bf9124aa70"
+                                        "f0cc16a8df4c76c171dfcf4059e4bf68")
         assert m1_["config_sha256"] == m2_["config_sha256"]
         assert m1_["config_sha256"] != m3_["config_sha256"]
         json.dumps(m1_)  # manifest must be JSON-serializable as-is
@@ -85,21 +87,21 @@ class TestPhaseTransition:
         plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC,
                             trials=25, sweep=(2, 5), master_seed=11)
         rows = mc.run_phase_transition(plan)
-        assert rows[0].rate < 0.5 and rows[1].rate == 1.0
-        assert rows[0].annotations == {"d": 4, "two_d": 8}
-        assert all(0 <= r.successes <= r.trials for r in rows)
+        assert rows[0]["rate"] < 0.5 and rows[1]["rate"] == 1.0
+        assert (rows[0]["d"], rows[0]["two_d"]) == (4, 8)
+        assert all(0 <= r["successes"] <= r["trials"] for r in rows)
 
     def test_noise_breaks_exact_recovery(self):
         plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC,
                             trials=10, sweep=(5,), master_seed=12,
                             noise_level=0.05)
         row = mc.run_phase_transition(plan)[0]
-        assert row.mean_lifted_error > 1e-6
+        assert row["mean_lifted_error"] > 1e-6
 
     def test_real_ensembles_supported(self):
         plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=REAL_GENERIC,
                             trials=10, sweep=(5,), master_seed=13)
-        assert mc.run_phase_transition(plan)[0].rate == 1.0
+        assert mc.run_phase_transition(plan)[0]["rate"] == 1.0
 
     def test_rerun_identical_and_trials_replay_alone(self):
         # trial i of row r is recover_trial with seed mix_seed(master, r, i);
@@ -108,20 +110,23 @@ class TestPhaseTransition:
                             trials=12, sweep=(3, 4, 5), master_seed=14,
                             restarts=3)
         rows = mc.run_phase_transition(plan)
-        assert mc.transition_csv(rows) == mc.transition_csv(mc.run_phase_transition(plan))
+        assert (mc.sweep_csv(mc.TRANSITION_COLUMNS, rows)
+                == mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(plan)))
         for row_idx, row in enumerate(rows):
-            alone = [mc.recover_trial(SUBSPACE5.with_n(row.value), COMPLEX_GENERIC,
+            alone = [mc.recover_trial(SUBSPACE5.with_n(row["n"]), COMPLEX_GENERIC,
                                       mix_seed(plan.master_seed, row_idx, i),
                                       restarts=plan.restarts)
                      for i in range(plan.trials)]
-            assert row.successes == sum(ok for _, ok in alone)
-            assert row.mean_lifted_error == float(np.mean([res.lifted_error
-                                                           for res, _ in alone]))
+            assert row["successes"] == sum(ok for _, ok in alone)
+            assert row["mean_lifted_error"] == float(np.mean([res.lifted_error
+                                                              for res, _ in alone]))
 
     def test_csv_schema(self):
         plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC,
                             trials=3, sweep=(5,), master_seed=15)
-        text = mc.transition_csv(mc.run_phase_transition(plan))
+        rows = mc.run_phase_transition(plan)
+        assert tuple(rows[0]) == mc.TRANSITION_COLUMNS
+        text = mc.sweep_csv(mc.TRANSITION_COLUMNS, rows)
         lines = text.splitlines()
         assert lines[0] == "n,trials,successes,rate,d,two_d,mean_lifted_error"
         assert text.endswith("\n") and len(lines) == 2
@@ -132,7 +137,7 @@ class TestPhaseTransition:
     def test_empty_sweep_gives_header_only(self):
         plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC,
                             trials=3, sweep=(), master_seed=15)
-        assert mc.transition_csv(mc.run_phase_transition(plan)) == \
+        assert mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(plan)) == \
             "n,trials,successes,rate,d,two_d,mean_lifted_error\n"
 
 
@@ -461,16 +466,17 @@ class TestStabilitySweep:
         plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=5,
                             sweep=(0.0,), master_seed=2)
         row = mc.run_stability_sweep(plan)[0]
-        assert row.successes == row.trials
-        assert row.annotations["max_deviation"] < 1e-8
+        assert row["violations"] == 0
+        assert row["max_deviation"] < 1e-8
 
     def test_deviation_grows_with_delta_and_csv_schema(self):
         sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
         plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=4,
                             sweep=(0.3, 0.03), master_seed=3)
         rows = mc.run_stability_sweep(plan)
-        assert rows[0].annotations["max_deviation"] > rows[1].annotations["max_deviation"]
-        text = mc.stability_csv(rows)
+        assert rows[0]["max_deviation"] > rows[1]["max_deviation"]
+        assert tuple(rows[0]) == mc.STABILITY_COLUMNS + ("search_status",)
+        text = mc.sweep_csv(mc.STABILITY_COLUMNS, rows)
         assert text.splitlines()[0] == ("delta,trials,violations,violation_rate,"
                                         "epsilon,bound_raw,bound_clamped,"
                                         "max_deviation,mean_lifted_error")
@@ -482,17 +488,18 @@ class TestStabilitySweep:
         plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=6,
                             sweep=(0.3, 0.1, 0.0), master_seed=4)
         rows = mc.run_stability_sweep(plan)
-        assert mc.stability_csv(rows) == mc.stability_csv(mc.run_stability_sweep(plan))
+        assert (mc.sweep_csv(mc.STABILITY_COLUMNS, rows)
+                == mc.sweep_csv(mc.STABILITY_COLUMNS, mc.run_stability_sweep(plan)))
         for row_idx, row in enumerate(rows[:2]):
             alone = []
             for i in range(plan.trials):
                 ens, M0, _, search_rng = mc.draw_trial(
                     sc, COMPLEX_UNIFORM_BALL, mix_seed(plan.master_seed, row_idx, i))
-                alone.append(mc.max_feasible_deviation(ens, M0, row.value,
+                alone.append(mc.max_feasible_deviation(ens, M0, row["delta"],
                                                        plan.starts, search_rng))
-            assert row.annotations["max_deviation"] == max(alone)
-            assert row.mean_lifted_error == float(np.mean(alone))
-            assert sum(row.annotations["search_status"]) == plan.trials * plan.starts
+            assert row["max_deviation"] == max(alone)
+            assert row["mean_lifted_error"] == float(np.mean(alone))
+            assert sum(row["search_status"]) == plan.trials * plan.starts
 
 
 @pytest.fixture(scope="module")
@@ -508,7 +515,7 @@ def test_max_deviation_scaling_law(scaling_rows):
     # with alpha = 1 - d/n (slope tolerance 0.15 below alpha/2)
     sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
     deltas = (0.3, 0.1, 0.03)
-    devs = [r.annotations["max_deviation"] for r in scaling_rows]
+    devs = [r["max_deviation"] for r in scaling_rows]
     slope = np.polyfit(np.log(deltas), np.log(devs), 1)[0]
     alpha = 1 - bounds.sample_complexity_d(sc) / sc.n
     assert slope >= alpha / 2 - 0.15
@@ -521,8 +528,8 @@ def test_search_quality_no_worse_than_scipy_reference(scaling_rows):
     mean_ref = (1.164775, 0.387067, 0.114834)
     max_ref = (1.443066, 0.542234, 0.210431)
     for row, mean_dev, max_dev in zip(scaling_rows, mean_ref, max_ref):
-        assert row.mean_lifted_error >= 0.98 * mean_dev
-        assert row.annotations["max_deviation"] >= 0.98 * max_dev
+        assert row["mean_lifted_error"] >= 0.98 * mean_dev
+        assert row["max_deviation"] >= 0.98 * max_dev
 
 
 def test_per_trial_seeds_are_documented_mix():

@@ -253,7 +253,7 @@ def test_success_rate_monotone_in_n():
     sc = ConstraintScenario(kind="subspace", n=5, m1=2, m2=2)
     plan = TrialPlan(sc=sc, ensemble_tag=COMPLEX_GENERIC, trials=40,
                      sweep=(2, 3, 4, 5), master_seed=77, restarts=5)
-    rates = [r.rate for r in run_phase_transition(plan)]
+    rates = [r["rate"] for r in run_phase_transition(plan)]
     sigma = np.sqrt(0.25 / 40)
     for lo, hi in zip(rates, rates[1:]):
         assert hi >= lo - 2 * sigma
