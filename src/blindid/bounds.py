@@ -51,7 +51,7 @@ def volume_complex_ball(m: int, R: float) -> float:
     """Volume pi^m R^(2m) / m! of the radius-R ball in C^m; V = 1 at m = 0."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if R <= 0:
+    if not R > 0:
         raise ValueError("R must be positive")
     if m == 0:
         return 1.0
@@ -62,7 +62,7 @@ def volume_real_ball(m: int, R: float) -> float:
     """Volume pi^(m/2) R^m / Gamma(m/2 + 1) of the radius-R ball in R^m."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if R <= 0:
+    if not R > 0:
         raise ValueError("R must be positive")
     if m == 0:
         return 1.0
@@ -84,7 +84,7 @@ def covering_bound(kind: str, m: int, rho: float, s: Optional[int] = None) -> fl
 
     kind="ball": (3/rho)^m. kind="sparse_ball": C(m, s) * (3/rho)^s.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -110,7 +110,7 @@ def small_ball_bound(field: str, rho: float, ell: float, L: float, R: float,
     Complex case: rho^2 * g with the pi^2 factor, squared ell, and doubled
     log term, using complex-ball volumes.
     """
-    if rho <= 0 or ell <= 0 or L <= 0 or R <= 0:
+    if not (rho > 0 and ell > 0 and L > 0 and R > 0):
         raise ValueError("rho, ell, L, R must all be positive")
     if ell > L:
         raise ValueError("need ell <= L")
@@ -133,7 +133,7 @@ def constant_C(n: int, m1: int, m2: int, R: float, delta: float) -> float:
 
     The log may go negative for large delta; the value is returned as-is.
     """
-    if n < 1 or m1 < 1 or m2 < 1 or R <= 0 or delta <= 0:
+    if n < 1 or m1 < 1 or m2 < 1 or not (R > 0 and delta > 0):
         raise ValueError("inputs must be positive")
     return 648.0 * m1 * m2 * (1.0 + 2.0 * math.log(2.0 * math.sqrt(n) * R * R / (3.0 * delta)))
 
@@ -158,7 +158,7 @@ def log_stability_prefactor(sc: ConstraintScenario, mode: str, R: float,
     n = sc.n
     d = sample_complexity_d(sc)
     C = constant_C(n, sc.m1, sc.m2, R, delta)
-    if C <= 0:
+    if not C > 0:
         raise ValueError(
             f"constant C = {C} is not positive (delta too large for the log factor)")
     if mode == "single_point":
@@ -188,7 +188,7 @@ def failure_prob_bound(sc: ConstraintScenario, mode: str, R: float,
     reported so experiments can locate the non-vacuous regime.
     """
     d = _check_mode_precondition(sc, mode)
-    if R <= 0 or delta <= 0 or epsilon <= 0:
+    if not (R > 0 and delta > 0 and epsilon > 0):
         raise ValueError("R, delta, epsilon must be positive")
     expo = sc.n - d if mode == "single_point" else sc.n - 2 * d
     log_raw = (log_stability_prefactor(sc, mode, R, delta)
@@ -207,7 +207,7 @@ def epsilon_of_delta(sc: ConstraintScenario, mode: str, R: float, delta: float,
     C_value overrides the prefactor (C' or C'' per mode) when given.
     """
     d = _check_mode_precondition(sc, mode)
-    if R <= 0 or delta <= 0:
+    if not (R > 0 and delta > 0):
         raise ValueError("R and delta must be positive")
     n = sc.n
     log_C = (math.log(C_value) if C_value is not None
@@ -247,7 +247,7 @@ def make_report(sc: ConstraintScenario, *, delta: float = 0.1, epsilon: float = 
     """
     for name, value in (("delta", delta), ("epsilon", epsilon), ("R", R),
                         ("rho", rho), ("ell", ell), ("L", L)):
-        if value <= 0:
+        if not value > 0:
             raise ValueError(f"{name} must be positive")
     if ell > L:
         raise ValueError("need ell <= L")

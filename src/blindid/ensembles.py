@@ -165,7 +165,7 @@ def sample_uniform_complex_ball_batch(m: int, R: float, rng: np.random.Generator
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if R <= 0:
+    if not R > 0:
         raise ValueError("R must be positive")
     g = rng.standard_normal((size, m)) + 1j * rng.standard_normal((size, m))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
@@ -179,7 +179,7 @@ def sample_uniform_real_ball_batch(m: int, R: float, rng: np.random.Generator,
     in R^m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if R <= 0:
+    if not R > 0:
         raise ValueError("R must be positive")
     g = rng.standard_normal((size, m))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
@@ -256,7 +256,7 @@ def build_ensemble(sc: ConstraintScenario, tag: str, seed: int,
     if tag not in ALL_TAGS:
         raise ValueError(f"unknown ensemble tag {tag!r}")
     if tag in _BALL_TAGS:
-        if R is None or R <= 0:
+        if R is None or not R > 0:
             raise ValueError(f"tag {tag!r} requires a positive ball radius R")
     elif R is not None:
         raise ValueError(f"tag {tag!r} takes no ball radius")

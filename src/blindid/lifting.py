@@ -9,7 +9,7 @@ to the time-domain measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "apply_G",
     "apply_A",
     "apply_A_adjoint",
+    "support_rows",
     "operator_matrix",
     "mean_isometry_radius",
     "calibrated_isometry_radius",
@@ -40,7 +41,7 @@ class LiftedMatrix:
         object.__setattr__(self, "M", M)
         if M.ndim != 2:
             raise ValueError(f"expected a matrix, got shape {M.shape}")
-        if not np.all(np.isfinite(M.view(float))):
+        if not np.all(np.isfinite(M)):
             raise ValueError("lifted matrix has non-finite entries")
         if (self.x is None) != (self.y is None):
             raise ValueError("factors must be given as a pair")
@@ -118,22 +119,35 @@ def apply_A_adjoint(ens: Ensemble, w) -> LiftedMatrix:
     return LiftedMatrix(M=M)
 
 
-def operator_matrix(ens: Ensemble, rows: Optional[Sequence[int]] = None,
-                    cols: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Matrix of the frequency operator on column-major vectorized input.
+def support_rows(ens: Ensemble, rows=None, cols=None):
+    """Conjugated frequency rows (a_j^*, b_j^*) restricted to a support.
 
-    Row j holds the coefficients so that operator_matrix @ vec(M) equals
-    apply_A(M), with vec(M) in column-major (Fortran) order. Optional row
-    and column index sets restrict M to a support.
+    rows and cols index the columns of a and b; None keeps every column.
+    A 2-D index array of T supports gives stacks of shape (T, n, |rows|)
+    and (T, n, |cols|) whose slots have the memory layout of a 1-D
+    selection, so matrix products on a slot round as they do alone.
     """
     a = ens.a.conj()
     b = ens.b.conj()
     if rows is not None:
-        a = a[:, list(rows)]
+        a = a[:, np.asarray(rows)].swapaxes(0, -2)
     if cols is not None:
-        b = b[:, list(cols)]
+        b = b[:, np.asarray(cols)].swapaxes(0, -2)
+    return a, b
+
+
+def operator_matrix(ens: Ensemble, rows=None, cols=None) -> np.ndarray:
+    """Matrix of the frequency operator on column-major vectorized input.
+
+    Row j holds the coefficients so that operator_matrix @ vec(M) equals
+    apply_A(M), with vec(M) in column-major (Fortran) order. Optional row
+    and column index sets restrict M to a support; 2-D index arrays give
+    one matrix per support, stacked along the first axis.
+    """
+    a, b = support_rows(ens, rows, cols)
     # column index k * |rows| + m matches column-major vectorization
-    return (b[:, :, None] * a[:, None, :]).reshape(ens.n, -1)
+    op = b[..., :, :, None] * a[..., :, None, :]
+    return op.reshape(op.shape[:-2] + (-1,))
 
 
 def mean_isometry_radius(n: int, m1: int, m2: int) -> float:

@@ -78,7 +78,7 @@ class TrialPlan:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.noise_level < 0:
+        if not self.noise_level >= 0:
             raise ValueError("noise_level must be nonnegative")
         object.__setattr__(self, "sweep", tuple(self.sweep))
 
@@ -219,7 +219,7 @@ def recover_trial(sc: ConstraintScenario, tag: str, seed: int, *,
     Returns the solver result, whose lifted_error is measured against the
     planted matrix, and whether the trial counts as recovered.
     """
-    if noise_level < 0:
+    if not noise_level >= 0:
         raise ValueError("noise_level must be nonnegative")
     ens, M0, plant_rng, solver_rng = draw_trial(sc, tag, seed, R)
     z = apply_G(ens, M0)
@@ -543,7 +543,7 @@ def run_stability_sweep(plan: TrialPlan) -> list[dict]:
     if plan.ensemble_tag != COMPLEX_UNIFORM_BALL:
         raise ValueError("stability sweeps require the complex uniform-ball ensemble")
     deltas = [float(delta) for delta in plan.sweep]
-    if any(delta < 0 for delta in deltas):
+    if not all(delta >= 0 for delta in deltas):
         raise ValueError("stability sweep budgets delta must be nonnegative")
     sc = plan.sc
     R = ensemble_radius(COMPLEX_UNIFORM_BALL, sc, plan.R)

@@ -289,3 +289,22 @@ class TestReport:
             bounds.make_report(subspace(5, 2, 2), delta=0.0)
         with pytest.raises(ValueError):
             bounds.make_report(subspace(5, 2, 2), ell=2.0, L=1.0)
+
+    @pytest.mark.parametrize("name", ["delta", "epsilon", "R", "rho", "ell", "L"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            bounds.make_report(subspace(12, 2, 2), **{name: float("nan")})
+
+
+def test_closed_forms_reject_nan():
+    nan = float("nan")
+    sc = subspace(12, 2, 2)
+    for call in (lambda: bounds.volume_complex_ball(2, nan),
+                 lambda: bounds.volume_real_ball(2, nan),
+                 lambda: bounds.covering_bound("ball", 2, nan),
+                 lambda: bounds.small_ball_bound("complex", nan, 1.0, 1.0, 1.0, 2, 2),
+                 lambda: bounds.constant_C(12, 2, 2, 1.0, nan),
+                 lambda: bounds.failure_prob_bound(sc, "single_point", 1.0, 0.1, nan),
+                 lambda: bounds.epsilon_of_delta(sc, "single_point", nan, 0.1)):
+        with pytest.raises(ValueError):
+            call()

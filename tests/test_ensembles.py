@@ -160,6 +160,15 @@ class TestEnsembleBuild:
         with pytest.raises(ValueError):
             build_ensemble(SC, COMPLEX_GENERIC, 5, R=1.0)
 
+    def test_nan_radius_rejected(self):
+        nan = float("nan")
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="requires a positive ball radius"):
+            build_ensemble(SC, COMPLEX_UNIFORM_BALL, 5, R=nan)
+        for sample in (sample_uniform_complex_ball_batch, sample_uniform_real_ball_batch):
+            with pytest.raises(ValueError, match="R must be positive"):
+                sample(2, nan, rng, 3)
+
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             build_ensemble(SC, "nope", 5)

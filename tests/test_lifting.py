@@ -5,7 +5,7 @@ from blindid.ensembles import (COMPLEX_GENERIC, ConstraintScenario, Ensemble,
                                build_ensemble)
 from blindid.lifting import (LiftedMatrix, apply_A, apply_A_adjoint, apply_G,
                              calibrated_isometry_radius, mean_isometry_radius,
-                             operator_matrix)
+                             operator_matrix, support_rows)
 from blindid.spectral import circular_convolve, dft
 from oracles import dft_matrix
 
@@ -41,6 +41,14 @@ class TestLiftedMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             LiftedMatrix(M=np.array([[np.nan, 0], [0, 0]]))
+        with pytest.raises(ValueError):
+            LiftedMatrix(M=np.array([[0, 1j * np.inf], [0, 0]]))
+
+    def test_accepts_non_contiguous_matrix(self):
+        # apply_A_adjoint's einsum may return a Fortran-ordered matrix
+        M = np.asfortranarray(np.arange(8.0).reshape(4, 2) + 1j)
+        assert np.array_equal(LiftedMatrix(M=M).M, M)
+        assert np.array_equal(LiftedMatrix(M=M.T).M, M.T)
 
     def test_from_factors_and_norm(self):
         M = LiftedMatrix.from_factors([1, 2j], [3, 1])
@@ -172,6 +180,26 @@ def test_operator_matrix_support_restriction():
     M[np.ix_([1], [0, 2])] = Msub
     op = operator_matrix(ens, rows=[1], cols=[0, 2])
     assert np.linalg.norm(op @ Msub.flatten(order="F") - apply_A(ens, M)) < 1e-10
+
+
+
+def test_operator_matrix_stacks_supports_bit_for_bit():
+    # a stack of supports gives each support's own matrix, and each stacked
+    # SVD the singular values of its own call
+    ens = make_ensemble(n=7, m1=4, m2=3)
+    rows = np.array([[0, 1], [3, 1], [2, 3]])
+    cols = np.array([[2, 0], [0, 1], [1, 2]])
+    ops = operator_matrix(ens, rows=rows, cols=cols)
+    assert ops.shape == (3, 7, 4)
+    s = np.linalg.svd(ops, compute_uv=False)
+    for t in range(3):
+        op = operator_matrix(ens, rows=list(rows[t]), cols=list(cols[t]))
+        assert np.array_equal(ops[t], op)
+        assert np.array_equal(s[t], np.linalg.svd(op, compute_uv=False))
+    a, b = support_rows(ens, rows)
+    assert a.shape == (3, 7, 2) and b.shape == (7, 3)
+    assert np.array_equal(operator_matrix(ens, rows=rows)[1],
+                          operator_matrix(ens, rows=[3, 1]))
 
 
 class TestIsometryRadii:

@@ -23,6 +23,20 @@ class TestTrialPlan:
             mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC, trials=1,
                          sweep=(5,), noise_level=-0.1)
 
+    def test_nan_noise_level_rejected(self):
+        with pytest.raises(ValueError, match="noise_level must be nonnegative"):
+            mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC, trials=1,
+                         sweep=(5,), noise_level=float("nan"))
+        with pytest.raises(ValueError, match="noise_level must be nonnegative"):
+            mc.recover_trial(SUBSPACE5, COMPLEX_GENERIC, 0, noise_level=float("nan"))
+
+    def test_nan_stability_budget_rejected(self):
+        plan = mc.TrialPlan(sc=ConstraintScenario(kind="subspace", n=10, m1=2, m2=2),
+                            ensemble_tag=COMPLEX_UNIFORM_BALL, trials=1,
+                            sweep=(0.1, float("nan")))
+        with pytest.raises(ValueError, match="delta must be nonnegative"):
+            mc.run_stability_sweep(plan)
+
     def test_manifest_hash_is_stable_and_content_sensitive(self):
         p1 = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC, trials=3,
                           sweep=(4, 5), master_seed=1)
