@@ -55,6 +55,8 @@ RECOVERY_RTOL = 1e-6
 ALT_MIN_MAX_ITER = 500
 ALT_MIN_RTOL = 1e-10
 INJECTIVITY_TOL = 1e-8
+# Operator entries per stacked SVD of the exact certificates (16 MiB).
+INJECTIVITY_STACK_ENTRIES = 1 << 20
 # Largest support enumeration a solver or certifier attempts.
 SUPPORT_CAP = 100_000
 
@@ -102,13 +104,10 @@ def _top_rank1(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _embed(v: np.ndarray, support, m: int) -> np.ndarray:
-    """Zero-fill v (..., |support|) to length m; a 2-D support holds one
-    index row per leading slot."""
+    """Zero-fill v (..., |support|) to length m at the indices of support,
+    which has one index row per leading slot of v."""
     out = np.zeros(v.shape[:-1] + (m,), dtype=np.complex128)
-    if v.ndim == 1:
-        out[list(support)] = v
-    else:
-        np.put_along_axis(out, support, v, axis=-1)
+    np.put_along_axis(out, np.asarray(support), v, axis=-1)
     return out
 
 
@@ -289,20 +288,29 @@ def _injective_on(ens: Ensemble, unions: Iterable[Tuple[Tuple[int, ...], Tuple[i
     """Whether the restricted operator is injective on every (rows, cols)
     support union.
 
-    Unions of one shape share one stacked SVD, which makes the LAPACK call
-    of np.linalg.svd on each matrix.
+    Unions of one shape are checked in stacks of at most
+    INJECTIVITY_STACK_ENTRIES operator entries (or of one union), repeats
+    dropped within a stack, one stacked SVD each, which makes the LAPACK
+    call of np.linalg.svd on each matrix. The check stops at the first
+    stack that fails.
     """
-    by_shape: dict = {}
+    pending: dict = {}
     for rows, cols in unions:
-        if ens.n < len(rows) * len(cols):
+        shape = (len(rows), len(cols))
+        if ens.n < shape[0] * shape[1]:
             return False
-        by_shape.setdefault((len(rows), len(cols)), {})[rows, cols] = None
-    for shape_unions in by_shape.values():
-        rows, cols = (np.array(idx) for idx in zip(*shape_unions))
-        s = np.linalg.svd(operator_matrix(ens, rows=rows, cols=cols), compute_uv=False)
-        if not np.all(s[:, -1] > INJECTIVITY_TOL):
-            return False
-    return True
+        stack = pending.setdefault(shape, {})
+        stack[rows, cols] = None
+        if len(stack) == max(1, INJECTIVITY_STACK_ENTRIES // (ens.n * shape[0] * shape[1])):
+            if not _injective_stack(ens, pending.pop(shape)):
+                return False
+    return all(_injective_stack(ens, stack) for stack in pending.values())
+
+
+def _injective_stack(ens: Ensemble, unions) -> bool:
+    rows, cols = (np.array(idx) for idx in zip(*unions))
+    s = np.linalg.svd(operator_matrix(ens, rows=rows, cols=cols), compute_uv=False)
+    return bool(np.all(s[:, -1] > INJECTIVITY_TOL))
 
 
 def _union(a: Iterable[int], b: Iterable[int]) -> Tuple[int, ...]:

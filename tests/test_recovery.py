@@ -7,7 +7,9 @@ import pytest
 import oracles
 from blindid.ensembles import (COMPLEX_GENERIC, ConstraintScenario,
                                build_ensemble)
-from blindid.lifting import LiftedMatrix, apply_A, apply_A_adjoint, support_rows
+from blindid import recovery
+from blindid.lifting import (LiftedMatrix, apply_A, apply_A_adjoint, operator_matrix,
+                             support_rows)
 from blindid.mc import draw_trial
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
                               HEURISTICALLY_UNIQUE, EnumerationCapError,
@@ -180,6 +182,7 @@ class TestStackedKernel:
                 assert got[2] == ro
         # one support and one measurement vector shared by every slot
         Xs, Ys, ress = _alt_min(aS[:1], bS[:1], z[:1], X0)
+        assert Xs.shape == Ys.shape == (T, 2) and ress.shape == (T,)
         for t in range(T):
             xo, yo, ro = oracles.alt_min(aS[0], bS[0], z[0], X0[t])
             assert np.array_equal(Xs[t], xo) and np.array_equal(Ys[t], yo) and ress[t] == ro
@@ -214,6 +217,41 @@ def test_certifiers_match_attempt_by_attempt_reference(sc):
                 assert verify_counterexample(got, ens) or (level, tol) == ("strong", 0.1)
                 assert np.array_equal(got.witness.M, want.witness.M)
                 assert np.array_equal(got.reference.M, want.reference.M)
+
+
+def test_injective_on_bounds_its_stacks(monkeypatch):
+    # every stack holds at most INJECTIVITY_STACK_ENTRIES operator entries
+    # (or one union), the verdict is that of one SVD per union, and the
+    # check stops at the first stack that fails
+    stacks = []
+
+    def recorded(*args, **kwargs):
+        op = operator_matrix(*args, **kwargs)
+        stacks.append(op.shape)
+        return op
+
+    monkeypatch.setattr(recovery, "operator_matrix", recorded)
+    sc = ConstraintScenario.unchecked("sparsity", 4, 5, 5, 1, 1)
+    unions = [(recovery._union(S1a, S1b), recovery._union(S2a, S2b))
+              for (S1a, S2a), (S1b, S2b) in
+              itertools.combinations_with_replacement(admissible_supports(sc), 2)]
+    for n, entries in itertools.product((4, 6), (1, 40, 1 << 20)):
+        ens = build_ensemble(ConstraintScenario.unchecked("sparsity", n, 5, 5, 1, 1),
+                             COMPLEX_GENERIC, n)
+        assert all(oracles._injective_on(ens, rows, cols) for rows, cols in unions)
+        monkeypatch.setattr(recovery, "INJECTIVITY_STACK_ENTRIES", entries)
+        stacks.clear()
+        assert recovery._injective_on(ens, unions)
+        assert all(math.prod(shape) <= max(entries, shape[1] * shape[2]) for shape in stacks)
+        # repeats are dropped within a stack; by default each shape is one stack
+        checked = sum(shape[0] for shape in stacks)
+        assert len(set(unions)) <= checked <= len(unions)
+        assert checked == len(set(unions)) or entries < 1 << 20
+    monkeypatch.setattr(recovery, "INJECTIVITY_STACK_ENTRIES", 1)
+    monkeypatch.setattr(recovery, "INJECTIVITY_TOL", np.inf)
+    stacks.clear()
+    assert not recovery._injective_on(ens, unions)
+    assert len(stacks) == 1
 
 
 def test_zero_budget_searches_nothing():
@@ -395,5 +433,4 @@ def test_alt_min_converges_from_random_start():
     X0 = np.array([rng.standard_normal(3) + 1j * rng.standard_normal(3)
                    for _ in range(10)])
     residuals = _alt_min(ens.a.conj()[None], ens.b.conj()[None], z[None], X0)[2]
-    assert residuals.shape == (10,)
     assert min(residuals) <= 1e-8
