@@ -330,7 +330,12 @@ GOLDEN = {
     "bounds_n12.json": ["bounds", *_SUB22, "--n", "12"],
     "bounds_n5.json": ["bounds", *_SUB22, "--n", "5"],
     "certify_weak_n1.json": ["certify", *_SPARSE55, "--n", "1", "--level", "weak"],
+    "certify_strong_n1.json": ["certify", *_SPARSE55, "--n", "1", "--level", "strong"],
+    "certify_strong_n2.json": ["certify", *_SPARSE55, "--n", "2", "--level", "strong"],
     "certify_strong_n4.json": ["certify", *_SPARSE55, "--n", "4", "--level", "strong"],
+    "certify_strong_mixed_n3.json": ["certify", "--kind", "mixed", "--m1", "3", "--m2", "2",
+                                     "--s1", "1", "--tag", "complex_generic", "--n", "3",
+                                     "--level", "strong"],
     "recover.json": ["recover", *_SUB22, "--n", "6", "--tag", "complex_generic",
                      "--seed", "7"],
     "gen.json": ["gen", *_SUB22, "--n", "4", "--tag", "complex_generic", "--seed", "9"],
