@@ -75,8 +75,8 @@ def as_matrix(M) -> np.ndarray:
     return np.asarray(M, dtype=np.complex128)
 
 
-def _check_shape(ens: Ensemble, M: np.ndarray):
-    if M.shape != (ens.scenario.m1, ens.scenario.m2):
+def _check_shape(ens: Ensemble, M: np.ndarray, stacked: bool = False):
+    if M.shape[-2:] != (ens.scenario.m1, ens.scenario.m2) or M.ndim > 2 + stacked:
         raise ValueError(
             f"matrix shape {M.shape} does not match ensemble "
             f"({ens.scenario.m1}, {ens.scenario.m2})"
@@ -84,10 +84,17 @@ def _check_shape(ens: Ensemble, M: np.ndarray):
 
 
 def apply_A(ens: Ensemble, M) -> np.ndarray:
-    """Frequency-domain measurements, entry j = a_j^* M conj(b_j)."""
+    """Frequency-domain measurements, entry j = a_j^* M conj(b_j).
+
+    M is one m1 x m2 matrix, giving (n,), or a stack (T, m1, m2), giving
+    (T, n); each slot of a stack gets the bits of a call on it alone.
+    """
     M = as_matrix(M)
-    _check_shape(ens, M)
-    return np.einsum("jm,mk,jk->j", ens.a.conj(), M, ens.b.conj(), optimize=True)
+    _check_shape(ens, M, stacked=True)
+    # vecdot conjugates b and rounds every slot alike; the product form
+    # ((...) * b.conj()).sum(-1) does not: at n = m2 = 1 a one-slot stack
+    # takes another complex-multiply loop than a lone matrix
+    return np.vecdot(ens.b, ens.a.conj() @ M)
 
 
 def apply_G(ens: Ensemble, M) -> np.ndarray:

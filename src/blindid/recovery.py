@@ -11,7 +11,9 @@ Alternating minimization runs on a stack of slots (the starts of one
 solve, or a chunk of certifier attempts), each with the arithmetic of a
 lone run. Certifier attempts run in chunks of 1, 2, 4, ..., so a search
 may draw from the caller's rng past the attempt it returns; verdicts and
-budgets do not change.
+budgets do not change. Per attempt only the rng draws run in Python; the
+planted matrices, their measurements and the fits run once per chunk, on
+the whole stack.
 """
 
 from __future__ import annotations
@@ -168,11 +170,16 @@ def _alt_min(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray,
     return X, Y, residual
 
 
+def _complex_normal(g: np.ndarray) -> np.ndarray:
+    """Standard complex Gaussians from real draws g (..., 2, size) that hold
+    the real parts, then the imaginary parts."""
+    return (g[..., 0, :] + 1j * g[..., 1, :]) / np.sqrt(2)
+
+
 def _random_factors(count: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """count standard complex Gaussian vectors, drawn as count draws of the
     real then the imaginary part would draw them."""
-    g = rng.standard_normal((count, 2, size))
-    return (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
+    return _complex_normal(rng.standard_normal((count, 2, size)))
 
 
 def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray,
@@ -385,10 +392,15 @@ def certify_strong(ens: Ensemble, budget: int = 100, tol: float = 1e-6,
     Exact path: injectivity of the restricted operator on every union of
     two admissible supports. Heuristic path: plant a random admissible
     unit-norm matrix, fit its measurements from a random start, and flag a
-    far-apart pair with matching measurements as a counterexample. Each
-    attempt draws its planted support, its factors and its start in that
-    order; attempts run in chunks of 1, 2, 4, ..., so rng may be drawn past
-    the attempt that finds a counterexample; the verdict does not change.
+    far-apart pair (orbit distance, as verify_counterexample measures it)
+    with matching measurements as a counterexample.
+
+    Per attempt, only the draws run: the planted support, its x then y
+    factors (an attempt whose planted matrix is 0 draws no start and is
+    skipped), then the start. Per chunk of 1, 2, 4, ... attempts, the
+    planted matrices are normalized and measured as one stack by apply_A
+    and fitted as one _alt_min stack. So rng may be drawn past the attempt
+    that finds a counterexample; the verdict does not change.
     """
     _check_search(budget, tol)
     sc = ens.scenario
@@ -401,41 +413,64 @@ def certify_strong(ens: Ensemble, budget: int = 100, tol: float = 1e-6,
                            itertools.combinations_with_replacement(supports, 2))):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
 
+    k1, k2 = (len(S) for S in supports[0])  # every admissible support has these sizes
     for attempts in _chunks(budget):
-        slots, planted, z1, X0 = [], [], [], []
+        slots, picks, draws, starts = [], [], [], []
         for attempt in attempts:
-            S1p, S2p = supports[rng.integers(len(supports))]
-            xp = _embed(_random_factors(1, len(S1p), rng)[0], S1p, sc.m1)
-            yp = _embed(_random_factors(1, len(S2p), rng)[0], S2p, sc.m2)
-            nrm = float(np.linalg.norm(np.outer(xp, yp)))
-            if nrm == 0.0:
+            planted = rng.integers(len(supports))
+            g = rng.standard_normal(2 * (k1 + k2))  # the planted x, then y
+            # The planted matrix has norm 0 exactly when its x or its y draws
+            # are all 0: nonzero normal draws exceed 1e-20 in magnitude, so no
+            # product or square underflows, and a complex product of nonzero
+            # factors cannot round to 0 in both its parts.
+            if not (g[:2 * k1].any() and g[2 * k1:].any()):
                 continue
             slots.append(attempt)
-            planted.append((xp / nrm, yp))
-            z1.append(apply_A(ens, np.outer(*planted[-1])))
-            X0.append(_random_factors(1, len(supports[attempt % len(supports)][0]), rng)[0])
+            picks.append(planted)
+            draws.append(g)
+            starts.append(rng.standard_normal(2 * k1))
         if not slots:
             continue
+        T = len(slots)
+        g = np.array(draws)
+        prow, pcol = _slot_supports(supports, picks)
+        xp = _embed(_complex_normal(g[:, :2 * k1].reshape(T, 2, k1)), prow, sc.m1)
+        yp = _embed(_complex_normal(g[:, 2 * k1:].reshape(T, 2, k2)), pcol, sc.m2)
+        xp /= _norm((xp[:, :, None] * yp[:, None, :]).reshape(T, -1))[:, None]
+        z1 = apply_A(ens, xp[:, :, None] * yp[:, None, :])
         rows, cols = _slot_supports(supports, slots)
         aS, bS = support_rows(ens, rows, cols)
-        X, Y, residual = _alt_min(aS, bS, np.array(z1), np.array(X0))
+        X, Y, residual = _alt_min(aS, bS, z1, _complex_normal(np.array(starts).reshape(T, 2, k1)))
         X, Y = _embed(X, rows, sc.m1), _embed(Y, cols, sc.m2)
         # rescale each pair jointly so both land in the unit ball (cone property)
-        c = 1.0 / np.maximum(1.0, _norm((X[:, :, None] * Y[:, None, :]).reshape(len(slots), -1)))
+        c = 1.0 / np.maximum(1.0, _norm((X[:, :, None] * Y[:, None, :]).reshape(T, -1)))
         for t in np.flatnonzero(residual * c <= tol):
             ct = float(c[t])
-            M1c = LiftedMatrix.from_factors(ct * planted[t][0], planted[t][1])
+            M1c = LiftedMatrix.from_factors(ct * xp[t], yp[t])
             M2c = LiftedMatrix.from_factors(ct * X[t], Y[t])
-            if align_and_distance(M1c, M2c) > 10 * tol:
+            if min_scaled_distance(M2c, M1c) > 10 * tol:
                 return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, M2c, M1c, slots[t] + 1, tol)
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
 
 
+def _admissible(sc: ConstraintScenario, M: LiftedMatrix) -> bool:
+    """Whether M has rank-1 factors whose supports fit the constraint set."""
+    if M.x is None:
+        return False
+    S1, S2 = _support_of(M)
+    return (len(S1) <= (sc.m1 if sc.kind == "subspace" else sc.s1)
+            and len(S2) <= (sc.s2 if sc.kind == "sparsity" else sc.m2))
+
+
 def verify_counterexample(verdict: IdentifiabilityVerdict, ens: Ensemble) -> bool:
-    """Machine-check the counterexample invariant on the stored witness."""
+    """Machine-check the counterexample invariant on the stored witness:
+    witness and reference are admissible, measured alike and far apart."""
     if verdict.status != COUNTEREXAMPLE_FOUND:
         return False
     if verdict.witness is None or verdict.reference is None:
+        return False
+    if not (_admissible(ens.scenario, verdict.witness)
+            and _admissible(ens.scenario, verdict.reference)):
         return False
     residual = float(np.linalg.norm(apply_A(ens, verdict.witness)
                                     - apply_A(ens, verdict.reference)))

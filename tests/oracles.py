@@ -15,7 +15,7 @@ from blindid.recovery import (ALT_MIN_MAX_ITER, ALT_MIN_RTOL, CERTIFIED_UNIQUE,
                               COUNTEREXAMPLE_FOUND, HEURISTICALLY_UNIQUE,
                               INJECTIVITY_TOL, IdentifiabilityVerdict, _check_search,
                               _embed, _support_of, _union, admissible_supports,
-                              align_and_distance, min_scaled_distance)
+                              min_scaled_distance)
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -111,6 +111,6 @@ def certify_strong(ens, budget=100, tol=1e-6, rng=None):
         if residual * c <= tol:
             M1c = LiftedMatrix.from_factors(c * M1.x, M1.y)
             M2c = LiftedMatrix.from_factors(c * M2.x, M2.y)
-            if align_and_distance(M1c, M2c) > 10 * tol:
+            if min_scaled_distance(M2c, M1c) > 10 * tol:
                 return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, M2c, M1c, attempt + 1, tol)
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)

@@ -202,6 +202,51 @@ def test_operator_matrix_stacks_supports_bit_for_bit():
                           operator_matrix(ens, rows=[3, 1]))
 
 
+class TestStackedApplyA:
+    @pytest.mark.parametrize("n,m1,m2", [(1, 1, 1), (1, 5, 1), (3, 5, 5), (6, 2, 3),
+                                         (7, 4, 9), (33, 8, 3), (64, 3, 2)])
+    def test_slots_do_not_depend_on_the_stack(self, n, m1, m2):
+        # each slot has the bits of a call on it alone, whatever the stack
+        # size and the slot's position in it
+        ens = make_ensemble(n=n, m1=m1, m2=m2, seed=n + m1)
+        rng = np.random.default_rng(n * m2)
+        T = 37
+        M = rng.standard_normal((T, m1, m2)) + 1j * rng.standard_normal((T, m1, m2))
+        z = apply_A(ens, M)
+        assert z.shape == (T, n)
+        zr = apply_A(ens, M[::-1].copy())
+        for t in range(T):
+            alone = apply_A(ens, M[t].copy())
+            assert np.array_equal(z[t], alone) and np.array_equal(zr[T - 1 - t], alone)
+            assert np.array_equal(apply_A(ens, M[t:t + 1])[0], alone)
+        for size in (2, 5, 16):
+            assert np.array_equal(apply_A(ens, M[3:3 + size]), z[3:3 + size])
+
+    def test_stack_matches_operator_matrix(self):
+        ens = make_ensemble(n=7, m1=4, m2=3, seed=14)
+        rng = np.random.default_rng(14)
+        M = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
+        op = operator_matrix(ens)
+        z = apply_A(ens, M)
+        for t in range(5):
+            assert np.linalg.norm(op @ M[t].flatten(order="F") - z[t]) < 1e-10
+
+    def test_rejects_bad_shapes(self):
+        ens = make_ensemble()
+        for bad in (np.zeros(6), np.zeros((4, 2, 4)), np.zeros((4, 3, 2)),
+                    np.zeros((2, 4, 2, 3))):
+            with pytest.raises(ValueError):
+                apply_A(ens, bad)
+
+    def test_lifted_matrix_argument(self):
+        ens = make_ensemble()
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        M = LiftedMatrix.from_factors(x, y)
+        assert np.array_equal(apply_A(ens, M), apply_A(ens, M.M))
+
+
 class TestIsometryRadii:
     def test_printed_values(self):
         assert np.isclose(mean_isometry_radius(4, 2, 2), 1.0)

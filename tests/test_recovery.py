@@ -13,6 +13,7 @@ from blindid.lifting import (LiftedMatrix, apply_A, apply_A_adjoint, operator_ma
 from blindid.mc import draw_trial
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
                               HEURISTICALLY_UNIQUE, EnumerationCapError,
+                              IdentifiabilityVerdict,
                               admissible_supports, align_and_distance,
                               certify_strong, certify_weak, is_recovered,
                               min_scaled_distance, solve_fixed_support,
@@ -211,12 +212,51 @@ def test_certifiers_match_attempt_by_attempt_reference(sc):
             assert (got.status, got.search_budget) == (want.status, want.search_budget), \
                 (level, seed, tol)
             if got.status == COUNTEREXAMPLE_FOUND:
-                # at tol = 0.1 the strong far test (Frobenius distance > 10 tol
-                # in the unit ball) admits pairs that the verifier's orbit
-                # distance rejects, in the reference as well
-                assert verify_counterexample(got, ens) or (level, tol) == ("strong", 0.1)
+                assert verify_counterexample(got, ens), (level, seed, tol)
                 assert np.array_equal(got.witness.M, want.witness.M)
                 assert np.array_equal(got.reference.M, want.reference.M)
+
+
+def test_certifier_counterexamples_verify_on_the_grid():
+    # every counterexample on the grid passes the verifier at both
+    # tolerances, admissibility included, and each (level, tol) finds some
+    found = dict.fromkeys(itertools.product(("weak", "strong"), (1e-6, 0.1)), 0)
+    for sc in _certify_grid():
+        for seed, tol in itertools.product(range(3), (1e-6, 0.1)):
+            ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, seed)
+            for level, v in (
+                    ("weak", certify_weak(ens, M0, tol=tol, rng=np.random.default_rng(seed))),
+                    ("strong", certify_strong(ens, tol=tol, rng=np.random.default_rng(seed)))):
+                if v.status == COUNTEREXAMPLE_FOUND:
+                    assert verify_counterexample(v, ens), (sc, level, seed, tol)
+                    found[level, tol] += 1
+    assert all(found.values()), found
+
+
+def test_verify_rejects_inadmissible_witness():
+    # a witness measured like the reference and far from it is rejected
+    # when its support is larger than the constraint set allows
+    sc = ConstraintScenario.unchecked("sparsity", 1, 5, 5, 1, 1)
+    ens = build_ensemble(sc, COMPLEX_GENERIC, 3)
+    e = np.eye(5)
+    ref = LiftedMatrix.from_factors(e[2], e[4])
+    z = apply_A(ens, ref)[0]
+
+    def measured_like_ref(x, y):
+        return LiftedMatrix.from_factors(x * z / apply_A(ens, np.outer(x, y))[0], y)
+
+    def verdict(witness, reference=ref):
+        return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, witness, reference, 1, 1e-6)
+
+    assert verify_counterexample(verdict(measured_like_ref(e[0], e[1])), ens)
+    for x, y in ((e[0] + e[1], e[1]), (e[0], e[1] - 2j * e[3])):
+        witness = measured_like_ref(x, y)
+        assert abs(apply_A(ens, witness)[0] - z) <= 1e-12
+        assert not verify_counterexample(verdict(witness), ens)
+        assert not verify_counterexample(verdict(ref, witness), ens)
+    # a witness without rank-1 factors is rejected as well
+    assert not verify_counterexample(verdict(LiftedMatrix(M=measured_like_ref(e[0], e[1]).M)),
+                                     ens)
 
 
 def test_injective_on_bounds_its_stacks(monkeypatch):
