@@ -75,8 +75,8 @@ def as_matrix(M) -> np.ndarray:
     return np.asarray(M, dtype=np.complex128)
 
 
-def _check_shape(ens: Ensemble, M: np.ndarray, stacked: bool = False):
-    if M.shape[-2:] != (ens.scenario.m1, ens.scenario.m2) or M.ndim > 2 + stacked:
+def _check_shape(ens: Ensemble, M: np.ndarray):
+    if M.shape[-2:] != (ens.scenario.m1, ens.scenario.m2) or M.ndim > 3:
         raise ValueError(
             f"matrix shape {M.shape} does not match ensemble "
             f"({ens.scenario.m1}, {ens.scenario.m2})"
@@ -90,7 +90,7 @@ def apply_A(ens: Ensemble, M) -> np.ndarray:
     (T, n); each slot of a stack gets the bits of a call on it alone.
     """
     M = as_matrix(M)
-    _check_shape(ens, M, stacked=True)
+    _check_shape(ens, M)
     # vecdot conjugates b and rounds every slot alike; the product form
     # ((...) * b.conj()).sum(-1) does not: at n = m2 = 1 a one-slot stack
     # takes another complex-multiply loop than a lone matrix
