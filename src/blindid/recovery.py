@@ -432,10 +432,10 @@ def certify_strong(ens: Ensemble, budget: int = 100, tol: float = 1e-6,
         if not slots:
             continue
         T = len(slots)
-        g = np.array(draws)
+        G = np.array(draws)
         prow, pcol = _slot_supports(supports, picks)
-        xp = _embed(_complex_normal(g[:, :2 * k1].reshape(T, 2, k1)), prow, sc.m1)
-        yp = _embed(_complex_normal(g[:, 2 * k1:].reshape(T, 2, k2)), pcol, sc.m2)
+        xp = _embed(_complex_normal(G[:, :2 * k1].reshape(T, 2, k1)), prow, sc.m1)
+        yp = _embed(_complex_normal(G[:, 2 * k1:].reshape(T, 2, k2)), pcol, sc.m2)
         xp /= _norm((xp[:, :, None] * yp[:, None, :]).reshape(T, -1))[:, None]
         z1 = apply_A(ens, xp[:, :, None] * yp[:, None, :])
         rows, cols = _slot_supports(supports, slots)
