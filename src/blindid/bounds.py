@@ -48,14 +48,8 @@ def minkowski_dim_upper(sc: ConstraintScenario) -> int:
 
 
 def volume_complex_ball(m: int, R: float) -> float:
-    """Volume pi^m R^(2m) / m! of the radius-R ball in C^m; V = 1 at m = 0."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if not R > 0:
-        raise ValueError("R must be positive")
-    if m == 0:
-        return 1.0
-    return _exp(m * math.log(math.pi) + 2 * m * math.log(R) - math.lgamma(m + 1))
+    """Volume pi^m R^(2m) / m! of the radius-R ball in C^m = R^(2m)."""
+    return volume_real_ball(2 * m, R)
 
 
 def volume_real_ball(m: int, R: float) -> float:
@@ -198,20 +192,17 @@ def failure_prob_bound(sc: ConstraintScenario, mode: str, R: float,
     return raw, min(1.0, max(0.0, raw))
 
 
-def epsilon_of_delta(sc: ConstraintScenario, mode: str, R: float, delta: float,
-                     C_value: Optional[float] = None) -> float:
+def epsilon_of_delta(sc: ConstraintScenario, mode: str, R: float, delta: float) -> float:
     """Reconstruction error level at which the failure bound is non-trivial.
 
     single_point: C'^(1/(2n)) (delta/R^2)^(alpha/2) with alpha = 1 - d/n;
     uniform: 2 C''^(1/(2n)) (delta/R^2)^beta with beta = 1 - 2d/n.
-    C_value overrides the prefactor (C' or C'' per mode) when given.
     """
     d = _check_mode_precondition(sc, mode)
     if not (R > 0 and delta > 0):
         raise ValueError("R and delta must be positive")
     n = sc.n
-    log_C = (math.log(C_value) if C_value is not None
-             else log_stability_prefactor(sc, mode, R, delta))
+    log_C = log_stability_prefactor(sc, mode, R, delta)
     log_base = math.log(delta) - 2.0 * math.log(R)
     if mode == "single_point":
         alpha = 1.0 - d / n

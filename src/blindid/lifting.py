@@ -61,13 +61,6 @@ class LiftedMatrix:
         y = np.asarray(y, dtype=np.complex128)
         return cls(M=np.outer(x, y), x=x, y=y)
 
-    @property
-    def shape(self):
-        return self.M.shape
-
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.M))
-
 
 def as_matrix(M) -> np.ndarray:
     if isinstance(M, LiftedMatrix):

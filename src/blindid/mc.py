@@ -7,10 +7,11 @@ documented splitmix64 mix of (master_seed, row_index, trial_index), so
 results are reproducible trial-by-trial. One trial kernel (draw_trial,
 recover_trial) serves the phase transitions, the delta = 0 stability rows
 and the CLI's `recover`, so `recover --seed s` replays the sweep trial whose
-seed is s. Stability sweeps search every delta > 0 trial in one batched
-L-BFGS run, and each trial's result does not depend on the batch it is
-solved in. Each start of the batch runs its own line search, and one
-objective call per round serves every running start.
+seed is s, in every row: a sweep point is a plain ConstraintScenario at
+that n, also below the sample count d. Stability sweeps search every
+delta > 0 trial in one batched L-BFGS run, and each trial's result does not
+depend on the batch it is solved in. Each start of the batch runs its own
+line search, and one objective call per round serves every running start.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import numpy as np
 
 from . import bounds, spectral
 from .ensembles import (COMPLEX_UNIFORM_BALL, REAL_GENERIC, REAL_UNIFORM_BALL,
-                        ConstraintScenario, Ensemble, ScenarioError,
-                        build_ensemble, mix_seed,
+                        ConstraintScenario, Ensemble, build_ensemble, mix_seed,
                         sample_uniform_complex_ball_batch)
 from .lifting import LiftedMatrix, apply_G, mean_isometry_radius
 from .recovery import RecoveryResult, is_recovered, solve_sparse_enumerate
@@ -244,14 +244,7 @@ def run_phase_transition(plan: TrialPlan) -> list[dict]:
     rows = []
     for row_idx, value in enumerate(plan.sweep):
         n = int(value)
-        try:
-            sc_n = plan.sc.with_n(n)
-        except ScenarioError:
-            # sub-threshold sweep points are outside the validated domain
-            # but still well-defined as experiments
-            d = plan.sc.to_dict()
-            d["n"] = n
-            sc_n = ConstraintScenario.unchecked(**d)
+        sc_n = plan.sc.with_n(n)
         d = bounds.sample_complexity_d(sc_n)
         results = [recover_trial(sc_n, plan.ensemble_tag,
                                  mix_seed(plan.master_seed, row_idx, i), R=plan.R,

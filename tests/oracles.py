@@ -97,7 +97,7 @@ def certify_strong(ens, budget=100, tol=1e-6, rng=None):
         xp = random_factor(len(S1p), rng)
         yp = random_factor(len(S2p), rng)
         M1 = LiftedMatrix.from_factors(_embed(xp, S1p, sc.m1), _embed(yp, S2p, sc.m2))
-        nrm = M1.frobenius_norm()
+        nrm = np.linalg.norm(M1.M)
         if nrm == 0.0:
             continue
         M1 = LiftedMatrix.from_factors(M1.x / nrm, M1.y)
@@ -107,7 +107,7 @@ def certify_strong(ens, budget=100, tol=1e-6, rng=None):
         bS = ens.b.conj()[:, list(S2)]
         x, y, residual = alt_min(aS, bS, z1, random_factor(len(S1), rng))
         M2 = LiftedMatrix.from_factors(_embed(x, S1, sc.m1), _embed(y, S2, sc.m2))
-        c = 1.0 / max(1.0, M2.frobenius_norm())
+        c = 1.0 / max(1.0, np.linalg.norm(M2.M))
         if residual * c <= tol:
             M1c = LiftedMatrix.from_factors(c * M1.x, M1.y)
             M2c = LiftedMatrix.from_factors(c * M2.x, M2.y)

@@ -93,7 +93,7 @@ def test_criterion_2_convolution_theorem_and_measurement_identity():
 
         m1 = int(rng.integers(1, min(n, 4) + 1))
         m2 = int(rng.integers(1, min(n, 4) + 1))
-        sc = ConstraintScenario.unchecked("subspace", n, m1, m2)
+        sc = ConstraintScenario("subspace", n, m1, m2)
         ens = build_ensemble(sc, COMPLEX_GENERIC, int(rng.integers(2**32)))
         M = rng.standard_normal((m1, m2)) + 1j * rng.standard_normal((m1, m2))
         # frequency form computed through the time domain vs the row formula
@@ -206,7 +206,7 @@ def test_criterion_6_certifier_soundness():
     ens4 = build_ensemble(sc4, COMPLEX_GENERIC, 66)
     v4 = certify_strong(ens4)
 
-    sc1 = ConstraintScenario.unchecked("subspace", 1, 2, 2)
+    sc1 = ConstraintScenario("subspace", 1, 2, 2)
     ens1 = build_ensemble(sc1, COMPLEX_GENERIC, 67)
     v1 = certify_strong(ens1, rng=np.random.default_rng(68))
     verified = verify_counterexample(v1, ens1)
@@ -257,7 +257,7 @@ def test_criterion_8_worker_determinism():
     # mix_seed(master_seed, r, i), the seed `blindid recover --seed` takes
     replay_ok = True
     for row_idx, row in enumerate(trows):
-        sc_n = ConstraintScenario.unchecked("subspace", row["n"], 2, 2)
+        sc_n = ConstraintScenario("subspace", row["n"], 2, 2)
         alone = [mc.recover_trial(sc_n, COMPLEX_GENERIC,
                                   mix_seed(tplan.master_seed, row_idx, i),
                                   restarts=tplan.restarts)

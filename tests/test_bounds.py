@@ -205,22 +205,25 @@ class TestFailureBound:
 
 class TestEpsilonOfDelta:
     def test_unit_prefactor_instance(self):
+        # n = 8, d = 4, R = 1: eps = C'^(1/16) delta^(1/4)
         sc = subspace(8, 2, 2)
-        eps = bounds.epsilon_of_delta(sc, "single_point", 1.0, 0.01, C_value=1.0)
-        assert np.isclose(eps, 0.01**0.25)
-        assert np.isclose(bounds.epsilon_of_delta(sc, "single_point", 1.0, 1.0,
-                                                  C_value=1.0), 1.0)
+        for delta in (0.01, 1.0):
+            log_C = bounds.log_stability_prefactor(sc, "single_point", 1.0, delta)
+            assert np.isclose(bounds.epsilon_of_delta(sc, "single_point", 1.0, delta),
+                              math.exp(log_C / 16) * delta**0.25)
 
     def test_vanishes_with_delta(self):
         sc = subspace(8, 2, 2)
-        e1 = bounds.epsilon_of_delta(sc, "single_point", 1.0, 1e-6, C_value=1.0)
-        e2 = bounds.epsilon_of_delta(sc, "single_point", 1.0, 1e-12, C_value=1.0)
+        e1 = bounds.epsilon_of_delta(sc, "single_point", 1.0, 1e-20)
+        e2 = bounds.epsilon_of_delta(sc, "single_point", 1.0, 1e-30)
         assert e2 < e1 < 1e-1
 
     def test_uniform_mode_prefactor_of_two(self):
+        # n = 12, d = 4, delta = R = 1: eps = 2 C''^(1/24)
         sc = subspace(12, 2, 2)
-        assert np.isclose(bounds.epsilon_of_delta(sc, "uniform", 1.0, 1.0,
-                                                  C_value=1.0), 2.0)
+        log_C = bounds.log_stability_prefactor(sc, "uniform", 1.0, 1.0)
+        assert np.isclose(bounds.epsilon_of_delta(sc, "uniform", 1.0, 1.0),
+                          2.0 * math.exp(log_C / 24))
 
     def test_failure_bound_at_eps_delta_collapses(self):
         # raw bound evaluated at eps(delta) reduces to (delta/R^2)^(n-d)

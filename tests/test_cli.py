@@ -90,10 +90,10 @@ class TestExitCodes:
         assert "--n" in err
 
     def test_invalid_scenario_is_two_and_names_invariant(self, capsys):
-        code, _, err = run(capsys, "gen", "--kind", "subspace",
-                           "--m1", "3", "--m2", "2", "--n", "3")
+        code, _, err = run(capsys, "gen", "--kind", "mixed", "--m1", "3",
+                           "--m2", "2", "--s1", "4", "--n", "5")
         assert code == 2
-        assert "m1 < n" in err
+        assert "1 <= s1 <= m1" in err
 
     def test_missing_config_file_is_three(self, capsys):
         code, _, err = run(capsys, "bounds", "--config", "/nonexistent/x.conf")
@@ -188,12 +188,15 @@ class TestDeterminism:
         plans = (
             # m1 = m2 = 3 at n = 6 < m1*m2: restarted alternating minimization
             ["--kind", "subspace", "--m1", "3", "--m2", "3", "--n", "9",
-             "--sweep", "6,9", "--restarts", "3"],
+             "--sweep", "3,6,9", "--restarts", "3"],
             # 16 enumerated supports, noise drawn from the plant stream
             ["--kind", "sparsity", "--m1", "4", "--m2", "4", "--s1", "1",
              "--s2", "1", "--n", "5", "--sweep", "5,8", "--noise-level", "0.01"],
             ["--kind", "subspace", "--m1", "2", "--m2", "2", "--n", "8",
              "--sweep", "8", "--tag", "real_uniform_ball"],
+            # rows at n <= m2 (here and n = 3 above) replay like any other
+            ["--kind", "mixed", "--m1", "3", "--m2", "2", "--s1", "1", "--n", "4",
+             "--sweep", "2,4", "--tag", "real_generic"],
         )
         replayed = 0
         for plan in plans:
@@ -210,7 +213,7 @@ class TestDeterminism:
                 assert res["success"] == (successes == "1")
                 assert res["lifted_error"] == float(err)
                 replayed += 1
-        assert replayed == 5
+        assert replayed == 8
 
     def test_workers_flag_is_gone(self, capsys, tmp_path):
         # neither the thread-pool knob nor the support cap is an option
@@ -307,6 +310,13 @@ class TestSubcommands:
                            "--m1", "2", "--m2", "2", "--n", "10",
                            "--sweep", "0.1,zebra", "--trials", "2")
         assert code == 2
+        for grid in ("0,3", "-1"):
+            code, _, err = run(capsys, "transition", "--kind", "subspace",
+                               "--m1", "2", "--m2", "2", "--n", "4",
+                               "--tag", "complex_generic", "--trials", "1",
+                               "--sweep", grid)
+            assert code == 2
+            assert "n must be a positive integer" in err
 
 
 # Output bytes of the default reports, pinned. A file under tests/golden is

@@ -15,19 +15,15 @@ from oracles import dft_matrix
 
 class TestScenarioValidation:
     def test_valid_kinds(self):
-        ConstraintScenario(kind="subspace", n=5, m1=2, m2=2)
-        ConstraintScenario(kind="mixed", n=5, m1=4, m2=2, s1=1)
-        ConstraintScenario(kind="sparsity", n=5, m1=4, m2=4, s1=1, s2=2)
+        # any positive n, also at or below max(m1, m2)
+        for n in (1, 2, 5):
+            ConstraintScenario(kind="subspace", n=n, m1=2, m2=2)
+            ConstraintScenario(kind="mixed", n=n, m1=4, m2=2, s1=1)
+            ConstraintScenario(kind="sparsity", n=n, m1=4, m2=4, s1=1, s2=2)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ScenarioError):
             ConstraintScenario(kind="bogus", n=5, m1=2, m2=2)
-
-    def test_subspace_rejects_m1_ge_n(self):
-        with pytest.raises(ScenarioError):
-            ConstraintScenario(kind="subspace", n=2, m1=2, m2=1)
-        with pytest.raises(ScenarioError):
-            ConstraintScenario(kind="subspace", n=2, m1=1, m2=3)
 
     def test_subspace_rejects_sparsity_levels(self):
         with pytest.raises(ScenarioError):
@@ -44,12 +40,6 @@ class TestScenarioValidation:
             ConstraintScenario(kind="sparsity", n=5, m1=4, m2=4, s1=1)
         with pytest.raises(ScenarioError):
             ConstraintScenario(kind="sparsity", n=5, m1=4, m2=4, s1=1, s2=5)
-
-    def test_unchecked_bypasses_dimension_checks_only(self):
-        sc = ConstraintScenario.unchecked("subspace", 2, 2, 2)
-        assert (sc.n, sc.m1, sc.m2) == (2, 2, 2)
-        with pytest.raises(ScenarioError):
-            ConstraintScenario.unchecked("bogus", 2, 2, 2)
 
     def test_dict_round_trip(self):
         sc = ConstraintScenario(kind="sparsity", n=6, m1=4, m2=3, s1=2, s2=1)
@@ -138,7 +128,7 @@ class TestEnsembleBuild:
                                        (REAL_UNIFORM_BALL, 0.8)])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1024])
     def test_fft_rows_match_dense_oracle(self, tag, R, n):
-        sc = ConstraintScenario.unchecked("subspace", n, 2, 3)
+        sc = ConstraintScenario("subspace", n, 2, 3)
         ens = build_ensemble(sc, tag, 11, R=R)
         F = dft_matrix(n)
         for rows, M in ((ens.a, ens.D), (ens.b, ens.E)):
@@ -195,7 +185,7 @@ class TestEnsembleBuild:
         # rows 0 and n/2 are exactly real, rows n-j are exact conjugates of
         # rows j, every row lies in the ball, and the free rows differ
         R = 0.7
-        ens = build_ensemble(ConstraintScenario.unchecked("subspace", n, 2, 3),
+        ens = build_ensemble(ConstraintScenario("subspace", n, 2, 3),
                              REAL_UNIFORM_BALL, 5, R=R)
         for rows in (ens.a, ens.b):
             assert np.all(rows[0].imag == 0)

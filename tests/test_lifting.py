@@ -11,19 +11,16 @@ from oracles import dft_matrix
 
 
 def make_ensemble(n=6, m1=2, m2=3, seed=0):
-    if m1 < n and m2 < n:
-        sc = ConstraintScenario(kind="subspace", n=n, m1=m1, m2=m2)
-    else:
-        sc = ConstraintScenario.unchecked("subspace", n, m1, m2)
+    sc = ConstraintScenario(kind="subspace", n=n, m1=m1, m2=m2)
     return build_ensemble(sc, COMPLEX_GENERIC, seed)
 
 
-def manual_ensemble(D, E, kind="subspace"):
+def manual_ensemble(D, E):
     """Ensemble with prescribed D, E, for hand-computable instances."""
     D = np.asarray(D, dtype=np.complex128)
     E = np.asarray(E, dtype=np.complex128)
     n = D.shape[0]
-    sc = ConstraintScenario.unchecked(kind, n, D.shape[1], E.shape[1])
+    sc = ConstraintScenario("subspace", n, D.shape[1], E.shape[1])
     F = dft_matrix(n)
     return Ensemble(scenario=sc, tag=COMPLEX_GENERIC, seed=0, R=None,
                     D=D, E=E, a=(F @ D).conj(), b=(F @ E).conj())
@@ -52,12 +49,12 @@ class TestLiftedMatrix:
 
     def test_from_factors_and_norm(self):
         M = LiftedMatrix.from_factors([1, 2j], [3, 1])
-        assert M.shape == (2, 2)
-        assert np.isclose(M.frobenius_norm(),
+        assert M.M.shape == (2, 2)
+        assert np.isclose(np.linalg.norm(M.M),
                           np.linalg.norm(np.outer([1, 2j], [3, 1])))
 
     def test_zero(self):
-        assert LiftedMatrix.from_factors(np.zeros(2), np.zeros(3)).frobenius_norm() == 0.0
+        assert np.linalg.norm(LiftedMatrix.from_factors(np.zeros(2), np.zeros(3)).M) == 0.0
 
 
 class TestOperators:
@@ -142,7 +139,7 @@ class TestOperators:
 class TestAdjoint:
     def test_zero(self):
         ens = make_ensemble()
-        assert apply_A_adjoint(ens, np.zeros(6)).frobenius_norm() == 0.0
+        assert np.linalg.norm(apply_A_adjoint(ens, np.zeros(6)).M) == 0.0
 
     def test_defining_identity(self):
         # <w, A(M)> = <A*(w), M> with the first argument conjugated
