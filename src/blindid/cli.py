@@ -238,6 +238,12 @@ def _cmd_recover(v: dict):
 
 
 def _cmd_certify(v: dict):
+    # the far test asks for an orbit distance above 10 * tol between matrices
+    # of the unit Frobenius ball; from 10 * tol = 1, the ball's radius, a
+    # verdict can turn on the last bit of that distance
+    if not 10 * v["tol"] < 1.0:
+        raise ConfigError(f"--tol must be below 0.1, so that the far threshold "
+                          f"10 * tol stays below the unit-ball radius 1; got {v['tol']}")
     sc = _scenario(v)
     rng = np.random.default_rng(mix_seed(v["seed"], 3))
     if v["level"] == "weak":

@@ -115,7 +115,11 @@ def apply_A_adjoint(ens: Ensemble, w) -> LiftedMatrix:
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (ens.n,):
         raise ValueError(f"expected length-{ens.n} vector, got shape {w.shape}")
-    M = np.einsum("j,jm,jk->mk", w, ens.a, ens.b, optimize=True)
+    # the path optimize=True picks, given so that no call searches for it:
+    # contract w into the narrower factor first
+    m1, m2 = ens.a.shape[1], ens.b.shape[1]
+    path = ["einsum_path", (0, 1) if m1 <= m2 else (0, 2), (0, 1)]
+    M = np.einsum("j,jm,jk->mk", w, ens.a, ens.b, optimize=path)
     return LiftedMatrix(M=M)
 
 

@@ -12,6 +12,12 @@ that n, also below the sample count d. Stability sweeps search every
 delta > 0 trial in one batched L-BFGS run, and each trial's result does not
 depend on the batch it is solved in. Each start of the batch runs its own
 line search, and one objective call per round serves every running start.
+A round costs numpy dispatches, not arithmetic, so the kernel keeps as few
+as it can: the objective is a handful of batched matrix products, the
+L-BFGS state covers running starts only (its memory stored memory-major, so
+each two-loop step reads one block) and is compacted only when a start
+stops, and each start's problem constants are gathered once per change of
+the running set.
 """
 
 from __future__ import annotations
@@ -269,8 +275,15 @@ def _unpack(p: np.ndarray, m1: int, m2: int) -> Tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _sqnorm(z: np.ndarray, axis) -> np.ndarray:
-    return (z.real ** 2 + z.imag ** 2).sum(axis)
+def _sqnorm(z: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each slot of a C-contiguous complex stack."""
+    zf = z.reshape(len(z), -1).view(float)
+    return np.vecdot(zf, zf)
+
+
+def _times(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """rows @ z per slot: (k, n, m) stack times (k, m) vectors, (k, n)."""
+    return (rows @ z[:, :, None])[:, :, 0]
 
 
 # Weight of the squared proximity and unit-ball penalties.
@@ -282,39 +295,42 @@ def _deviation_objective(p, ac, bc, M0, t0, delta):
     maximizing the Frobenius deviation from M0 subject to measurement
     proximity <= delta and the unit Frobenius ball. ac and bc hold the
     conjugated frequency rows of each slot's ensemble. Gradients are exact
-    (Wirtinger calculus on the factors).
+    (Wirtinger calculus on the factors), with the deviation and norm terms
+    fused: with M = x y^T, residual r = u v - t0 for u = ac x, v = bc y, and
+    w, w2 the active penalty weights,
+        g_x = ((w2 - 1) M + M0) conj(y) + w conj(ac^T (v conj(r))),
+        g_y = ((w2 - 1) M + M0)^T conj(x) + w conj(bc^T (u conj(r))).
 
-    Every reduction runs within one slot, so a slot's arithmetic does not
-    depend on the other slots of the batch.
+    Every product is a batched matrix product or a row-wise np.vecdot that
+    runs within one slot, so a slot's arithmetic does not depend on the
+    other slots of the batch.
     """
     m1, m2 = M0.shape[1:]
     x, y = _unpack(p, m1, m2)
-    xc, yc = x.conj(), y.conj()
     M = x[:, :, None] * y[:, None, :]
-    diff = M - M0
-    u = (ac * x[:, None, :]).sum(2)
-    v = (bc * y[:, None, :]).sum(2)
+    u = _times(ac, x)
+    v = _times(bc, y)
     r = u * v - t0
     # Complex products take named operands: numpy reuses a large temporary
     # right operand in place, which swaps the factors of a complex product
     # and can change its last bit, so results would depend on batch size.
     rc = r.conj()
 
-    s = np.sqrt(_sqnorm(r, 1))
+    s = np.sqrt(_sqnorm(r))
     h = np.maximum(s - delta, 0.0)
-    t = np.sqrt(_sqnorm(M, (1, 2)))
+    t = np.sqrt(_sqnorm(M))
     h2 = np.maximum(t - 1.0, 0.0)
-    val = -_sqnorm(diff, (1, 2)) + DEVIATION_MU * h * h + DEVIATION_MU * h2 * h2
+    val = -_sqnorm(M - M0) + DEVIATION_MU * h * h + DEVIATION_MU * h2 * h2
 
     # penalty weights, zero where a penalty is inactive (h > 0 implies s > 0)
     w = (DEVIATION_MU * h / np.where(h > 0.0, s, 1.0))[:, None]
-    w2 = (DEVIATION_MU * h2 / np.where(h2 > 0.0, t, 1.0))[:, None]
-    gx = -(diff * yc[:, None, :]).sum(2)
-    gx += w * (ac * (v * rc)[:, :, None]).sum(1).conj()
-    gx += w2 * (M * yc[:, None, :]).sum(2)
-    gy = -(diff * xc[:, :, None]).sum(1)
-    gy += w * (bc * (u * rc)[:, :, None]).sum(1).conj()
-    gy += w2 * (M * xc[:, :, None]).sum(1)
+    w2 = DEVIATION_MU * h2 / np.where(h2 > 0.0, t, 1.0)
+    N = (w2 - 1.0)[:, None, None] * M + M0
+    vr, ur = v * rc, u * rc
+    gx = _times(N, y.conj())
+    gx += w * (vr[:, None, :] @ ac)[:, 0].conj()
+    gy = (x.conj()[:, None, :] @ N)[:, 0]
+    gy += w * (ur[:, None, :] @ bc)[:, 0].conj()
     return val, 2.0 * _pack(gx, gy)
 
 
@@ -330,21 +346,22 @@ CONVERGED, MAXITER, LINE_SEARCH_FAILED = 0, 1, 2
 _RUNNING = -1
 
 
-def _two_loop(g, S, Y, rho):
-    """L-BFGS two-loop recursion, H g, per slot. Memory is newest first;
-    unused entries are zero and leave the result unchanged."""
-    used = int(np.count_nonzero(rho, axis=1).max(initial=0))
+def _two_loop(g, S, Y, rho, used):
+    """L-BFGS two-loop recursion, H g, per slot. Memory is memory-major,
+    S and Y (LBFGS_MEMORY, slots, dim) and rho (LBFGS_MEMORY, slots), newest
+    first, so each step reads one block; used holds each slot's number of
+    pairs, and the zero entries past it leave the result unchanged."""
+    top = int(used.max(initial=0))
     q = g.copy()
-    alpha = np.zeros(rho.shape)
-    for i in range(used):
-        alpha[:, i] = rho[:, i] * (S[:, i] * q).sum(1)
-        q -= alpha[:, i, None] * Y[:, i]
-    yy = (Y[:, 0] ** 2).sum(1)
+    alpha = np.zeros((top, len(g), 1))
+    for i in range(top):
+        alpha[i, :, 0] = rho[i] * np.vecdot(S[i], q)
+        q -= alpha[i] * Y[i]
     # initial Hessian scale s'y / y'y of the newest pair, 1 without memory
-    r = q / np.where(rho[:, 0] > 0.0, rho[:, 0] * yy, 1.0)[:, None]
-    for i in reversed(range(used)):
-        beta = rho[:, i] * (Y[:, i] * r).sum(1)
-        r += (alpha[:, i] - beta)[:, None] * S[:, i]
+    r = q / np.where(rho[0] > 0.0, rho[0] * np.vecdot(Y[0], Y[0]), 1.0)[:, None]
+    for i in reversed(range(top)):
+        beta = rho[i] * np.vecdot(Y[i], r)
+        r += (alpha[i] - beta[:, None]) * S[i]
     return r
 
 
@@ -352,87 +369,108 @@ def _lbfgs(fun, p, maxiter):
     """Minimize each slot (row of p) independently with L-BFGS.
 
     fun(points, idx) returns values and gradients of slots idx at the given
-    points. Each slot runs its own weak-Wolfe line search by bracketing
-    (doubling, then bisection), so one call of fun per round evaluates
-    every running slot at its own trial point and no slot waits for another
-    slot's line search. Converged or failed slots are frozen. Stop tests
-    follow scipy's L-BFGS-B: max |g| <= LBFGS_PGTOL or a relative reduction
-    of f at most LBFGS_FTOL is CONVERGED, maxiter iterations is MAXITER,
-    and LBFGS_MAXLS failed trials from steepest descent are
-    LINE_SEARCH_FAILED (with memory, they first clear the memory and
-    retry). Returns the final points and the per-slot status.
+    points; idx is a new array whenever the set of running slots changes,
+    and the same array object otherwise. Each slot runs its own weak-Wolfe
+    line search by bracketing (doubling, then bisection), so one call of
+    fun per round evaluates every running slot at its own trial point and
+    no slot waits for another slot's line search. Stop tests follow scipy's
+    L-BFGS-B: max |g| <= LBFGS_PGTOL or a relative reduction of f at most
+    LBFGS_FTOL is CONVERGED, maxiter iterations is MAXITER, and LBFGS_MAXLS
+    failed trials from steepest descent are LINE_SEARCH_FAILED (with
+    memory, they first clear the memory and retry). The state is kept for
+    running slots only and compacted when a slot stops. Returns the final
+    points and the per-slot status.
     """
     B, dim = p.shape
-    p = p.copy()
-    f, g = fun(p, np.arange(B))
-    S = np.zeros((B, LBFGS_MEMORY, dim))
-    Y = np.zeros((B, LBFGS_MEMORY, dim))
-    rho = np.zeros((B, LBFGS_MEMORY))
+    p_out = np.empty_like(p)
+    status = np.full(B, _RUNNING)
+    ids = np.arange(B)
+    f, g = fun(p, ids)
+    # per running slot: memory (newest first) and its pair count, line
+    # search direction d, slope gd, trial step alpha in the bracket [lo, hi],
+    # failed trials so far, whether memory was empty, and its stop code
+    S = np.zeros((LBFGS_MEMORY, B, dim))
+    Y = np.zeros((LBFGS_MEMORY, B, dim))
+    rho = np.zeros((LBFGS_MEMORY, B))
+    used = np.zeros(B, dtype=int)
     nit = np.zeros(B, dtype=int)
-    status = np.where(np.abs(g).max(1) <= LBFGS_PGTOL, CONVERGED, _RUNNING)
-    # per-slot line search: direction d, slope gd, trial step alpha in the
-    # bracket [lo, hi], failed trials so far, and whether memory was empty
     d = np.zeros((B, dim))
     gd, alpha, lo, hi = np.zeros((4, B))
     tries = np.zeros(B, dtype=int)
     fresh = np.zeros(B, dtype=bool)
-    new = np.flatnonzero(status == _RUNNING)  # slots that need a direction
+    code = np.where(np.abs(g).max(1) <= LBFGS_PGTOL, CONVERGED, _RUNNING)
+    need = np.ones(B, dtype=bool)  # slots that need a direction
 
     def clear_memory(slots):
-        S[slots], Y[slots], rho[slots] = 0.0, 0.0, 0.0
+        S[:, slots], Y[:, slots], rho[:, slots], used[slots] = 0.0, 0.0, 0.0, 0
 
     while True:
-        if new.size:
-            dn = -_two_loop(g[new], S[new], Y[new], rho[new])
-            gdn = (g[new] * dn).sum(1)
+        stopped = code != _RUNNING
+        if stopped.any():
+            status[ids[stopped]] = code[stopped]
+            p_out[ids[stopped]] = p[stopped]
+            run = ~stopped
+            if not run.any():
+                break
+            ids, p, f, g, d, gd, alpha, lo, hi, tries, fresh, nit, used, need, code = (
+                arr[run] for arr in (ids, p, f, g, d, gd, alpha, lo, hi, tries, fresh,
+                                     nit, used, need, code))
+            S, Y, rho = S[:, run], Y[:, run], rho[:, run]
+        if need.any():
+            dn = -_two_loop(g, S, Y, rho, used)
+            gdn = (g * dn).sum(1)
             # not a descent direction: clear the memory, use steepest descent
-            bad = ~(gdn < 0.0)
+            bad = need & ~(gdn < 0.0)
             if bad.any():
-                clear_memory(new[bad])
-                dn[bad] = -g[new[bad]]
-                gdn[bad] = (g[new[bad]] * dn[bad]).sum(1)
-            fresh[new] = rho[new, 0] == 0.0
-            alpha[new] = np.where(fresh[new], 1.0 / np.sqrt((dn * dn).sum(1)), 1.0)
-            d[new], gd[new], lo[new], hi[new], tries[new] = dn, gdn, 0.0, np.inf, 0
-        act = np.flatnonzero(status == _RUNNING)
-        if act.size == 0:
-            break
-        a = alpha[act]
-        pt = p[act] + a[:, None] * d[act]
-        ft, gt = fun(pt, act)
-        sufficient = ft <= f[act] + WOLFE_C1 * a * gd[act]
-        curved = (gt * d[act]).sum(1) >= WOLFE_C2 * gd[act]
+                clear_memory(bad)
+                dn[bad] = -g[bad]
+                gdn[bad] = (g[bad] * dn[bad]).sum(1)
+            fresh = np.where(need, rho[0] == 0.0, fresh)
+            alpha = np.where(need, np.where(fresh, 1.0 / np.sqrt((dn * dn).sum(1)), 1.0),
+                             alpha)
+            d = np.where(need[:, None], dn, d)
+            gd = np.where(need, gdn, gd)
+            lo = np.where(need, 0.0, lo)
+            hi = np.where(need, np.inf, hi)
+            tries = np.where(need, 0, tries)
+        a = alpha
+        pt = p + a[:, None] * d
+        ft, gt = fun(pt, ids)
+        sufficient = ft <= f + WOLFE_C1 * a * gd
+        curved = (gt * d).sum(1) >= WOLFE_C2 * gd
         done = sufficient & curved
-        hi[act] = np.where(sufficient, hi[act], a)
-        lo[act] = np.where(sufficient & ~curved, a, lo[act])
-        alpha[act] = np.where(np.isinf(hi[act]), 2.0 * a, 0.5 * (lo[act] + hi[act]))
-        tries[act] += 1
+        hi = np.where(sufficient, hi, a)
+        lo = np.where(sufficient & ~curved, a, lo)
+        alpha = np.where(np.isinf(hi), 2.0 * a, 0.5 * (lo + hi))
+        tries += 1
 
         # out of trials: fail from steepest descent, else clear the memory
         # and retry with a new direction
-        stop = ~done & (tries[act] >= LBFGS_MAXLS)
-        failed = act[stop]
-        status[failed[fresh[failed]]] = LINE_SEARCH_FAILED
-        clear_memory(failed)
+        stop = ~done & (tries >= LBFGS_MAXLS)
+        if stop.any():
+            code[stop & fresh] = LINE_SEARCH_FAILED
+            clear_memory(stop)
 
-        j = act[done]
-        s = pt[done] - p[j]
-        yv = gt[done] - g[j]
+        s = pt - p
+        yv = gt - g
         sy = (s * yv).sum(1)
-        keep = sy > np.finfo(float).eps * -(g[j] * s).sum(1)
-        jk = j[keep]
-        S[jk, 1:], Y[jk, 1:], rho[jk, 1:] = S[jk, :-1], Y[jk, :-1], rho[jk, :-1]
-        S[jk, 0], Y[jk, 0], rho[jk, 0] = s[keep], yv[keep], 1.0 / sy[keep]
+        push = done & (sy > np.finfo(float).eps * -(g * s).sum(1))
+        S[1:, push], Y[1:, push], rho[1:, push] = S[:-1, push], Y[:-1, push], rho[:-1, push]
+        S[0, push], Y[0, push], rho[0, push] = s[push], yv[push], 1.0 / sy[push]
+        used[push] = np.minimum(used[push] + 1, LBFGS_MEMORY)
 
-        f_old = f[j]
-        p[j], f[j], g[j] = pt[done], ft[done], gt[done]
-        nit[j] += 1
-        scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f[j])), 1.0)
-        conv = (f_old - f[j] <= LBFGS_FTOL * scale) | (np.abs(g[j]).max(1) <= LBFGS_PGTOL)
-        status[j[conv]] = CONVERGED
-        status[j[~conv & (nit[j] >= maxiter)]] = MAXITER
-        new = act[(done | stop) & (status[act] == _RUNNING)]
-    return p, status
+        f_old = f
+        p = np.where(done[:, None], pt, p)
+        f = np.where(done, ft, f)
+        g = np.where(done[:, None], gt, g)
+        nit += done
+        scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f)), 1.0)
+        conv = done & ((f_old - f <= LBFGS_FTOL * scale)
+                       | (np.abs(g).max(1) <= LBFGS_PGTOL))
+        code[conv] = CONVERGED
+        code[done & ~conv & (nit >= maxiter)] = MAXITER
+        need = (done | stop) & (code == _RUNNING)
+    return p_out, status
 
 
 def _feasible_scan(ac, bc, M0, t0, x0, y0, x, y, delta) -> np.ndarray:
@@ -444,10 +482,10 @@ def _feasible_scan(ac, bc, M0, t0, x0, y0, x, y, delta) -> np.ndarray:
         xt = x0 + t * (x - x0)
         yt = y0 + t * (y - y0)
         Mt = xt[:, :, None] * yt[:, None, :]
-        r = (ac * xt[:, None, :]).sum(2) * (bc * yt[:, None, :]).sum(2) - t0
-        feasible = ((np.sqrt(_sqnorm(Mt, (1, 2))) <= 1.0 + 1e-9)
-                    & (np.sqrt(_sqnorm(r, 1)) <= delta * (1.0 + 1e-9)))
-        dev = np.sqrt(_sqnorm(Mt - M0, (1, 2)))
+        r = _times(ac, xt) * _times(bc, yt) - t0
+        feasible = ((np.sqrt(_sqnorm(Mt)) <= 1.0 + 1e-9)
+                    & (np.sqrt(_sqnorm(r)) <= delta * (1.0 + 1e-9)))
+        dev = np.sqrt(_sqnorm(Mt - M0))
         best = np.where(feasible, np.maximum(best, dev), best)
     return best
 
@@ -491,11 +529,14 @@ def _deviation_search(a, b, x0, y0, delta, p0, maxiter: int = 200):
     y0 = np.repeat(y0, S, axis=0)
     delta = np.repeat(np.asarray(delta, dtype=float), S)
     M0 = x0[:, :, None] * y0[:, None, :]
-    t0 = (ac * x0[:, None, :]).sum(2) * (bc * y0[:, None, :]).sum(2)
+    t0 = _times(ac, x0) * _times(bc, y0)
+    running = None  # (idx, the constants of slots idx), kept per running set
 
     def fun(p, idx):
-        return _deviation_objective(p, ac[idx], bc[idx], M0[idx], t0[idx],
-                                    delta[idx])
+        nonlocal running
+        if running is None or running[0] is not idx:
+            running = idx, (ac[idx], bc[idx], M0[idx], t0[idx], delta[idx])
+        return _deviation_objective(p, *running[1])
 
     with np.errstate(over="ignore", invalid="ignore"):
         p, status = _lbfgs(fun, p0.reshape(T * S, -1), maxiter)

@@ -102,16 +102,23 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, message", [
         (["certify", "--budget", "-3"], "search budget must be >= 0"),
         (["certify", "--tol", "-1"], "tolerance must be positive"),
+        (["certify", "--kind", "mixed", "--m1", "3", "--m2", "2", "--s1", "1",
+          "--tag", "real_generic", "--n", "3", "--level", "strong", "--seed", "0",
+          "--tol", "0.1"], "far threshold 10 * tol stays below the unit-ball radius"),
         (["stability", "--n", "10", "--tag", "complex_uniform_ball", "--sweep", "0.1",
           "--trials", "1", "--starts", "-7"], "starts must be >= 1"),
         (["recover", "--n", "3", "--restarts", "-4"], "restarts must be >= 0"),
         (["recover", "--n", "3", "--noise-level", "-0.5"],
          "noise_level must be nonnegative"),
-    ], ids=["budget", "tol", "starts", "restarts", "noise_level"])
+    ], ids=["budget", "tol", "tol_knife_edge", "starts", "restarts", "noise_level"])
     def test_bad_search_size_is_two(self, capsys, argv, message):
-        scenario = (["--kind", "sparsity", "--n", "2", "--m1", "5", "--m2", "5",
-                     "--s1", "1", "--s2", "1"] if argv[0] == "certify"
-                    else ["--kind", "subspace", "--m1", "2", "--m2", "2"])
+        if "--kind" in argv:
+            scenario = []
+        elif argv[0] == "certify":
+            scenario = ["--kind", "sparsity", "--n", "2", "--m1", "5", "--m2", "5",
+                        "--s1", "1", "--s2", "1"]
+        else:
+            scenario = ["--kind", "subspace", "--m1", "2", "--m2", "2"]
         code, out, err = run(capsys, *argv, *scenario)
         assert code == 2 and out == "" and message in err
 

@@ -159,6 +159,20 @@ class TestAdjoint:
         expected = w[0] * np.outer(ens.a[0], ens.b[0])
         assert np.linalg.norm(apply_A_adjoint(ens, w).M - expected) < 1e-12
 
+    def test_fixed_path_equals_searched_path(self):
+        # the adjoint passes the contraction path that optimize=True finds,
+        # so its bytes and memory layout must equal those of the search
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3, 5, 9, 16, 64, 1024):
+            for m1 in range(1, 6):
+                for m2 in range(1, 6):
+                    ens = make_ensemble(n, m1, m2, seed=n + 7 * m1 + 49 * m2)
+                    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    M = apply_A_adjoint(ens, w).M
+                    ref = np.einsum("j,jm,jk->mk", w, ens.a, ens.b, optimize=True)
+                    assert M.tobytes(order="A") == ref.tobytes(order="A")
+                    assert M.flags.f_contiguous == ref.flags.f_contiguous
+
 
 def test_operator_matrix_column_major():
     ens = make_ensemble()

@@ -232,7 +232,8 @@ def _reference_lbfgs(fun, p, maxiter):
         act = np.flatnonzero(status == mc._RUNNING)
         if act.size == 0:
             break
-        d = -mc._two_loop(g[act], S[act], Y[act], rho[act])
+        d = -mc._two_loop(g[act], S[act].transpose(1, 0, 2), Y[act].transpose(1, 0, 2),
+                          rho[act].T, np.count_nonzero(rho[act], axis=1))
         gd = (g[act] * d).sum(1)
         bad = ~(gd < 0.0)
         if bad.any():
@@ -290,6 +291,41 @@ def _wrong_below_half(q, idx):
     # the gradient is wrong below 0.5, so after its first steps each slot's
     # line search fails with memory, then again from steepest descent
     return (q * q).sum(1), np.where(q > 0.5, 2.0 * q, -50.0)
+
+
+def _rosenbrock(q, idx):
+    # the chained Rosenbrock function, which takes L-BFGS dozens of iterations
+    x0, x1 = q[:, :-1], q[:, 1:]
+    g = np.zeros_like(q)
+    g[:, :-1] += -400.0 * x0 * (x1 - x0 ** 2) - 2.0 * (1.0 - x0)
+    g[:, 1:] += 200.0 * (x1 - x0 ** 2)
+    return (100.0 * (x1 - x0 ** 2) ** 2 + (1.0 - x0) ** 2).sum(1), g
+
+
+def _mixed_stops():
+    """One 6-dimensional batch whose slots stop with every code, in
+    different rounds: five quadratics converge in rounds 11 to 13, two
+    uphill slots fail their line search in round 21, two wrong-gradient
+    slots fail in round 43, and two Rosenbrock slots reach maxiter = 20 in
+    rounds 23 and 26."""
+    quadratic, _, _ = _quadratics()
+    groups = ((quadratic, 0, 5), (_uphill, 5, 7), (_wrong_below_half, 7, 9),
+              (_rosenbrock, 9, 11))
+
+    def fun(q, idx):
+        f, g = np.empty(len(idx)), np.empty_like(q)
+        for kernel, lo, hi in groups:
+            sel = (idx >= lo) & (idx < hi)
+            f[sel], g[sel] = kernel(q[sel], idx[sel] - lo)
+        return f, g
+
+    p0 = np.zeros((11, 6))
+    p0[5:7] = 1.0
+    p0[7] = [3.0, 2.0, 5.0, 1.5, 0.7, 4.0]
+    p0[8] = [4.0, 0.9, 2.5, 3.0, 1.0, 6.0]
+    p0[9] = -1.2
+    p0[10] = [-1.2, 1.0, -1.2, 1.0, -1.2, 1.0]
+    return fun, p0, 20
 
 
 @pytest.fixture(scope="module")
@@ -410,12 +446,15 @@ class TestDeviationSearch:
                  (quadratic, np.zeros((5, 6)), 200),
                  (quadratic, np.zeros((5, 6)), 1),
                  (_uphill, np.ones((2, 3)), 200),
-                 (_wrong_below_half, np.array([[3.0, 2.0], [5.0, 1.5], [0.7, 4.0]]), 200)]
+                 (_wrong_below_half, np.array([[3.0, 2.0], [5.0, 1.5], [0.7, 4.0]]), 200),
+                 _mixed_stops()]
         for fun, p0, maxiter in cases:
             p, status = mc._lbfgs(fun, p0, maxiter)
             p_ref, status_ref = _reference_lbfgs(fun, p0, maxiter)
             assert p.tobytes() == p_ref.tobytes()
             assert np.array_equal(status, status_ref)
+        # the mixed batch drops slots from its running set with every code
+        assert status.tolist() == [mc.CONVERGED] * 5 + [mc.LINE_SEARCH_FAILED] * 4 + [mc.MAXITER] * 2
 
     def test_lbfgs_makes_one_call_per_round(self, stability_batch):
         # a slot never waits for another: after the call at the starts,
@@ -502,8 +541,14 @@ class TestStabilitySweep:
         plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=6,
                             sweep=(0.3, 0.1, 0.0), master_seed=4)
         rows = mc.run_stability_sweep(plan)
-        assert (mc.sweep_csv(mc.STABILITY_COLUMNS, rows)
-                == mc.sweep_csv(mc.STABILITY_COLUMNS, mc.run_stability_sweep(plan)))
+        csv = mc.sweep_csv(mc.STABILITY_COLUMNS, rows)
+        assert csv == mc.sweep_csv(mc.STABILITY_COLUMNS, mc.run_stability_sweep(plan))
+        # batches of 4 trials flush mid-sweep: they split rows and straddle two
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "SEARCH_BATCH_SLOTS", 4 * plan.starts)
+            small = mc.run_stability_sweep(plan)
+        assert mc.sweep_csv(mc.STABILITY_COLUMNS, small) == csv
+        assert [r.get("search_status") for r in small] == [r.get("search_status") for r in rows]
         for row_idx, row in enumerate(rows[:2]):
             alone = []
             for i in range(plan.trials):
