@@ -12,12 +12,8 @@ that n, also below the sample count d. Stability sweeps search every
 delta > 0 trial in one batched L-BFGS run, and each trial's result does not
 depend on the batch it is solved in. Each start of the batch runs its own
 line search, and one objective call per round serves every running start.
-A round costs numpy dispatches, not arithmetic, so the kernel keeps as few
-as it can: the objective is a handful of batched matrix products, the
-L-BFGS state covers running starts only (its memory stored memory-major, so
-each two-loop step reads one block) and is compacted only when a start
-stops, and each start's problem constants are gathered once per change of
-the running set.
+A round costs numpy dispatches, not arithmetic, so the kernel makes few:
+its state covers running starts only and is compacted when a start stops.
 """
 
 from __future__ import annotations

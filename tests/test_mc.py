@@ -442,19 +442,22 @@ class TestDeviationSearch:
         # each slot follows the same trial points, accept decisions and
         # memory updates as in the lockstep kernel, so results are bitwise equal
         quadratic, _, _ = _quadratics()
+        mixed = _mixed_stops()
         cases = [stability_batch,
                  (quadratic, np.zeros((5, 6)), 200),
                  (quadratic, np.zeros((5, 6)), 1),
                  (_uphill, np.ones((2, 3)), 200),
                  (_wrong_below_half, np.array([[3.0, 2.0], [5.0, 1.5], [0.7, 4.0]]), 200),
-                 _mixed_stops()]
+                 mixed]
         for fun, p0, maxiter in cases:
             p, status = mc._lbfgs(fun, p0, maxiter)
             p_ref, status_ref = _reference_lbfgs(fun, p0, maxiter)
             assert p.tobytes() == p_ref.tobytes()
             assert np.array_equal(status, status_ref)
         # the mixed batch drops slots from its running set with every code
-        assert status.tolist() == [mc.CONVERGED] * 5 + [mc.LINE_SEARCH_FAILED] * 4 + [mc.MAXITER] * 2
+        assert mc._lbfgs(*mixed)[1].tolist() == ([mc.CONVERGED] * 5
+                                                 + [mc.LINE_SEARCH_FAILED] * 4
+                                                 + [mc.MAXITER] * 2)
 
     def test_lbfgs_makes_one_call_per_round(self, stability_batch):
         # a slot never waits for another: after the call at the starts,
