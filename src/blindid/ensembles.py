@@ -30,6 +30,7 @@ __all__ = [
     "sample_uniform_complex_ball_batch",
     "sample_uniform_real_ball_batch",
     "build_ensemble",
+    "stack_ensembles",
     "mix_seed",
 ]
 
@@ -172,6 +173,8 @@ class Ensemble:
 
     Invariants: a[j] == conj((F @ D)[j]) and b[j] == conj((F @ E)[j]).
     Serializes to a small JSON manifest; matrices re-derive from the seed.
+    A stack of T trials (stack_ensembles) holds a tuple of T seeds, and its
+    arrays carry a leading trial axis.
     """
 
     scenario: ConstraintScenario
@@ -180,8 +183,8 @@ class Ensemble:
     R: Optional[float]
     D: np.ndarray = field(repr=False)
     E: np.ndarray = field(repr=False)
-    a: np.ndarray = field(repr=False)  # shape (n, m1), row j is a_j
-    b: np.ndarray = field(repr=False)  # shape (n, m2), row j is b_j
+    a: np.ndarray = field(repr=False)  # shape ([T,] n, m1), row j is a_j
+    b: np.ndarray = field(repr=False)  # shape ([T,] n, m2), row j is b_j
 
     @property
     def n(self) -> int:
@@ -271,3 +274,14 @@ def build_ensemble(sc: ConstraintScenario, tag: str, seed: int,
 
     return Ensemble(scenario=sc, tag=tag, seed=seed, R=R, D=D, E=E, a=a, b=b)
 
+
+def stack_ensembles(ensembles) -> Ensemble:
+    """One Ensemble of T trials of one scenario, tag and radius: D, E, a and b
+    stacked along a new leading trial axis, and the tuple of the T seeds."""
+    first = ensembles[0]
+    if any((e.scenario, e.tag, e.R) != (first.scenario, first.tag, first.R)
+           for e in ensembles):
+        raise ValueError("stacked ensembles must share scenario, tag and R")
+    arrays = {name: np.stack([getattr(e, name) for e in ensembles])
+              for name in ("D", "E", "a", "b")}
+    return replace(first, seed=tuple(e.seed for e in ensembles), **arrays)

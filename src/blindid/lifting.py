@@ -126,18 +126,20 @@ def apply_A_adjoint(ens: Ensemble, w) -> LiftedMatrix:
 def support_rows(ens: Ensemble, rows=None, cols=None):
     """Conjugated frequency rows (a_j^*, b_j^*) restricted to a support.
 
-    rows and cols index the columns of a and b; None keeps every column.
-    A 2-D index array of T supports gives stacks of shape (T, n, |rows|)
-    and (T, n, |cols|) whose slots have the memory layout of a 1-D
-    selection, so matrix products on a slot round as they do alone.
+    rows and cols index the last axis of a and b; None keeps every column.
+    On a stacked ensemble, a and b are (T, n, m) and 1-D index arrays give
+    (T, n, |rows|) and (T, n, |cols|). On a lone ensemble, a 2-D index
+    array of T supports gives the same shapes, one support per slot.
     """
-    a = ens.a.conj()
-    b = ens.b.conj()
-    if rows is not None:
-        a = a[:, np.asarray(rows)].swapaxes(0, -2)
-    if cols is not None:
-        b = b[:, np.asarray(cols)].swapaxes(0, -2)
-    return a, b
+    return _restrict(ens.a.conj(), rows), _restrict(ens.b.conj(), cols)
+
+
+def _restrict(rows_of: np.ndarray, idx) -> np.ndarray:
+    if idx is None:
+        return rows_of
+    idx = np.asarray(idx)
+    out = rows_of[..., idx]
+    return out.swapaxes(0, -2) if idx.ndim == 2 else out
 
 
 def operator_matrix(ens: Ensemble, rows=None, cols=None) -> np.ndarray:
@@ -145,8 +147,9 @@ def operator_matrix(ens: Ensemble, rows=None, cols=None) -> np.ndarray:
 
     Row j holds the coefficients so that operator_matrix @ vec(M) equals
     apply_A(M), with vec(M) in column-major (Fortran) order. Optional row
-    and column index sets restrict M to a support; 2-D index arrays give
-    one matrix per support, stacked along the first axis.
+    and column index sets restrict M to a support; 2-D index arrays, or a
+    stacked ensemble, give one matrix per support or trial, stacked along
+    the first axis.
     """
     a, b = support_rows(ens, rows, cols)
     # column index k * |rows| + m matches column-major vectorization

@@ -8,7 +8,10 @@ results are reproducible trial-by-trial. One trial kernel (draw_trial,
 recover_trial) serves the phase transitions, the delta = 0 stability rows
 and the CLI's `recover`, so `recover --seed s` replays the sweep trial whose
 seed is s, in every row: a sweep point is a plain ConstraintScenario at
-that n, also below the sample count d. Stability sweeps search every
+that n, also below the sample count d. A row's trials are solved as
+stacks, one solve per support with the trials' solver starts as the slots
+of the Levenberg-Marquardt kernel, and each trial gets the bits of its
+lone replay (a stack of one trial). Stability sweeps search every
 delta > 0 trial in one batched L-BFGS run, and each trial's result does not
 depend on the batch it is solved in. Each start of the batch runs its own
 line search, and one objective call per round serves every running start.
@@ -29,7 +32,7 @@ import numpy as np
 from . import bounds, spectral
 from .ensembles import (COMPLEX_UNIFORM_BALL, REAL_GENERIC, REAL_UNIFORM_BALL,
                         ConstraintScenario, Ensemble, build_ensemble, mix_seed,
-                        sample_uniform_complex_ball_batch)
+                        sample_uniform_complex_ball_batch, stack_ensembles)
 from .lifting import LiftedMatrix, apply_G, mean_isometry_radius
 from .recovery import RecoveryResult, is_recovered, solve_sparse_enumerate
 
@@ -221,16 +224,44 @@ def recover_trial(sc: ConstraintScenario, tag: str, seed: int, *,
     Returns the solver result, whose lifted_error is measured against the
     planted matrix, and whether the trial counts as recovered.
     """
+    return _recover_trials(sc, tag, [seed], R=R, restarts=restarts,
+                           noise_level=noise_level)[0]
+
+
+# Bound on n * m1 * m2 * (restarts + 1) * trials per stack of trials that
+# _recover_trials solves at once. Trials are independent, so the bound
+# changes no result; it keeps a sweep's memory flat in the number of trials.
+RECOVERY_STACK_ENTRIES = 1 << 20
+
+
+def _recover_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
+                    R: Optional[float], restarts: int,
+                    noise_level: float) -> list[Tuple[RecoveryResult, bool]]:
+    """recover_trial for each seed, solved in stacks of trials: one solve
+    per support for all trials of a stack, each trial with its own solver
+    stream, so each gets the bits of recover_trial alone."""
     if not noise_level >= 0:
         raise ValueError("noise_level must be nonnegative")
-    ens, M0, plant_rng, solver_rng = draw_trial(sc, tag, seed, R)
-    z = apply_G(ens, M0)
-    if noise_level > 0:
-        z = z + _noise_on_sphere(sc.n, noise_level, plant_rng)
-    z_tilde = spectral.dft(z) / np.sqrt(sc.n)
-    res = solve_sparse_enumerate(ens, z_tilde, restarts=restarts, rng=solver_rng,
-                                 truth=M0)
-    return res, is_recovered(res.M_hat, M0)
+    size = max(1, RECOVERY_STACK_ENTRIES // (sc.n * sc.m1 * sc.m2 * (restarts + 1)))
+    if len(seeds) > size:
+        return [out for start in range(0, len(seeds), size)
+                for out in _recover_trials(sc, tag, seeds[start:start + size], R=R,
+                                           restarts=restarts, noise_level=noise_level)]
+    trials = [draw_trial(sc, tag, seed, R) for seed in seeds]
+    z_tilde = []
+    for ens, M0, plant_rng, _ in trials:
+        z = apply_G(ens, M0)
+        if noise_level > 0:
+            z = z + _noise_on_sphere(sc.n, noise_level, plant_rng)
+        z_tilde.append(spectral.dft(z) / np.sqrt(sc.n))
+    fit = solve_sparse_enumerate(stack_ensembles([ens for ens, *_ in trials]),
+                                 np.array(z_tilde), restarts=restarts,
+                                 rng=[solver_rng for *_, solver_rng in trials])
+    out = []
+    for t, (_, M0, _, _) in enumerate(trials):
+        res = fit.result(t, M0)
+        out.append((res, is_recovered(res.M_hat, M0)))
+    return out
 
 
 def run_phase_transition(plan: TrialPlan) -> list[dict]:
@@ -240,19 +271,21 @@ def run_phase_transition(plan: TrialPlan) -> list[dict]:
     Trial i of row r is recover_trial with seed mix_seed(master_seed, r, i):
     it plants a unit-norm admissible rank-1 matrix, measures it (optionally
     with spherical noise of radius noise_level), solves over every
-    admissible support, and scores success by the recovery threshold. Rows
-    carry the thresholds d and 2d for annotation.
+    admissible support, and scores success by the recovery threshold. A
+    row's trials are solved as stacks (at most RECOVERY_STACK_ENTRIES), each
+    trial with the bits of its lone replay. Rows carry the thresholds d and
+    2d for annotation.
     """
     rows = []
     for row_idx, value in enumerate(plan.sweep):
         n = int(value)
         sc_n = plan.sc.with_n(n)
         d = bounds.sample_complexity_d(sc_n)
-        results = [recover_trial(sc_n, plan.ensemble_tag,
-                                 mix_seed(plan.master_seed, row_idx, i), R=plan.R,
-                                 restarts=plan.restarts,
-                                 noise_level=plan.noise_level)
-                   for i in range(plan.trials)]
+        results = _recover_trials(sc_n, plan.ensemble_tag,
+                                  [mix_seed(plan.master_seed, row_idx, i)
+                                   for i in range(plan.trials)],
+                                  R=plan.R, restarts=plan.restarts,
+                                  noise_level=plan.noise_level)
         successes = sum(1 for _, ok in results if ok)
         mean_err = float(np.mean([res.lifted_error for res, _ in results]))
         rows.append({"n": n, "trials": plan.trials, "successes": successes,
@@ -599,14 +632,14 @@ def run_stability_sweep(plan: TrialPlan) -> list[dict]:
         pending.clear()
 
     for row_idx, delta in enumerate(deltas):
-        for i in range(plan.trials):
-            seed = mix_seed(plan.master_seed, row_idx, i)
-            if delta == 0:
-                res, ok = recover_trial(sc, COMPLEX_UNIFORM_BALL, seed, R=R,
-                                        restarts=plan.restarts)
+        seeds = [mix_seed(plan.master_seed, row_idx, i) for i in range(plan.trials)]
+        if delta == 0:
+            for res, ok in _recover_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R=R,
+                                           restarts=plan.restarts, noise_level=0.0):
                 zero_violations[row_idx] += not ok
                 trial_devs[row_idx].append(res.lifted_error)
-                continue
+            continue
+        for seed in seeds:
             ens, M0, _, search_rng = draw_trial(sc, COMPLEX_UNIFORM_BALL, seed, R)
             p0 = _draw_starts(M0.x, M0.y, delta, plan.starts, search_rng)
             pending.append((row_idx, ens.a, ens.b, M0.x, M0.y, delta, p0))

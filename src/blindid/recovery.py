@@ -2,18 +2,22 @@
 identifiability certifiers.
 
 The solvers minimize the frequency-domain residual over rank-1 matrices on
-a fixed or enumerated support. The certifiers combine an exact sufficient
-certificate (injectivity of the restricted linear operator) with a
-multi-start heuristic search for counterexamples, which is explicitly
-non-conclusive when it finds nothing.
+a fixed or enumerated support: by least squares and a rank-1 projection
+when n >= |S1|*|S2|, and otherwise by a batched Levenberg-Marquardt kernel
+over the factors, which recovers down to the sample count d. The
+certifiers combine an exact sufficient certificate (injectivity of the
+restricted linear operator) with a multi-start heuristic search for
+counterexamples, which is explicitly non-conclusive when it finds nothing.
 
-Alternating minimization runs on a stack of slots (the starts of one
-solve, or a chunk of certifier attempts), each with the arithmetic of a
-lone run. Certifier attempts run in chunks of 1, 2, 4, ..., so a search
-may draw from the caller's rng past the attempt it returns; verdicts and
-budgets do not change. Per attempt only the rng draws run in Python; the
-planted matrices, their measurements and the fits run once per chunk, on
-the whole stack.
+The kernel runs on a stack of slots, each with the arithmetic of a lone
+run: the starts of every trial of a stacked ensemble (one solve per
+support for a whole transition row), or a chunk of certifier attempts. A
+trial's starts stop together as soon as one of them fits exactly; a lone
+solve is the stack of one trial. Certifier attempts run in chunks of 1, 2,
+4, ..., so a search may draw from the caller's rng past the attempt it
+returns; verdicts and budgets do not change. Per attempt only the rng
+draws run in Python; the planted matrices, their measurements and the fits
+run once per chunk, on the whole stack.
 """
 
 from __future__ import annotations
@@ -24,14 +28,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from .ensembles import ConstraintScenario, Ensemble
-from .lifting import (LiftedMatrix, apply_A, apply_A_adjoint, as_matrix, operator_matrix,
-                      support_rows)
+from .ensembles import ConstraintScenario, Ensemble, stack_ensembles
+from .lifting import LiftedMatrix, apply_A, as_matrix, operator_matrix, support_rows
 
 __all__ = [
     "RecoveryResult",
+    "RecoveryStack",
     "IdentifiabilityVerdict",
     "CERTIFIED_UNIQUE",
     "COUNTEREXAMPLE_FOUND",
@@ -54,8 +57,16 @@ HEURISTICALLY_UNIQUE = "heuristically_unique"
 
 # Recovery threshold: far below any transition signal, far above fp noise.
 RECOVERY_RTOL = 1e-6
-ALT_MIN_MAX_ITER = 500
-ALT_MIN_RTOL = 1e-10
+# Levenberg-Marquardt kernel (_lm): relative damping at the start, its
+# floor and its cap, the residual floor relative to max(1, ||z||), the
+# relative-decrease and step-size stops and the step budget.
+LM_LAMBDA_START = 1e-3
+LM_LAMBDA_FLOOR = 1e-12
+LM_LAMBDA_MAX = 1e12
+LM_RESIDUAL_FLOOR = 1e-13
+LM_RTOL = 1e-12
+LM_STEP_RTOL = 1e-12
+LM_MAX_ITER = 200
 INJECTIVITY_TOL = 1e-8
 # Operator entries per stacked SVD of the exact certificates (16 MiB).
 INJECTIVITY_STACK_ENTRIES = 1 << 20
@@ -74,6 +85,37 @@ class RecoveryResult:
     lifted_error: Optional[float] = None
     support: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
     restarts_used: int = 0
+
+
+@dataclass(frozen=True)
+class RecoveryStack:
+    """Solver results of T stacked trials: factors X (T, m1) and Y (T, m2),
+    zero off each trial's support, residuals (T,), the support of each
+    trial and the restarts every trial used."""
+
+    X: np.ndarray
+    Y: np.ndarray
+    residual: np.ndarray
+    supports: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
+    restarts_used: int = 0
+
+    def improved_by(self, other: "RecoveryStack") -> "RecoveryStack":
+        """Per trial, other's result where its residual is strictly smaller."""
+        better = other.residual < self.residual
+        return RecoveryStack(
+            np.where(better[:, None], other.X, self.X),
+            np.where(better[:, None], other.Y, self.Y),
+            np.where(better, other.residual, self.residual),
+            tuple(o if b else s for b, o, s in zip(better, other.supports, self.supports)),
+            other.restarts_used)
+
+    def result(self, t: int, truth: Optional[LiftedMatrix] = None) -> RecoveryResult:
+        """Trial t's RecoveryResult, with its lifted error against truth."""
+        M_hat = LiftedMatrix.from_factors(self.X[t], self.Y[t])
+        err = None if truth is None else align_and_distance(M_hat, truth)
+        return RecoveryResult(M_hat=M_hat, residual=float(self.residual[t]),
+                              lifted_error=err, support=self.supports[t],
+                              restarts_used=self.restarts_used)
 
 
 @dataclass(frozen=True)
@@ -99,10 +141,11 @@ def admissible_supports(sc: ConstraintScenario) -> list[Tuple[Tuple[int, ...], T
 
 
 def _top_rank1(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Factors (x, y) of the nearest rank-1 matrix x y^T."""
+    """Factors (x, y) of the nearest rank-1 matrix x y^T, of M or of each
+    matrix of a stack."""
     U, s, Vh = np.linalg.svd(M)
-    r = np.sqrt(s[0])
-    return r * U[:, 0], r * Vh[0]
+    r = np.sqrt(s[..., :1])
+    return r * U[..., :, 0], r * Vh[..., 0, :]
 
 
 def _embed(v: np.ndarray, support, m: int) -> np.ndarray:
@@ -113,60 +156,107 @@ def _embed(v: np.ndarray, support, m: int) -> np.ndarray:
     return out
 
 
-def _lstsq_failed(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.lstsq(A[t], b[t], rcond=None)[0] for every slot t at once.
-
-    Calls the LAPACK gufunc that np.linalg.lstsq wraps, with its default
-    rcond, so each slot gets the solution of its own call bit for bit.
-    """
-    rcond = np.finfo(np.float64).eps * max(A.shape[-2:])
-    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        x = _umath_linalg.lstsq(A, b[..., None], rcond, signature="DDd->Ddid")[0]
-    return x[..., 0]
-
-
 def _norm(r: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row of r, bit for bit (the same dot products)."""
     return np.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag))
 
 
-def _alt_min(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray,
-             X0: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Alternating least squares over the factors on a fixed support, one
-    slot per start.
+def _times(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """rows @ v per slot: (S, n, k) stack times (S, k) vectors, (S, n)."""
+    return (rows @ v[:, :, None])[:, :, 0]
 
-    aS (T|1, n, k1) and bS (T|1, n, k2) are the conjugated frequency rows
+
+def _damped_solve(B: np.ndarray, w: np.ndarray, lam) -> np.ndarray:
+    """Per slot, the s solving (B^H B + mu I) s = B^H w with the damping
+    mu = lam * max diag(B^H B): the least-squares solution of B s = w,
+    damped towards 0. mu is floored at the smallest normal float, so the
+    system stays regular also where B = 0."""
+    Bh = B.conj().swapaxes(1, 2)
+    H = Bh @ B
+    diag = np.arange(H.shape[-1])
+    mu = np.maximum(lam * H[:, diag, diag].real.max(1), np.finfo(float).tiny)
+    H[:, diag, diag] += mu[:, None]
+    return np.linalg.solve(H, Bh @ w[:, :, None])[:, :, 0]
+
+
+def _lm(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray, X0: np.ndarray,
+        starts: int = 1) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt over the factors on a fixed support, one slot
+    per start.
+
+    aS (S, n, k1) and bS (S, n, k2) are the conjugated frequency rows
     restricted to each slot's support, so the model is (aS @ x) * (bS @ y)
-    entrywise; z_tilde (T|1, n) holds the measurements and X0 (T, k1) the
-    starts. Each slot stops on its own test and does the arithmetic of a
-    run on its own. Returns X (T, k1), Y (T, k2) and the residuals (T,).
+    entrywise; z_tilde (S, n) holds the measurements and X0 (S, k1) the
+    starts. The residual r = (aS x) * (bS y) - z is holomorphic in (x, y),
+    with Jacobian J = [diag(bS y) aS, diag(aS x) bS]; each step solves
+    (J^H J + lam max diag(J^H J) I) d = -J^H r with the slot's own lam,
+    which an accepted step divides by 3 (down to LM_LAMBDA_FLOOR) and a
+    rejected step multiplies by 4. An accepted step is rescaled so that
+    ||x|| = ||y||, which fixes the scaling orbit (x, y) -> (cx, y/c), the
+    null direction of J.
+
+    The first y solves the linear problem in y at x = X0 (damped by
+    LM_LAMBDA_FLOOR). When k1 or k2 is 1 the rank-1 constraint is void:
+    then one linear solve is exact (a second one, in x, when k2 = 1) and
+    no step runs. Otherwise a slot stops when its relative decrease is at
+    most LM_RTOL, its step ||d|| is at most LM_STEP_RTOL ||(x, y)||, lam
+    exceeds LM_LAMBDA_MAX, or after LM_MAX_ITER steps. Slots come in
+    groups of `starts` consecutive slots, the starts of one trial, and a
+    group stops as soon as one of its slots reaches the residual floor
+    LM_RESIDUAL_FLOOR * max(1, ||z||).
+
+    Every slot computes on contiguous copies of its own arrays, one slot
+    per BLAS or LAPACK call, so its bits do not depend on the stack.
+    Returns X (S, k1), Y (S, k2) and the residuals (S,).
     """
-    T = X0.shape[0]
-    X = np.array(X0, dtype=np.complex128)
-    Y = np.zeros((T, bS.shape[-1]), dtype=np.complex128)
-    prev = np.full(T, np.inf)
-    residual = np.full(T, np.inf)
-    live = np.arange(T)
-    for _ in range(ALT_MIN_MAX_ITER):
-        a, b, z = (arr if len(arr) == 1 else arr[live] for arr in (aS, bS, z_tilde))
-        u = (a @ X[live, :, None])[..., 0]
-        y = _lstsq(u[..., None] * b, z)
-        v = (b @ y[..., None])[..., 0]
-        x = _lstsq(v[..., None] * a, z)
-        res = _norm((a @ x[..., None])[..., 0] * v - z)
-        X[live], Y[live], residual[live] = x, y, res
-        # prev starts at inf, so this test passes after the first sweep
-        # (pinned by the strict xfail test_alt_min_converges_from_random_start)
-        p = prev[live]
-        prev[live] = res
-        live = live[~(np.abs(p - res) <= ALT_MIN_RTOL * np.maximum(p, 1e-300))]
-        if not live.size:
-            break
+    a, b, z = (np.ascontiguousarray(arr, dtype=np.complex128) for arr in (aS, bS, z_tilde))
+    k1, k2 = a.shape[-1], b.shape[-1]
+    x = np.array(X0, dtype=np.complex128)
+    y = _damped_solve(_times(a, x)[:, :, None] * b, z, LM_LAMBDA_FLOOR)
+    if k2 == 1 < k1:
+        x = _damped_solve(_times(b, y)[:, :, None] * a, z, LM_LAMBDA_FLOOR)
+    u, v = _times(a, x), _times(b, y)
+    res = _norm(u * v - z)
+    if min(k1, k2) == 1:
+        return x, y, res
+
+    X, Y, residual = x.copy(), y.copy(), res.copy()
+    lam = np.full(len(x), LM_LAMBDA_START)
+    floor = LM_RESIDUAL_FLOOR * np.maximum(1.0, _norm(z))
+    group = np.arange(len(x)) // starts
+    exact = np.zeros(len(x) // starts, dtype=bool)
+    ids = np.arange(len(x))
+    done = np.zeros(len(x), dtype=bool)
+    for step in range(LM_MAX_ITER + 1):
+        exact[group[ids[res <= floor]]] = True
+        stop = done | exact[group[ids]] | (step == LM_MAX_ITER)
+        if stop.any():
+            X[ids[stop]], Y[ids[stop]], residual[ids[stop]] = x[stop], y[stop], res[stop]
+            keep = ~stop
+            ids, a, b, z, x, y, res, lam, floor = (
+                arr[keep] for arr in (ids, a, b, z, x, y, res, lam, floor))
+            if not ids.size:
+                break
+        u, v = _times(a, x), _times(b, y)
+        r = u * v - z
+        J = np.concatenate((v[:, :, None] * a, u[:, :, None] * b), axis=2)
+        d = _damped_solve(J, r, lam)
+        xt, yt = x - d[:, :k1], y - d[:, k1:]
+        ut, vt = _times(a, xt), _times(b, yt)
+        rt = _norm(ut * vt - z)
+        accept = rt < res
+        done = ((_norm(d) <= LM_STEP_RTOL * _norm(np.concatenate((x, y), axis=1)))
+                | (accept & (res - rt <= LM_RTOL * res)))
+        x = np.where(accept[:, None], xt, x)
+        y = np.where(accept[:, None], yt, y)
+        res = np.where(accept, rt, res)
+        # rescale accepted slots so that ||x|| = ||y||
+        nx, ny = _norm(x), _norm(y)
+        c = np.sqrt(np.divide(ny, nx, out=np.ones_like(nx),
+                              where=accept & (nx > 0) & (ny > 0)))
+        x, y = x * c[:, None], y / c[:, None]
+        lam = np.where(accept, np.maximum(lam / 3, LM_LAMBDA_FLOOR), 4 * lam)
+        done |= lam > LM_LAMBDA_MAX
     return X, Y, residual
 
 
@@ -185,15 +275,23 @@ def _random_factors(count: int, size: int, rng: np.random.Generator) -> np.ndarr
 def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray,
                         S1: Sequence[int], S2: Sequence[int],
                         restarts: int = 0,
-                        rng: Optional[np.random.Generator] = None,
-                        truth: Optional[LiftedMatrix] = None) -> RecoveryResult:
+                        rng=None,
+                        truth: Optional[LiftedMatrix] = None
+                        ) -> RecoveryResult | RecoveryStack:
     """Minimize the frequency residual over rank-1 matrices supported on S1 x S2.
 
     When n >= |S1|*|S2| the unconstrained least-squares problem on the
     support is solved and projected to the nearest rank-1 matrix; otherwise
-    alternating minimization runs from a spectral initialization plus
+    the Levenberg-Marquardt kernel runs from a spectral initialization plus
     `restarts` random initializations, keeping the best residual
-    (first-found wins ties).
+    (first-found wins ties). The starts stop together as soon as one of
+    them reaches the residual floor.
+
+    ens may be a stack of T trials (stack_ensembles), with z_tilde (T, n)
+    and rng a sequence of T generators, one per trial (None gives each
+    trial default_rng(0)); the result is then a RecoveryStack whose trial t
+    has the bits of a lone call on trial t. A lone call is the stack of one
+    trial; it returns that trial's RecoveryResult, scored against truth.
     """
     S1 = tuple(sorted(S1))
     S2 = tuple(sorted(S2))
@@ -201,56 +299,73 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray,
         raise ValueError("support sets must be nonempty")
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
-    z_tilde = np.asarray(z_tilde, dtype=np.complex128)
+    ens, rng, lone = _as_stack(ens, rng)
+    z_tilde = np.asarray(z_tilde, dtype=np.complex128).reshape(-1, ens.n)
+    T = len(z_tilde)
     sc = ens.scenario
-    k = len(S1) * len(S2)
     aS, bS = support_rows(ens, S1, S2)
+    X = np.zeros((T, sc.m1), dtype=np.complex128)
+    Y = np.zeros((T, sc.m2), dtype=np.complex128)
 
-    if ens.n >= k:
+    if ens.n >= len(S1) * len(S2):
         op = operator_matrix(ens, rows=S1, cols=S2)
-        vec = np.linalg.lstsq(op, z_tilde, rcond=None)[0]
-        Msub = vec.reshape((len(S1), len(S2)), order="F")
-        xs, ys = _top_rank1(Msub)
-        residual = float(np.linalg.norm((aS @ xs) * (bS @ ys) - z_tilde))
+        residual = np.empty(T)
+        for t in range(T):
+            vec = np.linalg.lstsq(op[t], z_tilde[t], rcond=None)[0]
+            xs, ys = _top_rank1(vec.reshape((len(S1), len(S2)), order="F"))
+            residual[t] = np.linalg.norm((aS[t] @ xs) * (bS[t] @ ys) - z_tilde[t])
+            X[t, S1], Y[t, S2] = xs, ys
         restarts_used = 0
     else:
         if rng is None:
-            rng = np.random.default_rng(0)
-        Madj = apply_A_adjoint(ens, z_tilde).M[np.ix_(list(S1), list(S2))]
-        x_init, _ = _top_rank1(Madj)
-        X0 = np.concatenate([x_init[None], _random_factors(restarts, len(S1), rng)])
-        X, Y, res = _alt_min(aS[None], bS[None], z_tilde[None], X0)
-        best = int(np.argmin(res))  # the first of equal residuals wins
-        xs, ys, residual = X[best], Y[best], float(res[best])
+            rng = [None] * T
+        aS, bS = np.ascontiguousarray(aS), np.ascontiguousarray(bS)
+        # the spectral start: the top rank-1 factor of the adjoint on the support
+        adjoint = (aS.conj().swapaxes(1, 2) * z_tilde[:, None, :]) @ bS.conj()
+        x_init, _ = _top_rank1(adjoint)
+        draws = [_random_factors(restarts, len(S1), np.random.default_rng(0) if g is None else g)
+                 for g in rng]
+        X0 = np.concatenate([x_init[:, None], np.stack(draws)], axis=1)
+        starts = restarts + 1
+        Xs, Ys, res = _lm(*(np.repeat(arr, starts, axis=0) for arr in (aS, bS, z_tilde)),
+                          X0.reshape(T * starts, -1), starts)
+        best = np.arange(T) * starts + res.reshape(T, starts).argmin(1)  # first of equals
+        X[:, S1], Y[:, S2], residual = Xs[best], Ys[best], res[best]
         restarts_used = restarts
 
-    x_full = _embed(xs, S1, sc.m1)
-    y_full = _embed(ys, S2, sc.m2)
-    M_hat = LiftedMatrix.from_factors(x_full, y_full)
-    err = None if truth is None else align_and_distance(M_hat, truth)
-    return RecoveryResult(M_hat=M_hat, residual=residual, lifted_error=err,
-                          support=(S1, S2), restarts_used=restarts_used)
+    fit = RecoveryStack(X, Y, residual, ((S1, S2),) * T, restarts_used)
+    return fit.result(0, truth) if lone else fit
 
 
 def solve_sparse_enumerate(ens: Ensemble, z_tilde: np.ndarray,
                            restarts: int = 0,
-                           rng: Optional[np.random.Generator] = None,
-                           truth: Optional[LiftedMatrix] = None) -> RecoveryResult:
+                           rng=None,
+                           truth: Optional[LiftedMatrix] = None
+                           ) -> RecoveryResult | RecoveryStack:
     """Enumerate all admissible supports and keep the smallest residual.
 
     A subspace scenario has the single full support, so this is then one
     solve_fixed_support call. Supports are visited in lexicographic order
     and only a strictly smaller residual replaces the incumbent, so ties
-    resolve to the lexicographically smallest support.
+    resolve to the lexicographically smallest support. Stacks of trials
+    are taken and returned as by solve_fixed_support, each trial keeping
+    its own best support.
     """
-    best: Optional[RecoveryResult] = None
+    ens, rng, lone = _as_stack(ens, rng)
+    best: Optional[RecoveryStack] = None
     for S1, S2 in admissible_supports(ens.scenario):
-        res = solve_fixed_support(ens, z_tilde, S1, S2, restarts=restarts,
-                                  rng=rng, truth=truth)
-        if best is None or res.residual < best.residual:
-            best = res
+        fit = solve_fixed_support(ens, z_tilde, S1, S2, restarts=restarts, rng=rng)
+        best = fit if best is None else best.improved_by(fit)
     assert best is not None
-    return best
+    return best.result(0, truth) if lone else best
+
+
+def _as_stack(ens: Ensemble, rng):
+    """A lone ensemble and its rng as a stack of one trial, and whether the
+    call was lone."""
+    if ens.a.ndim == 3:
+        return ens, rng, False
+    return stack_ensembles([ens]), [rng], True
 
 
 def align_and_distance(M1, M2) -> float:
@@ -374,8 +489,8 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, budget: int = 100, tol: float 
     for attempts in _chunks(budget):
         rows, cols = _slot_supports(supports, attempts)
         aS, bS = support_rows(ens, rows, cols)
-        X, Y, residual = _alt_min(aS, bS, z0[None],
-                                  _random_factors(len(attempts), rows.shape[1], rng))
+        X, Y, residual = _lm(aS, bS, np.broadcast_to(z0, (len(attempts), ens.n)),
+                             _random_factors(len(attempts), rows.shape[1], rng))
         for t in np.flatnonzero(residual <= tol):
             cand = LiftedMatrix.from_factors(_embed(X[t], rows[t], sc.m1),
                                              _embed(Y[t], cols[t], sc.m2))
@@ -399,7 +514,7 @@ def certify_strong(ens: Ensemble, budget: int = 100, tol: float = 1e-6,
     factors (an attempt whose planted matrix is 0 draws no start and is
     skipped), then the start. Per chunk of 1, 2, 4, ... attempts, the
     planted matrices are normalized and measured as one stack by apply_A
-    and fitted as one _alt_min stack. So rng may be drawn past the attempt
+    and fitted as one _lm stack. So rng may be drawn past the attempt
     that finds a counterexample; the verdict does not change.
     """
     _check_search(budget, tol)
@@ -440,7 +555,7 @@ def certify_strong(ens: Ensemble, budget: int = 100, tol: float = 1e-6,
         z1 = apply_A(ens, xp[:, :, None] * yp[:, None, :])
         rows, cols = _slot_supports(supports, slots)
         aS, bS = support_rows(ens, rows, cols)
-        X, Y, residual = _alt_min(aS, bS, z1, _complex_normal(np.array(starts).reshape(T, 2, k1)))
+        X, Y, residual = _lm(aS, bS, z1, _complex_normal(np.array(starts).reshape(T, 2, k1)))
         X, Y = _embed(X, rows, sc.m1), _embed(Y, cols, sc.m2)
         # rescale each pair jointly so both land in the unit ball (cone property)
         c = 1.0 / np.maximum(1.0, _norm((X[:, :, None] * Y[:, None, :]).reshape(T, -1)))

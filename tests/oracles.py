@@ -1,9 +1,10 @@
 """Reference implementations that the package computes faster.
 
-The package builds ensembles and measurements with FFTs and runs
-alternating minimization on stacks of slots; the O(n^2) dense forms and
-the one-start-at-a-time loops below are kept only so tests can compare
-against them.
+The package builds ensembles and measurements with FFTs and runs its
+certifier attempts in chunks, each chunk one stack of the
+Levenberg-Marquardt kernel; the O(n^2) dense forms and the
+one-attempt-at-a-time loops below, which give the kernel one slot at a
+time, are kept only so tests can compare against them.
 """
 
 import itertools
@@ -11,10 +12,9 @@ import itertools
 import numpy as np
 
 from blindid.lifting import LiftedMatrix, apply_A, operator_matrix
-from blindid.recovery import (ALT_MIN_MAX_ITER, ALT_MIN_RTOL, CERTIFIED_UNIQUE,
-                              COUNTEREXAMPLE_FOUND, HEURISTICALLY_UNIQUE,
+from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND, HEURISTICALLY_UNIQUE,
                               INJECTIVITY_TOL, IdentifiabilityVerdict, _check_search,
-                              _embed, _support_of, _union, admissible_supports,
+                              _embed, _lm, _support_of, _union, admissible_supports,
                               min_scaled_distance)
 
 
@@ -28,23 +28,11 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (np.outer(j, j) % n) / n) / np.sqrt(n)
 
 
-def alt_min(aS, bS, z_tilde, x0):
-    """One start of alternating least squares, one np.linalg.lstsq call per
-    half-sweep: aS (n, k1), bS (n, k2), z_tilde (n,), x0 (k1,)."""
-    x = x0
-    y = np.zeros(bS.shape[1], dtype=np.complex128)
-    prev = np.inf
-    residual = np.inf
-    for _ in range(ALT_MIN_MAX_ITER):
-        u = aS @ x
-        y = np.linalg.lstsq(u[:, None] * bS, z_tilde, rcond=None)[0]
-        v = bS @ y
-        x = np.linalg.lstsq(v[:, None] * aS, z_tilde, rcond=None)[0]
-        residual = float(np.linalg.norm((aS @ x) * (bS @ y) - z_tilde))
-        if abs(prev - residual) <= ALT_MIN_RTOL * max(prev, 1e-300):
-            break
-        prev = residual
-    return x, y, residual
+def fit(aS, bS, z_tilde, x0):
+    """One start of the kernel on its own: aS (n, k1), bS (n, k2),
+    z_tilde (n,), x0 (k1,)."""
+    X, Y, residual = _lm(aS[None], bS[None], z_tilde[None], x0[None])
+    return X[0], Y[0], float(residual[0])
 
 
 def random_factor(size, rng):
@@ -60,7 +48,7 @@ def _injective_on(ens, rows, cols):
 
 
 def certify_weak(ens, M0, budget=100, tol=1e-6, rng=None):
-    """certify_weak with one SVD per support union and one alt_min per attempt."""
+    """certify_weak with one SVD per support union and one fit per attempt."""
     _check_search(budget, tol)
     sc = ens.scenario
     if rng is None:
@@ -74,7 +62,7 @@ def certify_weak(ens, M0, budget=100, tol=1e-6, rng=None):
         S1, S2 = supports[attempt % len(supports)]
         aS = ens.a.conj()[:, list(S1)]
         bS = ens.b.conj()[:, list(S2)]
-        x, y, residual = alt_min(aS, bS, z0, random_factor(len(S1), rng))
+        x, y, residual = fit(aS, bS, z0, random_factor(len(S1), rng))
         if residual <= tol:
             cand = LiftedMatrix.from_factors(_embed(x, S1, sc.m1), _embed(y, S2, sc.m2))
             if min_scaled_distance(cand, M0) > 10 * tol:
@@ -83,7 +71,7 @@ def certify_weak(ens, M0, budget=100, tol=1e-6, rng=None):
 
 
 def certify_strong(ens, budget=100, tol=1e-6, rng=None):
-    """certify_strong with one SVD per support union and one alt_min per attempt."""
+    """certify_strong with one SVD per support union and one fit per attempt."""
     _check_search(budget, tol)
     sc = ens.scenario
     if rng is None:
@@ -105,7 +93,7 @@ def certify_strong(ens, budget=100, tol=1e-6, rng=None):
         S1, S2 = supports[attempt % len(supports)]
         aS = ens.a.conj()[:, list(S1)]
         bS = ens.b.conj()[:, list(S2)]
-        x, y, residual = alt_min(aS, bS, z1, random_factor(len(S1), rng))
+        x, y, residual = fit(aS, bS, z1, random_factor(len(S1), rng))
         M2 = LiftedMatrix.from_factors(_embed(x, S1, sc.m1), _embed(y, S2, sc.m2))
         c = 1.0 / max(1.0, np.linalg.norm(M2.M))
         if residual * c <= tol:

@@ -312,6 +312,19 @@ class TestSubcommands:
         assert lines[0].startswith("delta,trials,violations")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("seed", ["513681787", "1039962212"])
+    def test_transition_below_and_in_the_gap_regime(self, capsys, seed):
+        # the 3x3 sweep of the transition workload, on two seeds where a
+        # version of the kernel without a damping floor failed on a singular
+        # system; every row with n >= d = 6 recovers every trial
+        code, out, _ = run(capsys, "transition", "--kind", "subspace", "--n", "9",
+                           "--m1", "3", "--m2", "3", "--tag", "complex_generic",
+                           "--sweep", "3,4,5,6,7,8,9", "--trials", "20", "--seed", seed)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [int(n) for n, *_ in rows] == list(range(3, 10))
+        assert all(succ == "20" for n, _, succ, *_ in rows if int(n) >= 6)
+
     def test_bad_sweep_grid(self, capsys):
         code, _, err = run(capsys, "stability", "--kind", "subspace",
                            "--m1", "2", "--m2", "2", "--n", "10",

@@ -119,13 +119,18 @@ class TestPhaseTransition:
 
     def test_rerun_identical_and_trials_replay_alone(self):
         # trial i of row r is recover_trial with seed mix_seed(master, r, i);
-        # n = 3 < m1*m2 takes the restarted alternating minimization
+        # n = 3 < m1*m2 takes the restarted Levenberg-Marquardt kernel. A
+        # row's trials are solved in stacks, which change no result: stacks
+        # of 5 to 8 trials split every row
         plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC,
                             trials=12, sweep=(3, 4, 5), master_seed=14,
                             restarts=3)
         rows = mc.run_phase_transition(plan)
-        assert (mc.sweep_csv(mc.TRANSITION_COLUMNS, rows)
-                == mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(plan)))
+        csv = mc.sweep_csv(mc.TRANSITION_COLUMNS, rows)
+        assert csv == mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(plan))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "RECOVERY_STACK_ENTRIES", 5 * 5 * 4 * (plan.restarts + 1))
+            assert mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(plan)) == csv
         for row_idx, row in enumerate(rows):
             alone = [mc.recover_trial(SUBSPACE5.with_n(row["n"]), COMPLEX_GENERIC,
                                       mix_seed(plan.master_seed, row_idx, i),

@@ -6,10 +6,9 @@ import pytest
 
 import oracles
 from blindid.ensembles import (COMPLEX_GENERIC, ConstraintScenario,
-                               build_ensemble)
+                               build_ensemble, stack_ensembles)
 from blindid import recovery
-from blindid.lifting import (LiftedMatrix, apply_A, apply_A_adjoint, operator_matrix,
-                             support_rows)
+from blindid.lifting import LiftedMatrix, apply_A, operator_matrix, support_rows
 from blindid.mc import draw_trial
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
                               HEURISTICALLY_UNIQUE, EnumerationCapError,
@@ -18,7 +17,7 @@ from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
                               certify_strong, certify_weak, is_recovered,
                               min_scaled_distance, solve_fixed_support,
                               solve_sparse_enumerate, verify_counterexample)
-from blindid.recovery import _alt_min, _lstsq, _top_rank1
+from blindid.recovery import _lm
 
 
 def subspace(n, m1=2, m2=2):
@@ -75,7 +74,8 @@ class TestSolveFixedSupport:
         assert res.residual == 0.0
 
     def test_alternating_minimization_path(self):
-        # n=3 < |S1||S2|=4 forces the AM branch (underdetermined regime:
+        # n=3 < |S1||S2|=4 forces the rank-1 factor branch, the
+        # Levenberg-Marquardt kernel with restarts (underdetermined regime:
         # convergence to the global optimum is not guaranteed, only
         # best-of-restarts behavior)
         sc = subspace(3)
@@ -95,8 +95,7 @@ class TestSolveFixedSupport:
         ens = build_ensemble(sc, COMPLEX_GENERIC, 4)
         M0 = random_factors(sc, 5)
         z = apply_A(ens, M0)
-        _, _, residual = _alt_min(ens.a.conj()[None], ens.b.conj()[None], z[None],
-                                  M0.x[None])
+        _, _, residual = _lm(ens.a.conj()[None], ens.b.conj()[None], z[None], M0.x[None])
         assert residual.shape == (1,) and residual[0] < 1e-10
 
     def test_residual_reproducible_from_solution(self):
@@ -121,44 +120,30 @@ class TestSolveFixedSupport:
         assert np.all(res.M_hat.x[[0, 2]] == 0)
         assert np.all(res.M_hat.y[[1, 3]] == 0)
 
-    def test_restarts_match_one_start_at_a_time(self):
-        # the spectral start then each restart's start, drawn in that order;
-        # the first of equal residuals wins
-        sc = subspace(6, 3, 3)
-        ens = build_ensemble(sc, COMPLEX_GENERIC, 14)
-        z = apply_A(ens, random_factors(sc, 15))
-        res = solve_fixed_support(ens, z, range(3), range(3), restarts=6,
-                                  rng=np.random.default_rng(16))
-        aS, bS = ens.a.conj()[:, [0, 1, 2]], ens.b.conj()[:, [0, 1, 2]]
-        rng = np.random.default_rng(16)
-        best = oracles.alt_min(aS, bS, z, _top_rank1(apply_A_adjoint(ens, z).M)[0])
-        for _ in range(6):
-            cand = oracles.alt_min(aS, bS, z, oracles.random_factor(3, rng))
-            if cand[2] < best[2]:
-                best = cand
-        assert res.residual == best[2] and res.restarts_used == 6
-        assert np.array_equal(res.M_hat.M, np.outer(best[0], best[1]))
+
+def _stacked_row(sc, trials, seed, noise=0.0):
+    """T trials of sc as one stacked ensemble, the measurements of planted
+    random factors (plus complex noise of that scale), and each trial's
+    ensemble."""
+    rng = np.random.default_rng(seed)
+    lone = [build_ensemble(sc, COMPLEX_GENERIC, seed + t) for t in range(trials)]
+    z = np.array([apply_A(ens, random_factors(sc, seed + 100 + t))
+                  for t, ens in enumerate(lone)])
+    z += noise * (rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape))
+    return stack_ensembles(lone), z, lone
+
+
+def _embed_support(M, rows, cols):
+    out = np.zeros((4, 4), dtype=complex)
+    out[np.ix_(rows, cols)] = M
+    return out
 
 
 class TestStackedKernel:
-    def test_lstsq_matches_numpy_bit_for_bit(self):
-        # _lstsq calls numpy's private LAPACK gufunc; a numpy upgrade that
-        # changes it must fail here
-        rng = np.random.default_rng(40)
-        for n in range(1, 13):
-            for k in range(1, 5):
-                A = rng.standard_normal((3, n, k)) + 1j * rng.standard_normal((3, n, k))
-                A[1, :, 0] = 0  # a rank-deficient slot
-                b = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-                x, x_shared = _lstsq(A, b), _lstsq(A, b[:1])
-                for t in range(3):
-                    assert np.array_equal(x[t], np.linalg.lstsq(A[t], b[t], rcond=None)[0])
-                    assert np.array_equal(x_shared[t],
-                                          np.linalg.lstsq(A[t], b[0], rcond=None)[0])
-
-    def test_alt_min_slots_do_not_depend_on_the_stack(self):
-        # each slot equals a run on its own and the one-start reference,
-        # whatever the stack size and the slot's position in it
+    def test_lm_slots_do_not_depend_on_the_stack(self):
+        # each slot equals a run on its own, whatever the stack size and the
+        # slot's position in it; the even slots measure a rank-1 matrix on
+        # their support and fit it exactly, the odd ones cannot
         sc = ConstraintScenario(kind="sparsity", n=5, m1=4, m2=4, s1=2, s2=2)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 41)
         rng = np.random.default_rng(42)
@@ -167,24 +152,97 @@ class TestStackedKernel:
         cols = np.array([rng.choice(4, 2, replace=False) for _ in range(T)])
         aS, bS = support_rows(ens, rows, cols)
         z = rng.standard_normal((T, 5)) + 1j * rng.standard_normal((T, 5))
+        for t in range(0, T, 2):
+            M = random_factors(ConstraintScenario("subspace", 5, 2, 2), t).M
+            z[t] = apply_A(ens, _embed_support(M, rows[t], cols[t]))
         X0 = rng.standard_normal((T, 2)) + 1j * rng.standard_normal((T, 2))
-        X, Y, res = _alt_min(aS, bS, z, X0)
-        Xr, Yr, resr = _alt_min(aS[::-1], bS[::-1], z[::-1], X0[::-1])
+        X, Y, res = _lm(aS, bS, z, X0)
+        Xr, Yr, resr = _lm(aS[::-1], bS[::-1], z[::-1], X0[::-1])
         for t in range(T):
             one = slice(t, t + 1)
-            x1, y1, r1 = _alt_min(aS[one], bS[one], z[one], X0[one])
-            xo, yo, ro = oracles.alt_min(ens.a.conj()[:, list(rows[t])],
-                                         ens.b.conj()[:, list(cols[t])], z[t], X0[t])
-            for got in ((X[t], Y[t], res[t]), (Xr[T - 1 - t], Yr[T - 1 - t], resr[T - 1 - t]),
-                        (x1[0], y1[0], r1[0])):
-                assert np.array_equal(got[0], xo) and np.array_equal(got[1], yo)
-                assert got[2] == ro
-        # one support and one measurement vector shared by every slot
-        Xs, Ys, ress = _alt_min(aS[:1], bS[:1], z[:1], X0)
-        assert Xs.shape == Ys.shape == (T, 2) and ress.shape == (T,)
-        for t in range(T):
-            xo, yo, ro = oracles.alt_min(aS[0], bS[0], z[0], X0[t])
-            assert np.array_equal(Xs[t], xo) and np.array_equal(Ys[t], yo) and ress[t] == ro
+            x1, y1, r1 = _lm(aS[one], bS[one], z[one], X0[one])
+            for got in ((X[t], Y[t], res[t]), (Xr[T - 1 - t], Yr[T - 1 - t], resr[T - 1 - t])):
+                assert np.array_equal(got[0], x1[0]) and np.array_equal(got[1], y1[0])
+                assert got[2] == r1[0]
+        assert np.all(res[::2] <= 1e-12) and np.all(res[1::2] > 1e-3)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_row_of_trials_matches_lone_solves(self, noise):
+        # a 20-trial row with 21 starts per trial (420 slots): each trial of
+        # the stacked solve has the bits of its lone solve. Noiseless, every
+        # trial's starts stop together once one reaches the residual floor;
+        # noisy, none reaches it and every slot runs to its own stop
+        sc = subspace(6, 3, 3)
+        ens, z, lone = _stacked_row(sc, 20, 50, noise)
+        fit = solve_fixed_support(ens, z, range(3), range(3), restarts=20,
+                                  rng=[np.random.default_rng(60 + t) for t in range(20)])
+        assert fit.X.shape == (20, 3) and fit.restarts_used == 20
+        for t, ens_t in enumerate(lone):
+            alone = solve_fixed_support(ens_t, z[t], range(3), range(3), restarts=20,
+                                        rng=np.random.default_rng(60 + t))
+            got = fit.result(t)
+            assert np.array_equal(got.M_hat.M, alone.M_hat.M)
+            assert got.residual == alone.residual and got.support == alone.support
+        floor = recovery.LM_RESIDUAL_FLOOR * np.maximum(1.0, np.linalg.norm(z, axis=1))
+        if noise:
+            assert np.all(fit.residual > floor)
+        else:
+            assert np.all(fit.residual <= floor)
+
+    def test_scalar_factor_takes_one_solve(self, monkeypatch):
+        # |S1| = 1 or |S2| = 1: the rank-1 constraint is void and one linear
+        # solve (a second one, in x, when y is the scalar) fits exactly, with
+        # no step
+        calls = []
+        real = recovery._damped_solve
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        monkeypatch.setattr(recovery, "_damped_solve", counted)
+        rng = np.random.default_rng(70)
+        for k1, k2, solves in ((1, 3, 1), (3, 1, 2), (1, 1, 1)):
+            sc = ConstraintScenario("subspace", 2, k1, k2)
+            ens = build_ensemble(sc, COMPLEX_GENERIC, 71)
+            z = apply_A(ens, random_factors(sc, 72))
+            aS, bS = (np.repeat(rows[None], 4, axis=0) for rows in support_rows(ens))
+            calls.clear()
+            _, _, res = _lm(aS, bS, np.tile(z, (4, 1)),
+                            rng.standard_normal((4, k1)) + 1j * rng.standard_normal((4, k1)))
+            assert len(calls) == solves and np.all(res <= 1e-10), (k1, k2)
+
+    def test_slot_at_its_optimum_stops_at_once(self, monkeypatch):
+        # noisy measurements at n = 8 > d have no exact fit. Restarted at
+        # the point it converged to, a slot stops on the step-size test
+        # within a few steps; without that test it rejects steps until lam
+        # exceeds LM_LAMBDA_MAX, 25 steps from LM_LAMBDA_START
+        ens, z, _ = _stacked_row(subspace(8, 3, 3), 4, 80, noise=0.05)
+        aS, bS = (np.ascontiguousarray(rows) for rows in support_rows(ens))
+        X, _, res = _lm(aS, bS, z, np.random.default_rng(81).standard_normal((4, 3)) + 0j)
+        assert np.all(res > 1e-3)
+        real = recovery._damped_solve
+
+        def steps_from_optimum():
+            calls = []
+            monkeypatch.setattr(recovery, "_damped_solve",
+                                lambda *args: calls.append(1) or real(*args))
+            _, _, again = _lm(aS, bS, z, X)
+            assert np.all(again <= res * (1 + 1e-9))
+            return len(calls) - 1  # the first call is the initial y solve
+
+        assert steps_from_optimum() <= 10
+        monkeypatch.setattr(recovery, "LM_STEP_RTOL", 0.0)
+        assert steps_from_optimum() >= 25
+
+    def test_damping_floor_keeps_the_solve_regular(self):
+        # B^H B is 0 in slot 0 and of rank 2 of 4 in slot 1: both solve
+        B = np.zeros((2, 3, 4), dtype=complex)
+        B[1, :, :2] = np.arange(1, 7).reshape(3, 2)
+        w = np.ones((2, 3), dtype=complex)
+        s = recovery._damped_solve(B, w, recovery.LM_LAMBDA_FLOOR)
+        assert np.all(s[0] == 0) and np.all(np.isfinite(s[1]))
+        assert np.allclose(B[1] @ s[1], B[1] @ np.linalg.lstsq(B[1], w[1], rcond=None)[0])
 
 
 def _certify_grid():
@@ -325,7 +383,7 @@ class TestSolveSparseEnumerate:
 
     def test_subspace_kind_is_one_fixed_support_solve(self):
         # a subspace scenario has the single full support; n < m1*m2 takes
-        # the alternating-minimization path, whose restarts draw from rng
+        # the Levenberg-Marquardt path, whose restarts draw from rng
         sc = subspace(6, 3, 3)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 1)
         z_tilde = apply_A(ens, random_factors(sc, 2))
@@ -339,8 +397,8 @@ class TestSolveSparseEnumerate:
         assert rng_enum.bit_generator.state == rng_fixed.bit_generator.state
 
     def test_mixed_alternating_minimization_path(self):
-        # n = 3 < s1*m2 = 4: the adjoint start of this shape comes back
-        # Fortran-ordered from einsum
+        # n = 3 < s1*m2 = 4: the Levenberg-Marquardt path on a support with
+        # k1 != k2, whose adjoint start is a non-square matrix
         sc = ConstraintScenario(kind="mixed", n=3, m1=4, m2=2, s1=2)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 13)
         z = np.random.default_rng(14).standard_normal(3) + 0j
@@ -454,15 +512,9 @@ def test_success_rate_monotone_in_n():
         assert hi >= lo - 2 * sigma
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="_alt_min starts from prev = inf, so its stop test reads inf <= inf "
-           "after the first sweep and every run returns after one sweep; "
-           "below m1*m2 measurements recovery then fails")
-def test_alt_min_converges_from_random_start():
-    # n = 6 = d < m1*m2 = 9: least squares cannot solve it, alternating
-    # minimization from a random start must
-    from blindid.recovery import _alt_min
+def test_lm_converges_from_random_start():
+    # n = 6 = d < m1*m2 = 9: least squares cannot solve it, the
+    # Levenberg-Marquardt kernel from random starts must
     sc = ConstraintScenario(kind="subspace", n=6, m1=3, m2=3)
     ens = build_ensemble(sc, COMPLEX_GENERIC, 31)
     M0 = random_factors(sc, 32)
@@ -470,5 +522,8 @@ def test_alt_min_converges_from_random_start():
     rng = np.random.default_rng(33)
     X0 = np.array([rng.standard_normal(3) + 1j * rng.standard_normal(3)
                    for _ in range(10)])
-    residuals = _alt_min(ens.a.conj()[None], ens.b.conj()[None], z[None], X0)[2]
+    aS, bS = (np.repeat(rows[None], 10, axis=0) for rows in support_rows(ens))
+    X, Y, residuals = _lm(aS, bS, np.tile(z, (10, 1)), X0)
     assert min(residuals) <= 1e-8
+    best = int(np.argmin(residuals))
+    assert align_and_distance(np.outer(X[best], Y[best]), M0) <= 1e-6
