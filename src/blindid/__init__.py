@@ -11,13 +11,12 @@ from .ensembles import (COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL, REAL_GENERIC,
                         ScenarioError, build_ensemble, mix_seed,
                         sample_uniform_complex_ball_batch,
                         sample_uniform_real_ball_batch)
-from .lifting import (LiftedMatrix, apply_A, apply_A_adjoint, apply_G,
+from .lifting import (LiftedMatrix, apply_A, apply_G,
                       calibrated_isometry_radius, mean_isometry_radius,
                       operator_matrix)
 from .mc import (STABILITY_COLUMNS, TRANSITION_COLUMNS, TrialPlan,
                  estimate_small_ball_prob, mean_isometry_relative_error,
-                 run_manifest, run_phase_transition, run_stability_sweep,
-                 sweep_csv)
+                 run_phase_transition, run_stability_sweep, sweep_csv)
 from .recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
                        HEURISTICALLY_UNIQUE, IdentifiabilityVerdict,
                        RecoveryResult, admissible_supports, align_and_distance,

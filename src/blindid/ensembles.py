@@ -109,14 +109,6 @@ class ConstraintScenario:
             d["s2"] = self.s2
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConstraintScenario":
-        return cls(
-            kind=d["kind"], n=int(d["n"]), m1=int(d["m1"]), m2=int(d["m2"]),
-            s1=None if d.get("s1") is None else int(d["s1"]),
-            s2=None if d.get("s2") is None else int(d["s2"]),
-        )
-
 
 def mix_seed(master_seed: int, *indices: int) -> int:
     """Derive an independent 64-bit sub-seed from a master seed and indices.
@@ -197,12 +189,6 @@ class Ensemble:
             "seed": self.seed,
             "R": self.R,
         }
-
-    @classmethod
-    def from_manifest(cls, manifest: dict) -> "Ensemble":
-        sc = ConstraintScenario.from_dict(manifest["scenario"])
-        return build_ensemble(sc, manifest["tag"], int(manifest["seed"]),
-                              R=manifest.get("R"))
 
 
 def _rows_from_matrix(D: np.ndarray) -> np.ndarray:

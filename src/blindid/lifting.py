@@ -20,7 +20,6 @@ __all__ = [
     "LiftedMatrix",
     "apply_G",
     "apply_A",
-    "apply_A_adjoint",
     "support_rows",
     "operator_matrix",
     "mean_isometry_radius",
@@ -104,23 +103,6 @@ def apply_G(ens: Ensemble, M) -> np.ndarray:
         return np.sqrt(ens.n) * spectral.dft(u * v, "inverse")
     vals = apply_A(ens, M)
     return np.sqrt(ens.n) * spectral.dft(vals, "inverse")
-
-
-def apply_A_adjoint(ens: Ensemble, w) -> LiftedMatrix:
-    """Adjoint of the frequency operator under <A, M> = trace(A^* M).
-
-    Satisfies <apply_A(M), w> = <M, apply_A_adjoint(w)> for all M, with the
-    vector inner product conjugate-linear in its first argument.
-    """
-    w = np.asarray(w, dtype=np.complex128)
-    if w.shape != (ens.n,):
-        raise ValueError(f"expected length-{ens.n} vector, got shape {w.shape}")
-    # the path optimize=True picks, given so that no call searches for it:
-    # contract w into the narrower factor first
-    m1, m2 = ens.a.shape[1], ens.b.shape[1]
-    path = ["einsum_path", (0, 1) if m1 <= m2 else (0, 2), (0, 1)]
-    M = np.einsum("j,jm,jk->mk", w, ens.a, ens.b, optimize=path)
-    return LiftedMatrix(M=M)
 
 
 def support_rows(ens: Ensemble, rows=None, cols=None):

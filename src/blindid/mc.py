@@ -11,20 +11,19 @@ seed is s, in every row: a sweep point is a plain ConstraintScenario at
 that n, also below the sample count d. A row's trials are solved as
 stacks, one solve per support with the trials' solver starts as the slots
 of the Levenberg-Marquardt kernel, and each trial gets the bits of its
-lone replay (a stack of one trial). Stability sweeps search every
-delta > 0 trial in one batched L-BFGS run, and each trial's result does not
-depend on the batch it is solved in. Each start of the batch runs its own
-line search, and one objective call per round serves every running start.
-A round costs numpy dispatches, not arithmetic, so the kernel makes few:
-its state covers running starts only and is compacted when a start stops.
+replay by `recover`, which solves the stack of that trial alone.
+Stability sweeps search every delta > 0 trial in one batched L-BFGS run,
+and each trial's result does not depend on the batch it is solved in.
+Each start of the batch runs its own line search, and one objective call
+per round serves every running start. A round costs numpy dispatches, not
+arithmetic, so the kernel makes few: its state covers running starts only
+and is compacted when a start stops.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,7 +47,6 @@ __all__ = [
     "draw_trial",
     "recover_trial",
     "sweep_csv",
-    "run_manifest",
 ]
 
 # The CSV columns of each sweep, in order. Sweep rows are dicts with these
@@ -85,11 +83,11 @@ class TrialPlan:
             raise ValueError("trials must be >= 1")
         if not self.noise_level >= 0:
             raise ValueError("noise_level must be nonnegative")
+        if self.restarts < 0:
+            raise ValueError(f"restarts must be >= 0, got {self.restarts}")
+        if self.starts < 1:
+            raise ValueError(f"starts must be >= 1, got {self.starts}")
         object.__setattr__(self, "sweep", tuple(self.sweep))
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {**out, "sc": self.sc.to_dict(), "sweep": list(self.sweep)}
 
 
 def _fmt(x) -> str:
@@ -242,6 +240,8 @@ def _recover_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
     stream, so each gets the bits of recover_trial alone."""
     if not noise_level >= 0:
         raise ValueError("noise_level must be nonnegative")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     size = max(1, RECOVERY_STACK_ENTRIES // (sc.n * sc.m1 * sc.m2 * (restarts + 1)))
     if len(seeds) > size:
         return [out for start in range(0, len(seeds), size)
@@ -663,10 +663,3 @@ def run_stability_sweep(plan: TrialPlan) -> list[dict]:
         rows.append(row)
     return rows
 
-
-def run_manifest(plan: TrialPlan) -> dict:
-    """Plan echo with a content hash of its canonical JSON form."""
-    plan_dict = plan.to_dict()
-    canon = json.dumps(plan_dict, sort_keys=True, separators=(",", ":"))
-    return {"plan": plan_dict,
-            "config_sha256": hashlib.sha256(canon.encode()).hexdigest()}

@@ -12,12 +12,12 @@ counterexamples, which is explicitly non-conclusive when it finds nothing.
 The kernel runs on a stack of slots, each with the arithmetic of a lone
 run: the starts of every trial of a stacked ensemble (one solve per
 support for a whole transition row), or a chunk of certifier attempts. A
-trial's starts stop together as soon as one of them fits exactly; a lone
-solve is the stack of one trial. Certifier attempts run in chunks of 1, 2,
-4, ..., so a search may draw from the caller's rng past the attempt it
-returns; verdicts and budgets do not change. Per attempt only the rng
-draws run in Python; the planted matrices, their measurements and the fits
-run once per chunk, on the whole stack.
+trial's starts stop together as soon as one of them fits exactly. The
+solvers take stacks only; one trial is a stack of one. Certifier attempts
+run in chunks of 1, 2, 4, ..., so a search may draw from the caller's rng
+past the attempt it returns; verdicts and budgets do not change. Per
+attempt only the rng draws run in Python; the planted matrices, their
+measurements and the fits run once per chunk, on the whole stack.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ensembles import ConstraintScenario, Ensemble, stack_ensembles
+from .ensembles import ConstraintScenario, Ensemble
 from .lifting import LiftedMatrix, apply_A, as_matrix, operator_matrix, support_rows
 
 __all__ = [
@@ -274,35 +274,32 @@ def _random_factors(count: int, size: int, rng: np.random.Generator) -> np.ndarr
 
 def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray,
                         S1: Sequence[int], S2: Sequence[int],
-                        restarts: int = 0,
-                        rng=None,
-                        truth: Optional[LiftedMatrix] = None
-                        ) -> RecoveryResult | RecoveryStack:
-    """Minimize the frequency residual over rank-1 matrices supported on S1 x S2.
+                        restarts: int, rng: Sequence[np.random.Generator]) -> RecoveryStack:
+    """Minimize the frequency residual over rank-1 matrices supported on
+    S1 x S2, for each trial of a stack.
 
-    When n >= |S1|*|S2| the unconstrained least-squares problem on the
-    support is solved and projected to the nearest rank-1 matrix; otherwise
-    the Levenberg-Marquardt kernel runs from a spectral initialization plus
-    `restarts` random initializations, keeping the best residual
-    (first-found wins ties). The starts stop together as soon as one of
-    them reaches the residual floor.
-
-    ens may be a stack of T trials (stack_ensembles), with z_tilde (T, n)
-    and rng a sequence of T generators, one per trial (None gives each
-    trial default_rng(0)); the result is then a RecoveryStack whose trial t
-    has the bits of a lone call on trial t. A lone call is the stack of one
-    trial; it returns that trial's RecoveryResult, scored against truth.
+    ens is a stack of T trials (stack_ensembles), z_tilde (T, n) holds
+    their measurements and rng one generator per trial. When
+    n >= |S1|*|S2| the unconstrained least-squares problem on the support
+    is solved and projected to the nearest rank-1 matrix; otherwise the
+    Levenberg-Marquardt kernel runs from a spectral initialization plus
+    `restarts` random initializations drawn from the trial's generator,
+    keeping the best residual (first-found wins ties). A trial's starts stop
+    together as soon as one of them reaches the residual floor. Trial t of
+    the result has the bits of a solve of the stack of trial t alone.
     """
     S1 = tuple(sorted(S1))
     S2 = tuple(sorted(S2))
-    if not S1 or not S2:
-        raise ValueError("support sets must be nonempty")
+    sc = ens.scenario
+    for S, m in ((S1, sc.m1), (S2, sc.m2)):
+        if not S or len(set(S)) < len(S) or not 0 <= S[0] <= S[-1] < m:
+            raise ValueError(f"support {S} must be nonempty distinct indices in 0..{m - 1}")
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
-    ens, rng, lone = _as_stack(ens, rng)
-    z_tilde = np.asarray(z_tilde, dtype=np.complex128).reshape(-1, ens.n)
+    z_tilde = np.asarray(z_tilde, dtype=np.complex128)
+    if ens.a.ndim != 3 or z_tilde.shape != (len(ens.a), ens.n):
+        raise ValueError(f"expected a stack of T trials and measurements (T, {ens.n})")
     T = len(z_tilde)
-    sc = ens.scenario
     aS, bS = support_rows(ens, S1, S2)
     X = np.zeros((T, sc.m1), dtype=np.complex128)
     Y = np.zeros((T, sc.m2), dtype=np.complex128)
@@ -317,14 +314,11 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray,
             X[t, S1], Y[t, S2] = xs, ys
         restarts_used = 0
     else:
-        if rng is None:
-            rng = [None] * T
         aS, bS = np.ascontiguousarray(aS), np.ascontiguousarray(bS)
         # the spectral start: the top rank-1 factor of the adjoint on the support
         adjoint = (aS.conj().swapaxes(1, 2) * z_tilde[:, None, :]) @ bS.conj()
         x_init, _ = _top_rank1(adjoint)
-        draws = [_random_factors(restarts, len(S1), np.random.default_rng(0) if g is None else g)
-                 for g in rng]
+        draws = [_random_factors(restarts, len(S1), g) for g in rng]
         X0 = np.concatenate([x_init[:, None], np.stack(draws)], axis=1)
         starts = restarts + 1
         Xs, Ys, res = _lm(*(np.repeat(arr, starts, axis=0) for arr in (aS, bS, z_tilde)),
@@ -333,39 +327,26 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray,
         X[:, S1], Y[:, S2], residual = Xs[best], Ys[best], res[best]
         restarts_used = restarts
 
-    fit = RecoveryStack(X, Y, residual, ((S1, S2),) * T, restarts_used)
-    return fit.result(0, truth) if lone else fit
+    return RecoveryStack(X, Y, residual, ((S1, S2),) * T, restarts_used)
 
 
-def solve_sparse_enumerate(ens: Ensemble, z_tilde: np.ndarray,
-                           restarts: int = 0,
-                           rng=None,
-                           truth: Optional[LiftedMatrix] = None
-                           ) -> RecoveryResult | RecoveryStack:
-    """Enumerate all admissible supports and keep the smallest residual.
+def solve_sparse_enumerate(ens: Ensemble, z_tilde: np.ndarray, restarts: int,
+                           rng: Sequence[np.random.Generator]) -> RecoveryStack:
+    """Enumerate all admissible supports and keep, per trial, the smallest
+    residual.
 
-    A subspace scenario has the single full support, so this is then one
+    Takes and returns stacks of trials as solve_fixed_support does. A
+    subspace scenario has the single full support, so this is then one
     solve_fixed_support call. Supports are visited in lexicographic order
-    and only a strictly smaller residual replaces the incumbent, so ties
-    resolve to the lexicographically smallest support. Stacks of trials
-    are taken and returned as by solve_fixed_support, each trial keeping
-    its own best support.
+    and only a strictly smaller residual replaces a trial's incumbent, so
+    ties resolve to the lexicographically smallest support.
     """
-    ens, rng, lone = _as_stack(ens, rng)
     best: Optional[RecoveryStack] = None
     for S1, S2 in admissible_supports(ens.scenario):
-        fit = solve_fixed_support(ens, z_tilde, S1, S2, restarts=restarts, rng=rng)
+        fit = solve_fixed_support(ens, z_tilde, S1, S2, restarts, rng)
         best = fit if best is None else best.improved_by(fit)
     assert best is not None
-    return best.result(0, truth) if lone else best
-
-
-def _as_stack(ens: Ensemble, rng):
-    """A lone ensemble and its rng as a stack of one trial, and whether the
-    call was lone."""
-    if ens.a.ndim == 3:
-        return ens, rng, False
-    return stack_ensembles([ens]), [rng], True
+    return best
 
 
 def align_and_distance(M1, M2) -> float:

@@ -107,10 +107,19 @@ class TestExitCodes:
           "--tol", "0.1"], "far threshold 10 * tol stays below the unit-ball radius"),
         (["stability", "--n", "10", "--tag", "complex_uniform_ball", "--sweep", "0.1",
           "--trials", "1", "--starts", "-7"], "starts must be >= 1"),
+        (["stability", "--n", "10", "--tag", "complex_uniform_ball", "--sweep", "0",
+          "--trials", "1", "--starts", "0"], "starts must be >= 1"),
         (["recover", "--n", "3", "--restarts", "-4"], "restarts must be >= 0"),
+        (["recover", "--n", "3", "--restarts", "-1"], "restarts must be >= 0"),
+        (["transition", "--n", "3", "--sweep", "3", "--trials", "1", "--restarts", "-1"],
+         "restarts must be >= 0"),
+        (["stability", "--n", "10", "--tag", "complex_uniform_ball", "--sweep", "0",
+          "--trials", "1", "--restarts", "-1"], "restarts must be >= 0"),
         (["recover", "--n", "3", "--noise-level", "-0.5"],
          "noise_level must be nonnegative"),
-    ], ids=["budget", "tol", "tol_knife_edge", "starts", "restarts", "noise_level"])
+    ], ids=["budget", "tol", "tol_knife_edge", "starts", "starts_zero_delta", "restarts",
+            "restarts_minus_one", "transition_restarts", "stability_restarts",
+            "noise_level"])
     def test_bad_search_size_is_two(self, capsys, argv, message):
         if "--kind" in argv:
             scenario = []

@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 from scipy import stats
 
 from blindid.ensembles import (COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL,
                                REAL_GENERIC, REAL_UNIFORM_BALL,
-                               ConstraintScenario, Ensemble, ScenarioError,
+                               ConstraintScenario, ScenarioError,
                                build_ensemble, mix_seed,
                                sample_uniform_complex_ball_batch,
                                sample_uniform_real_ball_batch)
@@ -40,10 +38,6 @@ class TestScenarioValidation:
             ConstraintScenario(kind="sparsity", n=5, m1=4, m2=4, s1=1)
         with pytest.raises(ScenarioError):
             ConstraintScenario(kind="sparsity", n=5, m1=4, m2=4, s1=1, s2=5)
-
-    def test_dict_round_trip(self):
-        sc = ConstraintScenario(kind="sparsity", n=6, m1=4, m2=3, s1=2, s2=1)
-        assert ConstraintScenario.from_dict(sc.to_dict()) == sc
 
 
 class TestSeedMixing:
@@ -196,9 +190,3 @@ class TestEnsembleBuild:
             assert np.linalg.norm(rows, axis=1).max() <= R * (1 + 1e-12)
             free = rows[1:(n + 1) // 2]
             assert len({tuple(r) for r in free}) == len(free)
-
-    def test_manifest_round_trip(self):
-        ens = build_ensemble(SC, COMPLEX_UNIFORM_BALL, 17, R=0.9)
-        again = Ensemble.from_manifest(json.loads(json.dumps(ens.to_manifest())))
-        assert np.array_equal(ens.D, again.D)
-        assert np.array_equal(ens.b, again.b)

@@ -3,7 +3,7 @@ import pytest
 
 from blindid.ensembles import (COMPLEX_GENERIC, ConstraintScenario, Ensemble,
                                build_ensemble)
-from blindid.lifting import (LiftedMatrix, apply_A, apply_A_adjoint, apply_G,
+from blindid.lifting import (LiftedMatrix, apply_A, apply_G,
                              calibrated_isometry_radius, mean_isometry_radius,
                              operator_matrix, support_rows)
 from blindid.spectral import circular_convolve, dft
@@ -42,7 +42,7 @@ class TestLiftedMatrix:
             LiftedMatrix(M=np.array([[0, 1j * np.inf], [0, 0]]))
 
     def test_accepts_non_contiguous_matrix(self):
-        # apply_A_adjoint's einsum may return a Fortran-ordered matrix
+        # a transpose or an einsum result may be a Fortran-ordered matrix
         M = np.asfortranarray(np.arange(8.0).reshape(4, 2) + 1j)
         assert np.array_equal(LiftedMatrix(M=M).M, M)
         assert np.array_equal(LiftedMatrix(M=M.T).M, M.T)
@@ -132,46 +132,6 @@ class TestOperators:
         ens = make_ensemble()
         with pytest.raises(ValueError):
             apply_A(ens, np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            apply_A_adjoint(ens, np.zeros(5))
-
-
-class TestAdjoint:
-    def test_zero(self):
-        ens = make_ensemble()
-        assert np.linalg.norm(apply_A_adjoint(ens, np.zeros(6)).M) == 0.0
-
-    def test_defining_identity(self):
-        # <w, A(M)> = <A*(w), M> with the first argument conjugated
-        ens = make_ensemble()
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            M = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-            w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            lhs = np.vdot(w, apply_A(ens, M))
-            rhs = np.vdot(apply_A_adjoint(ens, w).M, M)
-            assert abs(lhs - rhs) < 1e-10
-
-    def test_single_term_expansion(self):
-        ens = make_ensemble(n=1, m1=1, m2=1, seed=3)
-        rng = np.random.default_rng(11)
-        w = rng.standard_normal(1) + 1j * rng.standard_normal(1)
-        expected = w[0] * np.outer(ens.a[0], ens.b[0])
-        assert np.linalg.norm(apply_A_adjoint(ens, w).M - expected) < 1e-12
-
-    def test_fixed_path_equals_searched_path(self):
-        # the adjoint passes the contraction path that optimize=True finds,
-        # so its bytes and memory layout must equal those of the search
-        rng = np.random.default_rng(13)
-        for n in (1, 2, 3, 5, 9, 16, 64, 1024):
-            for m1 in range(1, 6):
-                for m2 in range(1, 6):
-                    ens = make_ensemble(n, m1, m2, seed=n + 7 * m1 + 49 * m2)
-                    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                    M = apply_A_adjoint(ens, w).M
-                    ref = np.einsum("j,jm,jk->mk", w, ens.a, ens.b, optimize=True)
-                    assert M.tobytes(order="A") == ref.tobytes(order="A")
-                    assert M.flags.f_contiguous == ref.flags.f_contiguous
 
 
 def test_operator_matrix_column_major():

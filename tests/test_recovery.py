@@ -24,6 +24,13 @@ def subspace(n, m1=2, m2=2):
     return ConstraintScenario(kind="subspace", n=n, m1=m1, m2=m2)
 
 
+def solve_one(solver, ens, z, *supports, restarts, rng, truth=None):
+    """solver on the stack of one trial, ens with measurements z: the
+    trial's RecoveryResult, scored against truth."""
+    fit = solver(stack_ensembles([ens]), z[None], *supports, restarts, [rng])
+    return fit.result(0, truth)
+
+
 def random_factors(sc, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(sc.m1) + 1j * rng.standard_normal(sc.m1)
@@ -61,7 +68,8 @@ class TestSolveFixedSupport:
         sc = subspace(5)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 1)
         M0 = random_factors(sc, 2)
-        res = solve_fixed_support(ens, apply_A(ens, M0), range(2), range(2))
+        res = solve_one(solve_fixed_support, ens, apply_A(ens, M0), range(2), range(2),
+                        restarts=0, rng=np.random.default_rng(0))
         assert res.lifted_error is None
         assert align_and_distance(res.M_hat, M0) < 1e-8
         assert res.residual < 1e-10
@@ -69,7 +77,8 @@ class TestSolveFixedSupport:
     def test_zero_measurements_give_zero(self):
         sc = subspace(5)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 1)
-        res = solve_fixed_support(ens, np.zeros(5), range(2), range(2))
+        res = solve_one(solve_fixed_support, ens, np.zeros(5), range(2), range(2),
+                        restarts=0, rng=np.random.default_rng(0))
         assert np.linalg.norm(res.M_hat.M) == 0.0
         assert res.residual == 0.0
 
@@ -82,10 +91,10 @@ class TestSolveFixedSupport:
         ens = build_ensemble(sc, COMPLEX_GENERIC, 4)
         M0 = random_factors(sc, 5)
         z = apply_A(ens, M0)
-        res0 = solve_fixed_support(ens, z, range(2), range(2), restarts=0)
-        res = solve_fixed_support(ens, z, range(2), range(2),
-                                  restarts=10, rng=np.random.default_rng(6),
-                                  truth=M0)
+        res0 = solve_one(solve_fixed_support, ens, z, range(2), range(2),
+                         restarts=0, rng=np.random.default_rng(0))
+        res = solve_one(solve_fixed_support, ens, z, range(2), range(2),
+                        restarts=10, rng=np.random.default_rng(6), truth=M0)
         assert res.residual <= res0.residual
         assert res.restarts_used == 10
         assert res.lifted_error is not None
@@ -102,21 +111,38 @@ class TestSolveFixedSupport:
         sc = subspace(5)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 7)
         z = np.random.default_rng(8).standard_normal(5) + 0j
-        res = solve_fixed_support(ens, z, range(2), range(2))
+        res = solve_one(solve_fixed_support, ens, z, range(2), range(2),
+                        restarts=0, rng=np.random.default_rng(0))
         again = np.linalg.norm(apply_A(ens, res.M_hat) - z)
         assert abs(again - res.residual) < 1e-12
 
     def test_empty_support_rejected(self):
-        sc = subspace(5)
-        ens = build_ensemble(sc, COMPLEX_GENERIC, 1)
-        with pytest.raises(ValueError):
-            solve_fixed_support(ens, np.zeros(5), [], range(2))
+        # so are duplicated, negative and out-of-range indices, on either
+        # side, before any solve
+        ens = stack_ensembles([build_ensemble(subspace(5), COMPLEX_GENERIC, 1)])
+        for bad in ([], [0, 0], [-1], [2]):
+            for supports in ((bad, range(2)), (range(2), bad)):
+                with pytest.raises(ValueError, match="distinct indices in 0..1"):
+                    solve_fixed_support(ens, np.zeros((1, 5)), *supports, 0,
+                                        [np.random.default_rng(0)])
+
+    def test_lone_ensemble_rejected(self):
+        # the solvers take stacks only, with one row of measurements per trial
+        ens = build_ensemble(subspace(5), COMPLEX_GENERIC, 1)
+        rng = [np.random.default_rng(0)]
+        for solve_on, z in ((ens, np.zeros(5)), (stack_ensembles([ens]), np.zeros(5)),
+                            (stack_ensembles([ens]), np.zeros((2, 5)))):
+            with pytest.raises(ValueError, match="stack of T trials"):
+                solve_fixed_support(solve_on, z, range(2), range(2), 0, rng)
+            with pytest.raises(ValueError, match="stack of T trials"):
+                solve_sparse_enumerate(solve_on, z, 0, rng)
 
     def test_solution_vanishes_off_support(self):
         sc = ConstraintScenario(kind="sparsity", n=6, m1=4, m2=4, s1=2, s2=2)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 9)
         z = np.random.default_rng(10).standard_normal(6) + 0j
-        res = solve_fixed_support(ens, z, [1, 3], [0, 2])
+        res = solve_one(solve_fixed_support, ens, z, [1, 3], [0, 2],
+                        restarts=0, rng=np.random.default_rng(0))
         assert np.all(res.M_hat.x[[0, 2]] == 0)
         assert np.all(res.M_hat.y[[1, 3]] == 0)
 
@@ -174,12 +200,12 @@ class TestStackedKernel:
         # noisy, none reaches it and every slot runs to its own stop
         sc = subspace(6, 3, 3)
         ens, z, lone = _stacked_row(sc, 20, 50, noise)
-        fit = solve_fixed_support(ens, z, range(3), range(3), restarts=20,
-                                  rng=[np.random.default_rng(60 + t) for t in range(20)])
+        fit = solve_fixed_support(ens, z, range(3), range(3), 20,
+                                  [np.random.default_rng(60 + t) for t in range(20)])
         assert fit.X.shape == (20, 3) and fit.restarts_used == 20
         for t, ens_t in enumerate(lone):
-            alone = solve_fixed_support(ens_t, z[t], range(3), range(3), restarts=20,
-                                        rng=np.random.default_rng(60 + t))
+            alone = solve_one(solve_fixed_support, ens_t, z[t], range(3), range(3),
+                              restarts=20, rng=np.random.default_rng(60 + t))
             got = fit.result(t)
             assert np.array_equal(got.M_hat.M, alone.M_hat.M)
             assert got.residual == alone.residual and got.support == alone.support
@@ -370,14 +396,16 @@ class TestSolveSparseEnumerate:
         x[2] = 1.5 - 1j
         y[1] = 0.5 + 2j
         M0 = LiftedMatrix.from_factors(x, y)
-        res = solve_sparse_enumerate(ens, apply_A(ens, M0))
+        res = solve_one(solve_sparse_enumerate, ens, apply_A(ens, M0),
+                        restarts=0, rng=np.random.default_rng(0))
         assert res.support == ((2,), (1,))
         assert align_and_distance(res.M_hat, M0) < 1e-8
 
     def test_zero_ties_break_to_first_support(self):
         sc = ConstraintScenario(kind="sparsity", n=5, m1=3, m2=3, s1=1, s2=1)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 12)
-        res = solve_sparse_enumerate(ens, np.zeros(5))
+        res = solve_one(solve_sparse_enumerate, ens, np.zeros(5),
+                        restarts=0, rng=np.random.default_rng(0))
         assert res.support == ((0,), (0,))
         assert np.linalg.norm(res.M_hat.M) == 0.0
 
@@ -388,9 +416,9 @@ class TestSolveSparseEnumerate:
         ens = build_ensemble(sc, COMPLEX_GENERIC, 1)
         z_tilde = apply_A(ens, random_factors(sc, 2))
         rng_enum, rng_fixed = np.random.default_rng(3), np.random.default_rng(3)
-        enum = solve_sparse_enumerate(ens, z_tilde, restarts=4, rng=rng_enum)
-        fixed = solve_fixed_support(ens, z_tilde, range(3), range(3), restarts=4,
-                                    rng=rng_fixed)
+        enum = solve_one(solve_sparse_enumerate, ens, z_tilde, restarts=4, rng=rng_enum)
+        fixed = solve_one(solve_fixed_support, ens, z_tilde, range(3), range(3),
+                          restarts=4, rng=rng_fixed)
         assert np.array_equal(enum.M_hat.M, fixed.M_hat.M)
         assert (enum.residual, enum.support, enum.restarts_used) == \
             (fixed.residual, fixed.support, fixed.restarts_used)
@@ -402,7 +430,8 @@ class TestSolveSparseEnumerate:
         sc = ConstraintScenario(kind="mixed", n=3, m1=4, m2=2, s1=2)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 13)
         z = np.random.default_rng(14).standard_normal(3) + 0j
-        res = solve_sparse_enumerate(ens, z, restarts=2, rng=np.random.default_rng(15))
+        res = solve_one(solve_sparse_enumerate, ens, z, restarts=2,
+                        rng=np.random.default_rng(15))
         assert res.restarts_used == 2 and np.isfinite(res.residual)
 
     def test_mixed_scenario(self):
@@ -412,7 +441,8 @@ class TestSolveSparseEnumerate:
         x[3] = 2.0
         y = np.array([1.0, -1j])
         M0 = LiftedMatrix.from_factors(x, y)
-        res = solve_sparse_enumerate(ens, apply_A(ens, M0))
+        res = solve_one(solve_sparse_enumerate, ens, apply_A(ens, M0),
+                        restarts=0, rng=np.random.default_rng(0))
         assert align_and_distance(res.M_hat, M0) < 1e-8
 
 
