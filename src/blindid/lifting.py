@@ -106,12 +106,12 @@ def apply_G(ens: Ensemble, M) -> np.ndarray:
 
 
 def support_rows(ens: Ensemble, rows=None, cols=None):
-    """Conjugated frequency rows (a_j^*, b_j^*) restricted to a support.
+    """Conjugated frequency rows (a_j^*, b_j^*) restricted to supports.
 
-    rows and cols index the last axis of a and b; None keeps every column.
-    On a stacked ensemble, a and b are (T, n, m) and 1-D index arrays give
-    (T, n, |rows|) and (T, n, |cols|). On a lone ensemble, a 2-D index
-    array of T supports gives the same shapes, one support per slot.
+    rows (P, k1) and cols (P, k2) are index arrays of P supports on the
+    last axis of a and b, one support per slot; None keeps every column.
+    A lone ensemble gives (P, n, k1) and (P, n, k2), a stack of T trials
+    (T, P, n, k1) and (T, P, n, k2).
     """
     return _restrict(ens.a.conj(), rows), _restrict(ens.b.conj(), cols)
 
@@ -120,18 +120,19 @@ def _restrict(rows_of: np.ndarray, idx) -> np.ndarray:
     if idx is None:
         return rows_of
     idx = np.asarray(idx)
-    out = rows_of[..., idx]
-    return out.swapaxes(0, -2) if idx.ndim == 2 else out
+    if idx.ndim != 2:
+        raise ValueError(f"supports must be a (P, k) index array, got shape {idx.shape}")
+    return rows_of[..., idx].swapaxes(-2, -3)
 
 
 def operator_matrix(ens: Ensemble, rows=None, cols=None) -> np.ndarray:
     """Matrix of the frequency operator on column-major vectorized input.
 
     Row j holds the coefficients so that operator_matrix @ vec(M) equals
-    apply_A(M), with vec(M) in column-major (Fortran) order. Optional row
-    and column index sets restrict M to a support; 2-D index arrays, or a
-    stacked ensemble, give one matrix per support or trial, stacked along
-    the first axis.
+    apply_A(M), with vec(M) in column-major (Fortran) order. Optional
+    (P, k) row and column index arrays restrict M to P supports, as in
+    support_rows, and give one matrix per support; a stacked ensemble
+    gives one matrix per trial (and support), stacked along the first axes.
     """
     a, b = support_rows(ens, rows, cols)
     # column index k * |rows| + m matches column-major vectorization

@@ -9,8 +9,8 @@ recover_trial) serves the phase transitions, the delta = 0 stability rows
 and the CLI's `recover`, so `recover --seed s` replays the sweep trial whose
 seed is s, in every row: a sweep point is a plain ConstraintScenario at
 that n, also below the sample count d. A row's trials are solved as
-stacks, one solve per support with the trials' solver starts as the slots
-of the Levenberg-Marquardt kernel, and each trial gets the bits of its
+stacks, one solve per stack with every (trial, support, solver start) a
+slot of the Levenberg-Marquardt kernel, and each trial gets the bits of its
 replay by `recover`, which solves the stack of that trial alone.
 Stability sweeps search every delta > 0 trial in one batched L-BFGS run,
 and each trial's result does not depend on the batch it is solved in.
@@ -33,7 +33,8 @@ from .ensembles import (COMPLEX_UNIFORM_BALL, REAL_GENERIC, REAL_UNIFORM_BALL,
                         ConstraintScenario, Ensemble, build_ensemble, mix_seed,
                         sample_uniform_complex_ball_batch, stack_ensembles)
 from .lifting import LiftedMatrix, apply_G, mean_isometry_radius
-from .recovery import RecoveryResult, is_recovered, solve_sparse_enumerate
+from .recovery import (RecoveryResult, _times, admissible_supports, is_recovered,
+                       solve_sparse_enumerate)
 
 __all__ = [
     "TrialPlan",
@@ -226,7 +227,7 @@ def recover_trial(sc: ConstraintScenario, tag: str, seed: int, *,
                            noise_level=noise_level)[0]
 
 
-# Bound on n * m1 * m2 * (restarts + 1) * trials per stack of trials that
+# Bound on P*n*k1*k2*(restarts + 1)*trials (P supports of k1 x k2) per stack
 # _recover_trials solves at once. Trials are independent, so the bound
 # changes no result; it keeps a sweep's memory flat in the number of trials.
 RECOVERY_STACK_ENTRIES = 1 << 20
@@ -236,13 +237,15 @@ def _recover_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
                     R: Optional[float], restarts: int,
                     noise_level: float) -> list[Tuple[RecoveryResult, bool]]:
     """recover_trial for each seed, solved in stacks of trials: one solve
-    per support for all trials of a stack, each trial with its own solver
-    stream, so each gets the bits of recover_trial alone."""
+    for all trials of a stack, each trial with its own solver stream, so
+    each gets the bits of recover_trial alone."""
     if not noise_level >= 0:
         raise ValueError("noise_level must be nonnegative")
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
-    size = max(1, RECOVERY_STACK_ENTRIES // (sc.n * sc.m1 * sc.m2 * (restarts + 1)))
+    supports = admissible_supports(sc)
+    per_trial = len(supports) * math.prod(map(len, supports[0])) * sc.n * (restarts + 1)
+    size = max(1, RECOVERY_STACK_ENTRIES // per_trial)
     if len(seeds) > size:
         return [out for start in range(0, len(seeds), size)
                 for out in _recover_trials(sc, tag, seeds[start:start + size], R=R,
@@ -308,11 +311,6 @@ def _sqnorm(z: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each slot of a C-contiguous complex stack."""
     zf = z.reshape(len(z), -1).view(float)
     return np.vecdot(zf, zf)
-
-
-def _times(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """rows @ z per slot: (k, n, m) stack times (k, m) vectors, (k, n)."""
-    return (rows @ z[:, :, None])[:, :, 0]
 
 
 # Weight of the squared proximity and unit-ball penalties.

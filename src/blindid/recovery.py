@@ -10,14 +10,15 @@ restricted linear operator) with a multi-start heuristic search for
 counterexamples, which is explicitly non-conclusive when it finds nothing.
 
 The kernel runs on a stack of slots, each with the arithmetic of a lone
-run: the starts of every trial of a stacked ensemble (one solve per
-support for a whole transition row), or a chunk of certifier attempts. A
-trial's starts stop together as soon as one of them fits exactly. The
-solvers take stacks only; one trial is a stack of one. Certifier attempts
-run in chunks of 1, 2, 4, ..., so a search may draw from the caller's rng
-past the attempt it returns; verdicts and budgets do not change. Per
-attempt only the rng draws run in Python; the planted matrices, their
-measurements and the fits run once per chunk, on the whole stack.
+run: every (trial, support, start) of a solve, one solve for a whole
+transition row, or a chunk of certifier attempts; both take supports as
+(P, k) index arrays. A trial's starts on one support stop together as
+soon as one of them fits exactly. One trial is a stack of one. Certifier
+attempts run in chunks of 1, 2, 4, ..., so a search may draw from the
+caller's rng past the attempt it returns; verdicts and budgets do not
+change. Per attempt only the rng draws run in Python; the planted
+matrices, their measurements and the fits run once per chunk, on the
+whole stack.
 """
 
 from __future__ import annotations
@@ -99,16 +100,6 @@ class RecoveryStack:
     supports: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
     restarts_used: int = 0
 
-    def improved_by(self, other: "RecoveryStack") -> "RecoveryStack":
-        """Per trial, other's result where its residual is strictly smaller."""
-        better = other.residual < self.residual
-        return RecoveryStack(
-            np.where(better[:, None], other.X, self.X),
-            np.where(better[:, None], other.Y, self.Y),
-            np.where(better, other.residual, self.residual),
-            tuple(o if b else s for b, o, s in zip(better, other.supports, self.supports)),
-            other.restarts_used)
-
     def result(self, t: int, truth: Optional[LiftedMatrix] = None) -> RecoveryResult:
         """Trial t's RecoveryResult, with its lifted error against truth."""
         M_hat = LiftedMatrix.from_factors(self.X[t], self.Y[t])
@@ -152,7 +143,7 @@ def _embed(v: np.ndarray, support, m: int) -> np.ndarray:
     """Zero-fill v (..., |support|) to length m at the indices of support,
     which has one index row per leading slot of v."""
     out = np.zeros(v.shape[:-1] + (m,), dtype=np.complex128)
-    np.put_along_axis(out, np.asarray(support), v, axis=-1)
+    out[np.indices(v.shape[:-1] + (1,), sparse=True)[:-1] + (support,)] = v
     return out
 
 
@@ -272,81 +263,86 @@ def _random_factors(count: int, size: int, rng: np.random.Generator) -> np.ndarr
     return _complex_normal(rng.standard_normal((count, 2, size)))
 
 
-def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray,
-                        S1: Sequence[int], S2: Sequence[int],
-                        restarts: int, rng: Sequence[np.random.Generator]) -> RecoveryStack:
+def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: int,
+                        rng: Sequence[np.random.Generator]) -> RecoveryStack:
     """Minimize the frequency residual over rank-1 matrices supported on
-    S1 x S2, for each trial of a stack.
+    one of P supports S1[p] x S2[p], for each trial of a stack.
 
     ens is a stack of T trials (stack_ensembles), z_tilde (T, n) holds
-    their measurements and rng one generator per trial. When
-    n >= |S1|*|S2| the unconstrained least-squares problem on the support
-    is solved and projected to the nearest rank-1 matrix; otherwise the
-    Levenberg-Marquardt kernel runs from a spectral initialization plus
-    `restarts` random initializations drawn from the trial's generator,
-    keeping the best residual (first-found wins ties). A trial's starts stop
-    together as soon as one of them reaches the residual floor. Trial t of
-    the result has the bits of a solve of the stack of trial t alone.
+    their measurements and rng one generator per trial; S1 (P, k1) and
+    S2 (P, k2) index P supports of one size. When n >= k1*k2 least squares
+    on each support is solved and projected to the nearest rank-1 matrix.
+    Otherwise every (trial, support, start) is a slot of one
+    Levenberg-Marquardt run: per support a spectral start plus `restarts`
+    random starts, all drawn from the trial's generator in one call. A
+    trial's starts on one support stop together once one of them reaches
+    the residual floor. Each trial keeps its first smallest residual,
+    support-major, so ties go to the first support. Trial t has the bits
+    of a solve of the stack of trial t alone.
     """
-    S1 = tuple(sorted(S1))
-    S2 = tuple(sorted(S2))
     sc = ens.scenario
+    S1, S2 = (np.sort(S, axis=-1) for S in (S1, S2))
     for S, m in ((S1, sc.m1), (S2, sc.m2)):
-        if not S or len(set(S)) < len(S) or not 0 <= S[0] <= S[-1] < m:
-            raise ValueError(f"support {S} must be nonempty distinct indices in 0..{m - 1}")
+        if S.ndim != 2 or len(S) != len(S1):
+            raise ValueError(f"supports must be (P, k) index arrays of one P, got "
+                             f"shapes {S1.shape} and {S2.shape}")
+        if (not S.size or S.dtype.kind not in "iu" or S.min() < 0 or S.max() >= m
+                or (S[:, 1:] == S[:, :-1]).any()):
+            raise ValueError(f"supports {S.tolist()} must be nonempty distinct "
+                             f"indices in 0..{m - 1}")
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     z_tilde = np.asarray(z_tilde, dtype=np.complex128)
     if ens.a.ndim != 3 or z_tilde.shape != (len(ens.a), ens.n):
         raise ValueError(f"expected a stack of T trials and measurements (T, {ens.n})")
-    T = len(z_tilde)
+    (T, n), P, k1, k2 = z_tilde.shape, len(S1), S1.shape[1], S2.shape[1]
     aS, bS = support_rows(ens, S1, S2)
-    X = np.zeros((T, sc.m1), dtype=np.complex128)
-    Y = np.zeros((T, sc.m2), dtype=np.complex128)
 
-    if ens.n >= len(S1) * len(S2):
+    if n >= k1 * k2:
         op = operator_matrix(ens, rows=S1, cols=S2)
-        residual = np.empty(T)
-        for t in range(T):
-            vec = np.linalg.lstsq(op[t], z_tilde[t], rcond=None)[0]
-            xs, ys = _top_rank1(vec.reshape((len(S1), len(S2)), order="F"))
-            residual[t] = np.linalg.norm((aS[t] @ xs) * (bS[t] @ ys) - z_tilde[t])
-            X[t, S1], Y[t, S2] = xs, ys
-        restarts_used = 0
+        x = np.empty((T, P, k1), dtype=np.complex128)
+        y = np.empty((T, P, k2), dtype=np.complex128)
+        residual = np.empty((T, P))
+        # the strided rows of support_rows give the bits of one-support solves
+        for t, p in np.ndindex(T, P):
+            vec = np.linalg.lstsq(op[t, p], z_tilde[t], rcond=None)[0]
+            x[t, p], y[t, p] = _top_rank1(vec.reshape((k1, k2), order="F"))
+            residual[t, p] = np.linalg.norm((aS[t, p] @ x[t, p]) * (bS[t, p] @ y[t, p])
+                                            - z_tilde[t])
+        starts, restarts_used = 1, 0
     else:
-        aS, bS = np.ascontiguousarray(aS), np.ascontiguousarray(bS)
+        # slot (t * P + p) * starts + s is start s on support p of trial t
+        aS, bS = (np.ascontiguousarray(rows).reshape(T * P, n, -1) for rows in (aS, bS))
+        z = np.repeat(z_tilde, P, axis=0)
         # the spectral start: the top rank-1 factor of the adjoint on the support
-        adjoint = (aS.conj().swapaxes(1, 2) * z_tilde[:, None, :]) @ bS.conj()
+        adjoint = (aS.conj().swapaxes(1, 2) * z[:, None, :]) @ bS.conj()
         x_init, _ = _top_rank1(adjoint)
-        draws = [_random_factors(restarts, len(S1), g) for g in rng]
-        X0 = np.concatenate([x_init[:, None], np.stack(draws)], axis=1)
-        starts = restarts + 1
-        Xs, Ys, res = _lm(*(np.repeat(arr, starts, axis=0) for arr in (aS, bS, z_tilde)),
-                          X0.reshape(T * starts, -1), starts)
-        best = np.arange(T) * starts + res.reshape(T, starts).argmin(1)  # first of equals
-        X[:, S1], Y[:, S2], residual = Xs[best], Ys[best], res[best]
-        restarts_used = restarts
+        draws = np.stack([_random_factors(P * restarts, k1, g) for g in rng])
+        X0 = np.concatenate([x_init.reshape(T, P, 1, k1),
+                             draws.reshape(T, P, restarts, k1)], axis=2)
+        starts, restarts_used = restarts + 1, restarts
+        x, y, residual = _lm(*(np.repeat(arr, starts, axis=0) for arr in (aS, bS, z)),
+                             X0.reshape(-1, k1), starts)
 
-    return RecoveryStack(X, Y, residual, ((S1, S2),) * T, restarts_used)
+    # first of equals, support-major and then by start
+    best = np.arange(T) * P * starts + residual.reshape(T, -1).argmin(1)
+    p = best // starts % P
+    x, y, residual = x.reshape(-1, k1)[best], y.reshape(-1, k2)[best], residual.ravel()[best]
+    return RecoveryStack(_embed(x, S1[p], sc.m1), _embed(y, S2[p], sc.m2), residual,
+                         tuple((tuple(S1[i].tolist()), tuple(S2[i].tolist())) for i in p),
+                         restarts_used)
 
 
 def solve_sparse_enumerate(ens: Ensemble, z_tilde: np.ndarray, restarts: int,
                            rng: Sequence[np.random.Generator]) -> RecoveryStack:
-    """Enumerate all admissible supports and keep, per trial, the smallest
-    residual.
-
-    Takes and returns stacks of trials as solve_fixed_support does. A
-    subspace scenario has the single full support, so this is then one
-    solve_fixed_support call. Supports are visited in lexicographic order
-    and only a strictly smaller residual replaces a trial's incumbent, so
-    ties resolve to the lexicographically smallest support.
+    """Solve over every admissible support and keep, per trial, the
+    smallest residual: one solve_fixed_support call with the supports in
+    lexicographic order, so ties resolve to the lexicographically smallest
+    support. Takes and returns stacks of trials as solve_fixed_support
+    does; a subspace scenario has the single full support.
     """
-    best: Optional[RecoveryStack] = None
-    for S1, S2 in admissible_supports(ens.scenario):
-        fit = solve_fixed_support(ens, z_tilde, S1, S2, restarts, rng)
-        best = fit if best is None else best.improved_by(fit)
-    assert best is not None
-    return best
+    S1, S2 = map(np.array, zip(*admissible_supports(ens.scenario)))
+    return solve_fixed_support(ens, z_tilde, S1, S2, restarts, rng)
 
 
 def align_and_distance(M1, M2) -> float:
@@ -442,8 +438,8 @@ def _chunks(budget: int) -> Iterable[range]:
         start = stop
 
 
-def certify_weak(ens: Ensemble, M0: LiftedMatrix, budget: int = 100, tol: float = 1e-6,
-                 rng: Optional[np.random.Generator] = None) -> IdentifiabilityVerdict:
+def certify_weak(ens: Ensemble, M0: LiftedMatrix, budget: int = 100, tol: float = 1e-6, *,
+                 rng: np.random.Generator) -> IdentifiabilityVerdict:
     """Decide uniqueness of the planted matrix among admissible solutions.
 
     Exact path: if the restricted operator is injective on the union of
@@ -458,8 +454,6 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, budget: int = 100, tol: float 
     sc = ens.scenario
     if M0.x is None or np.linalg.norm(M0.x) == 0 or np.linalg.norm(M0.y) == 0:
         raise ValueError("planted matrix must have nonzero rank-1 factors")
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     S1_0, S2_0 = _support_of(M0)
     supports = admissible_supports(sc)
@@ -481,8 +475,8 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, budget: int = 100, tol: float 
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
 
 
-def certify_strong(ens: Ensemble, budget: int = 100, tol: float = 1e-6,
-                   rng: Optional[np.random.Generator] = None) -> IdentifiabilityVerdict:
+def certify_strong(ens: Ensemble, budget: int = 100, tol: float = 1e-6, *,
+                   rng: np.random.Generator) -> IdentifiabilityVerdict:
     """Decide uniqueness over the whole constraint set restricted to the unit ball.
 
     Exact path: injectivity of the restricted operator on every union of
@@ -500,8 +494,6 @@ def certify_strong(ens: Ensemble, budget: int = 100, tol: float = 1e-6,
     """
     _check_search(budget, tol)
     sc = ens.scenario
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     supports = admissible_supports(sc)
     if _injective_on(ens, ((_union(S1a, S1b), _union(S2a, S2b))

@@ -1,10 +1,11 @@
 """Reference implementations that the package computes faster.
 
-The package builds ensembles and measurements with FFTs and runs its
-certifier attempts in chunks, each chunk one stack of the
-Levenberg-Marquardt kernel; the O(n^2) dense forms and the
-one-attempt-at-a-time loops below, which give the kernel one slot at a
-time, are kept only so tests can compare against them.
+The package builds ensembles and measurements with FFTs, solves every
+admissible support in one stack of the Levenberg-Marquardt kernel and
+runs its certifier attempts in chunks, each chunk one such stack; the
+O(n^2) dense forms, the one-support-at-a-time solve and the
+one-attempt-at-a-time loops below are kept only so tests can compare
+against them.
 """
 
 import itertools
@@ -13,9 +14,10 @@ import numpy as np
 
 from blindid.lifting import LiftedMatrix, apply_A, operator_matrix
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND, HEURISTICALLY_UNIQUE,
-                              INJECTIVITY_TOL, IdentifiabilityVerdict, _check_search,
-                              _embed, _lm, _support_of, _union, admissible_supports,
-                              min_scaled_distance)
+                              INJECTIVITY_TOL, IdentifiabilityVerdict, RecoveryStack,
+                              _check_search, _embed, _lm, _support_of, _union,
+                              admissible_supports, min_scaled_distance,
+                              solve_fixed_support)
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -35,6 +37,25 @@ def fit(aS, bS, z_tilde, x0):
     return X[0], Y[0], float(residual[0])
 
 
+def solve_sparse_enumerate(ens, z_tilde, restarts, rng):
+    """solve_sparse_enumerate with one solve_fixed_support call per support,
+    in lexicographic order: a support's fit replaces a trial's incumbent
+    only where its residual is strictly smaller."""
+    best = None
+    for S1, S2 in admissible_supports(ens.scenario):
+        fit = solve_fixed_support(ens, z_tilde, [S1], [S2], restarts, rng)
+        if best is not None:
+            keep = ~(fit.residual < best.residual)
+            fit = RecoveryStack(np.where(keep[:, None], best.X, fit.X),
+                                np.where(keep[:, None], best.Y, fit.Y),
+                                np.where(keep, best.residual, fit.residual),
+                                tuple(b if k else f for k, b, f in
+                                      zip(keep, best.supports, fit.supports)),
+                                fit.restarts_used)
+        best = fit
+    return best
+
+
 def random_factor(size, rng):
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
 
@@ -43,16 +64,14 @@ def _injective_on(ens, rows, cols):
     k = len(rows) * len(cols)
     if ens.n < k:
         return False
-    s = np.linalg.svd(operator_matrix(ens, rows=rows, cols=cols), compute_uv=False)
+    s = np.linalg.svd(operator_matrix(ens, rows=[rows], cols=[cols])[0], compute_uv=False)
     return s.size >= k and float(s[-1]) > INJECTIVITY_TOL
 
 
-def certify_weak(ens, M0, budget=100, tol=1e-6, rng=None):
+def certify_weak(ens, M0, budget=100, tol=1e-6, *, rng):
     """certify_weak with one SVD per support union and one fit per attempt."""
     _check_search(budget, tol)
     sc = ens.scenario
-    if rng is None:
-        rng = np.random.default_rng(0)
     S1_0, S2_0 = _support_of(M0)
     supports = admissible_supports(sc)
     if all(_injective_on(ens, _union(S1, S1_0), _union(S2, S2_0)) for S1, S2 in supports):
@@ -70,12 +89,10 @@ def certify_weak(ens, M0, budget=100, tol=1e-6, rng=None):
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
 
 
-def certify_strong(ens, budget=100, tol=1e-6, rng=None):
+def certify_strong(ens, budget=100, tol=1e-6, *, rng):
     """certify_strong with one SVD per support union and one fit per attempt."""
     _check_search(budget, tol)
     sc = ens.scenario
-    if rng is None:
-        rng = np.random.default_rng(0)
     supports = admissible_supports(sc)
     if all(_injective_on(ens, _union(S1a, S1b), _union(S2a, S2b))
            for (S1a, S2a), (S1b, S2b) in itertools.combinations_with_replacement(supports, 2)):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blindid.ensembles import (COMPLEX_GENERIC, ConstraintScenario, Ensemble,
-                               build_ensemble)
+                               build_ensemble, stack_ensembles)
 from blindid.lifting import (LiftedMatrix, apply_A, apply_G,
                              calibrated_isometry_radius, mean_isometry_radius,
                              operator_matrix, support_rows)
@@ -149,7 +149,7 @@ def test_operator_matrix_support_restriction():
     Msub = rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))
     M = np.zeros((2, 3), dtype=np.complex128)
     M[np.ix_([1], [0, 2])] = Msub
-    op = operator_matrix(ens, rows=[1], cols=[0, 2])
+    op = operator_matrix(ens, rows=[[1]], cols=[[0, 2]])[0]
     assert np.linalg.norm(op @ Msub.flatten(order="F") - apply_A(ens, M)) < 1e-10
 
 
@@ -164,13 +164,31 @@ def test_operator_matrix_stacks_supports_bit_for_bit():
     assert ops.shape == (3, 7, 4)
     s = np.linalg.svd(ops, compute_uv=False)
     for t in range(3):
-        op = operator_matrix(ens, rows=list(rows[t]), cols=list(cols[t]))
+        op = operator_matrix(ens, rows=rows[t:t + 1], cols=cols[t:t + 1])[0]
         assert np.array_equal(ops[t], op)
         assert np.array_equal(s[t], np.linalg.svd(op, compute_uv=False))
     a, b = support_rows(ens, rows)
     assert a.shape == (3, 7, 2) and b.shape == (7, 3)
     assert np.array_equal(operator_matrix(ens, rows=rows)[1],
-                          operator_matrix(ens, rows=[3, 1]))
+                          operator_matrix(ens, rows=[[3, 1]])[0])
+
+
+def test_supports_are_index_arrays():
+    # one support is a stack of one: a 1-D index array is rejected, and a
+    # stacked ensemble gives one matrix per trial and support
+    ens = make_ensemble(n=7, m1=4, m2=3)
+    for rows, cols in (([0, 1], None), (None, [0, 2]), ([0, 1], [[0, 2]])):
+        with pytest.raises(ValueError, match=r"\(P, k\) index array"):
+            support_rows(ens, rows, cols)
+        with pytest.raises(ValueError, match=r"\(P, k\) index array"):
+            operator_matrix(ens, rows=rows, cols=cols)
+    rows, cols = np.array([[0, 1], [3, 1]]), np.array([[2, 0], [0, 1]])
+    lone = [make_ensemble(n=7, m1=4, m2=3, seed=s) for s in (1, 2)]
+    ops = operator_matrix(stack_ensembles(lone), rows=rows, cols=cols)
+    assert ops.shape == (2, 2, 7, 4)
+    for t, p in np.ndindex(2, 2):
+        assert np.array_equal(ops[t, p], operator_matrix(lone[t], rows=rows[p:p + 1],
+                                                         cols=cols[p:p + 1])[0])
 
 
 class TestStackedApplyA:

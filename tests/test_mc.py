@@ -104,26 +104,43 @@ class TestPhaseTransition:
 
     def test_rerun_identical_and_trials_replay_alone(self):
         # trial i of row r is recover_trial with seed mix_seed(master, r, i);
-        # n = 3 < m1*m2 takes the restarted Levenberg-Marquardt kernel. A
-        # row's trials are solved in stacks, which change no result: stacks
-        # of 5 to 8 trials split every row
-        plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC,
-                            trials=12, sweep=(3, 4, 5), master_seed=14,
-                            restarts=3)
-        rows = mc.run_phase_transition(plan)
-        csv = mc.sweep_csv(mc.TRANSITION_COLUMNS, rows)
-        assert csv == mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(plan))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mc, "RECOVERY_STACK_ENTRIES", 5 * 5 * 4 * (plan.restarts + 1))
-            assert mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(plan)) == csv
-        for row_idx, row in enumerate(rows):
-            alone = [mc.recover_trial(SUBSPACE5.with_n(row["n"]), COMPLEX_GENERIC,
-                                      mix_seed(plan.master_seed, row_idx, i),
-                                      restarts=plan.restarts)
-                     for i in range(plan.trials)]
-            assert row["successes"] == sum(ok for _, ok in alone)
-            assert row["mean_lifted_error"] == float(np.mean([res.lifted_error
-                                                              for res, _ in alone]))
+        # n < m1*m2 (subspace 2x2) and n < s1*s2 (sparsity 3x4 with
+        # s1 = 2, s2 = 3 at n = 4 and at n = d = 5, its 12 supports in one
+        # solve) take the restarted Levenberg-Marquardt kernel. A row's
+        # trials are solved in stacks of at most RECOVERY_STACK_ENTRIES
+        # P*n*k1*k2*(restarts + 1) per trial, for P supports of k1 x k2,
+        # which change no result: stacks of 5 to 8 trials split every row
+        sparse = ConstraintScenario("sparsity", 6, 3, 4, 2, 3)
+        for sc, sweep, P, k in ((SUBSPACE5, (3, 4, 5), 1, 2 * 2),
+                                (sparse, (4, 5, 6), 12, 2 * 3)):
+            plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_GENERIC,
+                                trials=12, sweep=sweep, master_seed=14, restarts=3)
+            rows = mc.run_phase_transition(plan)
+            csv = mc.sweep_csv(mc.TRANSITION_COLUMNS, rows)
+            assert csv == mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(plan))
+            per_trial = P * k * (plan.restarts + 1)
+            entries = 5 * max(sweep) * per_trial
+            stacks = []
+            real = mc.solve_sparse_enumerate
+
+            def spy(ens, z_tilde, **kw):
+                stacks.append(z_tilde.shape)
+                return real(ens, z_tilde, **kw)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mc, "RECOVERY_STACK_ENTRIES", entries)
+                mp.setattr(mc, "solve_sparse_enumerate", spy)
+                assert mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(plan)) == csv
+            assert len(stacks) > len(sweep)
+            assert all(T * n * per_trial <= entries for T, n in stacks), stacks
+            for row_idx, row in enumerate(rows):
+                alone = [mc.recover_trial(sc.with_n(row["n"]), COMPLEX_GENERIC,
+                                          mix_seed(plan.master_seed, row_idx, i),
+                                          restarts=plan.restarts)
+                         for i in range(plan.trials)]
+                assert row["successes"] == sum(ok for _, ok in alone)
+                assert row["mean_lifted_error"] == float(np.mean([res.lifted_error
+                                                                  for res, _ in alone]))
 
     def test_csv_schema(self):
         plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC,

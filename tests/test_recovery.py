@@ -68,7 +68,7 @@ class TestSolveFixedSupport:
         sc = subspace(5)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 1)
         M0 = random_factors(sc, 2)
-        res = solve_one(solve_fixed_support, ens, apply_A(ens, M0), range(2), range(2),
+        res = solve_one(solve_fixed_support, ens, apply_A(ens, M0), [range(2)], [range(2)],
                         restarts=0, rng=np.random.default_rng(0))
         assert res.lifted_error is None
         assert align_and_distance(res.M_hat, M0) < 1e-8
@@ -77,7 +77,7 @@ class TestSolveFixedSupport:
     def test_zero_measurements_give_zero(self):
         sc = subspace(5)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 1)
-        res = solve_one(solve_fixed_support, ens, np.zeros(5), range(2), range(2),
+        res = solve_one(solve_fixed_support, ens, np.zeros(5), [range(2)], [range(2)],
                         restarts=0, rng=np.random.default_rng(0))
         assert np.linalg.norm(res.M_hat.M) == 0.0
         assert res.residual == 0.0
@@ -91,9 +91,9 @@ class TestSolveFixedSupport:
         ens = build_ensemble(sc, COMPLEX_GENERIC, 4)
         M0 = random_factors(sc, 5)
         z = apply_A(ens, M0)
-        res0 = solve_one(solve_fixed_support, ens, z, range(2), range(2),
+        res0 = solve_one(solve_fixed_support, ens, z, [range(2)], [range(2)],
                          restarts=0, rng=np.random.default_rng(0))
-        res = solve_one(solve_fixed_support, ens, z, range(2), range(2),
+        res = solve_one(solve_fixed_support, ens, z, [range(2)], [range(2)],
                         restarts=10, rng=np.random.default_rng(6), truth=M0)
         assert res.residual <= res0.residual
         assert res.restarts_used == 10
@@ -111,20 +111,30 @@ class TestSolveFixedSupport:
         sc = subspace(5)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 7)
         z = np.random.default_rng(8).standard_normal(5) + 0j
-        res = solve_one(solve_fixed_support, ens, z, range(2), range(2),
+        res = solve_one(solve_fixed_support, ens, z, [range(2)], [range(2)],
                         restarts=0, rng=np.random.default_rng(0))
         again = np.linalg.norm(apply_A(ens, res.M_hat) - z)
         assert abs(again - res.residual) < 1e-12
 
     def test_empty_support_rejected(self):
         # so are duplicated, negative and out-of-range indices, on either
-        # side, before any solve
+        # side and in any row of a stack of supports, before any solve
         ens = stack_ensembles([build_ensemble(subspace(5), COMPLEX_GENERIC, 1)])
-        for bad in ([], [0, 0], [-1], [2]):
-            for supports in ((bad, range(2)), (range(2), bad)):
+        for bad in ([[]], [[0, 0]], [[-1]], [[2]], [[0, 1], [1, 1]]):
+            for supports in ((bad, [range(2)] * len(bad)), ([range(2)] * len(bad), bad)):
                 with pytest.raises(ValueError, match="distinct indices in 0..1"):
                     solve_fixed_support(ens, np.zeros((1, 5)), *supports, 0,
                                         [np.random.default_rng(0)])
+
+    def test_supports_are_index_arrays(self):
+        # supports come as (P, k) arrays only, with as many row supports
+        # as column supports
+        ens = stack_ensembles([build_ensemble(subspace(5), COMPLEX_GENERIC, 1)])
+        for supports in ((range(2), [range(2)]), ([range(2)], range(2)),
+                         ([[0]], [[0], [1]])):
+            with pytest.raises(ValueError, match=r"\(P, k\) index arrays"):
+                solve_fixed_support(ens, np.zeros((1, 5)), *supports, 0,
+                                    [np.random.default_rng(0)])
 
     def test_lone_ensemble_rejected(self):
         # the solvers take stacks only, with one row of measurements per trial
@@ -133,7 +143,7 @@ class TestSolveFixedSupport:
         for solve_on, z in ((ens, np.zeros(5)), (stack_ensembles([ens]), np.zeros(5)),
                             (stack_ensembles([ens]), np.zeros((2, 5)))):
             with pytest.raises(ValueError, match="stack of T trials"):
-                solve_fixed_support(solve_on, z, range(2), range(2), 0, rng)
+                solve_fixed_support(solve_on, z, [range(2)], [range(2)], 0, rng)
             with pytest.raises(ValueError, match="stack of T trials"):
                 solve_sparse_enumerate(solve_on, z, 0, rng)
 
@@ -141,7 +151,7 @@ class TestSolveFixedSupport:
         sc = ConstraintScenario(kind="sparsity", n=6, m1=4, m2=4, s1=2, s2=2)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 9)
         z = np.random.default_rng(10).standard_normal(6) + 0j
-        res = solve_one(solve_fixed_support, ens, z, [1, 3], [0, 2],
+        res = solve_one(solve_fixed_support, ens, z, [[1, 3]], [[0, 2]],
                         restarts=0, rng=np.random.default_rng(0))
         assert np.all(res.M_hat.x[[0, 2]] == 0)
         assert np.all(res.M_hat.y[[1, 3]] == 0)
@@ -200,11 +210,11 @@ class TestStackedKernel:
         # noisy, none reaches it and every slot runs to its own stop
         sc = subspace(6, 3, 3)
         ens, z, lone = _stacked_row(sc, 20, 50, noise)
-        fit = solve_fixed_support(ens, z, range(3), range(3), 20,
+        fit = solve_fixed_support(ens, z, [range(3)], [range(3)], 20,
                                   [np.random.default_rng(60 + t) for t in range(20)])
         assert fit.X.shape == (20, 3) and fit.restarts_used == 20
         for t, ens_t in enumerate(lone):
-            alone = solve_one(solve_fixed_support, ens_t, z[t], range(3), range(3),
+            alone = solve_one(solve_fixed_support, ens_t, z[t], [range(3)], [range(3)],
                               restarts=20, rng=np.random.default_rng(60 + t))
             got = fit.result(t)
             assert np.array_equal(got.M_hat.M, alone.M_hat.M)
@@ -379,11 +389,13 @@ def test_injective_on_bounds_its_stacks(monkeypatch):
 def test_zero_budget_searches_nothing():
     sc = ConstraintScenario("sparsity", 2, 5, 5, 1, 1)
     ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, 0)
-    for v in (certify_weak(ens, M0, budget=0), certify_strong(ens, budget=0)):
+    for v in (certify_weak(ens, M0, budget=0, rng=np.random.default_rng(0)),
+              certify_strong(ens, budget=0, rng=np.random.default_rng(0))):
         assert (v.status, v.search_budget) == (HEURISTICALLY_UNIQUE, 0)
     sc = ConstraintScenario("sparsity", 6, 5, 5, 1, 1)
     ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, 0)
-    for v in (certify_weak(ens, M0, budget=0), certify_strong(ens, budget=0)):
+    for v in (certify_weak(ens, M0, budget=0, rng=np.random.default_rng(0)),
+              certify_strong(ens, budget=0, rng=np.random.default_rng(0))):
         assert (v.status, v.search_budget) == (CERTIFIED_UNIQUE, 0)
 
 
@@ -417,7 +429,7 @@ class TestSolveSparseEnumerate:
         z_tilde = apply_A(ens, random_factors(sc, 2))
         rng_enum, rng_fixed = np.random.default_rng(3), np.random.default_rng(3)
         enum = solve_one(solve_sparse_enumerate, ens, z_tilde, restarts=4, rng=rng_enum)
-        fixed = solve_one(solve_fixed_support, ens, z_tilde, range(3), range(3),
+        fixed = solve_one(solve_fixed_support, ens, z_tilde, [range(3)], [range(3)],
                           restarts=4, rng=rng_fixed)
         assert np.array_equal(enum.M_hat.M, fixed.M_hat.M)
         assert (enum.residual, enum.support, enum.restarts_used) == \
@@ -444,6 +456,39 @@ class TestSolveSparseEnumerate:
         res = solve_one(solve_sparse_enumerate, ens, apply_A(ens, M0),
                         restarts=0, rng=np.random.default_rng(0))
         assert align_and_distance(res.M_hat, M0) < 1e-8
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["planted", "zero"])
+@pytest.mark.parametrize("sc", [
+    ConstraintScenario("sparsity", 5, 4, 4, 1, 1),  # least squares, 16 supports
+    ConstraintScenario("sparsity", 5, 3, 4, 2, 3),  # kernel, 12 supports
+    ConstraintScenario("mixed", 6, 4, 4, 2),  # kernel, 6 supports
+], ids=lambda sc: f"{sc.kind}-{sc.m1}x{sc.m2}-s{sc.s1}")
+def test_enumeration_matches_the_per_support_loop(sc, zero):
+    # one solve over every support gives each trial the bits of one solve
+    # per support merged by strict improvement, and leaves each generator
+    # where that loop leaves it. Planted measurements, noisy in odd trials,
+    # stop some trials early and run others to the end; zero measurements
+    # tie on every support, and the first support wins
+    T = 6
+    trials = [draw_trial(sc, COMPLEX_GENERIC, seed) for seed in range(T)]
+    ens = stack_ensembles([ens for ens, *_ in trials])
+    z = np.array([apply_A(ens, M0) for ens, M0, *_ in trials])
+    z[1::2] += 0.01 * np.random.default_rng(91).standard_normal(z[1::2].shape)
+    if zero:
+        z[:] = 0
+    rngs = [[np.random.default_rng(90 + t) for t in range(T)] for _ in range(2)]
+    got = solve_sparse_enumerate(ens, z, 4, rngs[0])
+    want = oracles.solve_sparse_enumerate(ens, z, 4, rngs[1])
+    assert np.array_equal(got.X, want.X) and np.array_equal(got.Y, want.Y)
+    assert np.array_equal(got.residual, want.residual)
+    assert (got.supports, got.restarts_used) == (want.supports, want.restarts_used)
+    assert all(a.bit_generator.state == b.bit_generator.state for a, b in zip(*rngs))
+    if zero:
+        assert got.supports == (admissible_supports(sc)[0],) * T
+        assert not got.X.any() and not got.residual.any()
+    else:
+        assert len(set(got.supports)) > 1
 
 
 class TestDistances:
@@ -476,7 +521,7 @@ class TestCertifiers:
     def test_weak_certified_at_full_rank(self):
         sc = subspace(4)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 20)
-        v = certify_weak(ens, random_factors(sc, 1))
+        v = certify_weak(ens, random_factors(sc, 1), rng=np.random.default_rng(0))
         assert v.status == CERTIFIED_UNIQUE
 
     def test_weak_counterexample_below_dof(self):
@@ -500,17 +545,18 @@ class TestCertifiers:
         sc = subspace(4)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 20)
         with pytest.raises(ValueError):
-            certify_weak(ens, LiftedMatrix.from_factors(np.zeros(2), np.zeros(2)))
+            certify_weak(ens, LiftedMatrix.from_factors(np.zeros(2), np.zeros(2)),
+                         rng=np.random.default_rng(0))
 
     def test_strong_certified_at_n4(self):
         sc = subspace(4)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 23)
-        assert certify_strong(ens).status == CERTIFIED_UNIQUE
+        assert certify_strong(ens, rng=np.random.default_rng(0)).status == CERTIFIED_UNIQUE
 
     def test_strong_sparsity_union_certificate(self):
         sc = ConstraintScenario(kind="sparsity", n=4, m1=3, m2=3, s1=1, s2=1)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 24)
-        assert certify_strong(ens).status == CERTIFIED_UNIQUE
+        assert certify_strong(ens, rng=np.random.default_rng(0)).status == CERTIFIED_UNIQUE
 
     def test_strong_counterexample_at_n1(self):
         sc = subspace(1)
@@ -525,7 +571,7 @@ class TestCertifiers:
     def test_verify_rejects_non_counterexamples(self):
         sc = subspace(4)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 23)
-        v = certify_strong(ens)
+        v = certify_strong(ens, rng=np.random.default_rng(0))
         assert not verify_counterexample(v, ens)
 
 
