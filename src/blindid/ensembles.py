@@ -15,7 +15,7 @@ Supported tags:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "sample_uniform_complex_ball_batch",
     "sample_uniform_real_ball_batch",
     "build_ensemble",
-    "stack_ensembles",
     "mix_seed",
 ]
 
@@ -165,8 +164,8 @@ class Ensemble:
 
     Invariants: a[j] == conj((F @ D)[j]) and b[j] == conj((F @ E)[j]).
     Serializes to a small JSON manifest; matrices re-derive from the seed.
-    A stack of T trials (stack_ensembles) holds a tuple of T seeds, and its
-    arrays carry a leading trial axis.
+    A stack of T trials (build_ensemble with T seeds) holds a tuple of T
+    seeds, and its arrays carry a leading trial axis.
     """
 
     scenario: ConstraintScenario
@@ -190,15 +189,20 @@ class Ensemble:
             "R": self.R,
         }
 
+    def trial(self, t: int) -> "Ensemble":
+        """Trial t of a stack, as a lone ensemble."""
+        return replace(self, seed=self.seed[t], D=self.D[t], E=self.E[t],
+                       a=self.a[t], b=self.b[t])
+
 
 def _rows_from_matrix(D: np.ndarray) -> np.ndarray:
     # a_j is the conjugate transpose of row j of F @ D
-    return np.fft.fft(D, axis=0, norm="ortho").conj()
+    return np.fft.fft(D, axis=-2, norm="ortho").conj()
 
 
 def _matrix_from_rows(rows: np.ndarray) -> np.ndarray:
     # invert: F @ D has row j equal to conj(a_j), and F is unitary
-    return np.fft.ifft(rows.conj(), axis=0, norm="ortho")
+    return np.fft.ifft(rows.conj(), axis=-2, norm="ortho")
 
 
 def _real_ball_rows(n: int, m: int, R: float, rng: np.random.Generator) -> np.ndarray:
@@ -218,9 +222,34 @@ def _real_ball_rows(n: int, m: int, R: float, rng: np.random.Generator) -> np.nd
     return rows
 
 
-def build_ensemble(sc: ConstraintScenario, tag: str, seed: int,
+def _draw(sc: ConstraintScenario, tag: str, R: Optional[float], seed: int):
+    """One trial's draws from the generator of `seed`, in its order: D and E
+    for the generic tags, their frequency rows a and b for the ball tags."""
+    n = sc.n
+    rng = np.random.default_rng(seed)
+
+    def draw(m):
+        if tag == COMPLEX_GENERIC:
+            return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
+        if tag == REAL_GENERIC:
+            return rng.standard_normal((n, m))
+        if tag == COMPLEX_UNIFORM_BALL:
+            return sample_uniform_complex_ball_batch(m, R, rng, n)
+        return _real_ball_rows(n, m, R, rng)
+
+    return draw(sc.m1), draw(sc.m2)
+
+
+def build_ensemble(sc: ConstraintScenario, tag: str, seed: Union[int, Sequence[int]],
                    R: Optional[float] = None) -> Ensemble:
-    """Build a seeded ensemble. Same (scenario, tag, seed, R) => identical arrays."""
+    """Build a seeded ensemble. Same (scenario, tag, seed, R) => identical arrays.
+
+    seed is one seed, or a sequence of T seeds for a stack of T trials:
+    D, E, a and b with a leading trial axis, and the tuple of the T seeds.
+    Each trial draws from its own generator; the FFTs between D, E and
+    their rows a, b then run once on the stack, each transform with the
+    bits of a lone one, so trial t of a stack is the ensemble of seed t.
+    """
     if tag not in ALL_TAGS:
         raise ValueError(f"unknown ensemble tag {tag!r}")
     if tag in _BALL_TAGS:
@@ -229,45 +258,20 @@ def build_ensemble(sc: ConstraintScenario, tag: str, seed: int,
     elif R is not None:
         raise ValueError(f"tag {tag!r} takes no ball radius")
 
-    n, m1, m2 = sc.n, sc.m1, sc.m2
-    rng = np.random.default_rng(seed)
-
-    if tag == COMPLEX_GENERIC:
-        D = (rng.standard_normal((n, m1)) + 1j * rng.standard_normal((n, m1))) / np.sqrt(2)
-        E = (rng.standard_normal((n, m2)) + 1j * rng.standard_normal((n, m2))) / np.sqrt(2)
-        a = _rows_from_matrix(D)
-        b = _rows_from_matrix(E)
-    elif tag == COMPLEX_UNIFORM_BALL:
-        a = sample_uniform_complex_ball_batch(m1, R, rng, n)
-        b = sample_uniform_complex_ball_batch(m2, R, rng, n)
-        D = _matrix_from_rows(a)
-        E = _matrix_from_rows(b)
-    elif tag == REAL_GENERIC:
-        D = rng.standard_normal((n, m1))
-        E = rng.standard_normal((n, m2))
-        a = _rows_from_matrix(D)
-        b = _rows_from_matrix(E)
-    else:  # REAL_UNIFORM_BALL
-        a = _real_ball_rows(n, m1, R, rng)
-        b = _real_ball_rows(n, m2, R, rng)
-        D = _matrix_from_rows(a)
-        E = _matrix_from_rows(b)
-        for name, M in (("D", D), ("E", E)):
-            scale = max(1.0, float(np.abs(M).max()))
-            if np.abs(M.imag).max() > 1e-10 * scale:
-                raise AssertionError(f"{name} is not real after conjugate completion")
-        D, E = D.real.copy(), E.real.copy()
-
-    return Ensemble(scenario=sc, tag=tag, seed=seed, R=R, D=D, E=E, a=a, b=b)
-
-
-def stack_ensembles(ensembles) -> Ensemble:
-    """One Ensemble of T trials of one scenario, tag and radius: D, E, a and b
-    stacked along a new leading trial axis, and the tuple of the T seeds."""
-    first = ensembles[0]
-    if any((e.scenario, e.tag, e.R) != (first.scenario, first.tag, first.R)
-           for e in ensembles):
-        raise ValueError("stacked ensembles must share scenario, tag and R")
-    arrays = {name: np.stack([getattr(e, name) for e in ensembles])
-              for name in ("D", "E", "a", "b")}
-    return replace(first, seed=tuple(e.seed for e in ensembles), **arrays)
+    lone = isinstance(seed, (int, np.integer))
+    seeds = (seed,) if lone else tuple(seed)
+    first, second = (np.array(arr) for arr in zip(*(_draw(sc, tag, R, s) for s in seeds)))
+    if tag not in _BALL_TAGS:
+        D, E = first, second
+        a, b = _rows_from_matrix(D), _rows_from_matrix(E)
+    else:
+        a, b = first, second
+        D, E = _matrix_from_rows(a), _matrix_from_rows(b)
+        if tag == REAL_UNIFORM_BALL:
+            for name, M in (("D", D), ("E", E)):
+                scale = np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
+                if (np.abs(M.imag).max(axis=(1, 2)) > 1e-10 * scale).any():
+                    raise AssertionError(f"{name} is not real after conjugate completion")
+            D, E = D.real.copy(), E.real.copy()
+    ens = Ensemble(scenario=sc, tag=tag, seed=seeds, R=R, D=D, E=E, a=a, b=b)
+    return ens.trial(0) if lone else ens

@@ -89,18 +89,31 @@ def apply_A(ens: Ensemble, M) -> np.ndarray:
     return np.vecdot(ens.b, ens.a.conj() @ M)
 
 
+def _times(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """rows @ v per slot: (..., n, k) stack times (..., k) vectors, (..., n)."""
+    return (rows @ v[..., None])[..., 0]
+
+
+def _convolve_factors(D: np.ndarray, E: np.ndarray, X: np.ndarray,
+                      Y: np.ndarray) -> np.ndarray:
+    """Time-domain measurements of x y^T per slot of a stack: (D x)
+    circularly convolved with (E y) by the convolution theorem, in
+    O(n log n). D (T, n, m1), E (T, n, m2), X (T, m1) and Y (T, m2) give
+    (T, n); each slot has the bits of a stack of one."""
+    u = np.fft.fft(_times(D, X), norm="ortho")
+    v = np.fft.fft(_times(E, Y), norm="ortho")
+    return np.sqrt(D.shape[-2]) * np.fft.ifft(u * v, norm="ortho")
+
+
 def apply_G(ens: Ensemble, M) -> np.ndarray:
     """Time-domain measurements of the lifted matrix M.
 
-    Rank-1 inputs with factors are (D x) convolved with (E y), computed by
-    the convolution theorem in O(n log n); general matrices go through the
-    frequency products, which agree by linearity.
+    Rank-1 inputs with factors take _convolve_factors; general matrices go
+    through the frequency products, which agree by linearity.
     """
     if isinstance(M, LiftedMatrix) and M.x is not None:
         _check_shape(ens, M.M)
-        u = spectral.dft(ens.D @ M.x)
-        v = spectral.dft(ens.E @ M.y)
-        return np.sqrt(ens.n) * spectral.dft(u * v, "inverse")
+        return _convolve_factors(ens.D[None], ens.E[None], M.x[None], M.y[None])[0]
     vals = apply_A(ens, M)
     return np.sqrt(ens.n) * spectral.dft(vals, "inverse")
 

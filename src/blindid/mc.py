@@ -4,14 +4,18 @@ the measurement perturbation budget.
 
 Every trial derives its own 64-bit seed from the plan's master seed via a
 documented splitmix64 mix of (master_seed, row_index, trial_index), so
-results are reproducible trial-by-trial. One trial kernel (draw_trial,
-recover_trial) serves the phase transitions, the delta = 0 stability rows
-and the CLI's `recover`, so `recover --seed s` replays the sweep trial whose
-seed is s, in every row: a sweep point is a plain ConstraintScenario at
-that n, also below the sample count d. A row's trials are solved as
-stacks, one solve per stack with every (trial, support, solver start) a
-slot of the Levenberg-Marquardt kernel, and each trial gets the bits of its
-replay by `recover`, which solves the stack of that trial alone.
+results are reproducible trial-by-trial. One trial kernel serves the phase
+transitions, the delta = 0 stability rows and the CLI's `recover`, whose
+draw_trial and recover_trial are its one-seed cases, so `recover --seed s`
+replays the sweep trial whose seed is s, in every row: a sweep point is a
+plain ConstraintScenario at that n, also below the sample count d. The
+kernel takes a row's trials as stacks from draw to score: only each
+trial's own generator draws run per trial, and the ensemble FFTs, the
+measurements, the solve and the scoring run once per stack. The solve is
+one Levenberg-Marquardt run with every (trial, support, solver start) a
+slot, or one stacked least-squares call when the sample count reaches
+k1*k2 on supports of k1 x k2. Each trial gets the bits of its replay by
+`recover`, which runs the stack of that trial alone.
 Stability sweeps search every delta > 0 trial in one batched L-BFGS run,
 and each trial's result does not depend on the batch it is solved in.
 Each start of the batch runs its own line search, and one objective call
@@ -28,13 +32,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import bounds, spectral
+from . import bounds
 from .ensembles import (COMPLEX_UNIFORM_BALL, REAL_GENERIC, REAL_UNIFORM_BALL,
                         ConstraintScenario, Ensemble, build_ensemble, mix_seed,
-                        sample_uniform_complex_ball_batch, stack_ensembles)
-from .lifting import LiftedMatrix, apply_G, mean_isometry_radius
-from .recovery import (RecoveryResult, _times, admissible_supports, is_recovered,
-                       solve_sparse_enumerate)
+                        sample_uniform_complex_ball_batch)
+from .lifting import LiftedMatrix, _convolve_factors, _times, mean_isometry_radius
+from .recovery import (RECOVERY_RTOL, RecoveryResult, RecoveryStack, _norm,
+                       admissible_supports, solve_sparse_enumerate)
 
 __all__ = [
     "TrialPlan",
@@ -166,14 +170,10 @@ def ensemble_radius(tag: str, sc: ConstraintScenario,
     return None
 
 
-def _noise_on_sphere(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return radius * g / np.linalg.norm(g)
-
-
 def _plant_factors(sc: ConstraintScenario, real: bool,
-                   rng: np.random.Generator) -> LiftedMatrix:
-    """Random admissible rank-1 matrix, normalized to unit Frobenius norm."""
+                   rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """The draws of a random admissible rank-1 matrix x y^T: its factors
+    (x, y), not yet normalized."""
     def draw(m, s):
         if real:
             v = rng.standard_normal(m).astype(np.complex128)
@@ -187,9 +187,29 @@ def _plant_factors(sc: ConstraintScenario, real: bool,
         return v
 
     x = draw(sc.m1, sc.s1)
-    y = draw(sc.m2, None if sc.kind == "mixed" else sc.s2)
-    nrm = np.linalg.norm(x) * np.linalg.norm(y)
-    return LiftedMatrix.from_factors(x / nrm, y)
+    return x, draw(sc.m2, None if sc.kind == "mixed" else sc.s2)
+
+
+def _draw_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int],
+                 R: Optional[float] = None):
+    """The trials with seeds `seeds` as one stack: the stacked ensemble, the
+    factors X (T, m1) and Y (T, m2) of each trial's planted unit-norm
+    admissible matrix, and each trial's open plant and solver streams.
+
+    Each stream is derived from the trial seed: mix_seed(seed, 0) builds the
+    ensemble, mix_seed(seed, 1) plants (and then draws any noise), and
+    mix_seed(seed, 2) drives the solver or the deviation search. Only the
+    draws run per trial; the rest runs once on the stack. Returns
+    (ens, X, Y, plant_rngs, solver_rngs).
+    """
+    ens = build_ensemble(sc, tag, [mix_seed(seed, 0) for seed in seeds],
+                         R=ensemble_radius(tag, sc, R))
+    plant_rngs = [np.random.default_rng(mix_seed(seed, 1)) for seed in seeds]
+    solver_rngs = [np.random.default_rng(mix_seed(seed, 2)) for seed in seeds]
+    real = tag in (REAL_GENERIC, REAL_UNIFORM_BALL)
+    X, Y = (np.array(v) for v in zip(*(_plant_factors(sc, real, rng) for rng in plant_rngs)))
+    X = X / (_norm(X) * _norm(Y))[:, None]
+    return ens, X, Y, plant_rngs, solver_rngs
 
 
 def draw_trial(sc: ConstraintScenario, tag: str, seed: int,
@@ -197,18 +217,11 @@ def draw_trial(sc: ConstraintScenario, tag: str, seed: int,
                ) -> Tuple[Ensemble, LiftedMatrix, np.random.Generator,
                           np.random.Generator]:
     """The ensemble, the planted unit-norm admissible matrix and the open
-    streams of the trial with seed `seed`.
-
-    Each stream is derived from the trial seed: mix_seed(seed, 0) builds the
-    ensemble, mix_seed(seed, 1) plants (and then draws any noise), and
-    mix_seed(seed, 2) drives the solver or the deviation search. Returns
-    (ens, M0, plant_rng, solver_rng).
+    plant and solver streams of the trial with seed `seed`: _draw_trials
+    with the one seed. Returns (ens, M0, plant_rng, solver_rng).
     """
-    ens = build_ensemble(sc, tag, mix_seed(seed, 0), R=ensemble_radius(tag, sc, R))
-    plant_rng = np.random.default_rng(mix_seed(seed, 1))
-    solver_rng = np.random.default_rng(mix_seed(seed, 2))
-    M0 = _plant_factors(sc, tag in (REAL_GENERIC, REAL_UNIFORM_BALL), plant_rng)
-    return ens, M0, plant_rng, solver_rng
+    ens, X, Y, plant_rngs, solver_rngs = _draw_trials(sc, tag, [seed], R)
+    return ens.trial(0), LiftedMatrix.from_factors(X[0], Y[0]), plant_rngs[0], solver_rngs[0]
 
 
 def recover_trial(sc: ConstraintScenario, tag: str, seed: int, *,
@@ -223,8 +236,11 @@ def recover_trial(sc: ConstraintScenario, tag: str, seed: int, *,
     Returns the solver result, whose lifted_error is measured against the
     planted matrix, and whether the trial counts as recovered.
     """
-    return _recover_trials(sc, tag, [seed], R=R, restarts=restarts,
-                           noise_level=noise_level)[0]
+    (fit,), err, ok = _recover_trials(sc, tag, [seed], R=R, restarts=restarts,
+                                      noise_level=noise_level)
+    return RecoveryResult(M_hat=LiftedMatrix.from_factors(fit.X[0], fit.Y[0]),
+                          residual=float(fit.residual[0]), lifted_error=float(err[0]),
+                          support=fit.supports[0], restarts_used=fit.restarts_used), bool(ok[0])
 
 
 # Bound on P*n*k1*k2*(restarts + 1)*trials (P supports of k1 x k2) per stack
@@ -234,11 +250,16 @@ RECOVERY_STACK_ENTRIES = 1 << 20
 
 
 def _recover_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
-                    R: Optional[float], restarts: int,
-                    noise_level: float) -> list[Tuple[RecoveryResult, bool]]:
-    """recover_trial for each seed, solved in stacks of trials: one solve
-    for all trials of a stack, each trial with its own solver stream, so
-    each gets the bits of recover_trial alone."""
+                    R: Optional[float], restarts: int, noise_level: float
+                    ) -> Tuple[list[RecoveryStack], np.ndarray, np.ndarray]:
+    """recover_trial for each seed, in stacks of trials drawn, measured,
+    solved and scored as one: each trial draws from its own streams, so
+    each gets the bits of recover_trial alone.
+
+    Returns the solver result of each stack, and per trial the lifted
+    error against the planted matrix and whether the trial counts as
+    recovered: its error is at most RECOVERY_RTOL * max(1, ||M0||).
+    """
     if not noise_level >= 0:
         raise ValueError("noise_level must be nonnegative")
     if restarts < 0:
@@ -246,25 +267,22 @@ def _recover_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
     supports = admissible_supports(sc)
     per_trial = len(supports) * math.prod(map(len, supports[0])) * sc.n * (restarts + 1)
     size = max(1, RECOVERY_STACK_ENTRIES // per_trial)
-    if len(seeds) > size:
-        return [out for start in range(0, len(seeds), size)
-                for out in _recover_trials(sc, tag, seeds[start:start + size], R=R,
-                                           restarts=restarts, noise_level=noise_level)]
-    trials = [draw_trial(sc, tag, seed, R) for seed in seeds]
-    z_tilde = []
-    for ens, M0, plant_rng, _ in trials:
-        z = apply_G(ens, M0)
+    fits, errors, recovered = [], [], []
+    for start in range(0, len(seeds), size):
+        ens, X, Y, plant_rngs, solver_rngs = _draw_trials(sc, tag, seeds[start:start + size], R)
+        z = _convolve_factors(ens.D, ens.E, X, Y)
         if noise_level > 0:
-            z = z + _noise_on_sphere(sc.n, noise_level, plant_rng)
-        z_tilde.append(spectral.dft(z) / np.sqrt(sc.n))
-    fit = solve_sparse_enumerate(stack_ensembles([ens for ens, *_ in trials]),
-                                 np.array(z_tilde), restarts=restarts,
-                                 rng=[solver_rng for *_, solver_rng in trials])
-    out = []
-    for t, (_, M0, _, _) in enumerate(trials):
-        res = fit.result(t, M0)
-        out.append((res, is_recovered(res.M_hat, M0)))
-    return out
+            g = np.array([rng.standard_normal(sc.n) + 1j * rng.standard_normal(sc.n)
+                          for rng in plant_rngs])
+            z = z + noise_level * g / _norm(g)[:, None]
+        z_tilde = np.fft.fft(z, norm="ortho") / np.sqrt(sc.n)
+        fit = solve_sparse_enumerate(ens, z_tilde, restarts=restarts, rng=solver_rngs)
+        M0 = (X[:, :, None] * Y[:, None, :]).reshape(len(X), -1)
+        err = _norm((fit.X[:, :, None] * fit.Y[:, None, :]).reshape(len(X), -1) - M0)
+        fits.append(fit)
+        errors.append(err)
+        recovered.append(err <= RECOVERY_RTOL * np.maximum(1.0, _norm(M0)))
+    return fits, np.concatenate(errors), np.concatenate(recovered)
 
 
 def run_phase_transition(plan: TrialPlan) -> list[dict]:
@@ -275,22 +293,22 @@ def run_phase_transition(plan: TrialPlan) -> list[dict]:
     it plants a unit-norm admissible rank-1 matrix, measures it (optionally
     with spherical noise of radius noise_level), solves over every
     admissible support, and scores success by the recovery threshold. A
-    row's trials are solved as stacks (at most RECOVERY_STACK_ENTRIES), each
-    trial with the bits of its lone replay. Rows carry the thresholds d and
-    2d for annotation.
+    row's trials are drawn, measured, solved and scored as stacks (at most
+    RECOVERY_STACK_ENTRIES), each trial with the bits of its lone replay.
+    Rows carry the thresholds d and 2d for annotation.
     """
     rows = []
     for row_idx, value in enumerate(plan.sweep):
         n = int(value)
         sc_n = plan.sc.with_n(n)
         d = bounds.sample_complexity_d(sc_n)
-        results = _recover_trials(sc_n, plan.ensemble_tag,
-                                  [mix_seed(plan.master_seed, row_idx, i)
-                                   for i in range(plan.trials)],
-                                  R=plan.R, restarts=plan.restarts,
-                                  noise_level=plan.noise_level)
-        successes = sum(1 for _, ok in results if ok)
-        mean_err = float(np.mean([res.lifted_error for res, _ in results]))
+        _, err, ok = _recover_trials(sc_n, plan.ensemble_tag,
+                                     [mix_seed(plan.master_seed, row_idx, i)
+                                      for i in range(plan.trials)],
+                                     R=plan.R, restarts=plan.restarts,
+                                     noise_level=plan.noise_level)
+        successes = int(ok.sum())
+        mean_err = float(np.mean(err))
         rows.append({"n": n, "trials": plan.trials, "successes": successes,
                      "rate": successes / plan.trials, "d": d, "two_d": 2 * d,
                      "mean_lifted_error": mean_err})
@@ -632,15 +650,15 @@ def run_stability_sweep(plan: TrialPlan) -> list[dict]:
     for row_idx, delta in enumerate(deltas):
         seeds = [mix_seed(plan.master_seed, row_idx, i) for i in range(plan.trials)]
         if delta == 0:
-            for res, ok in _recover_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R=R,
-                                           restarts=plan.restarts, noise_level=0.0):
-                zero_violations[row_idx] += not ok
-                trial_devs[row_idx].append(res.lifted_error)
+            _, err, ok = _recover_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R=R,
+                                         restarts=plan.restarts, noise_level=0.0)
+            zero_violations[row_idx] = int((~ok).sum())
+            trial_devs[row_idx] = err.tolist()
             continue
-        for seed in seeds:
-            ens, M0, _, search_rng = draw_trial(sc, COMPLEX_UNIFORM_BALL, seed, R)
-            p0 = _draw_starts(M0.x, M0.y, delta, plan.starts, search_rng)
-            pending.append((row_idx, ens.a, ens.b, M0.x, M0.y, delta, p0))
+        ens, X, Y, _, search_rngs = _draw_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R)
+        for t, search_rng in enumerate(search_rngs):
+            p0 = _draw_starts(X[t], Y[t], delta, plan.starts, search_rng)
+            pending.append((row_idx, ens.a[t], ens.b[t], X[t], Y[t], delta, p0))
             if len(pending) * len(p0) >= SEARCH_BATCH_SLOTS:
                 search_pending()
     if pending:

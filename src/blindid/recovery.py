@@ -3,7 +3,8 @@ identifiability certifiers.
 
 The solvers minimize the frequency-domain residual over rank-1 matrices on
 a fixed or enumerated support: by least squares and a rank-1 projection
-when n >= |S1|*|S2|, and otherwise by a batched Levenberg-Marquardt kernel
+when n >= |S1|*|S2|, one stacked LAPACK call for every (trial, support)
+of a solve, and otherwise by a batched Levenberg-Marquardt kernel
 over the factors, which recovers down to the sample count d. The
 certifiers combine an exact sufficient certificate (injectivity of the
 restricted linear operator) with a multi-start heuristic search for
@@ -29,9 +30,11 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .ensembles import ConstraintScenario, Ensemble
-from .lifting import LiftedMatrix, apply_A, as_matrix, operator_matrix, support_rows
+from .lifting import (LiftedMatrix, _times, apply_A, as_matrix, operator_matrix,
+                      support_rows)
 
 __all__ = [
     "RecoveryResult",
@@ -100,14 +103,6 @@ class RecoveryStack:
     supports: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
     restarts_used: int = 0
 
-    def result(self, t: int, truth: Optional[LiftedMatrix] = None) -> RecoveryResult:
-        """Trial t's RecoveryResult, with its lifted error against truth."""
-        M_hat = LiftedMatrix.from_factors(self.X[t], self.Y[t])
-        err = None if truth is None else align_and_distance(M_hat, truth)
-        return RecoveryResult(M_hat=M_hat, residual=float(self.residual[t]),
-                              lifted_error=err, support=self.supports[t],
-                              restarts_used=self.restarts_used)
-
 
 @dataclass(frozen=True)
 class IdentifiabilityVerdict:
@@ -147,14 +142,24 @@ def _embed(v: np.ndarray, support, m: int) -> np.ndarray:
     return out
 
 
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(A[i], b[i], rcond=None)[0] for every slot i of a
+    stack, in one call of the LAPACK gufunc that np.linalg.lstsq wraps,
+    with its default rcond, so each slot gets the bits of its own call."""
+    rcond = np.finfo(np.float64).eps * max(A.shape[-2:])
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(A, b[..., None], rcond, signature="DDd->Ddid")[0]
+    return x[..., 0]
+
+
 def _norm(r: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row of r, bit for bit (the same dot products)."""
     return np.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag))
-
-
-def _times(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """rows @ v per slot: (S, n, k) stack times (S, k) vectors, (S, n)."""
-    return (rows @ v[:, :, None])[:, :, 0]
 
 
 def _damped_solve(B: np.ndarray, w: np.ndarray, lam) -> np.ndarray:
@@ -268,17 +273,18 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: in
     """Minimize the frequency residual over rank-1 matrices supported on
     one of P supports S1[p] x S2[p], for each trial of a stack.
 
-    ens is a stack of T trials (stack_ensembles), z_tilde (T, n) holds
-    their measurements and rng one generator per trial; S1 (P, k1) and
-    S2 (P, k2) index P supports of one size. When n >= k1*k2 least squares
-    on each support is solved and projected to the nearest rank-1 matrix.
-    Otherwise every (trial, support, start) is a slot of one
-    Levenberg-Marquardt run: per support a spectral start plus `restarts`
-    random starts, all drawn from the trial's generator in one call. A
-    trial's starts on one support stop together once one of them reaches
-    the residual floor. Each trial keeps its first smallest residual,
-    support-major, so ties go to the first support. Trial t has the bits
-    of a solve of the stack of trial t alone.
+    ens is a stack of T trials (build_ensemble with T seeds), z_tilde
+    (T, n) holds their measurements and rng one generator per trial; S1
+    (P, k1) and S2 (P, k2) index P supports of one size. When n >= k1*k2
+    every (trial, support) is a slot of one stacked least-squares call,
+    whose solutions are projected to the nearest rank-1 matrix. Otherwise
+    every (trial, support, start) is a slot of one Levenberg-Marquardt
+    run: per support a spectral start plus `restarts` random starts, all
+    drawn from the trial's generator in one call. A trial's starts on one
+    support stop together once one of them reaches the residual floor.
+    Each trial keeps its first smallest residual, support-major, so ties
+    go to the first support. Trial t has the bits of a solve of the stack
+    of trial t alone.
     """
     sc = ens.scenario
     S1, S2 = (np.sort(S, axis=-1) for S in (S1, S2))
@@ -299,16 +305,10 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: in
     aS, bS = support_rows(ens, S1, S2)
 
     if n >= k1 * k2:
-        op = operator_matrix(ens, rows=S1, cols=S2)
-        x = np.empty((T, P, k1), dtype=np.complex128)
-        y = np.empty((T, P, k2), dtype=np.complex128)
-        residual = np.empty((T, P))
-        # the strided rows of support_rows give the bits of one-support solves
-        for t, p in np.ndindex(T, P):
-            vec = np.linalg.lstsq(op[t, p], z_tilde[t], rcond=None)[0]
-            x[t, p], y[t, p] = _top_rank1(vec.reshape((k1, k2), order="F"))
-            residual[t, p] = np.linalg.norm((aS[t, p] @ x[t, p]) * (bS[t, p] @ y[t, p])
-                                            - z_tilde[t])
+        vec = _lstsq(operator_matrix(ens, rows=S1, cols=S2), z_tilde[:, None, :])
+        # vec is column-major: entry k * k1 + m is M[m, k]
+        x, y = _top_rank1(vec.reshape(T, P, k2, k1).swapaxes(-1, -2))
+        residual = _norm(_times(aS, x) * _times(bS, y) - z_tilde[:, None, :])
         starts, restarts_used = 1, 0
     else:
         # slot (t * P + p) * starts + s is start s on support p of trial t

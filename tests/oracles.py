@@ -1,9 +1,11 @@
 """Reference implementations that the package computes faster.
 
-The package builds ensembles and measurements with FFTs, solves every
-admissible support in one stack of the Levenberg-Marquardt kernel and
-runs its certifier attempts in chunks, each chunk one such stack; the
-O(n^2) dense forms, the one-support-at-a-time solve and the
+The package builds ensembles and measurements with FFTs, draws, measures
+and scores a transition row's trials as one stack, solves every
+admissible support in one stack of the Levenberg-Marquardt kernel or of
+least squares, and runs its certifier attempts in chunks, each chunk one
+such stack; the O(n^2) dense forms, the one-support-at-a-time solve, the
+one-(trial, support)-at-a-time least squares and the
 one-attempt-at-a-time loops below are kept only so tests can compare
 against them.
 """
@@ -12,10 +14,10 @@ import itertools
 
 import numpy as np
 
-from blindid.lifting import LiftedMatrix, apply_A, operator_matrix
+from blindid.lifting import LiftedMatrix, apply_A, operator_matrix, support_rows
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND, HEURISTICALLY_UNIQUE,
                               INJECTIVITY_TOL, IdentifiabilityVerdict, RecoveryStack,
-                              _check_search, _embed, _lm, _support_of, _union,
+                              _check_search, _embed, _lm, _support_of, _top_rank1, _union,
                               admissible_supports, min_scaled_distance,
                               solve_fixed_support)
 
@@ -54,6 +56,26 @@ def solve_sparse_enumerate(ens, z_tilde, restarts, rng):
                                 fit.restarts_used)
         best = fit
     return best
+
+
+def least_squares_fits(ens, z_tilde, S1, S2):
+    """The n >= k1*k2 path of solve_fixed_support one (trial, support) at a
+    time: np.linalg.lstsq on the restricted operator, the nearest rank-1
+    matrix of its solution and the residual by np.linalg.norm. ens is a
+    stack of T trials, z_tilde (T, n), S1 (P, k1) and S2 (P, k2) sorted.
+    Returns x (T, P, k1), y (T, P, k2) and the residuals (T, P)."""
+    op = operator_matrix(ens, rows=S1, cols=S2)
+    aS, bS = support_rows(ens, S1, S2)
+    (T, P), k1, k2 = op.shape[:2], S1.shape[1], S2.shape[1]
+    x = np.empty((T, P, k1), dtype=np.complex128)
+    y = np.empty((T, P, k2), dtype=np.complex128)
+    residual = np.empty((T, P))
+    for t, p in np.ndindex(T, P):
+        vec = np.linalg.lstsq(op[t, p], z_tilde[t], rcond=None)[0]
+        x[t, p], y[t, p] = _top_rank1(vec.reshape((k1, k2), order="F"))
+        residual[t, p] = np.linalg.norm((aS[t, p] @ x[t, p]) * (bS[t, p] @ y[t, p])
+                                        - z_tilde[t])
+    return x, y, residual
 
 
 def random_factor(size, rng):

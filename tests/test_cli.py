@@ -364,6 +364,15 @@ GOLDEN = {
     "transition_sparse.csv": ["transition", "--kind", "sparsity", "--m1", "4", "--m2", "4",
                               "--s1", "1", "--s2", "1", "--n", "5", "--tag", "real_generic",
                               "--sweep", "5", "--trials", "3", "--seed", "5"],
+    "transition_real_ball.csv": ["transition", "--kind", "subspace", "--m1", "4", "--m2", "4",
+                                 "--n", "16", "--tag", "real_uniform_ball", "--sweep", "16,64",
+                                 "--trials", "2", "--seed", "5"],
+    "transition_noise.csv": ["transition", *_SUB22, "--n", "8", "--tag", "complex_uniform_ball",
+                             "--noise-level", "0.01", "--sweep", "4,8", "--trials", "3",
+                             "--seed", "5"],
+    "transition_mixed.csv": ["transition", "--kind", "mixed", "--m1", "4", "--m2", "4",
+                             "--s1", "2", "--n", "8", "--tag", "complex_generic",
+                             "--sweep", "5,6,8", "--trials", "2", "--seed", "5"],
     "stability.csv": ["stability", *_SUB22, "--n", "10", "--sweep", "0.3,0.1,0",
                       "--trials", "2", "--seed", "3"],
     "bounds_n12.json": ["bounds", *_SUB22, "--n", "12"],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blindid.ensembles import (COMPLEX_GENERIC, ConstraintScenario, Ensemble,
-                               build_ensemble, stack_ensembles)
+                               build_ensemble)
 from blindid.lifting import (LiftedMatrix, apply_A, apply_G,
                              calibrated_isometry_radius, mean_isometry_radius,
                              operator_matrix, support_rows)
@@ -184,7 +184,8 @@ def test_supports_are_index_arrays():
             operator_matrix(ens, rows=rows, cols=cols)
     rows, cols = np.array([[0, 1], [3, 1]]), np.array([[2, 0], [0, 1]])
     lone = [make_ensemble(n=7, m1=4, m2=3, seed=s) for s in (1, 2)]
-    ops = operator_matrix(stack_ensembles(lone), rows=rows, cols=cols)
+    ops = operator_matrix(build_ensemble(lone[0].scenario, COMPLEX_GENERIC, (1, 2)),
+                          rows=rows, cols=cols)
     assert ops.shape == (2, 2, 7, 4)
     for t, p in np.ndindex(2, 2):
         assert np.array_equal(ops[t, p], operator_matrix(lone[t], rows=rows[p:p + 1],

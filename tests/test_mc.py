@@ -1,11 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from blindid import bounds, mc
-from blindid.ensembles import (COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL,
-                               REAL_GENERIC, ConstraintScenario,
+from blindid.ensembles import (ALL_TAGS, COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL,
+                               REAL_GENERIC, REAL_UNIFORM_BALL, ConstraintScenario,
                                build_ensemble, mix_seed)
 from blindid.lifting import LiftedMatrix, apply_A, calibrated_isometry_radius
 
@@ -106,15 +107,18 @@ class TestPhaseTransition:
         # trial i of row r is recover_trial with seed mix_seed(master, r, i);
         # n < m1*m2 (subspace 2x2) and n < s1*s2 (sparsity 3x4 with
         # s1 = 2, s2 = 3 at n = 4 and at n = d = 5, its 12 supports in one
-        # solve) take the restarted Levenberg-Marquardt kernel. A row's
-        # trials are solved in stacks of at most RECOVERY_STACK_ENTRIES
+        # solve) take the restarted Levenberg-Marquardt kernel, the rest
+        # least squares. A row's trials are drawn, measured, solved and
+        # scored in stacks of at most RECOVERY_STACK_ENTRIES
         # P*n*k1*k2*(restarts + 1) per trial, for P supports of k1 x k2,
-        # which change no result: stacks of 5 to 8 trials split every row
+        # which change no result: stacks of 5 to 8 trials split every row.
+        # So for every tag, noiseless and with noise from the plant streams
         sparse = ConstraintScenario("sparsity", 6, 3, 4, 2, 3)
-        for sc, sweep, P, k in ((SUBSPACE5, (3, 4, 5), 1, 2 * 2),
-                                (sparse, (4, 5, 6), 12, 2 * 3)):
-            plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_GENERIC,
-                                trials=12, sweep=sweep, master_seed=14, restarts=3)
+        for (sc, sweep, P, k), tag, noise_level in itertools.product(
+                ((SUBSPACE5, (3, 4, 5), 1, 2 * 2), (sparse, (4, 5, 6), 12, 2 * 3)),
+                ALL_TAGS, (0.0, 0.01)):
+            plan = mc.TrialPlan(sc=sc, ensemble_tag=tag, trials=12, sweep=sweep,
+                                master_seed=14, restarts=3, noise_level=noise_level)
             rows = mc.run_phase_transition(plan)
             csv = mc.sweep_csv(mc.TRANSITION_COLUMNS, rows)
             assert csv == mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(plan))
@@ -134,13 +138,69 @@ class TestPhaseTransition:
             assert len(stacks) > len(sweep)
             assert all(T * n * per_trial <= entries for T, n in stacks), stacks
             for row_idx, row in enumerate(rows):
-                alone = [mc.recover_trial(sc.with_n(row["n"]), COMPLEX_GENERIC,
+                alone = [mc.recover_trial(sc.with_n(row["n"]), tag,
                                           mix_seed(plan.master_seed, row_idx, i),
-                                          restarts=plan.restarts)
+                                          restarts=plan.restarts, noise_level=noise_level)
                          for i in range(plan.trials)]
                 assert row["successes"] == sum(ok for _, ok in alone)
                 assert row["mean_lifted_error"] == float(np.mean([res.lifted_error
                                                                   for res, _ in alone]))
+            if noise_level:
+                assert all(row["successes"] == 0 for row in rows)
+
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_draw_trial_is_a_slot_of_the_stacked_draw(self, tag):
+        # each slot of a stacked draw has the bits of draw_trial on its seed
+        # alone, and leaves its streams where draw_trial leaves them; odd n
+        # and even n complete real ball rows differently
+        for sc in (ConstraintScenario("subspace", 7, 3, 2),
+                   ConstraintScenario("mixed", 8, 4, 3, 2),
+                   ConstraintScenario("sparsity", 9, 4, 4, 1, 3)):
+            seeds = [mix_seed(15, 0, i) for i in range(12)]
+            ens, X, Y, plant_rngs, solver_rngs = mc._draw_trials(sc, tag, seeds)
+            assert ens.seed == tuple(mix_seed(seed, 0) for seed in seeds)
+            for t, seed in enumerate(seeds):
+                one, M0, plant_rng, solver_rng = mc.draw_trial(sc, tag, seed)
+                assert one.seed == mix_seed(seed, 0)
+                for name in ("D", "E", "a", "b"):
+                    got, want = getattr(ens, name)[t], getattr(one, name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+                assert np.array_equal(X[t], M0.x) and np.array_equal(Y[t], M0.y)
+                assert np.array_equal(np.outer(X[t], Y[t]), M0.M)
+                for got, want in ((plant_rngs[t], plant_rng), (solver_rngs[t], solver_rng)):
+                    assert got.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("sc,tag,want", [
+        # least squares; the build takes two inverse FFTs
+        (ConstraintScenario("subspace", 8, 2, 2), REAL_UNIFORM_BALL,
+         {"fft": 3, "ifft": 3, "lstsq": 1}),
+        # least squares on 16 supports; the build takes two forward FFTs
+        (ConstraintScenario("sparsity", 5, 4, 4, 1, 1), COMPLEX_GENERIC,
+         {"fft": 5, "ifft": 1, "lstsq": 1}),
+        # the kernel
+        (ConstraintScenario("subspace", 6, 3, 3), COMPLEX_UNIFORM_BALL,
+         {"fft": 3, "ifft": 3}),
+    ], ids=["least-squares", "supports", "kernel"])
+    def test_a_stack_makes_as_many_calls_as_one_trial(self, sc, tag, want, monkeypatch):
+        # a stack of trials is built, measured (two forward FFTs and an
+        # inverse one), transformed (one forward FFT) and solved by one call
+        # per step, whatever its size: a loop over trials would make more
+        # calls at T = 12
+        from numpy.linalg import _umath_linalg
+        counts = {}
+        for module, name in ((np.fft, "fft"), (np.fft, "ifft"), (_umath_linalg, "lstsq")):
+            def counted(*args, real=getattr(module, name), name=name, **kw):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kw)
+            monkeypatch.setattr(module, name, counted)
+
+        def calls(T):
+            counts.clear()
+            mc._recover_trials(sc, tag, list(range(T)), R=None, restarts=2, noise_level=0.01)
+            return dict(counts)
+
+        assert calls(1) == want
+        assert calls(12) == want
 
     def test_csv_schema(self):
         plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC,
@@ -432,10 +492,10 @@ class TestDeviationSearch:
         # a search cut after one iteration reports every slot as MAXITER
         sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
         ens = build_ensemble(sc, COMPLEX_UNIFORM_BALL, 7, R=0.8)
-        M0 = mc._plant_factors(sc, False, rng)
-        p0 = mc._draw_starts(M0.x, M0.y, 0.1, 3, rng)
-        _, status = mc._deviation_search(ens.a[None], ens.b[None], M0.x[None],
-                                         M0.y[None], [0.1], p0[None], maxiter=1)
+        x0, y0 = mc._plant_factors(sc, False, rng)
+        p0 = mc._draw_starts(x0, y0, 0.1, 3, rng)
+        _, status = mc._deviation_search(ens.a[None], ens.b[None], x0[None],
+                                         y0[None], [0.1], p0[None], maxiter=1)
         assert (status == mc.MAXITER).all()
 
         # a gradient that points uphill defeats every line search

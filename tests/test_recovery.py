@@ -5,19 +5,20 @@ import numpy as np
 import pytest
 
 import oracles
-from blindid.ensembles import (COMPLEX_GENERIC, ConstraintScenario,
-                               build_ensemble, stack_ensembles)
+from blindid.ensembles import (COMPLEX_GENERIC, REAL_GENERIC, REAL_UNIFORM_BALL,
+                               ConstraintScenario, build_ensemble)
 from blindid import recovery
 from blindid.lifting import LiftedMatrix, apply_A, operator_matrix, support_rows
+from blindid.mc import _draw_trials as draw_trials
 from blindid.mc import draw_trial
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
                               HEURISTICALLY_UNIQUE, EnumerationCapError,
-                              IdentifiabilityVerdict,
+                              IdentifiabilityVerdict, RecoveryResult,
                               admissible_supports, align_and_distance,
                               certify_strong, certify_weak, is_recovered,
                               min_scaled_distance, solve_fixed_support,
                               solve_sparse_enumerate, verify_counterexample)
-from blindid.recovery import _lm
+from blindid.recovery import _embed, _lm
 
 
 def subspace(n, m1=2, m2=2):
@@ -27,8 +28,12 @@ def subspace(n, m1=2, m2=2):
 def solve_one(solver, ens, z, *supports, restarts, rng, truth=None):
     """solver on the stack of one trial, ens with measurements z: the
     trial's RecoveryResult, scored against truth."""
-    fit = solver(stack_ensembles([ens]), z[None], *supports, restarts, [rng])
-    return fit.result(0, truth)
+    stack = build_ensemble(ens.scenario, ens.tag, [ens.seed], ens.R)
+    fit = solver(stack, z[None], *supports, restarts, [rng])
+    M_hat = LiftedMatrix.from_factors(fit.X[0], fit.Y[0])
+    return RecoveryResult(M_hat, float(fit.residual[0]),
+                          None if truth is None else align_and_distance(M_hat, truth),
+                          fit.supports[0], fit.restarts_used)
 
 
 def random_factors(sc, seed):
@@ -119,7 +124,7 @@ class TestSolveFixedSupport:
     def test_empty_support_rejected(self):
         # so are duplicated, negative and out-of-range indices, on either
         # side and in any row of a stack of supports, before any solve
-        ens = stack_ensembles([build_ensemble(subspace(5), COMPLEX_GENERIC, 1)])
+        ens = build_ensemble(subspace(5), COMPLEX_GENERIC, [1])
         for bad in ([[]], [[0, 0]], [[-1]], [[2]], [[0, 1], [1, 1]]):
             for supports in ((bad, [range(2)] * len(bad)), ([range(2)] * len(bad), bad)):
                 with pytest.raises(ValueError, match="distinct indices in 0..1"):
@@ -129,7 +134,7 @@ class TestSolveFixedSupport:
     def test_supports_are_index_arrays(self):
         # supports come as (P, k) arrays only, with as many row supports
         # as column supports
-        ens = stack_ensembles([build_ensemble(subspace(5), COMPLEX_GENERIC, 1)])
+        ens = build_ensemble(subspace(5), COMPLEX_GENERIC, [1])
         for supports in ((range(2), [range(2)]), ([range(2)], range(2)),
                          ([[0]], [[0], [1]])):
             with pytest.raises(ValueError, match=r"\(P, k\) index arrays"):
@@ -140,8 +145,9 @@ class TestSolveFixedSupport:
         # the solvers take stacks only, with one row of measurements per trial
         ens = build_ensemble(subspace(5), COMPLEX_GENERIC, 1)
         rng = [np.random.default_rng(0)]
-        for solve_on, z in ((ens, np.zeros(5)), (stack_ensembles([ens]), np.zeros(5)),
-                            (stack_ensembles([ens]), np.zeros((2, 5)))):
+        stack = build_ensemble(subspace(5), COMPLEX_GENERIC, [1])
+        for solve_on, z in ((ens, np.zeros(5)), (stack, np.zeros(5)),
+                            (stack, np.zeros((2, 5)))):
             with pytest.raises(ValueError, match="stack of T trials"):
                 solve_fixed_support(solve_on, z, [range(2)], [range(2)], 0, rng)
             with pytest.raises(ValueError, match="stack of T trials"):
@@ -166,7 +172,7 @@ def _stacked_row(sc, trials, seed, noise=0.0):
     z = np.array([apply_A(ens, random_factors(sc, seed + 100 + t))
                   for t, ens in enumerate(lone)])
     z += noise * (rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape))
-    return stack_ensembles(lone), z, lone
+    return build_ensemble(sc, COMPLEX_GENERIC, range(seed, seed + trials)), z, lone
 
 
 def _embed_support(M, rows, cols):
@@ -216,9 +222,8 @@ class TestStackedKernel:
         for t, ens_t in enumerate(lone):
             alone = solve_one(solve_fixed_support, ens_t, z[t], [range(3)], [range(3)],
                               restarts=20, rng=np.random.default_rng(60 + t))
-            got = fit.result(t)
-            assert np.array_equal(got.M_hat.M, alone.M_hat.M)
-            assert got.residual == alone.residual and got.support == alone.support
+            assert np.array_equal(np.outer(fit.X[t], fit.Y[t]), alone.M_hat.M)
+            assert fit.residual[t] == alone.residual and fit.supports[t] == alone.support
         floor = recovery.LM_RESIDUAL_FLOOR * np.maximum(1.0, np.linalg.norm(z, axis=1))
         if noise:
             assert np.all(fit.residual > floor)
@@ -472,7 +477,7 @@ def test_enumeration_matches_the_per_support_loop(sc, zero):
     # tie on every support, and the first support wins
     T = 6
     trials = [draw_trial(sc, COMPLEX_GENERIC, seed) for seed in range(T)]
-    ens = stack_ensembles([ens for ens, *_ in trials])
+    ens = build_ensemble(sc, COMPLEX_GENERIC, [ens.seed for ens, *_ in trials])
     z = np.array([apply_A(ens, M0) for ens, M0, *_ in trials])
     z[1::2] += 0.01 * np.random.default_rng(91).standard_normal(z[1::2].shape)
     if zero:
@@ -489,6 +494,41 @@ def test_enumeration_matches_the_per_support_loop(sc, zero):
         assert not got.X.any() and not got.residual.any()
     else:
         assert len(set(got.supports)) > 1
+
+
+@pytest.mark.parametrize("sc,tag", [
+    *((subspace(n), COMPLEX_GENERIC) for n in range(4, 9)),
+    (subspace(16, 4, 4), COMPLEX_GENERIC),
+    (subspace(64, 4, 4), REAL_UNIFORM_BALL),
+    (subspace(1024, 4, 4), REAL_UNIFORM_BALL),
+    (ConstraintScenario("sparsity", 5, 4, 4, 1, 1), REAL_GENERIC),  # 16 supports
+], ids=lambda v: f"{v.kind}-{v.m1}x{v.m2}-n{v.n}" if isinstance(v, ConstraintScenario) else v)
+def test_least_squares_slots_match_the_per_slot_loop(sc, tag, monkeypatch):
+    # n >= k1*k2: one stacked lstsq, one stacked rank-1 projection and one
+    # residual call give every (trial, support) slot the bits of the loop
+    # over slots, and each trial the first of its smallest residuals.
+    # Planted measurements, noisy in odd trials
+    T = 6
+    ens, X, Y, _, _ = draw_trials(sc, tag, range(T))
+    z = apply_A(ens, X[:, :, None] * Y[:, None, :])
+    z[1::2] += 0.01 * np.random.default_rng(92).standard_normal(z[1::2].shape)
+    S1, S2 = map(np.array, zip(*admissible_supports(sc)))
+    seen = []
+    for name in ("_top_rank1", "_norm"):
+        real = getattr(recovery, name)
+        monkeypatch.setattr(recovery, name,
+                            lambda *args, real=real: seen.append(real(*args)) or seen[-1])
+    fit = solve_sparse_enumerate(ens, z, 0, [np.random.default_rng(0)] * T)
+    (x, y), residual = seen
+    want_x, want_y, want_residual = oracles.least_squares_fits(ens, z, S1, S2)
+    assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
+    assert np.array_equal(residual, want_residual)
+    best = want_residual.argmin(1)
+    assert np.array_equal(fit.residual, want_residual[range(T), best])
+    assert np.array_equal(fit.X, _embed(want_x[range(T), best], S1[best], sc.m1))
+    assert np.array_equal(fit.Y, _embed(want_y[range(T), best], S2[best], sc.m2))
+    assert fit.supports == tuple(admissible_supports(sc)[p] for p in best)
+    assert np.all(fit.residual[::2] <= 1e-10) and np.all(fit.residual[1::2] > 1e-4)
 
 
 class TestDistances:
