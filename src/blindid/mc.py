@@ -37,8 +37,8 @@ from .ensembles import (COMPLEX_UNIFORM_BALL, REAL_GENERIC, REAL_UNIFORM_BALL,
                         ConstraintScenario, Ensemble, build_ensemble, mix_seed,
                         sample_uniform_complex_ball_batch)
 from .lifting import LiftedMatrix, _convolve_factors, _times, mean_isometry_radius
-from .recovery import (RECOVERY_RTOL, RecoveryResult, RecoveryStack, _norm,
-                       admissible_supports, solve_sparse_enumerate)
+from .recovery import (RecoveryResult, RecoveryStack, _norm, admissible_supports,
+                       align_and_distance, is_recovered, solve_sparse_enumerate)
 
 __all__ = [
     "TrialPlan",
@@ -236,11 +236,37 @@ def recover_trial(sc: ConstraintScenario, tag: str, seed: int, *,
     Returns the solver result, whose lifted_error is measured against the
     planted matrix, and whether the trial counts as recovered.
     """
-    (fit,), err, ok = _recover_trials(sc, tag, [seed], R=R, restarts=restarts,
-                                      noise_level=noise_level)
+    fit, err, ok = _recover_stack(sc, tag, [seed], R=R, restarts=restarts,
+                                  noise_level=noise_level)
     return RecoveryResult(M_hat=LiftedMatrix.from_factors(fit.X[0], fit.Y[0]),
                           residual=float(fit.residual[0]), lifted_error=float(err[0]),
                           support=fit.supports[0], restarts_used=fit.restarts_used), bool(ok[0])
+
+
+def _recover_stack(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
+                   R: Optional[float], restarts: int, noise_level: float
+                   ) -> Tuple[RecoveryStack, np.ndarray, np.ndarray]:
+    """recover_trial for the trials with seeds `seeds`, drawn, measured,
+    solved and scored as one stack: each trial draws from its own streams,
+    so each gets the bits of recover_trial alone.
+
+    Returns the solver result, and per trial the lifted error against the
+    planted matrix and whether the trial counts as recovered (is_recovered).
+    """
+    if not noise_level >= 0:
+        raise ValueError("noise_level must be nonnegative")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
+    ens, X, Y, plant_rngs, solver_rngs = _draw_trials(sc, tag, seeds, R)
+    z = _convolve_factors(ens.D, ens.E, X, Y)
+    if noise_level > 0:
+        g = np.array([rng.standard_normal(sc.n) + 1j * rng.standard_normal(sc.n)
+                      for rng in plant_rngs])
+        z = z + noise_level * g / _norm(g)[:, None]
+    z_tilde = np.fft.fft(z, norm="ortho") / np.sqrt(sc.n)
+    fit = solve_sparse_enumerate(ens, z_tilde, restarts=restarts, rng=solver_rngs)
+    M_hat, M0 = (U[:, :, None] * V[:, None, :] for U, V in ((fit.X, fit.Y), (X, Y)))
+    return fit, align_and_distance(M_hat, M0), is_recovered(M_hat, M0)
 
 
 # Bound on P*n*k1*k2*(restarts + 1)*trials (P supports of k1 x k2) per stack
@@ -251,38 +277,20 @@ RECOVERY_STACK_ENTRIES = 1 << 20
 
 def _recover_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
                     R: Optional[float], restarts: int, noise_level: float
-                    ) -> Tuple[list[RecoveryStack], np.ndarray, np.ndarray]:
-    """recover_trial for each seed, in stacks of trials drawn, measured,
-    solved and scored as one: each trial draws from its own streams, so
-    each gets the bits of recover_trial alone.
-
-    Returns the solver result of each stack, and per trial the lifted
-    error against the planted matrix and whether the trial counts as
-    recovered: its error is at most RECOVERY_RTOL * max(1, ||M0||).
-    """
-    if not noise_level >= 0:
-        raise ValueError("noise_level must be nonnegative")
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """_recover_stack on `seeds` in stacks of at most RECOVERY_STACK_ENTRIES
+    each; restarts must be >= 0. Returns per trial the lifted error and
+    whether the trial counts as recovered."""
     supports = admissible_supports(sc)
     per_trial = len(supports) * math.prod(map(len, supports[0])) * sc.n * (restarts + 1)
     size = max(1, RECOVERY_STACK_ENTRIES // per_trial)
-    fits, errors, recovered = [], [], []
+    errors, recovered = [], []
     for start in range(0, len(seeds), size):
-        ens, X, Y, plant_rngs, solver_rngs = _draw_trials(sc, tag, seeds[start:start + size], R)
-        z = _convolve_factors(ens.D, ens.E, X, Y)
-        if noise_level > 0:
-            g = np.array([rng.standard_normal(sc.n) + 1j * rng.standard_normal(sc.n)
-                          for rng in plant_rngs])
-            z = z + noise_level * g / _norm(g)[:, None]
-        z_tilde = np.fft.fft(z, norm="ortho") / np.sqrt(sc.n)
-        fit = solve_sparse_enumerate(ens, z_tilde, restarts=restarts, rng=solver_rngs)
-        M0 = (X[:, :, None] * Y[:, None, :]).reshape(len(X), -1)
-        err = _norm((fit.X[:, :, None] * fit.Y[:, None, :]).reshape(len(X), -1) - M0)
-        fits.append(fit)
+        _, err, ok = _recover_stack(sc, tag, seeds[start:start + size], R=R,
+                                    restarts=restarts, noise_level=noise_level)
         errors.append(err)
-        recovered.append(err <= RECOVERY_RTOL * np.maximum(1.0, _norm(M0)))
-    return fits, np.concatenate(errors), np.concatenate(recovered)
+        recovered.append(ok)
+    return np.concatenate(errors), np.concatenate(recovered)
 
 
 def run_phase_transition(plan: TrialPlan) -> list[dict]:
@@ -302,11 +310,11 @@ def run_phase_transition(plan: TrialPlan) -> list[dict]:
         n = int(value)
         sc_n = plan.sc.with_n(n)
         d = bounds.sample_complexity_d(sc_n)
-        _, err, ok = _recover_trials(sc_n, plan.ensemble_tag,
-                                     [mix_seed(plan.master_seed, row_idx, i)
-                                      for i in range(plan.trials)],
-                                     R=plan.R, restarts=plan.restarts,
-                                     noise_level=plan.noise_level)
+        err, ok = _recover_trials(sc_n, plan.ensemble_tag,
+                                  [mix_seed(plan.master_seed, row_idx, i)
+                                   for i in range(plan.trials)],
+                                  R=plan.R, restarts=plan.restarts,
+                                  noise_level=plan.noise_level)
         successes = int(ok.sum())
         mean_err = float(np.mean(err))
         rows.append({"n": n, "trials": plan.trials, "successes": successes,
@@ -614,8 +622,9 @@ def run_stability_sweep(plan: TrialPlan) -> list[dict]:
     matrix, search for the largest feasible deviation, and record whether
     it violates the predicted reconstruction level. delta = 0 degenerates
     to a noiseless uniqueness check. The searches of delta > 0 trials run
-    batched, up to SEARCH_BATCH_SLOTS starts at a time across rows; a
-    trial's result does not depend on its batch. delta > 0 rows also carry
+    batched across rows, each batch the fewest trials whose starts reach
+    SEARCH_BATCH_SLOTS; trials are drawn as stacks that fill the batch, and
+    a trial's result does not depend on its batch. delta > 0 rows also carry
     search_status: how many starts converged, hit the iteration cap, and
     failed their line search.
     """
@@ -638,6 +647,13 @@ def run_stability_sweep(plan: TrialPlan) -> list[dict]:
     zero_violations = [0] * len(deltas)
     status = [np.zeros(3, dtype=int) for _ in deltas]  # per row: starts by stop status
     pending = []  # (row, a, b, x0, y0, delta, starts) per trial awaiting its search
+    batch = -(-SEARCH_BATCH_SLOTS // plan.starts)  # trials per search batch
+
+    def queue(row_idx, delta, seeds):
+        ens, X, Y, _, search_rngs = _draw_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R)
+        for t, search_rng in enumerate(search_rngs):
+            p0 = _draw_starts(X[t], Y[t], delta, plan.starts, search_rng)
+            pending.append((row_idx, ens.a[t], ens.b[t], X[t], Y[t], delta, p0))
 
     def search_pending():
         rows_of, *problems = zip(*pending)
@@ -650,16 +666,18 @@ def run_stability_sweep(plan: TrialPlan) -> list[dict]:
     for row_idx, delta in enumerate(deltas):
         seeds = [mix_seed(plan.master_seed, row_idx, i) for i in range(plan.trials)]
         if delta == 0:
-            _, err, ok = _recover_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R=R,
-                                         restarts=plan.restarts, noise_level=0.0)
+            err, ok = _recover_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R=R,
+                                      restarts=plan.restarts, noise_level=0.0)
             zero_violations[row_idx] = int((~ok).sum())
             trial_devs[row_idx] = err.tolist()
             continue
-        ens, X, Y, _, search_rngs = _draw_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R)
-        for t, search_rng in enumerate(search_rngs):
-            p0 = _draw_starts(X[t], Y[t], delta, plan.starts, search_rng)
-            pending.append((row_idx, ens.a[t], ens.b[t], X[t], Y[t], delta, p0))
-            if len(pending) * len(p0) >= SEARCH_BATCH_SLOTS:
+        # each draw fills the pending batch at most, so a sweep holds the
+        # ensembles of one batch of trials, whatever its number of trials
+        while seeds:
+            take = batch - len(pending)
+            queue(row_idx, delta, seeds[:take])
+            seeds = seeds[take:]
+            if len(pending) == batch:
                 search_pending()
     if pending:
         search_pending()

@@ -162,6 +162,13 @@ def _norm(r: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag))
 
 
+def _frobenius(M: np.ndarray):
+    """np.linalg.norm of M (m1, m2), or of each matrix of a stack, bit for
+    bit: a float, or an array of the stack's leading shape."""
+    r = _norm(M.reshape(M.shape[:-2] + (-1,)))
+    return float(r) if r.ndim == 0 else r
+
+
 def _damped_solve(B: np.ndarray, w: np.ndarray, lam) -> np.ndarray:
     """Per slot, the s solving (B^H B + mu I) s = B^H w with the damping
     mu = lam * max diag(B^H B): the least-squares solution of B s = w,
@@ -345,8 +352,9 @@ def solve_sparse_enumerate(ens: Ensemble, z_tilde: np.ndarray, restarts: int,
     return solve_fixed_support(ens, z_tilde, S1, S2, restarts, rng)
 
 
-def align_and_distance(M1, M2) -> float:
-    """Frobenius distance between lifted matrices.
+def align_and_distance(M1, M2):
+    """Frobenius distance between lifted matrices, or between each pair of
+    two stacks (..., m1, m2) of them, one float per pair.
 
     The scaling orbit of the factor pair maps to a single lifted matrix, so
     no alignment step is needed beyond lifting itself.
@@ -355,7 +363,7 @@ def align_and_distance(M1, M2) -> float:
     B = as_matrix(M2)
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return float(np.linalg.norm(A - B))
+    return _frobenius(A - B)
 
 
 def min_scaled_distance(M, M0) -> float:
@@ -371,10 +379,13 @@ def min_scaled_distance(M, M0) -> float:
     return float(np.linalg.norm(A - c * B))
 
 
-def is_recovered(M_hat, M0) -> bool:
-    """Success test used by the experiments."""
-    return align_and_distance(M_hat, M0) <= RECOVERY_RTOL * max(
-        1.0, float(np.linalg.norm(as_matrix(M0))))
+def is_recovered(M_hat, M0):
+    """Success test used by the experiments: the distance from M_hat to M0
+    is at most RECOVERY_RTOL * max(1, ||M0||). One bool, or one per pair of
+    two stacks (..., m1, m2) of lifted matrices."""
+    ok = (align_and_distance(M_hat, M0)
+          <= RECOVERY_RTOL * np.maximum(1.0, _frobenius(as_matrix(M0))))
+    return bool(ok) if np.ndim(ok) == 0 else ok
 
 
 def _support_of(M0: LiftedMatrix) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

@@ -613,10 +613,22 @@ class TestStabilitySweep:
         rows = mc.run_stability_sweep(plan)
         csv = mc.sweep_csv(mc.STABILITY_COLUMNS, rows)
         assert csv == mc.sweep_csv(mc.STABILITY_COLUMNS, mc.run_stability_sweep(plan))
-        # batches of 4 trials flush mid-sweep: they split rows and straddle two
+        # batches of 4 trials flush mid-sweep: they split rows and straddle
+        # two. Trials are drawn in stacks that fill the pending batch, so a
+        # sweep never holds more than one batch of ensembles; the last
+        # stack is the delta = 0 row, drawn for recovery
+        drawn = []
+        real = mc._draw_trials
+
+        def spy(sc, tag, seeds, R=None):
+            drawn.append(len(seeds))
+            return real(sc, tag, seeds, R)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mc, "SEARCH_BATCH_SLOTS", 4 * plan.starts)
+            mp.setattr(mc, "_draw_trials", spy)
             small = mc.run_stability_sweep(plan)
+        assert drawn == [4, 2, 2, 4, 6]
         assert mc.sweep_csv(mc.STABILITY_COLUMNS, small) == csv
         assert [r.get("search_status") for r in small] == [r.get("search_status") for r in rows]
         for row_idx, row in enumerate(rows[:2]):

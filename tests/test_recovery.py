@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ def subspace(n, m1=2, m2=2):
 def solve_one(solver, ens, z, *supports, restarts, rng, truth=None):
     """solver on the stack of one trial, ens with measurements z: the
     trial's RecoveryResult, scored against truth."""
-    stack = build_ensemble(ens.scenario, ens.tag, [ens.seed], ens.R)
+    stack = replace(ens, seed=(ens.seed,), D=ens.D[None], E=ens.E[None],
+                    a=ens.a[None], b=ens.b[None])
     fit = solver(stack, z[None], *supports, restarts, [rng])
     M_hat = LiftedMatrix.from_factors(fit.X[0], fit.Y[0])
     return RecoveryResult(M_hat, float(fit.residual[0]),
@@ -551,6 +553,19 @@ class TestDistances:
         M0 = LiftedMatrix.from_factors([1.0, 0], [1.0, 0])
         assert is_recovered(M0, M0)
         assert not is_recovered(M0.M + 1e-3, M0)
+
+    def test_stacks_score_pair_by_pair(self):
+        # a stack of pairs gets, pair by pair, the bits of the lone calls
+        rng = np.random.default_rng(3)
+        M0 = rng.standard_normal((5, 3, 2)) + 1j * rng.standard_normal((5, 3, 2))
+        M_hat = M0 + 10.0 ** -rng.integers(3, 10, size=(5, 1, 1)) * rng.standard_normal((5, 3, 2))
+        dist, ok = align_and_distance(M_hat, M0), is_recovered(M_hat, M0)
+        assert dist.shape == ok.shape == (5,) and 0 < ok.sum() < 5
+        for t in range(5):
+            assert dist[t] == align_and_distance(M_hat[t], M0[t]) == np.linalg.norm(M_hat[t] - M0[t])
+            assert ok[t] == is_recovered(M_hat[t], M0[t])
+        assert type(align_and_distance(M_hat[0], M0[0])) is float
+        assert type(is_recovered(M_hat[0], M0[0])) is bool
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
