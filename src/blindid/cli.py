@@ -49,7 +49,7 @@ _OPTION_SPECS = {
     "seed": (int, 0),
     "R": (finite_float, None),
     "trials": (int, 100),
-    "restarts": (int, 20),
+    "restarts": (int, 62),
     "noise_level": (finite_float, 0.0),
     "sweep": (str, None),
     "mode": (str, "single_point"),

@@ -77,7 +77,7 @@ class TrialPlan:
     trials: int
     sweep: Tuple[float, ...]
     master_seed: int = 0
-    restarts: int = 20
+    restarts: int = 62
     noise_level: float = 0.0
     R: Optional[float] = None
     mode: str = "single_point"
@@ -225,7 +225,7 @@ def draw_trial(sc: ConstraintScenario, tag: str, seed: int,
 
 
 def recover_trial(sc: ConstraintScenario, tag: str, seed: int, *,
-                  R: Optional[float] = None, restarts: int = 20,
+                  R: Optional[float] = None, restarts: int = 62,
                   noise_level: float = 0.0) -> Tuple[RecoveryResult, bool]:
     """Plant, measure, solve and score the trial with seed `seed`.
 
@@ -269,9 +269,11 @@ def _recover_stack(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
     return fit, align_and_distance(M_hat, M0), is_recovered(M_hat, M0)
 
 
-# Bound on P*n*k1*k2*(restarts + 1)*trials (P supports of k1 x k2) per stack
-# _recover_trials solves at once. Trials are independent, so the bound
-# changes no result; it keeps a sweep's memory flat in the number of trials.
+# Bound on P*n*k1*k2*starts*trials (P supports of k1 x k2) per stack
+# _recover_trials solves at once, where starts is restarts + 1 when n < k1*k2
+# (the kernel's slots) and 1 otherwise (one least-squares slot per support).
+# Trials are independent, so the bound changes no result; it keeps a sweep's
+# memory flat in the number of trials.
 RECOVERY_STACK_ENTRIES = 1 << 20
 
 
@@ -282,7 +284,8 @@ def _recover_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
     each; restarts must be >= 0. Returns per trial the lifted error and
     whether the trial counts as recovered."""
     supports = admissible_supports(sc)
-    per_trial = len(supports) * math.prod(map(len, supports[0])) * sc.n * (restarts + 1)
+    k = math.prod(map(len, supports[0]))
+    per_trial = len(supports) * k * sc.n * (restarts + 1 if sc.n < k else 1)
     size = max(1, RECOVERY_STACK_ENTRIES // per_trial)
     errors, recovered = [], []
     for start in range(0, len(seeds), size):

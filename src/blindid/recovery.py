@@ -13,13 +13,15 @@ counterexamples, which is explicitly non-conclusive when it finds nothing.
 The kernel runs on a stack of slots, each with the arithmetic of a lone
 run: every (trial, support, start) of a solve, one solve for a whole
 transition row, or a chunk of certifier attempts; both take supports as
-(P, k) index arrays. A trial's starts on one support stop together as
-soon as one of them fits exactly. One trial is a stack of one. Certifier
-attempts run in chunks of 1, 2, 4, ..., so a search may draw from the
-caller's rng past the attempt it returns; verdicts and budgets do not
-change. Per attempt only the rng draws run in Python; the planted
-matrices, their measurements and the fits run once per chunk, on the
-whole stack.
+(P, k) index arrays. A solve runs its starts in waves of 1, 2, 4, ...:
+the spectral start alone first, then more random starts only for the
+trials that no slot has fit yet. Within a wave, all of a trial's slots,
+on every support, stop together as soon as one of them fits exactly.
+One trial is a stack of one. Certifier attempts run in chunks of 1, 2,
+4, ..., so a search may draw from the caller's rng past the attempt it
+returns; verdicts and budgets do not change. Per attempt only the rng
+draws run in Python; the planted matrices, their measurements and the
+fits run once per chunk, on the whole stack.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ class RecoveryResult:
 class RecoveryStack:
     """Solver results of T stacked trials: factors X (T, m1) and Y (T, m2),
     zero off each trial's support, residuals (T,), the support of each
-    trial and the restarts every trial used."""
+    trial and the most random starts any trial ran."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -183,7 +185,7 @@ def _damped_solve(B: np.ndarray, w: np.ndarray, lam) -> np.ndarray:
 
 
 def _lm(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray, X0: np.ndarray,
-        starts: int = 1) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        group: int = 1) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Levenberg-Marquardt over the factors on a fixed support, one slot
     per start.
 
@@ -204,7 +206,7 @@ def _lm(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray, X0: np.ndarray,
     no step runs. Otherwise a slot stops when its relative decrease is at
     most LM_RTOL, its step ||d|| is at most LM_STEP_RTOL ||(x, y)||, lam
     exceeds LM_LAMBDA_MAX, or after LM_MAX_ITER steps. Slots come in
-    groups of `starts` consecutive slots, the starts of one trial, and a
+    groups of `group` consecutive slots, the slots of one trial, and a
     group stops as soon as one of its slots reaches the residual floor
     LM_RESIDUAL_FLOOR * max(1, ||z||).
 
@@ -226,13 +228,13 @@ def _lm(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray, X0: np.ndarray,
     X, Y, residual = x.copy(), y.copy(), res.copy()
     lam = np.full(len(x), LM_LAMBDA_START)
     floor = LM_RESIDUAL_FLOOR * np.maximum(1.0, _norm(z))
-    group = np.arange(len(x)) // starts
-    exact = np.zeros(len(x) // starts, dtype=bool)
+    owner = np.arange(len(x)) // group
+    exact = np.zeros(len(x) // group, dtype=bool)
     ids = np.arange(len(x))
     done = np.zeros(len(x), dtype=bool)
     for step in range(LM_MAX_ITER + 1):
-        exact[group[ids[res <= floor]]] = True
-        stop = done | exact[group[ids]] | (step == LM_MAX_ITER)
+        exact[owner[ids[res <= floor]]] = True
+        stop = done | exact[owner[ids]] | (step == LM_MAX_ITER)
         if stop.any():
             X[ids[stop]], Y[ids[stop]], residual[ids[stop]] = x[stop], y[stop], res[stop]
             keep = ~stop
@@ -285,13 +287,17 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: in
     (P, k1) and S2 (P, k2) index P supports of one size. When n >= k1*k2
     every (trial, support) is a slot of one stacked least-squares call,
     whose solutions are projected to the nearest rank-1 matrix. Otherwise
-    every (trial, support, start) is a slot of one Levenberg-Marquardt
-    run: per support a spectral start plus `restarts` random starts, all
-    drawn from the trial's generator in one call. A trial's starts on one
-    support stop together once one of them reaches the residual floor.
-    Each trial keeps its first smallest residual, support-major, so ties
-    go to the first support. Trial t has the bits of a solve of the stack
-    of trial t alone.
+    every (trial, support, start) is a slot of the Levenberg-Marquardt
+    kernel: per support a spectral start plus `restarts` random starts,
+    all drawn up front from the trial's generator in one call. The starts
+    run in waves of 1, 2, 4, ... (the spectral start alone first), each
+    wave one kernel run over the trials that no slot has fit yet. A trial
+    stops once any of its slots reaches the residual floor: between waves,
+    and within a wave, where its slots on every support form one group.
+    Each trial keeps its first smallest residual among the slots that
+    ran, support-major and then by start, so ties go to the first
+    support. restarts_used is the most random starts any trial ran. Trial
+    t has the bits of a solve of the stack of trial t alone.
     """
     sc = ens.scenario
     S1, S2 = (np.sort(S, axis=-1) for S in (S1, S2))
@@ -318,7 +324,6 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: in
         residual = _norm(_times(aS, x) * _times(bS, y) - z_tilde[:, None, :])
         starts, restarts_used = 1, 0
     else:
-        # slot (t * P + p) * starts + s is start s on support p of trial t
         aS, bS = (np.ascontiguousarray(rows).reshape(T * P, n, -1) for rows in (aS, bS))
         z = np.repeat(z_tilde, P, axis=0)
         # the spectral start: the top rank-1 factor of the adjoint on the support
@@ -327,9 +332,27 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: in
         draws = np.stack([_random_factors(P * restarts, k1, g) for g in rng])
         X0 = np.concatenate([x_init.reshape(T, P, 1, k1),
                              draws.reshape(T, P, restarts, k1)], axis=2)
-        starts, restarts_used = restarts + 1, restarts
-        x, y, residual = _lm(*(np.repeat(arr, starts, axis=0) for arr in (aS, bS, z)),
-                             X0.reshape(-1, k1), starts)
+        starts = restarts + 1
+        x = np.zeros((T, P, starts, k1), dtype=np.complex128)
+        y = np.zeros((T, P, starts, k2), dtype=np.complex128)
+        residual = np.full((T, P, starts), np.inf)
+        floor = LM_RESIDUAL_FLOOR * np.maximum(1.0, _norm(z_tilde))
+        live = np.arange(T)
+        for wave in _chunks(starts):
+            # slot (l * P + p) * w + s is start wave[s] on support p of live trial l
+            w, s = len(wave), slice(wave.start, wave.stop)
+            rows = (live[:, None] * P + np.arange(P)).ravel()
+            xw, yw, rw = _lm(np.repeat(aS[rows], w, axis=0), np.repeat(bS[rows], w, axis=0),
+                             np.repeat(z[rows], w, axis=0),
+                             X0[live, :, s].reshape(-1, k1), P * w)
+            x[live, :, s] = xw.reshape(len(live), P, w, k1)
+            y[live, :, s] = yw.reshape(len(live), P, w, k2)
+            rw = rw.reshape(len(live), P, w)
+            residual[live, :, s] = rw
+            live = live[~(rw <= floor[live, None, None]).any((1, 2))]
+            if not live.size:
+                break
+        restarts_used = wave.stop - 1  # the random starts of the last wave's trials
 
     # first of equals, support-major and then by start
     best = np.arange(T) * P * starts + residual.reshape(T, -1).argmin(1)

@@ -42,7 +42,10 @@ def fit(aS, bS, z_tilde, x0):
 def solve_sparse_enumerate(ens, z_tilde, restarts, rng):
     """solve_sparse_enumerate with one solve_fixed_support call per support,
     in lexicographic order: a support's fit replaces a trial's incumbent
-    only where its residual is strictly smaller."""
+    only where its residual is strictly smaller. solve_sparse_enumerate
+    stops a trial on every support once one support fits it, so the two
+    agree where at most one support of a trial reaches the residual floor;
+    restarts_used is that of the last support's call."""
     best = None
     for S1, S2 in admissible_supports(ens.scenario):
         fit = solve_fixed_support(ens, z_tilde, [S1], [S2], restarts, rng)

@@ -110,9 +110,11 @@ class TestPhaseTransition:
         # solve) take the restarted Levenberg-Marquardt kernel, the rest
         # least squares. A row's trials are drawn, measured, solved and
         # scored in stacks of at most RECOVERY_STACK_ENTRIES
-        # P*n*k1*k2*(restarts + 1) per trial, for P supports of k1 x k2,
-        # which change no result: stacks of 5 to 8 trials split every row.
-        # So for every tag, noiseless and with noise from the plant streams
+        # P*n*k1*k2*starts per trial, for P supports of k1 x k2 and
+        # restarts + 1 starts on the kernel rows (1 on least-squares rows),
+        # which change no result: stacks of 5 to 8 trials split every
+        # kernel row. So for every tag, noiseless and with noise from the
+        # plant streams
         sparse = ConstraintScenario("sparsity", 6, 3, 4, 2, 3)
         for (sc, sweep, P, k), tag, noise_level in itertools.product(
                 ((SUBSPACE5, (3, 4, 5), 1, 2 * 2), (sparse, (4, 5, 6), 12, 2 * 3)),
@@ -136,7 +138,8 @@ class TestPhaseTransition:
                 mp.setattr(mc, "solve_sparse_enumerate", spy)
                 assert mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(plan)) == csv
             assert len(stacks) > len(sweep)
-            assert all(T * n * per_trial <= entries for T, n in stacks), stacks
+            assert all(T * n * (per_trial if n < k else P * k) <= entries
+                       for T, n in stacks), stacks
             for row_idx, row in enumerate(rows):
                 alone = [mc.recover_trial(sc.with_n(row["n"]), tag,
                                           mix_seed(plan.master_seed, row_idx, i),

@@ -103,7 +103,7 @@ class TestSolveFixedSupport:
         res = solve_one(solve_fixed_support, ens, z, [range(2)], [range(2)],
                         restarts=10, rng=np.random.default_rng(6), truth=M0)
         assert res.residual <= res0.residual
-        assert res.restarts_used == 10
+        assert res.restarts_used == 0  # the spectral start fits exactly
         assert res.lifted_error is not None
 
     def test_alternating_minimization_converges_from_truth(self):
@@ -167,12 +167,19 @@ class TestSolveFixedSupport:
 
 def _stacked_row(sc, trials, seed, noise=0.0):
     """T trials of sc as one stacked ensemble, the measurements of planted
-    random factors (plus complex noise of that scale), and each trial's
-    ensemble."""
+    random factors, trial t's zero off admissible support t mod P (plus
+    complex noise of that scale), and each trial's ensemble."""
     rng = np.random.default_rng(seed)
+    supports = admissible_supports(sc)
     lone = [build_ensemble(sc, COMPLEX_GENERIC, seed + t) for t in range(trials)]
-    z = np.array([apply_A(ens, random_factors(sc, seed + 100 + t))
-                  for t, ens in enumerate(lone)])
+    z = []
+    for t, ens in enumerate(lone):
+        M = random_factors(sc, seed + 100 + t).M
+        off = np.ones(M.shape, dtype=bool)
+        off[np.ix_(*supports[t % len(supports)])] = False
+        M[off] = 0
+        z.append(apply_A(ens, M))
+    z = np.array(z)
     z += noise * (rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape))
     return build_ensemble(sc, COMPLEX_GENERIC, range(seed, seed + trials)), z, lone
 
@@ -210,27 +217,60 @@ class TestStackedKernel:
                 assert got[2] == r1[0]
         assert np.all(res[::2] <= 1e-12) and np.all(res[1::2] > 1e-3)
 
-    @pytest.mark.parametrize("noise", [0.0, 0.05])
-    def test_row_of_trials_matches_lone_solves(self, noise):
-        # a 20-trial row with 21 starts per trial (420 slots): each trial of
-        # the stacked solve has the bits of its lone solve. Noiseless, every
-        # trial's starts stop together once one reaches the residual floor;
-        # noisy, none reaches it and every slot runs to its own stop
-        sc = subspace(6, 3, 3)
+    @pytest.mark.parametrize("sc, used, noise", [
+        (subspace(6, 3, 3), 2, 0.0),  # one support
+        (subspace(6, 3, 3), 2, 0.05),
+        (ConstraintScenario("sparsity", 5, 3, 4, 2, 3), 0, 0.0),  # 12 supports
+        (ConstraintScenario("sparsity", 5, 3, 4, 2, 3), 0, 0.05),
+    ], ids=["0.0", "0.05", "sparsity-3x4-0.0", "sparsity-3x4-0.05"])
+    def test_row_of_trials_matches_lone_solves(self, sc, used, noise):
+        # a 20-trial row with 21 starts per trial and support (up to 420
+        # slots on one support, 5040 on 12): each trial of the stacked solve has the
+        # bits of its lone solve and leaves its generator where the lone
+        # solve does. Noiseless, a trial stops after the first wave in
+        # which a slot reaches the residual floor, so the row runs the
+        # starts its slowest trial needs; noisy, none reaches it and every
+        # trial runs the whole budget
         ens, z, lone = _stacked_row(sc, 20, 50, noise)
-        fit = solve_fixed_support(ens, z, [range(3)], [range(3)], 20,
-                                  [np.random.default_rng(60 + t) for t in range(20)])
-        assert fit.X.shape == (20, 3) and fit.restarts_used == 20
+        S1, S2 = map(np.array, zip(*admissible_supports(sc)))
+        rngs = [[np.random.default_rng(60 + t) for t in range(20)] for _ in range(2)]
+        fit = solve_fixed_support(ens, z, S1, S2, 20, rngs[0])
+        assert fit.X.shape == (20, 3) and fit.restarts_used == (20 if noise else used)
         for t, ens_t in enumerate(lone):
-            alone = solve_one(solve_fixed_support, ens_t, z[t], [range(3)], [range(3)],
-                              restarts=20, rng=np.random.default_rng(60 + t))
+            alone = solve_one(solve_fixed_support, ens_t, z[t], S1, S2,
+                              restarts=20, rng=rngs[1][t])
             assert np.array_equal(np.outer(fit.X[t], fit.Y[t]), alone.M_hat.M)
             assert fit.residual[t] == alone.residual and fit.supports[t] == alone.support
+            assert rngs[0][t].bit_generator.state == rngs[1][t].bit_generator.state
         floor = recovery.LM_RESIDUAL_FLOOR * np.maximum(1.0, np.linalg.norm(z, axis=1))
         if noise:
             assert np.all(fit.residual > floor)
         else:
             assert np.all(fit.residual <= floor)
+
+    def test_fitted_row_runs_one_wave(self, monkeypatch):
+        # every trial's spectral start fits on its planted support, so the
+        # kernel runs once, on the spectral start of every (trial, support),
+        # and the random starts are drawn but never run. A trial's slots on
+        # the 11 other supports stop with its fit: on their own, some run
+        # to LM_MAX_ITER = 200 steps
+        sc = ConstraintScenario("sparsity", 5, 3, 4, 2, 3)
+        ens, z, _ = _stacked_row(sc, 20, 50)
+        S1, S2 = map(np.array, zip(*admissible_supports(sc)))
+        calls, solves = [], []
+        real, real_solve = recovery._lm, recovery._damped_solve
+        monkeypatch.setattr(recovery, "_lm",
+                            lambda aS, *args: calls.append(len(aS)) or real(aS, *args))
+        monkeypatch.setattr(recovery, "_damped_solve",
+                            lambda *args: solves.append(1) or real_solve(*args))
+        rngs = [np.random.default_rng(60 + t) for t in range(20)]
+        fit = solve_fixed_support(ens, z, S1, S2, 20, rngs)
+        assert calls == [20 * 12] and fit.restarts_used == 0
+        assert len(solves) <= 50  # the first y solve, then one per step
+        for t, g in enumerate(rngs):
+            want = np.random.default_rng(60 + t)
+            want.standard_normal((12 * 20, 2, 2))  # 20 random x starts per support
+            assert g.bit_generator.state == want.bit_generator.state
 
     def test_scalar_factor_takes_one_solve(self, monkeypatch):
         # |S1| = 1 or |S2| = 1: the rank-1 constraint is void and one linear
@@ -451,7 +491,7 @@ class TestSolveSparseEnumerate:
         z = np.random.default_rng(14).standard_normal(3) + 0j
         res = solve_one(solve_sparse_enumerate, ens, z, restarts=2,
                         rng=np.random.default_rng(15))
-        assert res.restarts_used == 2 and np.isfinite(res.residual)
+        assert res.restarts_used == 0 and np.isfinite(res.residual)  # an exact fit
 
     def test_mixed_scenario(self):
         sc = ConstraintScenario(kind="mixed", n=5, m1=4, m2=2, s1=1)
