@@ -23,6 +23,6 @@ from .recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
                        certify_strong, certify_weak, is_recovered,
                        min_scaled_distance, solve_fixed_support,
                        solve_sparse_enumerate, verify_counterexample)
-from .spectral import circular_convolve, dft
+from .spectral import circular_convolve
 
 __version__ = "0.1.0"

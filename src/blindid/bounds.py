@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .ensembles import ConstraintScenario, Ensemble
-from .lifting import apply_G, as_matrix
+from .lifting import apply_A, as_matrix
 
 __all__ = [
     "sample_complexity_d",
@@ -213,16 +213,18 @@ def epsilon_of_delta(sc: ConstraintScenario, mode: str, R: float, delta: float) 
 
 def snr_metrics(M0, M, ens: Ensemble) -> Tuple[float, float]:
     """(RSNR, MSNR): spectral-norm reconstruction ratio and its
-    measurement-domain analogue via the time-domain operator."""
+    measurement-domain analogue. MSNR is a ratio of squared norms of
+    time-domain measurements; the unitary DFT gives ||G(M)|| = sqrt(n)
+    ||A(M)||, so it is computed from the frequency measurements."""
     A0 = as_matrix(M0)
     A = as_matrix(M)
     num_r = float(np.linalg.norm(A0, 2)) ** 2
     den_r = float(np.linalg.norm(A - A0, 2)) ** 2
     rsnr = math.inf if den_r == 0.0 else num_r / den_r
-    g0 = apply_G(ens, A0)
-    g = apply_G(ens, A)
-    num_m = float(np.linalg.norm(g0)) ** 2
-    den_m = float(np.linalg.norm(g - g0)) ** 2
+    z0 = apply_A(ens, A0)
+    z = apply_A(ens, A)
+    num_m = float(np.linalg.norm(z0)) ** 2
+    den_m = float(np.linalg.norm(z - z0)) ** 2
     msnr = math.inf if den_m == 0.0 else num_m / den_m
     return rsnr, msnr
 

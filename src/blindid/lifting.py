@@ -1,9 +1,9 @@
 """Lifted measurement operators and the mean-isometry normalization.
 
-The time-domain operator maps a lifted matrix M to the circular convolution
-of D x and E y when M = x y^T, extended linearly to all M. Its frequency
-counterpart has entries a_j^* M conj(b_j) and equals (1/sqrt(n)) F applied
-to the time-domain measurements.
+The time-domain operator maps the factors of a rank-1 lifted matrix
+M = x y^T to the circular convolution of D x and E y. Its frequency
+counterpart is linear in M, with entries a_j^* M conj(b_j), and equals
+(1/sqrt(n)) F applied to the time-domain measurements.
 """
 
 from __future__ import annotations
@@ -94,28 +94,14 @@ def _times(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (rows @ v[..., None])[..., 0]
 
 
-def _convolve_factors(D: np.ndarray, E: np.ndarray, X: np.ndarray,
-                      Y: np.ndarray) -> np.ndarray:
-    """Time-domain measurements of x y^T per slot of a stack: (D x)
-    circularly convolved with (E y) by the convolution theorem, in
-    O(n log n). D (T, n, m1), E (T, n, m2), X (T, m1) and Y (T, m2) give
-    (T, n); each slot has the bits of a stack of one."""
-    u = np.fft.fft(_times(D, X), norm="ortho")
-    v = np.fft.fft(_times(E, Y), norm="ortho")
-    return np.sqrt(D.shape[-2]) * np.fft.ifft(u * v, norm="ortho")
+def apply_G(ens: Ensemble, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Time-domain measurements (D x) circularly convolved with (E y).
 
-
-def apply_G(ens: Ensemble, M) -> np.ndarray:
-    """Time-domain measurements of the lifted matrix M.
-
-    Rank-1 inputs with factors take _convolve_factors; general matrices go
-    through the frequency products, which agree by linearity.
+    A lone ensemble takes factors x (m1,) and y (m2,), giving (n,); a stack
+    of T trials takes X (T, m1) and Y (T, m2), giving (T, n). Each slot of a
+    stack gets the bits of a call on its trial alone.
     """
-    if isinstance(M, LiftedMatrix) and M.x is not None:
-        _check_shape(ens, M.M)
-        return _convolve_factors(ens.D[None], ens.E[None], M.x[None], M.y[None])[0]
-    vals = apply_A(ens, M)
-    return np.sqrt(ens.n) * spectral.dft(vals, "inverse")
+    return spectral.circular_convolve(_times(ens.D, x), _times(ens.E, y))
 
 
 def support_rows(ens: Ensemble, rows=None, cols=None):

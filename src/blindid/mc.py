@@ -36,7 +36,7 @@ from . import bounds
 from .ensembles import (COMPLEX_UNIFORM_BALL, REAL_GENERIC, REAL_UNIFORM_BALL,
                         ConstraintScenario, Ensemble, build_ensemble, mix_seed,
                         sample_uniform_complex_ball_batch)
-from .lifting import LiftedMatrix, _convolve_factors, _times, mean_isometry_radius
+from .lifting import LiftedMatrix, _times, apply_G, mean_isometry_radius
 from .recovery import (RecoveryResult, RecoveryStack, _norm, admissible_supports,
                        align_and_distance, is_recovered, solve_sparse_enumerate)
 
@@ -46,7 +46,6 @@ __all__ = [
     "STABILITY_COLUMNS",
     "estimate_small_ball_prob",
     "mean_isometry_relative_error",
-    "max_feasible_deviation",
     "run_phase_transition",
     "run_stability_sweep",
     "draw_trial",
@@ -258,7 +257,7 @@ def _recover_stack(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     ens, X, Y, plant_rngs, solver_rngs = _draw_trials(sc, tag, seeds, R)
-    z = _convolve_factors(ens.D, ens.E, X, Y)
+    z = apply_G(ens, X, Y)
     if noise_level > 0:
         g = np.array([rng.standard_normal(sc.n) + 1j * rng.standard_normal(sc.n)
                       for rng in plant_rngs])
@@ -548,24 +547,19 @@ def _feasible_scan(ac, bc, M0, t0, x0, y0, x, y, delta) -> np.ndarray:
 
 def _draw_starts(x0, y0, delta: float, starts: int,
                  rng: np.random.Generator) -> np.ndarray:
-    """Packed start points, (starts, 2(m1+m2)): a perturbation of the
-    planted factors, then unit-norm random factors."""
+    """Packed start points, (starts, 2(m1+m2)), from one draw of the
+    trial's search stream: a perturbation of the planted factors, then
+    unit-norm random factors."""
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     m1, m2 = x0.size, y0.size
-    out = []
-    for k in range(starts):
-        if k == 0:
-            scale = 0.1 + 0.5 * delta
-            xs = x0 + scale * (rng.standard_normal(m1) + 1j * rng.standard_normal(m1))
-            ys = y0 + scale * (rng.standard_normal(m2) + 1j * rng.standard_normal(m2))
-        else:
-            xs = (rng.standard_normal(m1) + 1j * rng.standard_normal(m1)) / np.sqrt(2)
-            ys = (rng.standard_normal(m2) + 1j * rng.standard_normal(m2)) / np.sqrt(2)
-            nrm = np.linalg.norm(xs) * np.linalg.norm(ys)
-            xs, ys = xs / nrm, ys
-        out.append(_pack(xs, ys))
-    return np.array(out)
+    xs, ys = _unpack(rng.standard_normal((starts, 2 * (m1 + m2))), m1, m2)
+    scale = 0.1 + 0.5 * delta
+    xs[0], ys[0] = x0 + scale * xs[0], y0 + scale * ys[0]
+    xs[1:] /= np.sqrt(2)
+    ys[1:] /= np.sqrt(2)
+    xs[1:] /= (_norm(xs[1:]) * _norm(ys[1:]))[:, None]
+    return _pack(xs, ys)
 
 
 def _deviation_search(a, b, x0, y0, delta, p0, maxiter: int = 200):
@@ -599,17 +593,6 @@ def _deviation_search(a, b, x0, y0, delta, p0, maxiter: int = 200):
     x, y = _unpack(p, x0.shape[1], y0.shape[1])
     best = _feasible_scan(ac, bc, M0, t0, x0, y0, x, y, delta)
     return best.reshape(T, S).max(1), status.reshape(T, S)
-
-
-def max_feasible_deviation(ens: Ensemble, M0: LiftedMatrix, delta: float,
-                           starts: int, rng: np.random.Generator) -> float:
-    """Heuristic multi-start maximization of the deviation from M0 within
-    the delta measurement ball. Lower-bound evidence on the worst case; the
-    true guarantee is universal and cannot be certified by search."""
-    p0 = _draw_starts(M0.x, M0.y, delta, starts, rng)
-    best, _ = _deviation_search(ens.a[None], ens.b[None], M0.x[None], M0.y[None],
-                                [delta], p0[None])
-    return float(best[0])
 
 
 # Starts searched per batch. Slots are independent, so the cap changes no

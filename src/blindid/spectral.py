@@ -1,50 +1,27 @@
-"""Unitary DFT and circular convolution.
+"""Circular convolution by the convolution theorem.
 
-All transforms use the unitary convention: the forward kernel is
-exp(-2*pi*i*j*k/n) / sqrt(n), so forward and inverse are exact adjoints and
-both preserve the l2 norm.
+The package's one convolution: the time-domain measurements z = (Dx) ⊛ (Ey)
+are computed here, with unitary FFTs (the forward kernel is
+exp(-2*pi*i*j*k/n) / sqrt(n)) along the last axis, so a stack of vectors
+is convolved slot by slot in O(n log n) each.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["dft", "circular_convolve"]
-
-
-def _as_complex_vector(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if v.size == 0:
-        raise ValueError("empty vector")
-    return v
-
-
-def dft(v, direction: str = "forward") -> np.ndarray:
-    """Unitary DFT of a complex vector.
-
-    direction="forward" applies the kernel exp(-2*pi*i*j*k/n)/sqrt(n);
-    direction="inverse" applies its conjugate transpose. A forward/inverse
-    round trip is the identity to numerical precision.
-    """
-    v = _as_complex_vector(v)
-    if direction == "forward":
-        return np.fft.fft(v, norm="ortho")
-    if direction == "inverse":
-        return np.fft.ifft(v, norm="ortho")
-    raise ValueError(f"unknown direction {direction!r}")
+__all__ = ["circular_convolve"]
 
 
 def circular_convolve(u, v) -> np.ndarray:
-    """Circular convolution z[k] = sum_j u[j] * v[(k - j) mod n].
-
-    Computed as a direct matrix product (O(n^2)), independent of the DFT
-    path, so the convolution theorem can be checked against it.
+    """Circular convolution z[k] = sum_j u[j] * v[(k - j) mod n] along the
+    last axis: one pair of length-n vectors, or stacks (..., n) of them.
+    Each slot of a stack gets the bits of a call on it alone.
     """
-    u = _as_complex_vector(u)
-    v = _as_complex_vector(v)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.size} vs {v.size}")
-    k = np.arange(u.size)
-    return v[np.subtract.outer(k, k) % u.size] @ u
+    fu = np.fft.fft(u, norm="ortho")
+    fv = np.fft.fft(v, norm="ortho")
+    if fu.shape[-1] != fv.shape[-1]:
+        raise ValueError(f"length mismatch: {fu.shape[-1]} vs {fv.shape[-1]}")
+    # named operands: numpy reuses a large temporary right operand in place,
+    # which swaps the factors of a complex product and can change its last bit
+    return np.sqrt(fu.shape[-1]) * np.fft.ifft(fu * fv, norm="ortho")

@@ -1,13 +1,16 @@
 """Reference implementations that the package computes faster.
 
-The package builds ensembles and measurements with FFTs, draws, measures
-and scores a transition row's trials as one stack, solves every
-admissible support in one stack of the Levenberg-Marquardt kernel or of
-least squares, and runs its certifier attempts in chunks, each chunk one
-such stack; the O(n^2) dense forms, the one-support-at-a-time solve, the
-one-(trial, support)-at-a-time least squares and the
-one-attempt-at-a-time loops below are kept only so tests can compare
-against them.
+The package builds ensembles and measurements with FFTs, measures only
+rank-1 matrices in the time domain, draws, measures and scores a
+transition row's trials as one stack, solves every admissible support in
+one stack of the Levenberg-Marquardt kernel or of least squares, runs its
+certifier attempts in chunks, each chunk one such stack, and searches the
+deviations of many stability trials as one batch; the O(n^2) dense forms
+(the DFT matrix, the circulant convolution and the time-domain
+measurements of any matrix), the one-support-at-a-time solve, the
+one-(trial, support)-at-a-time least squares, the one-attempt-at-a-time
+loops and the one-trial deviation search below are kept only so tests can
+compare against them.
 """
 
 import itertools
@@ -15,6 +18,7 @@ import itertools
 import numpy as np
 
 from blindid.lifting import LiftedMatrix, apply_A, operator_matrix, support_rows
+from blindid.mc import _deviation_search, _draw_starts
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND, HEURISTICALLY_UNIQUE,
                               INJECTIVITY_TOL, IdentifiabilityVerdict, RecoveryStack,
                               _check_search, _embed, _lm, _support_of, _top_rank1, _union,
@@ -30,6 +34,34 @@ def dft_matrix(n: int) -> np.ndarray:
     # reducing j*k mod n keeps the phase below 2*pi; the unreduced phase
     # reaches 2*pi*(n-1)^2/n and costs about 1e-13 relative at n = 1024
     return np.exp(-2j * np.pi * (np.outer(j, j) % n) / n) / np.sqrt(n)
+
+
+def direct_convolve(u, v) -> np.ndarray:
+    """Circular convolution z[k] = sum_j u[j] * v[(k - j) mod n] of two
+    vectors as a dense circulant product, O(n^2), independent of the FFT."""
+    u = np.asarray(u, dtype=np.complex128)
+    v = np.asarray(v, dtype=np.complex128)
+    k = np.arange(u.size)
+    return v[np.subtract.outer(k, k) % u.size] @ u
+
+
+def time_measurements(ens, M) -> np.ndarray:
+    """Time-domain measurements of any m1 x m2 matrix M on a lone ensemble,
+    sum_il M[i, l] * (D[:, i] convolved with E[:, l]), computed densely:
+    entry k is sum_jil D[j, i] M[i, l] E[(k - j) mod n, l]."""
+    k = np.arange(ens.n)
+    circulant = ens.E[np.subtract.outer(k, k) % ens.n]  # [k, j] -> E[(k - j) mod n]
+    return np.einsum("ji,il,kjl->k", ens.D, np.asarray(M, dtype=np.complex128), circulant)
+
+
+def deviation_alone(ens, M0, delta, starts, rng):
+    """The stability search of one trial alone: its starts drawn from rng,
+    searched as a batch of one problem. Returns the largest feasible
+    deviation from M0 within the delta measurement ball."""
+    p0 = _draw_starts(M0.x, M0.y, delta, starts, rng)
+    best, _ = _deviation_search(ens.a[None], ens.b[None], M0.x[None], M0.y[None],
+                                [delta], p0[None])
+    return float(best[0])
 
 
 def fit(aS, bS, z_tilde, x0):

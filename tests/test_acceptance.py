@@ -21,7 +21,8 @@ from blindid.lifting import (apply_A, apply_G, calibrated_isometry_radius,
                              mean_isometry_radius)
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
                               certify_strong, verify_counterexample)
-from blindid.spectral import circular_convolve, dft
+from blindid.spectral import circular_convolve
+from oracles import deviation_alone, direct_convolve, time_measurements
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -86,8 +87,9 @@ def test_criterion_2_convolution_theorem_and_measurement_identity():
         n = int(rng.integers(1, 65))
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        # the FFT convolution vs the dense circulant product
         lhs = circular_convolve(u, v)
-        rhs = np.sqrt(n) * dft(dft(u) * dft(v), "inverse")
+        rhs = direct_convolve(u, v)
         scale = max(np.linalg.norm(u) * np.linalg.norm(v), 1e-30)
         worst_conv = max(worst_conv, np.linalg.norm(lhs - rhs) / scale)
 
@@ -97,12 +99,17 @@ def test_criterion_2_convolution_theorem_and_measurement_identity():
         ens = build_ensemble(sc, COMPLEX_GENERIC, int(rng.integers(2**32)))
         M = rng.standard_normal((m1, m2)) + 1j * rng.standard_normal((m1, m2))
         # frequency form computed through the time domain vs the row formula
-        via_time = dft(apply_G(ens, M)) / np.sqrt(n)
+        via_time = np.fft.fft(time_measurements(ens, M), norm="ortho") / np.sqrt(n)
         row_form = np.array([ens.a[j].conj() @ M @ ens.b[j].conj() for j in range(n)])
         mscale = max(np.abs(row_form).max(), 1e-30)
+        # the time-domain operator on a rank-1 matrix vs the dense sum
+        x = rng.standard_normal(m1) + 1j * rng.standard_normal(m1)
+        y = rng.standard_normal(m2) + 1j * rng.standard_normal(m2)
+        z = time_measurements(ens, np.outer(x, y))
         worst_meas = max(worst_meas,
                          np.abs(via_time - row_form).max() / mscale,
-                         np.abs(apply_A(ens, M) - row_form).max() / mscale)
+                         np.abs(apply_A(ens, M) - row_form).max() / mscale,
+                         np.abs(apply_G(ens, x, y) - z).max() / max(np.abs(z).max(), 1e-30))
     elapsed = time.time() - start
     ok = worst_conv < 1e-10 and worst_meas < 1e-10 and elapsed < 5.0
     report("2 (convolution/measurement identities)", ok,
@@ -319,7 +326,7 @@ def test_criterion_8_worker_determinism():
     for i in range(splan.trials):
         ens, M0, _, search_rng = mc.draw_trial(sc, COMPLEX_UNIFORM_BALL,
                                                mix_seed(splan.master_seed, 0, i))
-        alone.append(mc.max_feasible_deviation(ens, M0, 0.1, splan.starts, search_rng))
+        alone.append(deviation_alone(ens, M0, 0.1, splan.starts, search_rng))
     batch_ok = (srows[0]["max_deviation"] == max(alone)
                 and srows[0]["mean_lifted_error"] == float(np.mean(alone)))
 

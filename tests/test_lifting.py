@@ -6,8 +6,7 @@ from blindid.ensembles import (COMPLEX_GENERIC, ConstraintScenario, Ensemble,
 from blindid.lifting import (LiftedMatrix, apply_A, apply_G,
                              calibrated_isometry_radius, mean_isometry_radius,
                              operator_matrix, support_rows)
-from blindid.spectral import circular_convolve, dft
-from oracles import dft_matrix
+from oracles import dft_matrix, direct_convolve, time_measurements
 
 
 def make_ensemble(n=6, m1=2, m2=3, seed=0):
@@ -62,12 +61,13 @@ class TestOperators:
         # D = E = (1,1)^T, x = 2, y = 3: time domain (2,2) conv (3,3) = (12,12)
         ens = manual_ensemble([[1.0], [1.0]], [[1.0], [1.0]])
         M = LiftedMatrix.from_factors([2.0], [3.0])
-        assert np.allclose(apply_G(ens, M), [12.0, 12.0], atol=1e-12)
+        assert np.allclose(apply_G(ens, M.x, M.y), [12.0, 12.0], atol=1e-12)
+        assert np.allclose(time_measurements(ens, M.M), [12.0, 12.0], atol=1e-12)
         assert np.allclose(apply_A(ens, M), [12.0, 0.0], atol=1e-12)
 
     def test_zero_matrix(self):
         ens = make_ensemble()
-        assert np.allclose(apply_G(ens, LiftedMatrix.from_factors(np.zeros(2), np.zeros(3))), 0.0)
+        assert np.allclose(apply_G(ens, np.zeros(2), np.zeros(3)), 0.0)
         assert np.allclose(apply_A(ens, np.zeros((2, 3))), 0.0)
 
     def test_scaling_orbit_invariance(self):
@@ -76,8 +76,8 @@ class TestOperators:
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         sigma = 2 + 1j
-        z1 = apply_G(ens, LiftedMatrix.from_factors(x, y))
-        z2 = apply_G(ens, LiftedMatrix.from_factors(sigma * x, y / sigma))
+        z1 = apply_G(ens, x, y)
+        z2 = apply_G(ens, sigma * x, y / sigma)
         assert np.linalg.norm(z1 - z2) < 1e-10 * np.linalg.norm(z1)
 
     def test_factored_path_equals_general_path(self):
@@ -85,10 +85,11 @@ class TestOperators:
         rng = np.random.default_rng(6)
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        M = LiftedMatrix.from_factors(x, y)
-        direct = circular_convolve(ens.D @ x, ens.E @ y)
-        assert np.linalg.norm(apply_G(ens, M) - direct) < 1e-10
-        assert np.linalg.norm(apply_G(ens, M.M) - direct) < 1e-10
+        # the factored operator against the dense sum over the entries of M
+        direct = direct_convolve(ens.D @ x, ens.E @ y)
+        general = time_measurements(ens, np.outer(x, y))
+        assert np.linalg.norm(apply_G(ens, x, y) - general) < 1e-10
+        assert np.linalg.norm(general - direct) < 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 256])
     def test_factored_path_equals_direct_convolution(self, n):
@@ -96,8 +97,8 @@ class TestOperators:
         rng = np.random.default_rng(n)
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        direct = circular_convolve(ens.D @ x, ens.E @ y)
-        z = apply_G(ens, LiftedMatrix.from_factors(x, y))
+        direct = direct_convolve(ens.D @ x, ens.E @ y)
+        z = apply_G(ens, x, y)
         assert np.linalg.norm(z - direct) <= 1e-12 * np.linalg.norm(direct)
 
     def test_frequency_entries_against_row_loop(self):
@@ -113,8 +114,9 @@ class TestOperators:
         ens = make_ensemble()
         rng = np.random.default_rng(8)
         M = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        z = apply_G(ens, M)
-        assert np.linalg.norm(apply_A(ens, M) - dft(z) / np.sqrt(ens.n)) < 1e-10
+        z = time_measurements(ens, M)
+        via_time = np.fft.fft(z, norm="ortho") / np.sqrt(ens.n)
+        assert np.linalg.norm(apply_A(ens, M) - via_time) < 1e-10
         assert abs(np.linalg.norm(apply_A(ens, M)) * np.sqrt(ens.n)
                    - np.linalg.norm(z)) < 1e-10
 
@@ -235,6 +237,24 @@ class TestStackedApplyA:
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         M = LiftedMatrix.from_factors(x, y)
         assert np.array_equal(apply_A(ens, M), apply_A(ens, M.M))
+
+
+class TestStackedApplyG:
+    @pytest.mark.parametrize("n,m1,m2,T", [(1, 1, 1, 3), (6, 2, 3, 37), (64, 3, 2, 300)])
+    def test_stack_equals_lone_calls(self, n, m1, m2, T):
+        # each slot of a stack of trials has the bits of its trial alone
+        sc = ConstraintScenario("subspace", n, m1, m2)
+        ens = build_ensemble(sc, COMPLEX_GENERIC, list(range(T)))
+        rng = np.random.default_rng(n + T)
+        X = rng.standard_normal((T, m1)) + 1j * rng.standard_normal((T, m1))
+        Y = rng.standard_normal((T, m2)) + 1j * rng.standard_normal((T, m2))
+        Z = apply_G(ens, X, Y)
+        assert Z.shape == (T, n)
+        for t in range(T):
+            assert np.array_equal(Z[t], apply_G(ens.trial(t), X[t], Y[t]))
+        for t in range(0, T, max(1, T // 4)):
+            oracle = time_measurements(ens.trial(t), np.outer(X[t], Y[t]))
+            assert np.linalg.norm(Z[t] - oracle) <= 1e-12 * max(np.linalg.norm(oracle), 1e-300)
 
 
 class TestIsometryRadii:
