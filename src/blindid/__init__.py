@@ -19,10 +19,10 @@ from .mc import (STABILITY_COLUMNS, TRANSITION_COLUMNS, TrialPlan,
                  run_phase_transition, run_stability_sweep, sweep_csv)
 from .recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
                        HEURISTICALLY_UNIQUE, IdentifiabilityVerdict,
-                       RecoveryResult, admissible_supports, align_and_distance,
-                       certify_strong, certify_weak, is_recovered,
-                       min_scaled_distance, solve_fixed_support,
-                       solve_sparse_enumerate, verify_counterexample)
+                       admissible_supports, align_and_distance, certify_strong,
+                       certify_weak, is_recovered, min_scaled_distance,
+                       solve_fixed_support, solve_sparse_enumerate,
+                       verify_counterexample)
 from .spectral import circular_convolve
 
 __version__ = "0.1.0"

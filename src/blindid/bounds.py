@@ -33,12 +33,9 @@ __all__ = [
 
 
 def sample_complexity_d(sc: ConstraintScenario) -> int:
-    """Identifiability threshold d: m1+m2, s1+m2, or s1+s2 by scenario kind."""
-    if sc.kind == "subspace":
-        return sc.m1 + sc.m2
-    if sc.kind == "mixed":
-        return sc.s1 + sc.m2
-    return sc.s1 + sc.s2
+    """Identifiability threshold d = k1 + k2: m1+m2, s1+m2, or s1+s2 by
+    scenario kind."""
+    return sum(sc.support_sizes)
 
 
 def minkowski_dim_upper(sc: ConstraintScenario) -> int:
@@ -134,12 +131,9 @@ def constant_C(n: int, m1: int, m2: int, R: float, delta: float) -> float:
 
 def _log_binom_multiplier(sc: ConstraintScenario, power: int) -> float:
     """log of the binomial support-counting multiplier for C' (power=2) or
-    C'' (power=4)."""
-    if sc.kind == "subspace":
-        return 0.0
-    if sc.kind == "mixed":
-        return power * _log_binom(sc.m1, sc.s1)
-    return power * (_log_binom(sc.m1, sc.s1) + _log_binom(sc.m2, sc.s2))
+    C'' (power=4); a subspace side counts C(m, m) = 1 support."""
+    k1, k2 = sc.support_sizes
+    return power * (_log_binom(sc.m1, k1) + _log_binom(sc.m2, k2))
 
 
 def log_stability_prefactor(sc: ConstraintScenario, mode: str, R: float,

@@ -224,16 +224,16 @@ def _cmd_gen(v: dict):
 
 
 def _cmd_recover(v: dict):
-    # the trial kernel of the sweeps: --seed s replays the sweep trial with seed s
-    res, ok = mc.recover_trial(_scenario(v), v["tag"], v["seed"], R=v["R"],
-                               restarts=v["restarts"],
-                               noise_level=v["noise_level"])
+    # the trial kernel of the sweeps on a stack of one: --seed s replays the
+    # sweep trial with seed s
+    fit, err, ok = mc.recover_stack(_scenario(v), v["tag"], [v["seed"]], R=v["R"],
+                                    restarts=v["restarts"], noise_level=v["noise_level"])
     return {
-        "residual": res.residual,
-        "lifted_error": res.lifted_error,
-        "success": ok,
-        "support": [list(res.support[0]), list(res.support[1])],
-        "restarts_used": res.restarts_used,
+        "residual": float(fit.residual[0]),
+        "lifted_error": float(err[0]),
+        "success": bool(ok[0]),
+        "support": [list(S) for S in fit.supports[0]],
+        "restarts_used": fit.restarts_used,
     }, "json"
 
 

@@ -100,6 +100,12 @@ class ConstraintScenario:
     def with_n(self, n: int) -> "ConstraintScenario":
         return replace(self, n=n)
 
+    @property
+    def support_sizes(self) -> tuple[int, int]:
+        """(k1, k2), the support size of x and of y: s1 or m1, s2 or m2. A
+        subspace side is its one support of full size."""
+        return self.s1 or self.m1, self.s2 or self.m2
+
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "n": self.n, "m1": self.m1, "m2": self.m2}
         if self.s1 is not None:

@@ -4,20 +4,20 @@ the measurement perturbation budget.
 
 Every trial derives its own 64-bit seed from the plan's master seed via a
 documented splitmix64 mix of (master_seed, row_index, trial_index), so
-results are reproducible trial-by-trial. One trial kernel serves the phase
-transitions, the delta = 0 stability rows and the CLI's `recover`, whose
-draw_trial and recover_trial are its one-seed cases, so `recover --seed s`
-replays the sweep trial whose seed is s, in every row: a sweep point is a
-plain ConstraintScenario at that n, also below the sample count d. The
-kernel takes a row's trials as stacks from draw to score: only each
-trial's own generator draws run per trial, and the ensemble FFTs, the
-measurements, the solve and the scoring run once per stack. The solve is
-one Levenberg-Marquardt run with every (trial, support, solver start) a
-slot, or one stacked least-squares call when the sample count reaches
-k1*k2 on supports of k1 x k2. Each trial gets the bits of its replay by
-`recover`, which runs the stack of that trial alone.
-Stability sweeps search every delta > 0 trial in one batched L-BFGS run,
-and each trial's result does not depend on the batch it is solved in.
+results are reproducible trial-by-trial. One trial kernel, recover_stack,
+serves the phase transitions, the delta = 0 stability rows and the CLI's
+`recover`, which runs the stack of the one seed s and so replays the sweep
+trial whose seed is s, in every row: a sweep point is a plain
+ConstraintScenario at that n, also below the sample count d. The kernel
+takes trials as stacks from draw to score: only each trial's own
+generator draws run per trial, and the ensemble FFTs, the measurements,
+the solve and the scoring run once per stack. The solve is one
+Levenberg-Marquardt run with every (trial, support, solver start) a slot,
+or one stacked least-squares call when the sample count reaches k1*k2 on
+supports of k1 x k2. Each trial gets the bits of its replay alone.
+Stability sweeps search their delta > 0 trials in flat batches, one drawn
+stack and one batched L-BFGS run each, and each trial's result does not
+depend on the batch it is solved in.
 Each start of the batch runs its own line search, and one objective call
 per round serves every running start. A round costs numpy dispatches, not
 arithmetic, so the kernel makes few: its state covers running starts only
@@ -36,9 +36,9 @@ from . import bounds
 from .ensembles import (COMPLEX_UNIFORM_BALL, REAL_GENERIC, REAL_UNIFORM_BALL,
                         ConstraintScenario, Ensemble, build_ensemble, mix_seed,
                         sample_uniform_complex_ball_batch)
-from .lifting import LiftedMatrix, _times, apply_G, mean_isometry_radius
-from .recovery import (RecoveryResult, RecoveryStack, _norm, admissible_supports,
-                       align_and_distance, is_recovered, solve_sparse_enumerate)
+from .lifting import LiftedMatrix, _times, apply_G, as_matrix, mean_isometry_radius
+from .recovery import (RecoveryStack, _norm, admissible_supports, align_and_distance,
+                       is_recovered, solve_sparse_enumerate)
 
 __all__ = [
     "TrialPlan",
@@ -49,7 +49,7 @@ __all__ = [
     "run_phase_transition",
     "run_stability_sweep",
     "draw_trial",
-    "recover_trial",
+    "recover_stack",
     "sweep_csv",
 ]
 
@@ -118,7 +118,7 @@ def estimate_small_ball_prob(M, R: float, rho: float, trials: int,
                              rng: np.random.Generator) -> Tuple[float, float]:
     """Empirical frequency of |a^* M conj(b)| <= rho for a, b uniform on
     radius-R complex balls, with its binomial standard error."""
-    M = np.asarray(M.M if isinstance(M, LiftedMatrix) else M, dtype=np.complex128)
+    M = as_matrix(M)
     if np.linalg.norm(M) == 0.0:
         raise ValueError("M must be nonzero")
     if trials < 1:
@@ -173,20 +173,21 @@ def _plant_factors(sc: ConstraintScenario, real: bool,
                    rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
     """The draws of a random admissible rank-1 matrix x y^T: its factors
     (x, y), not yet normalized."""
-    def draw(m, s):
+    def draw(m, k):
         if real:
             v = rng.standard_normal(m).astype(np.complex128)
         else:
             v = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
-        if s is not None and s < m:
-            keep = np.sort(rng.choice(m, size=s, replace=False))
+        if k < m:
+            keep = np.sort(rng.choice(m, size=k, replace=False))
             mask = np.zeros(m, dtype=bool)
             mask[keep] = True
             v = np.where(mask, v, 0.0)
         return v
 
-    x = draw(sc.m1, sc.s1)
-    return x, draw(sc.m2, None if sc.kind == "mixed" else sc.s2)
+    k1, k2 = sc.support_sizes
+    x = draw(sc.m1, k1)
+    return x, draw(sc.m2, k2)
 
 
 def _draw_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int],
@@ -223,32 +224,17 @@ def draw_trial(sc: ConstraintScenario, tag: str, seed: int,
     return ens.trial(0), LiftedMatrix.from_factors(X[0], Y[0]), plant_rngs[0], solver_rngs[0]
 
 
-def recover_trial(sc: ConstraintScenario, tag: str, seed: int, *,
-                  R: Optional[float] = None, restarts: int = 62,
-                  noise_level: float = 0.0) -> Tuple[RecoveryResult, bool]:
-    """Plant, measure, solve and score the trial with seed `seed`.
+def recover_stack(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
+                  R: Optional[float], restarts: int, noise_level: float
+                  ) -> Tuple[RecoveryStack, np.ndarray, np.ndarray]:
+    """Plant, measure, solve and score the trials with seeds `seeds` as one
+    stack. Each trial draws from its own streams, so each gets the bits of
+    its stack of one.
 
     The measurements are taken in the time domain, z = the circular
     convolution of Dx and Ey plus spherical noise of radius noise_level
     from the plant stream, and solved from z_tilde = F z / sqrt(n) over
     every admissible support.
-    Returns the solver result, whose lifted_error is measured against the
-    planted matrix, and whether the trial counts as recovered.
-    """
-    fit, err, ok = _recover_stack(sc, tag, [seed], R=R, restarts=restarts,
-                                  noise_level=noise_level)
-    return RecoveryResult(M_hat=LiftedMatrix.from_factors(fit.X[0], fit.Y[0]),
-                          residual=float(fit.residual[0]), lifted_error=float(err[0]),
-                          support=fit.supports[0], restarts_used=fit.restarts_used), bool(ok[0])
-
-
-def _recover_stack(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
-                   R: Optional[float], restarts: int, noise_level: float
-                   ) -> Tuple[RecoveryStack, np.ndarray, np.ndarray]:
-    """recover_trial for the trials with seeds `seeds`, drawn, measured,
-    solved and scored as one stack: each trial draws from its own streams,
-    so each gets the bits of recover_trial alone.
-
     Returns the solver result, and per trial the lifted error against the
     planted matrix and whether the trial counts as recovered (is_recovered).
     """
@@ -279,17 +265,16 @@ RECOVERY_STACK_ENTRIES = 1 << 20
 def _recover_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
                     R: Optional[float], restarts: int, noise_level: float
                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """_recover_stack on `seeds` in stacks of at most RECOVERY_STACK_ENTRIES
+    """recover_stack on `seeds` in stacks of at most RECOVERY_STACK_ENTRIES
     each; restarts must be >= 0. Returns per trial the lifted error and
     whether the trial counts as recovered."""
-    supports = admissible_supports(sc)
-    k = math.prod(map(len, supports[0]))
-    per_trial = len(supports) * k * sc.n * (restarts + 1 if sc.n < k else 1)
+    k = math.prod(sc.support_sizes)
+    per_trial = len(admissible_supports(sc)) * k * sc.n * (restarts + 1 if sc.n < k else 1)
     size = max(1, RECOVERY_STACK_ENTRIES // per_trial)
     errors, recovered = [], []
     for start in range(0, len(seeds), size):
-        _, err, ok = _recover_stack(sc, tag, seeds[start:start + size], R=R,
-                                    restarts=restarts, noise_level=noise_level)
+        _, err, ok = recover_stack(sc, tag, seeds[start:start + size], R=R,
+                                   restarts=restarts, noise_level=noise_level)
         errors.append(err)
         recovered.append(ok)
     return np.concatenate(errors), np.concatenate(recovered)
@@ -299,12 +284,13 @@ def run_phase_transition(plan: TrialPlan) -> list[dict]:
     """Recovery success rate versus the sample count n, one row per sweep
     point with the keys of TRANSITION_COLUMNS.
 
-    Trial i of row r is recover_trial with seed mix_seed(master_seed, r, i):
-    it plants a unit-norm admissible rank-1 matrix, measures it (optionally
-    with spherical noise of radius noise_level), solves over every
-    admissible support, and scores success by the recovery threshold. A
-    row's trials are drawn, measured, solved and scored as stacks (at most
-    RECOVERY_STACK_ENTRIES), each trial with the bits of its lone replay.
+    Trial i of row r is the recover_stack trial with seed
+    mix_seed(master_seed, r, i): it plants a unit-norm admissible rank-1
+    matrix, measures it (optionally with spherical noise of radius
+    noise_level), solves over every admissible support, and scores success
+    by the recovery threshold. A row's trials are drawn, measured, solved
+    and scored as stacks (at most RECOVERY_STACK_ENTRIES), each trial with
+    the bits of its stack of one, which `recover --seed` runs.
     Rows carry the thresholds d and 2d for annotation.
     """
     rows = []
@@ -607,10 +593,12 @@ def run_stability_sweep(plan: TrialPlan) -> list[dict]:
     Per delta and trial: draw a uniform-ball ensemble, plant a unit-norm
     matrix, search for the largest feasible deviation, and record whether
     it violates the predicted reconstruction level. delta = 0 degenerates
-    to a noiseless uniqueness check. The searches of delta > 0 trials run
-    batched across rows, each batch the fewest trials whose starts reach
-    SEARCH_BATCH_SLOTS; trials are drawn as stacks that fill the batch, and
-    a trial's result does not depend on its batch. delta > 0 rows also carry
+    to a noiseless uniqueness check. Every level and bound is computed
+    before the first draw, so a plan outside a bound's range draws nothing.
+    The delta > 0 trials, listed in row order, are searched in flat batches
+    of the fewest trials whose starts reach SEARCH_BATCH_SLOTS; a batch may
+    span rows, is drawn as one stack and searched by one run, and a trial's
+    result does not depend on its batch. delta > 0 rows also carry
     search_status: how many starts converged, hit the iteration cap, and
     failed their line search.
     """
@@ -629,50 +617,36 @@ def run_stability_sweep(plan: TrialPlan) -> list[dict]:
         else:
             levels.append((0.0, 0.0, 0.0))
 
-    trial_devs = [[] for _ in deltas]  # per row: deviation per trial
-    zero_violations = [0] * len(deltas)
-    status = [np.zeros(3, dtype=int) for _ in deltas]  # per row: starts by stop status
-    pending = []  # (row, a, b, x0, y0, delta, starts) per trial awaiting its search
+    def seeds_of(row_idx):
+        return [mix_seed(plan.master_seed, row_idx, i) for i in range(plan.trials)]
+
+    trial_devs = [[] for _ in deltas]  # per delta > 0 row: deviation per trial
+    status = np.zeros((len(deltas), 3), dtype=int)  # per row: starts by stop status
+    searched = [(row_idx, seed) for row_idx, delta in enumerate(deltas) if delta > 0
+                for seed in seeds_of(row_idx)]
     batch = -(-SEARCH_BATCH_SLOTS // plan.starts)  # trials per search batch
-
-    def queue(row_idx, delta, seeds):
+    # a sweep holds the ensembles of one batch of trials, whatever its
+    # number of trials
+    for start in range(0, len(searched), batch):
+        rows_of, seeds = zip(*searched[start:start + batch])
+        delta = np.array([deltas[row_idx] for row_idx in rows_of])
         ens, X, Y, _, search_rngs = _draw_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R)
-        for t, search_rng in enumerate(search_rngs):
-            p0 = _draw_starts(X[t], Y[t], delta, plan.starts, search_rng)
-            pending.append((row_idx, ens.a[t], ens.b[t], X[t], Y[t], delta, p0))
-
-    def search_pending():
-        rows_of, *problems = zip(*pending)
-        found, stops = _deviation_search(*(np.stack(col) for col in problems))
-        for row, dev, stop in zip(rows_of, found, stops):
-            trial_devs[row].append(float(dev))
-            status[row] += np.bincount(stop, minlength=3)
-        pending.clear()
-
-    for row_idx, delta in enumerate(deltas):
-        seeds = [mix_seed(plan.master_seed, row_idx, i) for i in range(plan.trials)]
-        if delta == 0:
-            err, ok = _recover_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R=R,
-                                      restarts=plan.restarts, noise_level=0.0)
-            zero_violations[row_idx] = int((~ok).sum())
-            trial_devs[row_idx] = err.tolist()
-            continue
-        # each draw fills the pending batch at most, so a sweep holds the
-        # ensembles of one batch of trials, whatever its number of trials
-        while seeds:
-            take = batch - len(pending)
-            queue(row_idx, delta, seeds[:take])
-            seeds = seeds[take:]
-            if len(pending) == batch:
-                search_pending()
-    if pending:
-        search_pending()
+        p0 = np.array([_draw_starts(x0, y0, d, plan.starts, rng)
+                       for x0, y0, d, rng in zip(X, Y, delta, search_rngs)])
+        found, stops = _deviation_search(ens.a, ens.b, X, Y, delta, p0)
+        for row_idx, dev, stop in zip(rows_of, found, stops):
+            trial_devs[row_idx].append(float(dev))
+            status[row_idx] += np.bincount(stop, minlength=3)
 
     rows = []
     for row_idx, (delta, (eps, raw, clamped)) in enumerate(zip(deltas, levels)):
-        devs = trial_devs[row_idx]
-        violations = (sum(1 for dev in devs if dev > eps) if delta > 0
-                      else zero_violations[row_idx])
+        if delta > 0:
+            devs = trial_devs[row_idx]
+            violations = sum(1 for dev in devs if dev > eps)
+        else:
+            devs, ok = _recover_trials(sc, COMPLEX_UNIFORM_BALL, seeds_of(row_idx), R=R,
+                                       restarts=plan.restarts, noise_level=0.0)
+            violations = int((~ok).sum())
         row = {"delta": delta, "trials": plan.trials, "violations": violations,
                "violation_rate": violations / plan.trials, "epsilon": eps,
                "bound_raw": raw, "bound_clamped": clamped,
@@ -682,4 +656,3 @@ def run_stability_sweep(plan: TrialPlan) -> list[dict]:
             row["search_status"] = status[row_idx].tolist()
         rows.append(row)
     return rows
-

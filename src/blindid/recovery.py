@@ -39,7 +39,6 @@ from .lifting import (LiftedMatrix, _times, apply_A, as_matrix, operator_matrix,
                       support_rows)
 
 __all__ = [
-    "RecoveryResult",
     "RecoveryStack",
     "IdentifiabilityVerdict",
     "CERTIFIED_UNIQUE",
@@ -85,15 +84,6 @@ class EnumerationCapError(ValueError):
 
 
 @dataclass(frozen=True)
-class RecoveryResult:
-    M_hat: LiftedMatrix
-    residual: float
-    lifted_error: Optional[float] = None
-    support: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
-    restarts_used: int = 0
-
-
-@dataclass(frozen=True)
 class RecoveryStack:
     """Solver results of T stacked trials: factors X (T, m1) and Y (T, m2),
     zero off each trial's support, residuals (T,), the support of each
@@ -117,15 +107,13 @@ class IdentifiabilityVerdict:
 
 def admissible_supports(sc: ConstraintScenario) -> list[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """All admissible support pairs (S1, S2) in lexicographic order."""
-    if sc.kind == "subspace":
-        return [(tuple(range(sc.m1)), tuple(range(sc.m2)))]
-    s2 = sc.m2 if sc.kind == "mixed" else sc.s2  # a mixed filter is 'm2-sparse'
-    count = math.comb(sc.m1, sc.s1) * math.comb(sc.m2, s2)
+    k1, k2 = sc.support_sizes
+    count = math.comb(sc.m1, k1) * math.comb(sc.m2, k2)
     if count > SUPPORT_CAP:
         raise EnumerationCapError(
             f"{count} support pairs exceed the cap of {SUPPORT_CAP}; use a smaller instance")
-    return list(itertools.product(itertools.combinations(range(sc.m1), sc.s1),
-                                  itertools.combinations(range(sc.m2), s2)))
+    return list(itertools.product(itertools.combinations(range(sc.m1), k1),
+                                  itertools.combinations(range(sc.m2), k2)))
 
 
 def _top_rank1(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -535,7 +523,7 @@ def certify_strong(ens: Ensemble, budget: int = 100, tol: float = 1e-6, *,
                            itertools.combinations_with_replacement(supports, 2))):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
 
-    k1, k2 = (len(S) for S in supports[0])  # every admissible support has these sizes
+    k1, k2 = sc.support_sizes
     for attempts in _chunks(budget):
         slots, picks, draws, starts = [], [], [], []
         for attempt in attempts:
@@ -579,9 +567,9 @@ def _admissible(sc: ConstraintScenario, M: LiftedMatrix) -> bool:
     """Whether M has rank-1 factors whose supports fit the constraint set."""
     if M.x is None:
         return False
+    k1, k2 = sc.support_sizes
     S1, S2 = _support_of(M)
-    return (len(S1) <= (sc.m1 if sc.kind == "subspace" else sc.s1)
-            and len(S2) <= (sc.s2 if sc.kind == "sparsity" else sc.m2))
+    return len(S1) <= k1 and len(S2) <= k2
 
 
 def verify_counterexample(verdict: IdentifiabilityVerdict, ens: Ensemble) -> bool:

@@ -301,18 +301,18 @@ def test_criterion_8_worker_determinism():
     trows = mc.run_phase_transition(tplan)
     t1 = mc.sweep_csv(mc.TRANSITION_COLUMNS, trows)
     t1b = mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(tplan))
-    # every trial replays alone: trial i of row r is recover_trial with seed
-    # mix_seed(master_seed, r, i), the seed `blindid recover --seed` takes
+    # every trial replays alone: trial i of row r is recover_stack on the one
+    # seed mix_seed(master_seed, r, i), the seed `blindid recover --seed` takes
     replay_ok = True
     for row_idx, row in enumerate(trows):
         sc_n = ConstraintScenario("subspace", row["n"], 2, 2)
-        alone = [mc.recover_trial(sc_n, COMPLEX_GENERIC,
-                                  mix_seed(tplan.master_seed, row_idx, i),
-                                  restarts=tplan.restarts)
+        alone = [mc.recover_stack(sc_n, COMPLEX_GENERIC,
+                                  [mix_seed(tplan.master_seed, row_idx, i)],
+                                  R=None, restarts=tplan.restarts, noise_level=0.0)
                  for i in range(tplan.trials)]
-        replay_ok &= (row["successes"] == sum(ok for _, ok in alone)
+        replay_ok &= (row["successes"] == sum(ok[0] for _, _, ok in alone)
                       and row["mean_lifted_error"]
-                      == float(np.mean([res.lifted_error for res, _ in alone])))
+                      == float(np.mean([err[0] for _, err, _ in alone])))
 
     sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
     splan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=20,

@@ -48,3 +48,31 @@ def test_every_listed_name_is_used_by_the_package():
               for attr in importlib.import_module(f"blindid.{name}").__all__
               if attr not in used and attr not in UNREPORTED_PAPER_QUANTITIES}
     assert not unused, sorted(unused)
+
+
+SCENARIO_KINDS = {"subspace", "mixed", "sparsity"}
+
+
+def _kind_constants(node):
+    """The scenario-kind string constants an operand of a comparison holds,
+    directly or inside a tuple, list or set literal."""
+    items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return {item.value for item in items
+            if isinstance(item, ast.Constant) and item.value in SCENARIO_KINDS}
+
+
+def test_scenario_kind_is_decided_in_ensembles_only():
+    # what a scenario kind means for the supports is ConstraintScenario's to
+    # say (support_sizes); any other module that compares against a kind
+    # name decides it a second time
+    src = Path(blindid.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "ensembles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                kinds = set().union(*map(_kind_constants, [node.left, *node.comparators]))
+                if kinds:
+                    found.append((path.name, node.lineno, sorted(kinds)))
+    assert not found, found

@@ -33,6 +33,12 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             ConstraintScenario(kind="mixed", n=5, m1=4, m2=2, s1=5)
 
+    def test_support_sizes_by_kind(self):
+        # a subspace side is one support of its full size m
+        assert ConstraintScenario("subspace", 5, 3, 2).support_sizes == (3, 2)
+        assert ConstraintScenario("mixed", 5, 4, 3, 2).support_sizes == (2, 3)
+        assert ConstraintScenario("sparsity", 5, 4, 3, 1, 2).support_sizes == (1, 2)
+
     def test_sparsity_requires_both_levels(self):
         with pytest.raises(ScenarioError):
             ConstraintScenario(kind="sparsity", n=5, m1=4, m2=4, s1=1)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ class TestTrialPlan:
             mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC, trials=1,
                          sweep=(5,), noise_level=float("nan"))
         with pytest.raises(ValueError, match="noise_level must be nonnegative"):
-            mc.recover_trial(SUBSPACE5, COMPLEX_GENERIC, 0, noise_level=float("nan"))
+            mc.recover_stack(SUBSPACE5, COMPLEX_GENERIC, [0], R=None, restarts=62,
+                             noise_level=float("nan"))
 
     def test_nan_stability_budget_rejected(self):
         plan = mc.TrialPlan(sc=ConstraintScenario(kind="subspace", n=10, m1=2, m2=2),
@@ -105,10 +107,10 @@ class TestPhaseTransition:
         assert mc.run_phase_transition(plan)[0]["rate"] == 1.0
 
     def test_rerun_identical_and_trials_replay_alone(self):
-        # trial i of row r is recover_trial with seed mix_seed(master, r, i);
-        # n < m1*m2 (subspace 2x2) and n < s1*s2 (sparsity 3x4 with
-        # s1 = 2, s2 = 3 at n = 4 and at n = d = 5, its 12 supports in one
-        # solve) take the restarted Levenberg-Marquardt kernel, the rest
+        # trial i of row r is recover_stack on the one seed
+        # mix_seed(master, r, i); n < m1*m2 (subspace 2x2) and n < s1*s2
+        # (sparsity 3x4 with s1 = 2, s2 = 3 at n = 4 and at n = d = 5, its
+        # 12 supports in one solve) take the restarted Levenberg-Marquardt kernel, the rest
         # least squares. A row's trials are drawn, measured, solved and
         # scored in stacks of at most RECOVERY_STACK_ENTRIES
         # P*n*k1*k2*starts per trial, for P supports of k1 x k2 and
@@ -142,13 +144,14 @@ class TestPhaseTransition:
             assert all(T * n * (per_trial if n < k else P * k) <= entries
                        for T, n in stacks), stacks
             for row_idx, row in enumerate(rows):
-                alone = [mc.recover_trial(sc.with_n(row["n"]), tag,
-                                          mix_seed(plan.master_seed, row_idx, i),
-                                          restarts=plan.restarts, noise_level=noise_level)
+                alone = [mc.recover_stack(sc.with_n(row["n"]), tag,
+                                          [mix_seed(plan.master_seed, row_idx, i)],
+                                          R=None, restarts=plan.restarts,
+                                          noise_level=noise_level)
                          for i in range(plan.trials)]
-                assert row["successes"] == sum(ok for _, ok in alone)
-                assert row["mean_lifted_error"] == float(np.mean([res.lifted_error
-                                                                  for res, _ in alone]))
+                assert row["successes"] == sum(ok[0] for _, _, ok in alone)
+                assert row["mean_lifted_error"] == float(np.mean([err[0]
+                                                                  for _, err, _ in alone]))
             if noise_level:
                 assert all(row["successes"] == 0 for row in rows)
 
@@ -585,8 +588,24 @@ class TestStabilitySweep:
         sc = ConstraintScenario(kind="subspace", n=5, m1=2, m2=2)
         plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=2,
                             sweep=(0.1,), master_seed=1, mode="uniform")
-        with pytest.raises(ValueError, match="n > 2d"):
-            mc.run_stability_sweep(plan)
+        # the bounds are checked before the first draw, so nothing is drawn
+        drawn = []
+        real = mc._draw_trials
+
+        def spy(*args, **kw):
+            drawn.append(args)
+            return real(*args, **kw)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "_draw_trials", spy)
+            with pytest.raises(ValueError, match="n > 2d"):
+                mc.run_stability_sweep(plan)
+            # n <= d fails the single-point bound in the same way; the delta
+            # = 0 row before it would draw for recovery
+            with pytest.raises(ValueError, match="n > d"):
+                mc.run_stability_sweep(replace(plan, sc=sc.with_n(4), sweep=(0.0, 0.1),
+                                               mode="single_point"))
+        assert drawn == []
 
     def test_zero_delta_row_has_no_violations(self):
         sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
@@ -617,24 +636,28 @@ class TestStabilitySweep:
         rows = mc.run_stability_sweep(plan)
         csv = mc.sweep_csv(mc.STABILITY_COLUMNS, rows)
         assert csv == mc.sweep_csv(mc.STABILITY_COLUMNS, mc.run_stability_sweep(plan))
-        # batches of 4 trials flush mid-sweep: they split rows and straddle
-        # two. Trials are drawn in stacks that fill the pending batch, so a
-        # sweep never holds more than one batch of ensembles; the last
-        # stack is the delta = 0 row, drawn for recovery
-        drawn = []
+        # each batch is drawn as one stack, so a sweep never holds more than
+        # one batch of ensembles: batches of 4 trials split rows, and the
+        # middle one spans two rows in one draw; a batch of 12 spans every
+        # delta > 0 row. The last stack is the delta = 0 row, drawn for
+        # recovery
         real = mc._draw_trials
+        for slots, want in ((4 * plan.starts, [4, 4, 4, 6]),
+                            (12 * plan.starts, [12, 6])):
+            drawn = []
 
-        def spy(sc, tag, seeds, R=None):
-            drawn.append(len(seeds))
-            return real(sc, tag, seeds, R)
+            def spy(sc, tag, seeds, R=None):
+                drawn.append(len(seeds))
+                return real(sc, tag, seeds, R)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mc, "SEARCH_BATCH_SLOTS", 4 * plan.starts)
-            mp.setattr(mc, "_draw_trials", spy)
-            small = mc.run_stability_sweep(plan)
-        assert drawn == [4, 2, 2, 4, 6]
-        assert mc.sweep_csv(mc.STABILITY_COLUMNS, small) == csv
-        assert [r.get("search_status") for r in small] == [r.get("search_status") for r in rows]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mc, "SEARCH_BATCH_SLOTS", slots)
+                mp.setattr(mc, "_draw_trials", spy)
+                small = mc.run_stability_sweep(plan)
+            assert drawn == want
+            assert mc.sweep_csv(mc.STABILITY_COLUMNS, small) == csv
+            assert ([r.get("search_status") for r in small]
+                    == [r.get("search_status") for r in rows])
         for row_idx, row in enumerate(rows[:2]):
             alone = []
             for i in range(plan.trials):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from blindid.mc import _draw_trials as draw_trials
 from blindid.mc import draw_trial
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
                               HEURISTICALLY_UNIQUE, EnumerationCapError,
-                              IdentifiabilityVerdict, RecoveryResult,
+                              IdentifiabilityVerdict,
                               admissible_supports, align_and_distance,
                               certify_strong, certify_weak, is_recovered,
                               min_scaled_distance, solve_fixed_support,
@@ -26,16 +27,21 @@ def subspace(n, m1=2, m2=2):
     return ConstraintScenario(kind="subspace", n=n, m1=m1, m2=m2)
 
 
+# The fit of one trial: its lifted matrix, residual, lifted error against
+# the truth (None without one), support and random starts.
+Solved = namedtuple("Solved", "M_hat residual lifted_error support restarts_used")
+
+
 def solve_one(solver, ens, z, *supports, restarts, rng, truth=None):
     """solver on the stack of one trial, ens with measurements z: the
-    trial's RecoveryResult, scored against truth."""
+    trial's fit, scored against truth."""
     stack = replace(ens, seed=(ens.seed,), D=ens.D[None], E=ens.E[None],
                     a=ens.a[None], b=ens.b[None])
     fit = solver(stack, z[None], *supports, restarts, [rng])
     M_hat = LiftedMatrix.from_factors(fit.X[0], fit.Y[0])
-    return RecoveryResult(M_hat, float(fit.residual[0]),
-                          None if truth is None else align_and_distance(M_hat, truth),
-                          fit.supports[0], fit.restarts_used)
+    return Solved(M_hat, float(fit.residual[0]),
+                  None if truth is None else align_and_distance(M_hat, truth),
+                  fit.supports[0], fit.restarts_used)
 
 
 def random_factors(sc, seed):
