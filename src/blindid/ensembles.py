@@ -228,22 +228,32 @@ def _real_ball_rows(n: int, m: int, R: float, rng: np.random.Generator) -> np.nd
     return rows
 
 
-def _draw(sc: ConstraintScenario, tag: str, R: Optional[float], seed: int):
-    """One trial's draws from the generator of `seed`, in its order: D and E
-    for the generic tags, their frequency rows a and b for the ball tags."""
-    n = sc.n
+def _complex_normal(g: np.ndarray) -> np.ndarray:
+    """Standard complex Gaussians from real draws g (..., 2, size) that hold
+    the real parts, then the imaginary parts."""
+    return (g[..., 0, :] + 1j * g[..., 1, :]) / np.sqrt(2)
+
+
+def _gaussian_matrices(sc: ConstraintScenario, tag: str, seeds: Sequence[int]):
+    """D and E (T, n, m) of the generic tags: trial t draws D then E (for
+    complex, each as its real then its imaginary part) in one call of the
+    generator of seeds[t]; the complex assembly runs once on the stack."""
+    parts = 2 if tag == COMPLEX_GENERIC else 1
+    g = np.array([np.random.default_rng(s).standard_normal(parts * sc.n * (sc.m1 + sc.m2))
+                  for s in seeds])
+    D, E = g[:, :parts * sc.n * sc.m1], g[:, parts * sc.n * sc.m1:]
+    if parts == 2:
+        D, E = (_complex_normal(G.reshape(len(g), 2, -1)) for G in (D, E))
+    return tuple(np.ascontiguousarray(G.reshape(len(g), sc.n, -1)) for G in (D, E))
+
+
+def _ball_rows(sc: ConstraintScenario, tag: str, R: float, seed: int):
+    """One trial's frequency rows a then b of the ball tags, drawn from the
+    generator of `seed`."""
     rng = np.random.default_rng(seed)
-
-    def draw(m):
-        if tag == COMPLEX_GENERIC:
-            return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
-        if tag == REAL_GENERIC:
-            return rng.standard_normal((n, m))
-        if tag == COMPLEX_UNIFORM_BALL:
-            return sample_uniform_complex_ball_batch(m, R, rng, n)
-        return _real_ball_rows(n, m, R, rng)
-
-    return draw(sc.m1), draw(sc.m2)
+    if tag == COMPLEX_UNIFORM_BALL:
+        return tuple(sample_uniform_complex_ball_batch(m, R, rng, sc.n) for m in (sc.m1, sc.m2))
+    return tuple(_real_ball_rows(sc.n, m, R, rng) for m in (sc.m1, sc.m2))
 
 
 def build_ensemble(sc: ConstraintScenario, tag: str, seed: Union[int, Sequence[int]],
@@ -252,9 +262,10 @@ def build_ensemble(sc: ConstraintScenario, tag: str, seed: Union[int, Sequence[i
 
     seed is one seed, or a sequence of T seeds for a stack of T trials:
     D, E, a and b with a leading trial axis, and the tuple of the T seeds.
-    Each trial draws from its own generator; the FFTs between D, E and
-    their rows a, b then run once on the stack, each transform with the
-    bits of a lone one, so trial t of a stack is the ensemble of seed t.
+    Each trial draws from its own generator, in one call for the generic
+    tags; the complex assembly and the FFTs between D, E and their rows
+    a, b then run once on the stack, each with the bits of a lone one, so
+    trial t of a stack is the ensemble of seed t.
     """
     if tag not in ALL_TAGS:
         raise ValueError(f"unknown ensemble tag {tag!r}")
@@ -266,12 +277,11 @@ def build_ensemble(sc: ConstraintScenario, tag: str, seed: Union[int, Sequence[i
 
     lone = isinstance(seed, (int, np.integer))
     seeds = (seed,) if lone else tuple(seed)
-    first, second = (np.array(arr) for arr in zip(*(_draw(sc, tag, R, s) for s in seeds)))
     if tag not in _BALL_TAGS:
-        D, E = first, second
+        D, E = _gaussian_matrices(sc, tag, seeds)
         a, b = _rows_from_matrix(D), _rows_from_matrix(E)
     else:
-        a, b = first, second
+        a, b = (np.array(rows) for rows in zip(*(_ball_rows(sc, tag, R, s) for s in seeds)))
         D, E = _matrix_from_rows(a), _matrix_from_rows(b)
         if tag == REAL_UNIFORM_BALL:
             for name, M in (("D", D), ("E", E)):

@@ -10,11 +10,13 @@ serves the phase transitions, the delta = 0 stability rows and the CLI's
 trial whose seed is s, in every row: a sweep point is a plain
 ConstraintScenario at that n, also below the sample count d. The kernel
 takes trials as stacks from draw to score: only each trial's own
-generator draws run per trial, and the ensemble FFTs, the measurements,
-the solve and the scoring run once per stack. The solve is one
-Levenberg-Marquardt run with every (trial, support, solver start) a slot,
-or one stacked least-squares call when the sample count reaches k1*k2 on
-supports of k1 x k2. Each trial gets the bits of its replay alone.
+generator calls run per trial, one per block of draws, and the assembly,
+the ensemble FFTs, the measurements, the solve and the scoring run once
+per stack; a trial builds its solver stream only if it reads it. The
+solve is one Levenberg-Marquardt run with every (trial, support, solver
+start) a slot, or one stacked least-squares call when the sample count
+reaches k1*k2 on supports of k1 x k2. Each trial gets the bits of its
+replay alone.
 Stability sweeps search their delta > 0 trials in flat batches, one drawn
 stack and one batched L-BFGS run each, and each trial's result does not
 depend on the batch it is solved in.
@@ -27,15 +29,16 @@ and is compacted when a start stops.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import bounds
 from .ensembles import (COMPLEX_UNIFORM_BALL, REAL_GENERIC, REAL_UNIFORM_BALL,
-                        ConstraintScenario, Ensemble, build_ensemble, mix_seed,
-                        sample_uniform_complex_ball_batch)
+                        ConstraintScenario, Ensemble, _complex_normal, build_ensemble,
+                        mix_seed, sample_uniform_complex_ball_batch)
 from .lifting import LiftedMatrix, _times, apply_G, as_matrix, mean_isometry_radius
 from .recovery import (RecoveryStack, _norm, admissible_supports, align_and_distance,
                        is_recovered, solve_sparse_enumerate)
@@ -170,24 +173,43 @@ def ensemble_radius(tag: str, sc: ConstraintScenario,
 
 
 def _plant_factors(sc: ConstraintScenario, real: bool,
-                   rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """The draws of a random admissible rank-1 matrix x y^T: its factors
-    (x, y), not yet normalized."""
-    def draw(m, k):
-        if real:
-            v = rng.standard_normal(m).astype(np.complex128)
-        else:
-            v = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
+                   rngs: Sequence[np.random.Generator]) -> Tuple[np.ndarray, np.ndarray]:
+    """The factors X (T, m1) and Y (T, m2), not yet normalized, of a random
+    admissible rank-1 matrix x y^T per plant stream. Per side, each stream
+    draws one standard_normal block (for complex, the real then the
+    imaginary parts) and then, where the side is sparse, its support; the
+    complex assembly and the support masks run once on the stack."""
+    sides = tuple(zip((sc.m1, sc.m2), sc.support_sizes))
+    draws = [[(rng.standard_normal(m if real else 2 * m),
+               rng.choice(m, size=k, replace=False) if k < m else None)
+              for m, k in sides] for rng in rngs]
+    factors = []
+    for (m, k), side in zip(sides, zip(*draws)):
+        g, keep = (np.array(arr) for arr in zip(*side))
+        v = g.astype(np.complex128) if real else _complex_normal(g.reshape(-1, 2, m))
         if k < m:
-            keep = np.sort(rng.choice(m, size=k, replace=False))
-            mask = np.zeros(m, dtype=bool)
-            mask[keep] = True
+            mask = np.zeros(v.shape, dtype=bool)
+            mask[np.arange(len(v))[:, None], keep] = True
             v = np.where(mask, v, 0.0)
-        return v
+        factors.append(v)
+    return tuple(factors)
 
-    k1, k2 = sc.support_sizes
-    x = draw(sc.m1, k1)
-    return x, draw(sc.m2, k2)
+
+class _Streams(Sequence):
+    """Per trial t the generator of stream mix_seed(seeds[t], index), built
+    on first access and then kept, so a trial that never reads its stream
+    never builds it."""
+
+    def __init__(self, seeds: Sequence[int], index: int):
+        self._seeds, self._index, self._rngs = seeds, index, [None] * len(seeds)
+
+    def __len__(self) -> int:
+        return len(self._seeds)
+
+    def __getitem__(self, t: int) -> np.random.Generator:
+        if self._rngs[t] is None:
+            self._rngs[t] = np.random.default_rng(mix_seed(self._seeds[t], self._index))
+        return self._rngs[t]
 
 
 def _draw_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int],
@@ -198,18 +220,17 @@ def _draw_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int],
 
     Each stream is derived from the trial seed: mix_seed(seed, 0) builds the
     ensemble, mix_seed(seed, 1) plants (and then draws any noise), and
-    mix_seed(seed, 2) drives the solver or the deviation search. Only the
-    draws run per trial; the rest runs once on the stack. Returns
+    mix_seed(seed, 2), built when first read, drives the solver or the
+    deviation search. Only the draws run per trial, one generator call per
+    block; the rest runs once on the stack. Returns
     (ens, X, Y, plant_rngs, solver_rngs).
     """
     ens = build_ensemble(sc, tag, [mix_seed(seed, 0) for seed in seeds],
                          R=ensemble_radius(tag, sc, R))
     plant_rngs = [np.random.default_rng(mix_seed(seed, 1)) for seed in seeds]
-    solver_rngs = [np.random.default_rng(mix_seed(seed, 2)) for seed in seeds]
-    real = tag in (REAL_GENERIC, REAL_UNIFORM_BALL)
-    X, Y = (np.array(v) for v in zip(*(_plant_factors(sc, real, rng) for rng in plant_rngs)))
+    X, Y = _plant_factors(sc, tag in (REAL_GENERIC, REAL_UNIFORM_BALL), plant_rngs)
     X = X / (_norm(X) * _norm(Y))[:, None]
-    return ens, X, Y, plant_rngs, solver_rngs
+    return ens, X, Y, plant_rngs, _Streams(seeds, 2)
 
 
 def draw_trial(sc: ConstraintScenario, tag: str, seed: int,

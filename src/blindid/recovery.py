@@ -34,7 +34,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .ensembles import ConstraintScenario, Ensemble
+from .ensembles import ConstraintScenario, Ensemble, _complex_normal
 from .lifting import (LiftedMatrix, _times, apply_A, as_matrix, operator_matrix,
                       support_rows)
 
@@ -253,12 +253,6 @@ def _lm(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray, X0: np.ndarray,
     return X, Y, residual
 
 
-def _complex_normal(g: np.ndarray) -> np.ndarray:
-    """Standard complex Gaussians from real draws g (..., 2, size) that hold
-    the real parts, then the imaginary parts."""
-    return (g[..., 0, :] + 1j * g[..., 1, :]) / np.sqrt(2)
-
-
 def _random_factors(count: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """count standard complex Gaussian vectors, drawn as count draws of the
     real then the imaginary part would draw them."""
@@ -276,12 +270,15 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: in
     every (trial, support) is a slot of one stacked least-squares call,
     whose solutions are projected to the nearest rank-1 matrix. Otherwise
     every (trial, support, start) is a slot of the Levenberg-Marquardt
-    kernel: per support a spectral start plus `restarts` random starts,
-    all drawn up front from the trial's generator in one call. The starts
-    run in waves of 1, 2, 4, ... (the spectral start alone first), each
-    wave one kernel run over the trials that no slot has fit yet. A trial
-    stops once any of its slots reaches the residual floor: between waves,
-    and within a wave, where its slots on every support form one group.
+    kernel: per support a spectral start plus `restarts` random starts.
+    The starts run in waves of 1, 2, 4, ... (the spectral start alone
+    first), each wave one kernel run over the trials that no slot has fit
+    yet. A trial stops once any of its slots reaches the residual floor:
+    between waves, and within a wave, where its slots on every support
+    form one group. rng[t] is read only when trial t reaches the first
+    wave of random starts, which draws all of the trial's P * restarts
+    starts in one call; a trial that no random start reaches leaves its
+    generator untouched, and least squares reads none.
     Each trial keeps its first smallest residual among the slots that
     ran, support-major and then by start, so ties go to the first
     support. restarts_used is the most random starts any trial ran. Trial
@@ -302,6 +299,8 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: in
     z_tilde = np.asarray(z_tilde, dtype=np.complex128)
     if ens.a.ndim != 3 or z_tilde.shape != (len(ens.a), ens.n):
         raise ValueError(f"expected a stack of T trials and measurements (T, {ens.n})")
+    if len(rng) != len(z_tilde):
+        raise ValueError(f"expected one generator per trial, {len(z_tilde)}, got {len(rng)}")
     (T, n), P, k1, k2 = z_tilde.shape, len(S1), S1.shape[1], S2.shape[1]
     aS, bS = support_rows(ens, S1, S2)
 
@@ -317,16 +316,18 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: in
         # the spectral start: the top rank-1 factor of the adjoint on the support
         adjoint = (aS.conj().swapaxes(1, 2) * z[:, None, :]) @ bS.conj()
         x_init, _ = _top_rank1(adjoint)
-        draws = np.stack([_random_factors(P * restarts, k1, g) for g in rng])
-        X0 = np.concatenate([x_init.reshape(T, P, 1, k1),
-                             draws.reshape(T, P, restarts, k1)], axis=2)
         starts = restarts + 1
+        X0 = np.empty((T, P, starts, k1), dtype=np.complex128)
+        X0[:, :, 0] = x_init.reshape(T, P, k1)
         x = np.zeros((T, P, starts, k1), dtype=np.complex128)
         y = np.zeros((T, P, starts, k2), dtype=np.complex128)
         residual = np.full((T, P, starts), np.inf)
         floor = LM_RESIDUAL_FLOOR * np.maximum(1.0, _norm(z_tilde))
         live = np.arange(T)
         for wave in _chunks(starts):
+            if wave.start == 1:  # the first random starts: draw them for the live trials
+                X0[live, :, 1:] = np.reshape([_random_factors(P * restarts, k1, rng[t])
+                                              for t in live], (len(live), P, restarts, k1))
             # slot (l * P + p) * w + s is start wave[s] on support p of live trial l
             w, s = len(wave), slice(wave.start, wave.stop)
             rows = (live[:, None] * P + np.arange(P)).ravel()

@@ -1,22 +1,26 @@
 """Reference implementations that the package computes faster.
 
-The package builds ensembles and measurements with FFTs, measures only
-rank-1 matrices in the time domain, draws, measures and scores a
-transition row's trials as one stack, solves every admissible support in
-one stack of the Levenberg-Marquardt kernel or of least squares, runs its
-certifier attempts in chunks, each chunk one such stack, and searches the
-deviations of many stability trials as one batch; the O(n^2) dense forms
+The package draws each trial's Gaussian blocks in one generator call
+and assembles them on the stack, builds ensembles and measurements with
+FFTs, measures only rank-1 matrices in the time domain, draws, measures
+and scores a transition row's trials as one stack, solves every
+admissible support in one stack of the Levenberg-Marquardt kernel or of
+least squares, runs its certifier attempts in chunks, each chunk one such
+stack, and searches the deviations of many stability trials as one
+batch; the O(n^2) dense forms
 (the DFT matrix, the circulant convolution and the time-domain
 measurements of any matrix), the one-support-at-a-time solve, the
 one-(trial, support)-at-a-time least squares, the one-attempt-at-a-time
-loops and the one-trial deviation search below are kept only so tests can
-compare against them.
+loops, the one-trial deviation search and the draws of one call per side
+and part below are kept only so tests can compare against them.
 """
 
 import itertools
 
 import numpy as np
 
+from blindid.ensembles import (COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL, REAL_GENERIC,
+                               _real_ball_rows, sample_uniform_complex_ball_batch)
 from blindid.lifting import LiftedMatrix, apply_A, operator_matrix, support_rows
 from blindid.mc import _deviation_search, _draw_starts
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND, HEURISTICALLY_UNIQUE,
@@ -52,6 +56,47 @@ def time_measurements(ens, M) -> np.ndarray:
     k = np.arange(ens.n)
     circulant = ens.E[np.subtract.outer(k, k) % ens.n]  # [k, j] -> E[(k - j) mod n]
     return np.einsum("ji,il,kjl->k", ens.D, np.asarray(M, dtype=np.complex128), circulant)
+
+
+def ensemble_draws(sc, tag, R, seed):
+    """One trial's ensemble draws from the generator of `seed`, each side
+    in its own calls: D and E for the generic tags (complex: the real part,
+    then the imaginary part), their frequency rows a and b for the ball
+    tags."""
+    n = sc.n
+    rng = np.random.default_rng(seed)
+
+    def draw(m):
+        if tag == COMPLEX_GENERIC:
+            return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
+        if tag == REAL_GENERIC:
+            return rng.standard_normal((n, m))
+        if tag == COMPLEX_UNIFORM_BALL:
+            return sample_uniform_complex_ball_batch(m, R, rng, n)
+        return _real_ball_rows(n, m, R, rng)
+
+    return draw(sc.m1), draw(sc.m2)
+
+
+def plant_factors(sc, real, rng):
+    """One trial's planted factors (x, y), not yet normalized, drawn side
+    by side from rng: the real part (and then the imaginary part) of the
+    side, then its support where the side is sparse."""
+    def draw(m, k):
+        if real:
+            v = rng.standard_normal(m).astype(np.complex128)
+        else:
+            v = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
+        if k < m:
+            keep = np.sort(rng.choice(m, size=k, replace=False))
+            mask = np.zeros(m, dtype=bool)
+            mask[keep] = True
+            v = np.where(mask, v, 0.0)
+        return v
+
+    k1, k2 = sc.support_sizes
+    x = draw(sc.m1, k1)
+    return x, draw(sc.m2, k2)
 
 
 def deviation_alone(ens, M0, delta, starts, rng):

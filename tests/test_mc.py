@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blindid import bounds, mc
+from blindid import bounds, mc, recovery
 from blindid.ensembles import (ALL_TAGS, COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL,
                                REAL_GENERIC, REAL_UNIFORM_BALL, ConstraintScenario,
                                build_ensemble, mix_seed)
 from blindid.lifting import LiftedMatrix, apply_A, calibrated_isometry_radius
+import oracles
 from oracles import deviation_alone
 
 
@@ -176,6 +177,59 @@ class TestPhaseTransition:
                 assert np.array_equal(np.outer(X[t], Y[t]), M0.M)
                 for got, want in ((plant_rngs[t], plant_rng), (solver_rngs[t], solver_rng)):
                     assert got.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_draws_match_the_per_call_oracle(self, tag):
+        # a trial's ensemble and plant draws, one generator call per block
+        # and assembled on the stack, have the bits of one call per side and
+        # part, alone and stacked, and leave the plant stream where those
+        # calls leave it; odd and even n, dense and sparse sides
+        real = tag in (REAL_GENERIC, REAL_UNIFORM_BALL)
+        for sc in (ConstraintScenario("subspace", 7, 3, 2),
+                   ConstraintScenario("mixed", 8, 4, 3, 2),
+                   ConstraintScenario("sparsity", 9, 4, 4, 1, 3)):
+            R = mc.ensemble_radius(tag, sc, None)
+            drawn = ("a", "b") if R else ("D", "E")
+            for seeds in ([mix_seed(16, 0, 0)], [mix_seed(16, 0, i) for i in range(9)]):
+                ens, X, Y, plant_rngs, _ = mc._draw_trials(sc, tag, seeds)
+                lone = build_ensemble(sc, tag, mix_seed(seeds[0], 0), R=R)
+                for name, want in zip(drawn, oracles.ensemble_draws(sc, tag, R, lone.seed)):
+                    got = getattr(lone, name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+                for t, seed in enumerate(seeds):
+                    for name, want in zip(drawn, oracles.ensemble_draws(
+                            sc, tag, R, mix_seed(seed, 0))):
+                        got = getattr(ens, name)[t]
+                        assert got.dtype == want.dtype and np.array_equal(got, want), name
+                    rng = np.random.default_rng(mix_seed(seed, 1))
+                    x, y = oracles.plant_factors(sc, real, rng)
+                    x = x / (np.linalg.norm(x) * np.linalg.norm(y))
+                    assert np.array_equal(X[t], x) and np.array_equal(Y[t], y)
+                    assert plant_rngs[t].bit_generator.state == rng.bit_generator.state
+
+    def test_trials_build_only_the_generators_they_read(self, monkeypatch):
+        # a trial builds its ensemble and plant generators; its solver
+        # generator only once it reaches a random start, which least
+        # squares never does
+        built, slots = [], []
+        real_rng, real_lm = np.random.default_rng, recovery._lm
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: built.append(seed) or real_rng(seed))
+        monkeypatch.setattr(recovery, "_lm",
+                            lambda aS, *args: slots.append(len(aS)) or real_lm(aS, *args))
+        seeds = [mix_seed(17, 0, i) for i in range(20)]
+        mc.recover_stack(ConstraintScenario("subspace", 8, 2, 2), COMPLEX_GENERIC, seeds,
+                         R=None, restarts=62, noise_level=0.0)
+        assert built == [mix_seed(s, i) for i in (0, 1) for s in seeds] and not slots
+        built.clear()
+        mc.recover_stack(ConstraintScenario("subspace", 6, 3, 3), COMPLEX_GENERIC, seeds,
+                         R=None, restarts=62, noise_level=0.0)
+        # one support: the first wave runs a slot per trial, the second two
+        # per trial that reaches it
+        reached = slots[1] // 2 if len(slots) > 1 else 0
+        assert slots[0] == 20 and 0 < reached < 20
+        assert len(built) == 40 + reached
+        assert set(built[40:]) <= {mix_seed(s, 2) for s in seeds}
 
     @pytest.mark.parametrize("sc,tag,want", [
         # least squares; the build takes two inverse FFTs
@@ -499,7 +553,7 @@ class TestDeviationSearch:
         # a search cut after one iteration reports every slot as MAXITER
         sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
         ens = build_ensemble(sc, COMPLEX_UNIFORM_BALL, 7, R=0.8)
-        x0, y0 = mc._plant_factors(sc, False, rng)
+        x0, y0 = (v[0] for v in mc._plant_factors(sc, False, [rng]))
         p0 = mc._draw_starts(x0, y0, 0.1, 3, rng)
         _, status = mc._deviation_search(ens.a[None], ens.b[None], x0[None],
                                          y0[None], [0.1], p0[None], maxiter=1)

@@ -160,6 +160,16 @@ class TestSolveFixedSupport:
                 solve_fixed_support(solve_on, z, [range(2)], [range(2)], 0, rng)
             with pytest.raises(ValueError, match="stack of T trials"):
                 solve_sparse_enumerate(solve_on, z, 0, rng)
+        # and one generator per trial, on least squares and on the kernel,
+        # also where no random start would read one
+        for n in (5, 3):
+            stack = build_ensemble(subspace(n), COMPLEX_GENERIC, [1, 2])
+            for rngs in ([], rng, rng * 3):
+                with pytest.raises(ValueError, match="one generator per trial"):
+                    solve_fixed_support(stack, np.zeros((2, n)), [range(2)], [range(2)],
+                                        0, rngs)
+                with pytest.raises(ValueError, match="one generator per trial"):
+                    solve_sparse_enumerate(stack, np.zeros((2, n)), 4, rngs)
 
     def test_solution_vanishes_off_support(self):
         sc = ConstraintScenario(kind="sparsity", n=6, m1=4, m2=4, s1=2, s2=2)
@@ -257,9 +267,10 @@ class TestStackedKernel:
     def test_fitted_row_runs_one_wave(self, monkeypatch):
         # every trial's spectral start fits on its planted support, so the
         # kernel runs once, on the spectral start of every (trial, support),
-        # and the random starts are drawn but never run. A trial's slots on
+        # and the random starts are neither drawn nor run. A trial's slots on
         # the 11 other supports stop with its fit: on their own, some run
-        # to LM_MAX_ITER = 200 steps
+        # to LM_MAX_ITER = 200 steps. No trial reaches a random start, so
+        # no generator is drawn from
         sc = ConstraintScenario("sparsity", 5, 3, 4, 2, 3)
         ens, z, _ = _stacked_row(sc, 20, 50)
         S1, S2 = map(np.array, zip(*admissible_supports(sc)))
@@ -274,9 +285,7 @@ class TestStackedKernel:
         assert calls == [20 * 12] and fit.restarts_used == 0
         assert len(solves) <= 50  # the first y solve, then one per step
         for t, g in enumerate(rngs):
-            want = np.random.default_rng(60 + t)
-            want.standard_normal((12 * 20, 2, 2))  # 20 random x starts per support
-            assert g.bit_generator.state == want.bit_generator.state
+            assert g.bit_generator.state == np.random.default_rng(60 + t).bit_generator.state
 
     def test_scalar_factor_takes_one_solve(self, monkeypatch):
         # |S1| = 1 or |S2| = 1: the rank-1 constraint is void and one linear
@@ -519,10 +528,11 @@ class TestSolveSparseEnumerate:
 ], ids=lambda sc: f"{sc.kind}-{sc.m1}x{sc.m2}-s{sc.s1}")
 def test_enumeration_matches_the_per_support_loop(sc, zero):
     # one solve over every support gives each trial the bits of one solve
-    # per support merged by strict improvement, and leaves each generator
-    # where that loop leaves it. Planted measurements, noisy in odd trials,
-    # stop some trials early and run others to the end; zero measurements
-    # tie on every support, and the first support wins
+    # per support merged by strict improvement. Planted measurements, noisy
+    # in odd trials, stop some trials early and run others to the end; zero
+    # measurements tie on every support, and the first support wins. A
+    # trial that the first wave fits leaves its generator untouched; any
+    # other draws its P * restarts random starts in one block
     T = 6
     trials = [draw_trial(sc, COMPLEX_GENERIC, seed) for seed in range(T)]
     ens = build_ensemble(sc, COMPLEX_GENERIC, [ens.seed for ens, *_ in trials])
@@ -536,7 +546,18 @@ def test_enumeration_matches_the_per_support_loop(sc, zero):
     assert np.array_equal(got.X, want.X) and np.array_equal(got.Y, want.Y)
     assert np.array_equal(got.residual, want.residual)
     assert (got.supports, got.restarts_used) == (want.supports, want.restarts_used)
-    assert all(a.bit_generator.state == b.bit_generator.state for a, b in zip(*rngs))
+    # the first wave alone is the solve without random starts; least
+    # squares reads no generator
+    P, (k1, k2) = len(admissible_supports(sc)), sc.support_sizes
+    first = solve_sparse_enumerate(ens, z, 0, [np.random.default_rng(0)] * T)
+    floor = recovery.LM_RESIDUAL_FLOOR * np.maximum(1.0, recovery._norm(z))
+    drawn = (first.residual > floor) & (sc.n < k1 * k2)
+    for t, g in enumerate(rngs[0]):
+        want = np.random.default_rng(90 + t)
+        if drawn[t]:
+            want.standard_normal((P * 4, 2, k1))
+        assert g.bit_generator.state == want.bit_generator.state
+    assert drawn.any() == (sc.n < k1 * k2 and not zero)
     if zero:
         assert got.supports == (admissible_supports(sc)[0],) * T
         assert not got.X.any() and not got.residual.any()
