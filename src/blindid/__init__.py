@@ -14,9 +14,9 @@ from .ensembles import (COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL, REAL_GENERIC,
 from .lifting import (LiftedMatrix, apply_A, apply_G,
                       calibrated_isometry_radius, mean_isometry_radius,
                       operator_matrix)
-from .mc import (STABILITY_COLUMNS, TRANSITION_COLUMNS, TrialPlan,
-                 estimate_small_ball_prob, mean_isometry_relative_error,
-                 run_phase_transition, run_stability_sweep, sweep_csv)
+from .mc import (STABILITY_COLUMNS, TRANSITION_COLUMNS, estimate_small_ball_prob,
+                 mean_isometry_relative_error, run_phase_transition,
+                 run_stability_sweep, sweep_csv)
 from .recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
                        HEURISTICALLY_UNIQUE, IdentifiabilityVerdict,
                        admissible_supports, align_and_distance, certify_strong,

@@ -136,6 +136,10 @@ def _log_binom_multiplier(sc: ConstraintScenario, power: int) -> float:
     return power * (_log_binom(sc.m1, k1) + _log_binom(sc.m2, k2))
 
 
+# The stability bounds' modes: at one planted point (C') and uniformly (C'').
+MODES = ("single_point", "uniform")
+
+
 def log_stability_prefactor(sc: ConstraintScenario, mode: str, R: float,
                             delta: float) -> float:
     """log C' (mode="single_point") or log C'' (mode="uniform").
@@ -223,9 +227,8 @@ def snr_metrics(M0, M, ens: Ensemble) -> Tuple[float, float]:
     return rsnr, msnr
 
 
-def make_report(sc: ConstraintScenario, *, delta: float = 0.1, epsilon: float = 0.5,
-                R: float = 1.0, rho: float = 0.1, ell: float = 1.0,
-                L: float = 1.0) -> dict:
+def make_report(sc: ConstraintScenario, *, delta: float, epsilon: float, R: float,
+                rho: float, ell: float, L: float) -> dict:
     """Every closed-form quantity for one scenario, as the dict that
     `blindid bounds` prints.
 

@@ -22,7 +22,6 @@ import numpy as np
 from . import bounds, mc
 from .ensembles import (COMPLEX_UNIFORM_BALL, ConstraintScenario,
                         ScenarioError, build_ensemble, mix_seed)
-from .mc import TrialPlan
 from .recovery import certify_strong, certify_weak, verify_counterexample
 
 __all__ = ["RunConfig", "parse_config", "emit_report", "main"]
@@ -248,7 +247,7 @@ def _cmd_certify(v: dict):
     rng = np.random.default_rng(mix_seed(v["seed"], 3))
     if v["level"] == "weak":
         # the trial that `recover --seed s` solves
-        ens, M0, _, _ = mc.draw_trial(sc, v["tag"], v["seed"], v["R"])
+        ens, M0, _, _ = mc.draw_trial(sc, v["tag"], v["seed"], R=v["R"])
         verdict = certify_weak(ens, M0, budget=v["budget"], tol=v["tol"], rng=rng)
     elif v["level"] == "strong":
         ens = _build(sc, v)
@@ -283,27 +282,25 @@ def _cmd_smallball(v: dict):
             "trials": v["trials"]}, "json"
 
 
-def _transition_plan(v: dict) -> TrialPlan:
-    sc = _scenario(v)
-    sweep = _parse_sweep(v["sweep"], integral=True)
-    return TrialPlan(sc=sc, ensemble_tag=v["tag"], trials=v["trials"],
-                     sweep=sweep, master_seed=v["seed"], restarts=v["restarts"],
-                     noise_level=v["noise_level"], R=v["R"])
-
-
 def _cmd_transition(v: dict):
-    plan = _transition_plan(v)
-    rows = mc.run_phase_transition(plan)
+    sc = _scenario(v)
+    ns = _parse_sweep(v["sweep"], integral=True)
+    rows = mc.run_phase_transition(sc, v["tag"], ns, trials=v["trials"], seed=v["seed"],
+                                   restarts=v["restarts"], noise_level=v["noise_level"],
+                                   R=v["R"])
     return mc.sweep_csv(mc.TRANSITION_COLUMNS, rows), "csv"
 
 
 def _cmd_stability(v: dict):
     sc = _scenario(v)
-    sweep = _parse_sweep(v["sweep"], integral=False)
-    plan = TrialPlan(sc=sc, ensemble_tag=v["tag"], trials=v["trials"],
-                     sweep=sweep, master_seed=v["seed"], restarts=v["restarts"],
-                     R=v["R"], mode=v["mode"], starts=v["starts"])
-    rows = mc.run_stability_sweep(plan)
+    deltas = _parse_sweep(v["sweep"], integral=False)
+    # the stability bounds hold for the complex uniform-ball ensemble, the
+    # one tag this subcommand accepts
+    if v["tag"] != COMPLEX_UNIFORM_BALL:
+        raise ConfigError("stability sweeps require the complex uniform-ball ensemble")
+    rows = mc.run_stability_sweep(sc, deltas, trials=v["trials"], seed=v["seed"],
+                                  restarts=v["restarts"], R=v["R"], mode=v["mode"],
+                                  starts=v["starts"])
     return mc.sweep_csv(mc.STABILITY_COLUMNS, rows), "csv"
 
 

@@ -2,13 +2,15 @@
 phase-transition sweeps over the sample count, and stability sweeps over
 the measurement perturbation budget.
 
-Every trial derives its own 64-bit seed from the plan's master seed via a
-documented splitmix64 mix of (master_seed, row_index, trial_index), so
-results are reproducible trial-by-trial. One trial kernel, recover_stack,
-serves the phase transitions, the delta = 0 stability rows and the CLI's
-`recover`, which runs the stack of the one seed s and so replays the sweep
-trial whose seed is s, in every row: a sweep point is a plain
-ConstraintScenario at that n, also below the sample count d. The kernel
+The sweeps take every option as a required keyword argument and check
+each input they read before their first draw. Every trial derives its own
+64-bit seed from the sweep's seed argument via a documented splitmix64 mix
+of (seed, row_index, trial_index), so results are reproducible
+trial-by-trial. One trial kernel, recover_stack, serves the phase
+transitions, the delta = 0 stability rows and the CLI's `recover`, which
+runs the stack of the one seed s and so replays the sweep trial whose seed
+is s, in every row: a sweep point is a plain ConstraintScenario at that n,
+also below the sample count d. The kernel
 takes trials as stacks from draw to score: only each trial's own
 generator calls run per trial, one per block of draws, and the assembly,
 the ensemble FFTs, the measurements, the solve and the scoring run once
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -44,7 +45,6 @@ from .recovery import (RecoveryStack, _norm, admissible_supports, align_and_dist
                        is_recovered, solve_sparse_enumerate)
 
 __all__ = [
-    "TrialPlan",
     "TRANSITION_COLUMNS",
     "STABILITY_COLUMNS",
     "estimate_small_ball_prob",
@@ -63,38 +63,6 @@ TRANSITION_COLUMNS = ("n", "trials", "successes", "rate", "d", "two_d",
 STABILITY_COLUMNS = ("delta", "trials", "violations", "violation_rate", "epsilon",
                      "bound_raw", "bound_clamped", "max_deviation",
                      "mean_lifted_error")
-
-
-@dataclass(frozen=True)
-class TrialPlan:
-    """Configuration of one seeded sweep.
-
-    noise_level is the l2 budget of the time-domain perturbation e, so the
-    measurement proximity parameter is delta = 2 * noise_level. sweep holds
-    the n grid (phase transition) or the delta grid (stability).
-    """
-
-    sc: ConstraintScenario
-    ensemble_tag: str
-    trials: int
-    sweep: Tuple[float, ...]
-    master_seed: int = 0
-    restarts: int = 62
-    noise_level: float = 0.0
-    R: Optional[float] = None
-    mode: str = "single_point"
-    starts: int = 3
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not self.noise_level >= 0:
-            raise ValueError("noise_level must be nonnegative")
-        if self.restarts < 0:
-            raise ValueError(f"restarts must be >= 0, got {self.restarts}")
-        if self.starts < 1:
-            raise ValueError(f"starts must be >= 1, got {self.starts}")
-        object.__setattr__(self, "sweep", tuple(self.sweep))
 
 
 def _fmt(x) -> str:
@@ -212,8 +180,8 @@ class _Streams(Sequence):
         return self._rngs[t]
 
 
-def _draw_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int],
-                 R: Optional[float] = None):
+def _draw_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
+                 R: Optional[float]):
     """The trials with seeds `seeds` as one stack: the stacked ensemble, the
     factors X (T, m1) and Y (T, m2) of each trial's planted unit-norm
     admissible matrix, and each trial's open plant and solver streams.
@@ -233,16 +201,22 @@ def _draw_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int],
     return ens, X, Y, plant_rngs, _Streams(seeds, 2)
 
 
-def draw_trial(sc: ConstraintScenario, tag: str, seed: int,
-               R: Optional[float] = None
+def draw_trial(sc: ConstraintScenario, tag: str, seed: int, *, R: Optional[float]
                ) -> Tuple[Ensemble, LiftedMatrix, np.random.Generator,
                           np.random.Generator]:
     """The ensemble, the planted unit-norm admissible matrix and the open
     plant and solver streams of the trial with seed `seed`: _draw_trials
     with the one seed. Returns (ens, M0, plant_rng, solver_rng).
     """
-    ens, X, Y, plant_rngs, solver_rngs = _draw_trials(sc, tag, [seed], R)
+    ens, X, Y, plant_rngs, solver_rngs = _draw_trials(sc, tag, [seed], R=R)
     return ens.trial(0), LiftedMatrix.from_factors(X[0], Y[0]), plant_rngs[0], solver_rngs[0]
+
+
+def _check_recovery(restarts: int, noise_level: float) -> None:
+    if not noise_level >= 0:
+        raise ValueError("noise_level must be nonnegative")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
 
 
 def recover_stack(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
@@ -259,11 +233,8 @@ def recover_stack(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
     Returns the solver result, and per trial the lifted error against the
     planted matrix and whether the trial counts as recovered (is_recovered).
     """
-    if not noise_level >= 0:
-        raise ValueError("noise_level must be nonnegative")
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
-    ens, X, Y, plant_rngs, solver_rngs = _draw_trials(sc, tag, seeds, R)
+    _check_recovery(restarts, noise_level)
+    ens, X, Y, plant_rngs, solver_rngs = _draw_trials(sc, tag, seeds, R=R)
     z = apply_G(ens, X, Y)
     if noise_level > 0:
         g = np.array([rng.standard_normal(sc.n) + 1j * rng.standard_normal(sc.n)
@@ -301,33 +272,36 @@ def _recover_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
     return np.concatenate(errors), np.concatenate(recovered)
 
 
-def run_phase_transition(plan: TrialPlan) -> list[dict]:
-    """Recovery success rate versus the sample count n, one row per sweep
-    point with the keys of TRANSITION_COLUMNS.
+def run_phase_transition(sc: ConstraintScenario, tag: str, ns: Sequence[int], *,
+                         trials: int, seed: int, restarts: int, noise_level: float,
+                         R: Optional[float]) -> list[dict]:
+    """Recovery success rate versus the sample count n, one row per n of
+    `ns` with the keys of TRANSITION_COLUMNS.
 
     Trial i of row r is the recover_stack trial with seed
-    mix_seed(master_seed, r, i): it plants a unit-norm admissible rank-1
-    matrix, measures it (optionally with spherical noise of radius
-    noise_level), solves over every admissible support, and scores success
-    by the recovery threshold. A row's trials are drawn, measured, solved
-    and scored as stacks (at most RECOVERY_STACK_ENTRIES), each trial with
-    the bits of its stack of one, which `recover --seed` runs.
-    Rows carry the thresholds d and 2d for annotation.
+    mix_seed(seed, r, i): it plants a unit-norm admissible rank-1 matrix,
+    measures it (optionally with spherical noise of l2 radius noise_level,
+    so the measurement proximity is delta = 2 * noise_level), solves over
+    every admissible support, and scores success by the recovery threshold.
+    A row's trials are drawn, measured, solved and scored as stacks (at
+    most RECOVERY_STACK_ENTRIES), each trial with the bits of its stack of
+    one, which `recover --seed` runs. Every input, each n included, is
+    checked before the first draw. Rows carry the thresholds d and 2d for
+    annotation.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    _check_recovery(restarts, noise_level)
+    scenarios = [sc.with_n(n) for n in ns]
     rows = []
-    for row_idx, value in enumerate(plan.sweep):
-        n = int(value)
-        sc_n = plan.sc.with_n(n)
+    for row_idx, sc_n in enumerate(scenarios):
         d = bounds.sample_complexity_d(sc_n)
-        err, ok = _recover_trials(sc_n, plan.ensemble_tag,
-                                  [mix_seed(plan.master_seed, row_idx, i)
-                                   for i in range(plan.trials)],
-                                  R=plan.R, restarts=plan.restarts,
-                                  noise_level=plan.noise_level)
+        err, ok = _recover_trials(sc_n, tag, [mix_seed(seed, row_idx, i) for i in range(trials)],
+                                  R=R, restarts=restarts, noise_level=noise_level)
         successes = int(ok.sum())
         mean_err = float(np.mean(err))
-        rows.append({"n": n, "trials": plan.trials, "successes": successes,
-                     "rate": successes / plan.trials, "d": d, "two_d": 2 * d,
+        rows.append({"n": sc_n.n, "trials": trials, "successes": successes,
+                     "rate": successes / trials, "d": d, "two_d": 2 * d,
                      "mean_lifted_error": mean_err})
     return rows
 
@@ -557,8 +531,6 @@ def _draw_starts(x0, y0, delta: float, starts: int,
     """Packed start points, (starts, 2(m1+m2)), from one draw of the
     trial's search stream: a perturbation of the planted factors, then
     unit-norm random factors."""
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
     m1, m2 = x0.size, y0.size
     xs, ys = _unpack(rng.standard_normal((starts, 2 * (m1 + m2))), m1, m2)
     scale = 0.1 + 0.5 * delta
@@ -607,15 +579,19 @@ def _deviation_search(a, b, x0, y0, delta, p0, maxiter: int = 200):
 SEARCH_BATCH_SLOTS = 2048
 
 
-def run_stability_sweep(plan: TrialPlan) -> list[dict]:
+def run_stability_sweep(sc: ConstraintScenario, deltas: Sequence[float], *,
+                        trials: int, seed: int, restarts: int, R: Optional[float],
+                        mode: str, starts: int) -> list[dict]:
     """Observed worst-case deviation versus the measurement budget delta,
-    one row per sweep point with the keys of STABILITY_COLUMNS.
+    one row per delta of `deltas` with the keys of STABILITY_COLUMNS.
 
-    Per delta and trial: draw a uniform-ball ensemble, plant a unit-norm
-    matrix, search for the largest feasible deviation, and record whether
-    it violates the predicted reconstruction level. delta = 0 degenerates
-    to a noiseless uniqueness check. Every level and bound is computed
-    before the first draw, so a plan outside a bound's range draws nothing.
+    Per delta and trial: draw a complex uniform-ball ensemble, plant a
+    unit-norm matrix, search for the largest feasible deviation from
+    `starts` starts, and record whether it violates the reconstruction
+    level of the `mode` bound. delta = 0 degenerates to a noiseless
+    uniqueness check with `restarts` solver restarts. Every input is
+    checked, and every level and bound computed, before the first draw, so
+    a sweep outside a bound's range draws nothing.
     The delta > 0 trials, listed in row order, are searched in flat batches
     of the fewest trials whose starts reach SEARCH_BATCH_SLOTS; a batch may
     span rows, is drawn as one stack and searched by one run, and a trial's
@@ -623,36 +599,40 @@ def run_stability_sweep(plan: TrialPlan) -> list[dict]:
     search_status: how many starts converged, hit the iteration cap, and
     failed their line search.
     """
-    if plan.ensemble_tag != COMPLEX_UNIFORM_BALL:
-        raise ValueError("stability sweeps require the complex uniform-ball ensemble")
-    deltas = [float(delta) for delta in plan.sweep]
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    _check_recovery(restarts, 0.0)  # the delta = 0 rows recover noiselessly
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
+    if mode not in bounds.MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    deltas = [float(delta) for delta in deltas]
     if not all(delta >= 0 for delta in deltas):
         raise ValueError("stability sweep budgets delta must be nonnegative")
-    sc = plan.sc
-    R = ensemble_radius(COMPLEX_UNIFORM_BALL, sc, plan.R)
+    R = ensemble_radius(COMPLEX_UNIFORM_BALL, sc, R)
     levels = []  # (epsilon, bound_raw, bound_clamped) per row
     for delta in deltas:
         if delta > 0:
-            eps = bounds.epsilon_of_delta(sc, plan.mode, R, delta)
-            levels.append((eps, *bounds.failure_prob_bound(sc, plan.mode, R, delta, eps)))
+            eps = bounds.epsilon_of_delta(sc, mode, R, delta)
+            levels.append((eps, *bounds.failure_prob_bound(sc, mode, R, delta, eps)))
         else:
             levels.append((0.0, 0.0, 0.0))
 
     def seeds_of(row_idx):
-        return [mix_seed(plan.master_seed, row_idx, i) for i in range(plan.trials)]
+        return [mix_seed(seed, row_idx, i) for i in range(trials)]
 
     trial_devs = [[] for _ in deltas]  # per delta > 0 row: deviation per trial
     status = np.zeros((len(deltas), 3), dtype=int)  # per row: starts by stop status
-    searched = [(row_idx, seed) for row_idx, delta in enumerate(deltas) if delta > 0
-                for seed in seeds_of(row_idx)]
-    batch = -(-SEARCH_BATCH_SLOTS // plan.starts)  # trials per search batch
+    searched = [(row_idx, trial_seed) for row_idx, delta in enumerate(deltas) if delta > 0
+                for trial_seed in seeds_of(row_idx)]
+    batch = -(-SEARCH_BATCH_SLOTS // starts)  # trials per search batch
     # a sweep holds the ensembles of one batch of trials, whatever its
     # number of trials
     for start in range(0, len(searched), batch):
         rows_of, seeds = zip(*searched[start:start + batch])
         delta = np.array([deltas[row_idx] for row_idx in rows_of])
-        ens, X, Y, _, search_rngs = _draw_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R)
-        p0 = np.array([_draw_starts(x0, y0, d, plan.starts, rng)
+        ens, X, Y, _, search_rngs = _draw_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R=R)
+        p0 = np.array([_draw_starts(x0, y0, d, starts, rng)
                        for x0, y0, d, rng in zip(X, Y, delta, search_rngs)])
         found, stops = _deviation_search(ens.a, ens.b, X, Y, delta, p0)
         for row_idx, dev, stop in zip(rows_of, found, stops):
@@ -666,10 +646,10 @@ def run_stability_sweep(plan: TrialPlan) -> list[dict]:
             violations = sum(1 for dev in devs if dev > eps)
         else:
             devs, ok = _recover_trials(sc, COMPLEX_UNIFORM_BALL, seeds_of(row_idx), R=R,
-                                       restarts=plan.restarts, noise_level=0.0)
+                                       restarts=restarts, noise_level=0.0)
             violations = int((~ok).sum())
-        row = {"delta": delta, "trials": plan.trials, "violations": violations,
-               "violation_rate": violations / plan.trials, "epsilon": eps,
+        row = {"delta": delta, "trials": trials, "violations": violations,
+               "violation_rate": violations / trials, "epsilon": eps,
                "bound_raw": raw, "bound_clamped": clamped,
                "max_deviation": float(np.max(devs)),
                "mean_lifted_error": float(np.mean(devs))}

@@ -461,7 +461,7 @@ def _chunks(budget: int) -> Iterable[range]:
         start = stop
 
 
-def certify_weak(ens: Ensemble, M0: LiftedMatrix, budget: int = 100, tol: float = 1e-6, *,
+def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
                  rng: np.random.Generator) -> IdentifiabilityVerdict:
     """Decide uniqueness of the planted matrix among admissible solutions.
 
@@ -498,7 +498,7 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, budget: int = 100, tol: float 
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
 
 
-def certify_strong(ens: Ensemble, budget: int = 100, tol: float = 1e-6, *,
+def certify_strong(ens: Ensemble, *, budget: int, tol: float,
                    rng: np.random.Generator) -> IdentifiabilityVerdict:
     """Decide uniqueness over the whole constraint set restricted to the unit ball.
 

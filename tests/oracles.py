@@ -170,7 +170,7 @@ def _injective_on(ens, rows, cols):
     return s.size >= k and float(s[-1]) > INJECTIVITY_TOL
 
 
-def certify_weak(ens, M0, budget=100, tol=1e-6, *, rng):
+def certify_weak(ens, M0, *, budget, tol, rng):
     """certify_weak with one SVD per support union and one fit per attempt."""
     _check_search(budget, tol)
     sc = ens.scenario
@@ -191,7 +191,7 @@ def certify_weak(ens, M0, budget=100, tol=1e-6, *, rng):
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
 
 
-def certify_strong(ens, budget=100, tol=1e-6, *, rng):
+def certify_strong(ens, *, budget, tol, rng):
     """certify_strong with one SVD per support union and one fit per attempt."""
     _check_search(budget, tol)
     sc = ens.scenario

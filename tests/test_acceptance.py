@@ -181,21 +181,19 @@ def test_criterion_4_small_ball_sharp_case_and_bound():
 def test_criterion_5_identifiability_phase_transitions():
     start = time.time()
     sub = ConstraintScenario(kind="subspace", n=8, m1=2, m2=2)
-    plan_a = mc.TrialPlan(sc=sub, ensemble_tag=COMPLEX_GENERIC, trials=100,
-                          sweep=tuple(range(2, 9)), master_seed=55, restarts=20)
-    rows_a = mc.run_phase_transition(plan_a)
+    rows_a = mc.run_phase_transition(sub, COMPLEX_GENERIC, range(2, 9), trials=100, seed=55,
+                                     restarts=20, noise_level=0.0, R=None)
     rates_a = {r["n"]: r["rate"] for r in rows_a}
     ok_a = rates_a[2] < 0.5 and all(rates_a[n] >= 0.99 for n in (5, 6, 7, 8))
 
     spar = ConstraintScenario(kind="sparsity", n=5, m1=4, m2=4, s1=1, s2=1)
-    plan_b = mc.TrialPlan(sc=spar, ensemble_tag=COMPLEX_GENERIC, trials=100,
-                          sweep=(5,), master_seed=56)
-    rate_b = mc.run_phase_transition(plan_b)[0]["rate"]
+    rate_b = mc.run_phase_transition(spar, COMPLEX_GENERIC, (5,), trials=100, seed=56,
+                                     restarts=62, noise_level=0.0, R=None)[0]["rate"]
     ok_b = rate_b >= 0.99
 
-    plan_c = mc.TrialPlan(sc=sub, ensemble_tag=REAL_GENERIC, trials=100,
-                          sweep=tuple(range(2, 9)), master_seed=57, restarts=20)
-    rates_c = {r["n"]: r["rate"] for r in mc.run_phase_transition(plan_c)}
+    rows_c = mc.run_phase_transition(sub, REAL_GENERIC, range(2, 9), trials=100, seed=57,
+                                     restarts=20, noise_level=0.0, R=None)
+    rates_c = {r["n"]: r["rate"] for r in rows_c}
     ok_c = rates_c[2] < 0.5 and all(rates_c[n] >= 0.99 for n in (5, 6, 7, 8))
 
     elapsed = time.time() - start
@@ -217,7 +215,7 @@ def test_gap_regime_transitions():
     from n = d - 1, a 3x4 sparsity sweep with s1 = 2, s2 = 3 (d = 5) over
     n = 4..6 and a 4x4 mixed sweep with s1 = 2 (d = 6) over n = 5..8, both
     complex_generic. Measured when the gate took three seeds, with the
-    default 62 restarts run in waves: 100 of 100 at every n >= d on all
+    CLI's default of 62 restarts run in waves: 100 of 100 at every n >= d on all
     15 sweeps. With 20 restarts (in waves or not) real 3x3 gave 98 of 100
     at n = d for seed 12, and 4x4 at n = 9 and real 3x3 at n = 7 gave 99
     for seed 13. Below d the plant is not identifiable and any exact fit
@@ -237,9 +235,8 @@ def test_gap_regime_transitions():
     rows = {}
     for seed in (11, 12, 13):
         for name, (sc, tag, sweep) in sweeps.items():
-            plan = mc.TrialPlan(sc=sc, ensemble_tag=tag, trials=100,
-                                sweep=tuple(sweep), master_seed=seed)
-            rows[f"{name} seed {seed}"] = mc.run_phase_transition(plan)
+            rows[f"{name} seed {seed}"] = mc.run_phase_transition(
+                sc, tag, sweep, trials=100, seed=seed, restarts=62, noise_level=0.0, R=None)
     ok = all(r["rate"] >= 0.99 for row in rows.values() for r in row if r["n"] >= r["d"])
     elapsed = time.time() - start
     report("gap regime (d <= n < m1*m2)", ok,
@@ -252,11 +249,11 @@ def test_criterion_6_certifier_soundness():
     start = time.time()
     sc4 = ConstraintScenario(kind="subspace", n=4, m1=2, m2=2)
     ens4 = build_ensemble(sc4, COMPLEX_GENERIC, 66)
-    v4 = certify_strong(ens4, rng=np.random.default_rng(0))
+    v4 = certify_strong(ens4, budget=100, tol=1e-6, rng=np.random.default_rng(0))
 
     sc1 = ConstraintScenario("subspace", 1, 2, 2)
     ens1 = build_ensemble(sc1, COMPLEX_GENERIC, 67)
-    v1 = certify_strong(ens1, rng=np.random.default_rng(68))
+    v1 = certify_strong(ens1, budget=100, tol=1e-6, rng=np.random.default_rng(68))
     verified = verify_counterexample(v1, ens1)
 
     elapsed = time.time() - start
@@ -271,9 +268,8 @@ def test_criterion_6_certifier_soundness():
 def test_criterion_7_stability_consistency():
     start = time.time()
     sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
-    plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=1000,
-                        sweep=(0.3, 0.1, 0.03, 0.0), master_seed=77)
-    rows = mc.run_stability_sweep(plan)
+    rows = mc.run_stability_sweep(sc, (0.3, 0.1, 0.03, 0.0), trials=1000, seed=77,
+                                  restarts=62, R=None, mode="single_point", starts=3)
     details = []
     ok = True
     for row in rows:
@@ -296,37 +292,36 @@ def test_criterion_7_stability_consistency():
 def test_criterion_8_worker_determinism():
     start = time.time()
     sub = ConstraintScenario(kind="subspace", n=8, m1=2, m2=2)
-    tplan = mc.TrialPlan(sc=sub, ensemble_tag=COMPLEX_GENERIC, trials=30,
-                         sweep=(2, 5, 8), master_seed=88)
-    trows = mc.run_phase_transition(tplan)
+    tkw = dict(trials=30, seed=88, restarts=62, noise_level=0.0, R=None)
+    trows = mc.run_phase_transition(sub, COMPLEX_GENERIC, (2, 5, 8), **tkw)
     t1 = mc.sweep_csv(mc.TRANSITION_COLUMNS, trows)
-    t1b = mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(tplan))
+    t1b = mc.sweep_csv(mc.TRANSITION_COLUMNS,
+                       mc.run_phase_transition(sub, COMPLEX_GENERIC, (2, 5, 8), **tkw))
     # every trial replays alone: trial i of row r is recover_stack on the one
-    # seed mix_seed(master_seed, r, i), the seed `blindid recover --seed` takes
+    # seed mix_seed(seed, r, i), the seed `blindid recover --seed` takes
     replay_ok = True
     for row_idx, row in enumerate(trows):
         sc_n = ConstraintScenario("subspace", row["n"], 2, 2)
         alone = [mc.recover_stack(sc_n, COMPLEX_GENERIC,
-                                  [mix_seed(tplan.master_seed, row_idx, i)],
-                                  R=None, restarts=tplan.restarts, noise_level=0.0)
-                 for i in range(tplan.trials)]
+                                  [mix_seed(tkw["seed"], row_idx, i)],
+                                  R=None, restarts=tkw["restarts"], noise_level=0.0)
+                 for i in range(tkw["trials"])]
         replay_ok &= (row["successes"] == sum(ok[0] for _, _, ok in alone)
                       and row["mean_lifted_error"]
                       == float(np.mean([err[0] for _, err, _ in alone])))
 
     sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
-    splan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=20,
-                         sweep=(0.1, 0.0), master_seed=89)
-    srows = mc.run_stability_sweep(splan)
+    skw = dict(trials=20, seed=89, restarts=62, R=None, mode="single_point", starts=3)
+    srows = mc.run_stability_sweep(sc, (0.1, 0.0), **skw)
     s1 = mc.sweep_csv(mc.STABILITY_COLUMNS, srows)
-    s1b = mc.sweep_csv(mc.STABILITY_COLUMNS, mc.run_stability_sweep(splan))
+    s1b = mc.sweep_csv(mc.STABILITY_COLUMNS, mc.run_stability_sweep(sc, (0.1, 0.0), **skw))
     # the stability sweep searches its trials as one batch: each trial
     # searched alone must give the same deviation bit for bit
     alone = []
-    for i in range(splan.trials):
+    for i in range(skw["trials"]):
         ens, M0, _, search_rng = mc.draw_trial(sc, COMPLEX_UNIFORM_BALL,
-                                               mix_seed(splan.master_seed, 0, i))
-        alone.append(deviation_alone(ens, M0, 0.1, splan.starts, search_rng))
+                                               mix_seed(skw["seed"], 0, i), R=None)
+        alone.append(deviation_alone(ens, M0, 0.1, skw["starts"], search_rng))
     batch_ok = (srows[0]["max_deviation"] == max(alone)
                 and srows[0]["mean_lifted_error"] == float(np.mean(alone)))
 

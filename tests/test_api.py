@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import blindid
@@ -76,3 +77,26 @@ def test_scenario_kind_is_decided_in_ensembles_only():
                 if kinds:
                     found.append((path.name, node.lineno, sorted(kinds)))
     assert not found, found
+
+
+# Entry points whose options the CLI fills: after the leading positional
+# parameters, every option is keyword-only and has no default, so the CLI
+# holds every default.
+ENTRY_POINT_OPTIONS = {
+    ("mc", "run_phase_transition"): ("trials", "seed", "restarts", "noise_level", "R"),
+    ("mc", "run_stability_sweep"): ("trials", "seed", "restarts", "R", "mode", "starts"),
+    ("recovery", "certify_weak"): ("budget", "tol", "rng"),
+    ("recovery", "certify_strong"): ("budget", "tol", "rng"),
+    ("bounds", "make_report"): ("delta", "epsilon", "R", "rho", "ell", "L"),
+}
+
+
+def test_entry_point_options_are_required_keywords():
+    for (module, name), options in ENTRY_POINT_OPTIONS.items():
+        params = list(inspect.signature(
+            getattr(importlib.import_module(f"blindid.{module}"), name)).parameters.values())
+        lead = len(params) - len(options)
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params[:lead]), name
+        assert tuple(p.name for p in params[lead:]) == options, name
+        assert all(p.kind is p.KEYWORD_ONLY for p in params[lead:]), name
+        assert all(p.default is p.empty for p in params), name

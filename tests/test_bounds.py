@@ -272,9 +272,13 @@ class TestSnr:
         assert np.isclose(msnr, freq, rtol=1e-10)
 
 
+# the values `blindid bounds` takes when no flag is given
+REPORT = dict(delta=0.1, epsilon=0.5, R=1.0, rho=0.1, ell=1.0, L=1.0)
+
+
 class TestReport:
     def test_full_report(self):
-        rep = bounds.make_report(subspace(12, 2, 2), delta=0.05)
+        rep = bounds.make_report(subspace(12, 2, 2), **{**REPORT, "delta": 0.05})
         assert rep["d"] == 4 and rep["dim_upper"] == 8
         assert np.isclose(rep["alpha"], 1 - 4 / 12)
         assert np.isclose(rep["beta"], 1 - 8 / 12)
@@ -283,20 +287,20 @@ class TestReport:
         assert set(rep) >= {"C", "alpha", "epsilon_single"}
 
     def test_stability_fields_none_below_threshold(self):
-        rep = bounds.make_report(subspace(5, 2, 2))
+        rep = bounds.make_report(subspace(5, 2, 2), **REPORT)
         assert rep["C_prime"] is not None
         assert rep["C_dblprime"] is None and rep["epsilon_uniform"] is None
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
-            bounds.make_report(subspace(5, 2, 2), delta=0.0)
+            bounds.make_report(subspace(5, 2, 2), **{**REPORT, "delta": 0.0})
         with pytest.raises(ValueError):
-            bounds.make_report(subspace(5, 2, 2), ell=2.0, L=1.0)
+            bounds.make_report(subspace(5, 2, 2), **{**REPORT, "ell": 2.0, "L": 1.0})
 
     @pytest.mark.parametrize("name", ["delta", "epsilon", "R", "rho", "ell", "L"])
     def test_nan_rejected(self, name):
         with pytest.raises(ValueError, match=f"{name} must be positive"):
-            bounds.make_report(subspace(12, 2, 2), **{name: float("nan")})
+            bounds.make_report(subspace(12, 2, 2), **{**REPORT, name: float("nan")})
 
 
 def test_closed_forms_reject_nan():

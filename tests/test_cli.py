@@ -117,9 +117,13 @@ class TestExitCodes:
           "--trials", "1", "--restarts", "-1"], "restarts must be >= 0"),
         (["recover", "--n", "3", "--noise-level", "-0.5"],
          "noise_level must be nonnegative"),
+        (["stability", "--kind", "subspace", "--n", "10", "--m1", "2", "--m2", "2",
+          "--sweep", "0", "--trials", "2", "--mode", "bogus"], "unknown mode"),
+        (["stability", "--n", "10", "--tag", "complex_generic", "--sweep", "0.1",
+          "--trials", "1"], "require the complex uniform-ball ensemble"),
     ], ids=["budget", "tol", "tol_knife_edge", "starts", "starts_zero_delta", "restarts",
             "restarts_minus_one", "transition_restarts", "stability_restarts",
-            "noise_level"])
+            "noise_level", "stability_mode", "stability_tag"])
     def test_bad_search_size_is_two(self, capsys, argv, message):
         if "--kind" in argv:
             scenario = []
@@ -292,7 +296,7 @@ class TestSubcommands:
                                "--tag", "complex_generic", "--level", "weak",
                                "--seed", "21")
             assert code == 0
-            ens, M0, _, _ = mc.draw_trial(sc, "complex_generic", 21)
+            ens, M0, _, _ = mc.draw_trial(sc, "complex_generic", 21, R=None)
             cli_ens, cli_M0 = seen.pop()
             assert np.array_equal(cli_ens.a, ens.a) and np.array_equal(cli_ens.b, ens.b)
             assert np.array_equal(cli_M0.M, M0.M)

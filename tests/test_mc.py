@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,31 +14,65 @@ from oracles import deviation_alone
 
 
 SUBSPACE5 = ConstraintScenario(kind="subspace", n=5, m1=2, m2=2)
+SUBSPACE10 = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
 
 
-class TestTrialPlan:
+def _transition(sc=SUBSPACE5, ns=(5,), **kw):
+    return mc.run_phase_transition(sc, COMPLEX_GENERIC, ns, **{
+        **dict(trials=1, seed=0, restarts=62, noise_level=0.0, R=None), **kw})
+
+
+def _stability(sc=SUBSPACE10, deltas=(0.1,), **kw):
+    return mc.run_stability_sweep(sc, deltas, **{
+        **dict(trials=1, seed=0, restarts=62, R=None, mode="single_point", starts=3), **kw})
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fails the test if anything is drawn: a sweep checks every input it
+    reads before its first draw."""
+    drawn = []
+    monkeypatch.setattr(mc, "_draw_trials", lambda *args, **kw: drawn.append(args))
+    yield
+    assert drawn == []
+
+
+@pytest.mark.usefixtures("no_draws")
+class TestSweepInputs:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC, trials=0,
-                         sweep=(5,))
-        with pytest.raises(ValueError):
-            mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC, trials=1,
-                         sweep=(5,), noise_level=-0.1)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            _transition(trials=0)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            _stability(trials=0)
+        with pytest.raises(ValueError, match="noise_level must be nonnegative"):
+            _transition(noise_level=-0.1)
 
     def test_nan_noise_level_rejected(self):
         with pytest.raises(ValueError, match="noise_level must be nonnegative"):
-            mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC, trials=1,
-                         sweep=(5,), noise_level=float("nan"))
+            _transition(noise_level=float("nan"))
         with pytest.raises(ValueError, match="noise_level must be nonnegative"):
             mc.recover_stack(SUBSPACE5, COMPLEX_GENERIC, [0], R=None, restarts=62,
                              noise_level=float("nan"))
 
     def test_nan_stability_budget_rejected(self):
-        plan = mc.TrialPlan(sc=ConstraintScenario(kind="subspace", n=10, m1=2, m2=2),
-                            ensemble_tag=COMPLEX_UNIFORM_BALL, trials=1,
-                            sweep=(0.1, float("nan")))
         with pytest.raises(ValueError, match="delta must be nonnegative"):
-            mc.run_stability_sweep(plan)
+            _stability(deltas=(0.1, float("nan")))
+
+    @pytest.mark.parametrize("sweep, kw, message", [
+        (_transition, dict(ns=(5, 5.7)), "n must be a positive integer, got 5.7"),
+        (_transition, dict(ns=(5, 0)), "n must be a positive integer"),
+        (_transition, dict(restarts=-1), "restarts must be >= 0"),
+        (_stability, dict(deltas=(0.0,), mode="bogus"), "unknown mode 'bogus'"),
+        (_stability, dict(deltas=(0.0, 0.1), starts=0), "starts must be >= 1"),
+        (_stability, dict(deltas=(0.0,), restarts=-1), "restarts must be >= 0"),
+        (_stability, dict(deltas=(0.0, -0.1)), "delta must be nonnegative"),
+    ], ids=["fractional_n", "zero_n", "transition_restarts", "mode", "starts",
+            "stability_restarts", "delta"])
+    def test_rejected_before_any_draw(self, sweep, kw, message):
+        # a fractional sample count is not truncated to a row, and an
+        # unknown mode is rejected even where only delta = 0 rows would run
+        with pytest.raises(ValueError, match=message):
+            sweep(**kw)
 
 
 class TestSmallBallEstimator:
@@ -88,24 +121,21 @@ def test_ensemble_radius_defaults():
 
 class TestPhaseTransition:
     def test_rates_bracket_the_threshold(self):
-        plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC,
-                            trials=25, sweep=(2, 5), master_seed=11)
-        rows = mc.run_phase_transition(plan)
+        rows = mc.run_phase_transition(SUBSPACE5, COMPLEX_GENERIC, (2, 5), trials=25,
+                                       seed=11, restarts=62, noise_level=0.0, R=None)
         assert rows[0]["rate"] < 0.5 and rows[1]["rate"] == 1.0
         assert (rows[0]["d"], rows[0]["two_d"]) == (4, 8)
         assert all(0 <= r["successes"] <= r["trials"] for r in rows)
 
     def test_noise_breaks_exact_recovery(self):
-        plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC,
-                            trials=10, sweep=(5,), master_seed=12,
-                            noise_level=0.05)
-        row = mc.run_phase_transition(plan)[0]
+        row = mc.run_phase_transition(SUBSPACE5, COMPLEX_GENERIC, (5,), trials=10,
+                                      seed=12, restarts=62, noise_level=0.05, R=None)[0]
         assert row["mean_lifted_error"] > 1e-6
 
     def test_real_ensembles_supported(self):
-        plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=REAL_GENERIC,
-                            trials=10, sweep=(5,), master_seed=13)
-        assert mc.run_phase_transition(plan)[0]["rate"] == 1.0
+        rows = mc.run_phase_transition(SUBSPACE5, REAL_GENERIC, (5,), trials=10, seed=13,
+                                       restarts=62, noise_level=0.0, R=None)
+        assert rows[0]["rate"] == 1.0
 
     def test_rerun_identical_and_trials_replay_alone(self):
         # trial i of row r is recover_stack on the one seed
@@ -123,12 +153,12 @@ class TestPhaseTransition:
         for (sc, sweep, P, k), tag, noise_level in itertools.product(
                 ((SUBSPACE5, (3, 4, 5), 1, 2 * 2), (sparse, (4, 5, 6), 12, 2 * 3)),
                 ALL_TAGS, (0.0, 0.01)):
-            plan = mc.TrialPlan(sc=sc, ensemble_tag=tag, trials=12, sweep=sweep,
-                                master_seed=14, restarts=3, noise_level=noise_level)
-            rows = mc.run_phase_transition(plan)
+            kw = dict(trials=12, seed=14, restarts=3, noise_level=noise_level, R=None)
+            rows = mc.run_phase_transition(sc, tag, sweep, **kw)
             csv = mc.sweep_csv(mc.TRANSITION_COLUMNS, rows)
-            assert csv == mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(plan))
-            per_trial = P * k * (plan.restarts + 1)
+            assert csv == mc.sweep_csv(mc.TRANSITION_COLUMNS,
+                                       mc.run_phase_transition(sc, tag, sweep, **kw))
+            per_trial = P * k * (kw["restarts"] + 1)
             entries = 5 * max(sweep) * per_trial
             stacks = []
             real = mc.solve_sparse_enumerate
@@ -140,16 +170,17 @@ class TestPhaseTransition:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(mc, "RECOVERY_STACK_ENTRIES", entries)
                 mp.setattr(mc, "solve_sparse_enumerate", spy)
-                assert mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(plan)) == csv
+                assert mc.sweep_csv(mc.TRANSITION_COLUMNS,
+                                    mc.run_phase_transition(sc, tag, sweep, **kw)) == csv
             assert len(stacks) > len(sweep)
             assert all(T * n * (per_trial if n < k else P * k) <= entries
                        for T, n in stacks), stacks
             for row_idx, row in enumerate(rows):
                 alone = [mc.recover_stack(sc.with_n(row["n"]), tag,
-                                          [mix_seed(plan.master_seed, row_idx, i)],
-                                          R=None, restarts=plan.restarts,
+                                          [mix_seed(kw["seed"], row_idx, i)],
+                                          R=None, restarts=kw["restarts"],
                                           noise_level=noise_level)
-                         for i in range(plan.trials)]
+                         for i in range(kw["trials"])]
                 assert row["successes"] == sum(ok[0] for _, _, ok in alone)
                 assert row["mean_lifted_error"] == float(np.mean([err[0]
                                                                   for _, err, _ in alone]))
@@ -165,10 +196,10 @@ class TestPhaseTransition:
                    ConstraintScenario("mixed", 8, 4, 3, 2),
                    ConstraintScenario("sparsity", 9, 4, 4, 1, 3)):
             seeds = [mix_seed(15, 0, i) for i in range(12)]
-            ens, X, Y, plant_rngs, solver_rngs = mc._draw_trials(sc, tag, seeds)
+            ens, X, Y, plant_rngs, solver_rngs = mc._draw_trials(sc, tag, seeds, R=None)
             assert ens.seed == tuple(mix_seed(seed, 0) for seed in seeds)
             for t, seed in enumerate(seeds):
-                one, M0, plant_rng, solver_rng = mc.draw_trial(sc, tag, seed)
+                one, M0, plant_rng, solver_rng = mc.draw_trial(sc, tag, seed, R=None)
                 assert one.seed == mix_seed(seed, 0)
                 for name in ("D", "E", "a", "b"):
                     got, want = getattr(ens, name)[t], getattr(one, name)
@@ -191,7 +222,7 @@ class TestPhaseTransition:
             R = mc.ensemble_radius(tag, sc, None)
             drawn = ("a", "b") if R else ("D", "E")
             for seeds in ([mix_seed(16, 0, 0)], [mix_seed(16, 0, i) for i in range(9)]):
-                ens, X, Y, plant_rngs, _ = mc._draw_trials(sc, tag, seeds)
+                ens, X, Y, plant_rngs, _ = mc._draw_trials(sc, tag, seeds, R=None)
                 lone = build_ensemble(sc, tag, mix_seed(seeds[0], 0), R=R)
                 for name, want in zip(drawn, oracles.ensemble_draws(sc, tag, R, lone.seed)):
                     got = getattr(lone, name)
@@ -264,9 +295,8 @@ class TestPhaseTransition:
         assert calls(12) == want
 
     def test_csv_schema(self):
-        plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC,
-                            trials=3, sweep=(5,), master_seed=15)
-        rows = mc.run_phase_transition(plan)
+        rows = mc.run_phase_transition(SUBSPACE5, COMPLEX_GENERIC, (5,), trials=3, seed=15,
+                                       restarts=62, noise_level=0.0, R=None)
         assert tuple(rows[0]) == mc.TRANSITION_COLUMNS
         text = mc.sweep_csv(mc.TRANSITION_COLUMNS, rows)
         lines = text.splitlines()
@@ -277,9 +307,9 @@ class TestPhaseTransition:
         assert 0 <= float(rate) <= 1
 
     def test_empty_sweep_gives_header_only(self):
-        plan = mc.TrialPlan(sc=SUBSPACE5, ensemble_tag=COMPLEX_GENERIC,
-                            trials=3, sweep=(), master_seed=15)
-        assert mc.sweep_csv(mc.TRANSITION_COLUMNS, mc.run_phase_transition(plan)) == \
+        rows = mc.run_phase_transition(SUBSPACE5, COMPLEX_GENERIC, (), trials=3, seed=15,
+                                       restarts=62, noise_level=0.0, R=None)
+        assert mc.sweep_csv(mc.TRANSITION_COLUMNS, rows) == \
             "n,trials,successes,rate,d,two_d,mean_lifted_error\n"
 
 
@@ -461,9 +491,6 @@ def stability_batch():
     """The objective, starts and maxiter of the one search batch of a
     stability sweep like the benchmark's: n = 10, m1 = m2 = 2, three
     budgets, 6 trials, 3 starts each, so 54 slots."""
-    sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
-    plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=6,
-                        sweep=(0.3, 0.1, 0.03), master_seed=1)
     batches = []
 
     def capture(fun, p, maxiter):
@@ -472,7 +499,8 @@ def stability_batch():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mc, "_lbfgs", capture)
-        mc.run_stability_sweep(plan)
+        mc.run_stability_sweep(SUBSPACE10, (0.3, 0.1, 0.03), trials=6, seed=1, restarts=62,
+                               R=None, mode="single_point", starts=3)
     assert len(batches) == 1 and batches[0][1].shape[0] == 54
     return batches[0]
 
@@ -631,17 +659,9 @@ class TestDeviationSearch:
 
 
 class TestStabilitySweep:
-    def test_requires_uniform_ball_tag(self):
-        sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
-        plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_GENERIC, trials=2,
-                            sweep=(0.1,), master_seed=1)
-        with pytest.raises(ValueError):
-            mc.run_stability_sweep(plan)
-
     def test_mode_precondition_propagates(self):
         sc = ConstraintScenario(kind="subspace", n=5, m1=2, m2=2)
-        plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=2,
-                            sweep=(0.1,), master_seed=1, mode="uniform")
+        kw = dict(trials=2, seed=1, restarts=62, R=None, starts=3)
         # the bounds are checked before the first draw, so nothing is drawn
         drawn = []
         real = mc._draw_trials
@@ -653,27 +673,22 @@ class TestStabilitySweep:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mc, "_draw_trials", spy)
             with pytest.raises(ValueError, match="n > 2d"):
-                mc.run_stability_sweep(plan)
+                mc.run_stability_sweep(sc, (0.1,), mode="uniform", **kw)
             # n <= d fails the single-point bound in the same way; the delta
             # = 0 row before it would draw for recovery
             with pytest.raises(ValueError, match="n > d"):
-                mc.run_stability_sweep(replace(plan, sc=sc.with_n(4), sweep=(0.0, 0.1),
-                                               mode="single_point"))
+                mc.run_stability_sweep(sc.with_n(4), (0.0, 0.1), mode="single_point", **kw)
         assert drawn == []
 
     def test_zero_delta_row_has_no_violations(self):
-        sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
-        plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=5,
-                            sweep=(0.0,), master_seed=2)
-        row = mc.run_stability_sweep(plan)[0]
+        row = mc.run_stability_sweep(SUBSPACE10, (0.0,), trials=5, seed=2, restarts=62,
+                                     R=None, mode="single_point", starts=3)[0]
         assert row["violations"] == 0
         assert row["max_deviation"] < 1e-8
 
     def test_deviation_grows_with_delta_and_csv_schema(self):
-        sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
-        plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=4,
-                            sweep=(0.3, 0.03), master_seed=3)
-        rows = mc.run_stability_sweep(plan)
+        rows = mc.run_stability_sweep(SUBSPACE10, (0.3, 0.03), trials=4, seed=3, restarts=62,
+                                      R=None, mode="single_point", starts=3)
         assert rows[0]["max_deviation"] > rows[1]["max_deviation"]
         assert tuple(rows[0]) == mc.STABILITY_COLUMNS + ("search_status",)
         text = mc.sweep_csv(mc.STABILITY_COLUMNS, rows)
@@ -684,52 +699,50 @@ class TestStabilitySweep:
     def test_batch_composition_does_not_change_output(self):
         # the sweep searches its delta > 0 trials in batches; each trial's
         # deviation must equal the one found when it is searched alone
-        sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
-        plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=6,
-                            sweep=(0.3, 0.1, 0.0), master_seed=4)
-        rows = mc.run_stability_sweep(plan)
+        sc = SUBSPACE10
+        deltas = (0.3, 0.1, 0.0)
+        kw = dict(trials=6, seed=4, restarts=62, R=None, mode="single_point", starts=3)
+        rows = mc.run_stability_sweep(sc, deltas, **kw)
         csv = mc.sweep_csv(mc.STABILITY_COLUMNS, rows)
-        assert csv == mc.sweep_csv(mc.STABILITY_COLUMNS, mc.run_stability_sweep(plan))
+        assert csv == mc.sweep_csv(mc.STABILITY_COLUMNS, mc.run_stability_sweep(sc, deltas, **kw))
         # each batch is drawn as one stack, so a sweep never holds more than
         # one batch of ensembles: batches of 4 trials split rows, and the
         # middle one spans two rows in one draw; a batch of 12 spans every
         # delta > 0 row. The last stack is the delta = 0 row, drawn for
         # recovery
         real = mc._draw_trials
-        for slots, want in ((4 * plan.starts, [4, 4, 4, 6]),
-                            (12 * plan.starts, [12, 6])):
+        for slots, want in ((4 * kw["starts"], [4, 4, 4, 6]),
+                            (12 * kw["starts"], [12, 6])):
             drawn = []
 
-            def spy(sc, tag, seeds, R=None):
+            def spy(sc, tag, seeds, *, R):
                 drawn.append(len(seeds))
-                return real(sc, tag, seeds, R)
+                return real(sc, tag, seeds, R=R)
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(mc, "SEARCH_BATCH_SLOTS", slots)
                 mp.setattr(mc, "_draw_trials", spy)
-                small = mc.run_stability_sweep(plan)
+                small = mc.run_stability_sweep(sc, deltas, **kw)
             assert drawn == want
             assert mc.sweep_csv(mc.STABILITY_COLUMNS, small) == csv
             assert ([r.get("search_status") for r in small]
                     == [r.get("search_status") for r in rows])
         for row_idx, row in enumerate(rows[:2]):
             alone = []
-            for i in range(plan.trials):
+            for i in range(kw["trials"]):
                 ens, M0, _, search_rng = mc.draw_trial(
-                    sc, COMPLEX_UNIFORM_BALL, mix_seed(plan.master_seed, row_idx, i))
-                alone.append(deviation_alone(ens, M0, row["delta"], plan.starts,
+                    sc, COMPLEX_UNIFORM_BALL, mix_seed(kw["seed"], row_idx, i), R=None)
+                alone.append(deviation_alone(ens, M0, row["delta"], kw["starts"],
                                              search_rng))
             assert row["max_deviation"] == max(alone)
             assert row["mean_lifted_error"] == float(np.mean(alone))
-            assert sum(row["search_status"]) == plan.trials * plan.starts
+            assert sum(row["search_status"]) == kw["trials"] * kw["starts"]
 
 
 @pytest.fixture(scope="module")
 def scaling_rows():
-    sc = ConstraintScenario(kind="subspace", n=10, m1=2, m2=2)
-    plan = mc.TrialPlan(sc=sc, ensemble_tag=COMPLEX_UNIFORM_BALL, trials=6,
-                        sweep=(0.3, 0.1, 0.03), master_seed=9)
-    return mc.run_stability_sweep(plan)
+    return mc.run_stability_sweep(SUBSPACE10, (0.3, 0.1, 0.03), trials=6, seed=9, restarts=62,
+                                  R=None, mode="single_point", starts=3)
 
 
 def test_max_deviation_scaling_law(scaling_rows):

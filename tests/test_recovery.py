@@ -357,12 +357,12 @@ def test_certifiers_match_attempt_by_attempt_reference(sc):
     # witnesses of one attempt and one SVD at a time; the loose tolerance
     # puts first counterexamples past attempt 1 (at attempts 3 to 56 here)
     for seed, tol in itertools.product(range(3), (1e-6, 0.1)):
-        ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, seed)
+        ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
         for level, new, ref, args in (
                 ("weak", certify_weak, oracles.certify_weak, (ens, M0)),
                 ("strong", certify_strong, oracles.certify_strong, (ens,))):
-            got = new(*args, tol=tol, rng=np.random.default_rng(seed))
-            want = ref(*args, tol=tol, rng=np.random.default_rng(seed))
+            got = new(*args, budget=100, tol=tol, rng=np.random.default_rng(seed))
+            want = ref(*args, budget=100, tol=tol, rng=np.random.default_rng(seed))
             assert (got.status, got.search_budget) == (want.status, want.search_budget), \
                 (level, seed, tol)
             if got.status == COUNTEREXAMPLE_FOUND:
@@ -377,10 +377,12 @@ def test_certifier_counterexamples_verify_on_the_grid():
     found = dict.fromkeys(itertools.product(("weak", "strong"), (1e-6, 0.1)), 0)
     for sc in _certify_grid():
         for seed, tol in itertools.product(range(3), (1e-6, 0.1)):
-            ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, seed)
+            ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
             for level, v in (
-                    ("weak", certify_weak(ens, M0, tol=tol, rng=np.random.default_rng(seed))),
-                    ("strong", certify_strong(ens, tol=tol, rng=np.random.default_rng(seed)))):
+                    ("weak", certify_weak(ens, M0, budget=100, tol=tol,
+                                          rng=np.random.default_rng(seed))),
+                    ("strong", certify_strong(ens, budget=100, tol=tol,
+                                              rng=np.random.default_rng(seed)))):
                 if v.status == COUNTEREXAMPLE_FOUND:
                     assert verify_counterexample(v, ens), (sc, level, seed, tol)
                     found[level, tol] += 1
@@ -450,14 +452,14 @@ def test_injective_on_bounds_its_stacks(monkeypatch):
 
 def test_zero_budget_searches_nothing():
     sc = ConstraintScenario("sparsity", 2, 5, 5, 1, 1)
-    ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, 0)
-    for v in (certify_weak(ens, M0, budget=0, rng=np.random.default_rng(0)),
-              certify_strong(ens, budget=0, rng=np.random.default_rng(0))):
+    ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
+    for v in (certify_weak(ens, M0, budget=0, tol=1e-6, rng=np.random.default_rng(0)),
+              certify_strong(ens, budget=0, tol=1e-6, rng=np.random.default_rng(0))):
         assert (v.status, v.search_budget) == (HEURISTICALLY_UNIQUE, 0)
     sc = ConstraintScenario("sparsity", 6, 5, 5, 1, 1)
-    ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, 0)
-    for v in (certify_weak(ens, M0, budget=0, rng=np.random.default_rng(0)),
-              certify_strong(ens, budget=0, rng=np.random.default_rng(0))):
+    ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
+    for v in (certify_weak(ens, M0, budget=0, tol=1e-6, rng=np.random.default_rng(0)),
+              certify_strong(ens, budget=0, tol=1e-6, rng=np.random.default_rng(0))):
         assert (v.status, v.search_budget) == (CERTIFIED_UNIQUE, 0)
 
 
@@ -534,7 +536,7 @@ def test_enumeration_matches_the_per_support_loop(sc, zero):
     # trial that the first wave fits leaves its generator untouched; any
     # other draws its P * restarts random starts in one block
     T = 6
-    trials = [draw_trial(sc, COMPLEX_GENERIC, seed) for seed in range(T)]
+    trials = [draw_trial(sc, COMPLEX_GENERIC, seed, R=None) for seed in range(T)]
     ens = build_ensemble(sc, COMPLEX_GENERIC, [ens.seed for ens, *_ in trials])
     z = np.array([apply_A(ens, M0) for ens, M0, *_ in trials])
     z[1::2] += 0.01 * np.random.default_rng(91).standard_normal(z[1::2].shape)
@@ -578,7 +580,7 @@ def test_least_squares_slots_match_the_per_slot_loop(sc, tag, monkeypatch):
     # over slots, and each trial the first of its smallest residuals.
     # Planted measurements, noisy in odd trials
     T = 6
-    ens, X, Y, _, _ = draw_trials(sc, tag, range(T))
+    ens, X, Y, _, _ = draw_trials(sc, tag, range(T), R=None)
     z = apply_A(ens, X[:, :, None] * Y[:, None, :])
     z[1::2] += 0.01 * np.random.default_rng(92).standard_normal(z[1::2].shape)
     S1, S2 = map(np.array, zip(*admissible_supports(sc)))
@@ -643,13 +645,14 @@ class TestCertifiers:
     def test_weak_certified_at_full_rank(self):
         sc = subspace(4)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 20)
-        v = certify_weak(ens, random_factors(sc, 1), rng=np.random.default_rng(0))
+        v = certify_weak(ens, random_factors(sc, 1), budget=100, tol=1e-6,
+                         rng=np.random.default_rng(0))
         assert v.status == CERTIFIED_UNIQUE
 
     def test_weak_counterexample_below_dof(self):
         sc = subspace(2)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 21)
-        v = certify_weak(ens, random_factors(sc, 2),
+        v = certify_weak(ens, random_factors(sc, 2), budget=100, tol=1e-6,
                          rng=np.random.default_rng(3))
         assert v.status == COUNTEREXAMPLE_FOUND
         assert verify_counterexample(v, ens)
@@ -659,7 +662,7 @@ class TestCertifiers:
         # already certifies since n >= m1*m2)
         sc = subspace(5)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 22)
-        v = certify_weak(ens, random_factors(sc, 3), budget=200,
+        v = certify_weak(ens, random_factors(sc, 3), budget=200, tol=1e-6,
                          rng=np.random.default_rng(4))
         assert v.status != COUNTEREXAMPLE_FOUND
 
@@ -668,22 +671,24 @@ class TestCertifiers:
         ens = build_ensemble(sc, COMPLEX_GENERIC, 20)
         with pytest.raises(ValueError):
             certify_weak(ens, LiftedMatrix.from_factors(np.zeros(2), np.zeros(2)),
-                         rng=np.random.default_rng(0))
+                         budget=100, tol=1e-6, rng=np.random.default_rng(0))
 
     def test_strong_certified_at_n4(self):
         sc = subspace(4)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 23)
-        assert certify_strong(ens, rng=np.random.default_rng(0)).status == CERTIFIED_UNIQUE
+        v = certify_strong(ens, budget=100, tol=1e-6, rng=np.random.default_rng(0))
+        assert v.status == CERTIFIED_UNIQUE
 
     def test_strong_sparsity_union_certificate(self):
         sc = ConstraintScenario(kind="sparsity", n=4, m1=3, m2=3, s1=1, s2=1)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 24)
-        assert certify_strong(ens, rng=np.random.default_rng(0)).status == CERTIFIED_UNIQUE
+        v = certify_strong(ens, budget=100, tol=1e-6, rng=np.random.default_rng(0))
+        assert v.status == CERTIFIED_UNIQUE
 
     def test_strong_counterexample_at_n1(self):
         sc = subspace(1)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 25)
-        v = certify_strong(ens, rng=np.random.default_rng(5))
+        v = certify_strong(ens, budget=100, tol=1e-6, rng=np.random.default_rng(5))
         assert v.status == COUNTEREXAMPLE_FOUND
         assert verify_counterexample(v, ens)
         # witnesses live in the unit Frobenius ball
@@ -693,18 +698,18 @@ class TestCertifiers:
     def test_verify_rejects_non_counterexamples(self):
         sc = subspace(4)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 23)
-        v = certify_strong(ens, rng=np.random.default_rng(0))
+        v = certify_strong(ens, budget=100, tol=1e-6, rng=np.random.default_rng(0))
         assert not verify_counterexample(v, ens)
 
 
 def test_success_rate_monotone_in_n():
     # noiseless success rate over a seeded sweep is non-decreasing in n up
     # to 2-sigma binomial slack
-    from blindid.mc import TrialPlan, run_phase_transition
+    from blindid.mc import run_phase_transition
     sc = ConstraintScenario(kind="subspace", n=5, m1=2, m2=2)
-    plan = TrialPlan(sc=sc, ensemble_tag=COMPLEX_GENERIC, trials=40,
-                     sweep=(2, 3, 4, 5), master_seed=77, restarts=5)
-    rates = [r["rate"] for r in run_phase_transition(plan)]
+    rows = run_phase_transition(sc, COMPLEX_GENERIC, (2, 3, 4, 5), trials=40, seed=77,
+                                restarts=5, noise_level=0.0, R=None)
+    rates = [r["rate"] for r in rows]
     sigma = np.sqrt(0.25 / 40)
     for lo, hi in zip(rates, rates[1:]):
         assert hi >= lo - 2 * sigma
