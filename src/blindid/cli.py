@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds, mc
 from .ensembles import (COMPLEX_UNIFORM_BALL, ConstraintScenario,
                         ScenarioError, build_ensemble, mix_seed)
-from .recovery import certify_strong, certify_weak, verify_counterexample
+from .recovery import _far, certify_strong, certify_weak, verify_counterexample
 
 __all__ = ["RunConfig", "parse_config", "emit_report", "main"]
 
@@ -36,7 +36,7 @@ def finite_float(raw: str) -> float:
     return value
 
 
-# option name -> (type, default); None defaults are filled per subcommand
+# option name -> (type, default or {subcommand: default}); handlers fill None
 _OPTION_SPECS = {
     "kind": (str, None),
     "n": (int, None),
@@ -46,7 +46,7 @@ _OPTION_SPECS = {
     "s2": (int, None),
     "tag": (str, COMPLEX_UNIFORM_BALL),
     "seed": (int, 0),
-    "R": (finite_float, None),
+    "R": (finite_float, {"bounds": 1.0, "smallball": 1.0}),
     "trials": (int, 100),
     "restarts": (int, 62),
     "noise_level": (finite_float, 0.0),
@@ -161,7 +161,8 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         elif key in file_values:
             values[key] = file_values[key]
         else:
-            values[key] = _OPTION_SPECS[key][1]
+            default = _OPTION_SPECS[key][1]
+            values[key] = default.get(args.subcommand) if isinstance(default, dict) else default
     return RunConfig(subcommand=args.subcommand, values=values)
 
 
@@ -237,10 +238,9 @@ def _cmd_recover(v: dict):
 
 
 def _cmd_certify(v: dict):
-    # the far test asks for an orbit distance above 10 * tol between matrices
-    # of the unit Frobenius ball; from 10 * tol = 1, the ball's radius, a
-    # verdict can turn on the last bit of that distance
-    if not 10 * v["tol"] < 1.0:
+    # unless the unit Frobenius ball's radius 1 counts as far, a verdict can
+    # turn on the last bit of an orbit distance between matrices of the ball
+    if not _far(1.0, v["tol"]):
         raise ConfigError(f"--tol must be below 0.1, so that the far threshold "
                           f"10 * tol stays below the unit-ball radius 1; got {v['tol']}")
     sc = _scenario(v)
@@ -263,8 +263,7 @@ def _cmd_certify(v: dict):
 
 def _cmd_bounds(v: dict):
     sc = _scenario(v)
-    return bounds.make_report(sc, delta=v["delta"], epsilon=v["epsilon"],
-                              R=v["R"] if v["R"] is not None else 1.0,
+    return bounds.make_report(sc, delta=v["delta"], epsilon=v["epsilon"], R=v["R"],
                               rho=v["rho"], ell=v["ell"], L=v["L"]), "json"
 
 
@@ -274,10 +273,9 @@ def _cmd_smallball(v: dict):
     rng = np.random.default_rng(v["seed"])
     M = rng.standard_normal((v["m1"], v["m2"])) + 1j * rng.standard_normal((v["m1"], v["m2"]))
     M /= np.linalg.norm(M)
-    R = v["R"] if v["R"] is not None else 1.0
-    p_hat, se = mc.estimate_small_ball_prob(M, R, v["rho"], v["trials"], rng)
+    p_hat, se = mc.estimate_small_ball_prob(M, v["R"], v["rho"], v["trials"], rng)
     L = float(np.linalg.norm(M, 2))
-    bound = bounds.small_ball_bound("complex", v["rho"], L, L, R, v["m1"], v["m2"])
+    bound = bounds.small_ball_bound("complex", v["rho"], L, L, v["R"], v["m1"], v["m2"])
     return {"p_hat": p_hat, "std_err": se, "bound": bound, "rho": v["rho"],
             "trials": v["trials"]}, "json"
 

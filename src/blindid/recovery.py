@@ -391,6 +391,11 @@ def min_scaled_distance(M, M0) -> float:
     return float(np.linalg.norm(A - c * B))
 
 
+def _far(distance: float, tol: float) -> bool:
+    """The counterexample rule: an orbit distance above 10 * tol is far."""
+    return distance > 10 * tol
+
+
 def is_recovered(M_hat, M0):
     """Success test used by the experiments: the distance from M_hat to M0
     is at most RECOVERY_RTOL * max(1, ||M0||). One bool, or one per pair of
@@ -406,37 +411,30 @@ def _support_of(M0: LiftedMatrix) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
             tuple(int(i) for i in np.flatnonzero(np.abs(M0.y) > 1e-14)))
 
 
-def _injective_on(ens: Ensemble, unions: Iterable[Tuple[Tuple[int, ...], Tuple[int, ...]]]) -> bool:
-    """Whether the restricted operator is injective on every (rows, cols)
-    support union.
+def _largest_unions(m: int, k: int, within: Tuple[int, ...] = ()) -> list[Tuple[int, ...]]:
+    """The largest unions of `within` with a k-set of 0..m-1, in lexicographic
+    order: every index set of min(len(within) + k, m) indices that holds `within`."""
+    return [R for R in itertools.combinations(range(m), min(len(within) + k, m))
+            if set(within) <= set(R)]
 
-    Unions of one shape are checked in stacks of at most
-    INJECTIVITY_STACK_ENTRIES operator entries (or of one union), repeats
-    dropped within a stack, one stacked SVD each, which makes the LAPACK
-    call of np.linalg.svd on each matrix. The check stops at the first
-    stack that fails.
-    """
-    pending: dict = {}
-    for rows, cols in unions:
-        shape = (len(rows), len(cols))
-        if ens.n < shape[0] * shape[1]:
+
+def _injective_on(ens: Ensemble, rows: Sequence[tuple], cols: Sequence[tuple]) -> bool:
+    """Whether the restricted operator is injective on every rectangle
+    R1 x R2 of rows x cols, index sets of one size per side. One stacked
+    SVD (the LAPACK call of np.linalg.svd on each matrix) per stack of at
+    most INJECTIVITY_STACK_ENTRIES operator entries or of one rectangle,
+    up to the first stack that fails."""
+    size = len(rows[0]) * len(cols[0])
+    if ens.n < size:
+        return False
+    rectangles = itertools.product(rows, cols)
+    per_stack = max(1, INJECTIVITY_STACK_ENTRIES // (ens.n * size))
+    while stack := list(itertools.islice(rectangles, per_stack)):
+        R1, R2 = (np.array(idx) for idx in zip(*stack))
+        s = np.linalg.svd(operator_matrix(ens, rows=R1, cols=R2), compute_uv=False)
+        if not np.all(s[:, -1] > INJECTIVITY_TOL):
             return False
-        stack = pending.setdefault(shape, {})
-        stack[rows, cols] = None
-        if len(stack) == max(1, INJECTIVITY_STACK_ENTRIES // (ens.n * shape[0] * shape[1])):
-            if not _injective_stack(ens, pending.pop(shape)):
-                return False
-    return all(_injective_stack(ens, stack) for stack in pending.values())
-
-
-def _injective_stack(ens: Ensemble, unions) -> bool:
-    rows, cols = (np.array(idx) for idx in zip(*unions))
-    s = np.linalg.svd(operator_matrix(ens, rows=rows, cols=cols), compute_uv=False)
-    return bool(np.all(s[:, -1] > INJECTIVITY_TOL))
-
-
-def _union(a: Iterable[int], b: Iterable[int]) -> Tuple[int, ...]:
-    return tuple(sorted(set(a) | set(b)))
+    return True
 
 
 def _check_search(budget: int, tol: float) -> None:
@@ -466,21 +464,24 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
     """Decide uniqueness of the planted matrix among admissible solutions.
 
     Exact path: if the restricted operator is injective on the union of
-    every admissible support with the planted support, uniqueness holds
-    even without the rank constraint. Heuristic path: `budget` multi-start
-    fits of the planted measurements; a far solution with a tiny residual
-    is a counterexample, otherwise the verdict is only heuristic. Attempts
-    run in chunks of 1, 2, 4, ..., so rng may be drawn past the attempt
-    that finds a counterexample; the verdict does not change.
+    every admissible support with the planted support S0, uniqueness holds
+    even without the rank constraint. Dropping columns cannot lower the
+    smallest singular value, and each union lies in a largest one, so only
+    those are checked: per side, the sets of min(|S0| + k, m) indices that
+    contain S0. Heuristic path: `budget` multi-start fits of the planted
+    measurements; a far solution with a tiny residual is a
+    counterexample, otherwise the verdict is only heuristic. Attempts run
+    in chunks of 1, 2, 4, ..., so rng may be drawn past the attempt that
+    finds a counterexample; the verdict does not change.
     """
     _check_search(budget, tol)
     sc = ens.scenario
     if M0.x is None or np.linalg.norm(M0.x) == 0 or np.linalg.norm(M0.y) == 0:
         raise ValueError("planted matrix must have nonzero rank-1 factors")
 
-    S1_0, S2_0 = _support_of(M0)
     supports = admissible_supports(sc)
-    if _injective_on(ens, ((_union(S1, S1_0), _union(S2, S2_0)) for S1, S2 in supports)):
+    if _injective_on(ens, *map(_largest_unions, (sc.m1, sc.m2), sc.support_sizes,
+                               _support_of(M0))):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
 
     z0 = apply_A(ens, M0)
@@ -492,7 +493,7 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
         for t in np.flatnonzero(residual <= tol):
             cand = LiftedMatrix.from_factors(_embed(X[t], rows[t], sc.m1),
                                              _embed(Y[t], cols[t], sc.m2))
-            if min_scaled_distance(cand, M0) > 10 * tol:
+            if _far(min_scaled_distance(cand, M0), tol):
                 return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, cand, M0,
                                               attempts[t] + 1, tol)
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
@@ -503,10 +504,12 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
     """Decide uniqueness over the whole constraint set restricted to the unit ball.
 
     Exact path: injectivity of the restricted operator on every union of
-    two admissible supports. Heuristic path: plant a random admissible
-    unit-norm matrix, fit its measurements from a random start, and flag a
-    far-apart pair (orbit distance, as verify_counterexample measures it)
-    with matching measurements as a counterexample.
+    two admissible supports, checked as in certify_weak on the largest
+    ones: per side, the sets of min(2k, m) indices. Heuristic path: plant
+    a random admissible unit-norm matrix, fit its measurements from a
+    random start, and flag a far-apart pair (orbit distance, as
+    verify_counterexample measures it) with matching measurements as a
+    counterexample.
 
     Per attempt, only the draws run: the planted support, its x then y
     factors (an attempt whose planted matrix is 0 draws no start and is
@@ -519,12 +522,10 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
     sc = ens.scenario
 
     supports = admissible_supports(sc)
-    if _injective_on(ens, ((_union(S1a, S1b), _union(S2a, S2b))
-                           for (S1a, S2a), (S1b, S2b) in
-                           itertools.combinations_with_replacement(supports, 2))):
+    k1, k2 = sc.support_sizes
+    if _injective_on(ens, _largest_unions(sc.m1, 2 * k1), _largest_unions(sc.m2, 2 * k2)):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
 
-    k1, k2 = sc.support_sizes
     for attempts in _chunks(budget):
         slots, picks, draws, starts = [], [], [], []
         for attempt in attempts:
@@ -559,7 +560,7 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
             ct = float(c[t])
             M1c = LiftedMatrix.from_factors(ct * xp[t], yp[t])
             M2c = LiftedMatrix.from_factors(ct * X[t], Y[t])
-            if min_scaled_distance(M2c, M1c) > 10 * tol:
+            if _far(min_scaled_distance(M2c, M1c), tol):
                 return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, M2c, M1c, slots[t] + 1, tol)
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
 
@@ -585,5 +586,5 @@ def verify_counterexample(verdict: IdentifiabilityVerdict, ens: Ensemble) -> boo
         return False
     residual = float(np.linalg.norm(apply_A(ens, verdict.witness)
                                     - apply_A(ens, verdict.reference)))
-    far = min_scaled_distance(verdict.witness, verdict.reference) > 10 * verdict.tolerance
+    far = _far(min_scaled_distance(verdict.witness, verdict.reference), verdict.tolerance)
     return residual <= verdict.tolerance and far

@@ -6,13 +6,14 @@ FFTs, measures only rank-1 matrices in the time domain, draws, measures
 and scores a transition row's trials as one stack, solves every
 admissible support in one stack of the Levenberg-Marquardt kernel or of
 least squares, runs its certifier attempts in chunks, each chunk one such
-stack, and searches the deviations of many stability trials as one
-batch; the O(n^2) dense forms
-(the DFT matrix, the circulant convolution and the time-domain
-measurements of any matrix), the one-support-at-a-time solve, the
-one-(trial, support)-at-a-time least squares, the one-attempt-at-a-time
-loops, the one-trial deviation search and the draws of one call per side
-and part below are kept only so tests can compare against them.
+stack, checks its exact certificates on the largest support unions only,
+and searches the deviations of many stability trials as one batch; the
+O(n^2) dense forms (the DFT matrix, the circulant convolution and the
+time-domain measurements of any matrix), the one-support-at-a-time solve,
+the one-(trial, support)-at-a-time least squares, the
+one-attempt-at-a-time loops with one SVD per support union, the
+one-trial deviation search and the draws of one call per side and part
+below are kept only so tests can compare against them.
 """
 
 import itertools
@@ -25,7 +26,7 @@ from blindid.lifting import LiftedMatrix, apply_A, operator_matrix, support_rows
 from blindid.mc import _deviation_search, _draw_starts
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND, HEURISTICALLY_UNIQUE,
                               INJECTIVITY_TOL, IdentifiabilityVerdict, RecoveryStack,
-                              _check_search, _embed, _lm, _support_of, _top_rank1, _union,
+                              _check_search, _embed, _lm, _support_of, _top_rank1,
                               admissible_supports, min_scaled_distance,
                               solve_fixed_support)
 
@@ -162,6 +163,10 @@ def random_factor(size, rng):
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
 
 
+def _union(a, b):
+    return tuple(sorted(set(a) | set(b)))
+
+
 def _injective_on(ens, rows, cols):
     k = len(rows) * len(cols)
     if ens.n < k:
@@ -171,7 +176,9 @@ def _injective_on(ens, rows, cols):
 
 
 def certify_weak(ens, M0, *, budget, tol, rng):
-    """certify_weak with one SVD per support union and one fit per attempt."""
+    """certify_weak with one SVD per support union (each union of an
+    admissible support with the planted one, not only the largest) and one
+    fit per attempt."""
     _check_search(budget, tol)
     sc = ens.scenario
     S1_0, S2_0 = _support_of(M0)
@@ -192,7 +199,8 @@ def certify_weak(ens, M0, *, budget, tol, rng):
 
 
 def certify_strong(ens, *, budget, tol, rng):
-    """certify_strong with one SVD per support union and one fit per attempt."""
+    """certify_strong with one SVD per union of two admissible supports
+    (every one, not only the largest) and one fit per attempt."""
     _check_search(budget, tol)
     sc = ens.scenario
     supports = admissible_supports(sc)

@@ -26,6 +26,14 @@ class TestParseConfig:
         assert cfg.subcommand == "bounds"
         assert cfg.values["m1"] == 3 and cfg.values["delta"] == 0.1
 
+    def test_radius_default_is_per_subcommand(self):
+        # bounds and smallball default to the unit radius; the ensemble
+        # subcommands keep None, which becomes the mean-isometry radius
+        for sub, want in (("bounds", 1.0), ("smallball", 1.0), ("gen", None),
+                          ("certify", None), ("stability", None)):
+            assert parse_config([sub]).values["R"] == want
+        assert parse_config(["smallball", "--R", "2"]).values["R"] == 2.0
+
     def test_file_values_used_when_flag_absent(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("# grid config\nkind=subspace\nn=10\nm1=3\nm2=4\ndelta=0.2\n")

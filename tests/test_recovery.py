@@ -350,12 +350,16 @@ def _certify_grid():
     return grid
 
 
-@pytest.mark.parametrize("sc", _certify_grid(),
+# 5x5 with s = 2 has fewer largest unions (C(5, 4)^2 = 25) than distinct
+# unions, and its exact path certifies from n = 16
+@pytest.mark.parametrize("sc", _certify_grid() + [ConstraintScenario("sparsity", n, 5, 5, 2, 2)
+                                                  for n in (15, 16)],
                          ids=lambda sc: f"{sc.kind}-n{sc.n}")
 def test_certifiers_match_attempt_by_attempt_reference(sc):
-    # chunked attempts and stacked SVDs give the verdicts, budgets and
-    # witnesses of one attempt and one SVD at a time; the loose tolerance
-    # puts first counterexamples past attempt 1 (at attempts 3 to 56 here)
+    # chunked attempts and SVDs of the largest unions give the verdicts,
+    # budgets and witnesses of one attempt and one SVD per union at a time;
+    # the loose tolerance puts first counterexamples past attempt 1 (at
+    # attempts 3 to 56 here)
     for seed, tol in itertools.product(range(3), (1e-6, 0.1)):
         ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
         for level, new, ref, args in (
@@ -415,39 +419,77 @@ def test_verify_rejects_inadmissible_witness():
                                      ens)
 
 
+def test_largest_unions_cover_every_union():
+    # each largest union is one of the unions, and every union lies in one:
+    # the unions of two k-sets (strong) and of a fixed set with a k-set (weak)
+    for m, k in ((5, 1), (5, 2), (6, 3), (4, 4)):
+        k_sets = list(itertools.combinations(range(m), k))
+        for unions, largest in (
+                ({oracles._union(A, B) for A, B in
+                  itertools.combinations_with_replacement(k_sets, 2)},
+                 recovery._largest_unions(m, 2 * k)),
+                *(({oracles._union(S0, S) for S in k_sets}, recovery._largest_unions(m, k, S0))
+                  for S0 in ((), (1,), (0, 2), tuple(range(m))))):
+            assert largest == sorted(set(largest)) and set(largest) <= unions
+            assert all(any(set(u) <= set(R) for R in largest) for u in unions)
+
+
 def test_injective_on_bounds_its_stacks(monkeypatch):
     # every stack holds at most INJECTIVITY_STACK_ENTRIES operator entries
-    # (or one union), the verdict is that of one SVD per union, and the
-    # check stops at the first stack that fails
+    # (or one rectangle), the rectangles checked are exactly the products of
+    # the largest unions, fewer than the distinct unions, the verdict is
+    # that of one SVD per union, and the check stops at the first stack
+    # that fails
     stacks = []
 
-    def recorded(*args, **kwargs):
-        op = operator_matrix(*args, **kwargs)
-        stacks.append(op.shape)
-        return op
+    def recorded(ens, rows, cols):
+        stacks.append(list(zip(map(tuple, rows.tolist()), map(tuple, cols.tolist()))))
+        return operator_matrix(ens, rows=rows, cols=cols)
 
     monkeypatch.setattr(recovery, "operator_matrix", recorded)
     sc = ConstraintScenario("sparsity", 4, 5, 5, 1, 1)
-    unions = [(recovery._union(S1a, S1b), recovery._union(S2a, S2b))
+    unions = {(oracles._union(S1a, S1b), oracles._union(S2a, S2b))
               for (S1a, S2a), (S1b, S2b) in
-              itertools.combinations_with_replacement(admissible_supports(sc), 2)]
+              itertools.combinations_with_replacement(admissible_supports(sc), 2)}
+    rows = cols = recovery._largest_unions(5, 2)
+    assert len(rows) * len(cols) == math.comb(5, 2) ** 2 < len(unions)
     for n, entries in itertools.product((4, 6), (1, 40, 1 << 20)):
-        ens = build_ensemble(ConstraintScenario("sparsity", n, 5, 5, 1, 1),
-                             COMPLEX_GENERIC, n)
-        assert all(oracles._injective_on(ens, rows, cols) for rows, cols in unions)
+        ens = build_ensemble(sc.with_n(n), COMPLEX_GENERIC, n)
+        assert all(oracles._injective_on(ens, R1, R2) for R1, R2 in unions)
         monkeypatch.setattr(recovery, "INJECTIVITY_STACK_ENTRIES", entries)
         stacks.clear()
-        assert recovery._injective_on(ens, unions)
-        assert all(math.prod(shape) <= max(entries, shape[1] * shape[2]) for shape in stacks)
-        # repeats are dropped within a stack; by default each shape is one stack
-        checked = sum(shape[0] for shape in stacks)
-        assert len(set(unions)) <= checked <= len(unions)
-        assert checked == len(set(unions)) or entries < 1 << 20
-    monkeypatch.setattr(recovery, "INJECTIVITY_STACK_ENTRIES", 1)
+        assert recovery._injective_on(ens, rows, cols)
+        assert all(len(stack) * n * 4 <= max(entries, n * 4) for stack in stacks)
+        checked = [rect for stack in stacks for rect in stack]
+        assert checked == list(itertools.product(rows, cols))
+        assert len(stacks) == math.ceil(len(checked) / max(1, entries // (n * 4)))
+    monkeypatch.setattr(recovery, "INJECTIVITY_STACK_ENTRIES", 100)
     monkeypatch.setattr(recovery, "INJECTIVITY_TOL", np.inf)
     stacks.clear()
-    assert not recovery._injective_on(ens, unions)
-    assert len(stacks) == 1
+    assert not recovery._injective_on(ens, rows, cols)
+    assert len(stacks) == 1 and len(stacks[0]) > 1
+
+
+def test_certifiers_are_sound_when_a_smaller_union_is_singular():
+    # column 1 of a equals column 0, so a union that holds rows 0 and 1 is
+    # singular, also one that is not largest (({0, 1, 2}, S2) for the weak
+    # side, ({0, 1}, S2) for the strong); no certificate is issued, and
+    # both certifiers give the verdicts of one SVD per union
+    sc = ConstraintScenario("sparsity", 16, 5, 5, 2, 2)
+    ens = build_ensemble(sc, COMPLEX_GENERIC, 3)
+    a = ens.a.copy()
+    a[:, 1] = a[:, 0]
+    ens = replace(ens, a=a)
+    rng = np.random.default_rng(4)
+    M0 = LiftedMatrix.from_factors(_embed(oracles.random_factor(2, rng), [0, 2], 5),
+                                   _embed(oracles.random_factor(2, rng), [1, 3], 5))
+    assert not oracles._injective_on(ens, (0, 1, 2), (1, 3))
+    for args, new, ref in (((ens, M0), certify_weak, oracles.certify_weak),
+                           ((ens,), certify_strong, oracles.certify_strong)):
+        got = new(*args, budget=20, tol=1e-6, rng=np.random.default_rng(5))
+        want = ref(*args, budget=20, tol=1e-6, rng=np.random.default_rng(5))
+        assert got.status != CERTIFIED_UNIQUE
+        assert (got.status, got.search_budget) == (want.status, want.search_budget)
 
 
 def test_zero_budget_searches_nothing():
