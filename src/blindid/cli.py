@@ -232,7 +232,7 @@ def _cmd_recover(v: dict):
         "residual": float(fit.residual[0]),
         "lifted_error": float(err[0]),
         "success": bool(ok[0]),
-        "support": [list(S) for S in fit.supports[0]],
+        "support": [S[0].tolist() for S in fit.supports],
         "restarts_used": fit.restarts_used,
     }, "json"
 

@@ -261,7 +261,7 @@ def _recover_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
     each; restarts must be >= 0. Returns per trial the lifted error and
     whether the trial counts as recovered."""
     k = math.prod(sc.support_sizes)
-    per_trial = len(admissible_supports(sc)) * k * sc.n * (restarts + 1 if sc.n < k else 1)
+    per_trial = len(admissible_supports(sc)[0]) * k * sc.n * (restarts + 1 if sc.n < k else 1)
     size = max(1, RECOVERY_STACK_ENTRIES // per_trial)
     errors, recovered = [], []
     for start in range(0, len(seeds), size):

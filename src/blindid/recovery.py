@@ -12,8 +12,8 @@ counterexamples, which is explicitly non-conclusive when it finds nothing.
 
 The kernel runs on a stack of slots, each with the arithmetic of a lone
 run: every (trial, support, start) of a solve, one solve for a whole
-transition row, or a chunk of certifier attempts; both take supports as
-(P, k) index arrays. A solve runs its starts in waves of 1, 2, 4, ...:
+transition row, or a chunk of certifier attempts; supports are (P, k)
+index arrays throughout. A solve runs its starts in waves of 1, 2, 4, ...:
 the spectral start alone first, then more random starts only for the
 trials that no slot has fit yet. Within a wave, all of a trial's slots,
 on every support, stop together as soon as one of them fits exactly.
@@ -80,19 +80,20 @@ SUPPORT_CAP = 100_000
 
 
 class EnumerationCapError(ValueError):
-    """Support enumeration would exceed SUPPORT_CAP."""
+    """A support enumeration, or an exact certificate's unions, exceeds SUPPORT_CAP."""
 
 
 @dataclass(frozen=True)
 class RecoveryStack:
     """Solver results of T stacked trials: factors X (T, m1) and Y (T, m2),
     zero off each trial's support, residuals (T,), the support of each
-    trial and the most random starts any trial ran."""
+    trial as index rows S1 (T, k1) and S2 (T, k2), and the most random
+    starts any trial ran."""
 
     X: np.ndarray
     Y: np.ndarray
     residual: np.ndarray
-    supports: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
+    supports: Tuple[np.ndarray, np.ndarray]
     restarts_used: int = 0
 
 
@@ -105,15 +106,19 @@ class IdentifiabilityVerdict:
     tolerance: float
 
 
-def admissible_supports(sc: ConstraintScenario) -> list[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """All admissible support pairs (S1, S2) in lexicographic order."""
-    k1, k2 = sc.support_sizes
-    count = math.comb(sc.m1, k1) * math.comb(sc.m2, k2)
+def _capped(count: int, what: str) -> None:
     if count > SUPPORT_CAP:
         raise EnumerationCapError(
-            f"{count} support pairs exceed the cap of {SUPPORT_CAP}; use a smaller instance")
-    return list(itertools.product(itertools.combinations(range(sc.m1), k1),
-                                  itertools.combinations(range(sc.m2), k2)))
+            f"{count} {what} exceed the cap of {SUPPORT_CAP}; use a smaller instance")
+
+
+def admissible_supports(sc: ConstraintScenario) -> Tuple[np.ndarray, np.ndarray]:
+    """All P admissible support pairs as index arrays S1 (P, k1) and S2
+    (P, k2), pair p being (S1[p], S2[p]), in lexicographic order."""
+    k1, k2 = sc.support_sizes
+    _capped(math.comb(sc.m1, k1) * math.comb(sc.m2, k2), "support pairs")
+    C1, C2 = _largest_unions(sc.m1, k1), _largest_unions(sc.m2, k2)
+    return np.repeat(C1, len(C2), axis=0), np.tile(C2, (len(C1), 1))
 
 
 def _top_rank1(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -348,8 +353,7 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: in
     p = best // starts % P
     x, y, residual = x.reshape(-1, k1)[best], y.reshape(-1, k2)[best], residual.ravel()[best]
     return RecoveryStack(_embed(x, S1[p], sc.m1), _embed(y, S2[p], sc.m2), residual,
-                         tuple((tuple(S1[i].tolist()), tuple(S2[i].tolist())) for i in p),
-                         restarts_used)
+                         (S1[p], S2[p]), restarts_used)
 
 
 def solve_sparse_enumerate(ens: Ensemble, z_tilde: np.ndarray, restarts: int,
@@ -360,7 +364,7 @@ def solve_sparse_enumerate(ens: Ensemble, z_tilde: np.ndarray, restarts: int,
     support. Takes and returns stacks of trials as solve_fixed_support
     does; a subspace scenario has the single full support.
     """
-    S1, S2 = map(np.array, zip(*admissible_supports(ens.scenario)))
+    S1, S2 = admissible_supports(ens.scenario)
     return solve_fixed_support(ens, z_tilde, S1, S2, restarts, rng)
 
 
@@ -405,33 +409,38 @@ def is_recovered(M_hat, M0):
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 
-def _support_of(M0: LiftedMatrix) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Supports of the factors of M0, which must have factors."""
-    return (tuple(int(i) for i in np.flatnonzero(np.abs(M0.x) > 1e-14)),
-            tuple(int(i) for i in np.flatnonzero(np.abs(M0.y) > 1e-14)))
+def _support_of(M0: LiftedMatrix) -> Tuple[np.ndarray, np.ndarray]:
+    """Supports of the factors of M0, which must have factors, as index arrays."""
+    return np.flatnonzero(np.abs(M0.x) > 1e-14), np.flatnonzero(np.abs(M0.y) > 1e-14)
 
 
-def _largest_unions(m: int, k: int, within: Tuple[int, ...] = ()) -> list[Tuple[int, ...]]:
-    """The largest unions of `within` with a k-set of 0..m-1, in lexicographic
-    order: every index set of min(len(within) + k, m) indices that holds `within`."""
-    return [R for R in itertools.combinations(range(m), min(len(within) + k, m))
-            if set(within) <= set(R)]
+def _largest_unions(m: int, k: int, within: np.ndarray = np.arange(0)) -> np.ndarray:
+    """The largest unions of the index set `within` with a k-set of 0..m-1:
+    every set of min(len(within) + k, m) indices that holds `within`, one row
+    each, lexicographically. Raises EnumerationCapError past SUPPORT_CAP of them."""
+    held = within.tolist()
+    r = min(k, m - len(held))
+    _capped(math.comb(m - len(held), r), "support unions")
+    R = np.array(list(itertools.combinations([i for i in range(m) if i not in held], r)),
+                 dtype=np.intp)
+    return np.sort(np.column_stack((R, np.tile(within, (len(R), 1)))), axis=1) if held else R
 
 
-def _injective_on(ens: Ensemble, rows: Sequence[tuple], cols: Sequence[tuple]) -> bool:
-    """Whether the restricted operator is injective on every rectangle
-    R1 x R2 of rows x cols, index sets of one size per side. One stacked
-    SVD (the LAPACK call of np.linalg.svd on each matrix) per stack of at
-    most INJECTIVITY_STACK_ENTRIES operator entries or of one rectangle,
-    up to the first stack that fails."""
-    size = len(rows[0]) * len(cols[0])
-    if ens.n < size:
+def _injective_on(ens: Ensemble, rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether the restricted operator is injective on each rectangle of a
+    row of rows (U1, k1) by one of cols (U2, k2), taken rows-major; raises
+    EnumerationCapError past SUPPORT_CAP rectangles. One stacked SVD (the
+    LAPACK call of np.linalg.svd) per stack of at most INJECTIVITY_STACK_ENTRIES
+    operator entries or of one rectangle, up to the first stack that fails."""
+    (U1, k1), (U2, k2) = rows.shape, cols.shape
+    _capped(U1 * U2, "support unions")
+    if ens.n < k1 * k2:
         return False
-    rectangles = itertools.product(rows, cols)
-    per_stack = max(1, INJECTIVITY_STACK_ENTRIES // (ens.n * size))
-    while stack := list(itertools.islice(rectangles, per_stack)):
-        R1, R2 = (np.array(idx) for idx in zip(*stack))
-        s = np.linalg.svd(operator_matrix(ens, rows=R1, cols=R2), compute_uv=False)
+    per_stack = max(1, INJECTIVITY_STACK_ENTRIES // (ens.n * k1 * k2))
+    for start in range(0, U1 * U2, per_stack):
+        i = np.arange(start, min(start + per_stack, U1 * U2))
+        s = np.linalg.svd(operator_matrix(ens, rows=rows[i // U2], cols=cols[i % U2]),
+                          compute_uv=False)
         if not np.all(s[:, -1] > INJECTIVITY_TOL):
             return False
     return True
@@ -442,12 +451,6 @@ def _check_search(budget: int, tol: float) -> None:
         raise ValueError(f"search budget must be >= 0, got {budget}")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-
-
-def _slot_supports(supports, attempts) -> Tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays (T, s) of the supports the attempts fit;
-    attempt t fits supports[t mod len(supports)]."""
-    return tuple(np.array(idx) for idx in zip(*(supports[t % len(supports)] for t in attempts)))
 
 
 def _chunks(budget: int) -> Iterable[range]:
@@ -479,14 +482,14 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
     if M0.x is None or np.linalg.norm(M0.x) == 0 or np.linalg.norm(M0.y) == 0:
         raise ValueError("planted matrix must have nonzero rank-1 factors")
 
-    supports = admissible_supports(sc)
+    S1, S2 = admissible_supports(sc)
     if _injective_on(ens, *map(_largest_unions, (sc.m1, sc.m2), sc.support_sizes,
                                _support_of(M0))):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
 
     z0 = apply_A(ens, M0)
     for attempts in _chunks(budget):
-        rows, cols = _slot_supports(supports, attempts)
+        rows, cols = (S[np.array(attempts) % len(S)] for S in (S1, S2))  # support t mod P
         aS, bS = support_rows(ens, rows, cols)
         X, Y, residual = _lm(aS, bS, np.broadcast_to(z0, (len(attempts), ens.n)),
                              _random_factors(len(attempts), rows.shape[1], rng))
@@ -521,7 +524,7 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
     _check_search(budget, tol)
     sc = ens.scenario
 
-    supports = admissible_supports(sc)
+    S1, S2 = admissible_supports(sc)
     k1, k2 = sc.support_sizes
     if _injective_on(ens, _largest_unions(sc.m1, 2 * k1), _largest_unions(sc.m2, 2 * k2)):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
@@ -529,7 +532,7 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
     for attempts in _chunks(budget):
         slots, picks, draws, starts = [], [], [], []
         for attempt in attempts:
-            planted = rng.integers(len(supports))
+            planted = rng.integers(len(S1))
             g = rng.standard_normal(2 * (k1 + k2))  # the planted x, then y
             # The planted matrix has norm 0 exactly when its x or its y draws
             # are all 0: nonzero normal draws exceed 1e-20 in magnitude, so no
@@ -545,12 +548,12 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
             continue
         T = len(slots)
         G = np.array(draws)
-        prow, pcol = _slot_supports(supports, picks)
+        prow, pcol = S1[picks], S2[picks]
         xp = _embed(_complex_normal(G[:, :2 * k1].reshape(T, 2, k1)), prow, sc.m1)
         yp = _embed(_complex_normal(G[:, 2 * k1:].reshape(T, 2, k2)), pcol, sc.m2)
         xp /= _norm((xp[:, :, None] * yp[:, None, :]).reshape(T, -1))[:, None]
         z1 = apply_A(ens, xp[:, :, None] * yp[:, None, :])
-        rows, cols = _slot_supports(supports, slots)
+        rows, cols = (S[np.array(slots) % len(S)] for S in (S1, S2))  # support t mod P
         aS, bS = support_rows(ens, rows, cols)
         X, Y, residual = _lm(aS, bS, z1, _complex_normal(np.array(starts).reshape(T, 2, k1)))
         X, Y = _embed(X, rows, sc.m1), _embed(Y, cols, sc.m2)
@@ -567,11 +570,8 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
 
 def _admissible(sc: ConstraintScenario, M: LiftedMatrix) -> bool:
     """Whether M has rank-1 factors whose supports fit the constraint set."""
-    if M.x is None:
-        return False
-    k1, k2 = sc.support_sizes
-    S1, S2 = _support_of(M)
-    return len(S1) <= k1 and len(S2) <= k2
+    return M.x is not None and all(
+        len(S) <= k for S, k in zip(_support_of(M), sc.support_sizes))
 
 
 def verify_counterexample(verdict: IdentifiabilityVerdict, ens: Ensemble) -> bool:

@@ -125,15 +125,15 @@ def solve_sparse_enumerate(ens, z_tilde, restarts, rng):
     agree where at most one support of a trial reaches the residual floor;
     restarts_used is that of the last support's call."""
     best = None
-    for S1, S2 in admissible_supports(ens.scenario):
-        fit = solve_fixed_support(ens, z_tilde, [S1], [S2], restarts, rng)
+    for S1, S2 in zip(*admissible_supports(ens.scenario)):
+        fit = solve_fixed_support(ens, z_tilde, S1[None], S2[None], restarts, rng)
         if best is not None:
             keep = ~(fit.residual < best.residual)
             fit = RecoveryStack(np.where(keep[:, None], best.X, fit.X),
                                 np.where(keep[:, None], best.Y, fit.Y),
                                 np.where(keep, best.residual, fit.residual),
-                                tuple(b if k else f for k, b, f in
-                                      zip(keep, best.supports, fit.supports)),
+                                tuple(np.where(keep[:, None], b, f) for b, f in
+                                      zip(best.supports, fit.supports)),
                                 fit.restarts_used)
         best = fit
     return best
@@ -182,7 +182,7 @@ def certify_weak(ens, M0, *, budget, tol, rng):
     _check_search(budget, tol)
     sc = ens.scenario
     S1_0, S2_0 = _support_of(M0)
-    supports = admissible_supports(sc)
+    supports = list(zip(*admissible_supports(sc)))
     if all(_injective_on(ens, _union(S1, S1_0), _union(S2, S2_0)) for S1, S2 in supports):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
     z0 = apply_A(ens, M0)
@@ -203,7 +203,7 @@ def certify_strong(ens, *, budget, tol, rng):
     (every one, not only the largest) and one fit per attempt."""
     _check_search(budget, tol)
     sc = ens.scenario
-    supports = admissible_supports(sc)
+    supports = list(zip(*admissible_supports(sc)))
     if all(_injective_on(ens, _union(S1a, S1b), _union(S2a, S2b))
            for (S1a, S2a), (S1b, S2b) in itertools.combinations_with_replacement(supports, 2)):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)

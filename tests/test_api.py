@@ -79,6 +79,31 @@ def test_scenario_kind_is_decided_in_ensembles_only():
     assert not found, found
 
 
+def _names_by_function(node, owner=None):
+    """(innermost enclosing function or None, name) for every name, attribute
+    and imported name under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        if isinstance(child, ast.Name):
+            yield inner, child.id
+        elif isinstance(child, ast.Attribute):
+            yield inner, child.attr
+        elif isinstance(child, ast.alias):
+            yield inner, child.name
+        yield from _names_by_function(child, inner)
+
+
+def test_supports_are_enumerated_in_largest_unions_only():
+    # every index set a solver or certifier runs over comes from
+    # recovery._largest_unions, so one function decides the order of the
+    # supports and their unions and caps their number
+    src = Path(blindid.__file__).parent
+    found = [(path.name, owner) for path in sorted(src.glob("*.py"))
+             for owner, name in _names_by_function(ast.parse(path.read_text()))
+             if name == "combinations"]
+    assert found and set(found) == {("recovery.py", "_largest_unions")}, found
+
+
 # Entry points whose options the CLI fills: after the leading positional
 # parameters, every option is keyword-only and has no default, so the CLI
 # holds every default.

@@ -281,6 +281,14 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["status"] == "certified_unique"
 
+    def test_certify_strong_past_the_union_cap_is_two(self, capsys):
+        # 1,600 support pairs, but C(40, 2)^2 = 608,400 union rectangles
+        code, out, err = run(capsys, "certify", "--kind", "sparsity", "--m1", "40",
+                             "--m2", "40", "--s1", "1", "--s2", "1", "--n", "4",
+                             "--tag", "complex_generic", "--level", "strong")
+        assert code == 2 and out == ""
+        assert "608400 support unions exceed the cap of 100000" in err
+
     def test_certify_bad_level(self, capsys):
         code, _, err = run(capsys, "certify", "--kind", "subspace", "--m1", "2",
                            "--m2", "2", "--n", "6", "--tag", "complex_generic",

@@ -28,7 +28,8 @@ def subspace(n, m1=2, m2=2):
 
 
 # The fit of one trial: its lifted matrix, residual, lifted error against
-# the truth (None without one), support and random starts.
+# the truth (None without one), support (its row and column indices, as the
+# lists `recover` prints) and random starts.
 Solved = namedtuple("Solved", "M_hat residual lifted_error support restarts_used")
 
 
@@ -41,7 +42,7 @@ def solve_one(solver, ens, z, *supports, restarts, rng, truth=None):
     M_hat = LiftedMatrix.from_factors(fit.X[0], fit.Y[0])
     return Solved(M_hat, float(fit.residual[0]),
                   None if truth is None else align_and_distance(M_hat, truth),
-                  fit.supports[0], fit.restarts_used)
+                  tuple(S[0].tolist() for S in fit.supports), fit.restarts_used)
 
 
 def random_factors(sc, seed):
@@ -52,22 +53,39 @@ def random_factors(sc, seed):
 
 
 class TestSupportEnumeration:
+    @pytest.mark.parametrize("sc", [
+        subspace(5, 3, 4),
+        ConstraintScenario("mixed", 5, 5, 3, 2),
+        ConstraintScenario("sparsity", 5, 4, 5, 2, 3),
+        ConstraintScenario("sparsity", 5, 6, 1, 3, 1),
+    ], ids=lambda sc: f"{sc.kind}-{sc.m1}x{sc.m2}")
+    def test_rows_are_the_pairs_in_lexicographic_order(self, sc):
+        # row p of (S1, S2) is the p-th pair of the product of the
+        # combinations of each side, as (P, k1) and (P, k2) intp arrays
+        (k1, k2), (S1, S2) = sc.support_sizes, admissible_supports(sc)
+        pairs = list(itertools.product(itertools.combinations(range(sc.m1), k1),
+                                       itertools.combinations(range(sc.m2), k2)))
+        assert S1.shape == (len(pairs), k1) and S2.shape == (len(pairs), k2)
+        assert S1.dtype == S2.dtype == np.intp
+        assert list(zip(map(tuple, S1.tolist()), map(tuple, S2.tolist()))) == pairs
+
     def test_subspace_single_support(self):
-        sc = subspace(5)
-        assert admissible_supports(sc) == [((0, 1), (0, 1))]
+        S1, S2 = admissible_supports(subspace(5))
+        assert S1.tolist() == S2.tolist() == [[0, 1]]
 
     def test_sparsity_counts_and_order(self):
         sc = ConstraintScenario(kind="sparsity", n=5, m1=3, m2=3, s1=1, s2=2)
-        supports = admissible_supports(sc)
+        S1, S2 = admissible_supports(sc)
+        supports = list(zip(map(tuple, S1.tolist()), map(tuple, S2.tolist())))
         assert len(supports) == math.comb(3, 1) * math.comb(3, 2)
         assert supports == sorted(supports)
         assert supports[0] == ((0,), (0, 1))
 
     def test_mixed_fixes_filter_support(self):
         sc = ConstraintScenario(kind="mixed", n=5, m1=4, m2=2, s1=2)
-        supports = admissible_supports(sc)
-        assert len(supports) == math.comb(4, 2)
-        assert all(S2 == (0, 1) for _, S2 in supports)
+        S1, S2 = admissible_supports(sc)
+        assert len(S1) == math.comb(4, 2)
+        assert (S2 == [0, 1]).all()
 
     def test_cap_enforced(self):
         for sc in (ConstraintScenario(kind="sparsity", n=5, m1=30, m2=30, s1=5, s2=5),
@@ -186,13 +204,13 @@ def _stacked_row(sc, trials, seed, noise=0.0):
     random factors, trial t's zero off admissible support t mod P (plus
     complex noise of that scale), and each trial's ensemble."""
     rng = np.random.default_rng(seed)
-    supports = admissible_supports(sc)
+    S1, S2 = admissible_supports(sc)
     lone = [build_ensemble(sc, COMPLEX_GENERIC, seed + t) for t in range(trials)]
     z = []
     for t, ens in enumerate(lone):
         M = random_factors(sc, seed + 100 + t).M
         off = np.ones(M.shape, dtype=bool)
-        off[np.ix_(*supports[t % len(supports)])] = False
+        off[np.ix_(S1[t % len(S1)], S2[t % len(S1)])] = False
         M[off] = 0
         z.append(apply_A(ens, M))
     z = np.array(z)
@@ -248,7 +266,7 @@ class TestStackedKernel:
         # starts its slowest trial needs; noisy, none reaches it and every
         # trial runs the whole budget
         ens, z, lone = _stacked_row(sc, 20, 50, noise)
-        S1, S2 = map(np.array, zip(*admissible_supports(sc)))
+        S1, S2 = admissible_supports(sc)
         rngs = [[np.random.default_rng(60 + t) for t in range(20)] for _ in range(2)]
         fit = solve_fixed_support(ens, z, S1, S2, 20, rngs[0])
         assert fit.X.shape == (20, 3) and fit.restarts_used == (20 if noise else used)
@@ -256,7 +274,8 @@ class TestStackedKernel:
             alone = solve_one(solve_fixed_support, ens_t, z[t], S1, S2,
                               restarts=20, rng=rngs[1][t])
             assert np.array_equal(np.outer(fit.X[t], fit.Y[t]), alone.M_hat.M)
-            assert fit.residual[t] == alone.residual and fit.supports[t] == alone.support
+            assert fit.residual[t] == alone.residual
+            assert tuple(S[t].tolist() for S in fit.supports) == alone.support
             assert rngs[0][t].bit_generator.state == rngs[1][t].bit_generator.state
         floor = recovery.LM_RESIDUAL_FLOOR * np.maximum(1.0, np.linalg.norm(z, axis=1))
         if noise:
@@ -273,7 +292,7 @@ class TestStackedKernel:
         # no generator is drawn from
         sc = ConstraintScenario("sparsity", 5, 3, 4, 2, 3)
         ens, z, _ = _stacked_row(sc, 20, 50)
-        S1, S2 = map(np.array, zip(*admissible_supports(sc)))
+        S1, S2 = admissible_supports(sc)
         calls, solves = [], []
         real, real_solve = recovery._lm, recovery._damped_solve
         monkeypatch.setattr(recovery, "_lm",
@@ -428,8 +447,10 @@ def test_largest_unions_cover_every_union():
                 ({oracles._union(A, B) for A, B in
                   itertools.combinations_with_replacement(k_sets, 2)},
                  recovery._largest_unions(m, 2 * k)),
-                *(({oracles._union(S0, S) for S in k_sets}, recovery._largest_unions(m, k, S0))
+                *(({oracles._union(S0, S) for S in k_sets},
+                   recovery._largest_unions(m, k, np.array(S0, dtype=np.intp)))
                   for S0 in ((), (1,), (0, 2), tuple(range(m))))):
+            largest = list(map(tuple, largest.tolist()))
             assert largest == sorted(set(largest)) and set(largest) <= unions
             assert all(any(set(u) <= set(R) for R in largest) for u in unions)
 
@@ -450,7 +471,7 @@ def test_injective_on_bounds_its_stacks(monkeypatch):
     sc = ConstraintScenario("sparsity", 4, 5, 5, 1, 1)
     unions = {(oracles._union(S1a, S1b), oracles._union(S2a, S2b))
               for (S1a, S2a), (S1b, S2b) in
-              itertools.combinations_with_replacement(admissible_supports(sc), 2)}
+              itertools.combinations_with_replacement(zip(*admissible_supports(sc)), 2)}
     rows = cols = recovery._largest_unions(5, 2)
     assert len(rows) * len(cols) == math.comb(5, 2) ** 2 < len(unions)
     for n, entries in itertools.product((4, 6), (1, 40, 1 << 20)):
@@ -461,7 +482,8 @@ def test_injective_on_bounds_its_stacks(monkeypatch):
         assert recovery._injective_on(ens, rows, cols)
         assert all(len(stack) * n * 4 <= max(entries, n * 4) for stack in stacks)
         checked = [rect for stack in stacks for rect in stack]
-        assert checked == list(itertools.product(rows, cols))
+        assert checked == list(itertools.product(map(tuple, rows.tolist()),
+                                                 map(tuple, cols.tolist())))
         assert len(stacks) == math.ceil(len(checked) / max(1, entries // (n * 4)))
     monkeypatch.setattr(recovery, "INJECTIVITY_STACK_ENTRIES", 100)
     monkeypatch.setattr(recovery, "INJECTIVITY_TOL", np.inf)
@@ -492,6 +514,32 @@ def test_certifiers_are_sound_when_a_smaller_union_is_singular():
         assert (got.status, got.search_budget) == (want.status, want.search_budget)
 
 
+def test_certificate_unions_past_the_cap_are_refused(monkeypatch):
+    # sparsity 40x40 with s = 1 has 1,600 support pairs, but the strong
+    # certificate's largest unions give C(40, 2)^2 = 608,400 rectangles: it
+    # raises before any SVD, while the weak one (39^2 = 1,521 rectangles)
+    # still certifies. Mixed 1,000 x 2 with s1 = 1 has 1,000 pairs and
+    # C(1000, 2) largest unions on one side; unions past the cap on one side
+    # are refused before they are listed
+    checked = []
+    real = recovery.operator_matrix
+    monkeypatch.setattr(recovery, "operator_matrix",
+                        lambda ens, **kw: checked.append(1) or real(ens, **kw))
+    ens, M0, _, _ = draw_trial(ConstraintScenario("sparsity", 4, 40, 40, 1, 1),
+                               COMPLEX_GENERIC, 0, R=None)
+    for sc, count in ((ens.scenario, 608_400),
+                      (ConstraintScenario("mixed", 4, 1000, 2, 1), math.comb(1000, 2))):
+        with pytest.raises(EnumerationCapError, match=f"^{count} support unions exceed "
+                                                      "the cap of 100000"):
+            certify_strong(build_ensemble(sc, COMPLEX_GENERIC, 1), budget=10, tol=1e-6,
+                           rng=np.random.default_rng(0))
+    assert not checked
+    with pytest.raises(EnumerationCapError, match="^1000000 support unions"):
+        recovery._largest_unions(10**6, 1)
+    verdict = certify_weak(ens, M0, budget=10, tol=1e-6, rng=np.random.default_rng(0))
+    assert verdict.status == CERTIFIED_UNIQUE and checked
+
+
 def test_zero_budget_searches_nothing():
     sc = ConstraintScenario("sparsity", 2, 5, 5, 1, 1)
     ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
@@ -516,7 +564,7 @@ class TestSolveSparseEnumerate:
         M0 = LiftedMatrix.from_factors(x, y)
         res = solve_one(solve_sparse_enumerate, ens, apply_A(ens, M0),
                         restarts=0, rng=np.random.default_rng(0))
-        assert res.support == ((2,), (1,))
+        assert res.support == ([2], [1])
         assert align_and_distance(res.M_hat, M0) < 1e-8
 
     def test_zero_ties_break_to_first_support(self):
@@ -524,7 +572,7 @@ class TestSolveSparseEnumerate:
         ens = build_ensemble(sc, COMPLEX_GENERIC, 12)
         res = solve_one(solve_sparse_enumerate, ens, np.zeros(5),
                         restarts=0, rng=np.random.default_rng(0))
-        assert res.support == ((0,), (0,))
+        assert res.support == ([0], [0])
         assert np.linalg.norm(res.M_hat.M) == 0.0
 
     def test_subspace_kind_is_one_fixed_support_solve(self):
@@ -589,10 +637,12 @@ def test_enumeration_matches_the_per_support_loop(sc, zero):
     want = oracles.solve_sparse_enumerate(ens, z, 4, rngs[1])
     assert np.array_equal(got.X, want.X) and np.array_equal(got.Y, want.Y)
     assert np.array_equal(got.residual, want.residual)
-    assert (got.supports, got.restarts_used) == (want.supports, want.restarts_used)
+    assert all(map(np.array_equal, got.supports, want.supports))
+    assert got.restarts_used == want.restarts_used
     # the first wave alone is the solve without random starts; least
     # squares reads no generator
-    P, (k1, k2) = len(admissible_supports(sc)), sc.support_sizes
+    (S1, S2), (k1, k2) = admissible_supports(sc), sc.support_sizes
+    P = len(S1)
     first = solve_sparse_enumerate(ens, z, 0, [np.random.default_rng(0)] * T)
     floor = recovery.LM_RESIDUAL_FLOOR * np.maximum(1.0, recovery._norm(z))
     drawn = (first.residual > floor) & (sc.n < k1 * k2)
@@ -603,10 +653,11 @@ def test_enumeration_matches_the_per_support_loop(sc, zero):
         assert g.bit_generator.state == want.bit_generator.state
     assert drawn.any() == (sc.n < k1 * k2 and not zero)
     if zero:
-        assert got.supports == (admissible_supports(sc)[0],) * T
+        assert np.array_equal(got.supports[0], S1[[0] * T])
+        assert np.array_equal(got.supports[1], S2[[0] * T])
         assert not got.X.any() and not got.residual.any()
     else:
-        assert len(set(got.supports)) > 1
+        assert len(np.unique(np.hstack(got.supports), axis=0)) > 1
 
 
 @pytest.mark.parametrize("sc,tag", [
@@ -625,7 +676,7 @@ def test_least_squares_slots_match_the_per_slot_loop(sc, tag, monkeypatch):
     ens, X, Y, _, _ = draw_trials(sc, tag, range(T), R=None)
     z = apply_A(ens, X[:, :, None] * Y[:, None, :])
     z[1::2] += 0.01 * np.random.default_rng(92).standard_normal(z[1::2].shape)
-    S1, S2 = map(np.array, zip(*admissible_supports(sc)))
+    S1, S2 = admissible_supports(sc)
     seen = []
     for name in ("_top_rank1", "_norm"):
         real = getattr(recovery, name)
@@ -640,7 +691,8 @@ def test_least_squares_slots_match_the_per_slot_loop(sc, tag, monkeypatch):
     assert np.array_equal(fit.residual, want_residual[range(T), best])
     assert np.array_equal(fit.X, _embed(want_x[range(T), best], S1[best], sc.m1))
     assert np.array_equal(fit.Y, _embed(want_y[range(T), best], S2[best], sc.m2))
-    assert fit.supports == tuple(admissible_supports(sc)[p] for p in best)
+    assert np.array_equal(fit.supports[0], S1[best])
+    assert np.array_equal(fit.supports[1], S2[best])
     assert np.all(fit.residual[::2] <= 1e-10) and np.all(fit.residual[1::2] > 1e-4)
 
 
