@@ -41,7 +41,7 @@ from .ensembles import (COMPLEX_UNIFORM_BALL, REAL_GENERIC, REAL_UNIFORM_BALL,
                         ConstraintScenario, Ensemble, _complex_normal, build_ensemble,
                         mix_seed, sample_uniform_complex_ball_batch)
 from .lifting import LiftedMatrix, _times, apply_G, as_matrix, mean_isometry_radius
-from .recovery import (RecoveryStack, _norm, admissible_supports, align_and_distance,
+from .recovery import (RecoveryStack, _norm, _pair_count, align_and_distance,
                        is_recovered, solve_sparse_enumerate)
 
 __all__ = [
@@ -261,7 +261,7 @@ def _recover_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
     each; restarts must be >= 0. Returns per trial the lifted error and
     whether the trial counts as recovered."""
     k = math.prod(sc.support_sizes)
-    per_trial = len(admissible_supports(sc)[0]) * k * sc.n * (restarts + 1 if sc.n < k else 1)
+    per_trial = _pair_count(sc) * k * sc.n * (restarts + 1 if sc.n < k else 1)
     size = max(1, RECOVERY_STACK_ENTRIES // per_trial)
     errors, recovered = [], []
     for start in range(0, len(seeds), size):

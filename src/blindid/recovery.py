@@ -17,11 +17,11 @@ index arrays throughout. A solve runs its starts in waves of 1, 2, 4, ...:
 the spectral start alone first, then more random starts only for the
 trials that no slot has fit yet. Within a wave, all of a trial's slots,
 on every support, stop together as soon as one of them fits exactly.
-One trial is a stack of one. Certifier attempts run in chunks of 1, 2,
-4, ..., so a search may draw from the caller's rng past the attempt it
+One trial is a stack of one. Certifier attempts run in chunks of 1, 8,
+64, ..., so a search may draw from the caller's rng past the attempt it
 returns; verdicts and budgets do not change. Per attempt only the rng
-draws run in Python; the planted matrices, their measurements and the
-fits run once per chunk, on the whole stack.
+draws run in Python; the planted matrices, their measurements, the fits
+and the counterexample rule run once per chunk, on the whole stack.
 """
 
 from __future__ import annotations
@@ -106,18 +106,23 @@ class IdentifiabilityVerdict:
     tolerance: float
 
 
-def _capped(count: int, what: str) -> None:
+def _capped(count: int, what: str) -> int:
     if count > SUPPORT_CAP:
         raise EnumerationCapError(
             f"{count} {what} exceed the cap of {SUPPORT_CAP}; use a smaller instance")
+    return count
+
+
+def _pair_count(sc: ConstraintScenario) -> int:
+    """P, the number of admissible support pairs; raises EnumerationCapError past SUPPORT_CAP."""
+    return _capped(math.prod(map(math.comb, (sc.m1, sc.m2), sc.support_sizes)), "support pairs")
 
 
 def admissible_supports(sc: ConstraintScenario) -> Tuple[np.ndarray, np.ndarray]:
     """All P admissible support pairs as index arrays S1 (P, k1) and S2
     (P, k2), pair p being (S1[p], S2[p]), in lexicographic order."""
-    k1, k2 = sc.support_sizes
-    _capped(math.comb(sc.m1, k1) * math.comb(sc.m2, k2), "support pairs")
-    C1, C2 = _largest_unions(sc.m1, k1), _largest_unions(sc.m2, k2)
+    _pair_count(sc)
+    C1, C2 = map(_largest_unions, (sc.m1, sc.m2), sc.support_sizes)
     return np.repeat(C1, len(C2), axis=0), np.tile(C2, (len(C1), 1))
 
 
@@ -329,7 +334,7 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: in
         residual = np.full((T, P, starts), np.inf)
         floor = LM_RESIDUAL_FLOOR * np.maximum(1.0, _norm(z_tilde))
         live = np.arange(T)
-        for wave in _chunks(starts):
+        for wave in _chunks(starts, 2):
             if wave.start == 1:  # the first random starts: draw them for the live trials
                 X0[live, :, 1:] = np.reshape([_random_factors(P * restarts, k1, rng[t])
                                               for t in live], (len(live), P, restarts, k1))
@@ -382,21 +387,22 @@ def align_and_distance(M1, M2):
     return _frobenius(A - B)
 
 
-def min_scaled_distance(M, M0) -> float:
-    """min over complex c of ||M - c*M0||_F (conservative orbit distance)."""
+def min_scaled_distance(M, M0):
+    """min over complex c of ||M - c*M0||_F (conservative orbit distance; c = 0
+    when M0 = 0): a float, or one per pair of two stacks (..., m1, m2)."""
     A = as_matrix(M)
     B = as_matrix(M0)
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    denom = np.vdot(B, B).real
-    if denom == 0.0:
-        return float(np.linalg.norm(A))
-    c = np.vdot(B, A) / denom
-    return float(np.linalg.norm(A - c * B))
+    a, b = (X.reshape(X.shape[:-2] + (math.prod(X.shape[-2:]),)) for X in (A, B))
+    denom = np.vecdot(b, b).real
+    c = np.vecdot(b, a) / np.where(denom == 0.0, 1.0, denom)
+    r = _norm(a - c[..., None] * b)
+    return float(r) if r.ndim == 0 else r
 
 
-def _far(distance: float, tol: float) -> bool:
-    """The counterexample rule: an orbit distance above 10 * tol is far."""
+def _far(distance, tol: float):
+    """The counterexample rule: an orbit distance above 10 * tol is far (per entry)."""
     return distance > 10 * tol
 
 
@@ -453,11 +459,11 @@ def _check_search(budget: int, tol: float) -> None:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
 
-def _chunks(budget: int) -> Iterable[range]:
-    """Attempt indices 0 .. budget-1 in chunks of 1, 2, 4, ..."""
+def _chunks(budget: int, growth: int) -> Iterable[range]:
+    """Indices 0 .. budget-1 in chunks of 1, growth, growth**2, ..."""
     start = 0
     while start < budget:
-        stop = min(budget, 2 * start + 1)
+        stop = min(budget, growth * start + 1)
         yield range(start, stop)
         start = stop
 
@@ -474,8 +480,8 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
     contain S0. Heuristic path: `budget` multi-start fits of the planted
     measurements; a far solution with a tiny residual is a
     counterexample, otherwise the verdict is only heuristic. Attempts run
-    in chunks of 1, 2, 4, ..., so rng may be drawn past the attempt that
-    finds a counterexample; the verdict does not change.
+    in chunks of 1, 8, 64, ..., each fitted and tested as one stack, so rng
+    may be drawn past the first far fit; the verdict does not change.
     """
     _check_search(budget, tol)
     sc = ens.scenario
@@ -488,17 +494,20 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
 
     z0 = apply_A(ens, M0)
-    for attempts in _chunks(budget):
+    for attempts in _chunks(budget, 8):
         rows, cols = (S[np.array(attempts) % len(S)] for S in (S1, S2))  # support t mod P
         aS, bS = support_rows(ens, rows, cols)
         X, Y, residual = _lm(aS, bS, np.broadcast_to(z0, (len(attempts), ens.n)),
                              _random_factors(len(attempts), rows.shape[1], rng))
-        for t in np.flatnonzero(residual <= tol):
-            cand = LiftedMatrix.from_factors(_embed(X[t], rows[t], sc.m1),
-                                             _embed(Y[t], cols[t], sc.m2))
-            if _far(min_scaled_distance(cand, M0), tol):
-                return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, cand, M0,
-                                              attempts[t] + 1, tol)
+        fits = np.flatnonzero(residual <= tol)
+        X, Y = _embed(X[fits], rows[fits], sc.m1), _embed(Y[fits], cols[fits], sc.m2)
+        M = X[:, :, None] * Y[:, None, :]
+        far = np.flatnonzero(_far(min_scaled_distance(M, np.broadcast_to(M0.M, M.shape)), tol))
+        if far.size:  # the first far fit in attempt order
+            t = far[0]
+            return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND,
+                                          LiftedMatrix.from_factors(X[t], Y[t]), M0,
+                                          attempts[fits[t]] + 1, tol)
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
 
 
@@ -516,29 +525,29 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
 
     Per attempt, only the draws run: the planted support, its x then y
     factors (an attempt whose planted matrix is 0 draws no start and is
-    skipped), then the start. Per chunk of 1, 2, 4, ... attempts, the
-    planted matrices are normalized and measured as one stack by apply_A
-    and fitted as one _lm stack. So rng may be drawn past the attempt
-    that finds a counterexample; the verdict does not change.
+    skipped), then the start. Per chunk of 1, 8, 64, ... attempts, the
+    planted matrices are normalized and measured as one stack by apply_A,
+    then fitted and tested as one stack. So rng may be drawn past the
+    attempt that finds a counterexample; the verdict does not change.
     """
     _check_search(budget, tol)
     sc = ens.scenario
 
     S1, S2 = admissible_supports(sc)
-    k1, k2 = sc.support_sizes
+    P, (k1, k2) = len(S1), sc.support_sizes
     if _injective_on(ens, _largest_unions(sc.m1, 2 * k1), _largest_unions(sc.m2, 2 * k2)):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
 
-    for attempts in _chunks(budget):
+    for attempts in _chunks(budget, 8):
         slots, picks, draws, starts = [], [], [], []
         for attempt in attempts:
-            planted = rng.integers(len(S1))
-            g = rng.standard_normal(2 * (k1 + k2))  # the planted x, then y
+            planted = rng.integers(P)
+            g = rng.standard_normal(2 * (k1 + k2)).tolist()  # the planted x, then y
             # The planted matrix has norm 0 exactly when its x or its y draws
             # are all 0: nonzero normal draws exceed 1e-20 in magnitude, so no
             # product or square underflows, and a complex product of nonzero
             # factors cannot round to 0 in both its parts.
-            if not (g[:2 * k1].any() and g[2 * k1:].any()):
+            if not (any(g[:2 * k1]) and any(g[2 * k1:])):
                 continue
             slots.append(attempt)
             picks.append(planted)
@@ -553,18 +562,22 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
         yp = _embed(_complex_normal(G[:, 2 * k1:].reshape(T, 2, k2)), pcol, sc.m2)
         xp /= _norm((xp[:, :, None] * yp[:, None, :]).reshape(T, -1))[:, None]
         z1 = apply_A(ens, xp[:, :, None] * yp[:, None, :])
-        rows, cols = (S[np.array(slots) % len(S)] for S in (S1, S2))  # support t mod P
+        rows, cols = (S[np.array(slots) % P] for S in (S1, S2))  # support t mod P
         aS, bS = support_rows(ens, rows, cols)
         X, Y, residual = _lm(aS, bS, z1, _complex_normal(np.array(starts).reshape(T, 2, k1)))
         X, Y = _embed(X, rows, sc.m1), _embed(Y, cols, sc.m2)
         # rescale each pair jointly so both land in the unit ball (cone property)
         c = 1.0 / np.maximum(1.0, _norm((X[:, :, None] * Y[:, None, :]).reshape(T, -1)))
-        for t in np.flatnonzero(residual * c <= tol):
-            ct = float(c[t])
-            M1c = LiftedMatrix.from_factors(ct * xp[t], yp[t])
-            M2c = LiftedMatrix.from_factors(ct * X[t], Y[t])
-            if _far(min_scaled_distance(M2c, M1c), tol):
-                return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, M2c, M1c, slots[t] + 1, tol)
+        fits = np.flatnonzero(residual * c <= tol)
+        xp, yp, X, Y = c[fits, None] * xp[fits], yp[fits], c[fits, None] * X[fits], Y[fits]
+        far = np.flatnonzero(_far(min_scaled_distance(X[:, :, None] * Y[:, None, :],
+                                                      xp[:, :, None] * yp[:, None, :]), tol))
+        if far.size:  # the first far fit in attempt order
+            t = far[0]
+            return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND,
+                                          LiftedMatrix.from_factors(X[t], Y[t]),
+                                          LiftedMatrix.from_factors(xp[t], yp[t]),
+                                          slots[fits[t]] + 1, tol)
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
 
 

@@ -104,6 +104,28 @@ def test_supports_are_enumerated_in_largest_unions_only():
     assert found and set(found) == {("recovery.py", "_largest_unions")}, found
 
 
+def _callee(node):
+    """The name a call node calls, plain or as an attribute, or None."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_orbit_distances_are_judged_by_the_counterexample_rule():
+    # every min_scaled_distance call in the package is the distance argument
+    # of recovery._far, so the counterexample rule (orbit distance above
+    # 10 * tol) has one spelling, for stacks and lone pairs alike
+    src = Path(blindid.__file__).parent
+    distances, judged = [], set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and _callee(node) == "min_scaled_distance":
+                distances.append((path.name, node.lineno, node))
+            elif isinstance(node, ast.Call) and _callee(node) == "_far" and node.args:
+                judged.add(node.args[0])
+    unjudged = [(name, line) for name, line, node in distances if node not in judged]
+    assert len(distances) >= 3 and not unjudged, unjudged
+
+
 # Entry points whose options the CLI fills: after the leading positional
 # parameters, every option is keyword-only and has no default, so the CLI
 # holds every default.

@@ -294,6 +294,21 @@ class TestPhaseTransition:
         assert calls(1) == want
         assert calls(12) == want
 
+    def test_support_cap_is_checked_before_any_draw(self, monkeypatch):
+        # a row's stacks are sized from the count C(m1, s1) * C(m2, s2), and
+        # a count past SUPPORT_CAP raises with the enumeration's message
+        # before any trial is drawn or any support listed
+        calls = []
+        monkeypatch.setattr(mc, "_draw_trials", lambda *args, **kw: calls.append("draw"))
+        monkeypatch.setattr(recovery, "_largest_unions",
+                            lambda *args: calls.append("enumerate"))
+        count = math.comb(30, 5) ** 2
+        with pytest.raises(recovery.EnumerationCapError,
+                           match=f"^{count} support pairs exceed the cap of 100000; "
+                                 "use a smaller instance$"):
+            _transition(ConstraintScenario("sparsity", 5, 30, 30, 5, 5))
+        assert not calls
+
     def test_csv_schema(self):
         rows = mc.run_phase_transition(SUBSPACE5, COMPLEX_GENERIC, (5,), trials=3, seed=15,
                                        restarts=62, noise_level=0.0, R=None)

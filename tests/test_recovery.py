@@ -10,7 +10,7 @@ import oracles
 from blindid.ensembles import (COMPLEX_GENERIC, REAL_GENERIC, REAL_UNIFORM_BALL,
                                ConstraintScenario, build_ensemble)
 from blindid import recovery
-from blindid.lifting import LiftedMatrix, apply_A, operator_matrix, support_rows
+from blindid.lifting import LiftedMatrix, apply_A, as_matrix, operator_matrix, support_rows
 from blindid.mc import _draw_trials as draw_trials
 from blindid.mc import draw_trial
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
@@ -540,6 +540,98 @@ def test_certificate_unions_past_the_cap_are_refused(monkeypatch):
     assert verdict.status == CERTIFIED_UNIQUE and checked
 
 
+def test_certifier_chunks_grow_by_eight_and_solver_waves_by_two(monkeypatch):
+    # a search that finds nothing fits its 100 attempts in chunks of 1, 8,
+    # 64 and 27, at both levels; a solve that fits no trial runs its 1 + 6
+    # starts in waves of 1, 2 and 4
+    assert [len(c) for c in recovery._chunks(100, 8)] == [1, 8, 64, 27]
+    assert [len(c) for c in recovery._chunks(63, 2)] == [1, 2, 4, 8, 16, 32]
+    calls = []
+    real = recovery._lm
+    monkeypatch.setattr(recovery, "_lm",
+                        lambda aS, *args: calls.append(len(aS)) or real(aS, *args))
+    ens, M0, _, _ = draw_trial(ConstraintScenario("sparsity", 3, 5, 5, 1, 1), COMPLEX_GENERIC, 0,
+                               R=None)
+    for certify, args in ((certify_weak, (ens, M0)), (certify_strong, (ens,))):
+        calls.clear()
+        v = certify(*args, budget=100, tol=1e-6, rng=np.random.default_rng(0))
+        assert (v.status, v.search_budget) == (HEURISTICALLY_UNIQUE, 100)
+        assert calls == [1, 8, 64, 27]
+    calls.clear()
+    ens, z, _ = _stacked_row(subspace(8, 3, 3), 1, 80, noise=0.05)
+    solve_fixed_support(ens, z, *admissible_supports(subspace(8, 3, 3)), 6,
+                        [np.random.default_rng(81)])
+    assert calls == [1, 2, 4]
+
+
+@pytest.mark.parametrize("level", ["weak", "strong"])
+def test_chunk_returns_its_first_far_fit(level, monkeypatch):
+    # in the chunk of attempts 1..8, attempts 1 and 3 fit near the
+    # reference, 2 is far but does not fit, and 4 and 5 fit far from it:
+    # one stacked test returns attempt 4's fit, and the search stops there
+    sc = subspace(2)
+    ens = build_ensemble(sc, COMPLEX_GENERIC, 0)
+    M0 = random_factors(sc, 1)
+    measured, calls = [], []
+    real_apply = recovery.apply_A
+    monkeypatch.setattr(recovery, "apply_A",
+                        lambda e, M: measured.append(as_matrix(M)) or real_apply(e, M))
+    e = np.eye(2, dtype=complex)
+    far = {1: (e[0], e[1]), 3: (e[1], e[0]), 4: (e[0] + e[1], e[0] - e[1])}
+
+    def scripted(aS, bS, z, X0, group=1):
+        # the reference's own factors, rescaled, in every slot, then the far ones
+        T = len(aS)
+        calls.append(T)
+        x, y = recovery._top_rank1(np.broadcast_to(measured[-1], (T, 2, 2)))
+        x, y, residual = 2 * x, y / 2, np.ones(T)
+        if T == 8:
+            for i, (xf, yf) in far.items():
+                x[i], y[i] = xf, yf
+            residual[[0, 2, 3, 4]] = 0.0
+        return x, y, residual
+
+    monkeypatch.setattr(recovery, "_lm", scripted)
+    rng = np.random.default_rng(2)
+    v = (certify_weak(ens, M0, budget=100, tol=1e-6, rng=rng) if level == "weak"
+         else certify_strong(ens, budget=100, tol=1e-6, rng=rng))
+    assert (v.status, v.search_budget, calls) == (COUNTEREXAMPLE_FOUND, 5, [1, 8])
+    assert np.array_equal(v.witness.M, np.outer(e[1], e[0]))
+    assert np.array_equal(v.reference.M, M0.M if level == "weak" else measured[-1][3])
+
+
+@pytest.mark.parametrize("part", ["x", "y"])
+def test_strong_search_skips_a_zero_plant(part, monkeypatch):
+    # the planted x (or y) draws of attempt 0 are all 0: that attempt draws
+    # its support and its factors but no start, and is not fitted; the
+    # next chunk's eight attempts draw all three and are fitted
+    class Scripted:
+        def __init__(self):
+            self.rng, self.draws = np.random.default_rng(3), []
+
+        def integers(self, high):
+            self.draws.append("support")
+            return self.rng.integers(high)
+
+        def standard_normal(self, size):
+            self.draws.append(size)
+            g = self.rng.standard_normal(size)
+            if len(self.draws) == 2:
+                g[slice(0, 2) if part == "x" else slice(2, 4)] = 0.0
+            return g
+
+    calls = []
+    real = recovery._lm
+    monkeypatch.setattr(recovery, "_lm",
+                        lambda aS, *args: calls.append(len(aS)) or real(aS, *args))
+    ens = build_ensemble(ConstraintScenario("sparsity", 3, 5, 5, 1, 1), COMPLEX_GENERIC, 0)
+    rng = Scripted()
+    certify_strong(ens, budget=9, tol=1e-6, rng=rng)
+    # support 1 x 1: planted x and y draws 2 + 2, start 2
+    assert rng.draws == ["support", 4] + ["support", 4, 2] * 8
+    assert calls == [8]
+
+
 def test_zero_budget_searches_nothing():
     sc = ConstraintScenario("sparsity", 2, 5, 5, 1, 1)
     ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
@@ -711,6 +803,22 @@ class TestDistances:
         M0 = LiftedMatrix.from_factors([1.0, 0], [1.0, 0])
         assert min_scaled_distance((3 - 2j) * M0.M, M0) < 1e-12
         assert min_scaled_distance(np.zeros((2, 2)), M0) < 1e-12
+
+    def test_stacked_min_scaled_distance_matches_lone_calls(self):
+        # a stack of pairs, a zero reference among them, gets pair by pair
+        # the bits of the lone calls; a zero reference gives ||M||_F
+        rng = np.random.default_rng(4)
+        M0 = rng.standard_normal((6, 3, 2)) + 1j * rng.standard_normal((6, 3, 2))
+        noise = 10.0 ** -rng.integers(0, 12, size=(6, 1, 1)) * rng.standard_normal((6, 3, 2))
+        M = (2 - 1j) * M0 + noise
+        M0[2] = 0
+        dist = min_scaled_distance(M, M0)
+        assert dist.shape == (6,) and dist[2] == np.linalg.norm(M[2])
+        for t in range(6):
+            lone = min_scaled_distance(M[t], M0[t])
+            assert type(lone) is float and dist[t] == lone
+            assert min_scaled_distance(M[t], LiftedMatrix(M0[t])) == lone
+        assert min_scaled_distance(M[None, :2], M0[None, :2]).shape == (1, 2)
 
     def test_is_recovered_threshold(self):
         M0 = LiftedMatrix.from_factors([1.0, 0], [1.0, 0])
