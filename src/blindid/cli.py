@@ -182,7 +182,7 @@ def _parse_sweep(raw: Optional[str], integral: bool) -> tuple:
                 for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad sweep grid {raw!r}") from exc
-    if not vals and raw.strip():
+    if not vals:
         raise ConfigError(f"bad sweep grid {raw!r}")
     return tuple(vals)
 

@@ -79,6 +79,9 @@ class ConstraintScenario:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ScenarioError(f"{name} must be a positive integer, got {v!r}")
+        for name, v in (("s1", self.s1), ("s2", self.s2)):  # ranges are checked per kind
+            if not isinstance(v, (int, np.integer, type(None))):
+                raise ScenarioError(f"{name} must be a positive integer, got {v!r}")
         if self.kind == "subspace":
             if self.s1 is not None or self.s2 is not None:
                 raise ScenarioError("subspace scenario takes no sparsity levels")

@@ -41,7 +41,7 @@ from .ensembles import (COMPLEX_UNIFORM_BALL, REAL_GENERIC, REAL_UNIFORM_BALL,
                         ConstraintScenario, Ensemble, _complex_normal, build_ensemble,
                         mix_seed, sample_uniform_complex_ball_batch)
 from .lifting import LiftedMatrix, _times, apply_G, as_matrix, mean_isometry_radius
-from .recovery import (RecoveryStack, _norm, _pair_count, align_and_distance,
+from .recovery import (RecoveryStack, _norm, _trials_per_stack, align_and_distance,
                        is_recovered, solve_sparse_enumerate)
 
 __all__ = [
@@ -246,29 +246,16 @@ def recover_stack(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
     return fit, align_and_distance(M_hat, M0), is_recovered(M_hat, M0)
 
 
-# Bound on P*n*k1*k2*starts*trials (P supports of k1 x k2) per stack
-# _recover_trials solves at once, where starts is restarts + 1 when n < k1*k2
-# (the kernel's slots) and 1 otherwise (one least-squares slot per support).
-# Trials are independent, so the bound changes no result; it keeps a sweep's
-# memory flat in the number of trials.
-RECOVERY_STACK_ENTRIES = 1 << 20
-
-
 def _recover_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
                     R: Optional[float], restarts: int, noise_level: float
                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """recover_stack on `seeds` in stacks of at most RECOVERY_STACK_ENTRIES
-    each; restarts must be >= 0. Returns per trial the lifted error and
-    whether the trial counts as recovered."""
-    k = math.prod(sc.support_sizes)
-    per_trial = _pair_count(sc) * k * sc.n * (restarts + 1 if sc.n < k else 1)
-    size = max(1, RECOVERY_STACK_ENTRIES // per_trial)
-    errors, recovered = [], []
-    for start in range(0, len(seeds), size):
-        _, err, ok = recover_stack(sc, tag, seeds[start:start + size], R=R,
-                                   restarts=restarts, noise_level=noise_level)
-        errors.append(err)
-        recovered.append(ok)
+    """recover_stack on `seeds` in stacks of _trials_per_stack trials (flat
+    memory in the number of trials); restarts must be >= 0. Returns per
+    trial the lifted error and whether the trial counts as recovered."""
+    size = _trials_per_stack(sc, restarts)
+    stacks = [recover_stack(sc, tag, seeds[start:start + size], R=R, restarts=restarts,
+                            noise_level=noise_level)[1:] for start in range(0, len(seeds), size)]
+    errors, recovered = zip(*stacks)
     return np.concatenate(errors), np.concatenate(recovered)
 
 
@@ -284,10 +271,10 @@ def run_phase_transition(sc: ConstraintScenario, tag: str, ns: Sequence[int], *,
     so the measurement proximity is delta = 2 * noise_level), solves over
     every admissible support, and scores success by the recovery threshold.
     A row's trials are drawn, measured, solved and scored as stacks (at
-    most RECOVERY_STACK_ENTRIES), each trial with the bits of its stack of
-    one, which `recover --seed` runs. Every input, each n included, is
-    checked before the first draw. Rows carry the thresholds d and 2d for
-    annotation.
+    most recovery.STACK_ENTRIES entries), each trial with the bits of its
+    stack of one, which `recover --seed` runs. Every input, each n
+    included, is checked before the first draw. Rows carry the thresholds
+    d and 2d for annotation.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -401,27 +388,27 @@ def _two_loop(g, S, Y, rho, used):
     return r
 
 
-def _lbfgs(fun, p, maxiter):
+def _lbfgs(fun, p, maxiter, *data):
     """Minimize each slot (row of p) independently with L-BFGS.
 
-    fun(points, idx) returns values and gradients of slots idx at the given
-    points; idx is a new array whenever the set of running slots changes,
-    and the same array object otherwise. Each slot runs its own weak-Wolfe
-    line search by bracketing (doubling, then bisection), so one call of
-    fun per round evaluates every running slot at its own trial point and
-    no slot waits for another slot's line search. Stop tests follow scipy's
-    L-BFGS-B: max |g| <= LBFGS_PGTOL or a relative reduction of f at most
-    LBFGS_FTOL is CONVERGED, maxiter iterations is MAXITER, and LBFGS_MAXLS
-    failed trials from steepest descent are LINE_SEARCH_FAILED (with
-    memory, they first clear the memory and retry). The state is kept for
-    running slots only and compacted when a slot stops. Returns the final
-    points and the per-slot status.
+    fun(points, *data) returns values and gradients of the running slots
+    at the given points, where data are arrays with one row per slot. Each
+    slot runs its own weak-Wolfe line search by bracketing (doubling, then
+    bisection), so one call of fun per round evaluates every running slot
+    at its own trial point and no slot waits for another slot's line
+    search. Stop tests follow scipy's L-BFGS-B: max |g| <= LBFGS_PGTOL or
+    a relative reduction of f at most LBFGS_FTOL is CONVERGED, maxiter
+    iterations is MAXITER, and LBFGS_MAXLS failed trials from steepest
+    descent are LINE_SEARCH_FAILED (with memory, they first clear the
+    memory and retry). The state, data included, is kept for running
+    slots only and compacted when a slot stops. Returns the final points
+    and the per-slot status.
     """
     B, dim = p.shape
     p_out = np.empty_like(p)
     status = np.full(B, _RUNNING)
     ids = np.arange(B)
-    f, g = fun(p, ids)
+    f, g = fun(p, *data)
     # per running slot: memory (newest first) and its pair count, line
     # search direction d, slope gd, trial step alpha in the bracket [lo, hi],
     # failed trials so far, whether memory was empty, and its stop code
@@ -448,9 +435,9 @@ def _lbfgs(fun, p, maxiter):
             run = ~stopped
             if not run.any():
                 break
-            ids, p, f, g, d, gd, alpha, lo, hi, tries, fresh, nit, used, need, code = (
-                arr[run] for arr in (ids, p, f, g, d, gd, alpha, lo, hi, tries, fresh,
-                                     nit, used, need, code))
+            (ids, p, f, g, d, gd, alpha, lo, hi, tries, fresh, nit, used, need, code,
+             *data) = (arr[run] for arr in (ids, p, f, g, d, gd, alpha, lo, hi, tries,
+                                            fresh, nit, used, need, code, *data))
             S, Y, rho = S[:, run], Y[:, run], rho[:, run]
         if need.any():
             dn = -_two_loop(g, S, Y, rho, used)
@@ -471,7 +458,7 @@ def _lbfgs(fun, p, maxiter):
             tries = np.where(need, 0, tries)
         a = alpha
         pt = p + a[:, None] * d
-        ft, gt = fun(pt, ids)
+        ft, gt = fun(pt, *data)
         sufficient = ft <= f + WOLFE_C1 * a * gd
         curved = (gt * d).sum(1) >= WOLFE_C2 * gd
         done = sufficient & curved
@@ -552,23 +539,13 @@ def _deviation_search(a, b, x0, y0, delta, p0, maxiter: int = 200):
     status per start, (T, S).
     """
     T, S = p0.shape[:2]
-    ac = np.repeat(a.conj(), S, axis=0)
-    bc = np.repeat(b.conj(), S, axis=0)
-    x0 = np.repeat(x0, S, axis=0)
-    y0 = np.repeat(y0, S, axis=0)
+    ac, bc, x0, y0 = (np.repeat(arr, S, axis=0) for arr in (a.conj(), b.conj(), x0, y0))
     delta = np.repeat(np.asarray(delta, dtype=float), S)
     M0 = x0[:, :, None] * y0[:, None, :]
     t0 = _times(ac, x0) * _times(bc, y0)
-    running = None  # (idx, the constants of slots idx), kept per running set
-
-    def fun(p, idx):
-        nonlocal running
-        if running is None or running[0] is not idx:
-            running = idx, (ac[idx], bc[idx], M0[idx], t0[idx], delta[idx])
-        return _deviation_objective(p, *running[1])
-
     with np.errstate(over="ignore", invalid="ignore"):
-        p, status = _lbfgs(fun, p0.reshape(T * S, -1), maxiter)
+        p, status = _lbfgs(_deviation_objective, p0.reshape(T * S, -1), maxiter,
+                           ac, bc, M0, t0, delta)
     x, y = _unpack(p, x0.shape[1], y0.shape[1])
     best = _feasible_scan(ac, bc, M0, t0, x0, y0, x, y, delta)
     return best.reshape(T, S).max(1), status.reshape(T, S)

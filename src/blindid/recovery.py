@@ -18,10 +18,11 @@ the spectral start alone first, then more random starts only for the
 trials that no slot has fit yet. Within a wave, all of a trial's slots,
 on every support, stop together as soon as one of them fits exactly.
 One trial is a stack of one. Certifier attempts run in chunks of 1, 8,
-64, ..., so a search may draw from the caller's rng past the attempt it
-returns; verdicts and budgets do not change. Per attempt only the rng
-draws run in Python; the planted matrices, their measurements, the fits
-and the counterexample rule run once per chunk, on the whole stack.
+64, ... (at most STACK_ENTRIES entries each), so a search may draw from
+the caller's rng past the attempt it returns; verdicts and budgets do not
+change. Per attempt only the rng draws run in Python; the planted
+matrices, their measurements, the fits and the counterexample rule run
+once per chunk, on the whole stack.
 """
 
 from __future__ import annotations
@@ -73,8 +74,11 @@ LM_RTOL = 1e-12
 LM_STEP_RTOL = 1e-12
 LM_MAX_ITER = 200
 INJECTIVITY_TOL = 1e-8
-# Operator entries per stacked SVD of the exact certificates (16 MiB).
-INJECTIVITY_STACK_ENTRIES = 1 << 20
+# Entries per stack (16 MiB of complex): P*n*k1*k2*starts per trial of a
+# solve, n*k1*k2 per rectangle of an exact certificate's stacked SVD and
+# n*(k1 + k2) + m1*m2 per certifier attempt. Slots are independent, so
+# the bound changes no result.
+STACK_ENTRIES = 1 << 20
 # Largest support enumeration a solver or certifier attempts.
 SUPPORT_CAP = 100_000
 
@@ -269,6 +273,14 @@ def _random_factors(count: int, size: int, rng: np.random.Generator) -> np.ndarr
     return _complex_normal(rng.standard_normal((count, 2, size)))
 
 
+def _trials_per_stack(sc: ConstraintScenario, restarts: int) -> int:
+    """Trials per solve of at most STACK_ENTRIES entries (at least 1), where
+    a trial's starts are restarts + 1 on the kernel and 1 for least squares."""
+    k = math.prod(sc.support_sizes)
+    per_trial = _pair_count(sc) * k * sc.n * (restarts + 1 if sc.n < k else 1)
+    return max(1, STACK_ENTRIES // per_trial)
+
+
 def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: int,
                         rng: Sequence[np.random.Generator]) -> RecoveryStack:
     """Minimize the frequency residual over rank-1 matrices supported on
@@ -334,7 +346,7 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: in
         residual = np.full((T, P, starts), np.inf)
         floor = LM_RESIDUAL_FLOOR * np.maximum(1.0, _norm(z_tilde))
         live = np.arange(T)
-        for wave in _chunks(starts, 2):
+        for wave in _chunks(starts, 2, starts):
             if wave.start == 1:  # the first random starts: draw them for the live trials
                 X0[live, :, 1:] = np.reshape([_random_factors(P * restarts, k1, rng[t])
                                               for t in live], (len(live), P, restarts, k1))
@@ -436,13 +448,13 @@ def _injective_on(ens: Ensemble, rows: np.ndarray, cols: np.ndarray) -> bool:
     """Whether the restricted operator is injective on each rectangle of a
     row of rows (U1, k1) by one of cols (U2, k2), taken rows-major; raises
     EnumerationCapError past SUPPORT_CAP rectangles. One stacked SVD (the
-    LAPACK call of np.linalg.svd) per stack of at most INJECTIVITY_STACK_ENTRIES
+    LAPACK call of np.linalg.svd) per stack of at most STACK_ENTRIES
     operator entries or of one rectangle, up to the first stack that fails."""
     (U1, k1), (U2, k2) = rows.shape, cols.shape
     _capped(U1 * U2, "support unions")
     if ens.n < k1 * k2:
         return False
-    per_stack = max(1, INJECTIVITY_STACK_ENTRIES // (ens.n * k1 * k2))
+    per_stack = max(1, STACK_ENTRIES // (ens.n * k1 * k2))
     for start in range(0, U1 * U2, per_stack):
         i = np.arange(start, min(start + per_stack, U1 * U2))
         s = np.linalg.svd(operator_matrix(ens, rows=rows[i // U2], cols=cols[i % U2]),
@@ -459,13 +471,18 @@ def _check_search(budget: int, tol: float) -> None:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
 
-def _chunks(budget: int, growth: int) -> Iterable[range]:
-    """Indices 0 .. budget-1 in chunks of 1, growth, growth**2, ..."""
+def _chunks(budget: int, growth: int, most: int) -> Iterable[range]:
+    """Indices 0 .. budget-1 in chunks of 1, growth, growth**2, ..., at most `most` each."""
     start = 0
     while start < budget:
-        stop = min(budget, growth * start + 1)
+        stop = min(budget, growth * start + 1, start + most)
         yield range(start, stop)
         start = stop
+
+
+def _attempts_per_chunk(sc: ConstraintScenario) -> int:
+    """Certifier attempts per chunk of at most STACK_ENTRIES entries (at least 1)."""
+    return max(1, STACK_ENTRIES // (sc.n * sum(sc.support_sizes) + sc.m1 * sc.m2))
 
 
 def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
@@ -488,13 +505,14 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
     if M0.x is None or np.linalg.norm(M0.x) == 0 or np.linalg.norm(M0.y) == 0:
         raise ValueError("planted matrix must have nonzero rank-1 factors")
 
-    S1, S2 = admissible_supports(sc)
+    _pair_count(sc)  # past SUPPORT_CAP, raise before any union is listed
     if _injective_on(ens, *map(_largest_unions, (sc.m1, sc.m2), sc.support_sizes,
                                _support_of(M0))):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
 
+    S1, S2 = admissible_supports(sc)
     z0 = apply_A(ens, M0)
-    for attempts in _chunks(budget, 8):
+    for attempts in _chunks(budget, 8, _attempts_per_chunk(sc)):
         rows, cols = (S[np.array(attempts) % len(S)] for S in (S1, S2))  # support t mod P
         aS, bS = support_rows(ens, rows, cols)
         X, Y, residual = _lm(aS, bS, np.broadcast_to(z0, (len(attempts), ens.n)),
@@ -533,12 +551,12 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
     _check_search(budget, tol)
     sc = ens.scenario
 
-    S1, S2 = admissible_supports(sc)
-    P, (k1, k2) = len(S1), sc.support_sizes
+    P, (k1, k2) = _pair_count(sc), sc.support_sizes
     if _injective_on(ens, _largest_unions(sc.m1, 2 * k1), _largest_unions(sc.m2, 2 * k2)):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
 
-    for attempts in _chunks(budget, 8):
+    S1, S2 = admissible_supports(sc)
+    for attempts in _chunks(budget, 8, _attempts_per_chunk(sc)):
         slots, picks, draws, starts = [], [], [], []
         for attempt in attempts:
             planted = rng.integers(P)

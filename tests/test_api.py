@@ -126,6 +126,26 @@ def test_orbit_distances_are_judged_by_the_counterexample_rule():
     assert len(distances) >= 3 and not unjudged, unjudged
 
 
+def test_stacks_are_sized_in_recovery_only():
+    # how many slots a solver or certifier stack holds is decided where its
+    # kernel runs: recovery.STACK_ENTRIES bounds every such stack and
+    # _pair_count gives a solve's supports, so no other module reads them
+    # or keeps a stack bound of its own in entries
+    src = Path(blindid.__file__).parent
+    readers, bounds = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        readers.update((path.name, name) for _, name in _names_by_function(tree)
+                       if name in ("_pair_count", "STACK_ENTRIES"))
+        bounds.update((path.name, target.id) for node in tree.body
+                      if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                      for target in getattr(node, "targets", [getattr(node, "target", None)])
+                      if isinstance(target, ast.Name) and target.id.endswith("_ENTRIES"))
+    assert readers == {("recovery.py", "_pair_count"), ("recovery.py", "STACK_ENTRIES")}, \
+        readers
+    assert bounds == {("recovery.py", "STACK_ENTRIES")}, bounds
+
+
 # Entry points whose options the CLI fills: after the leading positional
 # parameters, every option is keyword-only and has no default, so the CLI
 # holds every default.

@@ -367,6 +367,21 @@ class TestSubcommands:
             assert code == 2
             assert "n must be a positive integer" in err
 
+    @pytest.mark.parametrize("grid", ["", " ", ",", " , "])
+    def test_empty_sweep_grid(self, capsys, tmp_path, grid):
+        # an empty grid is refused, from a flag or from a config file,
+        # instead of printing a header-only CSV
+        argvs = [["transition", *_SUB22, "--n", "4", "--tag", "complex_generic",
+                  "--trials", "1", "--sweep", grid],
+                 ["stability", *_SUB22, "--n", "10", "--trials", "1", "--sweep", grid]]
+        conf = tmp_path / "grid.conf"
+        conf.write_text(f"kind=subspace\nm1=2\nm2=2\nn=4\ntrials=1\nsweep={grid}\n")
+        argvs.append(["transition", "--config", str(conf)])
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "bad sweep grid" in err, (argv, err)
+
 
 # Output bytes of the default reports, pinned. A file under tests/golden is
 # regenerated only by a change that means to move output bytes, and that

@@ -45,6 +45,25 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             ConstraintScenario(kind="sparsity", n=5, m1=4, m2=4, s1=1, s2=5)
 
+    def test_sparsity_levels_are_integers(self):
+        # a fractional level used to pass and fail later in math.comb;
+        # numpy integers pass, and integer levels out of range keep their
+        # per-kind messages
+        for kind, s1, s2, bad in (("sparsity", 1.5, 1, "s1"), ("sparsity", 1, 2.0, "s2"),
+                                  ("mixed", 1.5, None, "s1"), ("sparsity", "1", 1, "s1")):
+            value = s1 if bad == "s1" else s2
+            with pytest.raises(ScenarioError,
+                               match=f"^{bad} must be a positive integer, got {value!r}$"):
+                ConstraintScenario(kind, 4, 3, 3, s1=s1, s2=s2)
+        sc = ConstraintScenario("sparsity", 4, 3, 3, s1=np.int64(1), s2=np.int32(2))
+        assert sc.support_sizes == (1, 2)
+        with pytest.raises(ScenarioError, match=r"^sparsity scenario requires 1 <= s1 <= m1, "
+                                                r"got s1=0$"):
+            ConstraintScenario("sparsity", 4, 3, 3, s1=0, s2=1)
+        with pytest.raises(ScenarioError, match=r"^mixed scenario requires 1 <= s1 <= m1, "
+                                                r"got s1=4$"):
+            ConstraintScenario("mixed", 4, 3, 3, s1=4)
+
 
 class TestSeedMixing:
     def test_deterministic(self):

@@ -143,7 +143,7 @@ class TestPhaseTransition:
         # (sparsity 3x4 with s1 = 2, s2 = 3 at n = 4 and at n = d = 5, its
         # 12 supports in one solve) take the restarted Levenberg-Marquardt kernel, the rest
         # least squares. A row's trials are drawn, measured, solved and
-        # scored in stacks of at most RECOVERY_STACK_ENTRIES
+        # scored in stacks of at most recovery.STACK_ENTRIES
         # P*n*k1*k2*starts per trial, for P supports of k1 x k2 and
         # restarts + 1 starts on the kernel rows (1 on least-squares rows),
         # which change no result: stacks of 5 to 8 trials split every
@@ -168,7 +168,7 @@ class TestPhaseTransition:
                 return real(ens, z_tilde, **kw)
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(mc, "RECOVERY_STACK_ENTRIES", entries)
+                mp.setattr(recovery, "STACK_ENTRIES", entries)
                 mp.setattr(mc, "solve_sparse_enumerate", spy)
                 assert mc.sweep_csv(mc.TRANSITION_COLUMNS,
                                     mc.run_phase_transition(sc, tag, sweep, **kw)) == csv
@@ -384,11 +384,15 @@ def _reference_wolfe_search(fun, idx, p, f, d, gd, step):
     return ok, p_new, f_new, g_new
 
 
-def _reference_lbfgs(fun, p, maxiter):
+def _reference_lbfgs(objective, p, maxiter, *data):
     """Lockstep batched L-BFGS, kept as the reference for mc._lbfgs: each
     iteration runs one line search over all running slots together, so the
     batch waits for its slowest slot. Each slot's arithmetic is the same as
     in the per-slot kernel."""
+
+    def fun(points, idx):
+        return objective(points, *(arr[idx] for arr in data))
+
     B, dim = p.shape
     p = p.copy()
     f, g = fun(p, np.arange(B))
@@ -480,7 +484,7 @@ def _mixed_stops():
     different rounds: five quadratics converge in rounds 11 to 13, two
     uphill slots fail their line search in round 21, two wrong-gradient
     slots fail in round 43, and two Rosenbrock slots reach maxiter = 20 in
-    rounds 23 and 26."""
+    rounds 23 and 26. The data are the slot indices."""
     quadratic, _, _ = _quadratics()
     groups = ((quadratic, 0, 5), (_uphill, 5, 7), (_wrong_below_half, 7, 9),
               (_rosenbrock, 9, 11))
@@ -498,7 +502,7 @@ def _mixed_stops():
     p0[8] = [4.0, 0.9, 2.5, 3.0, 1.0, 6.0]
     p0[9] = -1.2
     p0[10] = [-1.2, 1.0, -1.2, 1.0, -1.2, 1.0]
-    return fun, p0, 20
+    return fun, p0, 20, np.arange(len(p0))
 
 
 @pytest.fixture(scope="module")
@@ -508,9 +512,9 @@ def stability_batch():
     budgets, 6 trials, 3 starts each, so 54 slots."""
     batches = []
 
-    def capture(fun, p, maxiter):
-        batches.append((fun, p.copy(), maxiter))
-        return _reference_lbfgs(fun, p, maxiter)
+    def capture(fun, p, maxiter, *data):
+        batches.append((fun, p.copy(), maxiter, *data))
+        return _reference_lbfgs(fun, p, maxiter, *data)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mc, "_lbfgs", capture)
@@ -587,10 +591,11 @@ class TestDeviationSearch:
             Aq = (A[idx] * q[:, None, :]).sum(2)
             return 0.5 * (q * Aq).sum(1) - (c[idx] * q).sum(1), Aq - c[idx]
 
-        p, status = mc._lbfgs(quadratic, np.zeros((5, 6)), maxiter=200)
+        slots = np.arange(5)
+        p, status = mc._lbfgs(quadratic, np.zeros((5, 6)), 200, slots)
         assert (status == mc.CONVERGED).all()
         assert np.allclose(p, np.linalg.solve(A, c[:, :, None])[:, :, 0], atol=1e-4)
-        _, status = mc._lbfgs(quadratic, np.zeros((5, 6)), maxiter=1)
+        _, status = mc._lbfgs(quadratic, np.zeros((5, 6)), 1, slots)
         assert (status == mc.MAXITER).all()
 
         # a search cut after one iteration reports every slot as MAXITER
@@ -606,7 +611,7 @@ class TestDeviationSearch:
         def uphill(q, idx):
             return (q * q).sum(1), -q
 
-        _, status = mc._lbfgs(uphill, np.ones((2, 3)), maxiter=200)
+        _, status = mc._lbfgs(uphill, np.ones((2, 3)), 200, np.arange(2))
         assert (status == mc.LINE_SEARCH_FAILED).all()
 
     def test_lbfgs_matches_lockstep_reference(self, stability_batch):
@@ -615,14 +620,15 @@ class TestDeviationSearch:
         quadratic, _, _ = _quadratics()
         mixed = _mixed_stops()
         cases = [stability_batch,
-                 (quadratic, np.zeros((5, 6)), 200),
-                 (quadratic, np.zeros((5, 6)), 1),
-                 (_uphill, np.ones((2, 3)), 200),
-                 (_wrong_below_half, np.array([[3.0, 2.0], [5.0, 1.5], [0.7, 4.0]]), 200),
+                 (quadratic, np.zeros((5, 6)), 200, np.arange(5)),
+                 (quadratic, np.zeros((5, 6)), 1, np.arange(5)),
+                 (_uphill, np.ones((2, 3)), 200, np.arange(2)),
+                 (_wrong_below_half, np.array([[3.0, 2.0], [5.0, 1.5], [0.7, 4.0]]), 200,
+                  np.arange(3)),
                  mixed]
-        for fun, p0, maxiter in cases:
-            p, status = mc._lbfgs(fun, p0, maxiter)
-            p_ref, status_ref = _reference_lbfgs(fun, p0, maxiter)
+        for fun, p0, maxiter, *data in cases:
+            p, status = mc._lbfgs(fun, p0, maxiter, *data)
+            p_ref, status_ref = _reference_lbfgs(fun, p0, maxiter, *data)
             assert p.tobytes() == p_ref.tobytes()
             assert np.array_equal(status, status_ref)
         # the mixed batch drops slots from its running set with every code
@@ -634,19 +640,20 @@ class TestDeviationSearch:
         # a slot never waits for another: after the call at the starts,
         # every call is one trial of each running slot, so the calls are one
         # more than the most trials any slot makes
-        fun, p0, maxiter = stability_batch
+        # (the slot indices ride along as the last data array)
+        fun, p0, maxiter, *data = stability_batch
 
         def counted(kernel):
             calls, trials = 0, np.zeros(p0.shape[0], dtype=int)
 
-            def wrapped(points, idx):
+            def wrapped(points, *data_and_idx):
                 nonlocal calls
                 calls += 1
                 if calls > 1:
-                    trials[idx] += 1
-                return fun(points, idx)
+                    trials[data_and_idx[-1]] += 1
+                return fun(points, *data_and_idx[:-1])
 
-            kernel(wrapped, p0, maxiter)
+            kernel(wrapped, p0, maxiter, *data, np.arange(len(p0)))
             return calls, trials
 
         calls, trials = counted(mc._lbfgs)

@@ -456,7 +456,7 @@ def test_largest_unions_cover_every_union():
 
 
 def test_injective_on_bounds_its_stacks(monkeypatch):
-    # every stack holds at most INJECTIVITY_STACK_ENTRIES operator entries
+    # every stack holds at most STACK_ENTRIES operator entries
     # (or one rectangle), the rectangles checked are exactly the products of
     # the largest unions, fewer than the distinct unions, the verdict is
     # that of one SVD per union, and the check stops at the first stack
@@ -477,7 +477,7 @@ def test_injective_on_bounds_its_stacks(monkeypatch):
     for n, entries in itertools.product((4, 6), (1, 40, 1 << 20)):
         ens = build_ensemble(sc.with_n(n), COMPLEX_GENERIC, n)
         assert all(oracles._injective_on(ens, R1, R2) for R1, R2 in unions)
-        monkeypatch.setattr(recovery, "INJECTIVITY_STACK_ENTRIES", entries)
+        monkeypatch.setattr(recovery, "STACK_ENTRIES", entries)
         stacks.clear()
         assert recovery._injective_on(ens, rows, cols)
         assert all(len(stack) * n * 4 <= max(entries, n * 4) for stack in stacks)
@@ -485,7 +485,7 @@ def test_injective_on_bounds_its_stacks(monkeypatch):
         assert checked == list(itertools.product(map(tuple, rows.tolist()),
                                                  map(tuple, cols.tolist())))
         assert len(stacks) == math.ceil(len(checked) / max(1, entries // (n * 4)))
-    monkeypatch.setattr(recovery, "INJECTIVITY_STACK_ENTRIES", 100)
+    monkeypatch.setattr(recovery, "STACK_ENTRIES", 100)
     monkeypatch.setattr(recovery, "INJECTIVITY_TOL", np.inf)
     stacks.clear()
     assert not recovery._injective_on(ens, rows, cols)
@@ -544,8 +544,8 @@ def test_certifier_chunks_grow_by_eight_and_solver_waves_by_two(monkeypatch):
     # a search that finds nothing fits its 100 attempts in chunks of 1, 8,
     # 64 and 27, at both levels; a solve that fits no trial runs its 1 + 6
     # starts in waves of 1, 2 and 4
-    assert [len(c) for c in recovery._chunks(100, 8)] == [1, 8, 64, 27]
-    assert [len(c) for c in recovery._chunks(63, 2)] == [1, 2, 4, 8, 16, 32]
+    assert [len(c) for c in recovery._chunks(100, 8, 100)] == [1, 8, 64, 27]
+    assert [len(c) for c in recovery._chunks(63, 2, 63)] == [1, 2, 4, 8, 16, 32]
     calls = []
     real = recovery._lm
     monkeypatch.setattr(recovery, "_lm",
@@ -562,6 +562,86 @@ def test_certifier_chunks_grow_by_eight_and_solver_waves_by_two(monkeypatch):
     solve_fixed_support(ens, z, *admissible_supports(subspace(8, 3, 3)), 6,
                         [np.random.default_rng(81)])
     assert calls == [1, 2, 4]
+
+
+def test_certifier_chunks_hold_at_most_the_stack_bound(monkeypatch):
+    # with STACK_ENTRIES at three attempts' entries (restricted rows
+    # n * (k1 + k2) and the m1 x m2 far test each), every fit stack holds at
+    # most 3 attempts; attempt t draws the same values in any chunking, so
+    # verdicts, budgets and witnesses equal the uncapped run's, also for
+    # the counterexamples found past the first chunks (attempts 8 to 24)
+    calls = []
+    real = recovery._lm
+    spy = lambda aS, *args: calls.append(len(aS)) or real(aS, *args)  # noqa: E731
+    found = 0
+    for sc, (level, certify), seed, tol in itertools.product(
+            (subspace(3), ConstraintScenario("sparsity", 1, 5, 5, 1, 1)),
+            (("weak", certify_weak), ("strong", certify_strong)), range(3), (1e-6, 0.1)):
+        ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
+        args = (ens, M0) if level == "weak" else (ens,)
+        want = certify(*args, budget=100, tol=tol, rng=np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recovery, "STACK_ENTRIES", 3 * (sc.n * sum(sc.support_sizes)
+                                                       + sc.m1 * sc.m2))
+            mp.setattr(recovery, "_lm", spy)
+            calls.clear()
+            got = certify(*args, budget=100, tol=tol, rng=np.random.default_rng(seed))
+        assert calls and max(calls) <= 3, calls
+        assert (got.status, got.search_budget) == (want.status, want.search_budget), \
+            (sc, level, seed, tol)
+        if got.status == COUNTEREXAMPLE_FOUND:
+            found += got.search_budget > 4
+            assert np.array_equal(got.witness.M, want.witness.M)
+            assert np.array_equal(got.reference.M, want.reference.M)
+    assert found >= 8, found
+    # an attempt larger than the bound still runs, one per chunk
+    assert [len(c) for c in recovery._chunks(5, 8, 1)] == [1] * 5
+    assert [len(c) for c in recovery._chunks(30, 8, 3)] == [1] + [3] * 9 + [2]
+
+
+def test_trials_per_stack_keeps_the_solver_stack_bound():
+    # P*n*k1*k2*starts entries per trial, with restarts + 1 starts on the
+    # kernel (n < k1*k2) and 1 for least squares, over the certifier grid
+    # and the transition scenarios; at least one trial per stack
+    grid = _certify_grid() + [subspace(n, 3, 3) for n in (3, 6, 9)] + [
+        ConstraintScenario("sparsity", n, 3, 4, 2, 3) for n in (4, 5, 6)] + [
+        ConstraintScenario("mixed", 4, 4, 4, 2), subspace(1000, 40, 40)]
+    for sc, restarts in itertools.product(grid, (0, 3, 62)):
+        k = math.prod(sc.support_sizes)
+        P = math.comb(sc.m1, sc.support_sizes[0]) * math.comb(sc.m2, sc.support_sizes[1])
+        per_trial = P * k * sc.n * (restarts + 1 if sc.n < k else 1)
+        assert recovery._trials_per_stack(sc, restarts) == max(1, (1 << 20) // per_trial)
+    assert recovery._trials_per_stack(subspace(1000, 40, 40), 0) == 1
+
+
+def test_exact_path_builds_no_support_pairs(monkeypatch):
+    # a verdict the certificate decides reads no support pairs, so it
+    # builds none; a scenario past the pair cap raises the enumeration's
+    # message before any union is listed or any SVD runs
+    built, checked = [], []
+    real_supports, real_operator = recovery.admissible_supports, recovery.operator_matrix
+    monkeypatch.setattr(recovery, "admissible_supports",
+                        lambda sc: built.append(sc) or real_supports(sc))
+    monkeypatch.setattr(recovery, "operator_matrix",
+                        lambda ens, **kw: checked.append(1) or real_operator(ens, **kw))
+    ens, M0, _, _ = draw_trial(ConstraintScenario("sparsity", 6, 5, 5, 1, 1), COMPLEX_GENERIC,
+                               0, R=None)
+    for v in (certify_weak(ens, M0, budget=10, tol=1e-6, rng=np.random.default_rng(0)),
+              certify_strong(ens, budget=10, tol=1e-6, rng=np.random.default_rng(0))):
+        assert v.status == CERTIFIED_UNIQUE
+    assert checked and not built
+    checked.clear()
+    monkeypatch.setattr(recovery, "_largest_unions", lambda *args: checked.append(args))
+    sc = ConstraintScenario("sparsity", 4, 30, 30, 5, 5)
+    ens = build_ensemble(sc, COMPLEX_GENERIC, 1)
+    e = np.eye(30)
+    for certify, args in ((certify_weak, (ens, LiftedMatrix.from_factors(e[0], e[1]))),
+                          (certify_strong, (ens,))):
+        with pytest.raises(EnumerationCapError,
+                           match=f"^{math.comb(30, 5) ** 2} support pairs exceed the cap "
+                                 "of 100000; use a smaller instance$"):
+            certify(*args, budget=10, tol=1e-6, rng=np.random.default_rng(0))
+    assert not checked and not built
 
 
 @pytest.mark.parametrize("level", ["weak", "strong"])
