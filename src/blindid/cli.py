@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bounds, mc
 from .ensembles import (COMPLEX_UNIFORM_BALL, ConstraintScenario,
-                        ScenarioError, build_ensemble, mix_seed)
+                        ScenarioError, mix_seed)
 from .recovery import _far, certify_strong, certify_weak, verify_counterexample
 
 __all__ = ["RunConfig", "parse_config", "emit_report", "main"]
@@ -177,35 +177,17 @@ def _scenario(v: dict) -> ConstraintScenario:
 def _parse_sweep(raw: Optional[str], integral: bool) -> tuple:
     if raw is None:
         raise ConfigError("missing required option --sweep (comma-separated grid)")
+    # every token is parsed, so an empty one ("4,,4", "4,", "") is refused
     try:
-        vals = [int(tok) if integral else finite_float(tok)
-                for tok in raw.split(",") if tok.strip()]
+        return tuple(int(tok) if integral else finite_float(tok) for tok in raw.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad sweep grid {raw!r}") from exc
-    if not vals:
-        raise ConfigError(f"bad sweep grid {raw!r}")
-    return tuple(vals)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)!r}")
-
-
-def emit_report(result, fmt: str, path: Optional[str]) -> None:
-    """Write a result as JSON (sorted keys) or CSV (pre-rendered string),
-    always with a trailing newline, to the path or stdout."""
-    if fmt == "json":
-        text = json.dumps(result, sort_keys=True, default=_json_default) + "\n"
-    elif fmt == "csv":
-        text = result if result.endswith("\n") else result + "\n"
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
+def emit_report(report, path: Optional[str]) -> None:
+    """Write a report to the path or stdout: text (a sweep's CSV) as it is,
+    anything else as JSON with sorted keys and a trailing newline."""
+    text = report if isinstance(report, str) else json.dumps(report, sort_keys=True) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -213,14 +195,9 @@ def emit_report(result, fmt: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _build(sc: ConstraintScenario, v: dict):
-    return build_ensemble(sc, v["tag"], v["seed"],
-                          R=mc.ensemble_radius(v["tag"], sc, v["R"]))
-
-
 def _cmd_gen(v: dict):
-    sc = _scenario(v)
-    return _build(sc, v).to_manifest(), "json"
+    # the ensemble of the trial that `recover --seed s` solves
+    return mc.trial_ensemble(_scenario(v), v["tag"], [v["seed"]], R=v["R"]).trial(0).to_manifest()
 
 
 def _cmd_recover(v: dict):
@@ -234,7 +211,7 @@ def _cmd_recover(v: dict):
         "success": bool(ok[0]),
         "support": [S[0].tolist() for S in fit.supports],
         "restarts_used": fit.restarts_used,
-    }, "json"
+    }
 
 
 def _cmd_certify(v: dict):
@@ -250,7 +227,8 @@ def _cmd_certify(v: dict):
         ens, M0, _, _ = mc.draw_trial(sc, v["tag"], v["seed"], R=v["R"])
         verdict = certify_weak(ens, M0, budget=v["budget"], tol=v["tol"], rng=rng)
     elif v["level"] == "strong":
-        ens = _build(sc, v)
+        # that trial's ensemble
+        ens = mc.trial_ensemble(sc, v["tag"], [v["seed"]], R=v["R"]).trial(0)
         verdict = certify_strong(ens, budget=v["budget"], tol=v["tol"], rng=rng)
     else:
         raise ConfigError(f"level must be 'weak' or 'strong', got {v['level']!r}")
@@ -258,13 +236,13 @@ def _cmd_certify(v: dict):
            "tolerance": verdict.tolerance}
     if verdict.witness is not None:
         out["witness_verified"] = verify_counterexample(verdict, ens)
-    return out, "json"
+    return out
 
 
 def _cmd_bounds(v: dict):
     sc = _scenario(v)
     return bounds.make_report(sc, delta=v["delta"], epsilon=v["epsilon"], R=v["R"],
-                              rho=v["rho"], ell=v["ell"], L=v["L"]), "json"
+                              rho=v["rho"], ell=v["ell"], L=v["L"])
 
 
 def _cmd_smallball(v: dict):
@@ -277,7 +255,7 @@ def _cmd_smallball(v: dict):
     L = float(np.linalg.norm(M, 2))
     bound = bounds.small_ball_bound("complex", v["rho"], L, L, v["R"], v["m1"], v["m2"])
     return {"p_hat": p_hat, "std_err": se, "bound": bound, "rho": v["rho"],
-            "trials": v["trials"]}, "json"
+            "trials": v["trials"]}
 
 
 def _cmd_transition(v: dict):
@@ -286,7 +264,7 @@ def _cmd_transition(v: dict):
     rows = mc.run_phase_transition(sc, v["tag"], ns, trials=v["trials"], seed=v["seed"],
                                    restarts=v["restarts"], noise_level=v["noise_level"],
                                    R=v["R"])
-    return mc.sweep_csv(mc.TRANSITION_COLUMNS, rows), "csv"
+    return mc.sweep_csv(mc.TRANSITION_COLUMNS, rows)
 
 
 def _cmd_stability(v: dict):
@@ -299,7 +277,7 @@ def _cmd_stability(v: dict):
     rows = mc.run_stability_sweep(sc, deltas, trials=v["trials"], seed=v["seed"],
                                   restarts=v["restarts"], R=v["R"], mode=v["mode"],
                                   starts=v["starts"])
-    return mc.sweep_csv(mc.STABILITY_COLUMNS, rows), "csv"
+    return mc.sweep_csv(mc.STABILITY_COLUMNS, rows)
 
 
 _HANDLERS = {
@@ -317,7 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cfg = parse_config(argv)
-        result, fmt = _HANDLERS[cfg.subcommand](cfg.values)
+        report = _HANDLERS[cfg.subcommand](cfg.values)
     except (ConfigError, ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -325,7 +303,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
     try:
-        emit_report(result, fmt, cfg.values.get("out"))
+        emit_report(report, cfg.values.get("out"))
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

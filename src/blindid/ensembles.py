@@ -75,12 +75,13 @@ class ConstraintScenario:
     def __post_init__(self):
         if self.kind not in ("subspace", "mixed", "sparsity"):
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
+        # bool is an int subclass, but True is no dimension
         for name in ("n", "m1", "m2"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ScenarioError(f"{name} must be a positive integer, got {v!r}")
         for name, v in (("s1", self.s1), ("s2", self.s2)):  # ranges are checked per kind
-            if not isinstance(v, (int, np.integer, type(None))):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer, type(None))):
                 raise ScenarioError(f"{name} must be a positive integer, got {v!r}")
         if self.kind == "subspace":
             if self.s1 is not None or self.s2 is not None:

@@ -51,6 +51,7 @@ __all__ = [
     "mean_isometry_relative_error",
     "run_phase_transition",
     "run_stability_sweep",
+    "trial_ensemble",
     "draw_trial",
     "recover_stack",
     "sweep_csv",
@@ -140,6 +141,16 @@ def ensemble_radius(tag: str, sc: ConstraintScenario,
     return None
 
 
+def trial_ensemble(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
+                   R: Optional[float]) -> Ensemble:
+    """The stacked ensembles of the trials with seeds `seeds`: trial seed s
+    builds the ensemble of seed mix_seed(s, 0), of radius
+    ensemble_radius(tag, sc, R). This is the one rule from a trial seed to
+    its ensemble, for every sweep trial and every CLI subcommand."""
+    return build_ensemble(sc, tag, [mix_seed(seed, 0) for seed in seeds],
+                          R=ensemble_radius(tag, sc, R))
+
+
 def _plant_factors(sc: ConstraintScenario, real: bool,
                    rngs: Sequence[np.random.Generator]) -> Tuple[np.ndarray, np.ndarray]:
     """The factors X (T, m1) and Y (T, m2), not yet normalized, of a random
@@ -187,14 +198,13 @@ def _draw_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
     admissible matrix, and each trial's open plant and solver streams.
 
     Each stream is derived from the trial seed: mix_seed(seed, 0) builds the
-    ensemble, mix_seed(seed, 1) plants (and then draws any noise), and
-    mix_seed(seed, 2), built when first read, drives the solver or the
-    deviation search. Only the draws run per trial, one generator call per
+    ensemble (trial_ensemble), mix_seed(seed, 1) plants (and then draws any
+    noise), and mix_seed(seed, 2), built when first read, drives the solver
+    or the deviation search. Only the draws run per trial, one generator call per
     block; the rest runs once on the stack. Returns
     (ens, X, Y, plant_rngs, solver_rngs).
     """
-    ens = build_ensemble(sc, tag, [mix_seed(seed, 0) for seed in seeds],
-                         R=ensemble_radius(tag, sc, R))
+    ens = trial_ensemble(sc, tag, seeds, R=R)
     plant_rngs = [np.random.default_rng(mix_seed(seed, 1)) for seed in seeds]
     X, Y = _plant_factors(sc, tag in (REAL_GENERIC, REAL_UNIFORM_BALL), plant_rngs)
     X = X / (_norm(X) * _norm(Y))[:, None]

@@ -146,6 +146,17 @@ def test_stacks_are_sized_in_recovery_only():
     assert bounds == {("recovery.py", "STACK_ENTRIES")}, bounds
 
 
+def test_ensembles_are_built_by_the_trial_rule_only():
+    # --seed s names one ensemble, that of mix_seed(s, 0): gen, recover, both
+    # certify levels and every sweep trial build it through mc.trial_ensemble,
+    # so no other function reads build_ensemble to map a seed a second way
+    src = Path(blindid.__file__).parent
+    found = {(path.name, owner) for path in sorted(src.glob("*.py"))
+             for owner, name in _names_by_function(ast.parse(path.read_text()))
+             if name == "build_ensemble" and owner is not None}
+    assert found == {("mc.py", "trial_ensemble")}, found
+
+
 # Entry points whose options the CLI fills: after the leading positional
 # parameters, every option is keyword-only and has no default, so the CLI
 # holds every default.

@@ -9,8 +9,8 @@ import pytest
 
 from blindid import cli, mc
 from blindid.cli import ConfigError, emit_report, main, parse_config
-from blindid.ensembles import ConstraintScenario, mix_seed
-from blindid.recovery import certify_weak, verify_counterexample
+from blindid.ensembles import ConstraintScenario, build_ensemble, mix_seed
+from blindid.recovery import certify_strong, certify_weak, verify_counterexample
 
 
 def run(capsys, *argv):
@@ -172,9 +172,17 @@ class TestExitCodes:
 
 class TestEmitReport:
     def test_json_sorted_keys_trailing_newline(self, capsys):
-        emit_report({"b": 1, "a": 2.5}, "json", None)
+        emit_report({"b": 1, "a": 2.5}, None)
         out = capsys.readouterr().out
         assert out == '{"a": 2.5, "b": 1}\n'
+
+    def test_text_written_as_it_is(self, tmp_path, capsys):
+        # a sweep's CSV is text, written byte for byte to stdout or a file
+        text = "n,rate\n4,1.0\n"
+        emit_report(text, None)
+        assert capsys.readouterr().out == text
+        emit_report(text, str(tmp_path / "rows.csv"))
+        assert (tmp_path / "rows.csv").read_bytes() == text.encode()
 
     def test_json_round_trip_is_lossless(self, capsys):
         code, out, _ = run(capsys, "bounds", "--kind", "subspace", "--m1", "2",
@@ -183,10 +191,6 @@ class TestEmitReport:
         assert json.loads(json.dumps(report)) == report
         # shortest-round-trip float serialization preserves all 17 digits
         assert json.loads(json.dumps(report["C"])) == report["C"]
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ConfigError):
-            emit_report({}, "xml", None)
 
     def test_csv_written_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "rows.csv"
@@ -265,7 +269,13 @@ class TestSubcommands:
                            "--seed", "9")
         assert code == 0
         manifest = json.loads(out)
-        assert manifest["seed"] == 9 and manifest["scenario"]["n"] == 6
+        assert manifest["seed"] == mix_seed(9, 0) and manifest["scenario"]["n"] == 6
+        # the manifest rebuilds the ensemble of the trial that recover --seed 9 solves
+        sc = ConstraintScenario(**manifest["scenario"])
+        ens = build_ensemble(sc, manifest["tag"], manifest["seed"], R=manifest["R"])
+        want = mc.draw_trial(sc, "complex_generic", 9, R=None)[0]
+        for name in ("D", "E", "a", "b"):
+            assert np.array_equal(getattr(ens, name), getattr(want, name)), name
 
     def test_recover_noiseless_success(self, capsys):
         code, out, _ = run(capsys, "recover", "--kind", "subspace", "--m1", "2",
@@ -324,6 +334,34 @@ class TestSubcommands:
                 want["witness_verified"] = verify_counterexample(verdict, ens)
             assert json.loads(out) == want
 
+    def test_certify_strong_certifies_the_recover_trial(self, capsys, monkeypatch):
+        # --level strong --seed s certifies the ensemble of the trial that
+        # recover --seed s solves, with verdict stream mix_seed(s, 3)
+        seen = []
+
+        def spy(ens, **kw):
+            seen.append(ens)
+            return certify_strong(ens, **kw)
+
+        monkeypatch.setattr(cli, "certify_strong", spy)
+        for n in (1, 6):
+            sc = ConstraintScenario(kind="sparsity", n=n, m1=5, m2=5, s1=1, s2=1)
+            code, out, _ = run(capsys, "certify", "--kind", "sparsity", "--n", str(n),
+                               "--m1", "5", "--m2", "5", "--s1", "1", "--s2", "1",
+                               "--tag", "complex_generic", "--level", "strong",
+                               "--seed", "21")
+            assert code == 0
+            ens = mc.draw_trial(sc, "complex_generic", 21, R=None)[0]
+            cli_ens = seen.pop()
+            assert np.array_equal(cli_ens.a, ens.a) and np.array_equal(cli_ens.b, ens.b)
+            verdict = certify_strong(ens, budget=100, tol=1e-6,
+                                     rng=np.random.default_rng(mix_seed(21, 3)))
+            want = {"status": verdict.status, "search_budget": verdict.search_budget,
+                    "tolerance": verdict.tolerance}
+            if verdict.witness is not None:
+                want["witness_verified"] = verify_counterexample(verdict, ens)
+            assert json.loads(out) == want
+
     def test_smallball(self, capsys):
         code, out, _ = run(capsys, "smallball", "--m1", "1", "--m2", "1",
                            "--rho", "0.2", "--trials", "2000")
@@ -367,10 +405,11 @@ class TestSubcommands:
             assert code == 2
             assert "n must be a positive integer" in err
 
-    @pytest.mark.parametrize("grid", ["", " ", ",", " , "])
+    @pytest.mark.parametrize("grid", ["", " ", ",", " , ", "4,,4", "4,", ",4"])
     def test_empty_sweep_grid(self, capsys, tmp_path, grid):
-        # an empty grid is refused, from a flag or from a config file,
-        # instead of printing a header-only CSV
+        # an empty grid, or an empty token in one, is refused, from a flag or
+        # from a config file, instead of printing a header-only CSV or
+        # dropping the token
         argvs = [["transition", *_SUB22, "--n", "4", "--tag", "complex_generic",
                   "--trials", "1", "--sweep", grid],
                  ["stability", *_SUB22, "--n", "10", "--trials", "1", "--sweep", grid]]

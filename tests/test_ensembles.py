@@ -64,6 +64,16 @@ class TestScenarioValidation:
                                                 r"got s1=4$"):
             ConstraintScenario("mixed", 4, 3, 3, s1=4)
 
+    def test_bools_are_not_integers(self):
+        # bool is an int subclass; numpy integers still pass (above)
+        for name in ("n", "m1", "m2", "s1", "s2"):
+            fields = {**dict(n=4, m1=3, m2=3, s1=1, s2=1), name: True}
+            with pytest.raises(ScenarioError,
+                               match=f"^{name} must be a positive integer, got True$"):
+                ConstraintScenario("sparsity", **fields)
+        with pytest.raises(ScenarioError, match="^n must be a positive integer, got True$"):
+            ConstraintScenario("sparsity", True, 3, 3, s1=True, s2=1)
+
 
 class TestSeedMixing:
     def test_deterministic(self):
