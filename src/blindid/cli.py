@@ -8,8 +8,6 @@ are rejected. Exit codes: 0 success, 2 validation error, 3 IO error.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
@@ -20,8 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds, mc
-from .ensembles import (COMPLEX_UNIFORM_BALL, ConstraintScenario,
-                        ScenarioError, mix_seed)
+from .ensembles import COMPLEX_UNIFORM_BALL, ConstraintScenario, mix_seed
 from .recovery import _far, certify_strong, certify_weak, verify_counterexample
 
 __all__ = ["RunConfig", "parse_config", "emit_report", "main"]
@@ -80,7 +77,9 @@ _ALLOWED = {
     "stability": _SCENARIO_KEYS + ("tag", "seed", "R", "trials", "sweep",
                                    "mode", "starts", "restarts", "out"),
 }
-_SUBCOMMANDS = tuple(_ALLOWED)
+# per subcommand: each flag (--config, or --<key> with _ written as -) -> key
+_FLAGS = {sub: {"--" + key.replace("_", "-"): key for key in ("config",) + keys}
+          for sub, keys in _ALLOWED.items()}
 
 
 class ConfigError(ValueError):
@@ -115,55 +114,49 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
 
-# built once per process: parse_args leaves the parser unchanged
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="blindid",
-        description="Identifiability and stability laboratory for lifted "
-                    "blind deconvolution.")
-    sub = parser.add_subparsers(dest="subcommand")
-    for name in _SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        for key in _ALLOWED[name]:
-            typ, _ = _OPTION_SPECS[key]
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                           type=typ, default=None)
-    return parser
+class _Help(Exception):
+    """-h or --help in a flag position; the message is the usage line."""
 
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
-    """Merge flags, the BLINDID_SEED environment variable, an optional flat
-    key=value config file, and per-option defaults (in that precedence)."""
-    parser = _build_parser()
-    args = parser.parse_args(list(argv))
-    if args.subcommand is None:
-        raise ConfigError(f"a subcommand is required: one of {', '.join(_SUBCOMMANDS)}")
-    allowed = _ALLOWED[args.subcommand]
+    """Merge flags (`--flag value` or `--flag=value`, the last of a key
+    wins), the BLINDID_SEED environment variable, an optional flat key=value
+    config file, and per-option defaults (in that precedence). Every value
+    is a raw string until one _coerce call per key converts it."""
+    if not argv or argv[0] not in _ALLOWED:
+        raise ConfigError(f"a subcommand must come first, one of {', '.join(_ALLOWED)}")
+    sub, flags = argv[0], _FLAGS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            raise _Help(f"usage: blindid {sub} " + " ".join(
+                f"[{flag} {key.upper()}]" for flag, key in flags.items()))
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise ConfigError(f"unknown option {flag!r} for subcommand {sub!r}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise ConfigError(f"option {flag} needs a value")
+        given[flags[flag]] = value
 
-    file_values = {}
-    if args.config is not None:
-        raw = _read_config_file(args.config)
-        for key, value in raw.items():
-            if key not in allowed:
-                raise ConfigError(
-                    f"unknown config key {key!r} for subcommand {args.subcommand!r}")
-            file_values[key] = _coerce(key, value)
+    raw = {}
+    if "config" in given:
+        raw = _read_config_file(given.pop("config"))
+        for key in raw:
+            if key not in _ALLOWED[sub]:
+                raise ConfigError(f"unknown config key {key!r} for subcommand {sub!r}")
+    if "seed" in _ALLOWED[sub] and os.environ.get("BLINDID_SEED") is not None:
+        raw["seed"] = os.environ["BLINDID_SEED"]
+    raw.update(given)
 
     values = {}
-    for key in allowed:
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            values[key] = flag_value
-        elif key == "seed" and os.environ.get("BLINDID_SEED") is not None:
-            values[key] = _coerce("seed", os.environ["BLINDID_SEED"])
-        elif key in file_values:
-            values[key] = file_values[key]
+    for key in _ALLOWED[sub]:
+        default = _OPTION_SPECS[key][1]
+        if key in raw:
+            values[key] = _coerce(key, raw[key])
         else:
-            default = _OPTION_SPECS[key][1]
-            values[key] = default.get(args.subcommand) if isinstance(default, dict) else default
-    return RunConfig(subcommand=args.subcommand, values=values)
+            values[key] = default.get(sub) if isinstance(default, dict) else default
+    return RunConfig(subcommand=sub, values=values)
 
 
 def _scenario(v: dict) -> ConstraintScenario:
@@ -224,7 +217,7 @@ def _cmd_certify(v: dict):
     rng = np.random.default_rng(mix_seed(v["seed"], 3))
     if v["level"] == "weak":
         # the trial that `recover --seed s` solves
-        ens, M0, _, _ = mc.draw_trial(sc, v["tag"], v["seed"], R=v["R"])
+        ens, M0 = mc.draw_trial(sc, v["tag"], v["seed"], R=v["R"])
         verdict = certify_weak(ens, M0, budget=v["budget"], tol=v["tol"], rng=rng)
     elif v["level"] == "strong":
         # that trial's ensemble
@@ -296,7 +289,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = parse_config(argv)
         report = _HANDLERS[cfg.subcommand](cfg.values)
-    except (ConfigError, ScenarioError, ValueError) as exc:
+    except _Help as usage:
+        print(usage)
+        return 0
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

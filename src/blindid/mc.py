@@ -212,14 +212,12 @@ def _draw_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
 
 
 def draw_trial(sc: ConstraintScenario, tag: str, seed: int, *, R: Optional[float]
-               ) -> Tuple[Ensemble, LiftedMatrix, np.random.Generator,
-                          np.random.Generator]:
-    """The ensemble, the planted unit-norm admissible matrix and the open
-    plant and solver streams of the trial with seed `seed`: _draw_trials
-    with the one seed. Returns (ens, M0, plant_rng, solver_rng).
+               ) -> Tuple[Ensemble, LiftedMatrix]:
+    """The ensemble and the planted unit-norm admissible matrix of the trial
+    with seed `seed`: _draw_trials with the one seed. Returns (ens, M0).
     """
-    ens, X, Y, plant_rngs, solver_rngs = _draw_trials(sc, tag, [seed], R=R)
-    return ens.trial(0), LiftedMatrix.from_factors(X[0], Y[0]), plant_rngs[0], solver_rngs[0]
+    ens, X, Y, _, _ = _draw_trials(sc, tag, [seed], R=R)
+    return ens.trial(0), LiftedMatrix.from_factors(X[0], Y[0])
 
 
 def _check_recovery(restarts: int, noise_level: float) -> None:
@@ -578,7 +576,8 @@ def run_stability_sweep(sc: ConstraintScenario, deltas: Sequence[float], *,
     level of the `mode` bound. delta = 0 degenerates to a noiseless
     uniqueness check with `restarts` solver restarts. Every input is
     checked, and every level and bound computed, before the first draw, so
-    a sweep outside a bound's range draws nothing.
+    a sweep outside a bound's range draws nothing. The search runs over
+    dense factors, so it takes subspace scenarios (full supports) only.
     The delta > 0 trials, listed in row order, are searched in flat batches
     of the fewest trials whose starts reach SEARCH_BATCH_SLOTS; a batch may
     span rows, is drawn as one stack and searched by one run, and a trial's
@@ -586,6 +585,9 @@ def run_stability_sweep(sc: ConstraintScenario, deltas: Sequence[float], *,
     search_status: how many starts converged, hit the iteration cap, and
     failed their line search.
     """
+    if sc.support_sizes != (sc.m1, sc.m2):
+        raise ValueError("stability sweeps take subspace scenarios only: the deviation "
+                         "search draws dense factors, outside a sparse support")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_recovery(restarts, 0.0)  # the delta = 0 rows recover noiselessly

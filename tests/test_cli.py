@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,7 +73,7 @@ class TestParseConfig:
             parse_config([])
 
     def test_parser_reuse_keeps_calls_independent(self):
-        # the parser is built once per process and reused by every call
+        # parse_config keeps no state from one call to the next
         a = ["transition", "--kind", "subspace", "--m1", "2", "--m2", "2",
              "--n", "5", "--sweep", "4,5", "--seed", "3"]
         b = ["stability", "--kind", "subspace", "--m1", "3", "--m2", "3",
@@ -80,8 +81,22 @@ class TestParseConfig:
         first = parse_config(a)
         assert parse_config(b).values["seed"] == 8
         again = parse_config(a)
-        cli._build_parser.cache_clear()
         assert first == again == parse_config(a)
+
+    def test_flag_equals_value_and_last_value_wins(self):
+        spaced = parse_config(["transition", "--sweep", "4,5", "--noise-level", "0.5"])
+        assert parse_config(["transition", "--sweep=4,5", "--noise-level=0.5"]) == spaced
+        assert spaced.values["sweep"] == "4,5" and spaced.values["noise_level"] == 0.5
+        assert parse_config(["gen", "--seed", "1", "--seed=2"]).values["seed"] == 2
+
+    def test_help_lists_every_flag(self, capsys):
+        code, out, err = run(capsys, "transition", "--n", "5", "-h")
+        assert code == 0 and err == ""
+        want = {"--config"} | {"--" + key.replace("_", "-")
+                               for key in cli._ALLOWED["transition"]}
+        assert out.startswith("usage: blindid transition ")
+        assert set(re.findall(r"--[\w-]+", out)) == want
+        assert run(capsys, "gen", "--help")[0] == 0
 
 
 class TestExitCodes:
@@ -157,11 +172,38 @@ class TestExitCodes:
             argv += ["--config", str(conf)]
         else:
             argv[-1] = f"0.1,{token}"
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a bad flag value
-            code = exc.code
-        assert code == 2 and capsys.readouterr().out == ""
+        assert main(argv) == 2 and capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["frobnicate"], "a subcommand must come first"),
+        ([], "a subcommand must come first"),
+        (["transition", "--bogus", "1"], "unknown option '--bogus'"),
+        (["transition", "--tri", "5"], "unknown option '--tri'"),
+        (["transition", "--noise_level", "0.1"], "unknown option '--noise_level'"),
+        (["transition", "--trials"], "option --trials needs a value"),
+        (["transition", "stray"], "unknown option 'stray'"),
+        (["transition", "--n", "x"], "bad value for n: 'x'"),
+        (["transition", "--R", "nan"], "bad value for R: 'nan'"),
+    ], ids=["unknown_subcommand", "no_subcommand", "unknown_flag", "abbreviation",
+            "underscore_spelling", "no_value", "stray_token", "bad_int", "nan_flag"])
+    def test_bad_argv_is_two_without_raising(self, capsys, argv, message):
+        # a bad option from any source is refused through main's return
+        # value; nothing escapes main
+        base = ["--kind", "subspace", "--m1", "2", "--m2", "2", "--n", "5",
+                "--sweep", "5", "--trials", "1"]
+        code, out, err = run(capsys, *argv[:1], *base, *argv[1:])
+        assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("scenario", [
+        ["--kind", "sparsity", "--s1", "1", "--s2", "1"], ["--kind", "mixed", "--s1", "2"]],
+        ids=["sparsity", "mixed"])
+    def test_sparse_stability_sweep_is_two(self, capsys, monkeypatch, scenario):
+        drawn = []
+        monkeypatch.setattr(mc, "_draw_trials", lambda *a, **kw: drawn.append(a))
+        code, out, err = run(capsys, "stability", *scenario, "--m1", "4", "--m2", "4",
+                             "--n", "12", "--trials", "4", "--sweep", "0.3,0.1")
+        assert code == 2 and out == "" and "subspace scenarios only" in err
+        assert drawn == []
 
     def test_unwritable_output_is_three(self, capsys):
         code, _, err = run(capsys, "bounds", "--kind", "subspace", "--m1", "3",
@@ -254,9 +296,8 @@ class TestDeterminism:
         recover = ["recover", "--kind", "subspace", "--m1", "2", "--m2", "2", "--n", "5"]
         conf = tmp_path / "run.conf"
         for base, key in ((transition, "workers"), (transition, "cap"), (recover, "cap")):
-            with pytest.raises(SystemExit) as exc:
-                main(base + [f"--{key}", "2"])
-            assert exc.value.code == 2
+            code, _, err = run(capsys, *base, f"--{key}", "2")
+            assert code == 2 and f"unknown option '--{key}'" in err
             conf.write_text(f"{key}=2\n")
             code, _, err = run(capsys, *base, "--config", str(conf))
             assert code == 2 and f"unknown config key {key!r}" in err
@@ -322,7 +363,7 @@ class TestSubcommands:
                                "--tag", "complex_generic", "--level", "weak",
                                "--seed", "21")
             assert code == 0
-            ens, M0, _, _ = mc.draw_trial(sc, "complex_generic", 21, R=None)
+            ens, M0 = mc.draw_trial(sc, "complex_generic", 21, R=None)
             cli_ens, cli_M0 = seen.pop()
             assert np.array_equal(cli_ens.a, ens.a) and np.array_equal(cli_ens.b, ens.b)
             assert np.array_equal(cli_M0.M, M0.M)
@@ -474,11 +515,13 @@ def test_output_bytes_match_golden(tmp_path, name):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency; importing it costs CLI start-up time
+    # scipy is a test-only dependency, and the CLI parses argv from its
+    # option table; importing either scipy or argparse costs start-up time
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, blindid.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = ("import sys, blindid.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith('scipy') or m == 'argparse'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert proc.stdout.strip() == "[]"

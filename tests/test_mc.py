@@ -190,8 +190,8 @@ class TestPhaseTransition:
     @pytest.mark.parametrize("tag", ALL_TAGS)
     def test_draw_trial_is_a_slot_of_the_stacked_draw(self, tag):
         # each slot of a stacked draw has the bits of draw_trial on its seed
-        # alone, and leaves its streams where draw_trial leaves them; odd n
-        # and even n complete real ball rows differently
+        # alone, and leaves its streams where a one-seed stack leaves them;
+        # odd n and even n complete real ball rows differently
         for sc in (ConstraintScenario("subspace", 7, 3, 2),
                    ConstraintScenario("mixed", 8, 4, 3, 2),
                    ConstraintScenario("sparsity", 9, 4, 4, 1, 3)):
@@ -199,14 +199,16 @@ class TestPhaseTransition:
             ens, X, Y, plant_rngs, solver_rngs = mc._draw_trials(sc, tag, seeds, R=None)
             assert ens.seed == tuple(mix_seed(seed, 0) for seed in seeds)
             for t, seed in enumerate(seeds):
-                one, M0, plant_rng, solver_rng = mc.draw_trial(sc, tag, seed, R=None)
+                one, M0 = mc.draw_trial(sc, tag, seed, R=None)
                 assert one.seed == mix_seed(seed, 0)
                 for name in ("D", "E", "a", "b"):
                     got, want = getattr(ens, name)[t], getattr(one, name)
                     assert got.dtype == want.dtype and np.array_equal(got, want), name
                 assert np.array_equal(X[t], M0.x) and np.array_equal(Y[t], M0.y)
                 assert np.array_equal(np.outer(X[t], Y[t]), M0.M)
-                for got, want in ((plant_rngs[t], plant_rng), (solver_rngs[t], solver_rng)):
+                *_, lone_plant, lone_solver = mc._draw_trials(sc, tag, [seed], R=None)
+                for got, want in ((plant_rngs[t], lone_plant[0]),
+                                  (solver_rngs[t], lone_solver[0])):
                     assert got.bit_generator.state == want.bit_generator.state
 
     @pytest.mark.parametrize("tag", ALL_TAGS)
@@ -261,6 +263,12 @@ class TestPhaseTransition:
         assert slots[0] == 20 and 0 < reached < 20
         assert len(built) == 40 + reached
         assert set(built[40:]) <= {mix_seed(s, 2) for s in seeds}
+        # draw_trial returns the ensemble and the plant alone, and builds
+        # no solver generator
+        built.clear()
+        assert len(mc.draw_trial(ConstraintScenario("subspace", 6, 3, 3), COMPLEX_GENERIC,
+                                 seeds[0], R=None)) == 2
+        assert built == [mix_seed(seeds[0], 0), mix_seed(seeds[0], 1)]
 
     @pytest.mark.parametrize("sc,tag,want", [
         # least squares; the build takes two inverse FFTs
@@ -702,6 +710,29 @@ class TestStabilitySweep:
                 mc.run_stability_sweep(sc.with_n(4), (0.0, 0.1), mode="single_point", **kw)
         assert drawn == []
 
+    @pytest.mark.parametrize("sc", [ConstraintScenario("sparsity", 12, 4, 4, 1, 1),
+                                    ConstraintScenario("mixed", 12, 4, 4, 2)],
+                             ids=["sparsity", "mixed"])
+    def test_sparse_scenarios_are_refused_before_any_draw(self, sc, monkeypatch):
+        # the deviation search draws dense factors, so its end points leave
+        # the support constraint that the stability bound covers
+        touched = []
+        monkeypatch.setattr(mc, "_draw_trials", lambda *a, **kw: touched.append("draw"))
+        monkeypatch.setattr(bounds, "epsilon_of_delta",
+                            lambda *a, **kw: touched.append("level"))
+        with pytest.raises(ValueError, match="subspace scenarios only"):
+            mc.run_stability_sweep(sc, (0.1, 0.0), trials=4, seed=1, restarts=62, R=None,
+                                   mode="single_point", starts=3)
+        assert touched == []
+
+    def test_full_supports_search_as_subspace(self):
+        # the refusal reads the support sizes, not the kind: full supports
+        # constrain nothing, and give the subspace rows
+        kw = dict(trials=2, seed=5, restarts=62, R=None, mode="single_point", starts=3)
+        full = ConstraintScenario("sparsity", 10, 2, 2, 2, 2)
+        assert (mc.run_stability_sweep(full, (0.1, 0.0), **kw)
+                == mc.run_stability_sweep(SUBSPACE10, (0.1, 0.0), **kw))
+
     def test_zero_delta_row_has_no_violations(self):
         row = mc.run_stability_sweep(SUBSPACE10, (0.0,), trials=5, seed=2, restarts=62,
                                      R=None, mode="single_point", starts=3)[0]
@@ -752,10 +783,10 @@ class TestStabilitySweep:
         for row_idx, row in enumerate(rows[:2]):
             alone = []
             for i in range(kw["trials"]):
-                ens, M0, _, search_rng = mc.draw_trial(
-                    sc, COMPLEX_UNIFORM_BALL, mix_seed(kw["seed"], row_idx, i), R=None)
+                trial_seed = mix_seed(kw["seed"], row_idx, i)
+                ens, M0 = mc.draw_trial(sc, COMPLEX_UNIFORM_BALL, trial_seed, R=None)
                 alone.append(deviation_alone(ens, M0, row["delta"], kw["starts"],
-                                             search_rng))
+                                             np.random.default_rng(mix_seed(trial_seed, 2))))
             assert row["max_deviation"] == max(alone)
             assert row["mean_lifted_error"] == float(np.mean(alone))
             assert sum(row["search_status"]) == kw["trials"] * kw["starts"]

@@ -380,7 +380,7 @@ def test_certifiers_match_attempt_by_attempt_reference(sc):
     # the loose tolerance puts first counterexamples past attempt 1 (at
     # attempts 3 to 56 here)
     for seed, tol in itertools.product(range(3), (1e-6, 0.1)):
-        ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
+        ens, M0 = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
         for level, new, ref, args in (
                 ("weak", certify_weak, oracles.certify_weak, (ens, M0)),
                 ("strong", certify_strong, oracles.certify_strong, (ens,))):
@@ -400,7 +400,7 @@ def test_certifier_counterexamples_verify_on_the_grid():
     found = dict.fromkeys(itertools.product(("weak", "strong"), (1e-6, 0.1)), 0)
     for sc in _certify_grid():
         for seed, tol in itertools.product(range(3), (1e-6, 0.1)):
-            ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
+            ens, M0 = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
             for level, v in (
                     ("weak", certify_weak(ens, M0, budget=100, tol=tol,
                                           rng=np.random.default_rng(seed))),
@@ -525,8 +525,8 @@ def test_certificate_unions_past_the_cap_are_refused(monkeypatch):
     real = recovery.operator_matrix
     monkeypatch.setattr(recovery, "operator_matrix",
                         lambda ens, **kw: checked.append(1) or real(ens, **kw))
-    ens, M0, _, _ = draw_trial(ConstraintScenario("sparsity", 4, 40, 40, 1, 1),
-                               COMPLEX_GENERIC, 0, R=None)
+    ens, M0 = draw_trial(ConstraintScenario("sparsity", 4, 40, 40, 1, 1),
+                         COMPLEX_GENERIC, 0, R=None)
     for sc, count in ((ens.scenario, 608_400),
                       (ConstraintScenario("mixed", 4, 1000, 2, 1), math.comb(1000, 2))):
         with pytest.raises(EnumerationCapError, match=f"^{count} support unions exceed "
@@ -550,8 +550,8 @@ def test_certifier_chunks_grow_by_eight_and_solver_waves_by_two(monkeypatch):
     real = recovery._lm
     monkeypatch.setattr(recovery, "_lm",
                         lambda aS, *args: calls.append(len(aS)) or real(aS, *args))
-    ens, M0, _, _ = draw_trial(ConstraintScenario("sparsity", 3, 5, 5, 1, 1), COMPLEX_GENERIC, 0,
-                               R=None)
+    ens, M0 = draw_trial(ConstraintScenario("sparsity", 3, 5, 5, 1, 1), COMPLEX_GENERIC, 0,
+                         R=None)
     for certify, args in ((certify_weak, (ens, M0)), (certify_strong, (ens,))):
         calls.clear()
         v = certify(*args, budget=100, tol=1e-6, rng=np.random.default_rng(0))
@@ -577,7 +577,7 @@ def test_certifier_chunks_hold_at_most_the_stack_bound(monkeypatch):
     for sc, (level, certify), seed, tol in itertools.product(
             (subspace(3), ConstraintScenario("sparsity", 1, 5, 5, 1, 1)),
             (("weak", certify_weak), ("strong", certify_strong)), range(3), (1e-6, 0.1)):
-        ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
+        ens, M0 = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
         args = (ens, M0) if level == "weak" else (ens,)
         want = certify(*args, budget=100, tol=tol, rng=np.random.default_rng(seed))
         with pytest.MonkeyPatch.context() as mp:
@@ -624,8 +624,8 @@ def test_exact_path_builds_no_support_pairs(monkeypatch):
                         lambda sc: built.append(sc) or real_supports(sc))
     monkeypatch.setattr(recovery, "operator_matrix",
                         lambda ens, **kw: checked.append(1) or real_operator(ens, **kw))
-    ens, M0, _, _ = draw_trial(ConstraintScenario("sparsity", 6, 5, 5, 1, 1), COMPLEX_GENERIC,
-                               0, R=None)
+    ens, M0 = draw_trial(ConstraintScenario("sparsity", 6, 5, 5, 1, 1), COMPLEX_GENERIC,
+                         0, R=None)
     for v in (certify_weak(ens, M0, budget=10, tol=1e-6, rng=np.random.default_rng(0)),
               certify_strong(ens, budget=10, tol=1e-6, rng=np.random.default_rng(0))):
         assert v.status == CERTIFIED_UNIQUE
@@ -714,12 +714,12 @@ def test_strong_search_skips_a_zero_plant(part, monkeypatch):
 
 def test_zero_budget_searches_nothing():
     sc = ConstraintScenario("sparsity", 2, 5, 5, 1, 1)
-    ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
+    ens, M0 = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
     for v in (certify_weak(ens, M0, budget=0, tol=1e-6, rng=np.random.default_rng(0)),
               certify_strong(ens, budget=0, tol=1e-6, rng=np.random.default_rng(0))):
         assert (v.status, v.search_budget) == (HEURISTICALLY_UNIQUE, 0)
     sc = ConstraintScenario("sparsity", 6, 5, 5, 1, 1)
-    ens, M0, _, _ = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
+    ens, M0 = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
     for v in (certify_weak(ens, M0, budget=0, tol=1e-6, rng=np.random.default_rng(0)),
               certify_strong(ens, budget=0, tol=1e-6, rng=np.random.default_rng(0))):
         assert (v.status, v.search_budget) == (CERTIFIED_UNIQUE, 0)
@@ -799,8 +799,8 @@ def test_enumeration_matches_the_per_support_loop(sc, zero):
     # other draws its P * restarts random starts in one block
     T = 6
     trials = [draw_trial(sc, COMPLEX_GENERIC, seed, R=None) for seed in range(T)]
-    ens = build_ensemble(sc, COMPLEX_GENERIC, [ens.seed for ens, *_ in trials])
-    z = np.array([apply_A(ens, M0) for ens, M0, *_ in trials])
+    ens = build_ensemble(sc, COMPLEX_GENERIC, [ens.seed for ens, _ in trials])
+    z = np.array([apply_A(ens, M0) for ens, M0 in trials])
     z[1::2] += 0.01 * np.random.default_rng(91).standard_normal(z[1::2].shape)
     if zero:
         z[:] = 0
