@@ -233,7 +233,8 @@ def make_report(sc: ConstraintScenario, *, delta: float, epsilon: float, R: floa
     `blindid bounds` prints.
 
     Stability fields are None when the sample-count precondition (n > d for
-    the single-point bound, n > 2d for the uniform bound) fails.
+    the single-point bound, n > 2d for the uniform bound) fails, and all of
+    them are None when C is not positive (delta too large for the log factor).
     """
     for name, value in (("delta", delta), ("epsilon", epsilon), ("R", R),
                         ("rho", rho), ("ell", ell), ("L", L)):

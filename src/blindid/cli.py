@@ -33,6 +33,15 @@ def finite_float(raw: str) -> float:
     return value
 
 
+def seed_int(raw: str) -> int:
+    """int() in [0, 2**64): mix_seed masks a seed to 64 bits, so a seed
+    outside would alias one inside."""
+    value = int(raw)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"seed outside [0, 2**64): {raw!r}")
+    return value
+
+
 # option name -> (type, default or {subcommand: default}); handlers fill None
 _OPTION_SPECS = {
     "kind": (str, None),
@@ -42,7 +51,7 @@ _OPTION_SPECS = {
     "s1": (int, None),
     "s2": (int, None),
     "tag": (str, COMPLEX_UNIFORM_BALL),
-    "seed": (int, 0),
+    "seed": (seed_int, 0),
     "R": (finite_float, {"bounds": 1.0, "smallball": 1.0}),
     "trials": (int, 100),
     "restarts": (int, 62),
@@ -241,6 +250,8 @@ def _cmd_bounds(v: dict):
 def _cmd_smallball(v: dict):
     if v.get("m1") is None or v.get("m2") is None:
         raise ConfigError("missing required option(s): --m1, --m2")
+    if min(v["m1"], v["m2"]) < 1:
+        raise ConfigError(f"--m1 and --m2 must be >= 1, got {v['m1']} and {v['m2']}")
     rng = np.random.default_rng(v["seed"])
     M = rng.standard_normal((v["m1"], v["m2"])) + 1j * rng.standard_normal((v["m1"], v["m2"]))
     M /= np.linalg.norm(M)

@@ -9,7 +9,6 @@ counterpart is linear in M, with entries a_j^* M conj(b_j), and equals
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,36 +28,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LiftedMatrix:
-    """A complex m1 x m2 matrix, optionally with rank-1 factors M = x y^T."""
+    """The rank-1 lifted matrix M = x y^T, held by its factors x and y."""
 
-    M: np.ndarray
-    x: Optional[np.ndarray] = None
-    y: Optional[np.ndarray] = None
+    x: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.M, dtype=np.complex128)
-        object.__setattr__(self, "M", M)
-        if M.ndim != 2:
-            raise ValueError(f"expected a matrix, got shape {M.shape}")
-        if not np.all(np.isfinite(M)):
-            raise ValueError("lifted matrix has non-finite entries")
-        if (self.x is None) != (self.y is None):
-            raise ValueError("factors must be given as a pair")
-        if self.x is not None:
-            x = np.asarray(self.x, dtype=np.complex128)
-            y = np.asarray(self.y, dtype=np.complex128)
-            object.__setattr__(self, "x", x)
-            object.__setattr__(self, "y", y)
-            outer = np.outer(x, y)
-            scale = max(np.linalg.norm(M), 1e-300)
-            if np.linalg.norm(M - outer) > 1e-12 * max(scale, 1.0):
-                raise ValueError("factors do not reproduce the matrix")
+        for name in ("x", "y"):
+            v = np.asarray(getattr(self, name), dtype=np.complex128)
+            if v.ndim != 1 or not np.all(np.isfinite(v)):
+                raise ValueError(f"factor {name} must be a 1-D vector of finite entries")
+            object.__setattr__(self, name, v)
 
-    @classmethod
-    def from_factors(cls, x, y) -> "LiftedMatrix":
-        x = np.asarray(x, dtype=np.complex128)
-        y = np.asarray(y, dtype=np.complex128)
-        return cls(M=np.outer(x, y), x=x, y=y)
+    @property
+    def M(self) -> np.ndarray:
+        return np.outer(self.x, self.y)
 
 
 def as_matrix(M) -> np.ndarray:

@@ -217,7 +217,7 @@ def draw_trial(sc: ConstraintScenario, tag: str, seed: int, *, R: Optional[float
     with seed `seed`: _draw_trials with the one seed. Returns (ens, M0).
     """
     ens, X, Y, _, _ = _draw_trials(sc, tag, [seed], R=R)
-    return ens.trial(0), LiftedMatrix.from_factors(X[0], Y[0])
+    return ens.trial(0), LiftedMatrix(X[0], Y[0])
 
 
 def _check_recovery(restarts: int, noise_level: float) -> None:

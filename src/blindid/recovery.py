@@ -428,7 +428,7 @@ def is_recovered(M_hat, M0):
 
 
 def _support_of(M0: LiftedMatrix) -> Tuple[np.ndarray, np.ndarray]:
-    """Supports of the factors of M0, which must have factors, as index arrays."""
+    """Supports of the factors of M0 as index arrays."""
     return np.flatnonzero(np.abs(M0.x) > 1e-14), np.flatnonzero(np.abs(M0.y) > 1e-14)
 
 
@@ -502,7 +502,7 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
     """
     _check_search(budget, tol)
     sc = ens.scenario
-    if M0.x is None or np.linalg.norm(M0.x) == 0 or np.linalg.norm(M0.y) == 0:
+    if np.linalg.norm(M0.x) == 0 or np.linalg.norm(M0.y) == 0:
         raise ValueError("planted matrix must have nonzero rank-1 factors")
 
     _pair_count(sc)  # past SUPPORT_CAP, raise before any union is listed
@@ -523,8 +523,7 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
         far = np.flatnonzero(_far(min_scaled_distance(M, np.broadcast_to(M0.M, M.shape)), tol))
         if far.size:  # the first far fit in attempt order
             t = far[0]
-            return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND,
-                                          LiftedMatrix.from_factors(X[t], Y[t]), M0,
+            return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, LiftedMatrix(X[t], Y[t]), M0,
                                           attempts[fits[t]] + 1, tol)
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
 
@@ -592,16 +591,14 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
                                                       xp[:, :, None] * yp[:, None, :]), tol))
         if far.size:  # the first far fit in attempt order
             t = far[0]
-            return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND,
-                                          LiftedMatrix.from_factors(X[t], Y[t]),
-                                          LiftedMatrix.from_factors(xp[t], yp[t]),
-                                          slots[fits[t]] + 1, tol)
+            return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, LiftedMatrix(X[t], Y[t]),
+                                          LiftedMatrix(xp[t], yp[t]), slots[fits[t]] + 1, tol)
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
 
 
 def _admissible(sc: ConstraintScenario, M: LiftedMatrix) -> bool:
-    """Whether M has rank-1 factors whose supports fit the constraint set."""
-    return M.x is not None and all(
+    """Whether M is a LiftedMatrix whose factor supports fit the constraint set."""
+    return isinstance(M, LiftedMatrix) and all(
         len(S) <= k for S, k in zip(_support_of(M), sc.support_sizes))
 
 

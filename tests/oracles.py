@@ -192,7 +192,7 @@ def certify_weak(ens, M0, *, budget, tol, rng):
         bS = ens.b.conj()[:, list(S2)]
         x, y, residual = fit(aS, bS, z0, random_factor(len(S1), rng))
         if residual <= tol:
-            cand = LiftedMatrix.from_factors(_embed(x, S1, sc.m1), _embed(y, S2, sc.m2))
+            cand = LiftedMatrix(_embed(x, S1, sc.m1), _embed(y, S2, sc.m2))
             if min_scaled_distance(cand, M0) > 10 * tol:
                 return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, cand, M0, attempt + 1, tol)
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
@@ -211,21 +211,21 @@ def certify_strong(ens, *, budget, tol, rng):
         S1p, S2p = supports[rng.integers(len(supports))]
         xp = random_factor(len(S1p), rng)
         yp = random_factor(len(S2p), rng)
-        M1 = LiftedMatrix.from_factors(_embed(xp, S1p, sc.m1), _embed(yp, S2p, sc.m2))
+        M1 = LiftedMatrix(_embed(xp, S1p, sc.m1), _embed(yp, S2p, sc.m2))
         nrm = np.linalg.norm(M1.M)
         if nrm == 0.0:
             continue
-        M1 = LiftedMatrix.from_factors(M1.x / nrm, M1.y)
+        M1 = LiftedMatrix(M1.x / nrm, M1.y)
         z1 = apply_A(ens, M1)
         S1, S2 = supports[attempt % len(supports)]
         aS = ens.a.conj()[:, list(S1)]
         bS = ens.b.conj()[:, list(S2)]
         x, y, residual = fit(aS, bS, z1, random_factor(len(S1), rng))
-        M2 = LiftedMatrix.from_factors(_embed(x, S1, sc.m1), _embed(y, S2, sc.m2))
+        M2 = LiftedMatrix(_embed(x, S1, sc.m1), _embed(y, S2, sc.m2))
         c = 1.0 / max(1.0, np.linalg.norm(M2.M))
         if residual * c <= tol:
-            M1c = LiftedMatrix.from_factors(c * M1.x, M1.y)
-            M2c = LiftedMatrix.from_factors(c * M2.x, M2.y)
+            M1c = LiftedMatrix(c * M1.x, M1.y)
+            M2c = LiftedMatrix(c * M2.x, M2.y)
             if min_scaled_distance(M2c, M1c) > 10 * tol:
                 return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, M2c, M1c, attempt + 1, tol)
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)

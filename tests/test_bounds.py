@@ -69,6 +69,8 @@ class TestCovering:
             bounds.covering_bound("ball", 4, 0.0)
         with pytest.raises(ValueError):
             bounds.covering_bound("nope", 4, 0.5)
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            bounds.covering_bound("ball", -1, 0.5)
 
     def test_product_structure(self):
         # (3/rho)^(m1+m2) factors over ball dimensions
@@ -161,6 +163,10 @@ class TestStabilityConstants:
         with pytest.raises(ValueError):
             bounds.log_stability_prefactor(sc, "single_point", 1.0, 100.0)
 
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            bounds.log_stability_prefactor(subspace(12, 2, 2), "bogus", 1.0, 0.1)
+
 
 class TestFailureBound:
     def test_table_composition(self):
@@ -247,7 +253,7 @@ class TestSnr:
     def test_scaled_copy(self):
         sc = subspace(5, 2, 2)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 2)
-        M0 = LiftedMatrix.from_factors([1.0, 0], [1.0, 0]).M
+        M0 = LiftedMatrix([1.0, 0], [1.0, 0]).M
         rsnr, msnr = bounds.snr_metrics(M0, 2 * M0, ens)
         assert np.isclose(rsnr, 1.0)
         assert np.isclose(msnr, 1.0)

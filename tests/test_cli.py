@@ -14,6 +14,9 @@ from blindid.ensembles import ConstraintScenario, build_ensemble, mix_seed
 from blindid.recovery import certify_strong, certify_weak, verify_counterexample
 
 
+SUBSPACE_2X2 = ("--kind", "subspace", "--m1", "2", "--m2", "2", "--n", "5")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -194,6 +197,41 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv[:1], *base, *argv[1:])
         assert code == 2 and out == "" and message in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize("sub", ["gen", "recover", "smallball", "transition"])
+    def test_seed_outside_64_bits_is_two(self, capsys, tmp_path, monkeypatch, sub, source,
+                                         seed):
+        # mix_seed keeps 64 bits, so -1 would alias 2**64 - 1 and 2**64 would alias 0
+        argv = [sub]
+        if source == "flag":
+            argv += ["--seed", seed]
+        elif source == "env":
+            monkeypatch.setenv("BLINDID_SEED", seed)
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"seed={seed}\n")
+            argv += ["--config", str(conf)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"bad value for seed: {seed!r}" in err
+
+    @pytest.mark.parametrize("sub", ["gen", "recover", "smallball", "transition"])
+    def test_seed_bounds_of_64_bits_are_taken(self, sub):
+        for seed in (0, 2**64 - 1):
+            assert parse_config([sub, "--seed", str(seed)]).values["seed"] == seed
+
+    @pytest.mark.parametrize("argv, message", [
+        (["smallball", "--m1", "0", "--m2", "2"], "--m1 and --m2 must be >= 1, got 0 and 2"),
+        (["smallball", "--m1", "2", "--m2", "-1"], "--m1 and --m2 must be >= 1, got 2 and -1"),
+        (["smallball", "--m2", "2"], "missing required option(s): --m1, --m2"),
+        (["transition", *SUBSPACE_2X2], "missing required option --sweep"),
+        (["stability", *SUBSPACE_2X2], "missing required option --sweep"),
+    ], ids=["smallball_m1_zero", "smallball_m2_negative", "smallball_no_m1",
+            "transition_no_sweep", "stability_no_sweep"])
+    def test_missing_or_bad_required_option_is_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and message in err
+
     @pytest.mark.parametrize("scenario", [
         ["--kind", "sparsity", "--s1", "1", "--s2", "1"], ["--kind", "mixed", "--s1", "2"]],
         ids=["sparsity", "mixed"])
@@ -305,18 +343,23 @@ class TestDeterminism:
 
 class TestSubcommands:
     def test_gen_manifest(self, capsys):
-        code, out, _ = run(capsys, "gen", "--kind", "subspace", "--m1", "2",
-                           "--m2", "2", "--n", "6", "--tag", "complex_generic",
-                           "--seed", "9")
-        assert code == 0
-        manifest = json.loads(out)
-        assert manifest["seed"] == mix_seed(9, 0) and manifest["scenario"]["n"] == 6
-        # the manifest rebuilds the ensemble of the trial that recover --seed 9 solves
-        sc = ConstraintScenario(**manifest["scenario"])
-        ens = build_ensemble(sc, manifest["tag"], manifest["seed"], R=manifest["R"])
-        want = mc.draw_trial(sc, "complex_generic", 9, R=None)[0]
-        for name in ("D", "E", "a", "b"):
-            assert np.array_equal(getattr(ens, name), getattr(want, name)), name
+        for scenario, tag, seed in (
+                ({"kind": "subspace", "n": 6, "m1": 2, "m2": 2}, "complex_generic", 9),
+                ({"kind": "sparsity", "n": 4, "m1": 3, "m2": 3, "s1": 1, "s2": 2},
+                 "real_generic", 5),
+                ({"kind": "mixed", "n": 4, "m1": 3, "m2": 3, "s1": 2}, "real_generic", 5)):
+            flags = [tok for key, value in scenario.items() for tok in (f"--{key}", str(value))]
+            code, out, _ = run(capsys, "gen", *flags, "--tag", tag, "--seed", str(seed))
+            assert code == 0
+            manifest = json.loads(out)
+            # the scenario carries its sparsity levels, and the seed is the trial's
+            assert manifest["seed"] == mix_seed(seed, 0) and manifest["scenario"] == scenario
+            # the manifest rebuilds the ensemble of the trial that recover --seed s solves
+            sc = ConstraintScenario(**manifest["scenario"])
+            ens = build_ensemble(sc, manifest["tag"], manifest["seed"], R=manifest["R"])
+            want = mc.draw_trial(sc, tag, seed, R=None)[0]
+            for name in ("D", "E", "a", "b"):
+                assert np.array_equal(getattr(ens, name), getattr(want, name)), (scenario, name)
 
     def test_recover_noiseless_success(self, capsys):
         code, out, _ = run(capsys, "recover", "--kind", "subspace", "--m1", "2",
@@ -402,6 +445,31 @@ class TestSubcommands:
             if verdict.witness is not None:
                 want["witness_verified"] = verify_counterexample(verdict, ens)
             assert json.loads(out) == want
+
+    def test_certify_weak_below_d_finds_verified_counterexamples(self, capsys):
+        # subspace 3x3 at n = 5 = d - 1: the planted pair is never unique
+        for seed in range(10):
+            code, out, _ = run(capsys, "certify", "--kind", "subspace", "--m1", "3",
+                               "--m2", "3", "--n", "5", "--tag", "complex_generic",
+                               "--level", "weak", "--seed", str(seed))
+            assert code == 0
+            verdict = json.loads(out)
+            assert verdict["status"] == "counterexample_found", seed
+            assert verdict["witness_verified"] is True, seed
+
+    def test_bounds_nulls_when_C_not_positive(self, capsys):
+        # n = 12 > 2d = 8 holds, but delta = 10 drives C below zero, so every
+        # stability field is null while C itself is reported
+        code, out, _ = run(capsys, "bounds", "--kind", "subspace", "--m1", "2", "--m2", "2",
+                           "--n", "12", "--delta", "10")
+        assert code == 0
+        report = json.loads(out)
+        assert report["C"] < 0 and report["d"] == 4
+        stability = ("C_prime", "C_dblprime", "epsilon_single", "epsilon_uniform",
+                     "weak_failure_raw", "weak_failure_bound", "uniform_failure_raw",
+                     "uniform_failure_bound")
+        assert all(report[key] is None for key in stability)
+        assert report["small_ball_complex"] is not None
 
     def test_smallball(self, capsys):
         code, out, _ = run(capsys, "smallball", "--m1", "1", "--m2", "1",

@@ -32,6 +32,8 @@ class TestScenarioValidation:
             ConstraintScenario(kind="mixed", n=5, m1=4, m2=2)
         with pytest.raises(ScenarioError):
             ConstraintScenario(kind="mixed", n=5, m1=4, m2=2, s1=5)
+        with pytest.raises(ScenarioError, match="mixed scenario takes no s2"):
+            ConstraintScenario(kind="mixed", n=5, m1=4, m2=2, s1=1, s2=1)
 
     def test_support_sizes_by_kind(self):
         # a subspace side is one support of its full size m

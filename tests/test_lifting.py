@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,41 +28,53 @@ def manual_ensemble(D, E):
 
 
 class TestLiftedMatrix:
-    def test_factors_must_reproduce_matrix(self):
-        with pytest.raises(ValueError):
-            LiftedMatrix(M=np.eye(2), x=np.array([1.0, 0]), y=np.array([1.0, 1]))
-
     def test_factor_pairing_enforced(self):
+        # a lifted matrix is its two factors: one alone, or a matrix, is refused
+        with pytest.raises(TypeError):
+            LiftedMatrix(np.array([1.0, 0]))
         with pytest.raises(ValueError):
-            LiftedMatrix(M=np.zeros((2, 2)), x=np.array([1.0, 0]))
+            LiftedMatrix(np.eye(2), np.array([1.0, 0]))
+        with pytest.raises(ValueError):
+            LiftedMatrix(np.array([1.0, 0]), 2.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            LiftedMatrix(M=np.array([[np.nan, 0], [0, 0]]))
+            LiftedMatrix([np.nan, 0], [1.0, 0])
         with pytest.raises(ValueError):
-            LiftedMatrix(M=np.array([[0, 1j * np.inf], [0, 0]]))
+            LiftedMatrix([1.0, 0], [0, 1j * np.inf])
 
     def test_accepts_non_contiguous_matrix(self):
-        # a transpose or an einsum result may be a Fortran-ordered matrix
-        M = np.asfortranarray(np.arange(8.0).reshape(4, 2) + 1j)
-        assert np.array_equal(LiftedMatrix(M=M).M, M)
-        assert np.array_equal(LiftedMatrix(M=M.T).M, M.T)
+        # strided factor views are taken, and M is their outer product bit for bit
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        y = np.asfortranarray(rng.standard_normal((3, 2)) + 1j)[1]
+        assert not (x[::2].flags.contiguous or y.flags.contiguous)
+        M = LiftedMatrix(x[::2], y)
+        assert np.array_equal(M.x, x[::2]) and np.array_equal(M.y, y)
+        assert np.array_equal(M.M, np.outer(x[::2], y))
 
-    def test_from_factors_and_norm(self):
-        M = LiftedMatrix.from_factors([1, 2j], [3, 1])
-        assert M.M.shape == (2, 2)
+    def test_factors_and_norm(self):
+        M = LiftedMatrix([1, 2j], [3, 1])
+        assert M.M.shape == (2, 2) and M.x.dtype == M.y.dtype == np.complex128
         assert np.isclose(np.linalg.norm(M.M),
                           np.linalg.norm(np.outer([1, 2j], [3, 1])))
 
     def test_zero(self):
-        assert np.linalg.norm(LiftedMatrix.from_factors(np.zeros(2), np.zeros(3)).M) == 0.0
+        assert np.linalg.norm(LiftedMatrix(np.zeros(2), np.zeros(3)).M) == 0.0
+
+    def test_holds_only_its_factors(self):
+        # M is derived from the factors, never stored beside them, and the
+        # constructor is the one way to build one: no other public member
+        assert tuple(f.name for f in dataclasses.fields(LiftedMatrix)) == ("x", "y")
+        assert isinstance(LiftedMatrix.__dict__["M"], property)
+        assert {name for name in vars(LiftedMatrix) if not name.startswith("_")} == {"M"}
 
 
 class TestOperators:
     def test_hand_instance(self):
         # D = E = (1,1)^T, x = 2, y = 3: time domain (2,2) conv (3,3) = (12,12)
         ens = manual_ensemble([[1.0], [1.0]], [[1.0], [1.0]])
-        M = LiftedMatrix.from_factors([2.0], [3.0])
+        M = LiftedMatrix([2.0], [3.0])
         assert np.allclose(apply_G(ens, M.x, M.y), [12.0, 12.0], atol=1e-12)
         assert np.allclose(time_measurements(ens, M.M), [12.0, 12.0], atol=1e-12)
         assert np.allclose(apply_A(ens, M), [12.0, 0.0], atol=1e-12)
@@ -235,7 +249,7 @@ class TestStackedApplyA:
         rng = np.random.default_rng(15)
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        M = LiftedMatrix.from_factors(x, y)
+        M = LiftedMatrix(x, y)
         assert np.array_equal(apply_A(ens, M), apply_A(ens, M.M))
 
 

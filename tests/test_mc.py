@@ -676,7 +676,7 @@ class TestDeviationSearch:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        M0 = LiftedMatrix.from_factors(x / (np.linalg.norm(x) * np.linalg.norm(y)), y)
+        M0 = LiftedMatrix(x / (np.linalg.norm(x) * np.linalg.norm(y)), y)
         delta = 0.1
         dev = deviation_alone(ens, M0, delta, 3, rng)
         assert dev > 0.0

@@ -39,7 +39,7 @@ def solve_one(solver, ens, z, *supports, restarts, rng, truth=None):
     stack = replace(ens, seed=(ens.seed,), D=ens.D[None], E=ens.E[None],
                     a=ens.a[None], b=ens.b[None])
     fit = solver(stack, z[None], *supports, restarts, [rng])
-    M_hat = LiftedMatrix.from_factors(fit.X[0], fit.Y[0])
+    M_hat = LiftedMatrix(fit.X[0], fit.Y[0])
     return Solved(M_hat, float(fit.residual[0]),
                   None if truth is None else align_and_distance(M_hat, truth),
                   tuple(S[0].tolist() for S in fit.supports), fit.restarts_used)
@@ -49,7 +49,7 @@ def random_factors(sc, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(sc.m1) + 1j * rng.standard_normal(sc.m1)
     y = rng.standard_normal(sc.m2) + 1j * rng.standard_normal(sc.m2)
-    return LiftedMatrix.from_factors(x, y)
+    return LiftedMatrix(x, y)
 
 
 class TestSupportEnumeration:
@@ -166,6 +166,12 @@ class TestSolveFixedSupport:
             with pytest.raises(ValueError, match=r"\(P, k\) index arrays"):
                 solve_fixed_support(ens, np.zeros((1, 5)), *supports, 0,
                                     [np.random.default_rng(0)])
+
+    def test_negative_restarts_rejected(self):
+        ens = build_ensemble(subspace(5), COMPLEX_GENERIC, [1])
+        with pytest.raises(ValueError, match="restarts must be >= 0, got -1"):
+            solve_fixed_support(ens, np.zeros((1, 5)), [range(2)], [range(2)], -1,
+                                [np.random.default_rng(0)])
 
     def test_lone_ensemble_rejected(self):
         # the solvers take stacks only, with one row of measurements per trial
@@ -418,11 +424,11 @@ def test_verify_rejects_inadmissible_witness():
     sc = ConstraintScenario("sparsity", 1, 5, 5, 1, 1)
     ens = build_ensemble(sc, COMPLEX_GENERIC, 3)
     e = np.eye(5)
-    ref = LiftedMatrix.from_factors(e[2], e[4])
+    ref = LiftedMatrix(e[2], e[4])
     z = apply_A(ens, ref)[0]
 
     def measured_like_ref(x, y):
-        return LiftedMatrix.from_factors(x * z / apply_A(ens, np.outer(x, y))[0], y)
+        return LiftedMatrix(x * z / apply_A(ens, np.outer(x, y))[0], y)
 
     def verdict(witness, reference=ref):
         return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, witness, reference, 1, 1e-6)
@@ -433,9 +439,10 @@ def test_verify_rejects_inadmissible_witness():
         assert abs(apply_A(ens, witness)[0] - z) <= 1e-12
         assert not verify_counterexample(verdict(witness), ens)
         assert not verify_counterexample(verdict(ref, witness), ens)
-    # a witness without rank-1 factors is rejected as well
-    assert not verify_counterexample(verdict(LiftedMatrix(M=measured_like_ref(e[0], e[1]).M)),
-                                     ens)
+    # a witness or a reference given as a plain array is rejected, not raised on
+    plain = measured_like_ref(e[0], e[1]).M
+    assert not verify_counterexample(verdict(plain), ens)
+    assert not verify_counterexample(verdict(ref, plain), ens)
 
 
 def test_largest_unions_cover_every_union():
@@ -503,8 +510,8 @@ def test_certifiers_are_sound_when_a_smaller_union_is_singular():
     a[:, 1] = a[:, 0]
     ens = replace(ens, a=a)
     rng = np.random.default_rng(4)
-    M0 = LiftedMatrix.from_factors(_embed(oracles.random_factor(2, rng), [0, 2], 5),
-                                   _embed(oracles.random_factor(2, rng), [1, 3], 5))
+    M0 = LiftedMatrix(_embed(oracles.random_factor(2, rng), [0, 2], 5),
+                      _embed(oracles.random_factor(2, rng), [1, 3], 5))
     assert not oracles._injective_on(ens, (0, 1, 2), (1, 3))
     for args, new, ref in (((ens, M0), certify_weak, oracles.certify_weak),
                            ((ens,), certify_strong, oracles.certify_strong)):
@@ -635,7 +642,7 @@ def test_exact_path_builds_no_support_pairs(monkeypatch):
     sc = ConstraintScenario("sparsity", 4, 30, 30, 5, 5)
     ens = build_ensemble(sc, COMPLEX_GENERIC, 1)
     e = np.eye(30)
-    for certify, args in ((certify_weak, (ens, LiftedMatrix.from_factors(e[0], e[1]))),
+    for certify, args in ((certify_weak, (ens, LiftedMatrix(e[0], e[1]))),
                           (certify_strong, (ens,))):
         with pytest.raises(EnumerationCapError,
                            match=f"^{math.comb(30, 5) ** 2} support pairs exceed the cap "
@@ -733,7 +740,7 @@ class TestSolveSparseEnumerate:
         y = np.zeros(4, dtype=np.complex128)
         x[2] = 1.5 - 1j
         y[1] = 0.5 + 2j
-        M0 = LiftedMatrix.from_factors(x, y)
+        M0 = LiftedMatrix(x, y)
         res = solve_one(solve_sparse_enumerate, ens, apply_A(ens, M0),
                         restarts=0, rng=np.random.default_rng(0))
         assert res.support == ([2], [1])
@@ -778,7 +785,7 @@ class TestSolveSparseEnumerate:
         x = np.zeros(4, dtype=np.complex128)
         x[3] = 2.0
         y = np.array([1.0, -1j])
-        M0 = LiftedMatrix.from_factors(x, y)
+        M0 = LiftedMatrix(x, y)
         res = solve_one(solve_sparse_enumerate, ens, apply_A(ens, M0),
                         restarts=0, rng=np.random.default_rng(0))
         assert align_and_distance(res.M_hat, M0) < 1e-8
@@ -870,19 +877,21 @@ def test_least_squares_slots_match_the_per_slot_loop(sc, tag, monkeypatch):
 
 class TestDistances:
     def test_scaling_orbit_collapses(self):
-        M1 = LiftedMatrix.from_factors([1.0, 0], [2.0, 0])
-        M2 = LiftedMatrix.from_factors([2.0, 0], [1.0, 0])
+        M1 = LiftedMatrix([1.0, 0], [2.0, 0])
+        M2 = LiftedMatrix([2.0, 0], [1.0, 0])
         assert align_and_distance(M1, M2) == 0.0
 
     def test_orthogonal_units(self):
-        M1 = LiftedMatrix.from_factors([1.0, 0], [1.0, 0])
-        M2 = LiftedMatrix.from_factors([0, 1.0], [0, 1.0])
+        M1 = LiftedMatrix([1.0, 0], [1.0, 0])
+        M2 = LiftedMatrix([0, 1.0], [0, 1.0])
         assert np.isclose(align_and_distance(M1, M2), np.sqrt(2))
 
     def test_min_scaled_distance(self):
-        M0 = LiftedMatrix.from_factors([1.0, 0], [1.0, 0])
+        M0 = LiftedMatrix([1.0, 0], [1.0, 0])
         assert min_scaled_distance((3 - 2j) * M0.M, M0) < 1e-12
         assert min_scaled_distance(np.zeros((2, 2)), M0) < 1e-12
+        with pytest.raises(ValueError, match=r"shape mismatch: \(2, 3\) vs \(2, 2\)"):
+            min_scaled_distance(np.zeros((2, 3)), M0)
 
     def test_stacked_min_scaled_distance_matches_lone_calls(self):
         # a stack of pairs, a zero reference among them, gets pair by pair
@@ -897,11 +906,11 @@ class TestDistances:
         for t in range(6):
             lone = min_scaled_distance(M[t], M0[t])
             assert type(lone) is float and dist[t] == lone
-            assert min_scaled_distance(M[t], LiftedMatrix(M0[t])) == lone
+            assert min_scaled_distance(M[t], M0[t].copy(order="F")) == lone
         assert min_scaled_distance(M[None, :2], M0[None, :2]).shape == (1, 2)
 
     def test_is_recovered_threshold(self):
-        M0 = LiftedMatrix.from_factors([1.0, 0], [1.0, 0])
+        M0 = LiftedMatrix([1.0, 0], [1.0, 0])
         assert is_recovered(M0, M0)
         assert not is_recovered(M0.M + 1e-3, M0)
 
@@ -952,7 +961,7 @@ class TestCertifiers:
         sc = subspace(4)
         ens = build_ensemble(sc, COMPLEX_GENERIC, 20)
         with pytest.raises(ValueError):
-            certify_weak(ens, LiftedMatrix.from_factors(np.zeros(2), np.zeros(2)),
+            certify_weak(ens, LiftedMatrix(np.zeros(2), np.zeros(2)),
                          budget=100, tol=1e-6, rng=np.random.default_rng(0))
 
     def test_strong_certified_at_n4(self):
