@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds, mc
 from .ensembles import COMPLEX_UNIFORM_BALL, ConstraintScenario, mix_seed
-from .recovery import _far, certify_strong, certify_weak, verify_counterexample
+from .recovery import certify_strong, certify_weak, verify_counterexample
 
 __all__ = ["RunConfig", "parse_config", "emit_report", "main"]
 
@@ -217,11 +217,6 @@ def _cmd_recover(v: dict):
 
 
 def _cmd_certify(v: dict):
-    # unless the unit Frobenius ball's radius 1 counts as far, a verdict can
-    # turn on the last bit of an orbit distance between matrices of the ball
-    if not _far(1.0, v["tol"]):
-        raise ConfigError(f"--tol must be below 0.1, so that the far threshold "
-                          f"10 * tol stays below the unit-ball radius 1; got {v['tol']}")
     sc = _scenario(v)
     rng = np.random.default_rng(mix_seed(v["seed"], 3))
     if v["level"] == "weak":

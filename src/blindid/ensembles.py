@@ -14,7 +14,7 @@ Supported tags:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -111,12 +111,7 @@ class ConstraintScenario:
         return self.s1 or self.m1, self.s2 or self.m2
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "n": self.n, "m1": self.m1, "m2": self.m2}
-        if self.s1 is not None:
-            d["s1"] = self.s1
-        if self.s2 is not None:
-            d["s2"] = self.s2
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def mix_seed(master_seed: int, *indices: int) -> int:

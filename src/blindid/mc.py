@@ -317,8 +317,10 @@ def _sqnorm(z: np.ndarray) -> np.ndarray:
     return np.vecdot(zf, zf)
 
 
-# Weight of the squared proximity and unit-ball penalties.
+# Weight of the squared proximity and unit-ball penalties, and the L-BFGS
+# iterations of each deviation-search start.
 DEVIATION_MU = 1e4
+DEVIATION_MAXITER = 200
 
 
 def _deviation_objective(p, ac, bc, M0, t0, delta):
@@ -536,7 +538,7 @@ def _draw_starts(x0, y0, delta: float, starts: int,
     return _pack(xs, ys)
 
 
-def _deviation_search(a, b, x0, y0, delta, p0, maxiter: int = 200):
+def _deviation_search(a, b, x0, y0, delta, p0):
     """Batched multi-start deviation search over T problems with S starts.
 
     a (T, n, m1) and b (T, n, m2) are the frequency rows, (x0, y0) the
@@ -552,7 +554,7 @@ def _deviation_search(a, b, x0, y0, delta, p0, maxiter: int = 200):
     M0 = x0[:, :, None] * y0[:, None, :]
     t0 = _times(ac, x0) * _times(bc, y0)
     with np.errstate(over="ignore", invalid="ignore"):
-        p, status = _lbfgs(_deviation_objective, p0.reshape(T * S, -1), maxiter,
+        p, status = _lbfgs(_deviation_objective, p0.reshape(T * S, -1), DEVIATION_MAXITER,
                            ac, bc, M0, t0, delta)
     x, y = _unpack(p, x0.shape[1], y0.shape[1])
     best = _feasible_scan(ac, bc, M0, t0, x0, y0, x, y, delta)

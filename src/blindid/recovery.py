@@ -469,6 +469,11 @@ def _check_search(budget: int, tol: float) -> None:
         raise ValueError(f"search budget must be >= 0, got {budget}")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    # unless the unit Frobenius ball's radius 1 counts as far, a verdict can
+    # turn on the last bit of an orbit distance between matrices of the ball
+    if not _far(1.0, tol):
+        raise ValueError(f"tolerance must be below 0.1, so that the far threshold "
+                         f"10 * tol stays below the unit-ball radius 1; got {tol}")
 
 
 def _chunks(budget: int, growth: int, most: int) -> Iterable[range]:
@@ -541,8 +546,7 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
     counterexample.
 
     Per attempt, only the draws run: the planted support, its x then y
-    factors (an attempt whose planted matrix is 0 draws no start and is
-    skipped), then the start. Per chunk of 1, 8, 64, ... attempts, the
+    factors, then the start. Per chunk of 1, 8, 64, ... attempts, the
     planted matrices are normalized and measured as one stack by apply_A,
     then fitted and tested as one stack. So rng may be drawn past the
     attempt that finds a counterexample; the verdict does not change.
@@ -556,32 +560,17 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
 
     S1, S2 = admissible_supports(sc)
     for attempts in _chunks(budget, 8, _attempts_per_chunk(sc)):
-        slots, picks, draws, starts = [], [], [], []
-        for attempt in attempts:
-            planted = rng.integers(P)
-            g = rng.standard_normal(2 * (k1 + k2)).tolist()  # the planted x, then y
-            # The planted matrix has norm 0 exactly when its x or its y draws
-            # are all 0: nonzero normal draws exceed 1e-20 in magnitude, so no
-            # product or square underflows, and a complex product of nonzero
-            # factors cannot round to 0 in both its parts.
-            if not (any(g[:2 * k1]) and any(g[2 * k1:])):
-                continue
-            slots.append(attempt)
-            picks.append(planted)
-            draws.append(g)
-            starts.append(rng.standard_normal(2 * k1))
-        if not slots:
-            continue
-        T = len(slots)
-        G = np.array(draws)
-        prow, pcol = S1[picks], S2[picks]
-        xp = _embed(_complex_normal(G[:, :2 * k1].reshape(T, 2, k1)), prow, sc.m1)
-        yp = _embed(_complex_normal(G[:, 2 * k1:].reshape(T, 2, k2)), pcol, sc.m2)
+        picks, G, starts = map(np.array, zip(*[
+            (rng.integers(P), rng.standard_normal(2 * (k1 + k2)), rng.standard_normal(2 * k1))
+            for _ in attempts]))  # the planted support, its x then y draws, the start
+        T = len(attempts)
+        xp = _embed(_complex_normal(G[:, :2 * k1].reshape(T, 2, k1)), S1[picks], sc.m1)
+        yp = _embed(_complex_normal(G[:, 2 * k1:].reshape(T, 2, k2)), S2[picks], sc.m2)
         xp /= _norm((xp[:, :, None] * yp[:, None, :]).reshape(T, -1))[:, None]
         z1 = apply_A(ens, xp[:, :, None] * yp[:, None, :])
-        rows, cols = (S[np.array(slots) % P] for S in (S1, S2))  # support t mod P
+        rows, cols = (S[np.array(attempts) % P] for S in (S1, S2))  # support t mod P
         aS, bS = support_rows(ens, rows, cols)
-        X, Y, residual = _lm(aS, bS, z1, _complex_normal(np.array(starts).reshape(T, 2, k1)))
+        X, Y, residual = _lm(aS, bS, z1, _complex_normal(starts.reshape(T, 2, k1)))
         X, Y = _embed(X, rows, sc.m1), _embed(Y, cols, sc.m2)
         # rescale each pair jointly so both land in the unit ball (cone property)
         c = 1.0 / np.maximum(1.0, _norm((X[:, :, None] * Y[:, None, :]).reshape(T, -1)))
@@ -592,7 +581,7 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
         if far.size:  # the first far fit in attempt order
             t = far[0]
             return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, LiftedMatrix(X[t], Y[t]),
-                                          LiftedMatrix(xp[t], yp[t]), slots[fits[t]] + 1, tol)
+                                          LiftedMatrix(xp[t], yp[t]), attempts[fits[t]] + 1, tol)
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
 
 
@@ -604,8 +593,9 @@ def _admissible(sc: ConstraintScenario, M: LiftedMatrix) -> bool:
 
 def verify_counterexample(verdict: IdentifiabilityVerdict, ens: Ensemble) -> bool:
     """Machine-check the counterexample invariant on the stored witness:
-    witness and reference are admissible, measured alike and far apart."""
-    if verdict.status != COUNTEREXAMPLE_FOUND:
+    witness and reference are admissible, measured alike and far apart, at
+    a tolerance the searches take."""
+    if verdict.status != COUNTEREXAMPLE_FOUND or not _far(1.0, verdict.tolerance):
         return False
     if verdict.witness is None or verdict.reference is None:
         return False

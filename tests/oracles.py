@@ -209,23 +209,20 @@ def certify_strong(ens, *, budget, tol, rng):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
     for attempt in range(budget):
         S1p, S2p = supports[rng.integers(len(supports))]
-        xp = random_factor(len(S1p), rng)
-        yp = random_factor(len(S2p), rng)
-        M1 = LiftedMatrix(_embed(xp, S1p, sc.m1), _embed(yp, S2p, sc.m2))
-        nrm = np.linalg.norm(M1.M)
-        if nrm == 0.0:
-            continue
-        M1 = LiftedMatrix(M1.x / nrm, M1.y)
-        z1 = apply_A(ens, M1)
+        xp = _embed(random_factor(len(S1p), rng), S1p, sc.m1)
+        yp = _embed(random_factor(len(S2p), rng), S2p, sc.m2)
+        # a zero plant is NaN from here on, and a NaN residual fits no tol
+        xp = xp / np.linalg.norm(np.outer(xp, yp))
+        z1 = apply_A(ens, np.outer(xp, yp))
         S1, S2 = supports[attempt % len(supports)]
         aS = ens.a.conj()[:, list(S1)]
         bS = ens.b.conj()[:, list(S2)]
         x, y, residual = fit(aS, bS, z1, random_factor(len(S1), rng))
-        M2 = LiftedMatrix(_embed(x, S1, sc.m1), _embed(y, S2, sc.m2))
-        c = 1.0 / max(1.0, np.linalg.norm(M2.M))
+        x, y = _embed(x, S1, sc.m1), _embed(y, S2, sc.m2)
+        c = 1.0 / max(1.0, np.linalg.norm(np.outer(x, y)))
         if residual * c <= tol:
-            M1c = LiftedMatrix(c * M1.x, M1.y)
-            M2c = LiftedMatrix(c * M2.x, M2.y)
+            M1c = LiftedMatrix(c * xp, yp)
+            M2c = LiftedMatrix(c * x, y)
             if min_scaled_distance(M2c, M1c) > 10 * tol:
                 return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, M2c, M1c, attempt + 1, tol)
     return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)

@@ -126,6 +126,17 @@ def test_orbit_distances_are_judged_by_the_counterexample_rule():
     assert len(distances) >= 3 and not unjudged, unjudged
 
 
+def test_far_threshold_has_one_owner():
+    # every _far call in the package is in recovery, which also refuses a
+    # tolerance whose far threshold 10 * tol reaches the unit-ball radius,
+    # so no other module keeps a counterexample rule or a tolerance check
+    src = Path(blindid.__file__).parent
+    calls = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and _callee(node) == "_far"]
+    assert len(calls) >= 4 and {name for name, _ in calls} == {"recovery.py"}, calls
+
+
 def test_stacks_are_sized_in_recovery_only():
     # how many slots a solver or certifier stack holds is decided where its
     # kernel runs: recovery.STACK_ENTRIES bounds every such stack and

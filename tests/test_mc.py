@@ -589,7 +589,7 @@ class TestDeviationSearch:
                                              t0[one], delta[one])
             assert v1[0] == val[k] and np.array_equal(g1[0], grad[k])
 
-    def test_lbfgs_reports_stop_status(self):
+    def test_lbfgs_reports_stop_status(self, monkeypatch):
         rng = np.random.default_rng(11)
         Q = rng.standard_normal((5, 6, 6))
         A = Q @ Q.transpose(0, 2, 1) + np.diag(np.arange(1.0, 7.0))
@@ -611,8 +611,9 @@ class TestDeviationSearch:
         ens = build_ensemble(sc, COMPLEX_UNIFORM_BALL, 7, R=0.8)
         x0, y0 = (v[0] for v in mc._plant_factors(sc, False, [rng]))
         p0 = mc._draw_starts(x0, y0, 0.1, 3, rng)
+        monkeypatch.setattr(mc, "DEVIATION_MAXITER", 1)
         _, status = mc._deviation_search(ens.a[None], ens.b[None], x0[None],
-                                         y0[None], [0.1], p0[None], maxiter=1)
+                                         y0[None], [0.1], p0[None])
         assert (status == mc.MAXITER).all()
 
         # a gradient that points uphill defeats every line search
@@ -621,6 +622,32 @@ class TestDeviationSearch:
 
         _, status = mc._lbfgs(uphill, np.ones((2, 3)), 200, np.arange(2))
         assert (status == mc.LINE_SEARCH_FAILED).all()
+
+    def test_lbfgs_resets_a_non_descent_direction(self, monkeypatch):
+        # slot 0's direction is flipped uphill in the round after its second
+        # memory pair: its memory is cleared, it goes on from steepest descent
+        # and converges, and every other slot keeps the bits of its solo run
+        quadratic, A, c = _quadratics()
+        p0 = np.zeros((5, 6))
+        solo = [mc._lbfgs(quadratic, p0[[i]], 200, np.array([i])) for i in range(1, 5)]
+        real, seen, after_flip = mc._two_loop, [], []
+
+        def flipped(g, S, Y, rho, used):
+            r = real(g, S, Y, rho, used)
+            seen.append((used[0], rho[:, 0].copy(), S[:, 0].copy(), Y[:, 0].copy()))
+            if used[0] == 2 and not after_flip:
+                after_flip.append(len(seen))
+                r[0] = -r[0]
+            return r
+
+        monkeypatch.setattr(mc, "_two_loop", flipped)
+        p, status = mc._lbfgs(quadratic, p0, 200, np.arange(5))
+        used, *memory = seen[after_flip[0]]
+        assert used == 0 and not any(m.any() for m in memory)
+        assert status[0] == mc.CONVERGED
+        assert np.allclose(p[0], np.linalg.solve(A[0], c[0]), atol=1e-4)
+        for i, (p_solo, status_solo) in enumerate(solo, 1):
+            assert p[i].tobytes() == p_solo[0].tobytes() and status[i] == status_solo[0]
 
     def test_lbfgs_matches_lockstep_reference(self, stability_batch):
         # each slot follows the same trial points, accept decisions and

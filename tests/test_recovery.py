@@ -384,8 +384,8 @@ def test_certifiers_match_attempt_by_attempt_reference(sc):
     # chunked attempts and SVDs of the largest unions give the verdicts,
     # budgets and witnesses of one attempt and one SVD per union at a time;
     # the loose tolerance puts first counterexamples past attempt 1 (at
-    # attempts 3 to 56 here)
-    for seed, tol in itertools.product(range(3), (1e-6, 0.1)):
+    # attempts 2 to 37 here)
+    for seed, tol in itertools.product(range(3), (1e-6, 0.05)):
         ens, M0 = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
         for level, new, ref, args in (
                 ("weak", certify_weak, oracles.certify_weak, (ens, M0)),
@@ -403,9 +403,9 @@ def test_certifiers_match_attempt_by_attempt_reference(sc):
 def test_certifier_counterexamples_verify_on_the_grid():
     # every counterexample on the grid passes the verifier at both
     # tolerances, admissibility included, and each (level, tol) finds some
-    found = dict.fromkeys(itertools.product(("weak", "strong"), (1e-6, 0.1)), 0)
+    found = dict.fromkeys(itertools.product(("weak", "strong"), (1e-6, 0.05)), 0)
     for sc in _certify_grid():
-        for seed, tol in itertools.product(range(3), (1e-6, 0.1)):
+        for seed, tol in itertools.product(range(3), (1e-6, 0.05)):
             ens, M0 = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
             for level, v in (
                     ("weak", certify_weak(ens, M0, budget=100, tol=tol,
@@ -583,7 +583,7 @@ def test_certifier_chunks_hold_at_most_the_stack_bound(monkeypatch):
     found = 0
     for sc, (level, certify), seed, tol in itertools.product(
             (subspace(3), ConstraintScenario("sparsity", 1, 5, 5, 1, 1)),
-            (("weak", certify_weak), ("strong", certify_strong)), range(3), (1e-6, 0.1)):
+            (("weak", certify_weak), ("strong", certify_strong)), range(3), (1e-6, 0.05)):
         ens, M0 = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
         args = (ens, M0) if level == "weak" else (ens,)
         want = certify(*args, budget=100, tol=tol, rng=np.random.default_rng(seed))
@@ -688,13 +688,16 @@ def test_chunk_returns_its_first_far_fit(level, monkeypatch):
 
 
 @pytest.mark.parametrize("part", ["x", "y"])
-def test_strong_search_skips_a_zero_plant(part, monkeypatch):
-    # the planted x (or y) draws of attempt 0 are all 0: that attempt draws
-    # its support and its factors but no start, and is not fitted; the
-    # next chunk's eight attempts draw all three and are fitted
+@pytest.mark.parametrize("sc, seed", [(ConstraintScenario("sparsity", 1, 5, 5, 1, 1), 0),
+                                      (subspace(3), 2)], ids=["k=1", "k=2"])
+def test_strong_search_never_returns_a_zero_plant(sc, seed, part):
+    # the planted x (or y) draws are all 0 at the attempt that otherwise
+    # finds the counterexample: that attempt draws its support, factors and
+    # start like every other one and raises nothing, and its plant measures
+    # NaN, which no fit matches, so it is not the counterexample
     class Scripted:
         def __init__(self):
-            self.rng, self.draws = np.random.default_rng(3), []
+            self.rng, self.draws = np.random.default_rng(seed), []
 
         def integers(self, high):
             self.draws.append("support")
@@ -703,20 +706,41 @@ def test_strong_search_skips_a_zero_plant(part, monkeypatch):
         def standard_normal(self, size):
             self.draws.append(size)
             g = self.rng.standard_normal(size)
-            if len(self.draws) == 2:
-                g[slice(0, 2) if part == "x" else slice(2, 4)] = 0.0
+            if len(self.draws) == 3 * hit - 1:
+                g[slice(0, 2 * k1) if part == "x" else slice(2 * k1, None)] = 0.0
             return g
 
-    calls = []
-    real = recovery._lm
-    monkeypatch.setattr(recovery, "_lm",
-                        lambda aS, *args: calls.append(len(aS)) or real(aS, *args))
-    ens = build_ensemble(ConstraintScenario("sparsity", 3, 5, 5, 1, 1), COMPLEX_GENERIC, 0)
+    k1, k2 = sc.support_sizes
+    ens, _ = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
+    v = certify_strong(ens, budget=100, tol=0.05, rng=np.random.default_rng(seed))
+    hit = v.search_budget
+    assert v.status == COUNTEREXAMPLE_FOUND
     rng = Scripted()
-    certify_strong(ens, budget=9, tol=1e-6, rng=rng)
-    # support 1 x 1: planted x and y draws 2 + 2, start 2
-    assert rng.draws == ["support", 4] + ["support", 4, 2] * 8
-    assert calls == [8]
+    with pytest.warns(RuntimeWarning, match="encountered in"):
+        v = certify_strong(ens, budget=100, tol=0.05, rng=rng)
+    assert rng.draws == ["support", 2 * (k1 + k2), 2 * k1] * (len(rng.draws) // 3)
+    assert len(rng.draws) >= 3 * hit and v.search_budget != hit
+    assert v.status != COUNTEREXAMPLE_FOUND or verify_counterexample(v, ens)
+
+
+def test_certifiers_refuse_a_far_threshold_at_the_ball_radius():
+    # at tol >= 0.1 the far threshold 10 * tol reaches the unit-ball radius
+    # 1, so a verdict could turn on the last bit of an orbit distance
+    # between matrices of the ball: both searches refuse such a tolerance,
+    # and the verifier passes no verdict that carries one, also for a
+    # witness measured within it and more than 10 * tol away
+    sc = ConstraintScenario("sparsity", 1, 5, 5, 1, 1)
+    ens, M0 = draw_trial(sc, COMPLEX_GENERIC, 1, R=None)
+    message = "^tolerance must be below 0.1, so that the far threshold 10 \\* tol stays below"
+    for tol in (0.1, 0.5):
+        with pytest.raises(ValueError, match=message):
+            certify_weak(ens, M0, budget=10, tol=tol, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            certify_strong(ens, budget=10, tol=tol, rng=np.random.default_rng(0))
+    v = certify_weak(ens, M0, budget=100, tol=0.05, rng=np.random.default_rng(1))
+    assert v.status == COUNTEREXAMPLE_FOUND and verify_counterexample(v, ens)
+    assert min_scaled_distance(v.witness, v.reference) > 1.0
+    assert not verify_counterexample(replace(v, tolerance=0.1), ens)
 
 
 def test_zero_budget_searches_nothing():
