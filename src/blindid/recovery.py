@@ -17,12 +17,12 @@ index arrays throughout. A solve runs its starts in waves of 1, 2, 4, ...:
 the spectral start alone first, then more random starts only for the
 trials that no slot has fit yet. Within a wave, all of a trial's slots,
 on every support, stop together as soon as one of them fits exactly.
-One trial is a stack of one. Certifier attempts run in chunks of 1, 8,
-64, ... (at most STACK_ENTRIES entries each), so a search may draw from
-the caller's rng past the attempt it returns; verdicts and budgets do not
-change. Per attempt only the rng draws run in Python; the planted
-matrices, their measurements, the fits and the counterexample rule run
-once per chunk, on the whole stack.
+One trial is a stack of one. Certifier attempts run in chunks of at most
+STACK_ENTRIES entries: the first attempt alone, since far below the
+threshold almost every plant has a partner, then the rest of the budget.
+So a search may draw from the caller's rng past the attempt it returns;
+verdicts and budgets do not change. Per attempt only the rng draws run in
+Python; the fits and the counterexample rule run once per chunk.
 """
 
 from __future__ import annotations
@@ -501,9 +501,9 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
     those are checked: per side, the sets of min(|S0| + k, m) indices that
     contain S0. Heuristic path: `budget` multi-start fits of the planted
     measurements; a far solution with a tiny residual is a
-    counterexample, otherwise the verdict is only heuristic. Attempts run
-    in chunks of 1, 8, 64, ..., each fitted and tested as one stack, so rng
-    may be drawn past the first far fit; the verdict does not change.
+    counterexample, otherwise the verdict is only heuristic. The first
+    attempt runs alone, then the rest of the budget, each chunk fitted and
+    tested as one stack, so rng may be drawn past the first far fit.
     """
     _check_search(budget, tol)
     sc = ens.scenario
@@ -517,7 +517,7 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
 
     S1, S2 = admissible_supports(sc)
     z0 = apply_A(ens, M0)
-    for attempts in _chunks(budget, 8, _attempts_per_chunk(sc)):
+    for attempts in _chunks(budget, budget, _attempts_per_chunk(sc)):
         rows, cols = (S[np.array(attempts) % len(S)] for S in (S1, S2))  # support t mod P
         aS, bS = support_rows(ens, rows, cols)
         X, Y, residual = _lm(aS, bS, np.broadcast_to(z0, (len(attempts), ens.n)),
@@ -546,10 +546,10 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
     counterexample.
 
     Per attempt, only the draws run: the planted support, its x then y
-    factors, then the start. Per chunk of 1, 8, 64, ... attempts, the
-    planted matrices are normalized and measured as one stack by apply_A,
-    then fitted and tested as one stack. So rng may be drawn past the
-    attempt that finds a counterexample; the verdict does not change.
+    factors, then the start. Per chunk (the first attempt, then the rest),
+    the planted matrices are normalized and measured as one stack by
+    apply_A, then fitted and tested as one stack. So rng may be drawn past
+    the attempt that finds a counterexample; the verdict does not change.
     """
     _check_search(budget, tol)
     sc = ens.scenario
@@ -559,7 +559,7 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
 
     S1, S2 = admissible_supports(sc)
-    for attempts in _chunks(budget, 8, _attempts_per_chunk(sc)):
+    for attempts in _chunks(budget, budget, _attempts_per_chunk(sc)):
         picks, G, starts = map(np.array, zip(*[
             (rng.integers(P), rng.standard_normal(2 * (k1 + k2)), rng.standard_normal(2 * k1))
             for _ in attempts]))  # the planted support, its x then y draws, the start

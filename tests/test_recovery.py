@@ -547,11 +547,11 @@ def test_certificate_unions_past_the_cap_are_refused(monkeypatch):
     assert verdict.status == CERTIFIED_UNIQUE and checked
 
 
-def test_certifier_chunks_grow_by_eight_and_solver_waves_by_two(monkeypatch):
-    # a search that finds nothing fits its 100 attempts in chunks of 1, 8,
-    # 64 and 27, at both levels; a solve that fits no trial runs its 1 + 6
-    # starts in waves of 1, 2 and 4
-    assert [len(c) for c in recovery._chunks(100, 8, 100)] == [1, 8, 64, 27]
+def test_certifier_runs_one_attempt_then_the_rest_and_solver_waves_grow_by_two(monkeypatch):
+    # a search that finds nothing fits its 100 attempts in two stacks, the
+    # first attempt alone and then the other 99, at both levels; a solve
+    # that fits no trial runs its 1 + 6 starts in waves of 1, 2 and 4
+    assert [len(c) for c in recovery._chunks(100, 100, 100)] == [1, 99]
     assert [len(c) for c in recovery._chunks(63, 2, 63)] == [1, 2, 4, 8, 16, 32]
     calls = []
     real = recovery._lm
@@ -563,7 +563,7 @@ def test_certifier_chunks_grow_by_eight_and_solver_waves_by_two(monkeypatch):
         calls.clear()
         v = certify(*args, budget=100, tol=1e-6, rng=np.random.default_rng(0))
         assert (v.status, v.search_budget) == (HEURISTICALLY_UNIQUE, 100)
-        assert calls == [1, 8, 64, 27]
+        assert calls == [1, 99]
     calls.clear()
     ens, z, _ = _stacked_row(subspace(8, 3, 3), 1, 80, noise=0.05)
     solve_fixed_support(ens, z, *admissible_supports(subspace(8, 3, 3)), 6,
@@ -602,8 +602,36 @@ def test_certifier_chunks_hold_at_most_the_stack_bound(monkeypatch):
             assert np.array_equal(got.reference.M, want.reference.M)
     assert found >= 8, found
     # an attempt larger than the bound still runs, one per chunk
-    assert [len(c) for c in recovery._chunks(5, 8, 1)] == [1] * 5
-    assert [len(c) for c in recovery._chunks(30, 8, 3)] == [1] + [3] * 9 + [2]
+    assert [len(c) for c in recovery._chunks(5, 5, 1)] == [1] * 5
+    assert [len(c) for c in recovery._chunks(30, 30, 3)] == [1] + [3] * 9 + [2]
+
+
+def test_a_budget_within_the_stack_bound_makes_at_most_two_fits(monkeypatch):
+    # up to _attempts_per_chunk(sc) attempts, a search that finds nothing
+    # is one fit of the first attempt and one of the rest; one attempt
+    # more than the bound still fits in two stacks, and one more takes three
+    sc = ConstraintScenario("sparsity", 3, 5, 5, 1, 1)
+    ens, M0 = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
+    calls = []
+    real = recovery._lm
+    monkeypatch.setattr(recovery, "_lm",
+                        lambda aS, *args: calls.append(len(aS)) or real(aS, *args))
+    most = recovery._attempts_per_chunk(sc)
+    for certify, args in ((certify_weak, (ens, M0)), (certify_strong, (ens,))):
+        calls.clear()
+        v = certify(*args, budget=most, tol=1e-6, rng=np.random.default_rng(0))
+        assert (v.status, calls) == (HEURISTICALLY_UNIQUE, [1, most - 1])
+    monkeypatch.setattr(recovery, "STACK_ENTRIES", 4 * (sc.n * sum(sc.support_sizes)
+                                                        + sc.m1 * sc.m2))
+    most = recovery._attempts_per_chunk(sc)
+    assert most == 4
+    want = {0: [], 1: [1], 2: [1, 1], 3: [1, 2], 4: [1, 3], 5: [1, 4], 6: [1, 4, 1]}
+    for (certify, args), budget in itertools.product(
+            ((certify_weak, (ens, M0)), (certify_strong, (ens,))), want):
+        calls.clear()
+        v = certify(*args, budget=budget, tol=1e-6, rng=np.random.default_rng(0))
+        assert (v.status, v.search_budget, calls) == (HEURISTICALLY_UNIQUE, budget,
+                                                      want[budget])
 
 
 def test_trials_per_stack_keeps_the_solver_stack_bound():
@@ -653,7 +681,7 @@ def test_exact_path_builds_no_support_pairs(monkeypatch):
 
 @pytest.mark.parametrize("level", ["weak", "strong"])
 def test_chunk_returns_its_first_far_fit(level, monkeypatch):
-    # in the chunk of attempts 1..8, attempts 1 and 3 fit near the
+    # in the chunk of attempts 1..99, attempts 1 and 3 fit near the
     # reference, 2 is far but does not fit, and 4 and 5 fit far from it:
     # one stacked test returns attempt 4's fit, and the search stops there
     sc = subspace(2)
@@ -672,7 +700,7 @@ def test_chunk_returns_its_first_far_fit(level, monkeypatch):
         calls.append(T)
         x, y = recovery._top_rank1(np.broadcast_to(measured[-1], (T, 2, 2)))
         x, y, residual = 2 * x, y / 2, np.ones(T)
-        if T == 8:
+        if T == 99:
             for i, (xf, yf) in far.items():
                 x[i], y[i] = xf, yf
             residual[[0, 2, 3, 4]] = 0.0
@@ -682,9 +710,47 @@ def test_chunk_returns_its_first_far_fit(level, monkeypatch):
     rng = np.random.default_rng(2)
     v = (certify_weak(ens, M0, budget=100, tol=1e-6, rng=rng) if level == "weak"
          else certify_strong(ens, budget=100, tol=1e-6, rng=rng))
-    assert (v.status, v.search_budget, calls) == (COUNTEREXAMPLE_FOUND, 5, [1, 8])
+    assert (v.status, v.search_budget, calls) == (COUNTEREXAMPLE_FOUND, 5, [1, 99])
     assert np.array_equal(v.witness.M, np.outer(e[1], e[0]))
     assert np.array_equal(v.reference.M, M0.M if level == "weak" else measured[-1][3])
+
+
+@pytest.mark.parametrize("first", [9, 10, 73, 74])
+@pytest.mark.parametrize("level", ["weak", "strong"])
+def test_far_fits_at_the_old_chunk_edges_return_the_first(level, first, monkeypatch):
+    # attempts, counted from 1 as search_budget counts them, 9 | 10 and
+    # 73 | 74 sat on either side of a chunk edge when chunks grew by 8; far
+    # unit-norm fits at the edges from `first` on, each a different
+    # matrix, return the one at attempt `first`, in any chunking
+    sc = subspace(2)
+    ens = build_ensemble(sc, COMPLEX_GENERIC, 0)
+    M0 = random_factors(sc, 1)
+    measured, calls = [], []
+    real_apply = recovery.apply_A
+    monkeypatch.setattr(recovery, "apply_A",
+                        lambda e, M: measured.append(as_matrix(M)) or real_apply(e, M))
+    e = np.eye(2, dtype=complex)
+    far = {t: f for t, f in zip((9, 10, 73, 74), itertools.product(e, e)) if t >= first}
+
+    def scripted(aS, bS, z, X0, group=1):
+        # near the reference and not fitting in every slot, but the far fits
+        T, done = len(aS), sum(calls)
+        calls.append(T)
+        x, y = recovery._top_rank1(np.broadcast_to(measured[-1], (T, 2, 2)))
+        residual = np.ones(T)
+        for t, (xf, yf) in far.items():
+            if done < t <= done + T:
+                x[t - done - 1], y[t - done - 1], residual[t - done - 1] = xf, yf, 0.0
+        return x, y, residual
+
+    monkeypatch.setattr(recovery, "_lm", scripted)
+    rng = np.random.default_rng(2)
+    v = (certify_weak(ens, M0, budget=100, tol=1e-6, rng=rng) if level == "weak"
+         else certify_strong(ens, budget=100, tol=1e-6, rng=rng))
+    assert (v.status, v.search_budget) == (COUNTEREXAMPLE_FOUND, first)
+    assert np.array_equal(v.witness.M, np.outer(*far[first]))
+    assert np.array_equal(v.reference.M,
+                          M0.M if level == "weak" else np.concatenate(measured)[first - 1])
 
 
 @pytest.mark.parametrize("part", ["x", "y"])
