@@ -13,12 +13,13 @@ is s, in every row: a sweep point is a plain ConstraintScenario at that n,
 also below the sample count d. The kernel
 takes trials as stacks from draw to score: only each trial's own
 generator calls run per trial, one per block of draws, and the assembly,
-the ensemble FFTs, the measurements, the solve and the scoring run once
-per stack; a trial builds its solver stream only if it reads it. The
-solve is one Levenberg-Marquardt run with every (trial, support, solver
-start) a slot, or one stacked least-squares call when the sample count
-reaches k1*k2 on supports of k1 x k2. Each trial gets the bits of its
-replay alone.
+the ensemble FFTs and the measurements run once per row of a stack, the
+solve and the scoring once per stack; a trial builds its solver stream
+only if it reads it. A stack may span the kernel rows of a sweep (n below
+k1*k2 on supports of k1 x k2), whose solve is one Levenberg-Marquardt run
+per wave with every (trial, support, solver start) a slot; a
+least-squares row is one stacked least-squares call. Each trial gets the
+bits of its replay alone.
 Stability sweeps search their delta > 0 trials in flat batches, one drawn
 stack and one batched L-BFGS run each, and each trial's result does not
 depend on the batch it is solved in.
@@ -30,9 +31,10 @@ and is compacted when a start stops.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,8 +43,8 @@ from .ensembles import (COMPLEX_UNIFORM_BALL, REAL_GENERIC, REAL_UNIFORM_BALL,
                         ConstraintScenario, Ensemble, _complex_normal, build_ensemble,
                         mix_seed, sample_uniform_complex_ball_batch)
 from .lifting import LiftedMatrix, _times, apply_G, as_matrix, mean_isometry_radius
-from .recovery import (RecoveryStack, _norm, _trials_per_stack, align_and_distance,
-                       is_recovered, solve_sparse_enumerate)
+from .recovery import (RecoveryStack, RowStack, _norm, _solve_length, _trials_per_stack,
+                       align_and_distance, is_recovered, solve_sparse_enumerate)
 
 __all__ = [
     "TRANSITION_COLUMNS",
@@ -227,12 +229,15 @@ def _check_recovery(restarts: int, noise_level: float) -> None:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
 
 
-def recover_stack(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
-                  R: Optional[float], restarts: int, noise_level: float
-                  ) -> Tuple[RecoveryStack, np.ndarray, np.ndarray]:
+def recover_stack(sc: Union[ConstraintScenario, Sequence[ConstraintScenario]], tag: str,
+                  seeds: Sequence[int], *, R: Optional[float], restarts: int,
+                  noise_level: float) -> Tuple[RecoveryStack, np.ndarray, np.ndarray]:
     """Plant, measure, solve and score the trials with seeds `seeds` as one
-    stack. Each trial draws from its own streams, so each gets the bits of
-    its stack of one.
+    stack. sc is the ConstraintScenario of every trial, or a list with one
+    per trial: the rows of a sweep, one scenario at several n. Each run of
+    consecutive trials of one scenario is drawn and measured as one stack,
+    and the solve takes every trial at once. Each trial draws from its own
+    streams, so each gets the bits of its stack of one.
 
     The measurements are taken in the time domain, z = the circular
     convolution of Dx and Ey plus spherical noise of radius noise_level
@@ -242,29 +247,46 @@ def recover_stack(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
     planted matrix and whether the trial counts as recovered (is_recovered).
     """
     _check_recovery(restarts, noise_level)
-    ens, X, Y, plant_rngs, solver_rngs = _draw_trials(sc, tag, seeds, R=R)
-    z = apply_G(ens, X, Y)
-    if noise_level > 0:
-        g = np.array([rng.standard_normal(sc.n) + 1j * rng.standard_normal(sc.n)
-                      for rng in plant_rngs])
-        z = z + noise_level * g / _norm(g)[:, None]
-    z_tilde = np.fft.fft(z, norm="ortho") / np.sqrt(sc.n)
-    fit = solve_sparse_enumerate(ens, z_tilde, restarts=restarts, rng=solver_rngs)
-    M_hat, M0 = (U[:, :, None] * V[:, None, :] for U, V in ((fit.X, fit.Y), (X, Y)))
+    scs = [sc] * len(seeds) if isinstance(sc, ConstraintScenario) else sc
+    rows = []  # per run of one scenario: ensemble, measurements, planted factors
+    for sc_r, run in itertools.groupby(zip(scs, seeds), key=lambda pair: pair[0]):
+        ens, X, Y, plant_rngs, _ = _draw_trials(sc_r, tag, [s for _, s in run], R=R)
+        z = apply_G(ens, X, Y)
+        if noise_level > 0:
+            g = np.array([rng.standard_normal(sc_r.n) + 1j * rng.standard_normal(sc_r.n)
+                          for rng in plant_rngs])
+            z = z + noise_level * g / _norm(g)[:, None]
+        rows.append((ens, np.fft.fft(z, norm="ortho") / np.sqrt(sc_r.n), X, Y))
+    ens, z_tilde, X, Y = zip(*rows)
+    fit = solve_sparse_enumerate(RowStack(ens), z_tilde, restarts=restarts,
+                                 rng=_Streams(seeds, 2))
+    M_hat, M0 = (U[:, :, None] * V[:, None, :]
+                 for U, V in ((fit.X, fit.Y), (np.concatenate(X), np.concatenate(Y))))
     return fit, align_and_distance(M_hat, M0), is_recovered(M_hat, M0)
 
 
-def _recover_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
-                    R: Optional[float], restarts: int, noise_level: float
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """recover_stack on `seeds` in stacks of _trials_per_stack trials (flat
-    memory in the number of trials); restarts must be >= 0. Returns per
-    trial the lifted error and whether the trial counts as recovered."""
-    size = _trials_per_stack(sc, restarts)
-    stacks = [recover_stack(sc, tag, seeds[start:start + size], R=R, restarts=restarts,
-                            noise_level=noise_level)[1:] for start in range(0, len(seeds), size)]
-    errors, recovered = zip(*stacks)
-    return np.concatenate(errors), np.concatenate(recovered)
+def _recover_trials(sc: Union[ConstraintScenario, Sequence[ConstraintScenario]], tag: str,
+                    seeds: Sequence[int], *, R: Optional[float], restarts: int,
+                    noise_level: float) -> Tuple[np.ndarray, np.ndarray]:
+    """recover_stack on `seeds`, with sc as there, in flat stacks: the
+    trials of one solve length (every kernel row of a sweep has the same
+    one), in their order, in stacks of _trials_per_stack of them, which
+    may span rows (flat memory in the number of trials); restarts must be
+    >= 0. Returns per trial the lifted error and whether it counts as
+    recovered."""
+    scs = [sc] * len(seeds) if isinstance(sc, ConstraintScenario) else sc
+    errors, recovered = np.empty(len(seeds)), np.empty(len(seeds), dtype=bool)
+    lengths = [_solve_length(sc_t) for sc_t in scs]
+    order = sorted(range(len(seeds)), key=lengths.__getitem__)
+    for _, group in itertools.groupby(order, key=lengths.__getitem__):
+        group = list(group)
+        size = _trials_per_stack(scs[group[0]], restarts)
+        for start in range(0, len(group), size):
+            idx = group[start:start + size]
+            _, errors[idx], recovered[idx] = recover_stack(
+                [scs[t] for t in idx], tag, [seeds[t] for t in idx], R=R, restarts=restarts,
+                noise_level=noise_level)
+    return errors, recovered
 
 
 def run_phase_transition(sc: ConstraintScenario, tag: str, ns: Sequence[int], *,
@@ -278,9 +300,12 @@ def run_phase_transition(sc: ConstraintScenario, tag: str, ns: Sequence[int], *,
     measures it (optionally with spherical noise of l2 radius noise_level,
     so the measurement proximity is delta = 2 * noise_level), solves over
     every admissible support, and scores success by the recovery threshold.
-    A row's trials are drawn, measured, solved and scored as stacks (at
-    most recovery.STACK_ENTRIES entries), each trial with the bits of its
-    stack of one, which `recover --seed` runs. Every input, each n
+    Each trial is drawn, measured and scored with its row, and solved with
+    the trials of its solve length (_recover_trials): the kernel rows
+    (n < k1*k2) share flat stacks of at most recovery.STACK_ENTRIES
+    entries, so each solver wave is one kernel run over all of them, while
+    a least-squares row is solved on its own. Each trial has the bits of
+    its stack of one, which `recover --seed` runs. Every input, each n
     included, is checked before the first draw. Rows carry the thresholds
     d and 2d for annotation.
     """
@@ -288,16 +313,18 @@ def run_phase_transition(sc: ConstraintScenario, tag: str, ns: Sequence[int], *,
         raise ValueError("trials must be >= 1")
     _check_recovery(restarts, noise_level)
     scenarios = [sc.with_n(n) for n in ns]
+    err, ok = _recover_trials([sc_n for sc_n in scenarios for _ in range(trials)], tag,
+                              [mix_seed(seed, row_idx, i) for row_idx in range(len(ns))
+                               for i in range(trials)],
+                              R=R, restarts=restarts, noise_level=noise_level)
     rows = []
-    for row_idx, sc_n in enumerate(scenarios):
+    for sc_n, row_err, row_ok in zip(scenarios, err.reshape(-1, trials),
+                                     ok.reshape(-1, trials)):
         d = bounds.sample_complexity_d(sc_n)
-        err, ok = _recover_trials(sc_n, tag, [mix_seed(seed, row_idx, i) for i in range(trials)],
-                                  R=R, restarts=restarts, noise_level=noise_level)
-        successes = int(ok.sum())
-        mean_err = float(np.mean(err))
+        successes = int(row_ok.sum())
         rows.append({"n": sc_n.n, "trials": trials, "successes": successes,
                      "rate": successes / trials, "d": d, "two_d": 2 * d,
-                     "mean_lifted_error": mean_err})
+                     "mean_lifted_error": float(np.mean(row_err))})
     return rows
 
 

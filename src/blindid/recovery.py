@@ -11,15 +11,21 @@ restricted linear operator) with a multi-start heuristic search for
 counterexamples, which is explicitly non-conclusive when it finds nothing.
 
 The kernel runs on a stack of slots, each with the arithmetic of a lone
-run: every (trial, support, start) of a solve, one solve for a whole
-transition row, or a chunk of certifier attempts; supports are (P, k)
-index arrays throughout. A solve runs its starts in waves of 1, 2, 4, ...:
-the spectral start alone first, then more random starts only for the
-trials that no slot has fit yet. Within a wave, all of a trial's slots,
-on every support, stop together as soon as one of them fits exactly.
-One trial is a stack of one. Certifier attempts run in chunks of at most
-STACK_ENTRIES entries: the first attempt alone, since far below the
-threshold almost every plant has a partner, then the rest of the budget.
+run: every (trial, support, start) of a solve, or a chunk of certifier
+attempts; supports are (P, k) index arrays throughout. A solve may span
+the kernel rows of a sweep (a RowStack): it zero-pads every trial's
+frequency rows and measurements to the solve length k1*k2 - 1, which the
+scenario alone fixes. Zero rows add nothing to the residual or to the
+normal equations, so trials of different n share the stack, and a trial
+computes on the same arrays in any stack. A solve runs its starts in
+waves of 1, 2, 4, ...: the spectral start alone first, then more random
+starts only for the trials that no slot has fit yet. Within a wave, all
+of a trial's slots, on every support, stop together as soon as one of
+them reaches the trial's residual floor, which is computed once, from
+measurements without the padding. One trial is a stack of one.
+Certifier attempts run in chunks of at most STACK_ENTRIES entries: the
+first attempt alone, since far below the threshold almost every plant
+has a partner, then the rest of the budget.
 So a search may draw from the caller's rng past the attempt it returns;
 verdicts and budgets do not change. Per attempt only the rng draws run in
 Python; the fits and the counterexample rule run once per chunk.
@@ -27,10 +33,11 @@ Python; the fits and the counterexample rule run once per chunk.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -41,6 +48,7 @@ from .lifting import (LiftedMatrix, _times, apply_A, as_matrix, operator_matrix,
 
 __all__ = [
     "RecoveryStack",
+    "RowStack",
     "IdentifiabilityVerdict",
     "CERTIFIED_UNIQUE",
     "COUNTEREXAMPLE_FOUND",
@@ -99,6 +107,32 @@ class RecoveryStack:
     residual: np.ndarray
     supports: Tuple[np.ndarray, np.ndarray]
     restarts_used: int = 0
+
+
+@dataclass(frozen=True)
+class RowStack:
+    """Trial stacks of one scenario at several sample counts n, the rows of
+    a sweep, as one stack for solve_fixed_support. The rows share the
+    solve length n (_solve_length), to which the solve zero-pads their
+    frequency rows; scenario is theirs at that n."""
+
+    ensembles: Tuple[Ensemble, ...]
+
+    def __post_init__(self):
+        sc = self.ensembles[0].scenario
+        if any(e.scenario.with_n(sc.n) != sc or _solve_length(e.scenario) != _solve_length(sc)
+               for e in self.ensembles[1:]):
+            raise ValueError("the rows of a stack must be one scenario at sample counts "
+                             "of one solve length")
+
+    @functools.cached_property
+    def scenario(self) -> ConstraintScenario:
+        sc = self.ensembles[0].scenario
+        return sc.with_n(_solve_length(sc))
+
+    @property
+    def n(self) -> int:
+        return self.scenario.n
 
 
 @dataclass(frozen=True)
@@ -186,16 +220,23 @@ def _damped_solve(B: np.ndarray, w: np.ndarray, lam) -> np.ndarray:
     return np.linalg.solve(H, Bh @ w[:, :, None])[:, :, 0]
 
 
+def _residual_floor(z: np.ndarray) -> np.ndarray:
+    """LM_RESIDUAL_FLOOR * max(1, ||z||) per row of z (n entries, unpadded):
+    the residual at which a fit counts as exact."""
+    return LM_RESIDUAL_FLOOR * np.maximum(1.0, _norm(z))
+
+
 def _lm(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray, X0: np.ndarray,
-        group: int = 1) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        floor: np.ndarray, group: int = 1) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Levenberg-Marquardt over the factors on a fixed support, one slot
     per start.
 
     aS (S, n, k1) and bS (S, n, k2) are the conjugated frequency rows
     restricted to each slot's support, so the model is (aS @ x) * (bS @ y)
-    entrywise; z_tilde (S, n) holds the measurements and X0 (S, k1) the
-    starts. The residual r = (aS x) * (bS y) - z is holomorphic in (x, y),
-    with Jacobian J = [diag(bS y) aS, diag(aS x) bS]; each step solves
+    entrywise; z_tilde (S, n) holds the measurements, X0 (S, k1) the
+    starts and floor (S,) each slot's residual floor. The residual
+    r = (aS x) * (bS y) - z is holomorphic in (x, y), with Jacobian
+    J = [diag(bS y) aS, diag(aS x) bS]; each step solves
     (J^H J + lam max diag(J^H J) I) d = -J^H r with the slot's own lam,
     which an accepted step divides by 3 (down to LM_LAMBDA_FLOOR) and a
     rejected step multiplies by 4. An accepted step is rescaled so that
@@ -209,8 +250,9 @@ def _lm(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray, X0: np.ndarray,
     most LM_RTOL, its step ||d|| is at most LM_STEP_RTOL ||(x, y)||, lam
     exceeds LM_LAMBDA_MAX, or after LM_MAX_ITER steps. Slots come in
     groups of `group` consecutive slots, the slots of one trial, and a
-    group stops as soon as one of its slots reaches the residual floor
-    LM_RESIDUAL_FLOOR * max(1, ||z||).
+    group stops as soon as one of its slots reaches its floor. The caller
+    computes the floor once per trial (_residual_floor), from measurements
+    that carry no padding, so a solve's waves read the same floor.
 
     Every slot computes on contiguous copies of its own arrays, one slot
     per BLAS or LAPACK call, so its bits do not depend on the stack.
@@ -229,7 +271,6 @@ def _lm(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray, X0: np.ndarray,
 
     X, Y, residual = x.copy(), y.copy(), res.copy()
     lam = np.full(len(x), LM_LAMBDA_START)
-    floor = LM_RESIDUAL_FLOOR * np.maximum(1.0, _norm(z))
     owner = np.arange(len(x)) // group
     exact = np.zeros(len(x) // group, dtype=bool)
     ids = np.arange(len(x))
@@ -273,34 +314,51 @@ def _random_factors(count: int, size: int, rng: np.random.Generator) -> np.ndarr
     return _complex_normal(rng.standard_normal((count, 2, size)))
 
 
+def _solve_length(sc: ConstraintScenario) -> int:
+    """The length of a trial's frequency rows in a solve: n for least
+    squares (n >= k1*k2), and on the kernel k1*k2 - 1, the largest n it
+    takes, to which solve_fixed_support zero-pads them. Trials of one
+    solve length can share a stack."""
+    return max(sc.n, math.prod(sc.support_sizes) - 1)
+
+
 def _trials_per_stack(sc: ConstraintScenario, restarts: int) -> int:
-    """Trials per solve of at most STACK_ENTRIES entries (at least 1), where
-    a trial's starts are restarts + 1 on the kernel and 1 for least squares."""
+    """Trials per solve of at most STACK_ENTRIES entries (at least 1): P
+    supports of k1 x k2 entries per row of the solve length, times a
+    trial's starts, restarts + 1 on the kernel and 1 for least squares.
+    The same for every kernel row of a sweep."""
     k = math.prod(sc.support_sizes)
-    per_trial = _pair_count(sc) * k * sc.n * (restarts + 1 if sc.n < k else 1)
+    per_trial = _pair_count(sc) * k * _solve_length(sc) * (restarts + 1 if sc.n < k else 1)
     return max(1, STACK_ENTRIES // per_trial)
 
 
-def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: int,
+def solve_fixed_support(ens: Union[Ensemble, RowStack], z_tilde, S1, S2, restarts: int,
                         rng: Sequence[np.random.Generator]) -> RecoveryStack:
     """Minimize the frequency residual over rank-1 matrices supported on
     one of P supports S1[p] x S2[p], for each trial of a stack.
 
-    ens is a stack of T trials (build_ensemble with T seeds), z_tilde
-    (T, n) holds their measurements and rng one generator per trial; S1
-    (P, k1) and S2 (P, k2) index P supports of one size. When n >= k1*k2
-    every (trial, support) is a slot of one stacked least-squares call,
-    whose solutions are projected to the nearest rank-1 matrix. Otherwise
-    every (trial, support, start) is a slot of the Levenberg-Marquardt
-    kernel: per support a spectral start plus `restarts` random starts.
+    ens is a stack of T trials (build_ensemble with T seeds) and z_tilde
+    (T, n) holds their measurements; or ens is a RowStack, the rows of a
+    sweep, and z_tilde the list of their measurements. rng holds one generator
+    per trial, in row order; S1 (P, k1) and S2 (P, k2) index P supports of
+    one size. When n >= k1*k2, each row's (trial, support) pairs are the
+    slots of one stacked least-squares call, whose solutions are projected
+    to the nearest rank-1 matrix. Otherwise every (trial, support, start)
+    of every row is a slot of the Levenberg-Marquardt kernel: per support
+    a spectral start plus `restarts` random starts. There each trial's
+    frequency rows and measurements are zero-padded to the solve length
+    k1*k2 - 1. A zero row adds nothing to the residual, J^H J or J^H r,
+    and the length depends on the scenario alone, so trials of different
+    n share one stack and a trial has the same bits in any stack.
     The starts run in waves of 1, 2, 4, ... (the spectral start alone
     first), each wave one kernel run over the trials that no slot has fit
-    yet. A trial stops once any of its slots reaches the residual floor:
-    between waves, and within a wave, where its slots on every support
-    form one group. rng[t] is read only when trial t reaches the first
-    wave of random starts, which draws all of the trial's P * restarts
-    starts in one call; a trial that no random start reaches leaves its
-    generator untouched, and least squares reads none.
+    yet. A trial stops once any of its slots reaches the residual floor of
+    its unpadded measurements (_residual_floor): between waves, and within
+    a wave, where its slots on every support form one group. rng[t] is
+    read only when trial t reaches the first wave of random starts, which
+    draws all of the trial's P * restarts starts in one call; a trial that
+    no random start reaches leaves its generator untouched, and least
+    squares reads none.
     Each trial keeps its first smallest residual among the slots that
     ran, support-major and then by start, so ties go to the first
     support. restarts_used is the most random starts any trial ran. Trial
@@ -318,23 +376,39 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: in
                              f"indices in 0..{m - 1}")
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
-    z_tilde = np.asarray(z_tilde, dtype=np.complex128)
-    if ens.a.ndim != 3 or z_tilde.shape != (len(ens.a), ens.n):
-        raise ValueError(f"expected a stack of T trials and measurements (T, {ens.n})")
-    if len(rng) != len(z_tilde):
-        raise ValueError(f"expected one generator per trial, {len(z_tilde)}, got {len(rng)}")
-    (T, n), P, k1, k2 = z_tilde.shape, len(S1), S1.shape[1], S2.shape[1]
-    aS, bS = support_rows(ens, S1, S2)
+    rows = (list(zip(ens.ensembles, z_tilde, strict=True)) if isinstance(ens, RowStack)
+            else [(ens, z_tilde)])
+    rows = [(e, np.asarray(z, dtype=np.complex128)) for e, z in rows]
+    for e, z in rows:
+        if e.a.ndim != 3 or z.shape != (len(e.a), e.n):
+            raise ValueError(f"expected a stack of T trials and measurements (T, {e.n})")
+    N = _solve_length(sc)
+    T, P, k1, k2 = sum(len(z) for _, z in rows), len(S1), S1.shape[1], S2.shape[1]
+    if len(rng) != T:
+        raise ValueError(f"expected one generator per trial, {T}, got {len(rng)}")
 
-    if n >= k1 * k2:
-        vec = _lstsq(operator_matrix(ens, rows=S1, cols=S2), z_tilde[:, None, :])
-        # vec is column-major: entry k * k1 + m is M[m, k]
-        x, y = _top_rank1(vec.reshape(T, P, k2, k1).swapaxes(-1, -2))
-        residual = _norm(_times(aS, x) * _times(bS, y) - z_tilde[:, None, :])
+    if N >= k1 * k2:  # least squares, one stacked call per row
+        fits = []
+        for e, z in rows:
+            vec = _lstsq(operator_matrix(e, rows=S1, cols=S2), z[:, None, :])
+            # vec is column-major: entry k * k1 + m is M[m, k]
+            x, y = _top_rank1(vec.reshape(len(z), P, k2, k1).swapaxes(-1, -2))
+            aS, bS = support_rows(e, S1, S2)
+            fits.append((x, y, _norm(_times(aS, x) * _times(bS, y) - z[:, None, :])))
+        x, y, residual = map(np.concatenate, zip(*fits))
         starts, restarts_used = 1, 0
     else:
-        aS, bS = (np.ascontiguousarray(rows).reshape(T * P, n, -1) for rows in (aS, bS))
-        z = np.repeat(z_tilde, P, axis=0)
+        # trial t holds rows t of aS, bS and z, zero-padded from its n to N
+        aS = np.zeros((T, P, N, k1), dtype=np.complex128)
+        bS = np.zeros((T, P, N, k2), dtype=np.complex128)
+        z = np.zeros((T, N), dtype=np.complex128)
+        end = 0
+        for e, zr in rows:
+            t, end = slice(end, end + len(zr)), end + len(zr)
+            aS[t, :, :e.n], bS[t, :, :e.n] = support_rows(e, S1, S2)
+            z[t, :e.n] = zr
+        floor = np.concatenate([_residual_floor(zr) for _, zr in rows])
+        aS, bS, z = aS.reshape(T * P, N, k1), bS.reshape(T * P, N, k2), np.repeat(z, P, axis=0)
         # the spectral start: the top rank-1 factor of the adjoint on the support
         adjoint = (aS.conj().swapaxes(1, 2) * z[:, None, :]) @ bS.conj()
         x_init, _ = _top_rank1(adjoint)
@@ -344,7 +418,6 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: in
         x = np.zeros((T, P, starts, k1), dtype=np.complex128)
         y = np.zeros((T, P, starts, k2), dtype=np.complex128)
         residual = np.full((T, P, starts), np.inf)
-        floor = LM_RESIDUAL_FLOOR * np.maximum(1.0, _norm(z_tilde))
         live = np.arange(T)
         for wave in _chunks(starts, 2, starts):
             if wave.start == 1:  # the first random starts: draw them for the live trials
@@ -352,10 +425,11 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: in
                                               for t in live], (len(live), P, restarts, k1))
             # slot (l * P + p) * w + s is start wave[s] on support p of live trial l
             w, s = len(wave), slice(wave.start, wave.stop)
-            rows = (live[:, None] * P + np.arange(P)).ravel()
-            xw, yw, rw = _lm(np.repeat(aS[rows], w, axis=0), np.repeat(bS[rows], w, axis=0),
-                             np.repeat(z[rows], w, axis=0),
-                             X0[live, :, s].reshape(-1, k1), P * w)
+            slots = (live[:, None] * P + np.arange(P)).ravel()
+            xw, yw, rw = _lm(np.repeat(aS[slots], w, axis=0), np.repeat(bS[slots], w, axis=0),
+                             np.repeat(z[slots], w, axis=0),
+                             X0[live, :, s].reshape(-1, k1), np.repeat(floor[live], P * w),
+                             P * w)
             x[live, :, s] = xw.reshape(len(live), P, w, k1)
             y[live, :, s] = yw.reshape(len(live), P, w, k2)
             rw = rw.reshape(len(live), P, w)
@@ -373,7 +447,7 @@ def solve_fixed_support(ens: Ensemble, z_tilde: np.ndarray, S1, S2, restarts: in
                          (S1[p], S2[p]), restarts_used)
 
 
-def solve_sparse_enumerate(ens: Ensemble, z_tilde: np.ndarray, restarts: int,
+def solve_sparse_enumerate(ens: Union[Ensemble, RowStack], z_tilde, restarts: int,
                            rng: Sequence[np.random.Generator]) -> RecoveryStack:
     """Solve over every admissible support and keep, per trial, the
     smallest residual: one solve_fixed_support call with the supports in
@@ -517,11 +591,13 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
 
     S1, S2 = admissible_supports(sc)
     z0 = apply_A(ens, M0)
+    floor = _residual_floor(z0)
     for attempts in _chunks(budget, budget, _attempts_per_chunk(sc)):
         rows, cols = (S[np.array(attempts) % len(S)] for S in (S1, S2))  # support t mod P
         aS, bS = support_rows(ens, rows, cols)
         X, Y, residual = _lm(aS, bS, np.broadcast_to(z0, (len(attempts), ens.n)),
-                             _random_factors(len(attempts), rows.shape[1], rng))
+                             _random_factors(len(attempts), rows.shape[1], rng),
+                             np.broadcast_to(floor, len(attempts)))
         fits = np.flatnonzero(residual <= tol)
         X, Y = _embed(X[fits], rows[fits], sc.m1), _embed(Y[fits], cols[fits], sc.m2)
         M = X[:, :, None] * Y[:, None, :]
@@ -570,7 +646,8 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
         z1 = apply_A(ens, xp[:, :, None] * yp[:, None, :])
         rows, cols = (S[np.array(attempts) % P] for S in (S1, S2))  # support t mod P
         aS, bS = support_rows(ens, rows, cols)
-        X, Y, residual = _lm(aS, bS, z1, _complex_normal(starts.reshape(T, 2, k1)))
+        X, Y, residual = _lm(aS, bS, z1, _complex_normal(starts.reshape(T, 2, k1)),
+                             _residual_floor(z1))
         X, Y = _embed(X, rows, sc.m1), _embed(Y, cols, sc.m2)
         # rescale each pair jointly so both land in the unit ball (cone property)
         c = 1.0 / np.maximum(1.0, _norm((X[:, :, None] * Y[:, None, :]).reshape(T, -1)))

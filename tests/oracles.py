@@ -26,8 +26,8 @@ from blindid.lifting import LiftedMatrix, apply_A, operator_matrix, support_rows
 from blindid.mc import _deviation_search, _draw_starts
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND, HEURISTICALLY_UNIQUE,
                               INJECTIVITY_TOL, IdentifiabilityVerdict, RecoveryStack,
-                              _check_search, _embed, _lm, _support_of, _top_rank1,
-                              admissible_supports, min_scaled_distance,
+                              _check_search, _embed, _lm, _residual_floor, _support_of,
+                              _top_rank1, admissible_supports, min_scaled_distance,
                               solve_fixed_support)
 
 
@@ -113,7 +113,8 @@ def deviation_alone(ens, M0, delta, starts, rng):
 def fit(aS, bS, z_tilde, x0):
     """One start of the kernel on its own: aS (n, k1), bS (n, k2),
     z_tilde (n,), x0 (k1,)."""
-    X, Y, residual = _lm(aS[None], bS[None], z_tilde[None], x0[None])
+    X, Y, residual = _lm(aS[None], bS[None], z_tilde[None], x0[None],
+                         _residual_floor(z_tilde[None]))
     return X[0], Y[0], float(residual[0])
 
 

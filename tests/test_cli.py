@@ -301,6 +301,10 @@ class TestDeterminism:
             # m1 = m2 = 3 at n = 6 < m1*m2: restarted alternating minimization
             ["--kind", "subspace", "--m1", "3", "--m2", "3", "--n", "9",
              "--sweep", "3,6,9", "--restarts", "3"],
+            # four kernel rows, zero-padded to n = 8 and solved as one stack,
+            # at the default restarts
+            ["--kind", "subspace", "--m1", "3", "--m2", "3", "--n", "9",
+             "--sweep", "5,6,7,8"],
             # 16 enumerated supports, noise drawn from the plant stream
             ["--kind", "sparsity", "--m1", "4", "--m2", "4", "--s1", "1",
              "--s2", "1", "--n", "5", "--sweep", "5,8", "--noise-level", "0.01"],
@@ -325,7 +329,7 @@ class TestDeterminism:
                 assert res["success"] == (successes == "1")
                 assert res["lifted_error"] == float(err)
                 replayed += 1
-        assert replayed == 8
+        assert replayed == 12
 
     def test_workers_flag_is_gone(self, capsys, tmp_path):
         # neither the thread-pool knob nor the support cap is an option

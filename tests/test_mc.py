@@ -139,16 +139,19 @@ class TestPhaseTransition:
 
     def test_rerun_identical_and_trials_replay_alone(self):
         # trial i of row r is recover_stack on the one seed
-        # mix_seed(master, r, i); n < m1*m2 (subspace 2x2) and n < s1*s2
-        # (sparsity 3x4 with s1 = 2, s2 = 3 at n = 4 and at n = d = 5, its
-        # 12 supports in one solve) take the restarted Levenberg-Marquardt kernel, the rest
-        # least squares. A row's trials are drawn, measured, solved and
-        # scored in stacks of at most recovery.STACK_ENTRIES
-        # P*n*k1*k2*starts per trial, for P supports of k1 x k2 and
-        # restarts + 1 starts on the kernel rows (1 on least-squares rows),
-        # which change no result: stacks of 5 to 8 trials split every
-        # kernel row. So for every tag, noiseless and with noise from the
-        # plant streams
+        # mix_seed(master, r, i); n < m1*m2 (subspace 2x2 at n = 3) and
+        # n < s1*s2 (sparsity 3x4 with s1 = 2, s2 = 3 at n = 4 and at
+        # n = d = 5, its 12 supports in one solve) take the restarted
+        # Levenberg-Marquardt kernel, the rest least squares. The kernel
+        # rows' trials are solved in flat stacks that may span rows, each
+        # trial zero-padded to the solve length N = k1*k2 - 1, and a
+        # least-squares row's trials in stacks of their own, of at most
+        # recovery.STACK_ENTRIES P*N*k1*k2*starts per trial, for P supports
+        # of k1 x k2 and restarts + 1 starts on the kernel (N = n and 1 start
+        # on least squares), which change no result: a bound of 5 kernel
+        # trials cuts the kernel trials into stacks of 5, which span the
+        # two sparse kernel rows. So for every tag, noiseless and with noise
+        # from the plant streams
         sparse = ConstraintScenario("sparsity", 6, 3, 4, 2, 3)
         for (sc, sweep, P, k), tag, noise_level in itertools.product(
                 ((SUBSPACE5, (3, 4, 5), 1, 2 * 2), (sparse, (4, 5, 6), 12, 2 * 3)),
@@ -159,12 +162,12 @@ class TestPhaseTransition:
             assert csv == mc.sweep_csv(mc.TRANSITION_COLUMNS,
                                        mc.run_phase_transition(sc, tag, sweep, **kw))
             per_trial = P * k * (kw["restarts"] + 1)
-            entries = 5 * max(sweep) * per_trial
+            entries = 5 * (k - 1) * per_trial
             stacks = []
             real = mc.solve_sparse_enumerate
 
             def spy(ens, z_tilde, **kw):
-                stacks.append(z_tilde.shape)
+                stacks.append([z.shape for z in z_tilde])
                 return real(ens, z_tilde, **kw)
 
             with pytest.MonkeyPatch.context() as mp:
@@ -172,9 +175,20 @@ class TestPhaseTransition:
                 mp.setattr(mc, "solve_sparse_enumerate", spy)
                 assert mc.sweep_csv(mc.TRANSITION_COLUMNS,
                                     mc.run_phase_transition(sc, tag, sweep, **kw)) == csv
-            assert len(stacks) > len(sweep)
-            assert all(T * n * (per_trial if n < k else P * k) <= entries
-                       for T, n in stacks), stacks
+            kernel = [n for n in sweep if n < k]
+            K, cut = 12 * len(kernel), -(-12 * len(kernel) // 5)
+            # the kernel trials in row order, in stacks of 5, then one stack
+            # per least-squares row
+            assert [sum(T for T, _ in stack) for stack in stacks[:cut]] == [
+                min(5, K - start) for start in range(0, K, 5)], stacks
+            assert [n for stack in stacks[:cut] for T, n in stack for _ in range(T)] == [
+                n for n in kernel for _ in range(12)]
+            assert stacks[cut:] == [[(12, n)] for n in sweep if n >= k], stacks
+            assert any(len(stack) > 1 for stack in stacks) == (len(kernel) > 1)
+            for stack in stacks:
+                N = max(max(n for _, n in stack), k - 1)
+                assert sum(T for T, _ in stack) * N * (per_trial if N < k else P * k) \
+                    <= entries, stacks
             for row_idx, row in enumerate(rows):
                 alone = [mc.recover_stack(sc.with_n(row["n"]), tag,
                                           [mix_seed(kw["seed"], row_idx, i)],
@@ -301,6 +315,30 @@ class TestPhaseTransition:
 
         assert calls(1) == want
         assert calls(12) == want
+
+    def test_kernel_rows_share_the_waves_of_their_longest_row(self, monkeypatch):
+        # a sweep's kernel rows (3x3 at n = 3..8, the benchmark's band, at
+        # the default 62 restarts) are one stack: each solver wave is one
+        # kernel run over every row's live trials, so the sweep makes as
+        # many _lm calls as its longest row has waves, at most 6 (1, 2, 4,
+        # 8, 16 and 32 starts), where one stack per row makes each row's
+        # own. The least-squares row n = 9 makes none
+        calls = []
+        real = recovery._lm
+        monkeypatch.setattr(recovery, "_lm",
+                            lambda aS, *args: calls.append(len(aS)) or real(aS, *args))
+        sc = ConstraintScenario("subspace", 9, 3, 3)
+        kw = dict(R=None, restarts=62, noise_level=0.0)
+        per_row = []
+        for row_idx, n in enumerate(range(3, 10)):
+            calls.clear()
+            mc._recover_trials(sc.with_n(n), COMPLEX_GENERIC,
+                               [mix_seed(18, row_idx, i) for i in range(20)], **kw)
+            per_row.append(len(calls))
+        calls.clear()
+        mc.run_phase_transition(sc, COMPLEX_GENERIC, range(3, 10), trials=20, seed=18, **kw)
+        assert per_row[-1] == 0 and sum(per_row) > max(per_row) > 1
+        assert len(calls) == max(per_row) <= 6
 
     def test_support_cap_is_checked_before_any_draw(self, monkeypatch):
         # a row's stacks are sized from the count C(m1, s1) * C(m2, s2), and

@@ -20,7 +20,7 @@ from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
                               certify_strong, certify_weak, is_recovered,
                               min_scaled_distance, solve_fixed_support,
                               solve_sparse_enumerate, verify_counterexample)
-from blindid.recovery import _embed, _lm
+from blindid.recovery import _embed, _lm, _residual_floor
 
 
 def subspace(n, m1=2, m2=2):
@@ -135,7 +135,8 @@ class TestSolveFixedSupport:
         ens = build_ensemble(sc, COMPLEX_GENERIC, 4)
         M0 = random_factors(sc, 5)
         z = apply_A(ens, M0)
-        _, _, residual = _lm(ens.a.conj()[None], ens.b.conj()[None], z[None], M0.x[None])
+        _, _, residual = _lm(ens.a.conj()[None], ens.b.conj()[None], z[None], M0.x[None],
+                             _residual_floor(z[None]))
         assert residual.shape == (1,) and residual[0] < 1e-10
 
     def test_residual_reproducible_from_solution(self):
@@ -247,11 +248,11 @@ class TestStackedKernel:
             M = random_factors(ConstraintScenario("subspace", 5, 2, 2), t).M
             z[t] = apply_A(ens, _embed_support(M, rows[t], cols[t]))
         X0 = rng.standard_normal((T, 2)) + 1j * rng.standard_normal((T, 2))
-        X, Y, res = _lm(aS, bS, z, X0)
-        Xr, Yr, resr = _lm(aS[::-1], bS[::-1], z[::-1], X0[::-1])
+        X, Y, res = _lm(aS, bS, z, X0, _residual_floor(z))
+        Xr, Yr, resr = _lm(aS[::-1], bS[::-1], z[::-1], X0[::-1], _residual_floor(z[::-1]))
         for t in range(T):
             one = slice(t, t + 1)
-            x1, y1, r1 = _lm(aS[one], bS[one], z[one], X0[one])
+            x1, y1, r1 = _lm(aS[one], bS[one], z[one], X0[one], _residual_floor(z[one]))
             for got in ((X[t], Y[t], res[t]), (Xr[T - 1 - t], Yr[T - 1 - t], resr[T - 1 - t])):
                 assert np.array_equal(got[0], x1[0]) and np.array_equal(got[1], y1[0])
                 assert got[2] == r1[0]
@@ -288,6 +289,109 @@ class TestStackedKernel:
             assert np.all(fit.residual > floor)
         else:
             assert np.all(fit.residual <= floor)
+
+    @pytest.mark.parametrize("sc", [subspace(9, 3, 3),
+                                    ConstraintScenario("sparsity", 6, 3, 4, 2, 3)],
+                             ids=["subspace-3x3", "sparsity-3x4"])
+    def test_row_stack_trials_keep_their_lone_bits(self, sc):
+        # the kernel rows of a sweep, n = 2 .. k1*k2 - 1 with noise in every
+        # other row, solved as one RowStack: each trial is zero-padded to the
+        # solve length k1*k2 - 1, so it has the bits of its lone solve and
+        # leaves its generator where the lone solve does
+        k = math.prod(sc.support_sizes)
+        rows = [_stacked_row(sc.with_n(n), 4, 50 + n, 0.05 * (n % 2)) for n in range(2, k)]
+        S1, S2 = admissible_supports(sc)
+        T = 4 * len(rows)
+        rngs = [[np.random.default_rng(60 + t) for t in range(T)] for _ in range(2)]
+        stack = recovery.RowStack(tuple(ens for ens, _, _ in rows))
+        assert stack.n == k - 1 and stack.scenario == sc.with_n(k - 1)
+        fit = solve_fixed_support(stack, [z for _, z, _ in rows], S1, S2, 6, rngs[0])
+        trials = [(ens_t, z_t) for _, z, lone in rows for ens_t, z_t in zip(lone, z)]
+        alone = [solve_one(solve_fixed_support, ens_t, z_t, S1, S2, restarts=6, rng=rng)
+                 for (ens_t, z_t), rng in zip(trials, rngs[1], strict=True)]
+        for t, one in enumerate(alone):
+            assert np.array_equal(np.outer(fit.X[t], fit.Y[t]), one.M_hat.M)
+            assert fit.residual[t] == one.residual
+            assert tuple(S[t].tolist() for S in fit.supports) == one.support
+            assert rngs[0][t].bit_generator.state == rngs[1][t].bit_generator.state
+        assert fit.restarts_used == max(one.restarts_used for one in alone) > 0
+
+    def test_row_stack_takes_one_scenario_at_one_solve_length(self):
+        # kernel rows share the solve length k1*k2 - 1 and least-squares
+        # rows theirs, n; rows of one n solve row by row, with the bits of
+        # their own solves
+        def stack(scs):
+            return recovery.RowStack(tuple(build_ensemble(sc, COMPLEX_GENERIC, [1, 2])
+                                           for sc in scs))
+
+        for scs in ((subspace(8, 3, 3), subspace(9, 3, 3)),
+                    (subspace(9, 3, 3), subspace(10, 3, 3)),
+                    (subspace(5, 3, 3), subspace(5, 3, 4)),
+                    (subspace(5, 3, 3), ConstraintScenario("mixed", 5, 3, 3, 3))):
+            with pytest.raises(ValueError, match="one scenario at sample counts of one"):
+                stack(scs)
+        ens = stack((subspace(9, 3, 3), subspace(9, 3, 3)))
+        z = [np.random.default_rng(t).standard_normal((2, 9)) + 0j for t in range(2)]
+        S1, S2 = admissible_supports(subspace(9, 3, 3))
+        fit = solve_fixed_support(ens, z, S1, S2, 0, [None] * 4)
+        for e, zr, t in zip(ens.ensembles, z, (0, 2)):
+            own = solve_fixed_support(e, zr, S1, S2, 0, [None] * 2)
+            assert np.array_equal(fit.X[t:t + 2], own.X) and np.array_equal(fit.Y[t:t + 2], own.Y)
+            assert np.array_equal(fit.residual[t:t + 2], own.residual)
+        with pytest.raises(ValueError, match="one generator per trial, 4, got 2"):
+            solve_fixed_support(ens, z, S1, S2, 0, [None] * 2)
+
+    def test_zero_rows_are_inert(self):
+        # the kernel on rows zero-padded from n = 7 to 8 fits what it fits on
+        # the unpadded rows from the same starts: a zero row adds nothing to
+        # the residual, J^H J or J^H r, and only the order of the sums
+        # changes, so the fits agree to rounding, not bit for bit. Exact fits
+        # agree to 1e-9; a noisy fit stops once its relative decrease is at
+        # most LM_RTOL = 1e-12, which leaves its point uncertain to about
+        # sqrt(1e-12) along the flat directions, while its residual, at a
+        # minimum, moves only to second order
+        for noise, point_tol in ((0.0, 1e-9), (0.05, 1e-6)):
+            ens, z, _ = _stacked_row(subspace(7, 3, 3), 6, 90, noise)
+            aS, bS = (np.ascontiguousarray(rows) for rows in support_rows(ens))
+            X0 = np.random.default_rng(91).standard_normal((6, 3)) + 0j
+            pad = [np.concatenate((arr, np.zeros((6, 1) + arr.shape[2:], dtype=complex)),
+                                  axis=1) for arr in (aS, bS, z)]
+            (X, Y, res), (Xp, Yp, resp) = (_lm(*arrays, X0, _residual_floor(z))
+                                           for arrays in ((aS, bS, z), pad))
+            M, Mp = X[:, :, None] * Y[:, None, :], Xp[:, :, None] * Yp[:, None, :]
+            assert np.allclose(Mp, M, rtol=0, atol=point_tol * np.abs(M).max())
+            assert np.allclose(resp, res, rtol=1e-9, atol=1e-13)
+            fit = res <= _residual_floor(z)
+            assert np.array_equal(resp <= _residual_floor(z), fit)
+            assert fit.all() == (noise == 0.0) and fit.any() == (noise == 0.0)
+
+    def test_waves_and_kernel_read_one_floor(self, monkeypatch):
+        # each trial's residual floor is computed once, from its measurements
+        # without the padding: _lm stops a trial's slots at the floor that
+        # the test between waves drops the trial at. Rows n = 5, 6, 7 of 3x3
+        # are padded to 8; noisy trials run every wave
+        rows = [_stacked_row(subspace(n, 3, 3), 6, 70 + n, 0.05 * (n == 6)) for n in (5, 6, 7)]
+        z = [zr for _, zr, _ in rows]
+        waves = []
+        real = recovery._lm
+
+        def spy(aS, bS, z_tilde, X0, floor, group):
+            waves.append((floor, group, *real(aS, bS, z_tilde, X0, floor, group)))
+            return waves[-1][2:]
+
+        monkeypatch.setattr(recovery, "_lm", spy)
+        S1, S2 = admissible_supports(subspace(9, 3, 3))
+        fit = solve_fixed_support(recovery.RowStack(tuple(ens for ens, _, _ in rows)), z,
+                                  S1, S2, 14, [np.random.default_rng(t) for t in range(18)])
+        floor = np.concatenate([recovery._residual_floor(zr) for zr in z])
+        live = np.arange(18)
+        for slots, group, _, _, residual in waves:
+            assert np.array_equal(slots, np.repeat(floor[live], group))
+            live = live[~(residual.reshape(len(live), group)
+                          <= floor[live, None]).any(1)]
+        assert [group for _, group, *_ in waves] == [1, 2, 4, 8]
+        assert set(live) == set(range(6, 12))  # the noisy row fits no trial
+        assert np.array_equal(fit.residual <= floor, ~np.isin(np.arange(18), live))
 
     def test_fitted_row_runs_one_wave(self, monkeypatch):
         # every trial's spectral start fits on its planted support, so the
@@ -332,7 +436,8 @@ class TestStackedKernel:
             aS, bS = (np.repeat(rows[None], 4, axis=0) for rows in support_rows(ens))
             calls.clear()
             _, _, res = _lm(aS, bS, np.tile(z, (4, 1)),
-                            rng.standard_normal((4, k1)) + 1j * rng.standard_normal((4, k1)))
+                            rng.standard_normal((4, k1)) + 1j * rng.standard_normal((4, k1)),
+                            _residual_floor(np.tile(z, (4, 1))))
             assert len(calls) == solves and np.all(res <= 1e-10), (k1, k2)
 
     def test_slot_at_its_optimum_stops_at_once(self, monkeypatch):
@@ -342,7 +447,8 @@ class TestStackedKernel:
         # exceeds LM_LAMBDA_MAX, 25 steps from LM_LAMBDA_START
         ens, z, _ = _stacked_row(subspace(8, 3, 3), 4, 80, noise=0.05)
         aS, bS = (np.ascontiguousarray(rows) for rows in support_rows(ens))
-        X, _, res = _lm(aS, bS, z, np.random.default_rng(81).standard_normal((4, 3)) + 0j)
+        X, _, res = _lm(aS, bS, z, np.random.default_rng(81).standard_normal((4, 3)) + 0j,
+                        _residual_floor(z))
         assert np.all(res > 1e-3)
         real = recovery._damped_solve
 
@@ -350,7 +456,7 @@ class TestStackedKernel:
             calls = []
             monkeypatch.setattr(recovery, "_damped_solve",
                                 lambda *args: calls.append(1) or real(*args))
-            _, _, again = _lm(aS, bS, z, X)
+            _, _, again = _lm(aS, bS, z, X, _residual_floor(z))
             assert np.all(again <= res * (1 + 1e-9))
             return len(calls) - 1  # the first call is the initial y solve
 
@@ -635,17 +741,23 @@ def test_a_budget_within_the_stack_bound_makes_at_most_two_fits(monkeypatch):
 
 
 def test_trials_per_stack_keeps_the_solver_stack_bound():
-    # P*n*k1*k2*starts entries per trial, with restarts + 1 starts on the
-    # kernel (n < k1*k2) and 1 for least squares, over the certifier grid
-    # and the transition scenarios; at least one trial per stack
+    # P*N*k1*k2*starts entries per trial, with the solve length N: n for
+    # least squares (n >= k1*k2) with 1 start, and k1*k2 - 1, to which the
+    # kernel zero-pads every trial, with restarts + 1 starts; over the
+    # certifier grid and the transition scenarios; at least one trial per
+    # stack, and one count for all kernel rows of a scenario
     grid = _certify_grid() + [subspace(n, 3, 3) for n in (3, 6, 9)] + [
         ConstraintScenario("sparsity", n, 3, 4, 2, 3) for n in (4, 5, 6)] + [
         ConstraintScenario("mixed", 4, 4, 4, 2), subspace(1000, 40, 40)]
     for sc, restarts in itertools.product(grid, (0, 3, 62)):
         k = math.prod(sc.support_sizes)
         P = math.comb(sc.m1, sc.support_sizes[0]) * math.comb(sc.m2, sc.support_sizes[1])
-        per_trial = P * k * sc.n * (restarts + 1 if sc.n < k else 1)
+        N = sc.n if sc.n >= k else k - 1
+        assert recovery._solve_length(sc) == N
+        per_trial = P * k * N * (restarts + 1 if sc.n < k else 1)
         assert recovery._trials_per_stack(sc, restarts) == max(1, (1 << 20) // per_trial)
+    assert {recovery._trials_per_stack(subspace(n, 3, 3), 62) for n in range(1, 9)} == {
+        (1 << 20) // (9 * 8 * 63)}
     assert recovery._trials_per_stack(subspace(1000, 40, 40), 0) == 1
 
 
@@ -694,7 +806,7 @@ def test_chunk_returns_its_first_far_fit(level, monkeypatch):
     e = np.eye(2, dtype=complex)
     far = {1: (e[0], e[1]), 3: (e[1], e[0]), 4: (e[0] + e[1], e[0] - e[1])}
 
-    def scripted(aS, bS, z, X0, group=1):
+    def scripted(aS, bS, z, X0, floor, group=1):
         # the reference's own factors, rescaled, in every slot, then the far ones
         T = len(aS)
         calls.append(T)
@@ -732,7 +844,7 @@ def test_far_fits_at_the_old_chunk_edges_return_the_first(level, first, monkeypa
     e = np.eye(2, dtype=complex)
     far = {t: f for t, f in zip((9, 10, 73, 74), itertools.product(e, e)) if t >= first}
 
-    def scripted(aS, bS, z, X0, group=1):
+    def scripted(aS, bS, z, X0, floor, group=1):
         # near the reference and not fitting in every slot, but the far fits
         T, done = len(aS), sum(calls)
         calls.append(T)
@@ -1107,7 +1219,7 @@ def test_lm_converges_from_random_start():
     X0 = np.array([rng.standard_normal(3) + 1j * rng.standard_normal(3)
                    for _ in range(10)])
     aS, bS = (np.repeat(rows[None], 10, axis=0) for rows in support_rows(ens))
-    X, Y, residuals = _lm(aS, bS, np.tile(z, (10, 1)), X0)
+    X, Y, residuals = _lm(aS, bS, np.tile(z, (10, 1)), X0, _residual_floor(np.tile(z, (10, 1))))
     assert min(residuals) <= 1e-8
     best = int(np.argmin(residuals))
     assert align_and_distance(np.outer(X[best], Y[best]), M0) <= 1e-6
