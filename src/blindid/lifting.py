@@ -123,6 +123,19 @@ def operator_matrix(ens: Ensemble, rows=None, cols=None) -> np.ndarray:
     return op.reshape(op.shape[:-2] + (-1,))
 
 
+def _augmented(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """[A | z] for restricted frequency rows a (..., n, k1) and b (..., n, k2)
+    and measurements z that broadcast to (..., n), A as operator_matrix
+    builds it, in one buffer that holds each slot column-major, so LAPACK
+    reads every column, z included, as one contiguous run."""
+    lead, n, (k1, k2) = a.shape[:-2], a.shape[-2], (a.shape[-1], b.shape[-1])
+    out = np.empty(lead + (k1 * k2 + 1, n), dtype=np.complex128)
+    np.multiply(b.swapaxes(-1, -2)[..., :, None, :], a.swapaxes(-1, -2)[..., None, :, :],
+                out=np.reshape(out[..., :-1, :], lead + (k2, k1, n), copy=False))
+    out[..., -1, :] = z
+    return out.swapaxes(-1, -2)
+
+
 def mean_isometry_radius(n: int, m1: int, m2: int) -> float:
     """Ball radius ((m1+2)(m2+2)/n^2)^(1/4) from the printed second-moment
     constant m*R^2/(m+2).

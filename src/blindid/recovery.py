@@ -3,8 +3,10 @@ identifiability certifiers.
 
 The solvers minimize the frequency-domain residual over rank-1 matrices on
 a fixed or enumerated support: by least squares and a rank-1 projection
-when n >= |S1|*|S2|, one stacked LAPACK call for every (trial, support)
-of a solve, and otherwise by a batched Levenberg-Marquardt kernel
+when n >= |S1|*|S2|, one stacked Householder QR of [A | z] and one
+stacked back substitution for every (trial, support) of a row, with
+LAPACK's SVD-based least squares only for numerically rank-deficient
+slots, and otherwise by a batched Levenberg-Marquardt kernel
 over the factors, which recovers down to the sample count d. The
 certifiers combine an exact sufficient certificate (injectivity of the
 restricted linear operator) with a multi-start heuristic search for
@@ -43,8 +45,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .ensembles import ConstraintScenario, Ensemble, _complex_normal
-from .lifting import (LiftedMatrix, _times, apply_A, as_matrix, operator_matrix,
-                      support_rows)
+from .lifting import (LiftedMatrix, _augmented, _times, apply_A, as_matrix,
+                      operator_matrix, support_rows)
 
 __all__ = [
     "RecoveryStack",
@@ -81,6 +83,8 @@ LM_RESIDUAL_FLOOR = 1e-13
 LM_RTOL = 1e-12
 LM_STEP_RTOL = 1e-12
 LM_MAX_ITER = 200
+# Injectivity: the smallest singular value of a restricted operator above
+# this times its largest.
 INJECTIVITY_TOL = 1e-8
 # Entries per stack (16 MiB of complex): P*n*k1*k2*starts per trial of a
 # solve, n*k1*k2 per rectangle of an exact certificate's stacked SVD and
@@ -184,15 +188,39 @@ def _lstsq_failed(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.lstsq(A[i], b[i], rcond=None)[0] for every slot i of a
-    stack, in one call of the LAPACK gufunc that np.linalg.lstsq wraps,
-    with its default rcond, so each slot gets the bits of its own call."""
-    rcond = np.finfo(np.float64).eps * max(A.shape[-2:])
+def _lstsq(ens: Ensemble, S1: np.ndarray, S2: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Least squares on each restricted operator A = operator_matrix(ens,
+    rows=S1, cols=S2)[i]: np.linalg.lstsq(A, z[i], rcond=None)[0] for
+    measurements z of the stack's leading shape (..., n), n >= k = k1*k2.
+
+    One stacked Householder QR of [A | z], built in one buffer and
+    factored in place, and one stacked solve of R's leading k x k block
+    against its last column (LU of an upper-triangular matrix pivots
+    nowhere, so this is back substitution): one LAPACK call per slot each,
+    so every slot gets the bits of its own call. A slot whose R has
+    |r_ii| <= rcond * max_j |r_jj|, with lstsq's default rcond =
+    eps * max(n, k), is numerically rank-deficient; it is refit by the
+    SVD-based LAPACK gufunc that np.linalg.lstsq wraps, on its own A, so
+    it keeps lstsq's minimum-norm solution bit for bit.
+    """
+    Az = _augmented(*support_rows(ens, S1, S2), z)
+    n, k = Az.shape[-2], Az.shape[-1] - 1
+    rcond = np.finfo(np.float64).eps * max(n, k)
+    # numpy.linalg's error state for its LAPACK gufuncs
     with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
-        x = _umath_linalg.lstsq(A, b[..., None], rcond, signature="DDd->Ddid")[0]
-    return x[..., 0]
+        _umath_linalg.qr_r_raw(Az, signature="D->D")
+        R = np.triu(Az[..., :k, :])
+        r = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+        deficient = ~(r > rcond * r.max(-1, keepdims=True)).all(-1)  # NaN counts as deficient
+        R[deficient, :, :k] = np.eye(k)  # keeps the stacked solve regular; refit below
+        x = np.linalg.solve(R[..., :k], R[..., k:])[..., 0]
+        if deficient.any():
+            x[deficient] = _umath_linalg.lstsq(
+                operator_matrix(ens, rows=S1, cols=S2)[deficient],
+                np.broadcast_to(z, deficient.shape + (n,))[deficient][..., None], rcond,
+                signature="DDd->Ddid")[0][..., 0]
+    return x
 
 
 def _norm(r: np.ndarray) -> np.ndarray:
@@ -342,10 +370,12 @@ def solve_fixed_support(ens: Union[Ensemble, RowStack], z_tilde, S1, S2, restart
     sweep, and z_tilde the list of their measurements. rng holds one generator
     per trial, in row order; S1 (P, k1) and S2 (P, k2) index P supports of
     one size. When n >= k1*k2, each row's (trial, support) pairs are the
-    slots of one stacked least-squares call, whose solutions are projected
-    to the nearest rank-1 matrix. Otherwise every (trial, support, start)
-    of every row is a slot of the Levenberg-Marquardt kernel: per support
-    a spectral start plus `restarts` random starts. There each trial's
+    slots of one stacked least-squares solve (_lstsq: one QR and one back
+    substitution, and lstsq's SVD-based solve for a rank-deficient slot),
+    whose solutions are projected to the nearest rank-1 matrix. Otherwise
+    every (trial, support, start) of every row is a slot of the
+    Levenberg-Marquardt kernel: per support a spectral start plus
+    `restarts` random starts. There each trial's
     frequency rows and measurements are zero-padded to the solve length
     k1*k2 - 1. A zero row adds nothing to the residual, J^H J or J^H r,
     and the length depends on the scenario alone, so trials of different
@@ -390,7 +420,7 @@ def solve_fixed_support(ens: Union[Ensemble, RowStack], z_tilde, S1, S2, restart
     if N >= k1 * k2:  # least squares, one stacked call per row
         fits = []
         for e, z in rows:
-            vec = _lstsq(operator_matrix(e, rows=S1, cols=S2), z[:, None, :])
+            vec = _lstsq(e, S1, S2, z[:, None, :])
             # vec is column-major: entry k * k1 + m is M[m, k]
             x, y = _top_rank1(vec.reshape(len(z), P, k2, k1).swapaxes(-1, -2))
             aS, bS = support_rows(e, S1, S2)
@@ -502,8 +532,11 @@ def is_recovered(M_hat, M0):
 
 
 def _support_of(M0: LiftedMatrix) -> Tuple[np.ndarray, np.ndarray]:
-    """Supports of the factors of M0 as index arrays."""
-    return np.flatnonzero(np.abs(M0.x) > 1e-14), np.flatnonzero(np.abs(M0.y) > 1e-14)
+    """Supports of the factors of M0 as index arrays: the entries above
+    1e-14 times their factor's largest magnitude, so every (cx, y/c) of the
+    scaling orbit has the supports of (x, y)."""
+    return tuple((a > 1e-14 * a.max(initial=0.0)).nonzero()[0]
+                 for a in (np.abs(M0.x), np.abs(M0.y)))
 
 
 def _largest_unions(m: int, k: int, within: np.ndarray = np.arange(0)) -> np.ndarray:
@@ -520,7 +553,9 @@ def _largest_unions(m: int, k: int, within: np.ndarray = np.arange(0)) -> np.nda
 
 def _injective_on(ens: Ensemble, rows: np.ndarray, cols: np.ndarray) -> bool:
     """Whether the restricted operator is injective on each rectangle of a
-    row of rows (U1, k1) by one of cols (U2, k2), taken rows-major; raises
+    row of rows (U1, k1) by one of cols (U2, k2), taken rows-major: whether
+    its smallest singular value exceeds INJECTIVITY_TOL times its largest,
+    a rule that scaling the ensemble does not move. Raises
     EnumerationCapError past SUPPORT_CAP rectangles. One stacked SVD (the
     LAPACK call of np.linalg.svd) per stack of at most STACK_ENTRIES
     operator entries or of one rectangle, up to the first stack that fails."""
@@ -533,7 +568,7 @@ def _injective_on(ens: Ensemble, rows: np.ndarray, cols: np.ndarray) -> bool:
         i = np.arange(start, min(start + per_stack, U1 * U2))
         s = np.linalg.svd(operator_matrix(ens, rows=rows[i // U2], cols=cols[i % U2]),
                           compute_uv=False)
-        if not np.all(s[:, -1] > INJECTIVITY_TOL):
+        if not np.all(s[:, -1] > INJECTIVITY_TOL * s[:, 0]):
             return False
     return True
 

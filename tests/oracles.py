@@ -140,12 +140,25 @@ def solve_sparse_enumerate(ens, z_tilde, restarts, rng):
     return best
 
 
+def lstsq(A, b):
+    """np.linalg.lstsq(A, b, rcond=None)[0] as the solver computes it: the
+    Householder R of [A | b] by np.linalg.qr, then np.linalg.solve on its
+    leading k x k block against its last column, unless some |r_ii| is at
+    most eps * max(n, k) * max_j |r_jj|; then np.linalg.lstsq itself."""
+    (n, k), R = A.shape, np.linalg.qr(np.column_stack((A, b)), mode="r")
+    r = np.abs(np.diag(R))[:k]
+    if np.all(r > np.finfo(float).eps * max(n, k) * r.max()):
+        return np.linalg.solve(R[:k, :k], R[:k, k])
+    return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
 def least_squares_fits(ens, z_tilde, S1, S2):
     """The n >= k1*k2 path of solve_fixed_support one (trial, support) at a
-    time: np.linalg.lstsq on the restricted operator, the nearest rank-1
-    matrix of its solution and the residual by np.linalg.norm. ens is a
-    stack of T trials, z_tilde (T, n), S1 (P, k1) and S2 (P, k2) sorted.
-    Returns x (T, P, k1), y (T, P, k2) and the residuals (T, P)."""
+    time: least squares on the restricted operator (lstsq above), the
+    nearest rank-1 matrix of its solution and the residual by
+    np.linalg.norm. ens is a stack of T trials, z_tilde (T, n), S1 (P, k1)
+    and S2 (P, k2) sorted. Returns x (T, P, k1), y (T, P, k2) and the
+    residuals (T, P)."""
     op = operator_matrix(ens, rows=S1, cols=S2)
     aS, bS = support_rows(ens, S1, S2)
     (T, P), k1, k2 = op.shape[:2], S1.shape[1], S2.shape[1]
@@ -153,7 +166,7 @@ def least_squares_fits(ens, z_tilde, S1, S2):
     y = np.empty((T, P, k2), dtype=np.complex128)
     residual = np.empty((T, P))
     for t, p in np.ndindex(T, P):
-        vec = np.linalg.lstsq(op[t, p], z_tilde[t], rcond=None)[0]
+        vec = lstsq(op[t, p], z_tilde[t])
         x[t, p], y[t, p] = _top_rank1(vec.reshape((k1, k2), order="F"))
         residual[t, p] = np.linalg.norm((aS[t, p] @ x[t, p]) * (bS[t, p] @ y[t, p])
                                         - z_tilde[t])
@@ -173,7 +186,7 @@ def _injective_on(ens, rows, cols):
     if ens.n < k:
         return False
     s = np.linalg.svd(operator_matrix(ens, rows=[rows], cols=[cols])[0], compute_uv=False)
-    return s.size >= k and float(s[-1]) > INJECTIVITY_TOL
+    return s.size >= k and float(s[-1]) > INJECTIVITY_TOL * float(s[0])
 
 
 def certify_weak(ens, M0, *, budget, tol, rng):

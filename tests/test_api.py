@@ -157,6 +157,21 @@ def test_stacks_are_sized_in_recovery_only():
     assert bounds == {("recovery.py", "STACK_ENTRIES")}, bounds
 
 
+def test_least_squares_calls_the_svd_solver_only_as_its_fallback():
+    # least-squares rows are solved by Householder QR and back substitution
+    # in recovery._lstsq; only its rank-deficient fallback reads the
+    # SVD-based LAPACK gufunc, and nothing reads np.linalg.lstsq, so no
+    # second path solves a least-squares row
+    src = Path(blindid.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    readers = {(name, owner) for name, tree in trees.items()
+               for owner, attr in _names_by_function(tree) if attr == "lstsq"}
+    spelled = {ast.unparse(node) for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "lstsq"}
+    assert readers == {("recovery.py", "_lstsq")}, readers
+    assert spelled == {"_umath_linalg.lstsq"}, spelled
+
+
 def test_ensembles_are_built_by_the_trial_rule_only():
     # --seed s names one ensemble, that of mix_seed(s, 0): gen, recover, both
     # certify levels and every sweep trial build it through mc.trial_ensemble,

@@ -285,15 +285,16 @@ class TestPhaseTransition:
         assert built == [mix_seed(seeds[0], 0), mix_seed(seeds[0], 1)]
 
     @pytest.mark.parametrize("sc,tag,want", [
-        # least squares; the build takes two inverse FFTs
+        # least squares: one QR and one back substitution, no SVD-based
+        # lstsq; the build takes two inverse FFTs
         (ConstraintScenario("subspace", 8, 2, 2), REAL_UNIFORM_BALL,
-         {"fft": 3, "ifft": 3, "lstsq": 1}),
+         {"fft": 3, "ifft": 3, "qr_r_raw": 1, "solve": 1, "lstsq": 0}),
         # least squares on 16 supports; the build takes two forward FFTs
         (ConstraintScenario("sparsity", 5, 4, 4, 1, 1), COMPLEX_GENERIC,
-         {"fft": 5, "ifft": 1, "lstsq": 1}),
-        # the kernel
+         {"fft": 5, "ifft": 1, "qr_r_raw": 1, "solve": 1, "lstsq": 0}),
+        # the kernel (whose damped solves are not counted)
         (ConstraintScenario("subspace", 6, 3, 3), COMPLEX_UNIFORM_BALL,
-         {"fft": 3, "ifft": 3}),
+         {"fft": 3, "ifft": 3, "qr_r_raw": 0, "lstsq": 0}),
     ], ids=["least-squares", "supports", "kernel"])
     def test_a_stack_makes_as_many_calls_as_one_trial(self, sc, tag, want, monkeypatch):
         # a stack of trials is built, measured (two forward FFTs and an
@@ -302,7 +303,8 @@ class TestPhaseTransition:
         # calls at T = 12
         from numpy.linalg import _umath_linalg
         counts = {}
-        for module, name in ((np.fft, "fft"), (np.fft, "ifft"), (_umath_linalg, "lstsq")):
+        for module, name in ((np.fft, "fft"), (np.fft, "ifft"), (_umath_linalg, "qr_r_raw"),
+                             (_umath_linalg, "solve"), (_umath_linalg, "lstsq")):
             def counted(*args, real=getattr(module, name), name=name, **kw):
                 counts[name] = counts.get(name, 0) + 1
                 return real(*args, **kw)
@@ -311,7 +313,7 @@ class TestPhaseTransition:
         def calls(T):
             counts.clear()
             mc._recover_trials(sc, tag, list(range(T)), R=None, restarts=2, noise_level=0.01)
-            return dict(counts)
+            return {name: counts.get(name, 0) for name in want}
 
         assert calls(1) == want
         assert calls(12) == want

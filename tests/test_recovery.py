@@ -8,7 +8,8 @@ import pytest
 
 import oracles
 from blindid.ensembles import (COMPLEX_GENERIC, REAL_GENERIC, REAL_UNIFORM_BALL,
-                               ConstraintScenario, build_ensemble)
+                               ConstraintScenario, Ensemble, _rows_from_matrix,
+                               build_ensemble)
 from blindid import recovery
 from blindid.lifting import LiftedMatrix, apply_A, as_matrix, operator_matrix, support_rows
 from blindid.mc import _draw_trials as draw_trials
@@ -551,6 +552,80 @@ def test_verify_rejects_inadmissible_witness():
     assert not verify_counterexample(verdict(ref, plain), ens)
 
 
+def test_supports_are_relative_to_each_factor():
+    # a factor's support is measured against its own largest entry: a dense
+    # x scaled by 1e-15 is still dense, so its pair is refused at s = 1
+    sc = ConstraintScenario("sparsity", 2, 5, 5, 1, 1)
+    rng = np.random.default_rng(95)
+    x, e = oracles.random_factor(5, rng), np.eye(5)
+    assert not recovery._admissible(sc, LiftedMatrix(1e-15 * x, 1e15 * e[1]))
+    assert recovery._admissible(sc, LiftedMatrix(1e-15 * e[0], 1e15 * e[1]))
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e12])
+def test_admissibility_and_verification_are_orbit_invariant(c):
+    # (x, y) -> (cx, y/c) is one lifted matrix, so _admissible and
+    # verify_counterexample give it one answer: the witnesses of
+    # test_verify_rejects_inadmissible_witness, plus one whose second
+    # entry (1e-3 of its first) an absolute 1e-14 would drop at c = 1e-12
+    sc = ConstraintScenario("sparsity", 1, 5, 5, 1, 1)
+    ens = build_ensemble(sc, COMPLEX_GENERIC, 3)
+    e = np.eye(5)
+    ref = LiftedMatrix(e[2], e[4])
+    z = apply_A(ens, ref)[0]
+    scaled = lambda M: LiftedMatrix(c * M.x, M.y / c)
+    for x, y, valid in ((e[0], e[1], True), (e[0] + e[1], e[1], False),
+                        (e[0], e[1] - 2j * e[3], False), (e[0] + 1e-3 * e[3], e[1], False)):
+        witness = LiftedMatrix(x * z / apply_A(ens, np.outer(x, y))[0], y)
+        assert recovery._admissible(sc, witness) == valid
+        for M in (witness, ref):
+            assert recovery._admissible(sc, scaled(M)) == recovery._admissible(sc, M)
+        for pair in ((witness, ref), (ref, witness)):
+            for M1, M2 in (pair, tuple(map(scaled, pair))):
+                verdict = IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, M1, M2, 1, 1e-6)
+                assert verify_counterexample(verdict, ens) == valid
+
+
+def _with_bases(sc, D, E):
+    """The ensemble of bases D (n, m1) and E (n, m2), built by hand."""
+    return Ensemble(scenario=sc, tag=COMPLEX_GENERIC, seed=0, R=None, D=D, E=E,
+                    a=_rows_from_matrix(D), b=_rows_from_matrix(E))
+
+
+def _exact_verdicts(ens, M0):
+    """The weak and strong statuses of the exact path alone (budget 0)."""
+    return [certify(*args, budget=0, tol=1e-6, rng=np.random.default_rng(0)).status
+            for certify, args in ((certify_weak, (ens, M0)), (certify_strong, (ens,)))]
+
+
+@pytest.mark.parametrize("m,n", [(2, 8), (3, 12)])
+def test_a_scaled_zero_padded_ensemble_is_never_certified(m, n):
+    # D and E the first m columns of I_n: A has rank 2m - 1 < m^2 at every
+    # n, so no certificate may be issued; with D scaled by 1e8 (2x2) or 1e9
+    # (3x3), an absolute bound on the smallest singular value, which is
+    # about eps times the largest, issued one
+    sc = ConstraintScenario("subspace", n, m, m)
+    I = np.eye(n, dtype=np.complex128)
+    M0 = LiftedMatrix(np.arange(1.0, m + 1), np.ones(m))
+    for scale in (1.0, 1e8, 1e9):
+        ens = _with_bases(sc, scale * I[:, :m], I[:, :m])
+        assert _exact_verdicts(ens, M0) == [HEURISTICALLY_UNIQUE] * 2, scale
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_exact_verdicts_do_not_move_when_the_basis_is_scaled(n):
+    # the injectivity rule is relative to the largest singular value, so
+    # scaling D of a generic 3x3 ensemble by c keeps both exact verdicts
+    sc = ConstraintScenario("subspace", n, 3, 3)
+    for seed in range(3):
+        ens = build_ensemble(sc, COMPLEX_GENERIC, seed)
+        M0 = LiftedMatrix(ens.D[0].conj(), ens.E[0].conj())
+        want = _exact_verdicts(ens, M0)
+        assert want == [CERTIFIED_UNIQUE] * 2
+        for c in (1e-6, 1e-3, 1e3, 1e6):
+            assert _exact_verdicts(_with_bases(sc, c * ens.D, ens.E), M0) == want, (seed, c)
+
+
 def test_largest_unions_cover_every_union():
     # each largest union is one of the unions, and every union lies in one:
     # the unions of two k-sets (strong) and of a fixed set with a k-set (weak)
@@ -1049,22 +1124,28 @@ def test_enumeration_matches_the_per_support_loop(sc, zero):
     (ConstraintScenario("sparsity", 5, 4, 4, 1, 1), REAL_GENERIC),  # 16 supports
 ], ids=lambda v: f"{v.kind}-{v.m1}x{v.m2}-n{v.n}" if isinstance(v, ConstraintScenario) else v)
 def test_least_squares_slots_match_the_per_slot_loop(sc, tag, monkeypatch):
-    # n >= k1*k2: one stacked lstsq, one stacked rank-1 projection and one
-    # residual call give every (trial, support) slot the bits of the loop
-    # over slots, and each trial the first of its smallest residuals.
-    # Planted measurements, noisy in odd trials
+    # n >= k1*k2: one stacked QR and back substitution, one stacked rank-1
+    # projection and one residual call give every (trial, support) slot the
+    # bits of the loop over slots, and each trial the first of its smallest
+    # residuals. Planted measurements, noisy in odd trials
     T = 6
     ens, X, Y, _, _ = draw_trials(sc, tag, range(T), R=None)
     z = apply_A(ens, X[:, :, None] * Y[:, None, :])
     z[1::2] += 0.01 * np.random.default_rng(92).standard_normal(z[1::2].shape)
     S1, S2 = admissible_supports(sc)
     seen = []
-    for name in ("_top_rank1", "_norm"):
+    for name in ("_lstsq", "_top_rank1", "_norm"):
         real = getattr(recovery, name)
         monkeypatch.setattr(recovery, name,
                             lambda *args, real=real: seen.append(real(*args)) or seen[-1])
     fit = solve_sparse_enumerate(ens, z, 0, [np.random.default_rng(0)] * T)
-    (x, y), residual = seen
+    vec, (x, y), residual = seen
+    # independently of the oracle's QR: each slot's solution is within
+    # 1e-12 relative of np.linalg.lstsq's
+    op = operator_matrix(ens, rows=S1, cols=S2)
+    for t, p in np.ndindex(op.shape[:2]):
+        want = np.linalg.lstsq(op[t, p], z[t], rcond=None)[0]
+        assert np.linalg.norm(vec[t, p] - want) <= 1e-12 * np.linalg.norm(want), (t, p)
     want_x, want_y, want_residual = oracles.least_squares_fits(ens, z, S1, S2)
     assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
     assert np.array_equal(residual, want_residual)
@@ -1075,6 +1156,36 @@ def test_least_squares_slots_match_the_per_slot_loop(sc, tag, monkeypatch):
     assert np.array_equal(fit.supports[0], S1[best])
     assert np.array_equal(fit.supports[1], S2[best])
     assert np.all(fit.residual[::2] <= 1e-10) and np.all(fit.residual[1::2] > 1e-4)
+
+
+@pytest.mark.parametrize("n", [24, 16], ids=["tall", "square"])
+def test_least_squares_refits_a_rank_deficient_slot_by_lstsq(n, monkeypatch):
+    # 4x4 stacks whose trial 1 has column 1 of a equal to column 0, so its
+    # A has duplicated columns: its R fails the rank rule, and that slot
+    # alone goes through the SVD-based lstsq gufunc and gets
+    # np.linalg.lstsq's minimum-norm solution bit for bit, without raising.
+    # Every other slot, square n = k slots included, is within 1e-12
+    # relative of np.linalg.lstsq
+    from numpy.linalg import _umath_linalg
+    ens, X, Y, _, _ = draw_trials(subspace(n, 4, 4), COMPLEX_GENERIC, range(4), R=None)
+    a = ens.a.copy()
+    a[1, :, 1] = a[1, :, 0]
+    ens = replace(ens, a=a)
+    z = apply_A(ens, X[:, :, None] * Y[:, None, :])
+    z[2:] += np.random.default_rng(93).standard_normal(z[2:].shape)
+    S1, S2 = admissible_supports(ens.scenario)
+    refits = []
+    real = _umath_linalg.lstsq
+    monkeypatch.setattr(_umath_linalg, "lstsq",
+                        lambda A, *args, **kw: refits.append(len(A)) or real(A, *args, **kw))
+    x = recovery._lstsq(ens, S1, S2, z[:, None, :])[:, 0]
+    assert refits == [1]
+    monkeypatch.undo()
+    A = operator_matrix(ens)
+    assert np.array_equal(x[1], np.linalg.lstsq(A[1], z[1], rcond=None)[0])
+    for t in (0, 2, 3):
+        want = np.linalg.lstsq(A[t], z[t], rcond=None)[0]
+        assert np.linalg.norm(x[t] - want) <= 1e-12 * np.linalg.norm(want), t
 
 
 class TestDistances:
