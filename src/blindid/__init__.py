@@ -18,7 +18,7 @@ from .mc import (STABILITY_COLUMNS, TRANSITION_COLUMNS, estimate_small_ball_prob
                  mean_isometry_relative_error, run_phase_transition,
                  run_stability_sweep, sweep_csv)
 from .recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
-                       HEURISTICALLY_UNIQUE, IdentifiabilityVerdict,
+                       HEURISTICALLY_UNIQUE, IdentifiabilityVerdict, RowStack,
                        admissible_supports, align_and_distance, certify_strong,
                        certify_weak, is_recovered, min_scaled_distance,
                        solve_fixed_support, solve_sparse_enumerate,

@@ -205,7 +205,7 @@ def _cmd_gen(v: dict):
 def _cmd_recover(v: dict):
     # the trial kernel of the sweeps on a stack of one: --seed s replays the
     # sweep trial with seed s
-    fit, err, ok = mc.recover_stack(_scenario(v), v["tag"], [v["seed"]], R=v["R"],
+    fit, err, ok = mc.recover_stack([_scenario(v)], v["tag"], [v["seed"]], R=v["R"],
                                     restarts=v["restarts"], noise_level=v["noise_level"])
     return {
         "residual": float(fit.residual[0]),

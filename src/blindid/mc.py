@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -229,12 +229,12 @@ def _check_recovery(restarts: int, noise_level: float) -> None:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
 
 
-def recover_stack(sc: Union[ConstraintScenario, Sequence[ConstraintScenario]], tag: str,
-                  seeds: Sequence[int], *, R: Optional[float], restarts: int,
+def recover_stack(scs: Sequence[ConstraintScenario], tag: str, seeds: Sequence[int], *,
+                  R: Optional[float], restarts: int,
                   noise_level: float) -> Tuple[RecoveryStack, np.ndarray, np.ndarray]:
     """Plant, measure, solve and score the trials with seeds `seeds` as one
-    stack. sc is the ConstraintScenario of every trial, or a list with one
-    per trial: the rows of a sweep, one scenario at several n. Each run of
+    stack. scs holds the ConstraintScenario of each trial: the rows of a
+    sweep, one scenario at one or more n, as one RowStack. Each run of
     consecutive trials of one scenario is drawn and measured as one stack,
     and the solve takes every trial at once. Each trial draws from its own
     streams, so each gets the bits of its stack of one.
@@ -247,9 +247,8 @@ def recover_stack(sc: Union[ConstraintScenario, Sequence[ConstraintScenario]], t
     planted matrix and whether the trial counts as recovered (is_recovered).
     """
     _check_recovery(restarts, noise_level)
-    scs = [sc] * len(seeds) if isinstance(sc, ConstraintScenario) else sc
     rows = []  # per run of one scenario: ensemble, measurements, planted factors
-    for sc_r, run in itertools.groupby(zip(scs, seeds), key=lambda pair: pair[0]):
+    for sc_r, run in itertools.groupby(zip(scs, seeds, strict=True), key=lambda pair: pair[0]):
         ens, X, Y, plant_rngs, _ = _draw_trials(sc_r, tag, [s for _, s in run], R=R)
         z = apply_G(ens, X, Y)
         if noise_level > 0:
@@ -265,16 +264,15 @@ def recover_stack(sc: Union[ConstraintScenario, Sequence[ConstraintScenario]], t
     return fit, align_and_distance(M_hat, M0), is_recovered(M_hat, M0)
 
 
-def _recover_trials(sc: Union[ConstraintScenario, Sequence[ConstraintScenario]], tag: str,
-                    seeds: Sequence[int], *, R: Optional[float], restarts: int,
+def _recover_trials(scs: Sequence[ConstraintScenario], tag: str, seeds: Sequence[int], *,
+                    R: Optional[float], restarts: int,
                     noise_level: float) -> Tuple[np.ndarray, np.ndarray]:
-    """recover_stack on `seeds`, with sc as there, in flat stacks: the
+    """recover_stack on `seeds`, with scs as there, in flat stacks: the
     trials of one solve length (every kernel row of a sweep has the same
     one), in their order, in stacks of _trials_per_stack of them, which
     may span rows (flat memory in the number of trials); restarts must be
     >= 0. Returns per trial the lifted error and whether it counts as
     recovered."""
-    scs = [sc] * len(seeds) if isinstance(sc, ConstraintScenario) else sc
     errors, recovered = np.empty(len(seeds)), np.empty(len(seeds), dtype=bool)
     lengths = [_solve_length(sc_t) for sc_t in scs]
     order = sorted(range(len(seeds)), key=lengths.__getitem__)
@@ -663,8 +661,8 @@ def run_stability_sweep(sc: ConstraintScenario, deltas: Sequence[float], *,
             devs = trial_devs[row_idx]
             violations = sum(1 for dev in devs if dev > eps)
         else:
-            devs, ok = _recover_trials(sc, COMPLEX_UNIFORM_BALL, seeds_of(row_idx), R=R,
-                                       restarts=restarts, noise_level=0.0)
+            devs, ok = _recover_trials([sc] * trials, COMPLEX_UNIFORM_BALL, seeds_of(row_idx),
+                                       R=R, restarts=restarts, noise_level=0.0)
             violations = int((~ok).sum())
         row = {"delta": delta, "trials": trials, "violations": violations,
                "violation_rate": violations / trials, "epsilon": eps,

@@ -4,7 +4,7 @@ identifiability certifiers.
 The solvers minimize the frequency-domain residual over rank-1 matrices on
 a fixed or enumerated support: by least squares and a rank-1 projection
 when n >= |S1|*|S2|, one stacked Householder QR of [A | z] and one
-stacked back substitution for every (trial, support) of a row, with
+stacked back substitution for every (trial, support) of a solve, with
 LAPACK's SVD-based least squares only for numerically rank-deficient
 slots, and otherwise by a batched Levenberg-Marquardt kernel
 over the factors, which recovers down to the sample count d. The
@@ -12,10 +12,12 @@ certifiers combine an exact sufficient certificate (injectivity of the
 restricted linear operator) with a multi-start heuristic search for
 counterexamples, which is explicitly non-conclusive when it finds nothing.
 
-The kernel runs on a stack of slots, each with the arithmetic of a lone
-run: every (trial, support, start) of a solve, or a chunk of certifier
-attempts; supports are (P, k) index arrays throughout. A solve may span
-the kernel rows of a sweep (a RowStack): it zero-pads every trial's
+A solve takes a RowStack, the trial stacks of one or more rows of a
+sweep, and assembles their restricted frequency rows and measurements
+once, for least squares and the kernel alike. The kernel runs on a stack
+of slots, each with the arithmetic of a lone run: every (trial, support,
+start) of a solve, or a chunk of certifier attempts; supports are (P, k)
+index arrays throughout. A kernel solve zero-pads every trial's
 frequency rows and measurements to the solve length k1*k2 - 1, which the
 scenario alone fixes. Zero rows add nothing to the residual or to the
 normal equations, so trials of different n share the stack, and a trial
@@ -35,11 +37,10 @@ Python; the fits and the counterexample rule run once per chunk.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -115,21 +116,23 @@ class RecoveryStack:
 
 @dataclass(frozen=True)
 class RowStack:
-    """Trial stacks of one scenario at several sample counts n, the rows of
-    a sweep, as one stack for solve_fixed_support. The rows share the
-    solve length n (_solve_length), to which the solve zero-pads their
-    frequency rows; scenario is theirs at that n."""
+    """Trial stacks of one scenario at one or more sample counts n, the rows
+    of a sweep, as one stack for solve_fixed_support: its only input form.
+    The rows share the solve length n (_solve_length), to which the solve
+    zero-pads their frequency rows; scenario is theirs at that n."""
 
     ensembles: Tuple[Ensemble, ...]
 
     def __post_init__(self):
+        if not self.ensembles:
+            raise ValueError("a stack needs at least one row")
         sc = self.ensembles[0].scenario
         if any(e.scenario.with_n(sc.n) != sc or _solve_length(e.scenario) != _solve_length(sc)
                for e in self.ensembles[1:]):
             raise ValueError("the rows of a stack must be one scenario at sample counts "
                              "of one solve length")
 
-    @functools.cached_property
+    @property
     def scenario(self) -> ConstraintScenario:
         sc = self.ensembles[0].scenario
         return sc.with_n(_solve_length(sc))
@@ -188,10 +191,11 @@ def _lstsq_failed(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def _lstsq(ens: Ensemble, S1: np.ndarray, S2: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Least squares on each restricted operator A = operator_matrix(ens,
-    rows=S1, cols=S2)[i]: np.linalg.lstsq(A, z[i], rcond=None)[0] for
-    measurements z of the stack's leading shape (..., n), n >= k = k1*k2.
+def _lstsq(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Least squares on each restricted operator A of the frequency rows a
+    (..., n, k1) and b (..., n, k2) (support_rows), A as operator_matrix
+    builds it: np.linalg.lstsq(A, z[i], rcond=None)[0] for measurements z
+    that broadcast to (..., n), n >= k = k1*k2.
 
     One stacked Householder QR of [A | z], built in one buffer and
     factored in place, and one stacked solve of R's leading k x k block
@@ -200,10 +204,10 @@ def _lstsq(ens: Ensemble, S1: np.ndarray, S2: np.ndarray, z: np.ndarray) -> np.n
     so every slot gets the bits of its own call. A slot whose R has
     |r_ii| <= rcond * max_j |r_jj|, with lstsq's default rcond =
     eps * max(n, k), is numerically rank-deficient; it is refit by the
-    SVD-based LAPACK gufunc that np.linalg.lstsq wraps, on its own A, so
-    it keeps lstsq's minimum-norm solution bit for bit.
+    SVD-based LAPACK gufunc that np.linalg.lstsq wraps, on its own A and z,
+    so it keeps lstsq's minimum-norm solution bit for bit.
     """
-    Az = _augmented(*support_rows(ens, S1, S2), z)
+    Az = _augmented(a, b, z)
     n, k = Az.shape[-2], Az.shape[-1] - 1
     rcond = np.finfo(np.float64).eps * max(n, k)
     # numpy.linalg's error state for its LAPACK gufuncs
@@ -216,10 +220,10 @@ def _lstsq(ens: Ensemble, S1: np.ndarray, S2: np.ndarray, z: np.ndarray) -> np.n
         R[deficient, :, :k] = np.eye(k)  # keeps the stacked solve regular; refit below
         x = np.linalg.solve(R[..., :k], R[..., k:])[..., 0]
         if deficient.any():
-            x[deficient] = _umath_linalg.lstsq(
-                operator_matrix(ens, rows=S1, cols=S2)[deficient],
-                np.broadcast_to(z, deficient.shape + (n,))[deficient][..., None], rcond,
-                signature="DDd->Ddid")[0][..., 0]
+            Az = _augmented(a[deficient], b[deficient],
+                            np.broadcast_to(z, deficient.shape + (n,))[deficient])
+            x[deficient] = _umath_linalg.lstsq(Az[..., :k], Az[..., k:], rcond,
+                                               signature="DDd->Ddid")[0][..., 0]
     return x
 
 
@@ -360,26 +364,27 @@ def _trials_per_stack(sc: ConstraintScenario, restarts: int) -> int:
     return max(1, STACK_ENTRIES // per_trial)
 
 
-def solve_fixed_support(ens: Union[Ensemble, RowStack], z_tilde, S1, S2, restarts: int,
+def solve_fixed_support(ens: RowStack, z_tilde, S1, S2, restarts: int,
                         rng: Sequence[np.random.Generator]) -> RecoveryStack:
     """Minimize the frequency residual over rank-1 matrices supported on
     one of P supports S1[p] x S2[p], for each trial of a stack.
 
-    ens is a stack of T trials (build_ensemble with T seeds) and z_tilde
-    (T, n) holds their measurements; or ens is a RowStack, the rows of a
-    sweep, and z_tilde the list of their measurements. rng holds one generator
-    per trial, in row order; S1 (P, k1) and S2 (P, k2) index P supports of
-    one size. When n >= k1*k2, each row's (trial, support) pairs are the
-    slots of one stacked least-squares solve (_lstsq: one QR and one back
+    ens is a RowStack, the trial stacks of one or more rows of a sweep
+    (build_ensemble with T seeds each), and z_tilde holds one measurement
+    array (T, n) per row. rng holds one generator per trial, in row order;
+    S1 (P, k1) and S2 (P, k2) index P supports of one size. Every trial's
+    restricted frequency rows and measurements are assembled once, in one
+    (trial, support) stack, zero-padded to the solve length N: n for least
+    squares, k1*k2 - 1 on the kernel. A zero row adds nothing to the
+    residual, J^H J or J^H r, and the length depends on the scenario
+    alone, so trials of different n share one stack and a trial has the
+    same bits in any stack. When N >= k1*k2, every (trial, support) is a
+    slot of one stacked least-squares solve (_lstsq: one QR and one back
     substitution, and lstsq's SVD-based solve for a rank-deficient slot),
-    whose solutions are projected to the nearest rank-1 matrix. Otherwise
-    every (trial, support, start) of every row is a slot of the
-    Levenberg-Marquardt kernel: per support a spectral start plus
-    `restarts` random starts. There each trial's
-    frequency rows and measurements are zero-padded to the solve length
-    k1*k2 - 1. A zero row adds nothing to the residual, J^H J or J^H r,
-    and the length depends on the scenario alone, so trials of different
-    n share one stack and a trial has the same bits in any stack.
+    whose solutions are projected to the nearest rank-1 matrix; the
+    residual reads the same rows. Otherwise every (trial, support, start)
+    is a slot of the Levenberg-Marquardt kernel: per support a spectral
+    start plus `restarts` random starts.
     The starts run in waves of 1, 2, 4, ... (the spectral start alone
     first), each wave one kernel run over the trials that no slot has fit
     yet. A trial stops once any of its slots reaches the residual floor of
@@ -406,37 +411,32 @@ def solve_fixed_support(ens: Union[Ensemble, RowStack], z_tilde, S1, S2, restart
                              f"indices in 0..{m - 1}")
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
-    rows = (list(zip(ens.ensembles, z_tilde, strict=True)) if isinstance(ens, RowStack)
-            else [(ens, z_tilde)])
-    rows = [(e, np.asarray(z, dtype=np.complex128)) for e, z in rows]
+    rows = [(e, np.asarray(z, dtype=np.complex128))
+            for e, z in zip(ens.ensembles, z_tilde, strict=True)]
     for e, z in rows:
         if e.a.ndim != 3 or z.shape != (len(e.a), e.n):
             raise ValueError(f"expected a stack of T trials and measurements (T, {e.n})")
-    N = _solve_length(sc)
-    T, P, k1, k2 = sum(len(z) for _, z in rows), len(S1), S1.shape[1], S2.shape[1]
+    N, T, P, k1, k2 = sc.n, sum(len(z) for _, z in rows), len(S1), S1.shape[1], S2.shape[1]
     if len(rng) != T:
         raise ValueError(f"expected one generator per trial, {T}, got {len(rng)}")
 
-    if N >= k1 * k2:  # least squares, one stacked call per row
-        fits = []
-        for e, z in rows:
-            vec = _lstsq(e, S1, S2, z[:, None, :])
-            # vec is column-major: entry k * k1 + m is M[m, k]
-            x, y = _top_rank1(vec.reshape(len(z), P, k2, k1).swapaxes(-1, -2))
-            aS, bS = support_rows(e, S1, S2)
-            fits.append((x, y, _norm(_times(aS, x) * _times(bS, y) - z[:, None, :])))
-        x, y, residual = map(np.concatenate, zip(*fits))
+    # trial t holds rows t of aS, bS and z, zero-padded from its n to N;
+    # each column of aS and bS is one contiguous run, as support_rows gives it
+    aS = np.zeros((T, P, k1, N), dtype=np.complex128).swapaxes(-1, -2)
+    bS = np.zeros((T, P, k2, N), dtype=np.complex128).swapaxes(-1, -2)
+    z = np.zeros((T, N), dtype=np.complex128)
+    end = 0
+    for e, zr in rows:
+        t, end = slice(end, end + len(zr)), end + len(zr)
+        aS[t, :, :e.n], bS[t, :, :e.n] = support_rows(e, S1, S2)
+        z[t, :e.n] = zr
+    if N >= k1 * k2:  # least squares, one stacked call
+        vec = _lstsq(aS, bS, z[:, None, :])
+        # vec is column-major: entry k * k1 + m is M[m, k]
+        x, y = _top_rank1(vec.reshape(T, P, k2, k1).swapaxes(-1, -2))
+        residual = _norm(_times(aS, x) * _times(bS, y) - z[:, None, :])
         starts, restarts_used = 1, 0
     else:
-        # trial t holds rows t of aS, bS and z, zero-padded from its n to N
-        aS = np.zeros((T, P, N, k1), dtype=np.complex128)
-        bS = np.zeros((T, P, N, k2), dtype=np.complex128)
-        z = np.zeros((T, N), dtype=np.complex128)
-        end = 0
-        for e, zr in rows:
-            t, end = slice(end, end + len(zr)), end + len(zr)
-            aS[t, :, :e.n], bS[t, :, :e.n] = support_rows(e, S1, S2)
-            z[t, :e.n] = zr
         floor = np.concatenate([_residual_floor(zr) for _, zr in rows])
         aS, bS, z = aS.reshape(T * P, N, k1), bS.reshape(T * P, N, k2), np.repeat(z, P, axis=0)
         # the spectral start: the top rank-1 factor of the adjoint on the support
@@ -477,12 +477,12 @@ def solve_fixed_support(ens: Union[Ensemble, RowStack], z_tilde, S1, S2, restart
                          (S1[p], S2[p]), restarts_used)
 
 
-def solve_sparse_enumerate(ens: Union[Ensemble, RowStack], z_tilde, restarts: int,
+def solve_sparse_enumerate(ens: RowStack, z_tilde, restarts: int,
                            rng: Sequence[np.random.Generator]) -> RecoveryStack:
     """Solve over every admissible support and keep, per trial, the
     smallest residual: one solve_fixed_support call with the supports in
     lexicographic order, so ties resolve to the lexicographically smallest
-    support. Takes and returns stacks of trials as solve_fixed_support
+    support. Takes a RowStack and returns its trials as solve_fixed_support
     does; a subspace scenario has the single full support.
     """
     S1, S2 = admissible_supports(ens.scenario)

@@ -25,7 +25,7 @@ from blindid.ensembles import (COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL, REAL_GENER
 from blindid.lifting import LiftedMatrix, apply_A, operator_matrix, support_rows
 from blindid.mc import _deviation_search, _draw_starts
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND, HEURISTICALLY_UNIQUE,
-                              INJECTIVITY_TOL, IdentifiabilityVerdict, RecoveryStack,
+                              INJECTIVITY_TOL, IdentifiabilityVerdict, RecoveryStack, RowStack,
                               _check_search, _embed, _lm, _residual_floor, _support_of,
                               _top_rank1, admissible_supports, min_scaled_distance,
                               solve_fixed_support)
@@ -127,7 +127,8 @@ def solve_sparse_enumerate(ens, z_tilde, restarts, rng):
     restarts_used is that of the last support's call."""
     best = None
     for S1, S2 in zip(*admissible_supports(ens.scenario)):
-        fit = solve_fixed_support(ens, z_tilde, S1[None], S2[None], restarts, rng)
+        fit = solve_fixed_support(RowStack((ens,)), [z_tilde], S1[None], S2[None], restarts,
+                                  rng)
         if best is not None:
             keep = ~(fit.residual < best.residual)
             fit = RecoveryStack(np.where(keep[:, None], best.X, fit.X),

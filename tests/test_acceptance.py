@@ -302,7 +302,7 @@ def test_criterion_8_worker_determinism():
     replay_ok = True
     for row_idx, row in enumerate(trows):
         sc_n = ConstraintScenario("subspace", row["n"], 2, 2)
-        alone = [mc.recover_stack(sc_n, COMPLEX_GENERIC,
+        alone = [mc.recover_stack([sc_n], COMPLEX_GENERIC,
                                   [mix_seed(tkw["seed"], row_idx, i)],
                                   R=None, restarts=tkw["restarts"], noise_level=0.0)
                  for i in range(tkw["trials"])]

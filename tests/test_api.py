@@ -183,6 +183,18 @@ def test_ensembles_are_built_by_the_trial_rule_only():
     assert found == {("mc.py", "trial_ensemble")}, found
 
 
+def test_row_stacks_are_built_by_recover_stack_only():
+    # a solve's rows are grouped in one place: every RowStack that src/
+    # constructs, the solvers' only input form, is built by mc.recover_stack
+    src = Path(blindid.__file__).parent
+    found = {(path.name, fn.name) for path in sorted(src.glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text()))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and _callee(node) == "RowStack"}
+    assert found == {("mc.py", "recover_stack")}, found
+
+
 # Entry points whose options the CLI fills: after the leading positional
 # parameters, every option is keyword-only and has no default, so the CLI
 # holds every default.

@@ -51,7 +51,7 @@ class TestSweepInputs:
         with pytest.raises(ValueError, match="noise_level must be nonnegative"):
             _transition(noise_level=float("nan"))
         with pytest.raises(ValueError, match="noise_level must be nonnegative"):
-            mc.recover_stack(SUBSPACE5, COMPLEX_GENERIC, [0], R=None, restarts=62,
+            mc.recover_stack([SUBSPACE5], COMPLEX_GENERIC, [0], R=None, restarts=62,
                              noise_level=float("nan"))
 
     def test_nan_stability_budget_rejected(self):
@@ -190,7 +190,7 @@ class TestPhaseTransition:
                 assert sum(T for T, _ in stack) * N * (per_trial if N < k else P * k) \
                     <= entries, stacks
             for row_idx, row in enumerate(rows):
-                alone = [mc.recover_stack(sc.with_n(row["n"]), tag,
+                alone = [mc.recover_stack([sc.with_n(row["n"])], tag,
                                           [mix_seed(kw["seed"], row_idx, i)],
                                           R=None, restarts=kw["restarts"],
                                           noise_level=noise_level)
@@ -265,11 +265,11 @@ class TestPhaseTransition:
         monkeypatch.setattr(recovery, "_lm",
                             lambda aS, *args: slots.append(len(aS)) or real_lm(aS, *args))
         seeds = [mix_seed(17, 0, i) for i in range(20)]
-        mc.recover_stack(ConstraintScenario("subspace", 8, 2, 2), COMPLEX_GENERIC, seeds,
+        mc.recover_stack([ConstraintScenario("subspace", 8, 2, 2)] * 20, COMPLEX_GENERIC, seeds,
                          R=None, restarts=62, noise_level=0.0)
         assert built == [mix_seed(s, i) for i in (0, 1) for s in seeds] and not slots
         built.clear()
-        mc.recover_stack(ConstraintScenario("subspace", 6, 3, 3), COMPLEX_GENERIC, seeds,
+        mc.recover_stack([ConstraintScenario("subspace", 6, 3, 3)] * 20, COMPLEX_GENERIC, seeds,
                          R=None, restarts=62, noise_level=0.0)
         # one support: the first wave runs a slot per trial, the second two
         # per trial that reaches it
@@ -312,7 +312,8 @@ class TestPhaseTransition:
 
         def calls(T):
             counts.clear()
-            mc._recover_trials(sc, tag, list(range(T)), R=None, restarts=2, noise_level=0.01)
+            mc._recover_trials([sc] * T, tag, list(range(T)), R=None, restarts=2,
+                               noise_level=0.01)
             return {name: counts.get(name, 0) for name in want}
 
         assert calls(1) == want
@@ -334,7 +335,7 @@ class TestPhaseTransition:
         per_row = []
         for row_idx, n in enumerate(range(3, 10)):
             calls.clear()
-            mc._recover_trials(sc.with_n(n), COMPLEX_GENERIC,
+            mc._recover_trials([sc.with_n(n)] * 20, COMPLEX_GENERIC,
                                [mix_seed(18, row_idx, i) for i in range(20)], **kw)
             per_row.append(len(calls))
         calls.clear()

@@ -16,7 +16,7 @@ from blindid.mc import _draw_trials as draw_trials
 from blindid.mc import draw_trial
 from blindid.recovery import (CERTIFIED_UNIQUE, COUNTEREXAMPLE_FOUND,
                               HEURISTICALLY_UNIQUE, EnumerationCapError,
-                              IdentifiabilityVerdict,
+                              IdentifiabilityVerdict, RowStack,
                               admissible_supports, align_and_distance,
                               certify_strong, certify_weak, is_recovered,
                               min_scaled_distance, solve_fixed_support,
@@ -39,7 +39,7 @@ def solve_one(solver, ens, z, *supports, restarts, rng, truth=None):
     trial's fit, scored against truth."""
     stack = replace(ens, seed=(ens.seed,), D=ens.D[None], E=ens.E[None],
                     a=ens.a[None], b=ens.b[None])
-    fit = solver(stack, z[None], *supports, restarts, [rng])
+    fit = solver(RowStack((stack,)), [z[None]], *supports, restarts, [rng])
     M_hat = LiftedMatrix(fit.X[0], fit.Y[0])
     return Solved(M_hat, float(fit.residual[0]),
                   None if truth is None else align_and_distance(M_hat, truth),
@@ -156,7 +156,7 @@ class TestSolveFixedSupport:
         for bad in ([[]], [[0, 0]], [[-1]], [[2]], [[0, 1], [1, 1]]):
             for supports in ((bad, [range(2)] * len(bad)), ([range(2)] * len(bad), bad)):
                 with pytest.raises(ValueError, match="distinct indices in 0..1"):
-                    solve_fixed_support(ens, np.zeros((1, 5)), *supports, 0,
+                    solve_fixed_support(RowStack((ens,)), [np.zeros((1, 5))], *supports, 0,
                                         [np.random.default_rng(0)])
 
     def test_supports_are_index_arrays(self):
@@ -166,13 +166,13 @@ class TestSolveFixedSupport:
         for supports in ((range(2), [range(2)]), ([range(2)], range(2)),
                          ([[0]], [[0], [1]])):
             with pytest.raises(ValueError, match=r"\(P, k\) index arrays"):
-                solve_fixed_support(ens, np.zeros((1, 5)), *supports, 0,
+                solve_fixed_support(RowStack((ens,)), [np.zeros((1, 5))], *supports, 0,
                                     [np.random.default_rng(0)])
 
     def test_negative_restarts_rejected(self):
         ens = build_ensemble(subspace(5), COMPLEX_GENERIC, [1])
         with pytest.raises(ValueError, match="restarts must be >= 0, got -1"):
-            solve_fixed_support(ens, np.zeros((1, 5)), [range(2)], [range(2)], -1,
+            solve_fixed_support(RowStack((ens,)), [np.zeros((1, 5))], [range(2)], [range(2)], -1,
                                 [np.random.default_rng(0)])
 
     def test_lone_ensemble_rejected(self):
@@ -183,19 +183,19 @@ class TestSolveFixedSupport:
         for solve_on, z in ((ens, np.zeros(5)), (stack, np.zeros(5)),
                             (stack, np.zeros((2, 5)))):
             with pytest.raises(ValueError, match="stack of T trials"):
-                solve_fixed_support(solve_on, z, [range(2)], [range(2)], 0, rng)
+                solve_fixed_support(RowStack((solve_on,)), [z], [range(2)], [range(2)], 0, rng)
             with pytest.raises(ValueError, match="stack of T trials"):
-                solve_sparse_enumerate(solve_on, z, 0, rng)
+                solve_sparse_enumerate(RowStack((solve_on,)), [z], 0, rng)
         # and one generator per trial, on least squares and on the kernel,
         # also where no random start would read one
         for n in (5, 3):
             stack = build_ensemble(subspace(n), COMPLEX_GENERIC, [1, 2])
             for rngs in ([], rng, rng * 3):
                 with pytest.raises(ValueError, match="one generator per trial"):
-                    solve_fixed_support(stack, np.zeros((2, n)), [range(2)], [range(2)],
-                                        0, rngs)
+                    solve_fixed_support(RowStack((stack,)), [np.zeros((2, n))], [range(2)],
+                                        [range(2)], 0, rngs)
                 with pytest.raises(ValueError, match="one generator per trial"):
-                    solve_sparse_enumerate(stack, np.zeros((2, n)), 4, rngs)
+                    solve_sparse_enumerate(RowStack((stack,)), [np.zeros((2, n))], 4, rngs)
 
     def test_solution_vanishes_off_support(self):
         sc = ConstraintScenario(kind="sparsity", n=6, m1=4, m2=4, s1=2, s2=2)
@@ -276,7 +276,7 @@ class TestStackedKernel:
         ens, z, lone = _stacked_row(sc, 20, 50, noise)
         S1, S2 = admissible_supports(sc)
         rngs = [[np.random.default_rng(60 + t) for t in range(20)] for _ in range(2)]
-        fit = solve_fixed_support(ens, z, S1, S2, 20, rngs[0])
+        fit = solve_fixed_support(RowStack((ens,)), [z], S1, S2, 20, rngs[0])
         assert fit.X.shape == (20, 3) and fit.restarts_used == (20 if noise else used)
         for t, ens_t in enumerate(lone):
             alone = solve_one(solve_fixed_support, ens_t, z[t], S1, S2,
@@ -304,7 +304,7 @@ class TestStackedKernel:
         S1, S2 = admissible_supports(sc)
         T = 4 * len(rows)
         rngs = [[np.random.default_rng(60 + t) for t in range(T)] for _ in range(2)]
-        stack = recovery.RowStack(tuple(ens for ens, _, _ in rows))
+        stack = RowStack(tuple(ens for ens, _, _ in rows))
         assert stack.n == k - 1 and stack.scenario == sc.with_n(k - 1)
         fit = solve_fixed_support(stack, [z for _, z, _ in rows], S1, S2, 6, rngs[0])
         trials = [(ens_t, z_t) for _, z, lone in rows for ens_t, z_t in zip(lone, z)]
@@ -322,7 +322,7 @@ class TestStackedKernel:
         # rows theirs, n; rows of one n solve row by row, with the bits of
         # their own solves
         def stack(scs):
-            return recovery.RowStack(tuple(build_ensemble(sc, COMPLEX_GENERIC, [1, 2])
+            return RowStack(tuple(build_ensemble(sc, COMPLEX_GENERIC, [1, 2])
                                            for sc in scs))
 
         for scs in ((subspace(8, 3, 3), subspace(9, 3, 3)),
@@ -336,11 +336,30 @@ class TestStackedKernel:
         S1, S2 = admissible_supports(subspace(9, 3, 3))
         fit = solve_fixed_support(ens, z, S1, S2, 0, [None] * 4)
         for e, zr, t in zip(ens.ensembles, z, (0, 2)):
-            own = solve_fixed_support(e, zr, S1, S2, 0, [None] * 2)
+            own = solve_fixed_support(RowStack((e,)), [zr], S1, S2, 0, [None] * 2)
             assert np.array_equal(fit.X[t:t + 2], own.X) and np.array_equal(fit.Y[t:t + 2], own.Y)
             assert np.array_equal(fit.residual[t:t + 2], own.residual)
         with pytest.raises(ValueError, match="one generator per trial, 4, got 2"):
             solve_fixed_support(ens, z, S1, S2, 0, [None] * 2)
+
+    def test_empty_row_stack_rejected(self):
+        with pytest.raises(ValueError, match="a stack needs at least one row"):
+            RowStack(())
+
+    @pytest.mark.parametrize("ns", [(9, 9), (5, 7)], ids=["least-squares", "kernel"])
+    def test_a_solve_reads_each_rows_supports_once(self, ns, monkeypatch):
+        # a solve assembles every row's restricted rows once, and least
+        # squares, its residual and the kernel all read that one assembly
+        read = []
+        real = recovery.support_rows
+        monkeypatch.setattr(recovery, "support_rows",
+                            lambda ens, *args: read.append(ens.n) or real(ens, *args))
+        stack = RowStack(tuple(build_ensemble(subspace(n, 3, 3), COMPLEX_GENERIC, [1, 2])
+                               for n in ns))
+        z = [np.random.default_rng(n).standard_normal((2, n)) + 0j for n in ns]
+        S1, S2 = admissible_supports(subspace(9, 3, 3))
+        solve_fixed_support(stack, z, S1, S2, 2, [np.random.default_rng(t) for t in range(4)])
+        assert read == list(ns)
 
     def test_zero_rows_are_inert(self):
         # the kernel on rows zero-padded from n = 7 to 8 fits what it fits on
@@ -382,7 +401,7 @@ class TestStackedKernel:
 
         monkeypatch.setattr(recovery, "_lm", spy)
         S1, S2 = admissible_supports(subspace(9, 3, 3))
-        fit = solve_fixed_support(recovery.RowStack(tuple(ens for ens, _, _ in rows)), z,
+        fit = solve_fixed_support(RowStack(tuple(ens for ens, _, _ in rows)), z,
                                   S1, S2, 14, [np.random.default_rng(t) for t in range(18)])
         floor = np.concatenate([recovery._residual_floor(zr) for zr in z])
         live = np.arange(18)
@@ -411,7 +430,7 @@ class TestStackedKernel:
         monkeypatch.setattr(recovery, "_damped_solve",
                             lambda *args: solves.append(1) or real_solve(*args))
         rngs = [np.random.default_rng(60 + t) for t in range(20)]
-        fit = solve_fixed_support(ens, z, S1, S2, 20, rngs)
+        fit = solve_fixed_support(RowStack((ens,)), [z], S1, S2, 20, rngs)
         assert calls == [20 * 12] and fit.restarts_used == 0
         assert len(solves) <= 50  # the first y solve, then one per step
         for t, g in enumerate(rngs):
@@ -747,7 +766,7 @@ def test_certifier_runs_one_attempt_then_the_rest_and_solver_waves_grow_by_two(m
         assert calls == [1, 99]
     calls.clear()
     ens, z, _ = _stacked_row(subspace(8, 3, 3), 1, 80, noise=0.05)
-    solve_fixed_support(ens, z, *admissible_supports(subspace(8, 3, 3)), 6,
+    solve_fixed_support(RowStack((ens,)), [z], *admissible_supports(subspace(8, 3, 3)), 6,
                         [np.random.default_rng(81)])
     assert calls == [1, 2, 4]
 
@@ -1089,7 +1108,7 @@ def test_enumeration_matches_the_per_support_loop(sc, zero):
     if zero:
         z[:] = 0
     rngs = [[np.random.default_rng(90 + t) for t in range(T)] for _ in range(2)]
-    got = solve_sparse_enumerate(ens, z, 4, rngs[0])
+    got = solve_sparse_enumerate(RowStack((ens,)), [z], 4, rngs[0])
     want = oracles.solve_sparse_enumerate(ens, z, 4, rngs[1])
     assert np.array_equal(got.X, want.X) and np.array_equal(got.Y, want.Y)
     assert np.array_equal(got.residual, want.residual)
@@ -1099,7 +1118,7 @@ def test_enumeration_matches_the_per_support_loop(sc, zero):
     # squares reads no generator
     (S1, S2), (k1, k2) = admissible_supports(sc), sc.support_sizes
     P = len(S1)
-    first = solve_sparse_enumerate(ens, z, 0, [np.random.default_rng(0)] * T)
+    first = solve_sparse_enumerate(RowStack((ens,)), [z], 0, [np.random.default_rng(0)] * T)
     floor = recovery.LM_RESIDUAL_FLOOR * np.maximum(1.0, recovery._norm(z))
     drawn = (first.residual > floor) & (sc.n < k1 * k2)
     for t, g in enumerate(rngs[0]):
@@ -1138,7 +1157,7 @@ def test_least_squares_slots_match_the_per_slot_loop(sc, tag, monkeypatch):
         real = getattr(recovery, name)
         monkeypatch.setattr(recovery, name,
                             lambda *args, real=real: seen.append(real(*args)) or seen[-1])
-    fit = solve_sparse_enumerate(ens, z, 0, [np.random.default_rng(0)] * T)
+    fit = solve_sparse_enumerate(RowStack((ens,)), [z], 0, [np.random.default_rng(0)] * T)
     vec, (x, y), residual = seen
     # independently of the oracle's QR: each slot's solution is within
     # 1e-12 relative of np.linalg.lstsq's
@@ -1178,7 +1197,7 @@ def test_least_squares_refits_a_rank_deficient_slot_by_lstsq(n, monkeypatch):
     real = _umath_linalg.lstsq
     monkeypatch.setattr(_umath_linalg, "lstsq",
                         lambda A, *args, **kw: refits.append(len(A)) or real(A, *args, **kw))
-    x = recovery._lstsq(ens, S1, S2, z[:, None, :])[:, 0]
+    x = recovery._lstsq(*support_rows(ens, S1, S2), z[:, None, :])[:, 0]
     assert refits == [1]
     monkeypatch.undo()
     A = operator_matrix(ens)
