@@ -599,102 +599,98 @@ def _attempts_per_chunk(sc: ConstraintScenario) -> int:
     return max(1, STACK_ENTRIES // (sc.n * sum(sc.support_sizes) + sc.m1 * sc.m2))
 
 
+def _counterexamples(residual: np.ndarray, W, R, tol: float) -> np.ndarray:
+    """The counterexample rule on T pairs of witness W and reference R, each
+    given by factors (X (T, m1), Y (T, m2)) and measured `residual` (T,)
+    apart: the indices, in order, of the pairs measured alike (residual <=
+    tol) whose orbit distance is far (_far), computed for those pairs only."""
+    fits = np.flatnonzero(residual <= tol)
+    W, R = ((X[fits, :, None] * Y[fits, None, :]) for X, Y in (W, R))
+    return fits[_far(min_scaled_distance(W, R), tol)]
+
+
+def _certify(ens: Ensemble, budget: int, tol: float, held, sizes, radius: float,
+             draw) -> IdentifiabilityVerdict:
+    """Both certifiers. Exact path: injectivity of the restricted operator on
+    the largest unions, per side, of the index set `held` with `sizes`
+    indices; dropping columns cannot lower the smallest singular value, so
+    they decide every smaller union. Search: `budget` attempts in chunks,
+    the first attempt alone and then the rest, each fitted and tested as one
+    stack. draw(T, S1, S2) gives a chunk's planted factors (xp, yp), their
+    measurements (T, n) and the starts (T, k1); attempt t fits support t mod
+    P. Each pair is rescaled jointly into the Frobenius ball of `radius`
+    (the cone property; c = 1 at radius inf), and the first counterexample
+    (_counterexamples) in attempt order is returned."""
+    sc = ens.scenario
+    _pair_count(sc)  # past SUPPORT_CAP, raise before any union is listed
+    if _injective_on(ens, *map(_largest_unions, (sc.m1, sc.m2), sizes, held)):
+        return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
+
+    S1, S2 = admissible_supports(sc)
+    for attempts in _chunks(budget, budget, _attempts_per_chunk(sc)):
+        (xp, yp), z, starts = draw(len(attempts), S1, S2)
+        rows, cols = (S[np.array(attempts) % len(S)] for S in (S1, S2))  # support t mod P
+        X, Y, residual = _lm(*support_rows(ens, rows, cols), z, starts, _residual_floor(z))
+        X, Y = _embed(X, rows, sc.m1), _embed(Y, cols, sc.m2)
+        c = 1.0 / np.maximum(1.0, _frobenius(X[:, :, None] * Y[:, None, :]) / radius)
+        X, xp = c[:, None] * X, c[:, None] * xp
+        far = _counterexamples(residual * c, (X, Y), (xp, yp), tol)
+        if far.size:
+            t = far[0]
+            return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, LiftedMatrix(X[t], Y[t]),
+                                          LiftedMatrix(xp[t], yp[t]), attempts[t] + 1, tol)
+    return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
+
+
 def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
                  rng: np.random.Generator) -> IdentifiabilityVerdict:
     """Decide uniqueness of the planted matrix among admissible solutions.
 
-    Exact path: if the restricted operator is injective on the union of
-    every admissible support with the planted support S0, uniqueness holds
-    even without the rank constraint. Dropping columns cannot lower the
-    smallest singular value, and each union lies in a largest one, so only
-    those are checked: per side, the sets of min(|S0| + k, m) indices that
-    contain S0. Heuristic path: `budget` multi-start fits of the planted
-    measurements; a far solution with a tiny residual is a
-    counterexample, otherwise the verdict is only heuristic. The first
-    attempt runs alone, then the rest of the budget, each chunk fitted and
-    tested as one stack, so rng may be drawn past the first far fit.
+    Exact path: injectivity on the union of every admissible support with
+    the planted support S0 (unions of S0 with k1 and k2 indices), which
+    holds even without the rank constraint. Search: fits of M0's
+    measurements, taken once, from random starts, with no ball (radius
+    inf); a far fit is a counterexample, and none gives a heuristic verdict.
     """
     _check_search(budget, tol)
     sc = ens.scenario
     if np.linalg.norm(M0.x) == 0 or np.linalg.norm(M0.y) == 0:
         raise ValueError("planted matrix must have nonzero rank-1 factors")
-
-    _pair_count(sc)  # past SUPPORT_CAP, raise before any union is listed
-    if _injective_on(ens, *map(_largest_unions, (sc.m1, sc.m2), sc.support_sizes,
-                               _support_of(M0))):
-        return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
-
-    S1, S2 = admissible_supports(sc)
     z0 = apply_A(ens, M0)
-    floor = _residual_floor(z0)
-    for attempts in _chunks(budget, budget, _attempts_per_chunk(sc)):
-        rows, cols = (S[np.array(attempts) % len(S)] for S in (S1, S2))  # support t mod P
-        aS, bS = support_rows(ens, rows, cols)
-        X, Y, residual = _lm(aS, bS, np.broadcast_to(z0, (len(attempts), ens.n)),
-                             _random_factors(len(attempts), rows.shape[1], rng),
-                             np.broadcast_to(floor, len(attempts)))
-        fits = np.flatnonzero(residual <= tol)
-        X, Y = _embed(X[fits], rows[fits], sc.m1), _embed(Y[fits], cols[fits], sc.m2)
-        M = X[:, :, None] * Y[:, None, :]
-        far = np.flatnonzero(_far(min_scaled_distance(M, np.broadcast_to(M0.M, M.shape)), tol))
-        if far.size:  # the first far fit in attempt order
-            t = far[0]
-            return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, LiftedMatrix(X[t], Y[t]), M0,
-                                          attempts[fits[t]] + 1, tol)
-    return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
+
+    def draw(T, S1, S2):
+        return ((np.broadcast_to(M0.x, (T, sc.m1)), np.broadcast_to(M0.y, (T, sc.m2))),
+                np.broadcast_to(z0, (T, ens.n)), _random_factors(T, S1.shape[1], rng))
+
+    return _certify(ens, budget, tol, _support_of(M0), sc.support_sizes, np.inf, draw)
 
 
 def certify_strong(ens: Ensemble, *, budget: int, tol: float,
                    rng: np.random.Generator) -> IdentifiabilityVerdict:
     """Decide uniqueness over the whole constraint set restricted to the unit ball.
 
-    Exact path: injectivity of the restricted operator on every union of
-    two admissible supports, checked as in certify_weak on the largest
-    ones: per side, the sets of min(2k, m) indices. Heuristic path: plant
-    a random admissible unit-norm matrix, fit its measurements from a
-    random start, and flag a far-apart pair (orbit distance, as
-    verify_counterexample measures it) with matching measurements as a
-    counterexample.
-
-    Per attempt, only the draws run: the planted support, its x then y
-    factors, then the start. Per chunk (the first attempt, then the rest),
-    the planted matrices are normalized and measured as one stack by
-    apply_A, then fitted and tested as one stack. So rng may be drawn past
-    the attempt that finds a counterexample; the verdict does not change.
+    Exact path: injectivity on every union of two admissible supports
+    (sets of 2k1 and 2k2 indices). Search: per attempt only the draws run,
+    the planted support, its x then y factors, then the start; per chunk
+    the plants are normalized to unit norm and measured as one stack, and
+    each is fitted in the unit ball (radius 1).
     """
     _check_search(budget, tol)
     sc = ens.scenario
+    k1, k2 = sc.support_sizes
 
-    P, (k1, k2) = _pair_count(sc), sc.support_sizes
-    if _injective_on(ens, _largest_unions(sc.m1, 2 * k1), _largest_unions(sc.m2, 2 * k2)):
-        return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
-
-    S1, S2 = admissible_supports(sc)
-    for attempts in _chunks(budget, budget, _attempts_per_chunk(sc)):
+    def draw(T, S1, S2):
         picks, G, starts = map(np.array, zip(*[
-            (rng.integers(P), rng.standard_normal(2 * (k1 + k2)), rng.standard_normal(2 * k1))
-            for _ in attempts]))  # the planted support, its x then y draws, the start
-        T = len(attempts)
+            (rng.integers(len(S1)), rng.standard_normal(2 * (k1 + k2)),
+             rng.standard_normal(2 * k1)) for _ in range(T)]))
         xp = _embed(_complex_normal(G[:, :2 * k1].reshape(T, 2, k1)), S1[picks], sc.m1)
         yp = _embed(_complex_normal(G[:, 2 * k1:].reshape(T, 2, k2)), S2[picks], sc.m2)
-        xp /= _norm((xp[:, :, None] * yp[:, None, :]).reshape(T, -1))[:, None]
-        z1 = apply_A(ens, xp[:, :, None] * yp[:, None, :])
-        rows, cols = (S[np.array(attempts) % P] for S in (S1, S2))  # support t mod P
-        aS, bS = support_rows(ens, rows, cols)
-        X, Y, residual = _lm(aS, bS, z1, _complex_normal(starts.reshape(T, 2, k1)),
-                             _residual_floor(z1))
-        X, Y = _embed(X, rows, sc.m1), _embed(Y, cols, sc.m2)
-        # rescale each pair jointly so both land in the unit ball (cone property)
-        c = 1.0 / np.maximum(1.0, _norm((X[:, :, None] * Y[:, None, :]).reshape(T, -1)))
-        fits = np.flatnonzero(residual * c <= tol)
-        xp, yp, X, Y = c[fits, None] * xp[fits], yp[fits], c[fits, None] * X[fits], Y[fits]
-        far = np.flatnonzero(_far(min_scaled_distance(X[:, :, None] * Y[:, None, :],
-                                                      xp[:, :, None] * yp[:, None, :]), tol))
-        if far.size:  # the first far fit in attempt order
-            t = far[0]
-            return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, LiftedMatrix(X[t], Y[t]),
-                                          LiftedMatrix(xp[t], yp[t]), attempts[fits[t]] + 1, tol)
-    return IdentifiabilityVerdict(HEURISTICALLY_UNIQUE, None, None, budget, tol)
+        xp /= _frobenius(xp[:, :, None] * yp[:, None, :])[:, None]
+        return ((xp, yp), apply_A(ens, xp[:, :, None] * yp[:, None, :]),
+                _complex_normal(starts.reshape(T, 2, k1)))
+
+    empty = np.arange(0)
+    return _certify(ens, budget, tol, (empty, empty), (2 * k1, 2 * k2), 1.0, draw)
 
 
 def _admissible(sc: ConstraintScenario, M: LiftedMatrix) -> bool:
@@ -705,16 +701,13 @@ def _admissible(sc: ConstraintScenario, M: LiftedMatrix) -> bool:
 
 def verify_counterexample(verdict: IdentifiabilityVerdict, ens: Ensemble) -> bool:
     """Machine-check the counterexample invariant on the stored witness:
-    witness and reference are admissible, measured alike and far apart, at
-    a tolerance the searches take."""
+    witness and reference are admissible, and the counterexample rule
+    (_counterexamples) holds for them, at a tolerance the searches take."""
+    W, R = verdict.witness, verdict.reference
     if verdict.status != COUNTEREXAMPLE_FOUND or not _far(1.0, verdict.tolerance):
         return False
-    if verdict.witness is None or verdict.reference is None:
+    if not (_admissible(ens.scenario, W) and _admissible(ens.scenario, R)):
         return False
-    if not (_admissible(ens.scenario, verdict.witness)
-            and _admissible(ens.scenario, verdict.reference)):
-        return False
-    residual = float(np.linalg.norm(apply_A(ens, verdict.witness)
-                                    - apply_A(ens, verdict.reference)))
-    far = _far(min_scaled_distance(verdict.witness, verdict.reference), verdict.tolerance)
-    return residual <= verdict.tolerance and far
+    residual = np.linalg.norm(apply_A(ens, W) - apply_A(ens, R))
+    return _counterexamples(np.array([residual]), (W.x[None], W.y[None]),
+                            (R.x[None], R.y[None]), verdict.tolerance).size == 1

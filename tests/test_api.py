@@ -110,31 +110,52 @@ def _callee(node):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def test_orbit_distances_are_judged_by_the_counterexample_rule():
-    # every min_scaled_distance call in the package is the distance argument
-    # of recovery._far, so the counterexample rule (orbit distance above
-    # 10 * tol) has one spelling, for stacks and lone pairs alike
+def _calls_in(node, owner=None):
+    """(innermost enclosing function or None, call node) for every call under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        if isinstance(child, ast.Call):
+            yield inner, child
+        yield from _calls_in(child, inner)
+
+
+def _calls_by_function(*callees):
+    """(module file, innermost enclosing function, call node) for every call
+    of one of `callees` in the package, from one parse of each file."""
     src = Path(blindid.__file__).parent
-    distances, judged = [], set()
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and _callee(node) == "min_scaled_distance":
-                distances.append((path.name, node.lineno, node))
-            elif isinstance(node, ast.Call) and _callee(node) == "_far" and node.args:
-                judged.add(node.args[0])
-    unjudged = [(name, line) for name, line, node in distances if node not in judged]
-    assert len(distances) >= 3 and not unjudged, unjudged
+    return [(path.name, owner, node) for path in sorted(src.glob("*.py"))
+            for owner, node in _calls_in(ast.parse(path.read_text()))
+            if _callee(node) in callees]
+
+
+def test_orbit_distances_are_judged_by_the_counterexample_rule():
+    # the package's one min_scaled_distance call is in
+    # recovery._counterexamples, as the distance argument of _far, so both
+    # searches and verify_counterexample judge a pair by one rule
+    calls = _calls_by_function("min_scaled_distance", "_far")
+    distances = [(name, owner, node) for name, owner, node in calls
+                 if _callee(node) == "min_scaled_distance"]
+    assert [(name, owner) for name, owner, _ in distances] == [
+        ("recovery.py", "_counterexamples")], distances
+    assert any(node.args and node.args[0] is distances[0][2] for _, _, node in calls)
 
 
 def test_far_threshold_has_one_owner():
-    # every _far call in the package is in recovery, which also refuses a
-    # tolerance whose far threshold 10 * tol reaches the unit-ball radius,
-    # so no other module keeps a counterexample rule or a tolerance check
-    src = Path(blindid.__file__).parent
-    calls = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call) and _callee(node) == "_far"]
-    assert len(calls) >= 4 and {name for name, _ in calls} == {"recovery.py"}, calls
+    # every _far call in the package is in recovery: the counterexample rule
+    # (_counterexamples) and the refusals of a tolerance whose far threshold
+    # 10 * tol reaches the unit-ball radius, in the searches' _check_search
+    # and in verify_counterexample
+    calls = sorted((name, owner) for name, owner, _ in _calls_by_function("_far"))
+    assert calls == [("recovery.py", "_check_search"), ("recovery.py", "_counterexamples"),
+                     ("recovery.py", "verify_counterexample")], calls
+
+
+def test_kernel_runs_in_the_solver_and_the_certifier_only():
+    # the Levenberg-Marquardt kernel has two callers, a solve and the one
+    # certifier routine that both searches share
+    calls = sorted((name, owner) for name, owner, _ in _calls_by_function("_lm"))
+    assert calls == [("recovery.py", "_certify"), ("recovery.py", "solve_fixed_support")], \
+        calls
 
 
 def test_stacks_are_sized_in_recovery_only():
