@@ -7,10 +7,13 @@ when n >= |S1|*|S2|, one stacked Householder QR of [A | z] and one
 stacked back substitution for every (trial, support) of a solve, with
 LAPACK's SVD-based least squares only for numerically rank-deficient
 slots, and otherwise by a batched Levenberg-Marquardt kernel
-over the factors, which recovers down to the sample count d. The
-certifiers combine an exact sufficient certificate (injectivity of the
-restricted linear operator) with a multi-start heuristic search for
-counterexamples, which is explicitly non-conclusive when it finds nothing.
+over the factors, which recovers down to the sample count d. Both
+certifiers are one routine (_certify): an exact sufficient certificate
+(injectivity of the restricted operator on support unions), then a
+multi-start search for counterexamples, non-conclusive when it finds
+nothing; a level supplies its unions, its draws and its ball radius. One
+rule (_counterexamples) judges the fits and the verifier's witness:
+measured alike within tol * sigma_max(A), and far apart.
 
 A solve takes a RowStack, the trial stacks of one or more rows of a
 sweep, and assembles their restricted frequency rows and measurements
@@ -29,10 +32,9 @@ them reaches the trial's residual floor, which is computed once, from
 measurements without the padding. One trial is a stack of one.
 Certifier attempts run in chunks of at most STACK_ENTRIES entries: the
 first attempt alone, since far below the threshold almost every plant
-has a partner, then the rest of the budget.
-So a search may draw from the caller's rng past the attempt it returns;
-verdicts and budgets do not change. Per attempt only the rng draws run in
-Python; the fits and the counterexample rule run once per chunk.
+has a partner, then the rest of the budget, so a search may draw from the
+caller's rng past the attempt it returns; verdicts and budgets do not
+change. Per attempt only the rng draws run in Python.
 """
 
 from __future__ import annotations
@@ -599,12 +601,18 @@ def _attempts_per_chunk(sc: ConstraintScenario) -> int:
     return max(1, STACK_ENTRIES // (sc.n * sum(sc.support_sizes) + sc.m1 * sc.m2))
 
 
-def _counterexamples(residual: np.ndarray, W, R, tol: float) -> np.ndarray:
+def _sigma_max(ens: Ensemble) -> float:
+    """sigma_max(A), the largest singular value of the frequency operator."""
+    return float(np.linalg.svd(operator_matrix(ens), compute_uv=False)[0])
+
+
+def _counterexamples(residual: np.ndarray, W, R, tol: float, unit: float) -> np.ndarray:
     """The counterexample rule on T pairs of witness W and reference R, each
     given by factors (X (T, m1), Y (T, m2)) and measured `residual` (T,)
     apart: the indices, in order, of the pairs measured alike (residual <=
-    tol) whose orbit distance is far (_far), computed for those pairs only."""
-    fits = np.flatnonzero(residual <= tol)
+    tol * unit, with unit = sigma_max(A), so that scaling the ensemble moves
+    no verdict) whose orbit distance is far (_far), computed for those only."""
+    fits = np.flatnonzero(residual <= tol * unit)
     W, R = ((X[fits, :, None] * Y[fits, None, :]) for X, Y in (W, R))
     return fits[_far(min_scaled_distance(W, R), tol)]
 
@@ -627,6 +635,7 @@ def _certify(ens: Ensemble, budget: int, tol: float, held, sizes, radius: float,
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
 
     S1, S2 = admissible_supports(sc)
+    unit = _sigma_max(ens)
     for attempts in _chunks(budget, budget, _attempts_per_chunk(sc)):
         (xp, yp), z, starts = draw(len(attempts), S1, S2)
         rows, cols = (S[np.array(attempts) % len(S)] for S in (S1, S2))  # support t mod P
@@ -634,7 +643,7 @@ def _certify(ens: Ensemble, budget: int, tol: float, held, sizes, radius: float,
         X, Y = _embed(X, rows, sc.m1), _embed(Y, cols, sc.m2)
         c = 1.0 / np.maximum(1.0, _frobenius(X[:, :, None] * Y[:, None, :]) / radius)
         X, xp = c[:, None] * X, c[:, None] * xp
-        far = _counterexamples(residual * c, (X, Y), (xp, yp), tol)
+        far = _counterexamples(residual * c, (X, Y), (xp, yp), tol, unit)
         if far.size:
             t = far[0]
             return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, LiftedMatrix(X[t], Y[t]),
@@ -647,10 +656,9 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
     """Decide uniqueness of the planted matrix among admissible solutions.
 
     Exact path: injectivity on the union of every admissible support with
-    the planted support S0 (unions of S0 with k1 and k2 indices), which
-    holds even without the rank constraint. Search: fits of M0's
-    measurements, taken once, from random starts, with no ball (radius
-    inf); a far fit is a counterexample, and none gives a heuristic verdict.
+    the planted support S0 (unions of S0 with k1 and k2 indices). Search:
+    fits of M0's measurements, taken once, from random starts, in no ball
+    (radius inf); a far fit is a counterexample, none a heuristic verdict.
     """
     _check_search(budget, tol)
     sc = ens.scenario
@@ -704,10 +712,9 @@ def verify_counterexample(verdict: IdentifiabilityVerdict, ens: Ensemble) -> boo
     witness and reference are admissible, and the counterexample rule
     (_counterexamples) holds for them, at a tolerance the searches take."""
     W, R = verdict.witness, verdict.reference
-    if verdict.status != COUNTEREXAMPLE_FOUND or not _far(1.0, verdict.tolerance):
-        return False
-    if not (_admissible(ens.scenario, W) and _admissible(ens.scenario, R)):
+    if (verdict.status != COUNTEREXAMPLE_FOUND or not _far(1.0, verdict.tolerance)
+            or not (_admissible(ens.scenario, W) and _admissible(ens.scenario, R))):
         return False
     residual = np.linalg.norm(apply_A(ens, W) - apply_A(ens, R))
     return _counterexamples(np.array([residual]), (W.x[None], W.y[None]),
-                            (R.x[None], R.y[None]), verdict.tolerance).size == 1
+                            (R.x[None], R.y[None]), verdict.tolerance, _sigma_max(ens)).size == 1

@@ -201,12 +201,13 @@ def certify_weak(ens, M0, *, budget, tol, rng):
     if all(_injective_on(ens, _union(S1, S1_0), _union(S2, S2_0)) for S1, S2 in supports):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
     z0 = apply_A(ens, M0)
+    unit = np.linalg.svd(operator_matrix(ens), compute_uv=False)[0]  # sigma_max(A)
     for attempt in range(budget):
         S1, S2 = supports[attempt % len(supports)]
         aS = ens.a.conj()[:, list(S1)]
         bS = ens.b.conj()[:, list(S2)]
         x, y, residual = fit(aS, bS, z0, random_factor(len(S1), rng))
-        if residual <= tol:
+        if residual <= tol * unit:
             cand = LiftedMatrix(_embed(x, S1, sc.m1), _embed(y, S2, sc.m2))
             if min_scaled_distance(cand, M0) > 10 * tol:
                 return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, cand, M0, attempt + 1, tol)
@@ -222,6 +223,7 @@ def certify_strong(ens, *, budget, tol, rng):
     if all(_injective_on(ens, _union(S1a, S1b), _union(S2a, S2b))
            for (S1a, S2a), (S1b, S2b) in itertools.combinations_with_replacement(supports, 2)):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
+    unit = np.linalg.svd(operator_matrix(ens), compute_uv=False)[0]  # sigma_max(A)
     for attempt in range(budget):
         S1p, S2p = supports[rng.integers(len(supports))]
         xp = _embed(random_factor(len(S1p), rng), S1p, sc.m1)
@@ -235,7 +237,7 @@ def certify_strong(ens, *, budget, tol, rng):
         x, y, residual = fit(aS, bS, z1, random_factor(len(S1), rng))
         x, y = _embed(x, S1, sc.m1), _embed(y, S2, sc.m2)
         c = 1.0 / max(1.0, np.linalg.norm(np.outer(x, y)))
-        if residual * c <= tol:
+        if residual * c <= tol * unit:
             M1c = LiftedMatrix(c * xp, yp)
             M2c = LiftedMatrix(c * x, y)
             if min_scaled_distance(M2c, M1c) > 10 * tol:

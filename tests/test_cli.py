@@ -461,6 +461,34 @@ class TestSubcommands:
             assert verdict["status"] == "counterexample_found", seed
             assert verdict["witness_verified"] is True, seed
 
+    @pytest.mark.parametrize("level", ["weak", "strong"])
+    def test_certify_status_does_not_depend_on_the_radius(self, capsys, level):
+        # the ball radius R scales the operator A by R^2, and a fit counts as
+        # measured alike at residual <= tol * sigma_max(A), so no status
+        # moves with R; with an absolute tol, 8 of these 18 cases moved
+        grid = [(["--kind", "subspace", "--m1", "3", "--m2", "3"], n) for n in (6, 7, 8, 9, 12)]
+        grid += [(["--kind", "sparsity", "--m1", "5", "--m2", "5", "--s1", "1", "--s2", "1"], n)
+                 for n in (1, 2, 3, 4)]
+        for options, n in grid:
+            statuses = set()
+            for R in ("1e-3", "1", "1e3"):
+                code, out, _ = run(capsys, "certify", *options, "--n", str(n), "--seed", "1",
+                                   "--level", level, "--R", R)
+                assert code == 0
+                statuses.add(json.loads(out)["status"])
+            assert len(statuses) == 1, (options, n, statuses)
+
+    @pytest.mark.parametrize("level", ["weak", "strong"])
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_certify_in_the_band_finds_no_counterexample_at_a_small_radius(self, capsys, n,
+                                                                            level):
+        # 3x3 at d = 6 < n < 9: at R = 1e-4, tol = 1e-6 in measurement units
+        # counted pairs of the unit ball as measured alike, and both levels
+        # returned a verified counterexample where none exists
+        code, out, _ = run(capsys, "certify", "--kind", "subspace", "--m1", "3", "--m2", "3",
+                           "--n", str(n), "--seed", "1", "--level", level, "--R", "1e-4")
+        assert code == 0 and json.loads(out)["status"] == "heuristically_unique"
+
     def test_bounds_nulls_when_C_not_positive(self, capsys):
         # n = 12 > 2d = 8 holds, but delta = 10 drives C below zero, so every
         # stability field is null while C itself is reported
