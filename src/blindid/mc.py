@@ -25,8 +25,10 @@ stack and one batched L-BFGS run each, and each trial's result does not
 depend on the batch it is solved in.
 Each start of the batch runs its own line search, and one objective call
 per round serves every running start. A round costs numpy dispatches, not
-arithmetic, so the kernel makes few: its state covers running starts only
-and is compacted when a start stops.
+arithmetic, so the kernel makes few: its state covers running starts only,
+holds only what a start cannot derive (no pair count: zero memory pairs
+leave the two-loop recursion unchanged), and is compacted when a start
+stops.
 """
 
 from __future__ import annotations
@@ -404,20 +406,19 @@ CONVERGED, MAXITER, LINE_SEARCH_FAILED = 0, 1, 2
 _RUNNING = -1
 
 
-def _two_loop(g, S, Y, rho, used):
+def _two_loop(g, S, Y, rho):
     """L-BFGS two-loop recursion, H g, per slot. Memory is memory-major,
     S and Y (LBFGS_MEMORY, slots, dim) and rho (LBFGS_MEMORY, slots), newest
-    first, so each step reads one block; used holds each slot's number of
-    pairs, and the zero entries past it leave the result unchanged."""
-    top = int(used.max(initial=0))
+    first, so each step reads one block; a slot's zero pairs past its
+    filled ones leave the result unchanged."""
     q = g.copy()
-    alpha = np.zeros((top, len(g), 1))
-    for i in range(top):
+    alpha = np.zeros((LBFGS_MEMORY, len(g), 1))
+    for i in range(LBFGS_MEMORY):
         alpha[i, :, 0] = rho[i] * np.vecdot(S[i], q)
         q -= alpha[i] * Y[i]
     # initial Hessian scale s'y / y'y of the newest pair, 1 without memory
     r = q / np.where(rho[0] > 0.0, rho[0] * np.vecdot(Y[0], Y[0]), 1.0)[:, None]
-    for i in reversed(range(top)):
+    for i in reversed(range(LBFGS_MEMORY)):
         beta = rho[i] * np.vecdot(Y[i], r)
         r += (alpha[i] - beta[:, None]) * S[i]
     return r
@@ -444,23 +445,20 @@ def _lbfgs(fun, p, maxiter, *data):
     status = np.full(B, _RUNNING)
     ids = np.arange(B)
     f, g = fun(p, *data)
-    # per running slot: memory (newest first) and its pair count, line
+    # per running slot: memory (newest first, rho[0] = 0 when empty), line
     # search direction d, slope gd, trial step alpha in the bracket [lo, hi],
-    # failed trials so far, whether memory was empty, and its stop code
+    # failed trials so far (0 when it needs a direction) and its stop code
     S = np.zeros((LBFGS_MEMORY, B, dim))
     Y = np.zeros((LBFGS_MEMORY, B, dim))
     rho = np.zeros((LBFGS_MEMORY, B))
-    used = np.zeros(B, dtype=int)
     nit = np.zeros(B, dtype=int)
     d = np.zeros((B, dim))
     gd, alpha, lo, hi = np.zeros((4, B))
     tries = np.zeros(B, dtype=int)
-    fresh = np.zeros(B, dtype=bool)
     code = np.where(np.abs(g).max(1) <= LBFGS_PGTOL, CONVERGED, _RUNNING)
-    need = np.ones(B, dtype=bool)  # slots that need a direction
 
     def clear_memory(slots):
-        S[:, slots], Y[:, slots], rho[:, slots], used[slots] = 0.0, 0.0, 0.0, 0
+        S[:, slots], Y[:, slots], rho[:, slots] = 0.0, 0.0, 0.0
 
     while True:
         stopped = code != _RUNNING
@@ -470,12 +468,13 @@ def _lbfgs(fun, p, maxiter, *data):
             run = ~stopped
             if not run.any():
                 break
-            (ids, p, f, g, d, gd, alpha, lo, hi, tries, fresh, nit, used, need, code,
-             *data) = (arr[run] for arr in (ids, p, f, g, d, gd, alpha, lo, hi, tries,
-                                            fresh, nit, used, need, code, *data))
+            ids, p, f, g, d, gd, alpha, lo, hi, tries, nit, code, *data = (
+                arr[run] for arr in (ids, p, f, g, d, gd, alpha, lo, hi, tries, nit, code,
+                                     *data))
             S, Y, rho = S[:, run], Y[:, run], rho[:, run]
+        need = tries == 0
         if need.any():
-            dn = -_two_loop(g, S, Y, rho, used)
+            dn = -_two_loop(g, S, Y, rho)
             gdn = (g * dn).sum(1)
             # not a descent direction: clear the memory, use steepest descent
             bad = need & ~(gdn < 0.0)
@@ -483,14 +482,10 @@ def _lbfgs(fun, p, maxiter, *data):
                 clear_memory(bad)
                 dn[bad] = -g[bad]
                 gdn[bad] = (g[bad] * dn[bad]).sum(1)
-            fresh = np.where(need, rho[0] == 0.0, fresh)
-            alpha = np.where(need, np.where(fresh, 1.0 / np.sqrt((dn * dn).sum(1)), 1.0),
-                             alpha)
-            d = np.where(need[:, None], dn, d)
-            gd = np.where(need, gdn, gd)
-            lo = np.where(need, 0.0, lo)
-            hi = np.where(need, np.inf, hi)
-            tries = np.where(need, 0, tries)
+            # the first trial step is 1 / ||d|| without memory, else 1
+            alpha[need] = np.where(rho[0, need] == 0.0,
+                                   1.0 / np.sqrt((dn[need] * dn[need]).sum(1)), 1.0)
+            d[need], gd[need], lo[need], hi[need] = dn[need], gdn[need], 0.0, np.inf
         a = alpha
         pt = p + a[:, None] * d
         ft, gt = fun(pt, *data)
@@ -502,11 +497,11 @@ def _lbfgs(fun, p, maxiter, *data):
         alpha = np.where(np.isinf(hi), 2.0 * a, 0.5 * (lo + hi))
         tries += 1
 
-        # out of trials: fail from steepest descent, else clear the memory
-        # and retry with a new direction
+        # out of trials: fail from steepest descent (memory still empty),
+        # else clear the memory and retry with a new direction
         stop = ~done & (tries >= LBFGS_MAXLS)
         if stop.any():
-            code[stop & fresh] = LINE_SEARCH_FAILED
+            code[stop & (rho[0] == 0.0)] = LINE_SEARCH_FAILED
             clear_memory(stop)
 
         s = pt - p
@@ -515,7 +510,6 @@ def _lbfgs(fun, p, maxiter, *data):
         push = done & (sy > np.finfo(float).eps * -(g * s).sum(1))
         S[1:, push], Y[1:, push], rho[1:, push] = S[:-1, push], Y[:-1, push], rho[:-1, push]
         S[0, push], Y[0, push], rho[0, push] = s[push], yv[push], 1.0 / sy[push]
-        used[push] = np.minimum(used[push] + 1, LBFGS_MEMORY)
 
         f_old = f
         p = np.where(done[:, None], pt, p)
@@ -527,7 +521,7 @@ def _lbfgs(fun, p, maxiter, *data):
                        | (np.abs(g).max(1) <= LBFGS_PGTOL))
         code[conv] = CONVERGED
         code[done & ~conv & (nit >= maxiter)] = MAXITER
-        need = (done | stop) & (code == _RUNNING)
+        tries[done | stop] = 0
     return p_out, status
 
 

@@ -305,18 +305,16 @@ def _lm(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray, X0: np.ndarray,
 
     X, Y, residual = x.copy(), y.copy(), res.copy()
     lam = np.full(len(x), LM_LAMBDA_START)
-    owner = np.arange(len(x)) // group
     exact = np.zeros(len(x) // group, dtype=bool)
     ids = np.arange(len(x))
     done = np.zeros(len(x), dtype=bool)
     for step in range(LM_MAX_ITER + 1):
-        exact[owner[ids[res <= floor]]] = True
-        stop = done | exact[owner[ids]] | (step == LM_MAX_ITER)
+        exact[ids[res <= floor[ids]] // group] = True
+        stop = done | exact[ids // group] | (step == LM_MAX_ITER)
         if stop.any():
             X[ids[stop]], Y[ids[stop]], residual[ids[stop]] = x[stop], y[stop], res[stop]
             keep = ~stop
-            ids, a, b, z, x, y, res, lam, floor = (
-                arr[keep] for arr in (ids, a, b, z, x, y, res, lam, floor))
+            ids, a, b, z, x, y, res, lam = (arr[keep] for arr in (ids, a, b, z, x, y, res, lam))
             if not ids.size:
                 break
         u, v = _times(a, x), _times(b, y)

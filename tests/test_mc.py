@@ -459,7 +459,7 @@ def _reference_lbfgs(objective, p, maxiter, *data):
         if act.size == 0:
             break
         d = -mc._two_loop(g[act], S[act].transpose(1, 0, 2), Y[act].transpose(1, 0, 2),
-                          rho[act].T, np.count_nonzero(rho[act], axis=1))
+                          rho[act].T)
         gd = (g[act] * d).sum(1)
         bad = ~(gd < 0.0)
         if bad.any():
@@ -673,10 +673,11 @@ class TestDeviationSearch:
         solo = [mc._lbfgs(quadratic, p0[[i]], 200, np.array([i])) for i in range(1, 5)]
         real, seen, after_flip = mc._two_loop, [], []
 
-        def flipped(g, S, Y, rho, used):
-            r = real(g, S, Y, rho, used)
-            seen.append((used[0], rho[:, 0].copy(), S[:, 0].copy(), Y[:, 0].copy()))
-            if used[0] == 2 and not after_flip:
+        def flipped(g, S, Y, rho):
+            r = real(g, S, Y, rho)
+            used = np.count_nonzero(rho[:, 0])  # slot 0's pairs
+            seen.append((used, rho[:, 0].copy(), S[:, 0].copy(), Y[:, 0].copy()))
+            if used == 2 and not after_flip:
                 after_flip.append(len(seen))
                 r[0] = -r[0]
             return r
@@ -689,6 +690,29 @@ class TestDeviationSearch:
         assert np.allclose(p[0], np.linalg.solve(A[0], c[0]), atol=1e-4)
         for i, (p_solo, status_solo) in enumerate(solo, 1):
             assert p[i].tobytes() == p_solo[0].tobytes() and status[i] == status_solo[0]
+
+    def test_two_loop_ignores_zero_pairs(self):
+        # the kernel runs every step of the recursion on memory padded with
+        # zero pairs: each slot gets the bits of its filled pairs alone
+        rng = np.random.default_rng(13)
+        slots, dim = 33, 6
+        filled = rng.integers(0, mc.LBFGS_MEMORY + 1, slots)
+        filled[:2] = 0, mc.LBFGS_MEMORY
+        g = rng.standard_normal((slots, dim))
+        S, Y = rng.standard_normal((2, mc.LBFGS_MEMORY, slots, dim))
+        rho = rng.uniform(0.1, 2.0, (mc.LBFGS_MEMORY, slots))
+        empty = np.arange(mc.LBFGS_MEMORY)[:, None] >= filled
+        S[empty], Y[empty], rho[empty] = 0.0, 0.0, 0.0
+        r = mc._two_loop(g, S, Y, rho)
+        for i, k in enumerate(filled):
+            q, alpha = g[i].copy(), []
+            for j in range(k):
+                alpha.append(rho[j, i] * np.vecdot(S[j, i], q))
+                q -= alpha[j] * Y[j, i]
+            ref = q / (rho[0, i] * np.vecdot(Y[0, i], Y[0, i]) if k else 1.0)
+            for j in reversed(range(k)):
+                ref += (alpha[j] - rho[j, i] * np.vecdot(Y[j, i], ref)) * S[j, i]
+            assert np.array_equal(r[i], ref), (i, k)
 
     def test_lbfgs_matches_lockstep_reference(self, stability_batch):
         # each slot follows the same trial points, accept decisions and
