@@ -77,8 +77,8 @@ HEURISTICALLY_UNIQUE = "heuristically_unique"
 # Recovery threshold: far below any transition signal, far above fp noise.
 RECOVERY_RTOL = 1e-6
 # Levenberg-Marquardt kernel (_lm): relative damping at the start, its
-# floor and its cap, the residual floor relative to max(1, ||z||), the
-# relative-decrease and step-size stops and the step budget.
+# floor and its cap, the residual floor relative to ||z|| (1e-13 ||z||),
+# the relative-decrease and step-size stops and the step budget.
 LM_LAMBDA_START = 1e-3
 LM_LAMBDA_FLOOR = 1e-12
 LM_LAMBDA_MAX = 1e12
@@ -255,9 +255,10 @@ def _damped_solve(B: np.ndarray, w: np.ndarray, lam) -> np.ndarray:
 
 
 def _residual_floor(z: np.ndarray) -> np.ndarray:
-    """LM_RESIDUAL_FLOOR * max(1, ||z||) per row of z (n entries, unpadded):
-    the residual at which a fit counts as exact."""
-    return LM_RESIDUAL_FLOOR * np.maximum(1.0, _norm(z))
+    """LM_RESIDUAL_FLOOR * ||z|| per row of z (n entries, unpadded): the
+    residual at which a fit counts as exact, relative to the measurements
+    so that it does not move with their units."""
+    return LM_RESIDUAL_FLOOR * _norm(z)
 
 
 def _lm(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray, X0: np.ndarray,
@@ -285,8 +286,9 @@ def _lm(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray, X0: np.ndarray,
     exceeds LM_LAMBDA_MAX, or after LM_MAX_ITER steps. Slots come in
     groups of `group` consecutive slots, the slots of one trial, and a
     group stops as soon as one of its slots reaches its floor. The caller
-    computes the floor once per trial (_residual_floor), from measurements
-    that carry no padding, so a solve's waves read the same floor.
+    computes the floor once per trial, 1e-13 ||z|| of measurements that
+    carry no padding (_residual_floor), so a solve's waves read the same
+    floor.
 
     Every slot computes on contiguous copies of its own arrays, one slot
     per BLAS or LAPACK call, so its bits do not depend on the stack.
@@ -387,13 +389,13 @@ def solve_fixed_support(ens: RowStack, z_tilde, S1, S2, restarts: int,
     start plus `restarts` random starts.
     The starts run in waves of 1, 2, 4, ... (the spectral start alone
     first), each wave one kernel run over the trials that no slot has fit
-    yet. A trial stops once any of its slots reaches the residual floor of
-    its unpadded measurements (_residual_floor): between waves, and within
-    a wave, where its slots on every support form one group. rng[t] is
-    read only when trial t reaches the first wave of random starts, which
-    draws all of the trial's P * restarts starts in one call; a trial that
-    no random start reaches leaves its generator untouched, and least
-    squares reads none.
+    yet. A trial stops once any of its slots reaches the residual floor
+    1e-13 ||z|| of its unpadded measurements (_residual_floor): between
+    waves, and within a wave, where its slots on every support form one
+    group. rng[t] is read only when trial t reaches the first wave of
+    random starts, which draws all of the trial's P * restarts starts in
+    one call; a trial that no random start reaches leaves its generator
+    untouched, and least squares reads none.
     Each trial keeps its first smallest residual among the slots that
     ran, support-major and then by start, so ties go to the first
     support. restarts_used is the most random starts any trial ran. Trial

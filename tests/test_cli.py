@@ -563,6 +563,23 @@ class TestSubcommands:
             assert "bad sweep grid" in err, (argv, err)
 
 
+def test_transition_rates_do_not_depend_on_the_radius(capsys):
+    # the ball radius R scales the measurements by R^2, and the kernel's
+    # residual floor is relative to ||z||, so every row fits at every R;
+    # with the floor 1e-13 max(1, ||z||), the subspace rows at n = 6 and 8
+    # read 8/20 and 14/20 at R = 1e-4 and 0/20 and 0/20 at R = 1e-6
+    sweeps = [("--kind", "subspace", "--m1", "3", "--m2", "3", "--n", "6",
+               "--sweep", "6,8,12", "--trials", "20"),
+              ("--kind", "sparsity", "--m1", "3", "--m2", "4", "--s1", "2", "--s2", "3",
+               "--n", "5", "--sweep", "5,6,8", "--trials", "10")]
+    for options in sweeps:
+        for R in ("1e-6", "1e-4", "1"):
+            code, out, _ = run(capsys, "transition", *options, "--seed", "3", "--R", R)
+            assert code == 0
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert all(row[1] == row[2] for row in rows), (options, R, out)
+
+
 # Output bytes of the default reports, pinned. A file under tests/golden is
 # regenerated only by a change that means to move output bytes, and that
 # change says so in CHANGES.md.

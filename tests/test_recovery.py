@@ -285,7 +285,7 @@ class TestStackedKernel:
             assert fit.residual[t] == alone.residual
             assert tuple(S[t].tolist() for S in fit.supports) == alone.support
             assert rngs[0][t].bit_generator.state == rngs[1][t].bit_generator.state
-        floor = recovery.LM_RESIDUAL_FLOOR * np.maximum(1.0, np.linalg.norm(z, axis=1))
+        floor = recovery.LM_RESIDUAL_FLOOR * np.linalg.norm(z, axis=1)
         if noise:
             assert np.all(fit.residual > floor)
         else:
@@ -1119,7 +1119,7 @@ def test_enumeration_matches_the_per_support_loop(sc, zero):
     (S1, S2), (k1, k2) = admissible_supports(sc), sc.support_sizes
     P = len(S1)
     first = solve_sparse_enumerate(RowStack((ens,)), [z], 0, [np.random.default_rng(0)] * T)
-    floor = recovery.LM_RESIDUAL_FLOOR * np.maximum(1.0, recovery._norm(z))
+    floor = recovery.LM_RESIDUAL_FLOOR * recovery._norm(z)
     drawn = (first.residual > floor) & (sc.n < k1 * k2)
     for t, g in enumerate(rngs[0]):
         want = np.random.default_rng(90 + t)
