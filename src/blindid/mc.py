@@ -199,20 +199,20 @@ def _draw_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
                  R: Optional[float]):
     """The trials with seeds `seeds` as one stack: the stacked ensemble, the
     factors X (T, m1) and Y (T, m2) of each trial's planted unit-norm
-    admissible matrix, and each trial's open plant and solver streams.
+    admissible matrix, and each trial's open plant stream.
 
     Each stream is derived from the trial seed: mix_seed(seed, 0) builds the
     ensemble (trial_ensemble), mix_seed(seed, 1) plants (and then draws any
-    noise), and mix_seed(seed, 2), built when first read, drives the solver
-    or the deviation search. Only the draws run per trial, one generator call per
-    block; the rest runs once on the stack. Returns
-    (ens, X, Y, plant_rngs, solver_rngs).
+    noise), and mix_seed(seed, 2) drives the solver or the deviation search,
+    whose caller builds it (_Streams). Only the draws run per trial, one
+    generator call per block; the rest runs once on the stack. Returns
+    (ens, X, Y, plant_rngs).
     """
     ens = trial_ensemble(sc, tag, seeds, R=R)
     plant_rngs = [np.random.default_rng(mix_seed(seed, 1)) for seed in seeds]
     X, Y = _plant_factors(sc, tag in (REAL_GENERIC, REAL_UNIFORM_BALL), plant_rngs)
     X = X / (_norm(X) * _norm(Y))[:, None]
-    return ens, X, Y, plant_rngs, _Streams(seeds, 2)
+    return ens, X, Y, plant_rngs
 
 
 def draw_trial(sc: ConstraintScenario, tag: str, seed: int, *, R: Optional[float]
@@ -220,7 +220,7 @@ def draw_trial(sc: ConstraintScenario, tag: str, seed: int, *, R: Optional[float
     """The ensemble and the planted unit-norm admissible matrix of the trial
     with seed `seed`: _draw_trials with the one seed. Returns (ens, M0).
     """
-    ens, X, Y, _, _ = _draw_trials(sc, tag, [seed], R=R)
+    ens, X, Y, _ = _draw_trials(sc, tag, [seed], R=R)
     return ens.trial(0), LiftedMatrix(X[0], Y[0])
 
 
@@ -251,7 +251,7 @@ def recover_stack(scs: Sequence[ConstraintScenario], tag: str, seeds: Sequence[i
     _check_recovery(restarts, noise_level)
     rows = []  # per run of one scenario: ensemble, measurements, planted factors
     for sc_r, run in itertools.groupby(zip(scs, seeds, strict=True), key=lambda pair: pair[0]):
-        ens, X, Y, plant_rngs, _ = _draw_trials(sc_r, tag, [s for _, s in run], R=R)
+        ens, X, Y, plant_rngs = _draw_trials(sc_r, tag, [s for _, s in run], R=R)
         z = apply_G(ens, X, Y)
         if noise_level > 0:
             g = np.array([rng.standard_normal(sc_r.n) + 1j * rng.standard_normal(sc_r.n)
@@ -641,9 +641,9 @@ def run_stability_sweep(sc: ConstraintScenario, deltas: Sequence[float], *,
     for start in range(0, len(searched), batch):
         rows_of, seeds = zip(*searched[start:start + batch])
         delta = np.array([deltas[row_idx] for row_idx in rows_of])
-        ens, X, Y, _, search_rngs = _draw_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R=R)
+        ens, X, Y, _ = _draw_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R=R)
         p0 = np.array([_draw_starts(x0, y0, d, starts, rng)
-                       for x0, y0, d, rng in zip(X, Y, delta, search_rngs)])
+                       for x0, y0, d, rng in zip(X, Y, delta, _Streams(seeds, 2))])
         found, stops = _deviation_search(ens.a, ens.b, X, Y, delta, p0)
         for row_idx, dev, stop in zip(rows_of, found, stops):
             trial_devs[row_idx].append(float(dev))

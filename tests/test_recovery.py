@@ -1148,7 +1148,7 @@ def test_least_squares_slots_match_the_per_slot_loop(sc, tag, monkeypatch):
     # bits of the loop over slots, and each trial the first of its smallest
     # residuals. Planted measurements, noisy in odd trials
     T = 6
-    ens, X, Y, _, _ = draw_trials(sc, tag, range(T), R=None)
+    ens, X, Y, _ = draw_trials(sc, tag, range(T), R=None)
     z = apply_A(ens, X[:, :, None] * Y[:, None, :])
     z[1::2] += 0.01 * np.random.default_rng(92).standard_normal(z[1::2].shape)
     S1, S2 = admissible_supports(sc)
@@ -1186,7 +1186,7 @@ def test_least_squares_refits_a_rank_deficient_slot_by_lstsq(n, monkeypatch):
     # Every other slot, square n = k slots included, is within 1e-12
     # relative of np.linalg.lstsq
     from numpy.linalg import _umath_linalg
-    ens, X, Y, _, _ = draw_trials(subspace(n, 4, 4), COMPLEX_GENERIC, range(4), R=None)
+    ens, X, Y, _ = draw_trials(subspace(n, 4, 4), COMPLEX_GENERIC, range(4), R=None)
     a = ens.a.copy()
     a[1, :, 1] = a[1, :, 0]
     ens = replace(ens, a=a)
