@@ -482,10 +482,10 @@ def _lbfgs(fun, p, maxiter, *data):
                 clear_memory(bad)
                 dn[bad] = -g[bad]
                 gdn[bad] = (g[bad] * dn[bad]).sum(1)
+            dn, gdn = dn[need], gdn[need]
             # the first trial step is 1 / ||d|| without memory, else 1
-            alpha[need] = np.where(rho[0, need] == 0.0,
-                                   1.0 / np.sqrt((dn[need] * dn[need]).sum(1)), 1.0)
-            d[need], gd[need], lo[need], hi[need] = dn[need], gdn[need], 0.0, np.inf
+            alpha[need] = np.where(rho[0, need] == 0.0, 1.0 / np.sqrt((dn * dn).sum(1)), 1.0)
+            d[need], gd[need], lo[need], hi[need] = dn, gdn, 0.0, np.inf
         a = alpha
         pt = p + a[:, None] * d
         ft, gt = fun(pt, *data)
