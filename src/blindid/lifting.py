@@ -116,19 +116,22 @@ def operator_matrix(ens: Ensemble, rows=None, cols=None) -> np.ndarray:
     (P, k) row and column index arrays restrict M to P supports, as in
     support_rows, and give one matrix per support; a stacked ensemble
     gives one matrix per trial (and support), stacked along the first axes.
+    It is the A block of _augmented, the one builder of the restricted
+    operator.
     """
-    a, b = support_rows(ens, rows, cols)
-    # column index k * |rows| + m matches column-major vectorization
-    op = b[..., :, :, None] * a[..., :, None, :]
-    return op.reshape(op.shape[:-2] + (-1,))
+    return _augmented(*support_rows(ens, rows, cols), 0.0)[..., :-1]
 
 
-def _augmented(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _augmented(a: np.ndarray, b: np.ndarray, z) -> np.ndarray:
     """[A | z] for restricted frequency rows a (..., n, k1) and b (..., n, k2)
-    and measurements z that broadcast to (..., n), A as operator_matrix
-    builds it, in one buffer that holds each slot column-major, so LAPACK
-    reads every column, z included, as one contiguous run."""
-    lead, n, (k1, k2) = a.shape[:-2], a.shape[-2], (a.shape[-1], b.shape[-1])
+    and measurements z that broadcast to (..., n): column k * k1 + m of A
+    holds the products b_jk a_jm, so A vec(M) = apply_A(M) for M restricted
+    to the supports, vec column-major. One buffer holds each slot
+    column-major, so LAPACK reads every column, z included, as one
+    contiguous run."""
+    # support_rows leaves an unrestricted side with the shorter lead
+    lead = max(a.shape[:-2], b.shape[:-2], key=len)
+    n, (k1, k2) = a.shape[-2], (a.shape[-1], b.shape[-1])
     out = np.empty(lead + (k1 * k2 + 1, n), dtype=np.complex128)
     np.multiply(b.swapaxes(-1, -2)[..., :, None, :], a.swapaxes(-1, -2)[..., None, :, :],
                 out=np.reshape(out[..., :-1, :], lead + (k2, k1, n), copy=False))

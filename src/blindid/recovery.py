@@ -5,8 +5,8 @@ The solvers minimize the frequency-domain residual over rank-1 matrices on
 a fixed or enumerated support: by least squares and a rank-1 projection
 when n >= |S1|*|S2|, one stacked Householder QR of [A | z] and one
 stacked back substitution for every (trial, support) of a solve, with
-LAPACK's SVD-based least squares only for numerically rank-deficient
-slots, and otherwise by a batched Levenberg-Marquardt kernel
+np.linalg.lstsq refitting numerically rank-deficient slots one by one,
+and otherwise by a batched Levenberg-Marquardt kernel
 over the factors, which recovers down to the sample count d. Both
 certifiers are one routine (_certify): an exact sufficient certificate
 (injectivity of the restricted operator on support unions), then a
@@ -189,15 +189,11 @@ def _embed(v: np.ndarray, support, m: int) -> np.ndarray:
     return out
 
 
-def _lstsq_failed(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
 def _lstsq(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Least squares on each restricted operator A of the frequency rows a
-    (..., n, k1) and b (..., n, k2) (support_rows), A as operator_matrix
-    builds it: np.linalg.lstsq(A, z[i], rcond=None)[0] for measurements z
-    that broadcast to (..., n), n >= k = k1*k2.
+    (..., n, k1) and b (..., n, k2) (support_rows), A as _augmented builds
+    it: np.linalg.lstsq(A, z[i], rcond=None)[0] for measurements z that
+    broadcast to (..., n), n >= k = k1*k2.
 
     One stacked Householder QR of [A | z], built in one buffer and
     factored in place, and one stacked solve of R's leading k x k block
@@ -205,27 +201,24 @@ def _lstsq(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     nowhere, so this is back substitution): one LAPACK call per slot each,
     so every slot gets the bits of its own call. A slot whose R has
     |r_ii| <= rcond * max_j |r_jj|, with lstsq's default rcond =
-    eps * max(n, k), is numerically rank-deficient; it is refit by the
-    SVD-based LAPACK gufunc that np.linalg.lstsq wraps, on its own A and z,
-    so it keeps lstsq's minimum-norm solution bit for bit.
+    eps * max(n, k), is numerically rank-deficient; it is refit on its own
+    A and z by np.linalg.lstsq, one call per slot, so it gets lstsq's
+    minimum-norm solution, and its LinAlgError, as they are.
     """
     Az = _augmented(a, b, z)
     n, k = Az.shape[-2], Az.shape[-1] - 1
     rcond = np.finfo(np.float64).eps * max(n, k)
-    # numpy.linalg's error state for its LAPACK gufuncs
-    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        _umath_linalg.qr_r_raw(Az, signature="D->D")
-        R = np.triu(Az[..., :k, :])
-        r = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
-        deficient = ~(r > rcond * r.max(-1, keepdims=True)).all(-1)  # NaN counts as deficient
-        R[deficient, :, :k] = np.eye(k)  # keeps the stacked solve regular; refit below
-        x = np.linalg.solve(R[..., :k], R[..., k:])[..., 0]
-        if deficient.any():
-            Az = _augmented(a[deficient], b[deficient],
-                            np.broadcast_to(z, deficient.shape + (n,))[deficient])
-            x[deficient] = _umath_linalg.lstsq(Az[..., :k], Az[..., k:], rcond,
-                                               signature="DDd->Ddid")[0][..., 0]
+    # in place: np.linalg.qr would copy [A | z] first
+    _umath_linalg.qr_r_raw(Az, signature="D->D")
+    R = np.triu(Az[..., :k, :])
+    r = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    deficient = ~(r > rcond * r.max(-1, keepdims=True)).all(-1)  # NaN counts as deficient
+    R[deficient, :, :k] = np.eye(k)  # keeps the stacked solve regular; refit below
+    x = np.linalg.solve(R[..., :k], R[..., k:])[..., 0]
+    if deficient.any():
+        Az = _augmented(a[deficient], b[deficient],
+                        np.broadcast_to(z, deficient.shape + (n,))[deficient])
+        x[deficient] = [np.linalg.lstsq(A[:, :k], A[:, k], rcond=rcond)[0] for A in Az]
     return x
 
 
@@ -382,7 +375,7 @@ def solve_fixed_support(ens: RowStack, z_tilde, S1, S2, restarts: int,
     alone, so trials of different n share one stack and a trial has the
     same bits in any stack. When N >= k1*k2, every (trial, support) is a
     slot of one stacked least-squares solve (_lstsq: one QR and one back
-    substitution, and lstsq's SVD-based solve for a rank-deficient slot),
+    substitution, and np.linalg.lstsq for a rank-deficient slot),
     whose solutions are projected to the nearest rank-1 matrix; the
     residual reads the same rows. Otherwise every (trial, support, start)
     is a slot of the Levenberg-Marquardt kernel: per support a spectral

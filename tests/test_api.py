@@ -180,17 +180,20 @@ def test_stacks_are_sized_in_recovery_only():
 
 def test_least_squares_calls_the_svd_solver_only_as_its_fallback():
     # least-squares rows are solved by Householder QR and back substitution
-    # in recovery._lstsq; only its rank-deficient fallback reads the
-    # SVD-based LAPACK gufunc, and nothing reads np.linalg.lstsq, so no
-    # second path solves a least-squares row
+    # in recovery._lstsq; only its rank-deficient fallback reads
+    # np.linalg.lstsq, so no second path solves a least-squares row. The
+    # in-place QR is the one private numpy.linalg gufunc that src/ calls
     src = Path(blindid.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     readers = {(name, owner) for name, tree in trees.items()
                for owner, attr in _names_by_function(tree) if attr == "lstsq"}
     spelled = {ast.unparse(node) for tree in trees.values() for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr == "lstsq"}
+    private = {node.attr for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "_umath_linalg"}
     assert readers == {("recovery.py", "_lstsq")}, readers
-    assert spelled == {"_umath_linalg.lstsq"}, spelled
+    assert spelled == {"np.linalg.lstsq"}, spelled
+    assert private == {"qr_r_raw"}, private
 
 
 def test_ensembles_are_built_by_the_trial_rule_only():

@@ -1181,11 +1181,10 @@ def test_least_squares_slots_match_the_per_slot_loop(sc, tag, monkeypatch):
 def test_least_squares_refits_a_rank_deficient_slot_by_lstsq(n, monkeypatch):
     # 4x4 stacks whose trial 1 has column 1 of a equal to column 0, so its
     # A has duplicated columns: its R fails the rank rule, and that slot
-    # alone goes through the SVD-based lstsq gufunc and gets
-    # np.linalg.lstsq's minimum-norm solution bit for bit, without raising.
-    # Every other slot, square n = k slots included, is within 1e-12
-    # relative of np.linalg.lstsq
-    from numpy.linalg import _umath_linalg
+    # alone is refit by np.linalg.lstsq, one call on its own (n, 16)
+    # operator, and gets lstsq's minimum-norm solution bit for bit, without
+    # raising. Every other slot, square n = k slots included, is within
+    # 1e-12 relative of np.linalg.lstsq
     ens, X, Y, _ = draw_trials(subspace(n, 4, 4), COMPLEX_GENERIC, range(4), R=None)
     a = ens.a.copy()
     a[1, :, 1] = a[1, :, 0]
@@ -1194,13 +1193,14 @@ def test_least_squares_refits_a_rank_deficient_slot_by_lstsq(n, monkeypatch):
     z[2:] += np.random.default_rng(93).standard_normal(z[2:].shape)
     S1, S2 = admissible_supports(ens.scenario)
     refits = []
-    real = _umath_linalg.lstsq
-    monkeypatch.setattr(_umath_linalg, "lstsq",
-                        lambda A, *args, **kw: refits.append(len(A)) or real(A, *args, **kw))
+    real = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda A, *args, **kw: refits.append(A.copy()) or real(A, *args, **kw))
     x = recovery._lstsq(*support_rows(ens, S1, S2), z[:, None, :])[:, 0]
-    assert refits == [1]
     monkeypatch.undo()
     A = operator_matrix(ens)
+    assert len(refits) == 1 and refits[0].shape == (n, 16)
+    assert np.array_equal(refits[0], A[1])
     assert np.array_equal(x[1], np.linalg.lstsq(A[1], z[1], rcond=None)[0])
     for t in (0, 2, 3):
         want = np.linalg.lstsq(A[t], z[t], rcond=None)[0]
