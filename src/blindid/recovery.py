@@ -519,10 +519,10 @@ def _far(distance, tol: float):
 
 def is_recovered(M_hat, M0):
     """Success test used by the experiments: the distance from M_hat to M0
-    is at most RECOVERY_RTOL * max(1, ||M0||). One bool, or one per pair of
-    two stacks (..., m1, m2) of lifted matrices."""
-    ok = (align_and_distance(M_hat, M0)
-          <= RECOVERY_RTOL * np.maximum(1.0, _frobenius(as_matrix(M0))))
+    is at most RECOVERY_RTOL * ||M0||, relative to the plant so that scaling
+    both moves no verdict. One bool, or one per pair of two stacks
+    (..., m1, m2) of lifted matrices."""
+    ok = align_and_distance(M_hat, M0) <= RECOVERY_RTOL * _frobenius(as_matrix(M0))
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 
@@ -621,15 +621,17 @@ def _certify(ens: Ensemble, budget: int, tol: float, held, sizes, radius: float,
     measurements (T, n) and the starts (T, k1); attempt t fits support t mod
     P. Each pair is rescaled jointly into the Frobenius ball of `radius`
     (the cone property; c = 1 at radius inf), and the first counterexample
-    (_counterexamples) in attempt order is returned."""
+    (_counterexamples) in attempt order is returned. sigma_max(A), the
+    rule's unit, is taken on the first chunk, so budget 0 runs no SVD."""
     sc = ens.scenario
     _pair_count(sc)  # past SUPPORT_CAP, raise before any union is listed
     if _injective_on(ens, *map(_largest_unions, (sc.m1, sc.m2), sizes, held)):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
 
     S1, S2 = admissible_supports(sc)
-    unit = _sigma_max(ens)
     for attempts in _chunks(budget, budget, _attempts_per_chunk(sc)):
+        if attempts.start == 0:  # only a search that judges a fit needs sigma_max(A)
+            unit = _sigma_max(ens)
         (xp, yp), z, starts = draw(len(attempts), S1, S2)
         rows, cols = (S[np.array(attempts) % len(S)] for S in (S1, S2))  # support t mod P
         X, Y, residual = _lm(*support_rows(ens, rows, cols), z, starts, _residual_floor(z))

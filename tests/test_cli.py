@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -489,6 +490,17 @@ class TestSubcommands:
                            "--n", str(n), "--seed", "1", "--level", level, "--R", "1e-4")
         assert code == 0 and json.loads(out)["status"] == "heuristically_unique"
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 19")
+    def test_certify_strong_finds_no_counterexample_where_none_is_exact(self, capsys):
+        # 3x3 at n = 8 = 2(m1 + m2) - 4: ker A is one line cK, and this
+        # seed's K has sigma_3 / sigma_1 = 0.17, so no rank-two difference
+        # lies in it and no exact strong counterexample exists. The rule
+        # accepts a pair at residual 0.0329 <= tol * sigma_max(A) = 0.0395
+        # and orbit distance 0.68, and the verifier passes it
+        code, out, _ = run(capsys, "certify", "--kind", "subspace", "--m1", "3", "--m2", "3",
+                           "--n", "8", "--level", "strong", "--seed", "4", "--tol", "0.05")
+        assert code == 0 and json.loads(out)["status"] == "heuristically_unique"
+
     def test_bounds_nulls_when_C_not_positive(self, capsys):
         # n = 12 > 2d = 8 holds, but delta = 10 drives C below zero, so every
         # stability field is null while C itself is reported
@@ -578,6 +590,30 @@ def test_transition_rates_do_not_depend_on_the_radius(capsys):
             assert code == 0
             rows = [line.split(",") for line in out.splitlines()[1:]]
             assert all(row[1] == row[2] for row in rows), (options, R, out)
+
+
+def test_transition_rates_do_not_depend_on_the_basis_scale(capsys, monkeypatch):
+    # scaling the basis D, and with it its frequency rows a, by c scales the
+    # operator and the measurements by c; the kernel's residual floor is
+    # relative to ||z|| and the recovery test to ||M0||, so every row of
+    # both radius sweeps stays full at every c
+    real = mc._draw_trials
+
+    def scaled(*args, **kw):
+        ens, X, Y, plant_rngs = real(*args, **kw)
+        return replace(ens, D=c * ens.D, a=c * ens.a), X, Y, plant_rngs
+
+    monkeypatch.setattr(mc, "_draw_trials", scaled)
+    sweeps = [("--kind", "subspace", "--m1", "3", "--m2", "3", "--n", "6",
+               "--sweep", "6,8,12", "--trials", "20"),
+              ("--kind", "sparsity", "--m1", "3", "--m2", "4", "--s1", "2", "--s2", "3",
+               "--n", "5", "--sweep", "5,6,8", "--trials", "10")]
+    for options in sweeps:
+        for c in (1e-6, 1e-3, 1e3, 1e6):
+            code, out, _ = run(capsys, "transition", *options, "--seed", "3")
+            assert code == 0
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert len(rows) == 3 and all(row[1] == row[2] for row in rows), (options, c, out)
 
 
 # Output bytes of the default reports, pinned. A file under tests/golden is

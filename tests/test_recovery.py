@@ -1028,6 +1028,22 @@ def test_zero_budget_searches_nothing():
         assert (v.status, v.search_budget) == (CERTIFIED_UNIQUE, 0)
 
 
+def test_zero_budget_takes_no_sigma_max(monkeypatch):
+    # sigma_max(A) is the unit of the rule that judges a fit, so a search
+    # of budget 0, which judges none, runs no SVD for it; budget 1 runs one
+    sc = ConstraintScenario("sparsity", 2, 5, 5, 1, 1)
+    ens, M0 = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
+    calls = []
+    real = recovery._sigma_max
+    monkeypatch.setattr(recovery, "_sigma_max", lambda e: calls.append(e) or real(e))
+    for budget, want in ((0, 0), (1, 1)):
+        for certify in (lambda **kw: certify_weak(ens, M0, **kw),
+                        lambda **kw: certify_strong(ens, **kw)):
+            calls.clear()
+            v = certify(budget=budget, tol=1e-6, rng=np.random.default_rng(0))
+            assert v.status != CERTIFIED_UNIQUE and len(calls) == want, (budget, v.status)
+
+
 class TestSolveSparseEnumerate:
     def test_recovers_planted_support(self):
         sc = ConstraintScenario(kind="sparsity", n=5, m1=4, m2=4, s1=1, s2=1)
@@ -1245,6 +1261,20 @@ class TestDistances:
         M0 = LiftedMatrix([1.0, 0], [1.0, 0])
         assert is_recovered(M0, M0)
         assert not is_recovered(M0.M + 1e-3, M0)
+
+    def test_is_recovered_is_relative_to_the_plant(self):
+        # scaling M_hat and M0 together moves no verdict: the threshold is
+        # RECOVERY_RTOL * ||M0||, with no absolute floor, so 0 does not
+        # pass for 1e-7 M0
+        rng = np.random.default_rng(5)
+        M0 = rng.standard_normal((6, 3, 2)) + 1j * rng.standard_normal((6, 3, 2))
+        M0 /= np.linalg.norm(M0, axis=(1, 2), keepdims=True)
+        M_hat = M0 + np.array([0, 1e-3, 1e-5, 3e-7, 1e-9, 1.0])[:, None, None] * M0[::-1]
+        want = is_recovered(M_hat, M0)
+        assert want.tolist() == [True, False, False, True, True, False]
+        for c in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+            assert np.array_equal(is_recovered(c * M_hat, c * M0), want), c
+            assert not is_recovered(np.zeros((3, 2)), c * 1e-7 * M0[0]), c
 
     def test_stacks_score_pair_by_pair(self):
         # a stack of pairs gets, pair by pair, the bits of the lone calls
