@@ -34,7 +34,8 @@ Certifier attempts run in chunks of at most STACK_ENTRIES entries: the
 first attempt alone, since far below the threshold almost every plant
 has a partner, then the rest of the budget, so a search may draw from the
 caller's rng past the attempt it returns; verdicts and budgets do not
-change. Per attempt only the rng draws run in Python.
+change. No Python runs per attempt: a chunk's draws are one generator
+call per block.
 """
 
 from __future__ import annotations
@@ -617,9 +618,9 @@ def _certify(ens: Ensemble, budget: int, tol: float, held, sizes, radius: float,
     indices; dropping columns cannot lower the smallest singular value, so
     they decide every smaller union. Search: `budget` attempts in chunks,
     the first attempt alone and then the rest, each fitted and tested as one
-    stack. draw(T, S1, S2) gives a chunk's planted factors (xp, yp), their
-    measurements (T, n) and the starts (T, k1); attempt t fits support t mod
-    P. Each pair is rescaled jointly into the Frobenius ball of `radius`
+    stack. draw(attempts, S1, S2) gives the planted factors (xp, yp) of the
+    chunk's T attempts, a range of attempt indices, their measurements
+    (T, n) and the starts (T, k1); attempt t fits support t mod P. Each pair is rescaled jointly into the Frobenius ball of `radius`
     (the cone property; c = 1 at radius inf), and the first counterexample
     (_counterexamples) in attempt order is returned. sigma_max(A), the
     rule's unit, is taken on the first chunk, so budget 0 runs no SVD."""
@@ -632,7 +633,7 @@ def _certify(ens: Ensemble, budget: int, tol: float, held, sizes, radius: float,
     for attempts in _chunks(budget, budget, _attempts_per_chunk(sc)):
         if attempts.start == 0:  # only a search that judges a fit needs sigma_max(A)
             unit = _sigma_max(ens)
-        (xp, yp), z, starts = draw(len(attempts), S1, S2)
+        (xp, yp), z, starts = draw(attempts, S1, S2)
         rows, cols = (S[np.array(attempts) % len(S)] for S in (S1, S2))  # support t mod P
         X, Y, residual = _lm(*support_rows(ens, rows, cols), z, starts, _residual_floor(z))
         X, Y = _embed(X, rows, sc.m1), _embed(Y, cols, sc.m2)
@@ -661,7 +662,8 @@ def certify_weak(ens: Ensemble, M0: LiftedMatrix, *, budget: int, tol: float,
         raise ValueError("planted matrix must have nonzero rank-1 factors")
     z0 = apply_A(ens, M0)
 
-    def draw(T, S1, S2):
+    def draw(attempts, S1, S2):
+        T = len(attempts)
         return ((np.broadcast_to(M0.x, (T, sc.m1)), np.broadcast_to(M0.y, (T, sc.m2))),
                 np.broadcast_to(z0, (T, ens.n)), _random_factors(T, S1.shape[1], rng))
 
@@ -673,24 +675,31 @@ def certify_strong(ens: Ensemble, *, budget: int, tol: float,
     """Decide uniqueness over the whole constraint set restricted to the unit ball.
 
     Exact path: injectivity on every union of two admissible supports
-    (sets of 2k1 and 2k2 indices). Search: per attempt only the draws run,
-    the planted support, its x then y factors, then the start; per chunk
-    the plants are normalized to unit norm and measured as one stack, and
-    each is fitted in the unit ball (radius 1).
+    (sets of 2k1 and 2k2 indices). Search: the first chunk draws every
+    attempt's planted support, in one call of `budget` picks, and each
+    chunk draws its plants and starts in one call of T rows, row t holding
+    attempt t's x, y and start (each its real then imaginary parts), so an
+    attempt draws the same values in any chunking; per chunk the plants
+    are normalized to unit norm and measured as one stack, and each is
+    fitted in the unit ball (radius 1).
     """
     _check_search(budget, tol)
     sc = ens.scenario
     k1, k2 = sc.support_sizes
 
-    def draw(T, S1, S2):
-        picks, G, starts = map(np.array, zip(*[
-            (rng.integers(len(S1)), rng.standard_normal(2 * (k1 + k2)),
-             rng.standard_normal(2 * k1)) for _ in range(T)]))
-        xp = _embed(_complex_normal(G[:, :2 * k1].reshape(T, 2, k1)), S1[picks], sc.m1)
-        yp = _embed(_complex_normal(G[:, 2 * k1:].reshape(T, 2, k2)), S2[picks], sc.m2)
+    picks = None
+
+    def draw(attempts, S1, S2):
+        nonlocal picks
+        if attempts.start == 0:
+            picks = rng.integers(len(S1), size=budget)
+        p, T = picks[attempts.start:attempts.stop], len(attempts)
+        # row t: attempt t's x, y and start, each its real then imaginary parts
+        x, y, starts = (_complex_normal(G.reshape(T, 2, -1)) for G in np.split(
+            rng.standard_normal((T, 2 * (k1 + k2) + 2 * k1)), [2 * k1, 2 * (k1 + k2)], axis=1))
+        xp, yp = _embed(x, S1[p], sc.m1), _embed(y, S2[p], sc.m2)
         xp /= _frobenius(xp[:, :, None] * yp[:, None, :])[:, None]
-        return ((xp, yp), apply_A(ens, xp[:, :, None] * yp[:, None, :]),
-                _complex_normal(starts.reshape(T, 2, k1)))
+        return (xp, yp), apply_A(ens, xp[:, :, None] * yp[:, None, :]), starts
 
     empty = np.arange(0)
     return _certify(ens, budget, tol, (empty, empty), (2 * k1, 2 * k2), 1.0, draw)

@@ -216,7 +216,9 @@ def certify_weak(ens, M0, *, budget, tol, rng):
 
 def certify_strong(ens, *, budget, tol, rng):
     """certify_strong with one SVD per union of two admissible supports
-    (every one, not only the largest) and one fit per attempt."""
+    (every one, not only the largest) and one fit per attempt: every
+    attempt's planted support is drawn first, then per attempt its x, y
+    and start."""
     _check_search(budget, tol)
     sc = ens.scenario
     supports = list(zip(*admissible_supports(sc)))
@@ -224,8 +226,9 @@ def certify_strong(ens, *, budget, tol, rng):
            for (S1a, S2a), (S1b, S2b) in itertools.combinations_with_replacement(supports, 2)):
         return IdentifiabilityVerdict(CERTIFIED_UNIQUE, None, None, 0, tol)
     unit = np.linalg.svd(operator_matrix(ens), compute_uv=False)[0]  # sigma_max(A)
+    picks = rng.integers(len(supports), size=budget)
     for attempt in range(budget):
-        S1p, S2p = supports[rng.integers(len(supports))]
+        S1p, S2p = supports[picks[attempt]]
         xp = _embed(random_factor(len(S1p), rng), S1p, sc.m1)
         yp = _embed(random_factor(len(S2p), rng), S2p, sc.m2)
         # a zero plant is NaN from here on, and a NaN residual fits no tol

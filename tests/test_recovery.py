@@ -969,17 +969,19 @@ def test_strong_search_never_returns_a_zero_plant(sc, seed, part):
     # NaN, which no fit matches, so it is not the counterexample
     class Scripted:
         def __init__(self):
-            self.rng, self.draws = np.random.default_rng(seed), []
+            self.rng, self.draws, self.rows = np.random.default_rng(seed), [], 0
 
-        def integers(self, high):
-            self.draws.append("support")
-            return self.rng.integers(high)
+        def integers(self, high, size):
+            self.draws.append(("support", size))
+            return self.rng.integers(high, size=size)
 
         def standard_normal(self, size):
-            self.draws.append(size)
+            (T, width), t = size, hit - 1 - self.rows
+            self.draws.append(width)
             g = self.rng.standard_normal(size)
-            if len(self.draws) == 3 * hit - 1:
-                g[slice(0, 2 * k1) if part == "x" else slice(2 * k1, None)] = 0.0
+            if 0 <= t < T:  # row t is the hit attempt's x, y and start
+                g[t, slice(0, 2 * k1) if part == "x" else slice(2 * k1, 2 * (k1 + k2))] = 0.0
+            self.rows += T
             return g
 
     k1, k2 = sc.support_sizes
@@ -990,8 +992,8 @@ def test_strong_search_never_returns_a_zero_plant(sc, seed, part):
     rng = Scripted()
     with pytest.warns(RuntimeWarning, match="encountered in"):
         v = certify_strong(ens, budget=100, tol=0.05, rng=rng)
-    assert rng.draws == ["support", 2 * (k1 + k2), 2 * k1] * (len(rng.draws) // 3)
-    assert len(rng.draws) >= 3 * hit and v.search_budget != hit
+    assert rng.draws == [("support", 100)] + [2 * (k1 + k2) + 2 * k1] * (len(rng.draws) - 1)
+    assert rng.rows >= hit and v.search_budget != hit
     assert v.status != COUNTEREXAMPLE_FOUND or verify_counterexample(v, ens)
 
 
