@@ -94,8 +94,12 @@ def support_rows(ens: Ensemble, rows=None, cols=None):
     rows (P, k1) and cols (P, k2) are index arrays of P supports on the
     last axis of a and b, one support per slot; None keeps every column.
     A lone ensemble gives (P, n, k1) and (P, n, k2), a stack of T trials
-    (T, P, n, k1) and (T, P, n, k2).
+    (T, P, n, k1) and (T, P, n, k2). A stack takes supports on both sides
+    or on neither: an unrestricted side keeps no support axis, so its
+    trial axis would meet the other side's support axis.
     """
+    if ens.a.ndim == 3 and (rows is None) != (cols is None):
+        raise ValueError("a stack of trials takes supports on both sides or on neither")
     return _restrict(ens.a.conj(), rows), _restrict(ens.b.conj(), cols)
 
 

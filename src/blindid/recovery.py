@@ -620,8 +620,10 @@ def _certify(ens: Ensemble, budget: int, tol: float, held, sizes, radius: float,
     the first attempt alone and then the rest, each fitted and tested as one
     stack. draw(attempts, S1, S2) gives the planted factors (xp, yp) of the
     chunk's T attempts, a range of attempt indices, their measurements
-    (T, n) and the starts (T, k1); attempt t fits support t mod P. Each pair is rescaled jointly into the Frobenius ball of `radius`
-    (the cone property; c = 1 at radius inf), and the first counterexample
+    (T, n) and the starts (T, k1); attempt t fits support t mod P. At a
+    finite `radius`, each pair is rescaled jointly into the Frobenius ball
+    of that radius (the cone property); at radius inf the factor would be
+    exactly 1, so none is taken. The first counterexample
     (_counterexamples) in attempt order is returned. sigma_max(A), the
     rule's unit, is taken on the first chunk, so budget 0 runs no SVD."""
     sc = ens.scenario
@@ -637,9 +639,10 @@ def _certify(ens: Ensemble, budget: int, tol: float, held, sizes, radius: float,
         rows, cols = (S[np.array(attempts) % len(S)] for S in (S1, S2))  # support t mod P
         X, Y, residual = _lm(*support_rows(ens, rows, cols), z, starts, _residual_floor(z))
         X, Y = _embed(X, rows, sc.m1), _embed(Y, cols, sc.m2)
-        c = 1.0 / np.maximum(1.0, _frobenius(X[:, :, None] * Y[:, None, :]) / radius)
-        X, xp = c[:, None] * X, c[:, None] * xp
-        far = _counterexamples(residual * c, (X, Y), (xp, yp), tol, unit)
+        if radius < np.inf:
+            c = 1.0 / np.maximum(1.0, _frobenius(X[:, :, None] * Y[:, None, :]) / radius)
+            X, xp, residual = c[:, None] * X, c[:, None] * xp, residual * c
+        far = _counterexamples(residual, (X, Y), (xp, yp), tol, unit)
         if far.size:
             t = far[0]
             return IdentifiabilityVerdict(COUNTEREXAMPLE_FOUND, LiftedMatrix(X[t], Y[t]),

@@ -208,6 +208,23 @@ def test_supports_are_index_arrays():
                                                          cols=cols[p:p + 1])[0])
 
 
+def test_a_stack_refuses_supports_on_one_side():
+    # an unrestricted side keeps no support axis, so on a stack its trial
+    # axis would meet the other side's support axis: with P = T = 3 the
+    # matrices would pair trial t's a with trial p's b. Both sides or
+    # neither still work, and a lone ensemble keeps one-sided restrictions
+    stack = build_ensemble(make_ensemble(n=7, m1=4, m2=3).scenario, COMPLEX_GENERIC, (1, 2, 3))
+    rows, cols = [[0, 2], [1, 3], [0, 1]], [[0, 2], [1, 2], [0, 1]]
+    for one_side in (dict(rows=rows), dict(cols=cols)):
+        with pytest.raises(ValueError, match="both sides or on neither"):
+            operator_matrix(stack, **one_side)
+        with pytest.raises(ValueError, match="both sides or on neither"):
+            support_rows(stack, **one_side)
+    assert operator_matrix(stack, rows=rows, cols=cols).shape == (3, 3, 7, 4)
+    assert operator_matrix(stack).shape == (3, 7, 12)
+    assert operator_matrix(make_ensemble(n=7, m1=4, m2=3), cols=cols).shape == (3, 7, 8)
+
+
 class TestStackedApplyA:
     @pytest.mark.parametrize("n,m1,m2", [(1, 1, 1), (1, 5, 1), (3, 5, 5), (6, 2, 3),
                                          (7, 4, 9), (33, 8, 3), (64, 3, 2)])

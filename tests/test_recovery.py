@@ -1046,6 +1046,42 @@ def test_zero_budget_takes_no_sigma_max(monkeypatch):
             assert v.status != CERTIFIED_UNIQUE and len(calls) == want, (budget, v.status)
 
 
+def test_weak_search_takes_no_cone_factor(monkeypatch):
+    # at radius inf the cone factor is exactly 1, so a weak search forms no
+    # fitted products to rescale: it makes no _frobenius call, while the
+    # strong search, in the unit ball, still rescales
+    sc = ConstraintScenario("sparsity", 2, 5, 5, 1, 1)
+    ens, M0 = draw_trial(sc, COMPLEX_GENERIC, 1, R=None)
+    calls = []
+    real = recovery._frobenius
+    monkeypatch.setattr(recovery, "_frobenius", lambda M: calls.append(len(M)) or real(M))
+    v = certify_weak(ens, M0, budget=100, tol=1e-6, rng=np.random.default_rng(1))
+    assert (v.status, v.search_budget) == (HEURISTICALLY_UNIQUE, 100) and not calls
+    certify_strong(ens, budget=100, tol=1e-6, rng=np.random.default_rng(1))
+    assert calls
+
+
+def test_strong_search_draws_once_per_chunk():
+    # a heuristic strong search at budget 100 runs chunks of 1 and 99
+    # attempts and makes three generator calls: every attempt's support
+    # pick, then each chunk's plants and starts as one block
+    sc = ConstraintScenario("sparsity", 2, 5, 5, 1, 1)
+    ens, _ = draw_trial(sc, COMPLEX_GENERIC, 1, R=None)
+
+    class Counting:
+        def __init__(self):
+            self.rng, self.calls = np.random.default_rng(1), []
+
+        def __getattr__(self, name):
+            method = getattr(self.rng, name)
+            return lambda *args, **kw: self.calls.append(name) or method(*args, **kw)
+
+    rng = Counting()
+    v = certify_strong(ens, budget=100, tol=1e-6, rng=rng)
+    assert (v.status, v.search_budget) == (HEURISTICALLY_UNIQUE, 100)
+    assert rng.calls == ["integers", "standard_normal", "standard_normal"]
+
+
 class TestSolveSparseEnumerate:
     def test_recovers_planted_support(self):
         sc = ConstraintScenario(kind="sparsity", n=5, m1=4, m2=4, s1=1, s2=1)
