@@ -233,38 +233,38 @@ def _complex_normal(g: np.ndarray) -> np.ndarray:
     return (g[..., 0, :] + 1j * g[..., 1, :]) / np.sqrt(2)
 
 
-def _gaussian_matrices(sc: ConstraintScenario, tag: str, seeds: Sequence[int]):
+def _gaussian_matrices(sc: ConstraintScenario, tag: str, rngs: Sequence[np.random.Generator]):
     """D and E (T, n, m) of the generic tags: trial t draws D then E (for
-    complex, each as its real then its imaginary part) in one call of the
-    generator of seeds[t]; the complex assembly runs once on the stack."""
+    complex, each as its real then its imaginary part) in one call of
+    rngs[t]; the complex assembly runs once on the stack."""
     parts = 2 if tag == COMPLEX_GENERIC else 1
-    g = np.array([np.random.default_rng(s).standard_normal(parts * sc.n * (sc.m1 + sc.m2))
-                  for s in seeds])
+    g = np.array([rng.standard_normal(parts * sc.n * (sc.m1 + sc.m2)) for rng in rngs])
     D, E = g[:, :parts * sc.n * sc.m1], g[:, parts * sc.n * sc.m1:]
     if parts == 2:
         D, E = (_complex_normal(G.reshape(len(g), 2, -1)) for G in (D, E))
     return tuple(np.ascontiguousarray(G.reshape(len(g), sc.n, -1)) for G in (D, E))
 
 
-def _ball_rows(sc: ConstraintScenario, tag: str, R: float, seed: int):
-    """One trial's frequency rows a then b of the ball tags, drawn from the
-    generator of `seed`."""
-    rng = np.random.default_rng(seed)
+def _ball_rows(sc: ConstraintScenario, tag: str, R: float, rng: np.random.Generator):
+    """One trial's frequency rows a then b of the ball tags, drawn from rng."""
     if tag == COMPLEX_UNIFORM_BALL:
         return tuple(sample_uniform_complex_ball_batch(m, R, rng, sc.n) for m in (sc.m1, sc.m2))
     return tuple(_real_ball_rows(sc.n, m, R, rng) for m in (sc.m1, sc.m2))
 
 
 def build_ensemble(sc: ConstraintScenario, tag: str, seed: Union[int, Sequence[int]],
-                   R: Optional[float] = None) -> Ensemble:
+                   R: Optional[float] = None, *,
+                   rngs: Optional[Sequence[np.random.Generator]] = None) -> Ensemble:
     """Build a seeded ensemble. Same (scenario, tag, seed, R) => identical arrays.
 
     seed is one seed, or a sequence of T seeds for a stack of T trials:
     D, E, a and b with a leading trial axis, and the tuple of the T seeds.
-    Each trial draws from its own generator, in one call for the generic
-    tags; the complex assembly and the FFTs between D, E and their rows
-    a, b then run once on the stack, each with the bits of a lone one, so
-    trial t of a stack is the ensemble of seed t.
+    Each trial draws from the generator of its seed, in one call for the
+    generic tags; the complex assembly and the FFTs between D, E and their
+    rows a, b then run once on the stack, each with the bits of a lone one,
+    so trial t of a stack is the ensemble of seed t. A caller that goes on
+    drawing from a trial's generator passes rngs, the generators of the T
+    seeds, freshly built; they are left open after the ensemble draws.
     """
     if tag not in ALL_TAGS:
         raise ValueError(f"unknown ensemble tag {tag!r}")
@@ -276,11 +276,13 @@ def build_ensemble(sc: ConstraintScenario, tag: str, seed: Union[int, Sequence[i
 
     lone = isinstance(seed, (int, np.integer))
     seeds = (seed,) if lone else tuple(seed)
+    if rngs is None:
+        rngs = [np.random.default_rng(s) for s in seeds]
     if tag not in _BALL_TAGS:
-        D, E = _gaussian_matrices(sc, tag, seeds)
+        D, E = _gaussian_matrices(sc, tag, rngs)
         a, b = _rows_from_matrix(D), _rows_from_matrix(E)
     else:
-        a, b = (np.array(rows) for rows in zip(*(_ball_rows(sc, tag, R, s) for s in seeds)))
+        a, b = (np.array(rows) for rows in zip(*(_ball_rows(sc, tag, R, rng) for rng in rngs)))
         D, E = _matrix_from_rows(a), _matrix_from_rows(b)
         if tag == REAL_UNIFORM_BALL:
             for name, M in (("D", D), ("E", E)):

@@ -145,20 +145,30 @@ def ensemble_radius(tag: str, sc: ConstraintScenario,
     return None
 
 
+def _trial_ensembles(sc: ConstraintScenario, tag: str, seeds: Sequence[int],
+                     R: Optional[float]) -> Tuple[Ensemble, list]:
+    """The one rule from a trial seed to its ensemble, for every sweep trial
+    and every CLI subcommand: trial seed s draws the ensemble of seed
+    mix_seed(s, 0), of radius ensemble_radius(tag, sc, R), from the generator
+    of that seed, which the ensemble records. Returns the stacked ensembles
+    and the trials' generators, left open after the ensemble draws."""
+    ens_seeds = [mix_seed(seed, 0) for seed in seeds]
+    rngs = [np.random.default_rng(s) for s in ens_seeds]
+    return build_ensemble(sc, tag, ens_seeds, R=ensemble_radius(tag, sc, R), rngs=rngs), rngs
+
+
 def trial_ensemble(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
                    R: Optional[float]) -> Ensemble:
     """The stacked ensembles of the trials with seeds `seeds`: trial seed s
-    builds the ensemble of seed mix_seed(s, 0), of radius
-    ensemble_radius(tag, sc, R). This is the one rule from a trial seed to
-    its ensemble, for every sweep trial and every CLI subcommand."""
-    return build_ensemble(sc, tag, [mix_seed(seed, 0) for seed in seeds],
-                          R=ensemble_radius(tag, sc, R))
+    builds the ensemble of seed mix_seed(s, 0) (_trial_ensembles), which is
+    build_ensemble's of that seed at radius ensemble_radius(tag, sc, R)."""
+    return _trial_ensembles(sc, tag, seeds, R)[0]
 
 
 def _plant_factors(sc: ConstraintScenario, real: bool,
                    rngs: Sequence[np.random.Generator]) -> Tuple[np.ndarray, np.ndarray]:
     """The factors X (T, m1) and Y (T, m2), not yet normalized, of a random
-    admissible rank-1 matrix x y^T per plant stream. Per side, each stream
+    admissible rank-1 matrix x y^T per generator. Per side, each generator
     draws one standard_normal block (for complex, the real then the
     imaginary parts) and then, where the side is sparse, its support; the
     complex assembly and the support masks run once on the stack."""
@@ -199,26 +209,26 @@ def _draw_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
                  R: Optional[float]):
     """The trials with seeds `seeds` as one stack: the stacked ensemble, the
     factors X (T, m1) and Y (T, m2) of each trial's planted unit-norm
-    admissible matrix, and each trial's open plant stream.
+    admissible matrix, and each trial's open generator.
 
-    Each stream is derived from the trial seed: mix_seed(seed, 0) builds the
-    ensemble (trial_ensemble), mix_seed(seed, 1) plants (and then draws any
-    noise), and mix_seed(seed, 2) drives the solver or the deviation search,
-    whose caller builds it (_Streams). Only the draws run per trial, one
-    generator call per block; the rest runs once on the stack. Returns
-    (ens, X, Y, plant_rngs).
+    A trial draws from two streams derived from its seed. The generator of
+    mix_seed(seed, 0) draws the ensemble (_trial_ensembles), then the plant,
+    and then any noise; mix_seed(seed, 2) drives the solver or the deviation
+    search, whose caller builds it (_Streams). Only the draws run per trial,
+    one generator call per block; the rest runs once on the stack. Returns
+    (ens, X, Y, rngs).
     """
-    ens = trial_ensemble(sc, tag, seeds, R=R)
-    plant_rngs = [np.random.default_rng(mix_seed(seed, 1)) for seed in seeds]
-    X, Y = _plant_factors(sc, tag in (REAL_GENERIC, REAL_UNIFORM_BALL), plant_rngs)
+    ens, rngs = _trial_ensembles(sc, tag, seeds, R)
+    X, Y = _plant_factors(sc, tag in (REAL_GENERIC, REAL_UNIFORM_BALL), rngs)
     X = X / (_norm(X) * _norm(Y))[:, None]
-    return ens, X, Y, plant_rngs
+    return ens, X, Y, rngs
 
 
 def draw_trial(sc: ConstraintScenario, tag: str, seed: int, *, R: Optional[float]
                ) -> Tuple[Ensemble, LiftedMatrix]:
     """The ensemble and the planted unit-norm admissible matrix of the trial
-    with seed `seed`: _draw_trials with the one seed. Returns (ens, M0).
+    with seed `seed`: _draw_trials with the one seed, so the plant continues
+    the generator that drew the ensemble. Returns (ens, M0).
     """
     ens, X, Y, _ = _draw_trials(sc, tag, [seed], R=R)
     return ens.trial(0), LiftedMatrix(X[0], Y[0])
@@ -239,23 +249,24 @@ def recover_stack(scs: Sequence[ConstraintScenario], tag: str, seeds: Sequence[i
     sweep, one scenario at one or more n, as one RowStack. Each run of
     consecutive trials of one scenario is drawn and measured as one stack,
     and the solve takes every trial at once. Each trial draws from its own
-    streams, so each gets the bits of its stack of one.
+    streams (_draw_trials), so each gets the bits of its stack of one.
 
     The measurements are taken in the time domain, z = the circular
-    convolution of Dx and Ey plus spherical noise of radius noise_level
-    from the plant stream, and solved from z_tilde = F z / sqrt(n) over
-    every admissible support.
+    convolution of Dx and Ey plus spherical noise of radius noise_level,
+    drawn from the generator that drew the trial's ensemble and plant, after
+    them; they are solved from z_tilde = F z / sqrt(n) over every admissible
+    support.
     Returns the solver result, and per trial the lifted error against the
     planted matrix and whether the trial counts as recovered (is_recovered).
     """
     _check_recovery(restarts, noise_level)
     rows = []  # per run of one scenario: ensemble, measurements, planted factors
     for sc_r, run in itertools.groupby(zip(scs, seeds, strict=True), key=lambda pair: pair[0]):
-        ens, X, Y, plant_rngs = _draw_trials(sc_r, tag, [s for _, s in run], R=R)
+        ens, X, Y, rngs = _draw_trials(sc_r, tag, [s for _, s in run], R=R)
         z = apply_G(ens, X, Y)
         if noise_level > 0:
             g = np.array([rng.standard_normal(sc_r.n) + 1j * rng.standard_normal(sc_r.n)
-                          for rng in plant_rngs])
+                          for rng in rngs])
             z = z + noise_level * g / _norm(g)[:, None]
         rows.append((ens, np.fft.fft(z, norm="ortho") / np.sqrt(sc_r.n), X, Y))
     ens, z_tilde, X, Y = zip(*rows)

@@ -59,13 +59,11 @@ def time_measurements(ens, M) -> np.ndarray:
     return np.einsum("ji,il,kjl->k", ens.D, np.asarray(M, dtype=np.complex128), circulant)
 
 
-def ensemble_draws(sc, tag, R, seed):
-    """One trial's ensemble draws from the generator of `seed`, each side
-    in its own calls: D and E for the generic tags (complex: the real part,
-    then the imaginary part), their frequency rows a and b for the ball
-    tags."""
+def ensemble_draws(sc, tag, R, rng):
+    """One trial's ensemble draws from rng, each side in its own calls: D
+    and E for the generic tags (complex: the real part, then the imaginary
+    part), their frequency rows a and b for the ball tags."""
     n = sc.n
-    rng = np.random.default_rng(seed)
 
     def draw(m):
         if tag == COMPLEX_GENERIC:

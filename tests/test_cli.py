@@ -306,7 +306,7 @@ class TestDeterminism:
             # at the default restarts
             ["--kind", "subspace", "--m1", "3", "--m2", "3", "--n", "9",
              "--sweep", "5,6,7,8"],
-            # 16 enumerated supports, noise drawn from the plant stream
+            # 16 enumerated supports, noise drawn after the plant
             ["--kind", "sparsity", "--m1", "4", "--m2", "4", "--s1", "1",
              "--s2", "1", "--n", "5", "--sweep", "5,8", "--noise-level", "0.01"],
             ["--kind", "subspace", "--m1", "2", "--m2", "2", "--n", "8",
@@ -600,8 +600,8 @@ def test_transition_rates_do_not_depend_on_the_basis_scale(capsys, monkeypatch):
     real = mc._draw_trials
 
     def scaled(*args, **kw):
-        ens, X, Y, plant_rngs = real(*args, **kw)
-        return replace(ens, D=c * ens.D, a=c * ens.a), X, Y, plant_rngs
+        ens, X, Y, rngs = real(*args, **kw)
+        return replace(ens, D=c * ens.D, a=c * ens.a), X, Y, rngs
 
     monkeypatch.setattr(mc, "_draw_trials", scaled)
     sweeps = [("--kind", "subspace", "--m1", "3", "--m2", "3", "--n", "6",

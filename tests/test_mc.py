@@ -151,7 +151,7 @@ class TestPhaseTransition:
         # on least squares), which change no result: a bound of 5 kernel
         # trials cuts the kernel trials into stacks of 5, which span the
         # two sparse kernel rows. So for every tag, noiseless and with noise
-        # from the plant streams
+        # drawn after the plants
         sparse = ConstraintScenario("sparsity", 6, 3, 4, 2, 3)
         for (sc, sweep, P, k), tag, noise_level in itertools.product(
                 ((SUBSPACE5, (3, 4, 5), 1, 2 * 2), (sparse, (4, 5, 6), 12, 2 * 3)),
@@ -204,13 +204,13 @@ class TestPhaseTransition:
     @pytest.mark.parametrize("tag", ALL_TAGS)
     def test_draw_trial_is_a_slot_of_the_stacked_draw(self, tag):
         # each slot of a stacked draw has the bits of draw_trial on its seed
-        # alone, and leaves its plant stream where a one-seed stack leaves it;
+        # alone, and leaves its generator where a one-seed stack leaves it;
         # odd n and even n complete real ball rows differently
         for sc in (ConstraintScenario("subspace", 7, 3, 2),
                    ConstraintScenario("mixed", 8, 4, 3, 2),
                    ConstraintScenario("sparsity", 9, 4, 4, 1, 3)):
             seeds = [mix_seed(15, 0, i) for i in range(12)]
-            ens, X, Y, plant_rngs = mc._draw_trials(sc, tag, seeds, R=None)
+            ens, X, Y, rngs = mc._draw_trials(sc, tag, seeds, R=None)
             assert ens.seed == tuple(mix_seed(seed, 0) for seed in seeds)
             for t, seed in enumerate(seeds):
                 one, M0 = mc.draw_trial(sc, tag, seed, R=None)
@@ -220,16 +220,16 @@ class TestPhaseTransition:
                     assert got.dtype == want.dtype and np.array_equal(got, want), name
                 assert np.array_equal(X[t], M0.x) and np.array_equal(Y[t], M0.y)
                 assert np.array_equal(np.outer(X[t], Y[t]), M0.M)
-                *_, lone_plant = mc._draw_trials(sc, tag, [seed], R=None)
-                assert (plant_rngs[t].bit_generator.state
-                        == lone_plant[0].bit_generator.state)
+                *_, lone_rngs = mc._draw_trials(sc, tag, [seed], R=None)
+                assert rngs[t].bit_generator.state == lone_rngs[0].bit_generator.state
 
     @pytest.mark.parametrize("tag", ALL_TAGS)
     def test_draws_match_the_per_call_oracle(self, tag):
-        # a trial's ensemble and plant draws, one generator call per block
-        # and assembled on the stack, have the bits of one call per side and
-        # part, alone and stacked, and leave the plant stream where those
-        # calls leave it; odd and even n, dense and sparse sides
+        # a trial's ensemble and then plant draws from the one generator of
+        # mix_seed(seed, 0), one call per block and assembled on the stack,
+        # have the bits of one call per side and part, alone and stacked, and
+        # leave the generator where those calls leave it; odd and even n,
+        # dense and sparse sides
         real = tag in (REAL_GENERIC, REAL_UNIFORM_BALL)
         for sc in (ConstraintScenario("subspace", 7, 3, 2),
                    ConstraintScenario("mixed", 8, 4, 3, 2),
@@ -237,24 +237,24 @@ class TestPhaseTransition:
             R = mc.ensemble_radius(tag, sc, None)
             drawn = ("a", "b") if R else ("D", "E")
             for seeds in ([mix_seed(16, 0, 0)], [mix_seed(16, 0, i) for i in range(9)]):
-                ens, X, Y, plant_rngs = mc._draw_trials(sc, tag, seeds, R=None)
+                ens, X, Y, rngs = mc._draw_trials(sc, tag, seeds, R=None)
                 lone = build_ensemble(sc, tag, mix_seed(seeds[0], 0), R=R)
-                for name, want in zip(drawn, oracles.ensemble_draws(sc, tag, R, lone.seed)):
+                for name, want in zip(drawn, oracles.ensemble_draws(
+                        sc, tag, R, np.random.default_rng(lone.seed))):
                     got = getattr(lone, name)
                     assert got.dtype == want.dtype and np.array_equal(got, want), name
                 for t, seed in enumerate(seeds):
-                    for name, want in zip(drawn, oracles.ensemble_draws(
-                            sc, tag, R, mix_seed(seed, 0))):
+                    rng = np.random.default_rng(mix_seed(seed, 0))
+                    for name, want in zip(drawn, oracles.ensemble_draws(sc, tag, R, rng)):
                         got = getattr(ens, name)[t]
                         assert got.dtype == want.dtype and np.array_equal(got, want), name
-                    rng = np.random.default_rng(mix_seed(seed, 1))
                     x, y = oracles.plant_factors(sc, real, rng)
                     x = x / (np.linalg.norm(x) * np.linalg.norm(y))
                     assert np.array_equal(X[t], x) and np.array_equal(Y[t], y)
-                    assert plant_rngs[t].bit_generator.state == rng.bit_generator.state
+                    assert rngs[t].bit_generator.state == rng.bit_generator.state
 
     def test_trials_build_only_the_generators_they_read(self, monkeypatch):
-        # a trial builds its ensemble and plant generators; its solver
+        # a trial builds one generator for its ensemble and plant; its solver
         # generator only once it reaches a random start, which least
         # squares never does
         built, slots = [], []
@@ -266,7 +266,7 @@ class TestPhaseTransition:
         seeds = [mix_seed(17, 0, i) for i in range(20)]
         mc.recover_stack([ConstraintScenario("subspace", 8, 2, 2)] * 20, COMPLEX_GENERIC, seeds,
                          R=None, restarts=62, noise_level=0.0)
-        assert built == [mix_seed(s, i) for i in (0, 1) for s in seeds] and not slots
+        assert built == [mix_seed(s, 0) for s in seeds] and not slots
         built.clear()
         mc.recover_stack([ConstraintScenario("subspace", 6, 3, 3)] * 20, COMPLEX_GENERIC, seeds,
                          R=None, restarts=62, noise_level=0.0)
@@ -274,14 +274,14 @@ class TestPhaseTransition:
         # per trial that reaches it
         reached = slots[1] // 2 if len(slots) > 1 else 0
         assert slots[0] == 20 and 0 < reached < 20
-        assert len(built) == 40 + reached
-        assert set(built[40:]) <= {mix_seed(s, 2) for s in seeds}
+        assert len(built) == 20 + reached
+        assert set(built[20:]) <= {mix_seed(s, 2) for s in seeds}
         # draw_trial returns the ensemble and the plant alone, and builds
         # no solver generator
         built.clear()
         assert len(mc.draw_trial(ConstraintScenario("subspace", 6, 3, 3), COMPLEX_GENERIC,
                                  seeds[0], R=None)) == 2
-        assert built == [mix_seed(seeds[0], 0), mix_seed(seeds[0], 1)]
+        assert built == [mix_seed(seeds[0], 0)]
 
     @pytest.mark.parametrize("sc,tag,want", [
         # least squares: one QR and one back substitution, no SVD-based
@@ -903,9 +903,11 @@ def test_max_deviation_scaling_law(scaling_rows):
 def test_search_quality_no_worse_than_scipy_reference(scaling_rows):
     # the deviations are lower-bound evidence, so a weaker search would make
     # the stability check easier to pass; these are the rows found by scipy's
-    # L-BFGS-B on the same starts, and none may fall more than 2 % below them
-    mean_ref = (1.164775, 0.387067, 0.114834)
-    max_ref = (1.443066, 0.542234, 0.210431)
+    # L-BFGS-B (maxiter 200) on the same trials and starts, each end point
+    # repaired by mc._feasible_scan, and none may fall more than 2 % below
+    # them
+    mean_ref = (1.146298, 0.381909, 0.119259)
+    max_ref = (1.290502, 0.523719, 0.154203)
     for row, mean_dev, max_dev in zip(scaling_rows, mean_ref, max_ref):
         assert row["mean_lifted_error"] >= 0.98 * mean_dev
         assert row["max_deviation"] >= 0.98 * max_dev

@@ -1002,9 +1002,10 @@ def test_certifiers_refuse_a_far_threshold_at_the_ball_radius():
     # 1, so a verdict could turn on the last bit of an orbit distance
     # between matrices of the ball: both searches refuse such a tolerance,
     # and the verifier passes no verdict that carries one, also for a
-    # witness measured within it and more than 10 * tol away
+    # witness measured within it and more than 10 * tol away (trial 3 is the
+    # first from 0 up whose weak search below finds such a witness)
     sc = ConstraintScenario("sparsity", 1, 5, 5, 1, 1)
-    ens, M0 = draw_trial(sc, COMPLEX_GENERIC, 1, R=None)
+    ens, M0 = draw_trial(sc, COMPLEX_GENERIC, 3, R=None)
     message = "^tolerance must be below 0.1, so that the far threshold 10 \\* tol stays below"
     for tol in (0.1, 0.5):
         with pytest.raises(ValueError, match=message):
