@@ -274,8 +274,14 @@ def _lm(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray, X0: np.ndarray,
 
     The first y solves the linear problem in y at x = X0 (damped by
     LM_LAMBDA_FLOOR). When k1 or k2 is 1 the rank-1 constraint is void:
-    then one linear solve is exact (a second one, in x, when k2 = 1) and
-    no step runs. Otherwise a slot stops when its relative decrease is at
+    then the linear problem in y (in x, solved next, when k2 = 1 < k1) is
+    the fit, and no step runs. Its damped solve stops about 1e-12 ||z||
+    from exact, above the floor. Where n < k1*k2, as on the solver's kernel
+    rows, the problem has fewer equations than unknowns, so an exact fit
+    exists and its trial ends only there: the solve is refined once on its
+    residual, s += the damped solve of B d = z - B s, which fits to
+    rounding. Other fits are judged at a tolerance far above 1e-12 (the
+    certifiers'), so they take no refinement. Otherwise a slot stops when its relative decrease is at
     most LM_RTOL, its step ||d|| is at most LM_STEP_RTOL ||(x, y)||, lam
     exceeds LM_LAMBDA_MAX, or after LM_MAX_ITER steps. Slots come in
     groups of `group` consecutive slots, the slots of one trial, and a
@@ -291,9 +297,16 @@ def _lm(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray, X0: np.ndarray,
     a, b, z = (np.ascontiguousarray(arr, dtype=np.complex128) for arr in (aS, bS, z_tilde))
     k1, k2 = a.shape[-1], b.shape[-1]
     x = np.array(X0, dtype=np.complex128)
-    y = _damped_solve(_times(a, x)[:, :, None] * b, z, LM_LAMBDA_FLOOR)
+    B = _times(a, x)[:, :, None] * b
+    y = _damped_solve(B, z, LM_LAMBDA_FLOOR)
+    refine = z.shape[1] < k1 * k2  # a scalar-factor fit is exact for every z
     if k2 == 1 < k1:
-        x = _damped_solve(_times(b, y)[:, :, None] * a, z, LM_LAMBDA_FLOOR)
+        B = _times(b, y)[:, :, None] * a
+        x = _damped_solve(B, z, LM_LAMBDA_FLOOR)
+        if refine:
+            x = x + _damped_solve(B, z - _times(B, x), LM_LAMBDA_FLOOR)
+    elif k1 == 1 and refine:
+        y = y + _damped_solve(B, z - _times(B, y), LM_LAMBDA_FLOOR)
     u, v = _times(a, x), _times(b, y)
     res = _norm(u * v - z)
     if min(k1, k2) == 1:

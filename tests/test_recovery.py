@@ -10,7 +10,7 @@ import oracles
 from blindid.ensembles import (COMPLEX_GENERIC, REAL_GENERIC, REAL_UNIFORM_BALL,
                                ConstraintScenario, Ensemble, _rows_from_matrix,
                                build_ensemble)
-from blindid import recovery
+from blindid import mc, recovery
 from blindid.lifting import LiftedMatrix, apply_A, as_matrix, operator_matrix, support_rows
 from blindid.mc import _draw_trials as draw_trials
 from blindid.mc import draw_trial
@@ -438,8 +438,9 @@ class TestStackedKernel:
 
     def test_scalar_factor_takes_one_solve(self, monkeypatch):
         # |S1| = 1 or |S2| = 1: the rank-1 constraint is void and one linear
-        # solve (a second one, in x, when y is the scalar) fits exactly, with
-        # no step
+        # solve (a second one, in x, when y is the scalar) fits, with no
+        # step; below n = k1*k2 every z has an exact fit, and the solve,
+        # refined once on its residual, reaches the floor
         calls = []
         real = recovery._damped_solve
 
@@ -449,8 +450,9 @@ class TestStackedKernel:
 
         monkeypatch.setattr(recovery, "_damped_solve", counted)
         rng = np.random.default_rng(70)
-        for k1, k2, solves in ((1, 3, 1), (3, 1, 2), (1, 1, 1)):
-            sc = ConstraintScenario("subspace", 2, k1, k2)
+        for k1, k2, n, solves in ((1, 3, 2, 2), (3, 1, 2, 3), (1, 3, 4, 1), (3, 1, 4, 2),
+                                  (1, 1, 2, 1)):
+            sc = ConstraintScenario("subspace", n, k1, k2)
             ens = build_ensemble(sc, COMPLEX_GENERIC, 71)
             z = apply_A(ens, random_factors(sc, 72))
             aS, bS = (np.repeat(rows[None], 4, axis=0) for rows in support_rows(ens))
@@ -458,7 +460,26 @@ class TestStackedKernel:
             _, _, res = _lm(aS, bS, np.tile(z, (4, 1)),
                             rng.standard_normal((4, k1)) + 1j * rng.standard_normal((4, k1)),
                             _residual_floor(np.tile(z, (4, 1))))
-            assert len(calls) == solves and np.all(res <= 1e-10), (k1, k2)
+            assert len(calls) == solves, (k1, k2, n)
+            bound = _residual_floor(np.tile(z, (4, 1))) if n < k1 * k2 else 1e-10
+            assert np.all(res <= bound), (k1, k2, n, res)
+
+    @pytest.mark.parametrize("sc,seed", [
+        (ConstraintScenario("mixed", 3, 4, 4, 1), 1),
+        (ConstraintScenario("mixed", 3, 4, 4, 1), 2),
+        (ConstraintScenario("sparsity", 2, 4, 4, 1, 3), 1),
+    ])
+    def test_scalar_factor_rows_fit_on_the_first_start(self, sc, seed):
+        # kernel rows with a scalar factor (n < k1*k2, below d here): every
+        # support has an exact fit, which the refined linear solve reaches,
+        # so the first wave ends the trial; an unrefined solve stopped about
+        # 1e-12 ||z|| from exact, above the floor, and ran all 63 starts
+        fit, _, _ = mc.recover_stack([sc], COMPLEX_GENERIC, [seed], R=None, restarts=62,
+                                     noise_level=0.0)
+        ens, M0 = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
+        z = apply_A(ens, M0)
+        assert fit.restarts_used == 0
+        assert fit.residual[0] <= _residual_floor(z[None])[0], fit.residual
 
     def test_slot_at_its_optimum_stops_at_once(self, monkeypatch):
         # noisy measurements at n = 8 > d have no exact fit. Restarted at
