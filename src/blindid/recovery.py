@@ -274,18 +274,18 @@ def _lm(aS: np.ndarray, bS: np.ndarray, z_tilde: np.ndarray, X0: np.ndarray,
 
     The first y solves the linear problem in y at x = X0 (damped by
     LM_LAMBDA_FLOOR). When k1 or k2 is 1 the rank-1 constraint is void:
-    then the linear problem in y (in x, solved next, when k2 = 1 < k1) is
-    the fit, and no step runs. Its damped solve stops about 1e-12 ||z||
-    from exact, above the floor. Where n < k1*k2, as on the solver's kernel
-    rows, the problem has fewer equations than unknowns, so an exact fit
-    exists and its trial ends only there: the solve is refined once on its
+    the linear problem in y (then in x, when k2 = 1 < k1) is the fit, and
+    no step runs. Where n < k1*k2, as on the solver's kernel rows, that
+    problem has an exact fit for every z, which the damped solve misses by
+    about 1e-12 ||z||, above the floor, so the solve is refined once on its
     residual, s += the damped solve of B d = z - B s, which fits to
-    rounding. Other fits are judged at a tolerance far above 1e-12 (the
-    certifiers'), so they take no refinement. Otherwise a slot stops when its relative decrease is at
-    most LM_RTOL, its step ||d|| is at most LM_STEP_RTOL ||(x, y)||, lam
-    exceeds LM_LAMBDA_MAX, or after LM_MAX_ITER steps. Slots come in
-    groups of `group` consecutive slots, the slots of one trial, and a
-    group stops as soon as one of its slots reaches its floor. The caller
+    rounding. Fits at n >= k1*k2 are the certifiers', judged at a tolerance
+    far above 1e-12, and take no refinement. Otherwise a slot stops when
+    its relative decrease is at most LM_RTOL, its step ||d|| is at most
+    LM_STEP_RTOL ||(x, y)||, lam exceeds LM_LAMBDA_MAX, or after
+    LM_MAX_ITER steps. Slots come in groups of `group` consecutive slots,
+    the slots of one trial, and a group stops as soon as one of its slots
+    reaches its floor. The caller
     computes the floor once per trial, 1e-13 ||z|| of measurements that
     carry no padding (_residual_floor), so a solve's waves read the same
     floor.
