@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds, mc
-from .ensembles import COMPLEX_UNIFORM_BALL, ConstraintScenario, mix_seed
+from .ensembles import COMPLEX_UNIFORM_BALL, ConstraintScenario
 from .recovery import certify_strong, certify_weak, verify_counterexample
 
 __all__ = ["RunConfig", "parse_config", "emit_report", "main"]
@@ -199,7 +199,7 @@ def emit_report(report, path: Optional[str]) -> None:
 
 def _cmd_gen(v: dict):
     # the ensemble of the trial that `recover --seed s` solves
-    return mc.trial_ensemble(_scenario(v), v["tag"], [v["seed"]], R=v["R"]).trial(0).to_manifest()
+    return mc.draw_trial(_scenario(v), v["tag"], v["seed"], R=v["R"])[0].to_manifest()
 
 
 def _cmd_recover(v: dict):
@@ -218,17 +218,14 @@ def _cmd_recover(v: dict):
 
 def _cmd_certify(v: dict):
     sc = _scenario(v)
-    rng = np.random.default_rng(mix_seed(v["seed"], 3))
-    if v["level"] == "weak":
-        # the trial that `recover --seed s` solves
-        ens, M0 = mc.draw_trial(sc, v["tag"], v["seed"], R=v["R"])
-        verdict = certify_weak(ens, M0, budget=v["budget"], tol=v["tol"], rng=rng)
-    elif v["level"] == "strong":
-        # that trial's ensemble
-        ens = mc.trial_ensemble(sc, v["tag"], [v["seed"]], R=v["R"]).trial(0)
-        verdict = certify_strong(ens, budget=v["budget"], tol=v["tol"], rng=rng)
-    else:
+    if v["level"] not in ("weak", "strong"):
         raise ConfigError(f"level must be 'weak' or 'strong', got {v['level']!r}")
+    # the trial that `recover --seed s` solves; the search continues its generator
+    ens, M0, rng = mc.draw_trial(sc, v["tag"], v["seed"], R=v["R"])
+    if v["level"] == "weak":
+        verdict = certify_weak(ens, M0, budget=v["budget"], tol=v["tol"], rng=rng)
+    else:
+        verdict = certify_strong(ens, budget=v["budget"], tol=v["tol"], rng=rng)
     out = {"status": verdict.status, "search_budget": verdict.search_budget,
            "tolerance": verdict.tolerance}
     if verdict.witness is not None:

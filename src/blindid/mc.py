@@ -55,7 +55,6 @@ __all__ = [
     "mean_isometry_relative_error",
     "run_phase_transition",
     "run_stability_sweep",
-    "trial_ensemble",
     "draw_trial",
     "recover_stack",
     "sweep_csv",
@@ -145,26 +144,6 @@ def ensemble_radius(tag: str, sc: ConstraintScenario,
     return None
 
 
-def _trial_ensembles(sc: ConstraintScenario, tag: str, seeds: Sequence[int],
-                     R: Optional[float]) -> Tuple[Ensemble, list]:
-    """The one rule from a trial seed to its ensemble, for every sweep trial
-    and every CLI subcommand: trial seed s draws the ensemble of seed
-    mix_seed(s, 0), of radius ensemble_radius(tag, sc, R), from the generator
-    of that seed, which the ensemble records. Returns the stacked ensembles
-    and the trials' generators, left open after the ensemble draws."""
-    ens_seeds = [mix_seed(seed, 0) for seed in seeds]
-    rngs = [np.random.default_rng(s) for s in ens_seeds]
-    return build_ensemble(sc, tag, ens_seeds, R=ensemble_radius(tag, sc, R), rngs=rngs), rngs
-
-
-def trial_ensemble(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
-                   R: Optional[float]) -> Ensemble:
-    """The stacked ensembles of the trials with seeds `seeds`: trial seed s
-    builds the ensemble of seed mix_seed(s, 0) (_trial_ensembles), which is
-    build_ensemble's of that seed at radius ensemble_radius(tag, sc, R)."""
-    return _trial_ensembles(sc, tag, seeds, R)[0]
-
-
 def _plant_factors(sc: ConstraintScenario, real: bool,
                    rngs: Sequence[np.random.Generator]) -> Tuple[np.ndarray, np.ndarray]:
     """The factors X (T, m1) and Y (T, m2), not yet normalized, of a random
@@ -188,50 +167,40 @@ def _plant_factors(sc: ConstraintScenario, real: bool,
     return tuple(factors)
 
 
-class _Streams(Sequence):
-    """Per trial t the generator of stream mix_seed(seeds[t], index), built
-    on first access and then kept, so a trial that never reads its stream
-    never builds it."""
-
-    def __init__(self, seeds: Sequence[int], index: int):
-        self._seeds, self._index, self._rngs = seeds, index, [None] * len(seeds)
-
-    def __len__(self) -> int:
-        return len(self._seeds)
-
-    def __getitem__(self, t: int) -> np.random.Generator:
-        if self._rngs[t] is None:
-            self._rngs[t] = np.random.default_rng(mix_seed(self._seeds[t], self._index))
-        return self._rngs[t]
-
-
 def _draw_trials(sc: ConstraintScenario, tag: str, seeds: Sequence[int], *,
                  R: Optional[float]):
     """The trials with seeds `seeds` as one stack: the stacked ensemble, the
     factors X (T, m1) and Y (T, m2) of each trial's planted unit-norm
     admissible matrix, and each trial's open generator.
 
-    A trial draws from two streams derived from its seed. The generator of
-    mix_seed(seed, 0) draws the ensemble (_trial_ensembles), then the plant,
-    and then any noise; mix_seed(seed, 2) drives the solver or the deviation
-    search, whose caller builds it (_Streams). Only the draws run per trial,
-    one generator call per block; the rest runs once on the stack. Returns
-    (ens, X, Y, rngs).
+    This is the one rule from a trial seed to its draws, for every sweep
+    trial and every CLI subcommand. Trial seed s opens one generator,
+    default_rng(mix_seed(s, 0)), and every draw of the trial comes from it,
+    in this order: the ensemble (build_ensemble's of seed mix_seed(s, 0), at
+    radius ensemble_radius(tag, sc, R), which records that seed), the plant,
+    and then, by the caller, any noise and the solver's random starts, the
+    deviation search's starts or the certifier's draws. Only the draws run
+    per trial, one generator call per block; the rest runs once on the
+    stack. Returns (ens, X, Y, rngs), the generators left open after the
+    plant.
     """
-    ens, rngs = _trial_ensembles(sc, tag, seeds, R)
+    ens_seeds = [mix_seed(seed, 0) for seed in seeds]
+    rngs = [np.random.default_rng(s) for s in ens_seeds]
+    ens = build_ensemble(sc, tag, ens_seeds, R=ensemble_radius(tag, sc, R), rngs=rngs)
     X, Y = _plant_factors(sc, tag in (REAL_GENERIC, REAL_UNIFORM_BALL), rngs)
     X = X / (_norm(X) * _norm(Y))[:, None]
     return ens, X, Y, rngs
 
 
 def draw_trial(sc: ConstraintScenario, tag: str, seed: int, *, R: Optional[float]
-               ) -> Tuple[Ensemble, LiftedMatrix]:
-    """The ensemble and the planted unit-norm admissible matrix of the trial
-    with seed `seed`: _draw_trials with the one seed, so the plant continues
-    the generator that drew the ensemble. Returns (ens, M0).
+               ) -> Tuple[Ensemble, LiftedMatrix, np.random.Generator]:
+    """The trial with seed `seed`: _draw_trials with the one seed. Returns
+    (ens, M0, rng), its ensemble, its planted unit-norm admissible matrix
+    and its generator, left open after the plant for the trial's next
+    draws.
     """
-    ens, X, Y, _ = _draw_trials(sc, tag, [seed], R=R)
-    return ens.trial(0), LiftedMatrix(X[0], Y[0])
+    ens, X, Y, rngs = _draw_trials(sc, tag, [seed], R=R)
+    return ens.trial(0), LiftedMatrix(X[0], Y[0]), rngs[0]
 
 
 def _check_recovery(restarts: int, noise_level: float) -> None:
@@ -260,7 +229,7 @@ def recover_stack(scs: Sequence[ConstraintScenario], tag: str, seeds: Sequence[i
     planted matrix and whether the trial counts as recovered (is_recovered).
     """
     _check_recovery(restarts, noise_level)
-    rows = []  # per run of one scenario: ensemble, measurements, planted factors
+    rows = []  # per run of one scenario: ensemble, measurements, planted factors, generators
     for sc_r, run in itertools.groupby(zip(scs, seeds, strict=True), key=lambda pair: pair[0]):
         ens, X, Y, rngs = _draw_trials(sc_r, tag, [s for _, s in run], R=R)
         z = apply_G(ens, X, Y)
@@ -268,10 +237,10 @@ def recover_stack(scs: Sequence[ConstraintScenario], tag: str, seeds: Sequence[i
             g = np.array([rng.standard_normal(sc_r.n) + 1j * rng.standard_normal(sc_r.n)
                           for rng in rngs])
             z = z + noise_level * g / _norm(g)[:, None]
-        rows.append((ens, np.fft.fft(z, norm="ortho") / np.sqrt(sc_r.n), X, Y))
-    ens, z_tilde, X, Y = zip(*rows)
+        rows.append((ens, np.fft.fft(z, norm="ortho") / np.sqrt(sc_r.n), X, Y, rngs))
+    ens, z_tilde, X, Y, rngs = zip(*rows)
     fit = solve_sparse_enumerate(RowStack(ens), z_tilde, restarts=restarts,
-                                 rng=_Streams(seeds, 2))
+                                 rng=[rng for run in rngs for rng in run])
     M_hat, M0 = (U[:, :, None] * V[:, None, :]
                  for U, V in ((fit.X, fit.Y), (np.concatenate(X), np.concatenate(Y))))
     return fit, align_and_distance(M_hat, M0), is_recovered(M_hat, M0)
@@ -652,9 +621,9 @@ def run_stability_sweep(sc: ConstraintScenario, deltas: Sequence[float], *,
     for start in range(0, len(searched), batch):
         rows_of, seeds = zip(*searched[start:start + batch])
         delta = np.array([deltas[row_idx] for row_idx in rows_of])
-        ens, X, Y, _ = _draw_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R=R)
+        ens, X, Y, rngs = _draw_trials(sc, COMPLEX_UNIFORM_BALL, seeds, R=R)
         p0 = np.array([_draw_starts(x0, y0, d, starts, rng)
-                       for x0, y0, d, rng in zip(X, Y, delta, _Streams(seeds, 2))])
+                       for x0, y0, d, rng in zip(X, Y, delta, rngs)])
         found, stops = _deviation_search(ens.a, ens.b, X, Y, delta, p0)
         for row_idx, dev, stop in zip(rows_of, found, stops):
             trial_devs[row_idx].append(float(dev))

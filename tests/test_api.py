@@ -197,16 +197,16 @@ def test_least_squares_calls_the_svd_solver_only_as_its_fallback():
 
 
 def test_ensembles_are_built_by_the_trial_rule_only():
-    # --seed s names one ensemble, that of mix_seed(s, 0): gen, recover, both
-    # certify levels and every sweep trial build it through
-    # mc._trial_ensembles, which keeps that seed's generator open for the
-    # plant, so no other function reads build_ensemble to map a seed a second
-    # way
+    # --seed s names one trial, whose one generator is that of
+    # mix_seed(s, 0): gen, recover, both certify levels and every sweep
+    # trial build its ensemble through mc._draw_trials, which keeps that
+    # generator open for the plant and the trial's later draws, so no other
+    # function reads build_ensemble to map a seed a second way
     src = Path(blindid.__file__).parent
     found = {(path.name, owner) for path in sorted(src.glob("*.py"))
              for owner, name in _names_by_function(ast.parse(path.read_text()))
              if name == "build_ensemble" and owner is not None}
-    assert found == {("mc.py", "_trial_ensembles")}, found
+    assert found == {("mc.py", "_draw_trials")}, found
 
 
 def test_row_stacks_are_built_by_recover_stack_only():

@@ -396,11 +396,12 @@ class TestSubcommands:
 
     def test_certify_weak_certifies_the_recover_trial(self, capsys, monkeypatch):
         # --level weak --seed s certifies the trial that recover --seed s
-        # solves: draw_trial's ensemble and plant, verdict stream mix_seed(s, 3)
+        # solves: draw_trial's ensemble and plant, and its search continues
+        # draw_trial's generator
         seen = []
 
         def spy(ens, M0, **kw):
-            seen.append((ens, M0))
+            seen.append((ens, M0, kw["rng"].bit_generator.state))
             return certify_weak(ens, M0, **kw)
 
         monkeypatch.setattr(cli, "certify_weak", spy)
@@ -411,12 +412,12 @@ class TestSubcommands:
                                "--tag", "complex_generic", "--level", "weak",
                                "--seed", "21")
             assert code == 0
-            ens, M0 = mc.draw_trial(sc, "complex_generic", 21, R=None)
-            cli_ens, cli_M0 = seen.pop()
+            ens, M0, rng = mc.draw_trial(sc, "complex_generic", 21, R=None)
+            cli_ens, cli_M0, cli_state = seen.pop()
             assert np.array_equal(cli_ens.a, ens.a) and np.array_equal(cli_ens.b, ens.b)
             assert np.array_equal(cli_M0.M, M0.M)
-            verdict = certify_weak(ens, M0, budget=100, tol=1e-6,
-                                   rng=np.random.default_rng(mix_seed(21, 3)))
+            assert cli_state == rng.bit_generator.state
+            verdict = certify_weak(ens, M0, budget=100, tol=1e-6, rng=rng)
             want = {"status": verdict.status, "search_budget": verdict.search_budget,
                     "tolerance": verdict.tolerance}
             if verdict.witness is not None:
@@ -425,11 +426,12 @@ class TestSubcommands:
 
     def test_certify_strong_certifies_the_recover_trial(self, capsys, monkeypatch):
         # --level strong --seed s certifies the ensemble of the trial that
-        # recover --seed s solves, with verdict stream mix_seed(s, 3)
+        # recover --seed s solves, and its search continues draw_trial's
+        # generator, after the plant
         seen = []
 
         def spy(ens, **kw):
-            seen.append(ens)
+            seen.append((ens, kw["rng"].bit_generator.state))
             return certify_strong(ens, **kw)
 
         monkeypatch.setattr(cli, "certify_strong", spy)
@@ -440,11 +442,11 @@ class TestSubcommands:
                                "--tag", "complex_generic", "--level", "strong",
                                "--seed", "21")
             assert code == 0
-            ens = mc.draw_trial(sc, "complex_generic", 21, R=None)[0]
-            cli_ens = seen.pop()
+            ens, _, rng = mc.draw_trial(sc, "complex_generic", 21, R=None)
+            cli_ens, cli_state = seen.pop()
             assert np.array_equal(cli_ens.a, ens.a) and np.array_equal(cli_ens.b, ens.b)
-            verdict = certify_strong(ens, budget=100, tol=1e-6,
-                                     rng=np.random.default_rng(mix_seed(21, 3)))
+            assert cli_state == rng.bit_generator.state
+            verdict = certify_strong(ens, budget=100, tol=1e-6, rng=rng)
             want = {"status": verdict.status, "search_budget": verdict.search_budget,
                     "tolerance": verdict.tolerance}
             if verdict.witness is not None:
@@ -495,8 +497,8 @@ class TestSubcommands:
         # 3x3 at n = 8 = 2(m1 + m2) - 4: ker A is one line cK, and this
         # seed's K has sigma_3 / sigma_1 = 0.17, so no rank-two difference
         # lies in it and no exact strong counterexample exists. The rule
-        # accepts a pair at residual 0.0329 <= tol * sigma_max(A) = 0.0395
-        # and orbit distance 0.68, and the verifier passes it
+        # accepts a pair at residual 0.0285 <= tol * sigma_max(A) = 0.0395
+        # and orbit distance 0.557, and the verifier passes it
         code, out, _ = run(capsys, "certify", "--kind", "subspace", "--m1", "3", "--m2", "3",
                            "--n", "8", "--level", "strong", "--seed", "4", "--tol", "0.05")
         assert code == 0 and json.loads(out)["status"] == "heuristically_unique"

@@ -1,10 +1,11 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
-from blindid import bounds, mc, recovery
+from blindid import bounds, cli, mc, recovery
 from blindid.ensembles import (ALL_TAGS, COMPLEX_GENERIC, COMPLEX_UNIFORM_BALL,
                                REAL_GENERIC, REAL_UNIFORM_BALL, ConstraintScenario,
                                build_ensemble, mix_seed)
@@ -204,7 +205,7 @@ class TestPhaseTransition:
     @pytest.mark.parametrize("tag", ALL_TAGS)
     def test_draw_trial_is_a_slot_of_the_stacked_draw(self, tag):
         # each slot of a stacked draw has the bits of draw_trial on its seed
-        # alone, and leaves its generator where a one-seed stack leaves it;
+        # alone, and leaves its generator where draw_trial leaves its own;
         # odd n and even n complete real ball rows differently
         for sc in (ConstraintScenario("subspace", 7, 3, 2),
                    ConstraintScenario("mixed", 8, 4, 3, 2),
@@ -213,15 +214,14 @@ class TestPhaseTransition:
             ens, X, Y, rngs = mc._draw_trials(sc, tag, seeds, R=None)
             assert ens.seed == tuple(mix_seed(seed, 0) for seed in seeds)
             for t, seed in enumerate(seeds):
-                one, M0 = mc.draw_trial(sc, tag, seed, R=None)
+                one, M0, rng = mc.draw_trial(sc, tag, seed, R=None)
                 assert one.seed == mix_seed(seed, 0)
                 for name in ("D", "E", "a", "b"):
                     got, want = getattr(ens, name)[t], getattr(one, name)
                     assert got.dtype == want.dtype and np.array_equal(got, want), name
                 assert np.array_equal(X[t], M0.x) and np.array_equal(Y[t], M0.y)
                 assert np.array_equal(np.outer(X[t], Y[t]), M0.M)
-                *_, lone_rngs = mc._draw_trials(sc, tag, [seed], R=None)
-                assert rngs[t].bit_generator.state == lone_rngs[0].bit_generator.state
+                assert rngs[t].bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("tag", ALL_TAGS)
     def test_draws_match_the_per_call_oracle(self, tag):
@@ -254,9 +254,9 @@ class TestPhaseTransition:
                     assert rngs[t].bit_generator.state == rng.bit_generator.state
 
     def test_trials_build_only_the_generators_they_read(self, monkeypatch):
-        # a trial builds one generator for its ensemble and plant; its solver
-        # generator only once it reaches a random start, which least
-        # squares never does
+        # a trial builds one generator, that of mix_seed(s, 0): its ensemble,
+        # plant, noise and solver starts all come from it, whether or not it
+        # reaches a random start
         built, slots = [], []
         real_rng, real_lm = np.random.default_rng, recovery._lm
         monkeypatch.setattr(np.random, "default_rng",
@@ -264,24 +264,36 @@ class TestPhaseTransition:
         monkeypatch.setattr(recovery, "_lm",
                             lambda aS, *args: slots.append(len(aS)) or real_lm(aS, *args))
         seeds = [mix_seed(17, 0, i) for i in range(20)]
-        mc.recover_stack([ConstraintScenario("subspace", 8, 2, 2)] * 20, COMPLEX_GENERIC, seeds,
-                         R=None, restarts=62, noise_level=0.0)
-        assert built == [mix_seed(s, 0) for s in seeds] and not slots
-        built.clear()
-        mc.recover_stack([ConstraintScenario("subspace", 6, 3, 3)] * 20, COMPLEX_GENERIC, seeds,
-                         R=None, restarts=62, noise_level=0.0)
-        # one support: the first wave runs a slot per trial, the second two
-        # per trial that reaches it
-        reached = slots[1] // 2 if len(slots) > 1 else 0
-        assert slots[0] == 20 and 0 < reached < 20
-        assert len(built) == 20 + reached
-        assert set(built[20:]) <= {mix_seed(s, 2) for s in seeds}
-        # draw_trial returns the ensemble and the plant alone, and builds
-        # no solver generator
+        one_each = [mix_seed(s, 0) for s in seeds]
+        # least squares (n = 8 >= 4) and the kernel (n = 6 < 9)
+        for sc in (ConstraintScenario("subspace", 8, 2, 2),
+                   ConstraintScenario("subspace", 6, 3, 3)):
+            for restarts, noise_level in itertools.product((0, 62), (0.0, 0.01)):
+                built.clear()
+                mc.recover_stack([sc] * 20, COMPLEX_GENERIC, seeds, R=None, restarts=restarts,
+                                 noise_level=noise_level)
+                assert built == one_each, (sc, restarts, noise_level)
+        # the kernel ran random starts at restarts 62: its first wave runs
+        # one slot per trial, a later wave more
+        assert any(w > 20 for w in slots)
+        # draw_trial returns its generator open, and builds no other
         built.clear()
         assert len(mc.draw_trial(ConstraintScenario("subspace", 6, 3, 3), COMPLEX_GENERIC,
-                                 seeds[0], R=None)) == 2
+                                 seeds[0], R=None)) == 3
         assert built == [mix_seed(seeds[0], 0)]
+        # each certify level searches with its trial's generator
+        for level in ("weak", "strong"):
+            built.clear()
+            assert cli.main(["certify", "--kind", "subspace", "--m1", "3", "--m2", "3",
+                             "--n", "6", "--level", level, "--seed", "5",
+                             "--out", os.devnull]) == 0
+            assert built == [mix_seed(5, 0)], level
+        # a stability sweep builds one per trial of each row, searched or
+        # recovered
+        built.clear()
+        mc.run_stability_sweep(SUBSPACE10, (0.3, 0.0, 0.1), trials=4, seed=6, restarts=62,
+                               R=None, mode="single_point", starts=3)
+        assert built == [mix_seed(mix_seed(6, r, i), 0) for r in (0, 2, 1) for i in range(4)]
 
     @pytest.mark.parametrize("sc,tag,want", [
         # least squares: one QR and one back substitution, no SVD-based
@@ -871,13 +883,14 @@ class TestStabilitySweep:
             assert mc.sweep_csv(mc.STABILITY_COLUMNS, small) == csv
             assert ([r.get("search_status") for r in small]
                     == [r.get("search_status") for r in rows])
+        # each trial searched alone draws its starts from its generator,
+        # after the plant
         for row_idx, row in enumerate(rows[:2]):
             alone = []
             for i in range(kw["trials"]):
-                trial_seed = mix_seed(kw["seed"], row_idx, i)
-                ens, M0 = mc.draw_trial(sc, COMPLEX_UNIFORM_BALL, trial_seed, R=None)
-                alone.append(deviation_alone(ens, M0, row["delta"], kw["starts"],
-                                             np.random.default_rng(mix_seed(trial_seed, 2))))
+                ens, M0, rng = mc.draw_trial(sc, COMPLEX_UNIFORM_BALL,
+                                             mix_seed(kw["seed"], row_idx, i), R=None)
+                alone.append(deviation_alone(ens, M0, row["delta"], kw["starts"], rng))
             assert row["max_deviation"] == max(alone)
             assert row["mean_lifted_error"] == float(np.mean(alone))
             assert sum(row["search_status"]) == kw["trials"] * kw["starts"]

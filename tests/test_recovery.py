@@ -476,7 +476,7 @@ class TestStackedKernel:
         # 1e-12 ||z|| from exact, above the floor, and ran all 63 starts
         fit, _, _ = mc.recover_stack([sc], COMPLEX_GENERIC, [seed], R=None, restarts=62,
                                      noise_level=0.0)
-        ens, M0 = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
+        ens, M0, _ = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
         z = apply_A(ens, M0)
         assert fit.restarts_used == 0
         assert fit.residual[0] <= _residual_floor(z[None])[0], fit.residual
@@ -533,7 +533,7 @@ def test_certifiers_match_attempt_by_attempt_reference(sc):
     # the loose tolerance puts first counterexamples past attempt 1 (at
     # attempts 2 to 37 here)
     for seed, tol in itertools.product(range(3), (1e-6, 0.05)):
-        ens, M0 = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
+        ens, M0, _ = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
         for level, new, ref, args in (
                 ("weak", certify_weak, oracles.certify_weak, (ens, M0)),
                 ("strong", certify_strong, oracles.certify_strong, (ens,))):
@@ -553,7 +553,7 @@ def test_certifier_counterexamples_verify_on_the_grid():
     found = dict.fromkeys(itertools.product(("weak", "strong"), (1e-6, 0.05)), 0)
     for sc in _certify_grid():
         for seed, tol in itertools.product(range(3), (1e-6, 0.05)):
-            ens, M0 = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
+            ens, M0, _ = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
             for level, v in (
                     ("weak", certify_weak(ens, M0, budget=100, tol=tol,
                                           rng=np.random.default_rng(seed))),
@@ -753,8 +753,8 @@ def test_certificate_unions_past_the_cap_are_refused(monkeypatch):
     real = recovery.operator_matrix
     monkeypatch.setattr(recovery, "operator_matrix",
                         lambda ens, **kw: checked.append(1) or real(ens, **kw))
-    ens, M0 = draw_trial(ConstraintScenario("sparsity", 4, 40, 40, 1, 1),
-                         COMPLEX_GENERIC, 0, R=None)
+    ens, M0, _ = draw_trial(ConstraintScenario("sparsity", 4, 40, 40, 1, 1),
+                            COMPLEX_GENERIC, 0, R=None)
     for sc, count in ((ens.scenario, 608_400),
                       (ConstraintScenario("mixed", 4, 1000, 2, 1), math.comb(1000, 2))):
         with pytest.raises(EnumerationCapError, match=f"^{count} support unions exceed "
@@ -778,8 +778,8 @@ def test_certifier_runs_one_attempt_then_the_rest_and_solver_waves_grow_by_two(m
     real = recovery._lm
     monkeypatch.setattr(recovery, "_lm",
                         lambda aS, *args: calls.append(len(aS)) or real(aS, *args))
-    ens, M0 = draw_trial(ConstraintScenario("sparsity", 3, 5, 5, 1, 1), COMPLEX_GENERIC, 0,
-                         R=None)
+    ens, M0, _ = draw_trial(ConstraintScenario("sparsity", 3, 5, 5, 1, 1), COMPLEX_GENERIC, 0,
+                            R=None)
     for certify, args in ((certify_weak, (ens, M0)), (certify_strong, (ens,))):
         calls.clear()
         v = certify(*args, budget=100, tol=1e-6, rng=np.random.default_rng(0))
@@ -805,7 +805,7 @@ def test_certifier_chunks_hold_at_most_the_stack_bound(monkeypatch):
     for sc, (level, certify), seed, tol in itertools.product(
             (subspace(3), ConstraintScenario("sparsity", 1, 5, 5, 1, 1)),
             (("weak", certify_weak), ("strong", certify_strong)), range(3), (1e-6, 0.05)):
-        ens, M0 = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
+        ens, M0, _ = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
         args = (ens, M0) if level == "weak" else (ens,)
         want = certify(*args, budget=100, tol=tol, rng=np.random.default_rng(seed))
         with pytest.MonkeyPatch.context() as mp:
@@ -832,7 +832,7 @@ def test_a_budget_within_the_stack_bound_makes_at_most_two_fits(monkeypatch):
     # is one fit of the first attempt and one of the rest; one attempt
     # more than the bound still fits in two stacks, and one more takes three
     sc = ConstraintScenario("sparsity", 3, 5, 5, 1, 1)
-    ens, M0 = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
+    ens, M0, _ = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
     calls = []
     real = recovery._lm
     monkeypatch.setattr(recovery, "_lm",
@@ -886,8 +886,8 @@ def test_exact_path_builds_no_support_pairs(monkeypatch):
                         lambda sc: built.append(sc) or real_supports(sc))
     monkeypatch.setattr(recovery, "operator_matrix",
                         lambda ens, **kw: checked.append(1) or real_operator(ens, **kw))
-    ens, M0 = draw_trial(ConstraintScenario("sparsity", 6, 5, 5, 1, 1), COMPLEX_GENERIC,
-                         0, R=None)
+    ens, M0, _ = draw_trial(ConstraintScenario("sparsity", 6, 5, 5, 1, 1), COMPLEX_GENERIC,
+                            0, R=None)
     for v in (certify_weak(ens, M0, budget=10, tol=1e-6, rng=np.random.default_rng(0)),
               certify_strong(ens, budget=10, tol=1e-6, rng=np.random.default_rng(0))):
         assert v.status == CERTIFIED_UNIQUE
@@ -1006,7 +1006,7 @@ def test_strong_search_never_returns_a_zero_plant(sc, seed, part):
             return g
 
     k1, k2 = sc.support_sizes
-    ens, _ = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
+    ens, *_ = draw_trial(sc, COMPLEX_GENERIC, seed, R=None)
     v = certify_strong(ens, budget=100, tol=0.05, rng=np.random.default_rng(seed))
     hit = v.search_budget
     assert v.status == COUNTEREXAMPLE_FOUND
@@ -1026,7 +1026,7 @@ def test_certifiers_refuse_a_far_threshold_at_the_ball_radius():
     # witness measured within it and more than 10 * tol away (trial 3 is the
     # first from 0 up whose weak search below finds such a witness)
     sc = ConstraintScenario("sparsity", 1, 5, 5, 1, 1)
-    ens, M0 = draw_trial(sc, COMPLEX_GENERIC, 3, R=None)
+    ens, M0, _ = draw_trial(sc, COMPLEX_GENERIC, 3, R=None)
     message = "^tolerance must be below 0.1, so that the far threshold 10 \\* tol stays below"
     for tol in (0.1, 0.5):
         with pytest.raises(ValueError, match=message):
@@ -1041,12 +1041,12 @@ def test_certifiers_refuse_a_far_threshold_at_the_ball_radius():
 
 def test_zero_budget_searches_nothing():
     sc = ConstraintScenario("sparsity", 2, 5, 5, 1, 1)
-    ens, M0 = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
+    ens, M0, _ = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
     for v in (certify_weak(ens, M0, budget=0, tol=1e-6, rng=np.random.default_rng(0)),
               certify_strong(ens, budget=0, tol=1e-6, rng=np.random.default_rng(0))):
         assert (v.status, v.search_budget) == (HEURISTICALLY_UNIQUE, 0)
     sc = ConstraintScenario("sparsity", 6, 5, 5, 1, 1)
-    ens, M0 = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
+    ens, M0, _ = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
     for v in (certify_weak(ens, M0, budget=0, tol=1e-6, rng=np.random.default_rng(0)),
               certify_strong(ens, budget=0, tol=1e-6, rng=np.random.default_rng(0))):
         assert (v.status, v.search_budget) == (CERTIFIED_UNIQUE, 0)
@@ -1056,7 +1056,7 @@ def test_zero_budget_takes_no_sigma_max(monkeypatch):
     # sigma_max(A) is the unit of the rule that judges a fit, so a search
     # of budget 0, which judges none, runs no SVD for it; budget 1 runs one
     sc = ConstraintScenario("sparsity", 2, 5, 5, 1, 1)
-    ens, M0 = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
+    ens, M0, _ = draw_trial(sc, COMPLEX_GENERIC, 0, R=None)
     calls = []
     real = recovery._sigma_max
     monkeypatch.setattr(recovery, "_sigma_max", lambda e: calls.append(e) or real(e))
@@ -1073,7 +1073,7 @@ def test_weak_search_takes_no_cone_factor(monkeypatch):
     # fitted products to rescale: it makes no _frobenius call, while the
     # strong search, in the unit ball, still rescales
     sc = ConstraintScenario("sparsity", 2, 5, 5, 1, 1)
-    ens, M0 = draw_trial(sc, COMPLEX_GENERIC, 1, R=None)
+    ens, M0, _ = draw_trial(sc, COMPLEX_GENERIC, 1, R=None)
     calls = []
     real = recovery._frobenius
     monkeypatch.setattr(recovery, "_frobenius", lambda M: calls.append(len(M)) or real(M))
@@ -1088,7 +1088,7 @@ def test_strong_search_draws_once_per_chunk():
     # attempts and makes three generator calls: every attempt's support
     # pick, then each chunk's plants and starts as one block
     sc = ConstraintScenario("sparsity", 2, 5, 5, 1, 1)
-    ens, _ = draw_trial(sc, COMPLEX_GENERIC, 1, R=None)
+    ens, *_ = draw_trial(sc, COMPLEX_GENERIC, 1, R=None)
 
     class Counting:
         def __init__(self):
@@ -1178,8 +1178,8 @@ def test_enumeration_matches_the_per_support_loop(sc, zero):
     # other draws its P * restarts random starts in one block
     T = 6
     trials = [draw_trial(sc, COMPLEX_GENERIC, seed, R=None) for seed in range(T)]
-    ens = build_ensemble(sc, COMPLEX_GENERIC, [ens.seed for ens, _ in trials])
-    z = np.array([apply_A(ens, M0) for ens, M0 in trials])
+    ens = build_ensemble(sc, COMPLEX_GENERIC, [ens.seed for ens, *_ in trials])
+    z = np.array([apply_A(ens, M0) for ens, M0, _ in trials])
     z[1::2] += 0.01 * np.random.default_rng(91).standard_normal(z[1::2].shape)
     if zero:
         z[:] = 0
