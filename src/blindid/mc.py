@@ -6,20 +6,20 @@ The sweeps take every option as a required keyword argument and check
 each input they read before their first draw. Every trial derives its own
 64-bit seed from the sweep's seed argument via a documented splitmix64 mix
 of (seed, row_index, trial_index), so results are reproducible
-trial-by-trial. One trial kernel, recover_stack, serves the phase
-transitions, the delta = 0 stability rows and the CLI's `recover`, which
-runs the stack of the one seed s and so replays the sweep trial whose seed
-is s, in every row: a sweep point is a plain ConstraintScenario at that n,
-also below the sample count d. The kernel
-takes trials as stacks from draw to score: only each trial's own
-generator calls run per trial, one per block of draws, and the assembly,
-the ensemble FFTs and the measurements run once per row of a stack, the
-solve and the scoring once per stack; a trial builds its solver stream
-only if it reads it. A stack may span the kernel rows of a sweep (n below
-k1*k2 on supports of k1 x k2), whose solve is one Levenberg-Marquardt run
-per wave with every (trial, support, solver start) a slot; a
-least-squares row is one stacked least-squares call. Each trial gets the
-bits of its replay alone.
+trial-by-trial, and a trial makes every draw, from its ensemble to its
+solver or search starts, from one generator of its own (_draw_trials).
+One trial kernel, recover_stack, serves the phase transitions, the
+delta = 0 stability rows and the CLI's `recover`, which runs the stack of
+the one seed s and so replays the sweep trial whose seed is s, in every
+row: a sweep point is a plain ConstraintScenario at that n, also below
+the sample count d. The kernel takes trials as stacks from draw to score:
+only each trial's own generator calls run per trial, one per block of
+draws, and the assembly, the ensemble FFTs and the measurements run once
+per row of a stack, the solve and the scoring once per stack. A stack may
+span the kernel rows of a sweep (n below k1*k2 on supports of k1 x k2),
+whose solve is one Levenberg-Marquardt run per wave with every (trial,
+support, solver start) a slot; a least-squares row is one stacked
+least-squares call. Each trial gets the bits of its replay alone.
 Stability sweeps search their delta > 0 trials in flat batches, one drawn
 stack and one batched L-BFGS run each, and each trial's result does not
 depend on the batch it is solved in.
@@ -218,13 +218,13 @@ def recover_stack(scs: Sequence[ConstraintScenario], tag: str, seeds: Sequence[i
     sweep, one scenario at one or more n, as one RowStack. Each run of
     consecutive trials of one scenario is drawn and measured as one stack,
     and the solve takes every trial at once. Each trial draws from its own
-    streams (_draw_trials), so each gets the bits of its stack of one.
+    generator (_draw_trials), so each gets the bits of its stack of one.
 
     The measurements are taken in the time domain, z = the circular
     convolution of Dx and Ey plus spherical noise of radius noise_level,
     drawn from the generator that drew the trial's ensemble and plant, after
     them; they are solved from z_tilde = F z / sqrt(n) over every admissible
-    support.
+    support, and the solver's random starts continue the same generator.
     Returns the solver result, and per trial the lifted error against the
     planted matrix and whether the trial counts as recovered (is_recovered).
     """
@@ -525,8 +525,8 @@ def _feasible_scan(ac, bc, M0, t0, x0, y0, x, y, delta) -> np.ndarray:
 def _draw_starts(x0, y0, delta: float, starts: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Packed start points, (starts, 2(m1+m2)), from one draw of the
-    trial's search stream: a perturbation of the planted factors, then
-    unit-norm random factors."""
+    trial's generator, after its plant: a perturbation of the planted
+    factors, then unit-norm random factors."""
     m1, m2 = x0.size, y0.size
     xs, ys = _unpack(rng.standard_normal((starts, 2 * (m1 + m2))), m1, m2)
     scale = 0.1 + 0.5 * delta
@@ -573,7 +573,7 @@ def run_stability_sweep(sc: ConstraintScenario, deltas: Sequence[float], *,
 
     Per delta and trial: draw a complex uniform-ball ensemble, plant a
     unit-norm matrix, search for the largest feasible deviation from
-    `starts` starts, and record whether it violates the reconstruction
+    `starts` starts drawn next from the trial's generator, and record whether it violates the reconstruction
     level of the `mode` bound. delta = 0 degenerates to a noiseless
     uniqueness check with `restarts` solver restarts. Every input is
     checked, and every level and bound computed, before the first draw, so

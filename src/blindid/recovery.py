@@ -380,8 +380,10 @@ def solve_fixed_support(ens: RowStack, z_tilde, S1, S2, restarts: int,
 
     ens is a RowStack, the trial stacks of one or more rows of a sweep
     (build_ensemble with T seeds each), and z_tilde holds one measurement
-    array (T, n) per row. rng holds one generator per trial, in row order;
-    S1 (P, k1) and S2 (P, k2) index P supports of one size. Every trial's
+    array (T, n) per row. rng holds one generator per trial, in row order,
+    which the solve continues: recover_stack passes each trial's own, after
+    its ensemble, plant and noise draws. S1 (P, k1) and S2 (P, k2) index P
+    supports of one size. Every trial's
     restricted frequency rows and measurements are assembled once, in one
     (trial, support) stack, zero-padded to the solve length N: n for least
     squares, k1*k2 - 1 on the kernel. A zero row adds nothing to the
