@@ -573,11 +573,12 @@ def run_stability_sweep(sc: ConstraintScenario, deltas: Sequence[float], *,
 
     Per delta and trial: draw a complex uniform-ball ensemble, plant a
     unit-norm matrix, search for the largest feasible deviation from
-    `starts` starts drawn next from the trial's generator, and record whether it violates the reconstruction
-    level of the `mode` bound. delta = 0 degenerates to a noiseless
-    uniqueness check with `restarts` solver restarts. Every input is
-    checked, and every level and bound computed, before the first draw, so
-    a sweep outside a bound's range draws nothing. The search runs over
+    `starts` starts drawn next from the trial's generator, and record
+    whether it violates the reconstruction level of the `mode` bound.
+    delta = 0 degenerates to a noiseless uniqueness check with `restarts`
+    solver restarts. Every input is checked, and every level and bound
+    computed, before the first draw, so a sweep outside a bound's range
+    draws nothing. The search runs over
     dense factors, so it takes subspace scenarios (full supports) only.
     The delta > 0 trials, listed in row order, are searched in flat batches
     of the fewest trials whose starts reach SEARCH_BATCH_SLOTS; a batch may
